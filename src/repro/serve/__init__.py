@@ -1,10 +1,10 @@
 """Micro-batching inference serving over tuning plans.
 
-The serving layer of the reproduction (ROADMAP item 1): load a
-:class:`~repro.tune.planner.TuningPlan` plus derived pruned weights once,
-then answer ``predict`` requests through
-:class:`~repro.tune.planned.PlannedModel` with timing-model-planned dynamic
-micro-batching, worker processes sharing prepared-weight caches, and
+The serving layer of the reproduction: load a
+:class:`~repro.tune.planner.TuningPlan` and prepare its derived pruned
+weights once (:class:`PreparedRuntime`), then answer ``predict`` requests
+through each layer's assigned kernel with timing-model-planned dynamic
+micro-batching, worker processes sharing the prepared operands, and
 bounded-queue backpressure.  See ``docs/architecture.md`` for the data flow
 and the README's Serving section for the CLI quickstart.
 """
@@ -40,7 +40,7 @@ from .service import (
     ServiceOverloadedError,
     ServiceStats,
 )
-from .weights import derive_weights, planned_runtime
+from .weights import PreparedRuntime, derive_weights
 
 __all__ = [
     "DEFAULT_WEIGHT_SEED",
@@ -58,6 +58,7 @@ __all__ = [
     "PoolStompedWarning",
     "PredictRequest",
     "PredictResponse",
+    "PreparedRuntime",
     "QueueFullError",
     "SERVE_TASK",
     "ServeBatch",
@@ -67,7 +68,6 @@ __all__ = [
     "WorkerPool",
     "derive_weights",
     "execute_serve_batches",
-    "planned_runtime",
     "replay_batches",
     "serving_windows",
 ]

@@ -28,9 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..eval.runner import MODEL_VERSION, CellTask, canonical_config_hash
-from ..tune.planned import PlannedModel
 from ..tune.planner import TuningPlan
-from .weights import planned_runtime
+from .weights import PreparedRuntime
 
 __all__ = [
     "PredictRequest",
@@ -42,38 +41,51 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PredictRequest:
     """One inference request: activation columns for one layer of the plan.
 
     ``activations`` is the dense operand slice the request contributes —
-    ``K`` rows by ``n`` columns, stored as nested tuples so the request is
-    immutable and canonically JSON-serialisable (the batch hash digests the
-    exact float values).  ``request_id`` is a correlation handle for the
-    caller and ``deadline_s`` an optional shed-after bound (seconds from
-    submission; expired requests are shed before dispatch with an error
-    response); both are cosmetic — excluded from equality and from the
-    cache key, like every display-only field in the repo's cell families
-    (a deadline decides *whether* a request is served, never what its
-    output is).
+    ``K`` rows by ``n`` columns, held as a private read-only float64 copy so
+    the request is immutable and ships to workers as one array.
+    :meth:`to_dict` lists its exact float values, so the batch hash digests
+    them.  ``request_id`` is a correlation handle for the caller and
+    ``deadline_s`` an optional shed-after bound (seconds from submission;
+    expired requests are shed before dispatch with an error response); both
+    are cosmetic — excluded from equality and from the cache key, like
+    every display-only field in the repo's cell families (a deadline decides
+    *whether* a request is served, never what its output is).
     """
 
     layer: str
-    activations: tuple[tuple[float, ...], ...]
+    activations: np.ndarray
     request_id: str | None = field(default=None, compare=False)
     deadline_s: float | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
-        rows = tuple(
-            tuple(float(value) for value in row) for row in self.activations
-        )
-        if not rows or not rows[0]:
+        array = np.array(self.activations, dtype=np.float64)
+        if array.ndim != 2 or array.size == 0:
             raise ValueError("activations must be a non-empty K x n matrix")
-        if any(len(row) != len(rows[0]) for row in rows):
-            raise ValueError("activation rows must all have the same width")
         if self.deadline_s is not None and self.deadline_s < 0.0:
             raise ValueError("a request deadline must be non-negative")
-        object.__setattr__(self, "activations", rows)
+        array.flags.writeable = False
+        object.__setattr__(self, "activations", array)
+
+    def __setstate__(self, state: dict) -> None:
+        # Unpickled arrays come back writeable; keep the request immutable.
+        self.__dict__.update(state)
+        self.activations.flags.writeable = False
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PredictRequest):
+            return NotImplemented
+        return self.layer == other.layer and np.array_equal(
+            self.activations, other.activations
+        )
+
+    def __hash__(self) -> int:
+        # Consistent with ``__eq__`` without digesting the payload.
+        return hash((self.layer, self.activations.shape))
 
     @classmethod
     def from_array(
@@ -84,7 +96,11 @@ class PredictRequest:
         request_id: str | None = None,
         deadline_s: float | None = None,
     ) -> "PredictRequest":
-        """Build a request from a ``(K,)`` or ``(K, n)`` numpy operand."""
+        """Build a request from a ``(K,)`` or ``(K, n)`` numpy operand.
+
+        The operand is copied: later writes to ``activations`` do not
+        reach the request.
+        """
         array = np.asarray(activations, dtype=np.float64)
         if array.ndim == 1:
             array = array[:, np.newaxis]
@@ -92,7 +108,7 @@ class PredictRequest:
             raise ValueError("activations must be 1-D or 2-D")
         return cls(
             layer=layer,
-            activations=tuple(tuple(row) for row in array.tolist()),
+            activations=array,
             request_id=request_id,
             deadline_s=deadline_s,
         )
@@ -100,23 +116,20 @@ class PredictRequest:
     @property
     def width(self) -> int:
         """Number of activation columns the request contributes."""
-        return len(self.activations[0])
+        return self.activations.shape[1]
 
     @property
     def rows(self) -> int:
         """Number of activation rows (the layer's reduction dimension K)."""
-        return len(self.activations)
+        return self.activations.shape[0]
 
     def to_array(self) -> np.ndarray:
-        """The request operand as a ``(K, n)`` float64 array."""
-        return np.asarray(self.activations, dtype=np.float64)
+        """The request operand as a read-only ``(K, n)`` float64 array."""
+        return self.activations
 
     def to_dict(self) -> dict:
         """Canonical JSON-compatible form (used for hashing and export)."""
-        return {
-            "layer": self.layer,
-            "activations": [list(row) for row in self.activations],
-        }
+        return {"layer": self.layer, "activations": self.activations.tolist()}
 
 
 @dataclass(frozen=True)
@@ -240,26 +253,25 @@ def _decode_serve_record(config: object, entry: Mapping) -> ServeBatchRecord | N
     )
 
 
-#: Per-process runtime memo: the prepared :class:`PlannedModel` and derived
-#: weights of recently served plans.  This is the shared prepared-weight
-#: cache of the worker processes — each worker derives (or, under the fork
-#: start method, inherits copy-on-write from the parent's warm-up) the
-#: compressed kernel formats once and reuses them across every batch it
-#: serves, mirroring the accuracy cells' per-worker dense-proxy memo.
-_RUNTIME_MEMO: OrderedDict[str, tuple[PlannedModel, dict]] = OrderedDict()
+#: Per-process runtime memo: the :class:`PreparedRuntime` of recently served
+#: ``(plan, weight_seed)`` pairs.  A runtime is built once per process — the
+#: service builds it at start, before forking its workers, so they inherit
+#: the prepared kernel formats copy-on-write — and every later batch of the
+#: plan runs straight on the prepared operands.
+_RUNTIME_MEMO: OrderedDict[str, PreparedRuntime] = OrderedDict()
 
 #: How many plan runtimes one process keeps prepared at a time.
 _RUNTIME_MEMO_SIZE = 4
 
 
-def _runtime_for(plan: TuningPlan, weight_seed: int) -> tuple[PlannedModel, dict]:
-    """The memoised ``(PlannedModel, weights)`` runtime of one plan."""
+def _runtime_for(plan: TuningPlan, weight_seed: int) -> PreparedRuntime:
+    """The memoised prepared runtime of one ``(plan, weight_seed)`` pair."""
     key = canonical_config_hash({"plan": plan.to_dict(), "weight_seed": weight_seed})
     runtime = _RUNTIME_MEMO.get(key)
     if runtime is not None:
         _RUNTIME_MEMO.move_to_end(key)
         return runtime
-    runtime = planned_runtime(plan, weight_seed)
+    runtime = PreparedRuntime.build(plan, weight_seed)
     _RUNTIME_MEMO[key] = runtime
     while len(_RUNTIME_MEMO) > _RUNTIME_MEMO_SIZE:
         _RUNTIME_MEMO.popitem(last=False)
@@ -272,12 +284,11 @@ def _execute_serve_batch(batch: ServeBatch) -> ServeBatchRecord:
     Pure function of the batch (seeded weight derivation, no clock, no
     environment), so records are identical wherever the batch executes.
     """
-    model, weights = _runtime_for(batch.plan, batch.weight_seed)
-    weight = weights[batch.layer]
+    runtime = _runtime_for(batch.plan, batch.weight_seed)
     coalesced = np.concatenate(
-        [request.to_array() for request in batch.requests], axis=1
+        [request.activations for request in batch.requests], axis=1
     )
-    output = model.matmul(batch.layer, weight, coalesced)
+    output = runtime.run_layer(batch.layer, coalesced)
     outputs: list[np.ndarray] = []
     start = 0
     for request in batch.requests:
@@ -293,9 +304,9 @@ def execute_serve_batches(batches: list[ServeBatch]) -> list[ServeBatchRecord]:
 
 
 #: The serving cell family, pluggable into ``SweepRunner.run_cells``:
-#: contiguous chunking keeps each worker's batches on as few plans/layers as
-#: possible, so the per-process prepared-weight memo is hit instead of
-#: rebuilt per stride.
+#: contiguous chunking keeps each worker's batches on as few plans as
+#: possible, so the per-process runtime memo is hit instead of rebuilt per
+#: stride.
 SERVE_TASK = CellTask(
     name="serve",
     execute=execute_serve_batches,

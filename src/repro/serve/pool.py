@@ -35,10 +35,11 @@ lands and the purity gate still covers the compute.  An optional
 faults for the chaos suite; the plan is consulted parent-side at submit
 time, so the fault schedule never touches the pure executor.
 
-On Linux the default (fork) start method makes the parent's warmed-up
-prepared-weight memo (:mod:`repro.serve.cells`) visible to every worker
-copy-on-write: the service warms the runtime *before* building the pool, so
-workers share the prepared kernel formats instead of re-deriving them.
+On Linux the default (fork) start method makes the parent's prepared
+runtime (:class:`~repro.serve.weights.PreparedRuntime`, memoised in
+:mod:`repro.serve.cells`) visible to every worker copy-on-write: the service
+builds it *before* building the pool, so workers share the prepared kernel
+formats instead of re-deriving them.
 """
 
 from __future__ import annotations

@@ -1,19 +1,21 @@
 """The inference service: queue, micro-batcher, workers and backpressure.
 
 :class:`InferenceService` is the serving front of the repo: it binds one
-:class:`~repro.tune.planner.TuningPlan` to derived pruned weights, plans a
-coalescing window per layer from the batched timing model, and then answers
-``predict`` requests through :class:`~repro.tune.planned.PlannedModel` —
-live (a dispatcher thread coalescing queued requests up to each layer's
-latency deadline, executing on ``N`` worker processes) or offline
+:class:`~repro.tune.planner.TuningPlan` to derived pruned weights, prepared
+once at :meth:`~InferenceService.start` into each layer's kernel format
+(:class:`~repro.serve.weights.PreparedRuntime`), plans a coalescing window
+per layer from the batched timing model, and then answers ``predict``
+requests on those prepared operands — live (a dispatcher thread coalescing
+queued requests up to each layer's latency deadline, executing on ``N``
+worker processes) or offline
 (:meth:`~InferenceService.replay`, a deterministic pure path through the
 sweep runner whose outputs are byte-identical at any worker count).
 
 Deadline semantics: the timing model predicts GPU execution times while the
 functional engines run on the host, so the modelled per-batch time is
 re-scaled at :meth:`~InferenceService.start` by a measured calibration pass
-(one warm batch per layer through the real engine — which also pre-warms
-the prepared-weight caches the forked workers inherit).  The calibrated
+(the faster of two full-width batches per layer through the real engine,
+after the runtime the forked workers inherit is prepared).  The calibrated
 deadline ≈ the host-time cost of one full batch, so a request's worst-case
 latency stays within roughly two batch service times.
 
@@ -276,14 +278,17 @@ class InferenceService:
 
     # ------------------------------ lifecycle ---------------------------- #
     def start(self) -> "InferenceService":
-        """Warm the runtime, calibrate deadlines, spawn workers, go live."""
+        """Prepare the runtime, calibrate deadlines, spawn workers, go live."""
         if self._started:
             return self
-        model, weights = _runtime_for(self.plan, self.weight_seed)
+        # Building the runtime prepares every layer up front (the forked
+        # workers inherit it), so both probe runs below are steady-state;
+        # the faster one is the calibration sample, which keeps one noisy
+        # run from inflating a deadline.
+        _runtime_for(self.plan, self.weight_seed)
         for layer, window in list(self.windows.items()):
-            shape = model.layers[layer].gemm
             probe = PredictRequest.from_array(
-                layer, np.ones((shape.k, window.width))
+                layer, np.ones((self._expected_rows[layer], window.width))
             )
             batch = ServeBatch(
                 plan=self.plan,
@@ -291,12 +296,12 @@ class InferenceService:
                 layer=layer,
                 requests=(probe,),
             )
-            # First run pays the kernel's prepare (warming the cache the
-            # forked workers inherit); the second measures the steady state.
-            execute_serve_batches([batch])
-            began = time.perf_counter()
-            execute_serve_batches([batch])
-            host_time = max(time.perf_counter() - began, 1e-9)
+            runs = []
+            for _ in range(2):
+                began = time.perf_counter()
+                execute_serve_batches([batch])
+                runs.append(time.perf_counter() - began)
+            host_time = max(min(runs), 1e-9)
             self._calibration[layer] = host_time / window.predicted_batch_time_s
             if self._explicit_deadline is None:
                 self.windows[layer] = window.with_deadline(host_time)
@@ -705,7 +710,11 @@ class InferenceService:
 
     # ------------------------------ telemetry ---------------------------- #
     def recorded_times(self) -> dict[str, float]:
-        """Median measured host seconds per dispatched batch, per layer."""
+        """Median measured host seconds per dispatched batch, per layer.
+
+        A batch's time is its kernel run on the weight prepared at start,
+        plus coalescing and slicing; no batch prepares or hashes a weight.
+        """
         return {
             layer: float(np.median(np.asarray(times)))
             for layer, times in sorted(self._recorded.items())

@@ -1,4 +1,4 @@
-"""Deterministic pruned weights for a tuning plan's workload.
+"""Deterministic pruned weights for a tuning plan, prepared once for serving.
 
 The service binds a :class:`~repro.tune.planner.TuningPlan` to concrete
 weight tensors.  Real deployments would load trained checkpoints; this repo
@@ -9,16 +9,24 @@ function of ``(plan, weight_seed)``.  Every kernel re-compresses the dense
 masked tensor into its own format inside ``prepare`` (Shfl-BW falls back to
 its deterministic degenerate row grouping when no witness permutation is
 supplied), which keeps weight derivation kernel-agnostic.
+
+:class:`PreparedRuntime` is that state in the form the paper's kernels
+consume it: each servable layer's weight compressed once, at load, into its
+assigned kernel's format.  Serving a batch then costs only the kernel run —
+no batch re-derives, re-hashes or re-compresses a weight.
 """
 
 from __future__ import annotations
+
+from collections.abc import Mapping
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..tune.planned import PlannedModel
 from ..tune.planner import TuningPlan
 
-__all__ = ["derive_weights", "planned_runtime"]
+__all__ = ["PreparedRuntime", "derive_weights"]
 
 
 def derive_weights(plan: TuningPlan, weight_seed: int) -> dict[str, np.ndarray]:
@@ -40,8 +48,30 @@ def derive_weights(plan: TuningPlan, weight_seed: int) -> dict[str, np.ndarray]:
     return weights
 
 
-def planned_runtime(
-    plan: TuningPlan, weight_seed: int
-) -> tuple[PlannedModel, dict[str, np.ndarray]]:
-    """The executable runtime of a plan: its model plus derived weights."""
-    return PlannedModel(plan), derive_weights(plan, weight_seed)
+@dataclass(frozen=True, eq=False)
+class PreparedRuntime:
+    """A plan's serving state: its model and each layer's prepared weight.
+
+    ``prepared`` maps every servable (linear) layer to the operand its
+    assigned kernel's ``prepare`` built from :func:`derive_weights`; the
+    dense weights themselves are not kept.  Convolution layers have no
+    token dimension to serve and are not prepared.
+    """
+
+    model: PlannedModel
+    prepared: Mapping[str, object]
+
+    @classmethod
+    def build(cls, plan: TuningPlan, weight_seed: int) -> "PreparedRuntime":
+        """Derive the plan's weights and prepare each servable layer once."""
+        model = PlannedModel(plan)
+        prepared = {
+            layer: model.kernel_for(layer).prepare(weight)
+            for layer, weight in derive_weights(plan, weight_seed).items()
+            if model.layers[layer].kind == "linear"
+        }
+        return cls(model=model, prepared=prepared)
+
+    def run_layer(self, layer: str, activations: np.ndarray) -> np.ndarray:
+        """``W @ activations`` for one layer, on its prepared operand."""
+        return self.model.run_prepared(layer, self.prepared[layer], activations)

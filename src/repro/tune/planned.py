@@ -82,6 +82,16 @@ class PlannedModel:
         """
         return self.kernel_for(layer).matmul(weight, activations, **kwargs)
 
+    def run_prepared(
+        self, layer: str, prepared: object, activations: np.ndarray
+    ) -> np.ndarray:
+        """Run one layer on an operand its kernel's ``prepare`` already built.
+
+        Unlike :meth:`matmul` this never sees the dense weight, so callers
+        that prepare once (the serving runtime) pay only for the kernel run.
+        """
+        return self.kernel_for(layer).run(prepared, activations)
+
     @property
     def total_time_s(self) -> float:
         """Modelled whole-workload time under the plan."""

@@ -308,26 +308,32 @@ class TestPoolChaos:
         assert pool.retried >= 1  # the corrupted attempt was resubmitted
 
     def test_seeded_pool_schedule_is_reproducible(self, plan):
-        """The same seed yields the same retry/quarantine accounting."""
+        """The same seed yields the same retry/error accounting.
+
+        One batch is outstanding at a time (the service's one-in-flight-
+        per-worker rule), so each kill strands exactly the batch that
+        fired it: ``retried`` equals the schedule's kill count instead of
+        depending on how many batches a dying worker happened to hold.
+        """
+        fault_plan = FaultPlan.seeded(
+            5, batches=8, rate=0.5, kinds=("kill", "raise"), times=1
+        )
+        kills = sum(spec.kind == "kill" for spec in fault_plan.specs)
+        raised = sorted(s.batch_id for s in fault_plan.specs if s.kind == "raise")
+        assert kills >= 1 and raised
         outcomes = []
         for _ in range(2):
-            batches = self.make_batches(plan, 8)
-            pool = WorkerPool(
-                2,
-                fault_plan=FaultPlan.seeded(
-                    5, batches=8, rate=0.5, kinds=("kill", "raise"), times=1
-                ),
-                backoff_base_s=0.01,
-            )
+            pool = WorkerPool(2, fault_plan=fault_plan, backoff_base_s=0.01)
+            results = []
             try:
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", PoolStompedWarning)
-                    for batch in batches:
+                    for batch in self.make_batches(plan, 8):
                         pool.submit(batch)
-                        pool.collect(timeout=0.0)
-                    results = pool.collect_all()
-                    results.extend(pool.collect(timeout=0.0))
+                        results.extend(pool.collect_all())
             finally:
                 pool.close()
-            outcomes.append((pool.retried, pool.quarantined))
-        assert outcomes[0] == outcomes[1]
+            assert sorted(r.batch.batch_id for r in results) == list(range(8))
+            errored = sorted(r.batch.batch_id for r in results if r.error is not None)
+            outcomes.append((pool.retried, pool.quarantined, errored))
+        assert outcomes[0] == outcomes[1] == (kills, 0, raised)

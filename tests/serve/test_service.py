@@ -7,6 +7,7 @@ import time
 import numpy as np
 import pytest
 
+import repro.serve.service as service_module
 from repro.serve import (
     InferenceService,
     PredictRequest,
@@ -109,6 +110,29 @@ class TestLiveService:
             # slower than the modelled GPU times the windows start from.
             for layer in modelled:
                 assert calibrated[layer] > modelled[layer]
+        finally:
+            service.stop()
+
+    def test_calibration_takes_the_faster_probe(self, plan, monkeypatch):
+        """One slow probe run (here the second) must not inflate the
+        calibrated deadline: both probes are steady state once the weights
+        are prepared at load, and the faster one is the sample."""
+        calls: dict[str, int] = {}
+        real = service_module.execute_serve_batches
+
+        def second_probe_stalls(batches):
+            layer = batches[0].layer
+            calls[layer] = calls.get(layer, 0) + 1
+            if calls[layer] == 2:
+                time.sleep(0.3)
+            return real(batches)
+
+        monkeypatch.setattr(service_module, "execute_serve_batches", second_probe_stalls)
+        service = InferenceService(plan, max_pending=8)
+        service.start()
+        try:
+            assert calls == {LAYER: 2}
+            assert service.windows[LAYER].deadline_s < 0.3
         finally:
             service.stop()
 
