@@ -9,10 +9,9 @@ The gates over ``repro.serve``:
 * *throughput*: the live service with timing-model-planned micro-batching
   must reach at least ``--min-speedup`` times the request rate of the same
   service forced to batch-size-1 serial dispatch, at the same worker count;
-* *absolute floor*: the serial mode must keep at least a third of the
-  serial req/s recorded in ``--baseline`` (the committed
-  ``BENCH_serve.json``), so per-batch overhead creeping back into the hot
-  path fails even when it slows both modes alike;
+* *absolute floor*: the serial mode must reach :data:`SERIAL_FLOOR_RPS`,
+  so per-batch overhead creeping back into the hot path fails even when it
+  slows both modes alike;
 * *fault recovery*: the same micro-batched run with one worker killed
   mid-stream (a deterministic ``FaultPlan``) must lose zero requests and
   still reach :data:`MIN_FAULTED_SPEEDUP` times the serial rate — crash
@@ -21,11 +20,14 @@ The gates over ``repro.serve``:
 Both modes run the identical closed-loop protocol — every request submitted
 up front, the service drained to completion — so the measured difference is
 purely the coalescing policy.  Each process runs OpenBLAS single-threaded
-(unless ``OPENBLAS_NUM_THREADS`` is already set): two workers with a BLAS
-thread per core oversubscribe a 2-core host and made micro-batched drains
-up to 10x slower at random.  The measurements (p50/p99 latency, req/s per
-mode, the speedups) land in ``BENCH_serve.json``; perf-smoke CI enforces the
-gates and uploads the JSON as an artifact.
+(unless ``OPENBLAS_NUM_THREADS`` is already set), the multi-worker setup the
+README recommends.  The service does not pin BLAS threads itself: with its
+default of one BLAS thread per core, two workers oversubscribe a 2-core
+host and the micro-batched and faulted modes can fall below the serial
+one, so these gates do not cover an unpinned deployment.  The measurements
+(p50/p99 latency, req/s per mode, the speedups) land in
+``BENCH_serve.json``, an output only; perf-smoke CI enforces the gates and
+uploads the JSON as an artifact.
 
 Run standalone (after ``pip install -e .``)::
 
@@ -66,8 +68,11 @@ GEMM = (1024, 32, 1024)
 GPU = "V100"
 SPARSITY = 0.9
 LAYER = f"gemm-{GEMM[0]}x{GEMM[1]}x{GEMM[2]}"
-#: Share of the baseline's serial req/s the serial mode must keep.
-SERIAL_FLOOR_FRACTION = 1.0 / 3.0
+#: Serial req/s floor: a third of the slowest serial rate (~830 req/s) in
+#: seven runs on a 2-core x86 host.  Hashing the weight on every batch again
+#: drops the serial mode to ~75 req/s there; a runner at half that host's
+#: speed still passes.
+SERIAL_FLOOR_RPS = 275.0
 #: Faulted vs serial req/s bar.  The faulted run pays a worker respawn on
 #: top of the micro-batched work, so its ratio sits below the micro-batched
 #: one; the bar keeps 1.5x headroom below the committed measurement.
@@ -194,13 +199,6 @@ def main(argv: list[str] | None = None) -> int:
         help="fail below this micro-batched vs serial req/s ratio (default 2)",
     )
     parser.add_argument(
-        "--baseline",
-        type=Path,
-        default=Path("BENCH_serve.json"),
-        help="committed result whose serial req/s sets the absolute floor "
-        "(default BENCH_serve.json; read before --output is written)",
-    )
-    parser.add_argument(
         "--requests",
         type=int,
         default=1024,
@@ -231,11 +229,6 @@ def main(argv: list[str] | None = None) -> int:
         help="where to write the result JSON (default BENCH_serve.json)",
     )
     args = parser.parse_args(argv)
-    floor_rps = None
-    if args.baseline.is_file():
-        committed = json.loads(args.baseline.read_text(encoding="utf-8"))
-        if "serial" in committed:
-            floor_rps = committed["serial"]["requests_per_s"] * SERIAL_FLOOR_FRACTION
 
     result = run(
         requests=args.requests,
@@ -245,7 +238,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     result["min_speedup"] = args.min_speedup
     result["min_faulted_speedup"] = MIN_FAULTED_SPEEDUP
-    result["serial_floor_rps"] = floor_rps
+    result["serial_floor_rps"] = SERIAL_FLOOR_RPS
     args.output.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
 
     identity = result["replay_identity"]
@@ -283,18 +276,12 @@ def main(argv: list[str] | None = None) -> int:
         f"killed mid-stream (gate: >= {MIN_FAULTED_SPEEDUP}x, zero lost)"
     )
     serial_rps = result["serial"]["requests_per_s"]
-    if floor_rps is None:
-        print(f"serial floor : skipped (no serial result in {args.baseline})")
-    else:
-        print(
-            f"serial floor : {serial_rps:8.1f} req/s (gate: >= {floor_rps:.1f}, "
-            f"a third of {args.baseline})"
-        )
+    print(f"serial floor : {serial_rps:8.1f} req/s (gate: >= {SERIAL_FLOOR_RPS})")
     print(f"wrote {args.output}")
-    if floor_rps is not None and serial_rps < floor_rps:
+    if serial_rps < SERIAL_FLOOR_RPS:
         print(
             f"FAILED: serial serving reached only {serial_rps:.1f} req/s, below "
-            f"the {floor_rps:.1f} req/s floor (a third of the baseline)",
+            f"the {SERIAL_FLOOR_RPS} req/s floor",
             file=sys.stderr,
         )
         return 1

@@ -2,7 +2,7 @@
 
 The serving layer of the reproduction: load a
 :class:`~repro.tune.planner.TuningPlan` and prepare its derived pruned
-weights once (:class:`PreparedRuntime`), then answer ``predict`` requests
+weights once (:func:`planned_runtime`), then answer ``predict`` requests
 through each layer's assigned kernel with timing-model-planned dynamic
 micro-batching, worker processes sharing the prepared operands, and
 bounded-queue backpressure.  See ``docs/architecture.md`` for the data flow
@@ -40,7 +40,7 @@ from .service import (
     ServiceOverloadedError,
     ServiceStats,
 )
-from .weights import PreparedRuntime, derive_weights
+from .weights import derive_weights, planned_runtime
 
 __all__ = [
     "DEFAULT_WEIGHT_SEED",
@@ -58,7 +58,6 @@ __all__ = [
     "PoolStompedWarning",
     "PredictRequest",
     "PredictResponse",
-    "PreparedRuntime",
     "QueueFullError",
     "SERVE_TASK",
     "ServeBatch",
@@ -68,6 +67,7 @@ __all__ = [
     "WorkerPool",
     "derive_weights",
     "execute_serve_batches",
+    "planned_runtime",
     "replay_batches",
     "serving_windows",
 ]

@@ -28,8 +28,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..eval.runner import MODEL_VERSION, CellTask, canonical_config_hash
+from ..tune.planned import PlannedModel
 from ..tune.planner import TuningPlan
-from .weights import PreparedRuntime
+from .weights import planned_runtime
 
 __all__ = [
     "PredictRequest",
@@ -253,25 +254,25 @@ def _decode_serve_record(config: object, entry: Mapping) -> ServeBatchRecord | N
     )
 
 
-#: Per-process runtime memo: the :class:`PreparedRuntime` of recently served
-#: ``(plan, weight_seed)`` pairs.  A runtime is built once per process — the
-#: service builds it at start, before forking its workers, so they inherit
-#: the prepared kernel formats copy-on-write — and every later batch of the
-#: plan runs straight on the prepared operands.
-_RUNTIME_MEMO: OrderedDict[str, PreparedRuntime] = OrderedDict()
+#: Per-process runtime memo: the :func:`~repro.serve.weights.planned_runtime`
+#: of recently served ``(plan, weight_seed)`` pairs.  A runtime is built once
+#: per process — the service builds it at start, before forking its workers,
+#: so they inherit the prepared kernel formats copy-on-write — and every
+#: later batch of the plan runs straight on the prepared operands.
+_RUNTIME_MEMO: OrderedDict[str, tuple[PlannedModel, dict]] = OrderedDict()
 
 #: How many plan runtimes one process keeps prepared at a time.
 _RUNTIME_MEMO_SIZE = 4
 
 
-def _runtime_for(plan: TuningPlan, weight_seed: int) -> PreparedRuntime:
-    """The memoised prepared runtime of one ``(plan, weight_seed)`` pair."""
+def _runtime_for(plan: TuningPlan, weight_seed: int) -> tuple[PlannedModel, dict]:
+    """The memoised ``(PlannedModel, prepared weights)`` runtime of one plan."""
     key = canonical_config_hash({"plan": plan.to_dict(), "weight_seed": weight_seed})
     runtime = _RUNTIME_MEMO.get(key)
     if runtime is not None:
         _RUNTIME_MEMO.move_to_end(key)
         return runtime
-    runtime = PreparedRuntime.build(plan, weight_seed)
+    runtime = planned_runtime(plan, weight_seed)
     _RUNTIME_MEMO[key] = runtime
     while len(_RUNTIME_MEMO) > _RUNTIME_MEMO_SIZE:
         _RUNTIME_MEMO.popitem(last=False)
@@ -284,11 +285,11 @@ def _execute_serve_batch(batch: ServeBatch) -> ServeBatchRecord:
     Pure function of the batch (seeded weight derivation, no clock, no
     environment), so records are identical wherever the batch executes.
     """
-    runtime = _runtime_for(batch.plan, batch.weight_seed)
+    model, prepared = _runtime_for(batch.plan, batch.weight_seed)
     coalesced = np.concatenate(
-        [request.activations for request in batch.requests], axis=1
+        [request.to_array() for request in batch.requests], axis=1
     )
-    output = runtime.run_layer(batch.layer, coalesced)
+    output = model.run_prepared(batch.layer, prepared[batch.layer], coalesced)
     outputs: list[np.ndarray] = []
     start = 0
     for request in batch.requests:

@@ -36,7 +36,7 @@ faults for the chaos suite; the plan is consulted parent-side at submit
 time, so the fault schedule never touches the pure executor.
 
 On Linux the default (fork) start method makes the parent's prepared
-runtime (:class:`~repro.serve.weights.PreparedRuntime`, memoised in
+runtime (:func:`~repro.serve.weights.planned_runtime`, memoised in
 :mod:`repro.serve.cells`) visible to every worker copy-on-write: the service
 builds it *before* building the pool, so workers share the prepared kernel
 formats instead of re-deriving them.

@@ -3,7 +3,7 @@
 :class:`InferenceService` is the serving front of the repo: it binds one
 :class:`~repro.tune.planner.TuningPlan` to derived pruned weights, prepared
 once at :meth:`~InferenceService.start` into each layer's kernel format
-(:class:`~repro.serve.weights.PreparedRuntime`), plans a coalescing window
+(:func:`~repro.serve.weights.planned_runtime`), plans a coalescing window
 per layer from the batched timing model, and then answers ``predict``
 requests on those prepared operands — live (a dispatcher thread coalescing
 queued requests up to each layer's latency deadline, executing on ``N``

@@ -10,7 +10,7 @@ masked tensor into its own format inside ``prepare`` (Shfl-BW falls back to
 its deterministic degenerate row grouping when no witness permutation is
 supplied), which keeps weight derivation kernel-agnostic.
 
-:class:`PreparedRuntime` is that state in the form the paper's kernels
+:func:`planned_runtime` is that state in the form the paper's kernels
 consume it: each servable layer's weight compressed once, at load, into its
 assigned kernel's format.  Serving a batch then costs only the kernel run —
 no batch re-derives, re-hashes or re-compresses a weight.
@@ -18,15 +18,12 @@ no batch re-derives, re-hashes or re-compresses a weight.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..tune.planned import PlannedModel
 from ..tune.planner import TuningPlan
 
-__all__ = ["PreparedRuntime", "derive_weights"]
+__all__ = ["derive_weights", "planned_runtime"]
 
 
 def derive_weights(plan: TuningPlan, weight_seed: int) -> dict[str, np.ndarray]:
@@ -48,30 +45,20 @@ def derive_weights(plan: TuningPlan, weight_seed: int) -> dict[str, np.ndarray]:
     return weights
 
 
-@dataclass(frozen=True, eq=False)
-class PreparedRuntime:
-    """A plan's serving state: its model and each layer's prepared weight.
+def planned_runtime(
+    plan: TuningPlan, weight_seed: int
+) -> tuple[PlannedModel, dict[str, object]]:
+    """The executable runtime of a plan: its model plus prepared weights.
 
-    ``prepared`` maps every servable (linear) layer to the operand its
-    assigned kernel's ``prepare`` built from :func:`derive_weights`; the
-    dense weights themselves are not kept.  Convolution layers have no
-    token dimension to serve and are not prepared.
+    Each servable (linear) layer maps to the operand its assigned kernel's
+    ``prepare`` built from :func:`derive_weights`; the dense weights
+    themselves are not kept.  Convolution layers have no token dimension to
+    serve and are not prepared.
     """
-
-    model: PlannedModel
-    prepared: Mapping[str, object]
-
-    @classmethod
-    def build(cls, plan: TuningPlan, weight_seed: int) -> "PreparedRuntime":
-        """Derive the plan's weights and prepare each servable layer once."""
-        model = PlannedModel(plan)
-        prepared = {
-            layer: model.kernel_for(layer).prepare(weight)
-            for layer, weight in derive_weights(plan, weight_seed).items()
-            if model.layers[layer].kind == "linear"
-        }
-        return cls(model=model, prepared=prepared)
-
-    def run_layer(self, layer: str, activations: np.ndarray) -> np.ndarray:
-        """``W @ activations`` for one layer, on its prepared operand."""
-        return self.model.run_prepared(layer, self.prepared[layer], activations)
+    model = PlannedModel(plan)
+    prepared = {
+        layer: model.kernel_for(layer).prepare(weight)
+        for layer, weight in derive_weights(plan, weight_seed).items()
+        if model.layers[layer].kind == "linear"
+    }
+    return model, prepared
