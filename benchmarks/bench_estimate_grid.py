@@ -1,26 +1,22 @@
 #!/usr/bin/env python
-"""Scalar-loop vs batched estimation on the full Figure-6 grid.
+"""Timing-model cost of the full Figure-6 grid through the sweep executor.
 
-The batched estimation engine (``LaunchBatch`` / ``simulate_batch`` /
-``SpMMKernel.estimate_grid``) replaces the per-cell scalar loop the sweep
-runner used to execute.  This benchmark drives both paths over the complete
-Figure 6 grid — 3 models x 3 GPUs x the full kernel line-up x 4 sparsities —
-and enforces two gates:
-
-* *equivalence*: the batched executor's records must be identical to the
-  scalar executor's, float for float (the engine is built to be bit-exact);
-* *speedup*: the batched path must be at least ``--min-speedup`` times
-  faster (default 10x) on median-of-``--repeats`` wall times.
+Every evaluation number comes out of one timing path: each kernel describes
+its cells as a launch batch (``SpMMKernel.build_launch_batch``) and
+``simulate_batch`` times them.  This benchmark drives the sweep executor
+over the complete Figure 6 grid — 3 models x 3 GPUs x the full kernel
+line-up x 4 sparsities, 405 configs — and gates the median of ``--repeats``
+wall times at :data:`GATE_S`, an absolute bound about 3x the medians measured
+on a 2-core container (8-14 ms).  A per-cell timing loop over the same grid
+takes ~127 ms there, so reintroducing one fails the gate.
 
 The measurements land in ``BENCH_estimate.json`` (override with
-``--output``), the first point of the repo's recorded perf trajectory; CI
-uploads it as an artifact on every run.
+``--output``); CI uploads it as an artifact on every run.
 
 Run standalone (after ``pip install -e .``)::
 
     python benchmarks/bench_estimate_grid.py
-    python benchmarks/bench_estimate_grid.py --smoke          # CI fast subset
-    python benchmarks/bench_estimate_grid.py --min-speedup 8  # noisy runners
+    python benchmarks/bench_estimate_grid.py --repeats 9
 """
 
 from __future__ import annotations
@@ -32,34 +28,22 @@ import sys
 import time
 from pathlib import Path
 
-from repro.eval.runner import MODEL_VERSION, batched_executor, serial_executor
+from repro.eval.runner import MODEL_VERSION, batched_executor
 from repro.eval.speedup import figure6_spec
 
+#: Gate on the median grid time, in seconds.
+GATE_S = 0.040
 
-def run(repeats: int, smoke: bool) -> dict:
-    spec = figure6_spec(models=("transformer",)) if smoke else figure6_spec()
+
+def run(repeats: int) -> dict:
+    spec = figure6_spec()
     configs = spec.expand()
-
-    scalar_records = serial_executor(configs)
-    batched_records = batched_executor(configs)
-    mismatches = sum(a != b for a, b in zip(batched_records, scalar_records))
-
-    # Interleave the two paths so machine-load drift hits both sides of each
-    # sample pair equally; the gated speedup is the median of the per-pair
-    # ratios, which is robust to a slow outlier sample on either side.
-    scalar_s: list[float] = []
-    batched_s: list[float] = []
+    batched_executor(configs)  # warm-up: imports, registry, model layers
+    samples: list[float] = []
     for _ in range(repeats):
         start = time.perf_counter()
-        serial_executor(configs)
-        mid = time.perf_counter()
         batched_executor(configs)
-        end = time.perf_counter()
-        scalar_s.append(mid - start)
-        batched_s.append(end - mid)
-    scalar_med = statistics.median(scalar_s)
-    batched_med = statistics.median(batched_s)
-    speedup = statistics.median(s / b for s, b in zip(scalar_s, batched_s))
+        samples.append(time.perf_counter() - start)
     return {
         "benchmark": "estimate_grid",
         "model_version": MODEL_VERSION,
@@ -71,13 +55,9 @@ def run(repeats: int, smoke: bool) -> dict:
             "configs": len(configs),
         },
         "repeats": repeats,
-        "scalar_s": scalar_s,
-        "batched_s": batched_s,
-        "scalar_median_s": scalar_med,
-        "batched_median_s": batched_med,
-        "speedup": speedup,
-        "records_identical": mismatches == 0,
-        "mismatched_records": mismatches,
+        "grid_s": samples,
+        "median_s": statistics.median(samples),
+        "gate_s": GATE_S,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }
 
@@ -85,18 +65,7 @@ def run(repeats: int, smoke: bool) -> dict:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--min-speedup",
-        type=float,
-        default=10.0,
-        help="fail below this batched-vs-scalar speedup (default 10)",
-    )
-    parser.add_argument(
-        "--repeats", type=int, default=7, help="timing repeats per path (default 7)"
-    )
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="single-model subset: equivalence checked, speedup gate skipped",
+        "--repeats", type=int, default=7, help="timed runs of the grid (default 7)"
     )
     parser.add_argument(
         "--output",
@@ -106,8 +75,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    result = run(args.repeats, args.smoke)
-    result["min_speedup"] = args.min_speedup
+    result = run(args.repeats)
     args.output.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
 
     grid = result["grid"]
@@ -117,38 +85,19 @@ def main(argv: list[str] | None = None) -> int:
         f"{len(grid['kernels'])} kernels x {len(grid['sparsities'])} sparsities)"
     )
     print(
-        f"scalar loop : {result['scalar_median_s'] * 1e3:8.2f} ms  "
-        f"(median of {args.repeats})"
+        f"grid time: {result['median_s'] * 1e3:8.2f} ms  "
+        f"(median of {args.repeats}; gate: <= {GATE_S * 1e3:.0f} ms)"
     )
-    print(
-        f"batched     : {result['batched_median_s'] * 1e3:8.2f} ms  "
-        f"(median of {args.repeats})"
-    )
-    print(
-        f"speedup     : {result['speedup']:8.2f}x  "
-        f"(median paired ratio; gate: >= {args.min_speedup}x)"
-    )
-    print(f"records     : {'identical' if result['records_identical'] else 'MISMATCH'}")
     print(f"wrote {args.output}")
 
-    if not result["records_identical"]:
+    if result["median_s"] > GATE_S:
         print(
-            f"FAILED: {result['mismatched_records']} record(s) differ between the "
-            "batched and scalar paths",
+            f"FAILED: the Figure-6 grid takes {result['median_s'] * 1e3:.2f} ms "
+            f"(gate: {GATE_S * 1e3:.0f} ms)",
             file=sys.stderr,
         )
         return 1
-    if args.smoke:
-        print("OK: batched records identical to the scalar loop (smoke subset)")
-        return 0
-    if result["speedup"] < args.min_speedup:
-        print(
-            f"FAILED: batched estimation is only {result['speedup']:.2f}x faster "
-            f"(gate: {args.min_speedup}x)",
-            file=sys.stderr,
-        )
-        return 1
-    print("OK: batched estimation beats the scalar loop by the gated margin")
+    print("OK: the Figure-6 grid stays under the gate")
     return 0
 
 

@@ -3,15 +3,15 @@
 
 Regenerates the four curves of the figure on the :mod:`repro.eval.runner`
 sweep runner and checks the qualitative relationships the paper draws from
-it (regions A/B/C), plus the runner's serial/parallel and cache contracts
-on this grid.
+it (regions A/B/C), plus the runner's in-process/parallel and cache
+contracts on this grid.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.eval.runner import SweepRunner, serial_executor
+from repro.eval.runner import SweepRunner
 from repro.eval.speedup import figure1_spec, spmm_throughput_sweep
 
 DENSITIES = (0.02, 0.05, 0.10, 0.15, 0.25, 0.35, 0.50)
@@ -36,13 +36,13 @@ def test_figure1_sweep(benchmark):
 
 def test_figure1_parallel_and_cache_roundtrip(benchmark, tmp_path, curves):
     """Parallel execution and a cache round-trip must both reproduce the
-    serial curves exactly."""
+    in-process curves exactly."""
     parallel = spmm_throughput_sweep(
         densities=DENSITIES, runner=SweepRunner(jobs=2)
     )
     assert parallel == curves
     spec = figure1_spec(densities=DENSITIES)
-    SweepRunner(cache_dir=tmp_path, executor=serial_executor).run(spec)
+    SweepRunner(cache_dir=tmp_path).run(spec)
     warm_runner = SweepRunner(cache_dir=tmp_path)
     warm = benchmark.pedantic(
         spmm_throughput_sweep,

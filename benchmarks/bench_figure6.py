@@ -3,15 +3,15 @@ baseline for the three workloads on V100 / T4 / A100 across the paper's
 sparsity grid, for every kernel in the line-up.
 
 Runs on the :mod:`repro.eval.runner` sweep runner; also exercises the
-process-pool executor (records must be identical to the serial run) and the
-persistent result cache (a warm re-run must be nearly all hits).
+process-pool executor (records must be identical to the in-process run) and
+the persistent result cache (a warm re-run must be nearly all hits).
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.eval.runner import SweepRunner, serial_executor
+from repro.eval.runner import SweepRunner
 from repro.eval.speedup import (
     PAPER_GPUS,
     PAPER_SPARSITIES,
@@ -60,10 +60,11 @@ def test_figure6_gnmt_resnet_sweep(benchmark):
 
 
 def test_figure6_parallel_matches_serial(benchmark):
-    """The process-pool executor must reproduce the serial records exactly
-    (same floats, same order) — parallelism only moves the computation."""
+    """The process-pool executor must reproduce the in-process records
+    exactly (same floats, same order) — parallelism only moves the
+    computation."""
     spec = figure6_spec(models=("transformer", "resnet50"), gpus=PAPER_GPUS)
-    serial = SweepRunner(executor=serial_executor).run(spec)
+    serial = SweepRunner().run(spec)
     parallel_result = benchmark.pedantic(
         SweepRunner(jobs=4).run, args=(spec,), rounds=1, iterations=1
     )

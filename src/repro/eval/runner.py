@@ -7,20 +7,22 @@ sweeps into data:
 
 * :class:`SweepSpec` declares a grid and expands it into hashable
   :class:`RunConfig` cells in a deterministic order;
-* :func:`execute_config` evaluates one cell on the analytical timing model
-  (it is a module-level pure function, so it pickles into worker processes);
-* :class:`SweepRunner` maps configs through a ``concurrent.futures`` process
-  pool with deterministic chunking — or through any injected executor, e.g.
-  :func:`serial_executor` for tests — and deduplicates identical cells;
+* :func:`batched_executor` evaluates a list of cells on the analytical timing
+  model, one launch batch per (kernel, GPU) group (it is a module-level pure
+  function, so it pickles into worker processes);
+* :class:`SweepRunner` runs it in-process or maps configs through a
+  ``concurrent.futures`` process pool with deterministic chunking, and
+  deduplicates identical cells;
 * :class:`ResultCache` persists finished :class:`RunRecord` results to disk
   as JSON, keyed by a stable config hash salted with :data:`MODEL_VERSION`,
   so re-running a sweep only computes the delta;
 * :class:`SweepResult` carries the records (in grid order) plus cache-hit
   accounting, ready for JSON/CSV export via :class:`repro.eval.report.Report`.
 
-Records are bit-identical between the serial and parallel paths: every cell
-is a pure function of its :class:`RunConfig`, so the executor only decides
-*where* the float is computed, never its value.
+Records are bit-identical between the in-process and parallel paths: the
+timing model is element-wise, so every cell is a pure function of its
+:class:`RunConfig` and the executor only decides *where* the float is
+computed, never its value.
 
 Bump :data:`MODEL_VERSION` whenever the timing model changes semantically;
 the salt flows into every cache key, so stale caches invalidate themselves.
@@ -47,8 +49,9 @@ from .store import (
 )
 
 if TYPE_CHECKING:
-    from ..gpu.simulator import LaunchBatch
-    from ..kernels.base import SpMMKernel
+    import numpy as np
+
+    from ..kernels.base import LaunchCells, SpMMKernel
 
 #: Config / record element types of the generic process-pool maps.
 C = TypeVar("C")
@@ -72,8 +75,6 @@ __all__ = [
     "JsonFileStore",
     "ResultCache",
     "SweepRunner",
-    "execute_config",
-    "serial_executor",
     "batched_executor",
     "process_executor",
     "strided_process_map",
@@ -332,109 +333,33 @@ class SweepSpec:
         return configs
 
 
-def _evaluate_cell(config: RunConfig, kernel, arch, shape, layers) -> RunRecord:
-    """Evaluate one cell on the scalar timing model with resolved inputs.
-
-    The estimate half of :func:`execute_config`, shared with the batched
-    executor's fallback path so both produce identical records from the same
-    code (and the fallback reuses cached kernels / layer lists instead of
-    re-resolving them per cell).
-    """
-    from ..kernels.base import KernelNotApplicableError
-    from .speedup import model_time
-
-    if shape is not None:
-        try:
-            timing = kernel.estimate(arch, shape, config.density)
-        except (KernelNotApplicableError, ValueError) as exc:
-            return RunRecord(config, status="not-applicable", detail=str(exc))
-        return RunRecord(
-            config, status="ok", time_s=timing.total_time_s, bound=timing.bound
-        )
-    try:
-        total = model_time(kernel, arch, layers, config.density)
-    except (KernelNotApplicableError, ValueError) as exc:
-        return RunRecord(config, status="not-applicable", detail=str(exc))
-    return RunRecord(config, status="ok", time_s=total)
-
-
-def execute_config(config: RunConfig) -> RunRecord:
-    """Evaluate one grid cell on the analytical timing model.
-
-    Pure function of ``config`` (module-level, so it pickles into
-    ``ProcessPoolExecutor`` workers).  Kernel-inapplicability — wrong GPU,
-    fixed-density patterns, missing convolution support — is data, not an
-    exception: it returns a ``"not-applicable"`` record.
-    """
-    # Imported lazily: this module is the orchestration substrate the sweep
-    # modules build on, so importing them at the top would be circular.
-    from ..gpu.arch import get_gpu
-    from ..kernels.base import GEMMShape
-    from ..kernels.registry import make_kernel
-    from ..models.shapes import model_layers
-
-    # Grid-setup errors — unknown GPU / kernel / model, malformed GEMM shape
-    # — must raise, not read as "not-applicable": they mean the *spec* is
-    # wrong, not that a kernel cannot run a cell.  Only the estimate itself
-    # is allowed to declare inapplicability.
-    arch = get_gpu(config.gpu)
-    kernel = make_kernel(config.kernel, **dict(config.kernel_kwargs))
-    supported = getattr(kernel, "supported_archs", None)
-    if supported is not None and arch.name not in supported:
-        return RunRecord(
-            config,
-            status="not-applicable",
-            detail=f"kernel {kernel.name!r} only runs on {', '.join(supported)}",
-        )
-    if config.gemm is not None:
-        return _evaluate_cell(config, kernel, arch, GEMMShape(*config.gemm), None)
-    return _evaluate_cell(config, kernel, arch, None, model_layers(config.model))
-
-
-def serial_executor(configs: list[RunConfig], *, jobs: int | None = None) -> list[RunRecord]:
-    """Evaluate every config in-process, in order (the scalar oracle
-    executor: one :func:`execute_config` call per cell)."""
-    return [execute_config(config) for config in configs]
-
-
-def _statically_feasible(capabilities, arch, kinds, density: float) -> bool:
-    """Whether every layer kind of a cell passes the kernel's static
-    capability check (cells that do not are routed to the scalar path, which
-    reproduces the exact not-applicable detail strings)."""
-    return all(
-        capabilities.infeasible_reason(arch, kind=kind, density=density) is None
-        for kind in kinds
-    )
-
-
 def batched_executor(
     configs: list[RunConfig], *, jobs: int | None = None
 ) -> list[RunRecord]:
-    """Evaluate configs through the batched estimation engine.
+    """Evaluate grid cells on the analytical timing model, in order.
 
     Cells are grouped by (kernel, kwargs, GPU) and each group's whole
     workload x sparsity grid — every layer of every model cell plus every
-    explicit GEMM cell — is evaluated in a single
-    :meth:`~repro.kernels.base.SpMMKernel.estimate_grid` call; model cells
-    then reduce their layer slices with the scalar accumulation order.
-    Records are bit-identical to :func:`serial_executor`: the batched math
-    reproduces the scalar model exactly, and any cell the batch cannot
-    express (static infeasibility, per-cell applicability errors) falls back
-    to the scalar :func:`_evaluate_cell` path.
+    explicit GEMM cell — is described in one
+    :meth:`~repro.kernels.base.SpMMKernel.build_layer_cells` batch; one
+    ``simulate_batch`` call per GPU then times every group, and model cells
+    sum their weighted layer times in layer order.
+
+    Kernel-inapplicability — wrong GPU, fixed-density patterns, missing
+    convolution support, shapes a kernel cannot tile — is data, not an
+    exception: the cell gets a ``"not-applicable"`` record whose detail is
+    the rejection of its first rejected layer.  Grid-setup errors (unknown
+    GPU / kernel / model, malformed GEMM shape) raise, because they mean the
+    *spec* is wrong.  Pure function of ``configs`` (module-level, so it
+    pickles into ``ProcessPoolExecutor`` workers).
     """
-    # Imported lazily for the same circularity reason as execute_config.
+    # Imported lazily: this module is the orchestration substrate the sweep
+    # modules build on, so importing them at the top would be circular.
     import numpy as np
 
     from ..gpu.arch import get_gpu
     from ..gpu.simulator import LaunchBatch, simulate_batch
-    from ..kernels.base import (
-        GEMMShape,
-        KernelNotApplicableError,
-        conv_unfold_factor,
-        no_conv_support_detail,
-    )
     from ..kernels.registry import make_kernel
-    from ..models.shapes import model_layers
 
     records: list[RunRecord | None] = [None] * len(configs)
     groups: dict[tuple, list[int]] = {}
@@ -444,16 +369,12 @@ def batched_executor(
         ).append(index)
 
     kernels: dict[tuple[str, tuple[tuple[str, object], ...]], SpMMKernel] = {}
-    model_cache: dict[str, list] = {}
-    # Per-model cell templates: the layer shapes, conv unfold factors and
-    # occurrence counts every model cell of a group expands to.
-    template_cache: dict[str, tuple[list, list[float], list[int], frozenset]] = {}
-    per_gpu_batches: dict[str, list] = {}
-    per_gpu_groups: dict[str, list] = {}
-    batch_cache: dict[tuple, LaunchBatch] = {}
+    templates: dict[tuple, _CellTemplate] = {}
+    per_gpu: dict[str, list[tuple[LaunchCells, np.ndarray, list]]] = {}
+    # Arch-agnostic kernels describe the same launches on every GPU; reuse
+    # the cells built for the same composition instead of rebuilding them.
+    agnostic_cells: dict[tuple, LaunchCells] = {}
     for (kernel_name, kernel_kwargs, gpu), indices in groups.items():
-        # Grid-setup errors (unknown GPU / kernel / model, malformed GEMM
-        # shape) must raise exactly as in execute_config.
         arch = get_gpu(gpu)
         kernel_key = (kernel_name, kernel_kwargs)
         kernel = kernels.get(kernel_key)
@@ -461,182 +382,87 @@ def batched_executor(
             kernel = kernels.setdefault(
                 kernel_key, make_kernel(kernel_name, **dict(kernel_kwargs))
             )
-        supported = getattr(kernel, "supported_archs", None)
-        if supported is not None and arch.name not in supported:
-            detail = f"kernel {kernel.name!r} only runs on {', '.join(supported)}"
+        detail = kernel.capabilities().unsupported_arch(arch)
+        if detail is not None:
             for i in indices:
                 records[i] = RunRecord(
                     configs[i], status="not-applicable", detail=detail
                 )
             continue
 
-        # Flatten every statically feasible cell of the group into one list
-        # of (shape, density) simulator cells; statically infeasible cells
-        # take the scalar path, which reproduces the exact detail strings.
-        capabilities = kernel.capabilities()
-        # A kernel with no static constraints at all (dense, vector-wise,
-        # Shfl-BW) accepts every cell; skip the per-cell capability walk.
-        unconstrained = (
-            capabilities.supported_archs is None
-            and not capabilities.requires_sparse_tensor_core
-            and capabilities.fixed_density is None
-            and capabilities.supports_conv
-        )
-        feasibility: dict[tuple, bool] = {}
+        parts: list[tuple[_CellTemplate, float]] = []
+        spans: list[tuple[int, int, int]] = []
         cells = 0
-        shape_parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        density_parts: list[tuple[float, int]] = []
-        unfold_factors: list[float] = []
-        counts: list[int] = []
-        spans: list[tuple[int, int, int, object, object]] = []
         for i in indices:
             config = configs[i]
-            if config.gemm is not None:
-                shape = GEMMShape(*config.gemm)
-                layers = None
-                template = (
-                    (
-                        np.array([shape.m], dtype=np.int64),
-                        np.array([shape.n], dtype=np.int64),
-                        np.array([shape.k], dtype=np.int64),
-                    ),
-                    [0.0],
-                    [1],
-                    frozenset(("linear",)),
-                )
-            else:
-                shape = None
-                template = template_cache.get(config.model)
-                if template is None:
-                    layers = model_cache.setdefault(
-                        config.model, model_layers(config.model)
-                    )
-                    template = template_cache.setdefault(
-                        config.model,
-                        (
-                            (
-                                np.array([la.gemm.m for la in layers], dtype=np.int64),
-                                np.array([la.gemm.n for la in layers], dtype=np.int64),
-                                np.array([la.gemm.k for la in layers], dtype=np.int64),
-                            ),
-                            [
-                                conv_unfold_factor(layer.conv.kernel_size)
-                                if layer.kind == "conv"
-                                else 0.0
-                                for layer in layers
-                            ],
-                            [layer.count for layer in layers],
-                            frozenset(layer.kind for layer in layers),
-                        ),
-                    )
-                layers = model_cache[config.model]
-            cell_arrays, cell_factors, cell_counts, kinds = template
-            density = config.density
-            if unconstrained:
-                feasible = True
-            else:
-                feasible = feasibility.get((kinds, density))
-                if feasible is None:
-                    feasible = feasibility.setdefault(
-                        (kinds, density),
-                        _statically_feasible(capabilities, arch, kinds, density),
-                    )
-            if not feasible:
-                if (
-                    layers is not None
-                    and layers[0].kind == "conv"
-                    and not kernel.supports_conv
-                ):
-                    # The scalar path would raise on the first layer with
-                    # exactly this message; skip the exception machinery.
-                    records[i] = RunRecord(
-                        config,
-                        status="not-applicable",
-                        detail=no_conv_support_detail(kernel.name),
-                    )
-                else:
-                    records[i] = _evaluate_cell(config, kernel, arch, shape, layers)
-                continue
-            start = cells
-            cells += len(cell_factors)
-            shape_parts.append(cell_arrays)
-            density_parts.append((density, len(cell_factors)))
-            unfold_factors.extend(cell_factors)
-            counts.extend(cell_counts)
-            spans.append((i, start, cells, shape, layers))
-        if not spans:
-            continue
+            key = (config.model, config.gemm)
+            template = templates.get(key)
+            if template is None:
+                template = templates.setdefault(key, _cell_template(config))
+            spans.append((i, cells, cells + len(template.counts)))
+            cells += len(template.counts)
+            parts.append((template, config.density))
+        counts = np.concatenate([template.counts for template, _ in parts])
 
-        # Arch-agnostic kernels produce identical launch batches on every
-        # GPU; reuse the batch built for the same cell composition instead
-        # of rebuilding it per architecture.
         signature = None
+        built: LaunchCells | None = None
         if kernel.launch_arch_agnostic:
             signature = (
-                kernel_name,
-                kernel_kwargs,
-                tuple(
-                    (configs[i].model, configs[i].gemm, configs[i].density)
-                    for i, _, _, _, _ in spans
+                kernel_key,
+                tuple((configs[i].model, configs[i].gemm, configs[i].density) for i in indices),
+            )
+            built = agnostic_cells.get(signature)
+        if built is None:
+            ms, ns, ks = (
+                np.concatenate([template.shapes[d] for template, _ in parts])
+                for d in range(3)
+            )
+            built = kernel.build_layer_cells(
+                arch,
+                (ms, ns, ks),
+                np.repeat(
+                    np.array([density for _, density in parts]),
+                    [len(template.counts) for template, _ in parts],
+                ),
+                kernel_sizes=np.concatenate(
+                    [template.kernel_sizes for template, _ in parts]
                 ),
             )
-            batch = batch_cache.get(signature)
-            if batch is not None:
-                per_gpu_batches.setdefault(gpu, []).append(batch)
-                per_gpu_groups.setdefault(gpu, []).append(
-                    (spans, unfold_factors, counts, kernel.conv_unfold_overhead)
-                )
-                continue
-
-        shapes = (
-            np.concatenate([part[0] for part in shape_parts]),
-            np.concatenate([part[1] for part in shape_parts]),
-            np.concatenate([part[2] for part in shape_parts]),
-        )
-        densities = np.repeat(
-            np.array([density for density, _ in density_parts]),
-            np.array([count for _, count in density_parts]),
-        )
-        try:
-            batch = kernel.build_launch_batch(arch, shapes, densities)
-        except (KernelNotApplicableError, ValueError):
-            # Per-cell applicability the static stage cannot see (e.g. shape
-            # divisibility): the scalar path reproduces the exact records.
-            for i, _, _, shape, layers in spans:
-                records[i] = _evaluate_cell(configs[i], kernel, arch, shape, layers)
-            continue
-        if signature is not None:
-            batch_cache[signature] = batch
-        per_gpu_batches.setdefault(gpu, []).append(batch)
-        per_gpu_groups.setdefault(gpu, []).append(
-            (spans, unfold_factors, counts, kernel.conv_unfold_overhead)
-        )
+            if signature is not None:
+                agnostic_cells[signature] = built
+        per_gpu.setdefault(gpu, []).append((built, counts, spans))
 
     # One simulate_batch call per GPU covers every kernel group's cells (the
     # model is element-wise, so concatenation cannot change any number).
-    for gpu, batches in per_gpu_batches.items():
-        arch = get_gpu(gpu)
-        timing = simulate_batch(arch, LaunchBatch.concat(batches))
+    for gpu, entries in per_gpu.items():
+        timing = simulate_batch(
+            get_gpu(gpu), LaunchBatch.concat([built.batch for built, _, _ in entries])
+        )
         offset = 0
-        for (spans, unfold_factors, counts, unfold_overhead), batch in zip(
-            per_gpu_groups[gpu], batches, strict=True
-        ):
-            totals = timing.total_time_s[offset : offset + len(batch)]
-            # Convolution unfolding overhead, exactly the estimate_conv
-            # expression; factors are 0.0 for linear / 1x1 cells, where the
-            # adjustment adds an exact 0.0.  The per-layer `time * count`
-            # terms then accumulate in the same order as the scalar sum in
-            # model_time (plain Python floats, not a pairwise reduction).
-            factors = np.asarray(unfold_factors)
-            totals = totals + totals * unfold_overhead * factors
-            weighted = (totals * np.asarray(counts)).tolist()
-            for i, start, stop, shape, layers in spans:
+        for built, counts, spans in entries:
+            size = len(built.errors)
+            totals = timing.total_time_s[offset : offset + size]
+            times = totals + built.unfold_time(totals)
+            # The per-layer `time * count` terms accumulate in layer order as
+            # plain Python floats (not a pairwise reduction).
+            weighted = (times * counts).tolist()
+            for i, start, stop in spans:
                 config = configs[i]
-                if shape is not None:
+                cell_errors = built.errors[start:stop]
+                error = (
+                    next(e for e in cell_errors if e is not None)
+                    if any(cell_errors)
+                    else None
+                )
+                if error is not None:
+                    records[i] = RunRecord(
+                        config, status="not-applicable", detail=str(error)
+                    )
+                elif config.gemm is not None:
                     records[i] = RunRecord(
                         config,
                         status="ok",
-                        time_s=float(totals[start]),
+                        time_s=float(times[start]),
                         bound=timing.bound[offset + start],
                     )
                 else:
@@ -644,10 +470,53 @@ def batched_executor(
                     for term in weighted[start:stop]:
                         total += term
                     records[i] = RunRecord(config, status="ok", time_s=total)
-            offset += len(batch)
+            offset += size
 
     assert all(record is not None for record in records)
     return cast("list[RunRecord]", records)
+
+
+@dataclass(frozen=True)
+class _CellTemplate:
+    """The simulator cells one workload expands to: per layer the GEMM shape
+    (as ``(ms, ns, ks)`` arrays), the conv kernel size (0 for linear layers)
+    and the occurrence count."""
+
+    shapes: tuple[np.ndarray, np.ndarray, np.ndarray]
+    kernel_sizes: np.ndarray
+    counts: np.ndarray
+
+
+def _cell_template(config: RunConfig) -> _CellTemplate:
+    import numpy as np
+
+    from ..kernels.base import GEMMShape
+    from ..models.shapes import model_layers
+
+    if config.gemm is not None:
+        shape = GEMMShape(*config.gemm)
+        return _CellTemplate(
+            shapes=(
+                np.array([shape.m], dtype=np.int64),
+                np.array([shape.n], dtype=np.int64),
+                np.array([shape.k], dtype=np.int64),
+            ),
+            kernel_sizes=np.zeros(1, dtype=np.int64),
+            counts=np.ones(1, dtype=np.int64),
+        )
+    assert config.model is not None  # RunConfig sets exactly one of model / gemm
+    layers = model_layers(config.model)
+    return _CellTemplate(
+        shapes=(
+            np.array([layer.gemm.m for layer in layers], dtype=np.int64),
+            np.array([layer.gemm.n for layer in layers], dtype=np.int64),
+            np.array([layer.gemm.k for layer in layers], dtype=np.int64),
+        ),
+        kernel_sizes=np.array(
+            [layer.conv_kernel_size for layer in layers], dtype=np.int64
+        ),
+        counts=np.array([layer.count for layer in layers], dtype=np.int64),
+    )
 
 
 def _execute_chunk(configs: list[RunConfig]) -> list[RunRecord]:
@@ -714,11 +583,11 @@ def process_executor(
 
     The strided chunking interleaves the convolution-heavy ResNet cells with
     the cheap GEMM cells; each worker batches its chunk through
-    :func:`batched_executor`, so the records are identical to the serial
+    :func:`batched_executor`, so the records are identical to the in-process
     path.
     """
     if len(configs) <= 1:
-        return serial_executor(configs)
+        return batched_executor(configs)
     return strided_process_map(_execute_chunk, configs, jobs)
 
 
@@ -911,15 +780,11 @@ class CellSweepResult:
 class SweepRunner:
     """Executes :class:`SweepSpec` grids with caching and parallelism.
 
-    The default executor is :func:`batched_executor` — the pure-analytical
-    fast path that evaluates each (kernel, GPU, workload) group's sparsity
-    grid through the batched estimation engine and produces records
-    bit-identical to the scalar :func:`serial_executor`.  ``jobs`` > 1
-    selects the process-pool executor (whose workers batch their chunks the
-    same way); ``executor`` injects a custom one (tests pass
-    :func:`serial_executor` as the oracle).  ``cache_dir`` enables the
-    persistent :class:`ResultCache`; ``store`` picks its substrate —
-    ``"blob"`` (default: the content-addressed multi-writer-safe
+    Cells run in-process through :func:`batched_executor`, or — with
+    ``jobs`` > 1 — across a process pool whose workers batch their chunks
+    the same way.  ``cache_dir`` enables the persistent
+    :class:`ResultCache`; ``store`` picks its substrate — ``"blob"``
+    (default: the content-addressed multi-writer-safe
     :class:`~repro.eval.store.BlobStore`, migrating any legacy single-file
     cache it finds) or ``"json"`` (the legacy single-file store).  The
     runner deduplicates identical cells within a grid, so a config appearing
@@ -932,7 +797,6 @@ class SweepRunner:
         *,
         jobs: int | None = None,
         cache_dir: str | Path | None = None,
-        executor: Callable[..., list[RunRecord]] | None = None,
         salt: str = MODEL_VERSION,
         store: str = "blob",
     ) -> None:
@@ -945,9 +809,9 @@ class SweepRunner:
             if cache_dir is not None
             else None
         )
-        if executor is None:
-            executor = process_executor if (jobs or 0) > 1 else batched_executor
-        self._executor = executor
+        self._executor: Callable[..., list[RunRecord]] = (
+            process_executor if (jobs or 0) > 1 else batched_executor
+        )
         self._cell_caches: dict[str, ResultCache] = {}
         self.stats = CacheStats()
 

@@ -12,12 +12,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..gpu.arch import GPUArch
+from ..gpu.simulator import simulate_batch
 from ..kernels.base import (
     GEMMShape,
     KernelNotApplicableError,
+    LaunchCells,
     SpMMKernel,
-    conv_unfold_factor,
-    no_conv_support_detail,
+    simulate_cells,
 )
 from ..kernels.registry import (
     DENSE_BASELINE_LABEL,
@@ -82,8 +83,7 @@ def layer_time(kernel: SpMMKernel, arch: GPUArch, layer: LayerShape, density: fl
     """Estimated execution time of one kernel on one layer occurrence.
 
     Convolution layers are routed through the kernel's ``estimate_conv``
-    (implicit GEMM plus the unfolding overhead); whether the kernel supports
-    convolutions at all is decided there, in one place — a kernel without a
+    (implicit GEMM plus the unfolding overhead); a kernel without a
     convolution implementation raises :class:`KernelNotApplicableError`.
     """
     if layer.kind == "conv":
@@ -104,58 +104,36 @@ def model_time(
 ) -> float:
     """Total time over all (weighted) layers of a workload.
 
-    Raises :class:`KernelNotApplicableError` if the kernel cannot run any of
-    the layers (e.g. balanced 2:4 at a density other than 0.5, or a baseline
-    without a convolution implementation).
+    Raises the rejection of the first layer the kernel cannot run (e.g.
+    balanced 2:4 at a density other than 0.5, or a baseline without a
+    convolution implementation on a conv layer).
     """
-    return sum(
-        layer_time(kernel, arch, layer, density) * layer.count for layer in layers
-    )
+    return float(model_time_grid(kernel, arch, layers, np.array([density]))[0])
 
 
-def _layer_grid(
+def _layer_cells(
     kernel: SpMMKernel, arch: GPUArch, layers: list[LayerShape], densities: np.ndarray
-) -> np.ndarray:
-    """Per-occurrence layer times over a ``densities x layers`` grid.
-
-    The batched twin of looping :func:`layer_time`: one
-    :meth:`~repro.kernels.base.SpMMKernel.estimate_grid` call covers every
-    ``(density, layer)`` cell, and the convolution unfolding overhead is
-    applied to the conv columns with exactly the scalar
-    ``estimate_conv`` expression.  Raises
-    :class:`~repro.kernels.base.KernelNotApplicableError` /
-    :class:`ValueError` exactly when the scalar loop would on any cell.
-    """
-    for layer in layers:
-        if layer.kind == "conv" and not kernel.supports_conv:
-            raise KernelNotApplicableError(no_conv_support_detail(kernel.name))
+) -> LaunchCells:
+    """The ``densities x layers`` grid of layer cells (density-major)."""
     densities = np.asarray(densities, dtype=np.float64)
-    shapes = [layer.gemm for layer in layers] * len(densities)
-    cell_densities = np.repeat(densities, len(layers))
-    timing = kernel.estimate_grid(arch, shapes, cell_densities)
-    totals = timing.total_time_s.reshape(len(densities), len(layers))
-    # Unfold overhead per conv column, scaled by the shared
-    # conv_unfold_factor — the exact expression of SpMMKernel.estimate_conv
-    # (linear layers and 1x1 convs carry factor 0.0 and add an exact 0.0).
-    factors = np.array(
-        [
-            conv_unfold_factor(layer.conv.kernel_size)
-            if layer.kind == "conv"
-            else 0.0
-            for layer in layers
-        ]
+    return kernel.build_layer_cells(
+        arch,
+        [layer.gemm for layer in layers] * len(densities),
+        np.repeat(densities, len(layers)),
+        kernel_sizes=[layer.conv_kernel_size for layer in layers] * len(densities),
     )
-    if np.any(factors > 0.0):
-        totals = totals + totals * kernel.conv_unfold_overhead * factors[None, :]
-    return totals
 
 
 def layer_times_grid(
     kernel: SpMMKernel, arch: GPUArch, layers: list[LayerShape], density: float
-) -> np.ndarray:
+) -> tuple[np.ndarray, tuple[Exception | None, ...]]:
     """Per-occurrence time of every layer at one density, in one batched call
-    (the autotuner's candidate-scoring fast path)."""
-    return _layer_grid(kernel, arch, layers, np.array([density]))[0]
+    (the autotuner's candidate-scoring path), plus per layer the exception
+    that rejects it (``None`` when the kernel runs it; its time is then
+    meaningless)."""
+    cells = _layer_cells(kernel, arch, layers, np.array([density]))
+    totals = simulate_batch(arch, cells.batch).total_time_s
+    return totals + cells.unfold_time(totals), cells.errors
 
 
 def model_time_grid(
@@ -163,12 +141,12 @@ def model_time_grid(
 ) -> np.ndarray:
     """Whole-workload time at every density in one batched call.
 
-    The batched twin of :func:`model_time`: entry ``i`` is bit-identical to
-    ``model_time(kernel, arch, layers, densities[i])`` (the per-layer
-    accumulation runs in the same order as the scalar sum).
+    The per-layer ``time * count`` terms accumulate in layer order.  Raises
+    the rejection of the first rejected ``(density, layer)`` cell.
     """
     densities = np.asarray(densities, dtype=np.float64)
-    times = _layer_grid(kernel, arch, layers, densities)
+    timing = simulate_cells(arch, _layer_cells(kernel, arch, layers, densities))
+    times = timing.total_time_s.reshape(len(densities), len(layers))
     totals = np.zeros(len(densities))
     for column, layer in enumerate(layers):
         totals += times[:, column] * layer.count

@@ -2,7 +2,7 @@
 
 This package stands in for the V100 / T4 / A100 hardware used in the paper's
 evaluation.  See :mod:`repro.gpu.arch` for the architecture descriptions and
-:mod:`repro.gpu.simulator` for the timing model that every kernel in
+:mod:`repro.gpu.simulator` for the batched timing model that every kernel in
 :mod:`repro.kernels` is scored against.
 """
 
@@ -11,14 +11,10 @@ from .memory import (
     BYTES_FP16,
     BYTES_FP32,
     BYTES_INDEX,
-    OperandTraffic,
-    TrafficBreakdown,
+    TrafficBatch,
     gather_access_efficiency,
 )
-from .pipeline import PipelineEstimate, PipelineSpec, dense_pipeline_time, pipeline_time
 from .roofline import (
-    RooflinePoint,
-    attainable_flops,
     dense_gemm_intensity,
     dense_tile_reuse,
     machine_balance,
@@ -27,24 +23,8 @@ from .roofline import (
     max_reuse_unstructured,
     reuse_ratio_vs_dense,
 )
-from .simulator import ComputeUnit, KernelLaunch, KernelTiming, simulate
-from .tensorcore import (
-    ComputeEstimate,
-    ceil_div,
-    cuda_core_time,
-    mma_instructions_for_tile,
-    sparse_tensor_core_time,
-    tensor_core_time,
-)
-from .tiling import (
-    TileConfig,
-    concurrent_tiles,
-    default_gemm_tile,
-    occupancy,
-    optimal_tile_extent,
-    wave_count,
-    wave_efficiency,
-)
+from .simulator import ComputeUnit, KernelTiming, LaunchBatch, TimingBatch, simulate_batch
+from .tiling import optimal_tile_extent
 
 __all__ = [
     "A100",
@@ -58,15 +38,8 @@ __all__ = [
     "BYTES_FP16",
     "BYTES_FP32",
     "BYTES_INDEX",
-    "OperandTraffic",
-    "TrafficBreakdown",
+    "TrafficBatch",
     "gather_access_efficiency",
-    "PipelineEstimate",
-    "PipelineSpec",
-    "dense_pipeline_time",
-    "pipeline_time",
-    "RooflinePoint",
-    "attainable_flops",
     "dense_gemm_intensity",
     "dense_tile_reuse",
     "machine_balance",
@@ -75,20 +48,9 @@ __all__ = [
     "max_reuse_unstructured",
     "reuse_ratio_vs_dense",
     "ComputeUnit",
-    "KernelLaunch",
     "KernelTiming",
-    "simulate",
-    "ComputeEstimate",
-    "ceil_div",
-    "cuda_core_time",
-    "mma_instructions_for_tile",
-    "sparse_tensor_core_time",
-    "tensor_core_time",
-    "TileConfig",
-    "concurrent_tiles",
-    "default_gemm_tile",
-    "occupancy",
+    "LaunchBatch",
+    "TimingBatch",
+    "simulate_batch",
     "optimal_tile_extent",
-    "wave_count",
-    "wave_efficiency",
 ]

@@ -2,10 +2,10 @@
 
 The model follows the paper's framing (Section 3.2.2): kernel performance on
 tensor-core GPUs is dominated by how many bytes have to cross the DRAM
-interface per floating point operation.  We therefore describe a kernel's
-memory behaviour as a :class:`TrafficBreakdown` of DRAM bytes by operand, plus
-an *access efficiency* per operand that captures how well the access pattern
-uses the memory system (coalescing, transaction granularity).
+interface per floating point operation.  We therefore describe a batch of
+launches' memory behaviour as a :class:`TrafficBatch` of DRAM bytes by
+operand, plus an *access efficiency* per operand that captures how well the
+access pattern uses the memory system (coalescing, transaction granularity).
 
 A light-weight L2 model is included: operand streams whose per-wave working
 set fits in the L2 cache are only charged DRAM traffic once per wave, which is
@@ -33,158 +33,17 @@ TRANSACTION_BYTES = 32
 
 
 @dataclass
-class OperandTraffic:
-    """DRAM traffic contributed by one operand of a kernel.
-
-    Attributes
-    ----------
-    name:
-        Operand label, e.g. ``"weight"`` or ``"activation"``.
-    bytes:
-        Unique bytes of this operand touched by the kernel (its footprint).
-    reads:
-        Number of times the footprint is streamed from memory *before* any
-        cache filtering (e.g. an activation tile re-read once per row-tile).
-    access_efficiency:
-        Fraction of each memory transaction that carries useful data.  1.0 for
-        perfectly coalesced streaming access, lower for gather-style access
-        (e.g. unstructured SpMM loading scattered activation rows).
-    is_write:
-        Whether the traffic is a store stream (writes are not L2-filtered in
-        this model).
-    """
-
-    name: str
-    bytes: float
-    reads: float = 1.0
-    access_efficiency: float = 1.0
-    is_write: bool = False
-
-    def __post_init__(self) -> None:
-        if self.bytes < 0:
-            raise ValueError(f"operand {self.name!r} has negative bytes")
-        if self.reads < 0:
-            raise ValueError(f"operand {self.name!r} has negative read count")
-        if not 0.0 < self.access_efficiency <= 1.0:
-            raise ValueError(
-                f"operand {self.name!r} access efficiency must be in (0, 1]"
-            )
-
-    @property
-    def raw_bytes(self) -> float:
-        """Total bytes requested by the kernel before cache filtering."""
-        return self.bytes * self.reads
-
-    def dram_bytes(self, arch: GPUArch) -> float:
-        """DRAM bytes after L2 filtering and access-efficiency penalties.
-
-        Re-reads of an operand whose footprint fits within half of the L2
-        capacity hit in L2 and cost no extra DRAM traffic; larger footprints
-        degrade smoothly (the fraction of the footprint resident in L2 is
-        filtered, the rest spills to DRAM on every re-read).  Stores always go
-        to DRAM (write-through approximation).
-        """
-        effective_reads = self.reads
-        if not self.is_write and self.reads > 1.0 and self.bytes > 0:
-            usable_l2 = arch.l2_capacity / 2
-            hit_fraction = min(1.0, usable_l2 / self.bytes)
-            effective_reads = 1.0 + (self.reads - 1.0) * (1.0 - hit_fraction)
-        return (self.bytes * effective_reads) / self.access_efficiency
-
-
-@dataclass
-class TrafficBreakdown:
-    """Collection of operand traffic streams for one kernel launch."""
-
-    operands: list[OperandTraffic] = field(default_factory=list)
-
-    def add(
-        self,
-        name: str,
-        bytes: float,
-        *,
-        reads: float = 1.0,
-        access_efficiency: float = 1.0,
-        is_write: bool = False,
-    ) -> "TrafficBreakdown":
-        """Append one operand stream and return ``self`` for chaining."""
-        self.operands.append(
-            OperandTraffic(
-                name=name,
-                bytes=bytes,
-                reads=reads,
-                access_efficiency=access_efficiency,
-                is_write=is_write,
-            )
-        )
-        return self
-
-    # ------------------------------------------------------------------ #
-    # Aggregates
-    # ------------------------------------------------------------------ #
-    def total_raw_bytes(self) -> float:
-        """Bytes requested before any cache filtering."""
-        return sum(op.raw_bytes for op in self.operands)
-
-    def total_dram_bytes(self, arch: GPUArch) -> float:
-        """DRAM bytes after L2 filtering / efficiency penalties."""
-        return sum(op.dram_bytes(arch) for op in self.operands)
-
-    def dram_time(self, arch: GPUArch, *, bandwidth_efficiency: float = 1.0) -> float:
-        """Time to move the DRAM traffic at (a fraction of) peak bandwidth."""
-        if not 0.0 < bandwidth_efficiency <= 1.0:
-            raise ValueError("bandwidth_efficiency must be in (0, 1]")
-        return self.total_dram_bytes(arch) / (
-            arch.dram_bandwidth * bandwidth_efficiency
-        )
-
-    def l2_time(self, arch: GPUArch, *, bandwidth_efficiency: float = 1.0) -> float:
-        """Time to move the *raw* (pre-filter) traffic through the L2 cache.
-
-        Re-reads filtered out of DRAM still consume last-level-cache
-        bandwidth; kernels with poor reuse (small tiles / small ``V``) become
-        L2-bandwidth bound even when their DRAM footprint is small — this is
-        the "63 MACs per loaded value" argument of Section 2.1.
-        """
-        if not 0.0 < bandwidth_efficiency <= 1.0:
-            raise ValueError("bandwidth_efficiency must be in (0, 1]")
-        return self.total_raw_bytes() / (arch.l2_bandwidth * bandwidth_efficiency)
-
-    def memory_time(self, arch: GPUArch, *, bandwidth_efficiency: float = 1.0) -> float:
-        """Combined memory-stream time: the slower of DRAM and L2 delivery."""
-        return max(
-            self.dram_time(arch, bandwidth_efficiency=bandwidth_efficiency),
-            self.l2_time(arch, bandwidth_efficiency=bandwidth_efficiency),
-        )
-
-    def by_operand(self, arch: GPUArch) -> dict[str, float]:
-        """DRAM bytes per operand name (merging duplicates)."""
-        out: dict[str, float] = {}
-        for op in self.operands:
-            out[op.name] = out.get(op.name, 0.0) + op.dram_bytes(arch)
-        return out
-
-    def operation_intensity(self, flops: float, arch: GPUArch) -> float:
-        """FLOPs per DRAM byte for this traffic under ``arch``."""
-        dram = self.total_dram_bytes(arch)
-        if dram <= 0:
-            return float("inf")
-        return flops / dram
-
-
-# --------------------------------------------------------------------------- #
-# Batched (structure-of-arrays) traffic — the vectorized twin of
-# OperandTraffic / TrafficBreakdown used by repro.gpu.simulator.simulate_batch.
-# --------------------------------------------------------------------------- #
-@dataclass
 class OperandBatch:
     """One operand *slot* across a batch of launches.
 
-    The scalar model stores one :class:`OperandTraffic` per operand per
-    launch; the batched model stores one array per field with one entry per
-    launch.  Every formula below is the scalar expression applied
-    element-wise, so a batch of launches produces bit-identical numbers to
-    looping :meth:`OperandTraffic.dram_bytes` one launch at a time.
+    ``bytes`` is the unique footprint of the operand each launch touches and
+    ``reads`` how many times that footprint is streamed before any cache
+    filtering (e.g. an activation tile re-read once per row-tile).
+    ``access_efficiency`` is the fraction of each memory transaction that
+    carries useful data — 1.0 for coalesced streaming, lower for gather-style
+    access such as unstructured SpMM loading scattered activation rows.
+    ``is_write`` marks store streams, which are not L2-filtered.  Every field
+    holds one entry per launch, or a scalar shared by the batch.
     """
 
     name: str
@@ -198,7 +57,14 @@ class OperandBatch:
         return self.bytes * self.reads
 
     def dram_bytes(self, arch: GPUArch) -> np.ndarray:
-        """Per-launch DRAM bytes after L2 filtering / efficiency penalties."""
+        """Per-launch DRAM bytes after L2 filtering / efficiency penalties.
+
+        Re-reads of an operand whose footprint fits within half of the L2
+        capacity hit in L2 and cost no extra DRAM traffic; larger footprints
+        degrade smoothly (the fraction of the footprint resident in L2 is
+        filtered, the rest spills to DRAM on every re-read).  Stores always
+        go to DRAM (write-through approximation).
+        """
         reads = self.reads
         # Single-read streams (outputs, metadata, weights) never hit the L2
         # re-read filter; skip its arithmetic when the slot cannot qualify.
@@ -206,8 +72,8 @@ class OperandBatch:
             return (self.bytes * reads) / self.access_efficiency
         usable_l2 = arch.l2_capacity / 2
         safe_bytes = np.where(self.bytes > 0, self.bytes, 1.0)
-        # Denormal footprints overflow the ratio to inf, exactly like the
-        # scalar division; the min() clamps it to 1.0 either way.
+        # Denormal footprints overflow the ratio to inf; the min() clamps it
+        # to 1.0.
         with np.errstate(over="ignore"):
             hit_fraction = np.minimum(1.0, usable_l2 / safe_bytes)
         adjusted = (~self.is_write) & (reads > 1.0) & (self.bytes > 0)
@@ -224,9 +90,7 @@ class TrafficBatch:
     ``size`` is the batch length; each :meth:`add` appends one operand slot
     shared by every launch (scalars broadcast).  Launches with fewer operands
     than their batch-mates pad the missing slots with zero-byte streams,
-    which contribute exactly ``0.0`` to every aggregate, so the per-launch
-    accumulation order over the real operands matches the scalar
-    :class:`TrafficBreakdown` sums term by term.
+    which contribute exactly ``0.0`` to every aggregate.
     """
 
     size: int
@@ -275,42 +139,12 @@ class TrafficBatch:
         return self
 
     @classmethod
-    def from_breakdowns(cls, breakdowns: list[TrafficBreakdown]) -> "TrafficBatch":
-        """Stack per-launch :class:`TrafficBreakdown` objects into one batch.
-
-        Slot ``i`` holds the ``i``-th operand of each launch; launches with
-        fewer operands pad with zero-byte streams *after* their real
-        operands, preserving the scalar summation order.
-        """
-        size = len(breakdowns)
-        batch = cls(size)
-        max_ops = max((len(b.operands) for b in breakdowns), default=0)
-        for slot in range(max_ops):
-            ops = [
-                b.operands[slot] if slot < len(b.operands) else None for b in breakdowns
-            ]
-            name = next((op.name for op in ops if op is not None), f"slot{slot}")
-            batch.add(
-                name,
-                np.array([op.bytes if op is not None else 0.0 for op in ops]),
-                reads=np.array([op.reads if op is not None else 0.0 for op in ops]),
-                access_efficiency=np.array(
-                    [op.access_efficiency if op is not None else 1.0 for op in ops]
-                ),
-                is_write=np.array(
-                    [op.is_write if op is not None else False for op in ops]
-                ),
-            )
-        return batch
-
-    @classmethod
     def concat(cls, parts: "list[TrafficBatch]") -> "TrafficBatch":
         """Stack several traffic batches end to end.
 
         Slot ``j`` of the result concatenates slot ``j`` of every part;
         parts with fewer slots pad with zero-byte streams, which contribute
-        an exact ``0.0`` to every aggregate (same argument as
-        :meth:`from_breakdowns`).
+        an exact ``0.0`` to every aggregate.
         """
         sizes = [part.size for part in parts]
         merged = cls(sum(sizes))
@@ -342,7 +176,7 @@ class TrafficBatch:
         return merged
 
     # ------------------------------------------------------------------ #
-    # Aggregates (element-wise twins of the TrafficBreakdown methods)
+    # Aggregates
     # ------------------------------------------------------------------ #
     def total_raw_bytes(self) -> np.ndarray:
         """Per-launch bytes requested before any cache filtering."""
@@ -380,7 +214,13 @@ class TrafficBatch:
     def l2_time(
         self, arch: GPUArch, *, bandwidth_efficiency: np.ndarray | float = 1.0
     ) -> np.ndarray:
-        """Per-launch raw-traffic delivery time through the L2."""
+        """Per-launch raw-traffic delivery time through the L2.
+
+        Re-reads filtered out of DRAM still consume last-level-cache
+        bandwidth; kernels with poor reuse (small tiles / small ``V``) become
+        L2-bandwidth bound even when their DRAM footprint is small — this is
+        the "63 MACs per loaded value" argument of Section 2.1.
+        """
         efficiency = self._check_bandwidth_efficiency(bandwidth_efficiency)
         return self.total_raw_bytes() / (arch.l2_bandwidth * efficiency)
 

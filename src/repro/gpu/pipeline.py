@@ -11,8 +11,9 @@ A Shfl-BW SpMM main loop interleaves three streams of work per K-step:
 With enough pipeline stages the per-iteration time is the *maximum* of the
 overlapping streams; without prefetching, the metadata load serialises with
 the data load because the stitch cannot start until the indices are known
-(the dependency called out in Section 4.4).  This module exposes both
-behaviours so the metadata-prefetch ablation benchmark can quantify the gap.
+(the dependency called out in Section 4.4).  This module models both
+behaviours, per launch, so the metadata-prefetch ablation benchmark can
+quantify the gap.
 """
 
 from __future__ import annotations
@@ -25,126 +26,9 @@ from .vectorize import anytrue
 
 
 @dataclass(frozen=True)
-class PipelineSpec:
-    """Per-iteration latencies of the main-loop streams, in seconds.
-
-    Attributes
-    ----------
-    compute_time:
-        Tensor-core (or CUDA-core) time per K-step.
-    load_time:
-        Shared-memory fill time per K-step (weights + stitched activations).
-    meta_time:
-        Metadata (column index) load time per K-step, *before* bulk
-        aggregation.
-    k_steps:
-        Number of main-loop iterations.
-    pipeline_stages:
-        Number of buffers available for overlap; 1 disables overlap entirely.
-    meta_prefetch_steps:
-        ``MetaPrefetchStage`` from Algorithm 1 — how many iterations' worth of
-        metadata are fetched in one bulk load.  1 disables bulk prefetching.
-    meta_bulk_efficiency:
-        Bandwidth-efficiency bonus of aggregating small metadata loads into
-        bulk transfers (Section 4.4 notes metadata is small and benefits from
-        aggregation); applied when ``meta_prefetch_steps > 1``.
-    """
-
-    compute_time: float
-    load_time: float
-    meta_time: float = 0.0
-    k_steps: int = 1
-    pipeline_stages: int = 2
-    meta_prefetch_steps: int = 4
-    meta_bulk_efficiency: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.compute_time < 0 or self.load_time < 0 or self.meta_time < 0:
-            raise ValueError("stream times must be non-negative")
-        if self.k_steps < 1:
-            raise ValueError("k_steps must be >= 1")
-        if self.pipeline_stages < 1:
-            raise ValueError("pipeline_stages must be >= 1")
-        if self.meta_prefetch_steps < 1:
-            raise ValueError("meta_prefetch_steps must be >= 1")
-        if not 0.0 < self.meta_bulk_efficiency <= 1.0:
-            raise ValueError("meta_bulk_efficiency must be in (0, 1]")
-
-
-@dataclass(frozen=True)
-class PipelineEstimate:
-    """Outcome of the pipeline model."""
-
-    total_time: float
-    steady_state_time: float
-    prologue_time: float
-    bound: str  # "compute", "memory" or "serial"
-
-    @property
-    def overlap_efficiency(self) -> float:
-        """Ratio of the perfectly-overlapped lower bound to the estimate."""
-        if self.total_time <= 0:
-            return 1.0
-        return self.steady_state_time / self.total_time
-
-
-def pipeline_time(spec: PipelineSpec, *, prefetch_metadata: bool = True) -> PipelineEstimate:
-    """Estimate main-loop time for a threadblock under the pipeline model.
-
-    Parameters
-    ----------
-    spec:
-        Stream latencies and pipeline configuration.
-    prefetch_metadata:
-        When ``True`` (the paper's design), metadata for
-        ``meta_prefetch_steps`` future iterations is loaded in bulk and
-        overlaps with compute, so the per-iteration cost is
-        ``max(compute, load + meta/prefetch_steps)``.  When ``False``, the
-        metadata load serialises in front of the data load:
-        ``max(compute, meta + load)`` with no bulk-aggregation benefit.
-    """
-    if prefetch_metadata and spec.meta_prefetch_steps > 1:
-        # Bulk-prefetched metadata joins the pipelined memory stream and can
-        # hide behind compute like any other load.
-        memory_stream = spec.load_time + spec.meta_time * spec.meta_bulk_efficiency
-        serial_meta = 0.0
-    else:
-        # Serial dependency (Section 4.4): the column indices must arrive
-        # before the stitch of the same tile can start, and the stitch must
-        # finish before the MMA, so the metadata latency cannot be hidden
-        # behind either stream.
-        memory_stream = spec.load_time
-        serial_meta = spec.meta_time
-
-    if spec.pipeline_stages >= 2:
-        steady = serial_meta + max(spec.compute_time, memory_stream)
-        bound = "compute" if spec.compute_time >= memory_stream + serial_meta else "memory"
-    else:
-        steady = serial_meta + spec.compute_time + memory_stream
-        bound = "serial"
-
-    # Pipeline prologue: the first (stages - 1) buffers must be filled before
-    # the first MMA can issue; the epilogue drains symmetric to the prologue
-    # and is folded into the same term.
-    warmup_iters = min(spec.pipeline_stages - 1, spec.k_steps)
-    prologue = warmup_iters * memory_stream
-
-    total = prologue + spec.k_steps * steady
-    return PipelineEstimate(
-        total_time=total,
-        steady_state_time=spec.k_steps * steady,
-        prologue_time=prologue,
-        bound=bound,
-    )
-
-
-# --------------------------------------------------------------------------- #
-# Batched (array-accepting) variant — the element-wise twin of pipeline_time
-# used by repro.gpu.simulator.simulate_batch.
-# --------------------------------------------------------------------------- #
-@dataclass(frozen=True)
 class PipelineBatch:
-    """Per-launch pipeline estimates (the array twin of :class:`PipelineEstimate`)."""
+    """Per-launch outcome of the pipeline model; ``bound`` is ``"compute"``,
+    ``"memory"`` or ``"serial"``."""
 
     total_time: np.ndarray
     steady_state_time: np.ndarray
@@ -164,14 +48,24 @@ def pipeline_time_grid(
     meta_bulk_efficiency: np.ndarray | float = 1.0,
     validate: bool = True,
 ) -> PipelineBatch:
-    """Element-wise :func:`pipeline_time` over per-launch stream arrays.
+    """Estimate each launch's main-loop time under the pipeline model.
 
-    Every expression mirrors the scalar model term by term (the two
-    metadata behaviours and the overlap / serial regimes are selected by
-    masks), so each launch's numbers are bit-identical to building its
-    :class:`PipelineSpec` and calling :func:`pipeline_time`.  ``validate``
-    may be switched off by callers whose inputs are valid by construction
-    (the simulator derives them from an already-validated launch batch).
+    ``compute_time``, ``load_time`` and ``meta_time`` are the per-K-step
+    latencies of the tensor-core (or CUDA-core) stream, the shared-memory
+    fill (weights + stitched activations) and the metadata (column index)
+    load; ``pipeline_stages`` is the number of buffers available for overlap
+    (1 disables it) and ``meta_prefetch_steps`` is ``MetaPrefetchStage`` from
+    Algorithm 1 — how many iterations' worth of metadata one bulk load
+    fetches (1 disables bulk prefetching).  ``meta_bulk_efficiency`` is the
+    bandwidth bonus of aggregating small metadata loads into bulk transfers
+    (Section 4.4).
+
+    With ``prefetch_metadata`` (the paper's design) and bulk steps, the
+    metadata joins the pipelined memory stream, so a step costs
+    ``max(compute, load + meta)``; otherwise the metadata load serialises in
+    front of the data load with no bulk benefit.  ``validate`` may be
+    switched off by callers whose inputs are valid by construction (the
+    simulator derives them from an already-validated launch batch).
     """
     bulk_efficiency = np.asarray(meta_bulk_efficiency, dtype=np.float64)
     if validate:
@@ -186,6 +80,11 @@ def pipeline_time_grid(
         if anytrue((bulk_efficiency <= 0.0) | (bulk_efficiency > 1.0)):
             raise ValueError("meta_bulk_efficiency must be in (0, 1]")
 
+    # Bulk-prefetched metadata joins the pipelined memory stream and can hide
+    # behind compute like any other load.  Without it the dependency of
+    # Section 4.4 applies: the column indices must arrive before the stitch
+    # of the same tile can start, and the stitch must finish before the MMA,
+    # so the metadata latency cannot be hidden behind either stream.
     bulk = np.asarray(prefetch_metadata, dtype=bool) & (meta_prefetch_steps > 1)
     memory_stream = np.where(bulk, load_time + meta_time * bulk_efficiency, load_time)
     serial_meta = np.where(bulk, 0.0, meta_time)
@@ -202,6 +101,9 @@ def pipeline_time_grid(
         "serial",
     )
 
+    # Pipeline prologue: the first (stages - 1) buffers must be filled before
+    # the first MMA can issue; the epilogue drains symmetric to the prologue
+    # and is folded into the same term.
     warmup_iters = np.minimum(pipeline_stages - 1, k_steps)
     prologue = warmup_iters * memory_stream
     steady_state = k_steps * steady
@@ -211,22 +113,3 @@ def pipeline_time_grid(
         prologue_time=prologue,
         bound=bound,
     )
-
-
-def dense_pipeline_time(
-    compute_time: float,
-    load_time: float,
-    k_steps: int,
-    *,
-    pipeline_stages: int = 3,
-) -> PipelineEstimate:
-    """Convenience wrapper for dense kernels, which carry no sparse metadata."""
-    spec = PipelineSpec(
-        compute_time=compute_time,
-        load_time=load_time,
-        meta_time=0.0,
-        k_steps=k_steps,
-        pipeline_stages=pipeline_stages,
-        meta_prefetch_steps=1,
-    )
-    return pipeline_time(spec, prefetch_metadata=False)

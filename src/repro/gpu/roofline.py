@@ -3,101 +3,20 @@
 The paper argues about sparse-kernel efficiency purely in terms of operation
 intensity (FLOPs per byte loaded from global memory) against the machine
 balance of each GPU.  These helpers expose that argument directly so the
-analysis benchmarks can regenerate the paper's ``Max_reuse`` results and so
-kernels can sanity-check the timing model against the roofline bound.
+analysis benchmarks can regenerate the paper's ``Max_reuse`` results.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
-import numpy as np
-
 from .arch import GPUArch
 from .memory import BYTES_FP16, BYTES_FP32
 from .tiling import optimal_tile_extent
 
 
-@dataclass(frozen=True)
-class RooflinePoint:
-    """A kernel placed on the roofline of a particular GPU."""
-
-    arch: str
-    operation_intensity: float
-    attainable_flops: float
-    peak_flops: float
-    memory_bound: bool
-
-    @property
-    def efficiency(self) -> float:
-        """Fraction of peak throughput attainable at this intensity."""
-        if self.peak_flops <= 0:
-            return 0.0
-        return self.attainable_flops / self.peak_flops
-
-
 def machine_balance(arch: GPUArch, *, use_tensor_core: bool = True) -> float:
     """FLOPs per DRAM byte needed to reach peak throughput on ``arch``."""
     return arch.peak_flops(use_tensor_core) / arch.dram_bandwidth
-
-
-def attainable_flops(
-    arch: GPUArch, operation_intensity: float, *, use_tensor_core: bool = True
-) -> RooflinePoint:
-    """Classic roofline: ``min(peak, intensity * bandwidth)``."""
-    if operation_intensity < 0:
-        raise ValueError("operation intensity must be non-negative")
-    peak = arch.peak_flops(use_tensor_core)
-    bw_limited = operation_intensity * arch.dram_bandwidth
-    attainable = min(peak, bw_limited)
-    return RooflinePoint(
-        arch=arch.name,
-        operation_intensity=operation_intensity,
-        attainable_flops=attainable,
-        peak_flops=peak,
-        memory_bound=bw_limited < peak,
-    )
-
-
-@dataclass(frozen=True)
-class RooflineBatch:
-    """Many kernels placed on one GPU's roofline (array twin of
-    :class:`RooflinePoint`)."""
-
-    arch: str
-    operation_intensity: np.ndarray
-    attainable_flops: np.ndarray
-    peak_flops: float
-    memory_bound: np.ndarray
-
-    @property
-    def efficiency(self) -> np.ndarray:
-        """Per-kernel fraction of peak throughput attainable."""
-        if self.peak_flops <= 0:
-            return np.zeros_like(self.attainable_flops)
-        return self.attainable_flops / self.peak_flops
-
-
-def attainable_flops_grid(
-    arch: GPUArch,
-    operation_intensity: np.ndarray,
-    *,
-    use_tensor_core: bool = True,
-) -> RooflineBatch:
-    """Element-wise :func:`attainable_flops` over an intensity array."""
-    intensity = np.asarray(operation_intensity, dtype=np.float64)
-    if np.any(intensity < 0):
-        raise ValueError("operation intensity must be non-negative")
-    peak = arch.peak_flops(use_tensor_core)
-    bw_limited = intensity * arch.dram_bandwidth
-    return RooflineBatch(
-        arch=arch.name,
-        operation_intensity=intensity,
-        attainable_flops=np.minimum(peak, bw_limited),
-        peak_flops=peak,
-        memory_bound=bw_limited < peak,
-    )
 
 
 def dense_gemm_intensity(m: int, n: int, k: int, *, bytes_per_value: int = BYTES_FP16) -> float:

@@ -1,50 +1,40 @@
 """Analytical kernel-timing simulator.
 
 This is the substitute for running the paper's CUDA kernels on real V100 / T4
-/ A100 hardware.  Every kernel in :mod:`repro.kernels` describes one launch as
-a :class:`KernelLaunch` — how many useful FLOPs it performs, how many bytes it
-moves (per operand, after format-specific compression), how it tiles the
-problem and which execution unit it uses — and the simulator turns that into a
-time estimate by combining:
+/ A100 hardware.  Every kernel in :mod:`repro.kernels` describes its launches
+as a :class:`LaunchBatch` — per launch, how many useful FLOPs it performs, how
+many bytes it moves (per operand, after format-specific compression), how it
+tiles the problem and which execution unit it uses — and
+:func:`simulate_batch` turns the whole batch into time estimates in a handful
+of numpy broadcasts by combining:
 
 * the tensor-core / CUDA-core compute model (:mod:`repro.gpu.tensorcore`),
 * the DRAM traffic + L2 model (:mod:`repro.gpu.memory`),
 * occupancy and wave quantisation (:mod:`repro.gpu.tiling`),
 * the software-pipeline / metadata-prefetch model (:mod:`repro.gpu.pipeline`).
 
-The absolute numbers are approximations; what the model is designed to get
-right are the *relationships* the paper's evaluation hinges on — dense vs
-sparse crossover points, tensor-core vs CUDA-core gaps, the effect of block
-size ``V`` on data reuse, and the near-zero cost of the Shfl-BW row shuffle.
+The model is element-wise: a launch's numbers never depend on its batch
+mates, so the sweep executor may concatenate batches freely.  The absolute
+numbers are approximations; what the model is designed to get right are the
+*relationships* the paper's evaluation hinges on — dense vs sparse crossover
+points, tensor-core vs CUDA-core gaps, the effect of block size ``V`` on data
+reuse, and the near-zero cost of the Shfl-BW row shuffle.
 """
 
 from __future__ import annotations
 
 import enum
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .arch import GPUArch
-from .memory import TrafficBatch, TrafficBreakdown
+from .memory import TrafficBatch
+from .pipeline import pipeline_time_grid
+from .tensorcore import cuda_core_time_grid, tensor_core_time_grid
+from .tiling import concurrent_tiles_grid, wave_count_grid
 from .vectorize import anytrue, stack_parts
-from .pipeline import PipelineSpec, pipeline_time, pipeline_time_grid
-from .tensorcore import (
-    ComputeEstimate,
-    cuda_core_time,
-    cuda_core_time_grid,
-    sparse_tensor_core_time,
-    tensor_core_time,
-    tensor_core_time_grid,
-)
-from .tiling import (
-    TileConfig,
-    concurrent_tiles,
-    concurrent_tiles_grid,
-    wave_count,
-    wave_count_grid,
-)
 
 
 class ComputeUnit(enum.Enum):
@@ -55,78 +45,9 @@ class ComputeUnit(enum.Enum):
     SPARSE_TENSOR_CORE = "sparse_tensor_core"
 
 
-@dataclass
-class KernelLaunch:
-    """Complete description of one kernel launch for the timing model.
-
-    Attributes
-    ----------
-    name:
-        Human-readable kernel name (for reports).
-    useful_flops:
-        FLOPs that contribute to the mathematical result.
-    traffic:
-        DRAM traffic of the data operands (weights, activations, outputs).
-    meta_traffic:
-        DRAM traffic of sparse metadata (column indices, row indices);
-        kept separate so the metadata-prefetch pipeline model can act on it.
-    tile:
-        Threadblock tiling configuration.
-    num_tiles:
-        Number of output tiles (threadblocks) in the grid.
-    k_steps:
-        Main-loop iterations per threadblock.
-    compute_unit:
-        Which execution unit performs the MACs.
-    compute_efficiency:
-        Fraction of the unit's peak the inner loop sustains.
-    bandwidth_efficiency:
-        Fraction of peak DRAM bandwidth the access pattern sustains.
-    prefetch_metadata:
-        Whether the kernel bulk-prefetches metadata (Algorithm 1).
-    meta_prefetch_steps:
-        Bulk size of the metadata prefetch.
-    extra_overhead_s:
-        Additional fixed overhead (e.g. multi-stream synchronisation for the
-        TileWise baseline, format conversion done on the device, etc.).
-    launches:
-        Number of device kernel launches this logical operation needs (1 for
-        fused kernels, larger for multi-stream / multi-pass baselines).
-    """
-
-    name: str
-    useful_flops: float
-    traffic: TrafficBreakdown
-    tile: TileConfig
-    num_tiles: int
-    k_steps: int
-    compute_unit: ComputeUnit = ComputeUnit.TENSOR_CORE
-    meta_traffic: TrafficBreakdown = field(default_factory=TrafficBreakdown)
-    compute_efficiency: float = 0.85
-    bandwidth_efficiency: float = 0.85
-    prefetch_metadata: bool = True
-    meta_prefetch_steps: int = 4
-    extra_overhead_s: float = 0.0
-    launches: int = 1
-
-    def __post_init__(self) -> None:
-        if self.useful_flops < 0:
-            raise ValueError("useful_flops must be non-negative")
-        if self.num_tiles < 1:
-            raise ValueError("num_tiles must be >= 1")
-        if self.k_steps < 1:
-            raise ValueError("k_steps must be >= 1")
-        if self.launches < 1:
-            raise ValueError("launches must be >= 1")
-        if not 0.0 < self.compute_efficiency <= 1.0:
-            raise ValueError("compute_efficiency must be in (0, 1]")
-        if not 0.0 < self.bandwidth_efficiency <= 1.0:
-            raise ValueError("bandwidth_efficiency must be in (0, 1]")
-
-
 @dataclass(frozen=True)
 class KernelTiming:
-    """Timing estimate returned by :func:`simulate`."""
+    """One launch's timing estimate (a cell of :class:`TimingBatch`)."""
 
     kernel: str
     arch: str
@@ -162,147 +83,21 @@ class KernelTiming:
         return other.total_time_s / self.total_time_s
 
 
-def _compute_estimate(arch: GPUArch, launch: KernelLaunch) -> ComputeEstimate:
-    """Per-launch compute estimate on the requested execution unit."""
-    total_fragments = launch.num_tiles * launch.k_steps
-    if launch.compute_unit is ComputeUnit.TENSOR_CORE:
-        return tensor_core_time(
-            arch,
-            launch.useful_flops,
-            tile_m=launch.tile.tile_m,
-            tile_n=launch.tile.tile_n,
-            tile_k=launch.tile.tile_k,
-            num_tiles=total_fragments,
-            efficiency=launch.compute_efficiency,
-        )
-    if launch.compute_unit is ComputeUnit.SPARSE_TENSOR_CORE:
-        return sparse_tensor_core_time(
-            arch,
-            launch.useful_flops,
-            tile_m=launch.tile.tile_m,
-            tile_n=launch.tile.tile_n,
-            tile_k=launch.tile.tile_k,
-            num_tiles=total_fragments,
-            efficiency=launch.compute_efficiency,
-        )
-    return cuda_core_time(
-        arch,
-        launch.useful_flops,
-        efficiency=launch.compute_efficiency,
-    )
-
-
-def simulate(arch: GPUArch, launch: KernelLaunch) -> KernelTiming:
-    """Estimate the execution time of ``launch`` on ``arch``.
-
-    The whole-kernel compute time (peak-throughput model, de-rated by grid
-    under-utilisation and wave quantisation) and the whole-kernel DRAM /
-    metadata traffic times feed the software-pipeline model, which decides how
-    much of the memory latency hides behind compute; fixed launch overheads
-    are added on top.
-    """
-    compute = _compute_estimate(arch, launch)
-
-    data_bytes = launch.traffic.total_dram_bytes(arch)
-    meta_bytes = launch.meta_traffic.total_dram_bytes(arch)
-    total_bytes = data_bytes + meta_bytes
-
-    memory_time = launch.traffic.memory_time(
-        arch, bandwidth_efficiency=launch.bandwidth_efficiency
-    )
-    meta_time = launch.meta_traffic.memory_time(
-        arch, bandwidth_efficiency=launch.bandwidth_efficiency
-    )
-
-    waves = wave_count(arch, launch.tile, launch.num_tiles)
-    # Fraction of the chip's compute resources the grid can actually keep
-    # busy: an SM's execution units are saturated once one threadblock is
-    # resident (extra occupancy only hides latency), so what matters is how
-    # many SMs receive work in the average wave.  Small grids (fewer tiles
-    # than SMs) and ragged final waves both lower it.  The peak-throughput
-    # compute estimate is stretched by the inverse of this factor.
-    tiles_per_wave = launch.num_tiles / waves
-    grid_utilization = min(1.0, tiles_per_wave / arch.sm_count)
-    effective_compute_time = compute.time_s / grid_utilization
-
-    spec = PipelineSpec(
-        compute_time=effective_compute_time / launch.k_steps,
-        load_time=memory_time / launch.k_steps,
-        meta_time=meta_time / launch.k_steps,
-        k_steps=launch.k_steps,
-        pipeline_stages=launch.tile.pipeline_stages,
-        meta_prefetch_steps=launch.meta_prefetch_steps,
-    )
-    pipe = pipeline_time(spec, prefetch_metadata=launch.prefetch_metadata)
-
-    overhead = (
-        arch.kernel_launch_overhead_s * launch.launches + launch.extra_overhead_s
-    )
-    # The pipeline prologue (filling the first buffers) is paid per resident
-    # threadblock, not once per whole-kernel "step": dividing by the number of
-    # concurrently resident tiles scales the whole-kernel-granularity estimate
-    # back to a per-tile warm-up.
-    resident = max(1, min(launch.num_tiles, concurrent_tiles(arch, launch.tile)))
-    total = pipe.steady_state_time + pipe.prologue_time / resident + overhead
-
-    return KernelTiming(
-        kernel=launch.name,
-        arch=arch.name,
-        total_time_s=total,
-        compute_time_s=effective_compute_time,
-        memory_time_s=memory_time,
-        meta_time_s=meta_time,
-        overhead_s=overhead,
-        waves=waves,
-        bound=pipe.bound,
-        useful_flops=launch.useful_flops,
-        dram_bytes=total_bytes,
-        compute_utilization=compute.utilization,
-    )
-
-
-# --------------------------------------------------------------------------- #
-# Batched estimation engine
-#
-# The sweep grids of the evaluation (Figure 1/6, the headline table, the
-# autotuner's candidate scoring) hammer simulate() one configuration at a
-# time; LaunchBatch is the structure-of-arrays twin of KernelLaunch and
-# simulate_batch() evaluates a whole batch of launches on one architecture in
-# a handful of numpy broadcasts.  Every expression mirrors the scalar model
-# term by term — including the order of floating-point accumulations — so a
-# batch reproduces the scalar results *bit for bit* (for the realistic
-# magnitudes of the grids, far below 2**53, where int->float conversions are
-# exact).  The scalar simulate() stays as the oracle; the property suite
-# asserts batch == scalar on random launches.
-# --------------------------------------------------------------------------- #
 _UNIT_CODES: dict[ComputeUnit, int] = {
     ComputeUnit.TENSOR_CORE: 0,
     ComputeUnit.CUDA_CORE: 1,
     ComputeUnit.SPARSE_TENSOR_CORE: 2,
 }
-_CODE_UNITS: dict[int, ComputeUnit] = {code: unit for unit, code in _UNIT_CODES.items()}
 
 
 def _unit_codes(compute_unit, size: int) -> np.ndarray:
-    """Coerce a ComputeUnit (or a sequence of them / of codes) to int8 codes."""
+    """Coerce a ComputeUnit (or an array of unit codes) to int8 codes."""
     if isinstance(compute_unit, ComputeUnit):
         return np.int8(_UNIT_CODES[compute_unit])
-    if isinstance(compute_unit, (int, np.integer)):
-        arr = np.int8(compute_unit)
-        if int(arr) not in _CODE_UNITS:
-            raise ValueError("unknown compute-unit code")
-        return arr
-    if isinstance(compute_unit, np.ndarray) and compute_unit.dtype == np.int8:
-        arr = compute_unit
-    else:
-        codes = [
-            _UNIT_CODES[unit] if isinstance(unit, ComputeUnit) else int(unit)
-            for unit in compute_unit
-        ]
-        arr = np.asarray(codes, dtype=np.int8)
+    arr = np.asarray(compute_unit, dtype=np.int8)
     if arr.ndim and arr.shape != (size,):
         raise ValueError(f"expected {size} compute units, got shape {arr.shape}")
-    if not np.all(np.isin(arr, list(_CODE_UNITS))):
+    if not np.all(np.isin(arr, list(_UNIT_CODES.values()))):
         raise ValueError("unknown compute-unit code")
     return arr
 
@@ -311,12 +106,20 @@ def _unit_codes(compute_unit, size: int) -> np.ndarray:
 class LaunchBatch:
     """Structure-of-arrays description of many kernel launches on one arch.
 
-    Field names mirror :class:`KernelLaunch`; every per-launch scalar becomes
-    a length-``n`` array (scalars broadcast on construction).  ``tile_*``,
-    ``threads``, ``pipeline_stages`` and ``accumulator_bytes`` flatten the
-    per-launch :class:`~repro.gpu.tiling.TileConfig`.  ``compute_unit``
+    Every per-launch field is a length-``n`` array, or a scalar shared by
+    the whole batch.  ``useful_flops`` (the FLOPs that contribute to the
+    result) defines the batch length.  ``traffic`` holds the DRAM streams of
+    the data operands and ``meta_traffic`` those of the sparse metadata, kept
+    apart so the metadata-prefetch pipeline model can act on them.
+    ``tile_*``, ``threads``, ``pipeline_stages`` and ``accumulator_bytes``
+    describe the threadblock tile; ``num_tiles`` is the grid size and
+    ``k_steps`` the main-loop iterations per threadblock.  ``compute_unit``
     stores one small-int code per launch (see :data:`ComputeUnit`), so one
     batch may mix tensor-core, CUDA-core and sparse-tensor-core launches.
+    ``prefetch_metadata`` / ``meta_prefetch_steps`` select the bulk metadata
+    prefetch of Algorithm 1; ``extra_overhead_s`` adds fixed costs such as
+    multi-stream synchronisation, and ``launches`` counts the device kernel
+    launches one logical operation needs.
     """
 
     names: list[str]
@@ -361,7 +164,7 @@ class LaunchBatch:
             return np.asarray(value, dtype=np.float64)
 
         self.names = list(self.names)
-        if len(self.names) == 1 and size > 1:
+        if len(self.names) == 1 and size != 1:
             self.names = self.names * size
         self.tile_m = _ints(self.tile_m)
         self.tile_n = _ints(self.tile_n)
@@ -387,7 +190,6 @@ class LaunchBatch:
         if not self.validate:
             return
 
-        # The vectorized twin of KernelLaunch.__post_init__.
         if anytrue(self.useful_flops < 0):
             raise ValueError("useful_flops must be non-negative")
         if anytrue(self.num_tiles < 1):
@@ -404,6 +206,10 @@ class LaunchBatch:
             raise ValueError("bandwidth_efficiency must be in (0, 1]")
         if anytrue(self.tile_m <= 0) or anytrue(self.tile_n <= 0) or anytrue(self.tile_k <= 0):
             raise ValueError("tile dimensions must be positive")
+        if anytrue(self.threads <= 0) or anytrue(self.threads % 32 != 0):
+            raise ValueError("threads must be a positive multiple of 32")
+        if anytrue(self.pipeline_stages < 1):
+            raise ValueError("pipeline_stages must be >= 1")
 
     def __len__(self) -> int:
         return int(self.useful_flops.shape[0])
@@ -454,44 +260,10 @@ class LaunchBatch:
             validate=False,
         )
 
-    @classmethod
-    def from_launches(cls, launches: Sequence[KernelLaunch]) -> "LaunchBatch":
-        """Stack scalar :class:`KernelLaunch` descriptions into one batch."""
-        launches = list(launches)
-        if not launches:
-            raise ValueError("cannot batch zero launches")
-        return cls(
-            names=[launch.name for launch in launches],
-            useful_flops=np.array([launch.useful_flops for launch in launches]),
-            traffic=TrafficBatch.from_breakdowns([la.traffic for la in launches]),
-            meta_traffic=TrafficBatch.from_breakdowns(
-                [la.meta_traffic for la in launches]
-            ),
-            tile_m=np.array([la.tile.tile_m for la in launches]),
-            tile_n=np.array([la.tile.tile_n for la in launches]),
-            tile_k=np.array([la.tile.tile_k for la in launches]),
-            threads=np.array([la.tile.threads for la in launches]),
-            pipeline_stages=np.array([la.tile.pipeline_stages for la in launches]),
-            accumulator_bytes=np.array(
-                [la.tile.accumulator_bytes for la in launches]
-            ),
-            num_tiles=np.array([la.num_tiles for la in launches]),
-            k_steps=np.array([la.k_steps for la in launches]),
-            compute_unit=[la.compute_unit for la in launches],
-            compute_efficiency=np.array([la.compute_efficiency for la in launches]),
-            bandwidth_efficiency=np.array(
-                [la.bandwidth_efficiency for la in launches]
-            ),
-            prefetch_metadata=np.array([la.prefetch_metadata for la in launches]),
-            meta_prefetch_steps=np.array([la.meta_prefetch_steps for la in launches]),
-            extra_overhead_s=np.array([la.extra_overhead_s for la in launches]),
-            launches=np.array([la.launches for la in launches]),
-        )
-
 
 @dataclass(frozen=True)
 class TimingBatch:
-    """Per-launch timing estimates (the array twin of :class:`KernelTiming`)."""
+    """Per-launch timing estimates returned by :func:`simulate_batch`."""
 
     kernel: tuple[str, ...]
     arch: str
@@ -509,22 +281,8 @@ class TimingBatch:
     def __len__(self) -> int:
         return int(self.total_time_s.shape[0])
 
-    @property
-    def achieved_tflops(self) -> np.ndarray:
-        """Per-launch achieved useful throughput in TFLOP/s."""
-        safe = np.where(self.total_time_s > 0, self.total_time_s, 1.0)
-        return np.where(
-            self.total_time_s > 0, self.useful_flops / safe / 1.0e12, 0.0
-        )
-
-    @property
-    def achieved_bandwidth_gbs(self) -> np.ndarray:
-        """Per-launch achieved DRAM bandwidth in GB/s."""
-        safe = np.where(self.total_time_s > 0, self.total_time_s, 1.0)
-        return np.where(self.total_time_s > 0, self.dram_bytes / safe / 1.0e9, 0.0)
-
     def timing(self, index: int) -> KernelTiming:
-        """Materialise one launch's estimate as a scalar :class:`KernelTiming`."""
+        """Materialise one launch's estimate as a :class:`KernelTiming`."""
         return KernelTiming(
             kernel=self.kernel[index],
             arch=self.arch,
@@ -540,26 +298,25 @@ class TimingBatch:
             compute_utilization=float(self.compute_utilization[index]),
         )
 
-    def timings(self) -> list[KernelTiming]:
-        """Materialise the whole batch as scalar timings."""
-        return [self.timing(i) for i in range(len(self))]
-
 
 def simulate_batch(arch: GPUArch, batch: LaunchBatch) -> TimingBatch:
     """Estimate the execution time of every launch in ``batch`` on ``arch``.
 
-    The vectorized twin of :func:`simulate`: identical model, identical
-    floating-point expressions, evaluated once over arrays instead of once
-    per launch.
+    The whole-kernel compute time (peak-throughput model, de-rated by grid
+    under-utilisation and wave quantisation) and the whole-kernel DRAM /
+    metadata traffic times feed the software-pipeline model, which decides
+    how much of the memory latency hides behind compute; fixed launch
+    overheads are added on top.
     """
     total_fragments = batch.num_tiles * batch.k_steps
     is_cuda = batch.compute_unit == _UNIT_CODES[ComputeUnit.CUDA_CORE]
     is_sparse = batch.compute_unit == _UNIT_CODES[ComputeUnit.SPARSE_TENSOR_CORE]
     any_cuda = anytrue(is_cuda)
     all_cuda = not anytrue(batch.compute_unit != _UNIT_CODES[ComputeUnit.CUDA_CORE])
-    # The tensor-core estimate doubles as the sparse-tensor-core one (halved
-    # where the arch supports it), so only batches that actually mix in
-    # CUDA-core launches pay for the second grid.
+    # The tensor-core estimate doubles as the sparse-tensor-core one: the
+    # A100's 2:4 sparse tensor cores halve it, while parts without them fall
+    # back to the dense rate (cuSPARSELt's behaviour before Ampere).  Only
+    # batches that actually mix in CUDA-core launches pay for a second grid.
     if all_cuda:
         cuda = cuda_core_time_grid(
             arch, batch.useful_flops, efficiency=batch.compute_efficiency
@@ -611,6 +368,12 @@ def simulate_batch(arch: GPUArch, batch: LaunchBatch) -> TimingBatch:
         accumulator_bytes=batch.accumulator_bytes,
     )
     waves = wave_count_grid(batch.num_tiles, concurrent)
+    # Fraction of the chip's compute resources the grid can actually keep
+    # busy: an SM's execution units are saturated once one threadblock is
+    # resident (extra occupancy only hides latency), so what matters is how
+    # many SMs receive work in the average wave.  Small grids (fewer tiles
+    # than SMs) and ragged final waves both lower it.  The peak-throughput
+    # compute estimate is stretched by the inverse of this factor.
     tiles_per_wave = batch.num_tiles / waves
     grid_utilization = np.minimum(1.0, tiles_per_wave / arch.sm_count)
     effective_compute_time = compute_time / grid_utilization
@@ -627,6 +390,10 @@ def simulate_batch(arch: GPUArch, batch: LaunchBatch) -> TimingBatch:
     )
 
     overhead = arch.kernel_launch_overhead_s * batch.launches + batch.extra_overhead_s
+    # The pipeline prologue (filling the first buffers) is paid per resident
+    # threadblock, not once per whole-kernel "step": dividing by the number
+    # of concurrently resident tiles scales the whole-kernel-granularity
+    # estimate back to a per-tile warm-up.
     resident = np.maximum(1, np.minimum(batch.num_tiles, concurrent))
     total = pipe.steady_state_time + pipe.prologue_time / resident + overhead
 

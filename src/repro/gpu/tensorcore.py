@@ -3,9 +3,11 @@
 Tensor cores consume work in fixed ``m x n x k`` MMA granules (Section 2.1 of
 the paper).  A threadblock tile whose dimensions are not multiples of the MMA
 shape still has to issue whole instructions, so small or ragged tiles waste
-throughput.  This module converts a tile's logical FLOPs into issued-MMA
+throughput.  This module converts each launch's logical FLOPs into issued-MMA
 FLOPs, and provides the analogous (much simpler) model for CUDA-core FMA
-execution used by unstructured-sparsity baselines such as Sputnik.
+execution used by unstructured-sparsity baselines such as Sputnik.  Inputs
+are arrays with one entry per launch (see
+:func:`repro.gpu.simulator.simulate_batch`).
 """
 
 from __future__ import annotations
@@ -18,129 +20,6 @@ from .arch import GPUArch, MMAShape
 from .vectorize import anytrue
 
 
-def ceil_div(a: int, b: int) -> int:
-    """Integer ceiling division for positive operands."""
-    if b <= 0:
-        raise ValueError("divisor must be positive")
-    return -(-a // b)
-
-
-@dataclass(frozen=True)
-class ComputeEstimate:
-    """Result of estimating the compute time of a block of work.
-
-    Attributes
-    ----------
-    time_s:
-        Estimated execution time in seconds at the modelled efficiency.
-    issued_flops:
-        FLOPs actually issued to the execution units, including padding waste.
-    useful_flops:
-        FLOPs that contribute to the result.
-    utilization:
-        ``useful_flops / issued_flops`` (1.0 means no quantisation waste).
-    """
-
-    time_s: float
-    issued_flops: float
-    useful_flops: float
-
-    @property
-    def utilization(self) -> float:
-        if self.issued_flops <= 0:
-            return 0.0
-        return self.useful_flops / self.issued_flops
-
-
-def mma_instructions_for_tile(tile_m: int, tile_n: int, tile_k: int, mma: MMAShape) -> int:
-    """Number of MMA instructions needed to cover a ``tile_m x tile_n x tile_k``
-    matrix-multiply fragment, padding each dimension up to the MMA granule."""
-    if min(tile_m, tile_n, tile_k) <= 0:
-        raise ValueError("tile dimensions must be positive")
-    return (
-        ceil_div(tile_m, mma.m)
-        * ceil_div(tile_n, mma.n)
-        * ceil_div(tile_k, mma.k)
-    )
-
-
-def tensor_core_tile_flops(tile_m: int, tile_n: int, tile_k: int, mma: MMAShape) -> float:
-    """Issued FLOPs (including padding) for one tile on tensor cores."""
-    return mma_instructions_for_tile(tile_m, tile_n, tile_k, mma) * mma.flops
-
-
-def tensor_core_time(
-    arch: GPUArch,
-    useful_flops: float,
-    *,
-    tile_m: int,
-    tile_n: int,
-    tile_k: int,
-    num_tiles: float,
-    efficiency: float = 1.0,
-) -> ComputeEstimate:
-    """Estimate tensor-core compute time for ``num_tiles`` tiles of work.
-
-    Parameters
-    ----------
-    arch:
-        Target GPU.
-    useful_flops:
-        Total useful FLOPs across all tiles.
-    tile_m, tile_n, tile_k:
-        Per-MMA-loop fragment shape used by the kernel; quantisation waste is
-        charged when these are not multiples of the MMA granule.
-    num_tiles:
-        Number of such fragments issued over the whole kernel (may be
-        fractional when derived from averages).
-    efficiency:
-        Fraction of peak tensor throughput achievable by this kernel's inner
-        loop (instruction mix, bank conflicts, etc.).
-    """
-    if not 0.0 < efficiency <= 1.0:
-        raise ValueError("efficiency must be in (0, 1]")
-    issued = tensor_core_tile_flops(tile_m, tile_n, tile_k, arch.mma) * num_tiles
-    issued = max(issued, useful_flops)
-    time = issued / (arch.tensor_flops * efficiency)
-    return ComputeEstimate(time_s=time, issued_flops=issued, useful_flops=useful_flops)
-
-
-def cuda_core_time(
-    arch: GPUArch,
-    useful_flops: float,
-    *,
-    efficiency: float = 1.0,
-    vector_width: int = 1,
-    occupancy: float = 1.0,
-) -> ComputeEstimate:
-    """Estimate CUDA-core (FMA pipeline) compute time.
-
-    Unstructured sparse kernels execute scalar or short-vector FMAs; there is
-    no instruction-shape quantisation but irregular control flow and low
-    occupancy reduce achieved throughput, captured by ``efficiency`` and
-    ``occupancy``.
-    """
-    if not 0.0 < efficiency <= 1.0:
-        raise ValueError("efficiency must be in (0, 1]")
-    if not 0.0 < occupancy <= 1.0:
-        raise ValueError("occupancy must be in (0, 1]")
-    if vector_width < 1:
-        raise ValueError("vector_width must be >= 1")
-    # Short vectors below the 32-wide warp SIMD width waste lanes.
-    lane_utilization = min(1.0, vector_width / 1.0) if vector_width >= 1 else 1.0
-    achieved = arch.cuda_core_flops * efficiency * occupancy * lane_utilization
-    time = useful_flops / achieved
-    return ComputeEstimate(
-        time_s=time, issued_flops=useful_flops, useful_flops=useful_flops
-    )
-
-
-# --------------------------------------------------------------------------- #
-# Batched (array-accepting) variants — element-wise twins of the scalar
-# estimators above, used by repro.gpu.simulator.simulate_batch.  Inputs are
-# arrays with one entry per launch; every expression mirrors the scalar one
-# so the results are bit-identical to looping the scalar functions.
-# --------------------------------------------------------------------------- #
 def ceil_div_array(a: np.ndarray, b: np.ndarray | int) -> np.ndarray:
     """Element-wise integer ceiling division for positive operands."""
     if anytrue(b <= 0):
@@ -150,7 +29,12 @@ def ceil_div_array(a: np.ndarray, b: np.ndarray | int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ComputeBatch:
-    """Per-launch compute estimates (the array twin of :class:`ComputeEstimate`)."""
+    """Per-launch compute estimates.
+
+    ``time_s`` is the execution time at the modelled efficiency,
+    ``issued_flops`` the FLOPs actually issued (padding waste included) and
+    ``useful_flops`` those that contribute to the result.
+    """
 
     time_s: np.ndarray
     issued_flops: np.ndarray
@@ -158,6 +42,7 @@ class ComputeBatch:
 
     @property
     def utilization(self) -> np.ndarray:
+        """``useful_flops / issued_flops`` (1.0 means no quantisation waste)."""
         issued = self.issued_flops
         safe = np.where(issued > 0, issued, 1.0)
         return np.where(issued > 0, self.useful_flops / safe, 0.0)
@@ -166,7 +51,8 @@ class ComputeBatch:
 def mma_instructions_grid(
     tile_m: np.ndarray, tile_n: np.ndarray, tile_k: np.ndarray, mma: MMAShape
 ) -> np.ndarray:
-    """Element-wise :func:`mma_instructions_for_tile`."""
+    """MMA instructions needed to cover each ``tile_m x tile_n x tile_k``
+    fragment, padding every dimension up to the MMA granule."""
     if anytrue(tile_m <= 0) or anytrue(tile_n <= 0) or anytrue(tile_k <= 0):
         raise ValueError("tile dimensions must be positive")
     return (
@@ -193,7 +79,14 @@ def tensor_core_time_grid(
     num_tiles: np.ndarray,
     efficiency: np.ndarray,
 ) -> ComputeBatch:
-    """Element-wise :func:`tensor_core_time` over a batch of launches."""
+    """Tensor-core compute time of ``num_tiles`` fragments per launch.
+
+    ``tile_*`` is the per-MMA-loop fragment shape (quantisation waste is
+    charged when it is not a multiple of the MMA granule), ``num_tiles`` the
+    number of fragments issued over the whole kernel and ``efficiency`` the
+    fraction of peak tensor throughput the kernel's inner loop sustains
+    (instruction mix, bank conflicts, etc.).
+    """
     efficiency = _check_efficiency_array(efficiency)
     useful_flops = np.asarray(useful_flops, dtype=np.float64)
     tile_flops = (mma_instructions_grid(tile_m, tile_n, tile_k, arch.mma) * arch.mma.flops)
@@ -209,76 +102,16 @@ def cuda_core_time_grid(
     *,
     efficiency: np.ndarray,
 ) -> ComputeBatch:
-    """Element-wise :func:`cuda_core_time` (unit occupancy / lane width, the
-    form the simulator uses)."""
+    """CUDA-core (FMA pipeline) compute time per launch.
+
+    Unstructured sparse kernels execute scalar FMAs: there is no
+    instruction-shape quantisation, but irregular control flow reduces the
+    achieved throughput, captured by ``efficiency``.
+    """
     efficiency = _check_efficiency_array(efficiency)
     useful_flops = np.asarray(useful_flops, dtype=np.float64)
     achieved = arch.cuda_core_flops * efficiency
     time = useful_flops / achieved
     return ComputeBatch(
         time_s=time, issued_flops=useful_flops, useful_flops=useful_flops
-    )
-
-
-def sparse_tensor_core_time_grid(
-    arch: GPUArch,
-    useful_flops: np.ndarray,
-    *,
-    tile_m: np.ndarray,
-    tile_n: np.ndarray,
-    tile_k: np.ndarray,
-    num_tiles: np.ndarray,
-    efficiency: np.ndarray,
-) -> ComputeBatch:
-    """Element-wise :func:`sparse_tensor_core_time`."""
-    dense = tensor_core_time_grid(
-        arch,
-        useful_flops,
-        tile_m=tile_m,
-        tile_n=tile_n,
-        tile_k=tile_k,
-        num_tiles=num_tiles,
-        efficiency=efficiency,
-    )
-    if not arch.supports_sparse_tensor_core:
-        return dense
-    return ComputeBatch(
-        time_s=dense.time_s / 2.0,
-        issued_flops=dense.issued_flops,
-        useful_flops=dense.useful_flops,
-    )
-
-
-def sparse_tensor_core_time(
-    arch: GPUArch,
-    useful_flops: float,
-    *,
-    tile_m: int,
-    tile_n: int,
-    tile_k: int,
-    num_tiles: float,
-    efficiency: float = 1.0,
-) -> ComputeEstimate:
-    """Compute time using the A100 sparse tensor cores (2:4 structured sparsity).
-
-    The sparse tensor core doubles the effective MAC rate for matrices in the
-    2-in-4 balanced format; architectures without the feature fall back to the
-    dense tensor-core rate (the metadata selection then brings no compute
-    benefit, matching cuSPARSELt behaviour on pre-Ampere parts).
-    """
-    dense = tensor_core_time(
-        arch,
-        useful_flops,
-        tile_m=tile_m,
-        tile_n=tile_n,
-        tile_k=tile_k,
-        num_tiles=num_tiles,
-        efficiency=efficiency,
-    )
-    if not arch.supports_sparse_tensor_core:
-        return dense
-    return ComputeEstimate(
-        time_s=dense.time_s / 2.0,
-        issued_flops=dense.issued_flops,
-        useful_flops=dense.useful_flops,
     )

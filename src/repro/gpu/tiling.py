@@ -3,13 +3,13 @@
 The paper's efficiency analysis (Section 3.2.2) rests on how large an output
 tile a threadblock can accumulate in the register file: the larger the
 ``TM x TN`` output tile, the more FLOPs are performed per byte loaded.  This
-module provides:
+module provides, element-wise over per-launch tile-field arrays:
 
-* :class:`TileConfig` — a threadblock tile shape plus pipeline depth,
 * occupancy estimation from shared-memory and register usage,
 * wave quantisation: a grid of ``num_tiles`` threadblocks executes in
   ``ceil(num_tiles / concurrent_tiles)`` waves and the last, partially filled
   wave still takes a full wave's time,
+* the dense-GEMM tile heuristic of vendor libraries,
 * the register-file-limited optimal tile size ``T_opt = sqrt(regfile/accum)``
   used in the Max_reuse derivation.
 """
@@ -17,146 +17,23 @@ module provides:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .arch import GPUArch
 from .memory import BYTES_FP16, BYTES_FP32
-from .tensorcore import ceil_div, ceil_div_array
+from .tensorcore import ceil_div_array
 from .vectorize import anytrue
 
 
-@dataclass(frozen=True)
-class TileConfig:
-    """A threadblock tiling configuration for a GEMM-like kernel.
-
-    Attributes
-    ----------
-    tile_m, tile_n, tile_k:
-        Per-threadblock tile extents along the GEMM M, N and K dimensions.
-        The threadblock iterates over K in steps of ``tile_k``.
-    threads:
-        Threads per threadblock.
-    pipeline_stages:
-        Number of in-flight shared-memory buffers (double/triple buffering).
-    accumulator_bytes:
-        Bytes per output accumulator element held in registers (FP32 by
-        default, matching tensor-core accumulation).
-    """
-
-    tile_m: int
-    tile_n: int
-    tile_k: int
-    threads: int = 128
-    pipeline_stages: int = 2
-    accumulator_bytes: int = BYTES_FP32
-
-    def __post_init__(self) -> None:
-        if min(self.tile_m, self.tile_n, self.tile_k) <= 0:
-            raise ValueError("tile dimensions must be positive")
-        if self.threads <= 0 or self.threads % 32 != 0:
-            raise ValueError("threads must be a positive multiple of 32")
-        if self.pipeline_stages < 1:
-            raise ValueError("pipeline_stages must be >= 1")
-
-    # ------------------------------------------------------------------ #
-    # Resource usage
-    # ------------------------------------------------------------------ #
-    @property
-    def smem_bytes_per_stage(self) -> int:
-        """Shared memory for one pipeline stage (A tile + B tile, FP16)."""
-        a_tile = self.tile_m * self.tile_k * BYTES_FP16
-        b_tile = self.tile_k * self.tile_n * BYTES_FP16
-        return a_tile + b_tile
-
-    @property
-    def smem_bytes(self) -> int:
-        """Total shared memory used by the threadblock."""
-        return self.smem_bytes_per_stage * self.pipeline_stages
-
-    @property
-    def accumulator_bytes_total(self) -> int:
-        """Register bytes holding the output tile accumulators."""
-        return self.tile_m * self.tile_n * self.accumulator_bytes
-
-    @property
-    def register_bytes(self) -> int:
-        """Total register usage estimate (accumulators + staging fragments)."""
-        # Staging fragments for A and B plus address arithmetic; a flat 25 %
-        # overhead over the accumulators is a reasonable CUTLASS-like figure.
-        return int(self.accumulator_bytes_total * 1.25)
-
-    @property
-    def flops_per_k_step(self) -> int:
-        """Useful FLOPs performed per K-iteration of the main loop."""
-        return 2 * self.tile_m * self.tile_n * self.tile_k
-
-    @property
-    def load_bytes_per_k_step(self) -> int:
-        """Bytes loaded from global memory per K-iteration (dense operands)."""
-        return self.smem_bytes_per_stage
-
-    def grid_tiles(self, m: int, n: int) -> int:
-        """Number of threadblocks needed to cover an ``m x n`` output."""
-        if m <= 0 or n <= 0:
-            raise ValueError("problem dimensions must be positive")
-        return ceil_div(m, self.tile_m) * ceil_div(n, self.tile_n)
-
-    def k_steps(self, k: int) -> int:
-        """Number of main-loop iterations over a reduction length ``k``."""
-        if k <= 0:
-            raise ValueError("k must be positive")
-        return ceil_div(k, self.tile_k)
-
-
-def occupancy(arch: GPUArch, tile: TileConfig) -> int:
-    """Concurrent threadblocks per SM, limited by shared memory, registers
-    and the thread-count ceiling.  Always at least 1 (a tile that exceeds an
-    SM's resources is treated as running alone, serialised)."""
-    by_smem = arch.shared_mem_per_sm // max(tile.smem_bytes, 1)
-    by_regs = arch.register_file_per_sm // max(tile.register_bytes, 1)
-    by_threads = arch.max_threads_per_sm // tile.threads
-    return max(1, min(by_smem, by_regs, by_threads))
-
-
-def concurrent_tiles(arch: GPUArch, tile: TileConfig) -> int:
-    """Threadblocks resident across the whole chip at once."""
-    return occupancy(arch, tile) * arch.sm_count
-
-
-def wave_count(arch: GPUArch, tile: TileConfig, num_tiles: int) -> int:
-    """Number of waves needed to run ``num_tiles`` threadblocks."""
-    if num_tiles <= 0:
-        raise ValueError("num_tiles must be positive")
-    return ceil_div(num_tiles, concurrent_tiles(arch, tile))
-
-
-def wave_efficiency(arch: GPUArch, tile: TileConfig, num_tiles: int) -> float:
-    """Fraction of the last wave that is actually occupied.
-
-    A grid of 130 tiles on a machine that runs 128 concurrently takes two
-    waves but the second wave is only 2/128 full; overall efficiency is
-    ``130 / 256``.  Small grids (fewer tiles than SMs) are the main reason
-    dense tensor-core GEMMs under-perform on narrow DNN layer shapes, which
-    in turn is part of why sparse kernels can exceed the naive ``1/density``
-    speedup bound on T4 (Section 6.2).
-    """
-    waves = wave_count(arch, tile, num_tiles)
-    return num_tiles / (waves * concurrent_tiles(arch, tile))
-
-
-# --------------------------------------------------------------------------- #
-# Batched (array-accepting) variants — element-wise twins of the scalar
-# occupancy / wave model above, operating on per-launch tile-field arrays.
-# --------------------------------------------------------------------------- #
 def smem_bytes_grid(
     tile_m: np.ndarray,
     tile_n: np.ndarray,
     tile_k: np.ndarray,
     pipeline_stages: np.ndarray,
 ) -> np.ndarray:
-    """Element-wise :attr:`TileConfig.smem_bytes`."""
+    """Shared memory of each threadblock: one FP16 A tile plus one FP16 B
+    tile per pipeline stage."""
     a_tile = tile_m * tile_k * BYTES_FP16
     b_tile = tile_k * tile_n * BYTES_FP16
     return (a_tile + b_tile) * pipeline_stages
@@ -165,8 +42,9 @@ def smem_bytes_grid(
 def register_bytes_grid(
     tile_m: np.ndarray, tile_n: np.ndarray, accumulator_bytes: np.ndarray
 ) -> np.ndarray:
-    """Element-wise :attr:`TileConfig.register_bytes` (same 25 % staging
-    overhead, same truncation towards zero as the scalar ``int()``)."""
+    """Register usage of each threadblock: the output-tile accumulators plus
+    a flat 25 % for staging fragments and address arithmetic (a reasonable
+    CUTLASS-like figure), truncated to whole bytes."""
     accumulators = tile_m * tile_n * accumulator_bytes
     return (accumulators.astype(np.float64) * 1.25).astype(np.int64)
 
@@ -181,7 +59,9 @@ def occupancy_grid(
     pipeline_stages: np.ndarray,
     accumulator_bytes: np.ndarray,
 ) -> np.ndarray:
-    """Element-wise :func:`occupancy`."""
+    """Concurrent threadblocks per SM, limited by shared memory, registers
+    and the thread-count ceiling.  Always at least 1 (a tile that exceeds an
+    SM's resources is treated as running alone, serialised)."""
     smem = smem_bytes_grid(tile_m, tile_n, tile_k, pipeline_stages)
     regs = register_bytes_grid(tile_m, tile_n, accumulator_bytes)
     by_smem = arch.shared_mem_per_sm // np.maximum(smem, 1)
@@ -200,7 +80,7 @@ def concurrent_tiles_grid(
     pipeline_stages: np.ndarray,
     accumulator_bytes: np.ndarray,
 ) -> np.ndarray:
-    """Element-wise :func:`concurrent_tiles`."""
+    """Threadblocks resident across the whole chip at once."""
     return (
         occupancy_grid(
             arch,
@@ -216,7 +96,8 @@ def concurrent_tiles_grid(
 
 
 def wave_count_grid(num_tiles: np.ndarray, concurrent: np.ndarray) -> np.ndarray:
-    """Element-wise :func:`wave_count` given precomputed concurrent tiles."""
+    """Waves needed to run ``num_tiles`` threadblocks, ``concurrent`` at a
+    time."""
     if anytrue(num_tiles <= 0):
         raise ValueError("num_tiles must be positive")
     return ceil_div_array(num_tiles, concurrent)
@@ -237,13 +118,17 @@ def _next_pow2_grid(dim: np.ndarray) -> np.ndarray:
 def default_gemm_tile_grid(
     m: np.ndarray, n: np.ndarray, k: np.ndarray, *, min_tiles: int = 96
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Element-wise :func:`default_gemm_tile` over problem-shape arrays.
+    """Pick a dense-GEMM threadblock tile for every problem shape.
 
-    Returns the ``(tile_m, tile_n, tile_k)`` arrays; the remaining
-    :class:`TileConfig` fields are the constructor defaults (128 threads,
-    2 pipeline stages, FP32 accumulators), exactly as the scalar helper
-    produces.  The scalar shrink-until-``min_tiles`` loops run at most twice
-    per dimension (128 -> 64 -> 32), so two masked halvings reproduce them.
+    Mirrors the heuristics of vendor GEMM libraries: prefer 128x128 tiles for
+    large problems, but shrink the tile (M first, then N, floor 32) until the
+    grid has at least ``min_tiles`` threadblocks so narrow DNN-layer shapes do
+    not leave most of the chip idle.  Dimensions smaller than the tile shrink
+    to the next power of two.  Returns the ``(tile_m, tile_n, tile_k)``
+    arrays; the tiles run 128 threads, 2 pipeline stages and FP32
+    accumulators (the :class:`~repro.gpu.simulator.LaunchBatch` defaults).
+    Shrinking goes 128 -> 64 -> 32 at most, so two masked halvings per
+    dimension suffice.
     """
     if anytrue(m <= 0) or anytrue(n <= 0):
         raise ValueError("problem dimensions must be positive")
@@ -281,32 +166,3 @@ def optimal_tile_extent(arch: GPUArch, *, accumulator_bytes: int = BYTES_FP32) -
     above this value allow a sparse kernel to reach dense-level reuse.
     """
     return math.sqrt(arch.register_file_per_sm / accumulator_bytes)
-
-
-def default_gemm_tile(m: int, n: int, k: int, *, min_tiles: int = 96) -> TileConfig:
-    """Pick a reasonable dense-GEMM threadblock tile for a problem shape.
-
-    Mirrors the heuristics of vendor GEMM libraries: prefer 128x128 tiles for
-    large problems, but shrink the tile (M first, then N, floor 32) until the
-    grid has at least ``min_tiles`` threadblocks so narrow DNN-layer shapes do
-    not leave most of the chip idle.  Dimensions smaller than the tile shrink
-    to the next power of two.
-    """
-
-    def _fit(dim: int, preferred: int) -> int:
-        if dim >= preferred:
-            return preferred
-        return max(16, 1 << (max(dim, 1) - 1).bit_length())
-
-    tile_m = _fit(m, 128)
-    tile_n = _fit(n, 128)
-    tile_k = _fit(k, 64)
-
-    def grid(tm: int, tn: int) -> int:
-        return ceil_div(m, tm) * ceil_div(n, tn)
-
-    while grid(tile_m, tile_n) < min_tiles and tile_m > 32:
-        tile_m //= 2
-    while grid(tile_m, tile_n) < min_tiles and tile_n > 32:
-        tile_n //= 2
-    return TileConfig(tile_m=tile_m, tile_n=tile_n, tile_k=tile_k)

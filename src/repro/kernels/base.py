@@ -19,22 +19,16 @@ import abc
 import dataclasses
 import hashlib
 from collections import OrderedDict
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..core.pattern import PatternKind
 from ..gpu.arch import GPUArch
-from ..gpu.memory import BYTES_FP16, TrafficBatch, TrafficBreakdown
-from ..gpu.simulator import (
-    KernelLaunch,
-    KernelTiming,
-    LaunchBatch,
-    TimingBatch,
-    simulate,
-    simulate_batch,
-)
-from ..gpu.tensorcore import ceil_div, ceil_div_array
+from ..gpu.memory import BYTES_FP16, TrafficBatch
+from ..gpu.simulator import KernelTiming, LaunchBatch, TimingBatch, simulate_batch
+from ..gpu.tensorcore import ceil_div_array
 from ..gpu.vectorize import anytrue
 from ..sparse.spconv import Conv2dSpec
 
@@ -42,19 +36,25 @@ __all__ = [
     "GEMMShape",
     "KernelCapabilities",
     "KernelNotApplicableError",
+    "LaunchCells",
     "SpMMKernel",
-    "weight_traffic",
-    "activation_traffic",
-    "output_traffic",
     "conv_to_gemm_shape",
     "conv_unfold_factor",
     "no_conv_support_detail",
+    "screen_cells",
+    "traffic_density_checks",
+    "simulate_cells",
     "shape_arrays",
     "weight_traffic_grid",
     "activation_traffic_grid",
     "output_traffic_grid",
     "merge_traffic_grid",
 ]
+
+#: One per-cell rejection rule of :func:`screen_cells`: a mask over the grid
+#: cells and a factory for the exception a masked cell raises (given the
+#: cell's index).
+CellCheck = tuple["np.ndarray | bool", Callable[[int], Exception]]
 
 
 class KernelNotApplicableError(RuntimeError):
@@ -89,6 +89,11 @@ class GEMMShape:
         return f"M{self.m}/N{self.n}/K{self.k}"
 
 
+#: The GEMM shapes of a grid of cells: :class:`GEMMShape` objects, or a
+#: pre-split ``(ms, ns, ks)`` array triple (see :func:`shape_arrays`).
+Shapes = Sequence[GEMMShape] | tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
 def conv_to_gemm_shape(spec: Conv2dSpec, batch: int, height: int, width: int) -> GEMMShape:
     """Implicit-GEMM shape of a convolution layer (Section 4.1)."""
     if batch <= 0 or height <= 0 or width <= 0:
@@ -100,115 +105,125 @@ def conv_to_gemm_shape(spec: Conv2dSpec, batch: int, height: int, width: int) ->
 def no_conv_support_detail(name: str) -> str:
     """The single source of the 'no convolution implementation' message.
 
-    Raised by :meth:`SpMMKernel.estimate_conv`, reported by
-    :meth:`KernelCapabilities.infeasible_reason` and reproduced verbatim by
-    the batched grid paths, whose records must match the scalar executor's
-    string for string.
+    Raised for convolution cells by :meth:`SpMMKernel.build_layer_cells` and
+    reported by :meth:`KernelCapabilities.infeasible_reason`.
     """
     return f"kernel {name!r} has no convolution implementation"
 
 
-def conv_unfold_factor(kernel_size: int) -> float:
+def conv_unfold_factor(kernel_size: np.ndarray | int) -> np.ndarray:
     """Replicated share ``1 - 1 / (KH * KW)`` of the im2col unfolding.
 
-    The single source of the expression every conv estimate scales its
-    unfolding overhead by — scalar :meth:`SpMMKernel.estimate_conv` and the
-    batched grid paths alike — so the batch == scalar bit-exactness cannot
-    drift.  A 1x1 convolution (im2col is a pure reshape) returns 0.0.
+    Element-wise over kernel sizes; a 1x1 convolution (im2col is a pure
+    reshape) and the ``0`` that marks a linear layer's GEMM return 0.0.
     """
-    replication = kernel_size * kernel_size
-    if replication <= 1:
-        return 0.0
-    return 1.0 - 1.0 / replication
+    replication = np.asarray(kernel_size, dtype=np.int64) ** 2
+    return np.where(replication > 1, 1.0 - 1.0 / np.maximum(replication, 1), 0.0)
 
 
 # --------------------------------------------------------------------------- #
-# Shared traffic builders
+# Per-cell applicability
 # --------------------------------------------------------------------------- #
-def weight_traffic(
-    shape: GEMMShape,
-    density: float,
-    *,
-    column_tiles: int = 1,
-    value_bytes: int = BYTES_FP16,
-    access_efficiency: float = 1.0,
-) -> TrafficBreakdown:
-    """Traffic of the (compressed) weight values.
+def screen_cells(
+    densities: np.ndarray, checks: Sequence[CellCheck]
+) -> tuple[np.ndarray, tuple[Exception | None, ...]]:
+    """Apply per-cell rejection rules, first match wins.
 
-    ``column_tiles`` is how many times the weight stream is replayed because
-    the output is processed in separate N-tiles (usually 1: the weight either
-    fits in L2 or the kernel keeps it resident across the N dimension).
+    Returns the densities with every rejected cell's replaced by 1.0 — so a
+    kernel can still describe a finite launch for it and its launch batch
+    stays aligned with the requested cells — and, per cell, the exception of
+    the first rule that rejects it (``None`` for accepted cells).
     """
-    traffic = TrafficBreakdown()
-    traffic.add(
-        "weight",
-        shape.m * shape.k * density * value_bytes,
-        reads=float(column_tiles),
-        access_efficiency=access_efficiency,
+    size = len(densities)
+    errors: list[Exception | None] = [None] * size
+    rejected = np.zeros(size, dtype=bool)
+    for mask, make_error in checks:
+        if not anytrue(mask):
+            continue
+        fresh = np.broadcast_to(mask, (size,)) & ~rejected
+        for index in np.flatnonzero(fresh).tolist():
+            errors[index] = make_error(index)
+        rejected |= fresh
+    if anytrue(rejected):
+        densities = np.where(rejected, 1.0, densities)
+    return densities, tuple(errors)
+
+
+def traffic_density_checks(densities: np.ndarray) -> list[CellCheck]:
+    """The density rules of a kernel whose weight stream scales with the
+    density and whose activation stream keeps that fraction of the rows.
+
+    A negative density gives the weight stream negative bytes; any other
+    density outside ``(0, 1]`` — NaN included — is not a kept fraction.
+    """
+    return [
+        (densities < 0, lambda _: ValueError("operand 'weight' has negative bytes")),
+        (
+            ~((densities > 0.0) & (densities <= 1.0)),
+            lambda _: ValueError("kept_fraction must be in (0, 1]"),
+        ),
+    ]
+
+
+@dataclass(frozen=True)
+class LaunchCells:
+    """One kernel's launches for a grid of ``(shape, density)`` cells.
+
+    ``batch`` describes one launch per requested cell, in cell order; a
+    rejected cell is described at density 1.0 (see :func:`screen_cells`) and
+    its numbers are never reported.  ``errors[i]`` is the exception cell
+    ``i`` raises from :meth:`SpMMKernel.estimate`, or ``None`` when the
+    kernel runs it.  Cells built by :meth:`SpMMKernel.build_layer_cells`
+    also carry each convolution cell's unfold factor (0.0 elsewhere) and the
+    kernel's :attr:`~SpMMKernel.conv_unfold_overhead`.
+    """
+
+    batch: LaunchBatch
+    errors: tuple[Exception | None, ...]
+    unfold_factors: np.ndarray | float = 0.0
+    unfold_overhead: float = 0.0
+
+    def first_error(self) -> Exception | None:
+        """The exception of the first rejected cell, or ``None``."""
+        return next((error for error in self.errors if error is not None), None)
+
+    def unfold_time(self, kernel_time: np.ndarray) -> np.ndarray:
+        """Im2col unfolding time each cell adds to its kernel time.
+
+        The unfolding re-reads each input value ``KH * KW`` times across
+        output positions, largely caught on chip, which we approximate with
+        a fixed share of the kernel time: :attr:`unfold_overhead` at full
+        replication, scaled by :func:`conv_unfold_factor`.  Linear and 1x1
+        cells add an exact 0.0.
+        """
+        return kernel_time * self.unfold_overhead * self.unfold_factors
+
+
+def simulate_cells(arch: GPUArch, cells: LaunchCells) -> TimingBatch:
+    """Time every cell of ``cells`` on ``arch``, unfolding overhead included.
+
+    Raises the first rejected cell's exception instead of timing the grid;
+    convolution cells add their :meth:`LaunchCells.unfold_time` to both the
+    total and the overhead time.
+    """
+    error = cells.first_error()
+    if error is not None:
+        raise error
+    timing = simulate_batch(arch, cells.batch)
+    unfold = cells.unfold_time(timing.total_time_s)
+    return dataclasses.replace(
+        timing,
+        total_time_s=timing.total_time_s + unfold,
+        overhead_s=timing.overhead_s + unfold,
     )
-    return traffic
-
-
-def activation_traffic(
-    shape: GEMMShape,
-    *,
-    row_tile: int,
-    kept_fraction: float = 1.0,
-    value_bytes: int = BYTES_FP16,
-    access_efficiency: float = 1.0,
-) -> TrafficBreakdown:
-    """Traffic of the dense activation matrix ``B``.
-
-    Each tile of ``row_tile`` weight rows streams the activation rows it needs
-    (``kept_fraction`` of the K dimension), so the full activation footprint is
-    re-read ``ceil(M / row_tile) * kept_fraction`` times before cache
-    filtering.  Larger ``row_tile`` (larger ``V``) means more reuse — this is
-    where the pattern's computation-efficiency advantage materialises.
-    """
-    if row_tile <= 0:
-        raise ValueError("row_tile must be positive")
-    if not 0.0 < kept_fraction <= 1.0:
-        raise ValueError("kept_fraction must be in (0, 1]")
-    reads = ceil_div(shape.m, row_tile) * kept_fraction
-    # The physical lower bound is ``kept_fraction`` of the footprint (the
-    # compulsory traffic); a 1.0 floor here would silently discard the
-    # sparsity savings whenever a single row tile covers the whole M
-    # dimension.  The expression above already respects the bound
-    # (``ceil_div >= 1``), so the clamp only documents the invariant.
-    traffic = TrafficBreakdown()
-    traffic.add(
-        "activation",
-        shape.k * shape.n * value_bytes,
-        reads=max(kept_fraction, reads),
-        access_efficiency=access_efficiency,
-    )
-    return traffic
-
-
-def output_traffic(shape: GEMMShape, *, value_bytes: int = BYTES_FP16) -> TrafficBreakdown:
-    """Traffic of the output matrix ``C`` (written once)."""
-    traffic = TrafficBreakdown()
-    traffic.add("output", shape.m * shape.n * value_bytes, is_write=True)
-    return traffic
-
-
-def merge_traffic(*parts: TrafficBreakdown) -> TrafficBreakdown:
-    """Combine several traffic breakdowns into one."""
-    merged = TrafficBreakdown()
-    for part in parts:
-        merged.operands.extend(part.operands)
-    return merged
 
 
 # --------------------------------------------------------------------------- #
-# Batched (array-accepting) traffic builders — element-wise twins of the
-# scalar builders above, consumed by the kernels' build_launch_batch
-# overrides.  ``ms``/``ns``/``ks``/``densities`` carry one entry per grid
-# cell; every expression mirrors its scalar twin term by term so a batched
-# estimate reproduces the scalar one bit for bit.
+# Shared traffic builders, consumed by the kernels' build_launch_batch.
+# ``ms``/``ns``/``ks``/``densities`` carry one entry per grid cell.
 # --------------------------------------------------------------------------- #
 def shape_arrays(
-    shapes,
+    shapes: Shapes,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Split a list of GEMM shapes into ``(ms, ns, ks)`` int64 arrays.
 
@@ -233,7 +248,12 @@ def weight_traffic_grid(
     value_bytes: int = BYTES_FP16,
     access_efficiency: float = 1.0,
 ) -> TrafficBatch:
-    """Element-wise :func:`weight_traffic`."""
+    """Traffic of the (compressed) weight values.
+
+    ``column_tiles`` is how many times the weight stream is replayed because
+    the output is processed in separate N-tiles (usually 1: the weight either
+    fits in L2 or the kernel keeps it resident across the N dimension).
+    """
     traffic = TrafficBatch(len(ms))
     traffic.add(
         "weight",
@@ -256,10 +276,18 @@ def activation_traffic_grid(
     access_efficiency: float = 1.0,
     row_tiles: np.ndarray | None = None,
 ) -> TrafficBatch:
-    """Element-wise :func:`activation_traffic`.
+    """Traffic of the dense activation matrix ``B``.
 
-    ``row_tiles`` optionally passes a precomputed ``ceil(ms / row_tile)``
-    (kernels that also need the quotient for their grid reuse it here).
+    Each tile of ``row_tile`` weight rows streams the activation rows it
+    needs (``kept_fraction`` of the K dimension), so the full activation
+    footprint is re-read ``ceil(M / row_tile) * kept_fraction`` times before
+    cache filtering.  Larger ``row_tile`` (larger ``V``) means more reuse —
+    this is where the pattern's computation-efficiency advantage
+    materialises.  The compulsory traffic, ``kept_fraction`` of the
+    footprint, is the lower bound (``ceil >= 1`` already respects it; the
+    clamp documents the invariant).  ``row_tiles`` optionally passes a
+    precomputed ``ceil(ms / row_tile)`` (kernels that also need the quotient
+    for their grid reuse it here).
     """
     row_tile = np.asarray(row_tile)
     if anytrue(row_tile <= 0):
@@ -284,7 +312,7 @@ def activation_traffic_grid(
 def output_traffic_grid(
     ms: np.ndarray, ns: np.ndarray, *, value_bytes: int = BYTES_FP16
 ) -> TrafficBatch:
-    """Element-wise :func:`output_traffic`."""
+    """Traffic of the output matrix ``C`` (written once)."""
     traffic = TrafficBatch(len(ms))
     traffic.add("output", ms * ns * value_bytes, is_write=True, validate=False)
     return traffic
@@ -330,8 +358,8 @@ class KernelCapabilities:
     This is the *static* half of applicability: everything a kernel can rule
     out from its class attributes alone, before the timing model runs.  The
     autotuner (:mod:`repro.tune`) uses it to prune infeasible candidates
-    cheaply; the dynamic half (shape-dependent rejections) still surfaces as
-    :class:`KernelNotApplicableError` from ``estimate``.
+    cheaply; the dynamic half (shape- and density-dependent rejections) is
+    reported per cell by :meth:`SpMMKernel.build_launch_batch`.
     """
 
     name: str
@@ -346,6 +374,12 @@ class KernelCapabilities:
         """Dense kernels ignore weight sparsity and always time the full GEMM."""
         return self.pattern == PatternKind.DENSE.value
 
+    def unsupported_arch(self, arch: GPUArch) -> str | None:
+        """Why the kernel does not run on ``arch`` at all, or ``None``."""
+        if self.supported_archs is None or arch.name in self.supported_archs:
+            return None
+        return f"kernel {self.name!r} only runs on {', '.join(self.supported_archs)}"
+
     def infeasible_reason(
         self, arch: GPUArch, *, kind: str = "linear", density: float = 1.0
     ) -> str | None:
@@ -355,10 +389,9 @@ class KernelCapabilities:
         the weight non-zero fraction; dense kernels accept any density (they
         simply do not exploit the zeros).
         """
-        if self.supported_archs is not None and arch.name not in self.supported_archs:
-            return (
-                f"kernel {self.name!r} only runs on {', '.join(self.supported_archs)}"
-            )
+        unsupported = self.unsupported_arch(arch)
+        if unsupported is not None:
+            return unsupported
         if self.requires_sparse_tensor_core and not arch.supports_sparse_tensor_core:
             return f"{arch.name} has no sparse tensor cores"
         if kind == "conv" and not self.supports_conv:
@@ -386,8 +419,8 @@ class SpMMKernel(abc.ABC):
     * :meth:`prepare` — compress a dense (pruned) weight matrix into the
       kernel's storage format,
     * :meth:`run` — functional execution ``C = A @ B`` on numpy arrays,
-    * :meth:`build_launch` — the performance description consumed by the GPU
-      timing model.
+    * :meth:`build_launch_batch` — the performance description of a grid of
+      launches, consumed by the GPU timing model.
     """
 
     #: Human-readable kernel name used in benchmark tables.
@@ -406,11 +439,11 @@ class SpMMKernel(abc.ABC):
     requires_sparse_tensor_core: bool = False
     #: How many compressed weights :meth:`prepare_cached` keeps per kernel.
     prepare_cache_size: int = 8
-    #: Whether :meth:`build_launch` / :meth:`build_launch_batch` ignore the
-    #: target architecture entirely (no split-K heuristics, efficiency
-    #: tables or capability gates inside the launch construction).  The
-    #: batched sweep executor reuses such kernels' launch batches across
-    #: GPUs instead of rebuilding them per architecture.
+    #: Whether :meth:`build_launch_batch` ignores the target architecture
+    #: entirely (no split-K heuristics, efficiency tables or capability
+    #: gates inside the launch construction).  The sweep executor reuses
+    #: such kernels' launch batches across GPUs instead of rebuilding them
+    #: per architecture.
     launch_arch_agnostic: bool = False
     #: Fractional time overhead of the on-the-fly im2col unfolding at full
     #: ``KH x KW`` replication (1x1 convolutions unfold for free).
@@ -452,59 +485,79 @@ class SpMMKernel(abc.ABC):
 
     # -------------------------- performance side ------------------------- #
     @abc.abstractmethod
-    def build_launch(
-        self, arch: GPUArch, shape: GEMMShape, density: float, **kwargs
-    ) -> KernelLaunch:
-        """Describe one launch of this kernel for the timing model."""
-
-    def estimate(
-        self, arch: GPUArch, shape: GEMMShape, density: float, **kwargs
-    ) -> KernelTiming:
-        """Estimate the execution time of the kernel on ``arch``."""
-        launch = self.build_launch(arch, shape, density, **kwargs)
-        return simulate(arch, launch)
-
     def build_launch_batch(
         self,
         arch: GPUArch,
-        shapes: list[GEMMShape],
+        shapes: Shapes,
         densities: np.ndarray,
         **kwargs,
-    ) -> LaunchBatch:
-        """Describe one launch per ``(shape, density)`` cell as one batch.
+    ) -> LaunchCells:
+        """Describe one launch per ``(shape, density)`` cell for the timing
+        model.
 
-        The generic fallback stacks scalar :meth:`build_launch` calls, which
-        vectorizes the simulator but not the launch construction; the
-        registry kernels override this with fully vectorized builders.  Any
-        cell the kernel cannot run raises exactly as :meth:`build_launch`
-        does (the batch is all-or-nothing; callers needing per-cell
-        applicability fall back to the scalar path).
+        ``shapes`` and ``densities`` are parallel (``shapes`` may also be a
+        pre-split ``(ms, ns, ks)`` triple, see :func:`shape_arrays`).  A cell
+        the kernel cannot run does not fail the grid: it is reported in
+        :attr:`LaunchCells.errors`.
         """
-        launches = [
-            self.build_launch(arch, shape, float(density), **kwargs)
-            for shape, density in zip(shapes, densities, strict=True)
-        ]
-        return LaunchBatch.from_launches(launches)
+
+    def build_layer_cells(
+        self,
+        arch: GPUArch,
+        shapes: Shapes,
+        densities: np.ndarray,
+        *,
+        kernel_sizes: Sequence[int] | np.ndarray,
+        **kwargs,
+    ) -> LaunchCells:
+        """:meth:`build_launch_batch` over model-layer cells.
+
+        ``kernel_sizes`` gives each convolution cell's ``KH`` (``0`` for a
+        linear layer's GEMM).  This is where both convolution rules live: a
+        kernel without a convolution implementation rejects conv cells ahead
+        of any other reason, and the accepted ones pay the im2col unfolding
+        overhead (:meth:`LaunchCells.unfold_time`).
+        """
+        cells = self.build_launch_batch(arch, shapes, densities, **kwargs)
+        kernel_sizes = np.asarray(kernel_sizes)
+        errors = cells.errors
+        if not self.supports_conv and anytrue(kernel_sizes > 0):
+            rejection = KernelNotApplicableError(no_conv_support_detail(self.name))
+            errors = tuple(
+                rejection if size else error
+                for size, error in zip(kernel_sizes.tolist(), errors, strict=True)
+            )
+        return LaunchCells(
+            cells.batch,
+            errors,
+            unfold_factors=conv_unfold_factor(kernel_sizes),
+            unfold_overhead=self.conv_unfold_overhead,
+        )
 
     def estimate_grid(
         self,
         arch: GPUArch,
-        shapes: list[GEMMShape],
-        densities: np.ndarray,
+        shapes: Shapes,
+        densities: Sequence[float] | np.ndarray,
         **kwargs,
     ) -> TimingBatch:
         """Estimate every ``(shape, density)`` cell of a grid in one batch.
 
-        The batched twin of :meth:`estimate`: ``shapes`` and ``densities``
-        are parallel sequences (one entry per cell — callers expand their
-        own cross products), and cell ``i`` of the returned
-        :class:`~repro.gpu.simulator.TimingBatch` is bit-identical to
-        ``estimate(arch, shapes[i], densities[i])``.
+        ``shapes`` and ``densities`` are parallel sequences (one entry per
+        cell — callers expand their own cross products).  If any cell is
+        rejected, raises the first rejected cell's exception instead.
         """
-        batch = self.build_launch_batch(
-            arch, list(shapes), np.asarray(densities, dtype=np.float64), **kwargs
+        cells = self.build_launch_batch(
+            arch, shapes, np.asarray(densities, dtype=np.float64), **kwargs
         )
-        return simulate_batch(arch, batch)
+        return simulate_cells(arch, cells)
+
+    def estimate(
+        self, arch: GPUArch, shape: GEMMShape, density: float, **kwargs
+    ) -> KernelTiming:
+        """Estimate the execution time of the kernel on ``arch`` (a grid of
+        one cell)."""
+        return self.estimate_grid(arch, [shape], [density], **kwargs).timing(0)
 
     def estimate_conv(
         self,
@@ -517,28 +570,25 @@ class SpMMKernel(abc.ABC):
         width: int,
         **kwargs,
     ) -> KernelTiming:
-        """Estimate an implicit-GEMM convolution with this kernel.
-
-        The unfolding adds activation traffic (each input value is read
-        ``KH * KW`` times across output positions, largely caught on chip),
-        which we approximate with a small fixed overhead on top of the GEMM
-        estimate: :attr:`conv_unfold_overhead` at full replication, scaled
-        by the replicated share ``1 - 1 / (KH * KW)`` so a 1x1 convolution
-        (whose im2col is a pure reshape) pays nothing.
+        """Estimate an implicit-GEMM convolution with this kernel: the GEMM
+        estimate plus the unfolding overhead (see :meth:`build_layer_cells`).
         """
-        if not self.supports_conv:
-            raise KernelNotApplicableError(no_conv_support_detail(self.name))
         shape = conv_to_gemm_shape(spec, batch, height, width)
-        timing = self.estimate(arch, shape, density, **kwargs)
-        factor = conv_unfold_factor(spec.kernel_size)
-        if factor == 0.0:
-            return timing
-        unfold_s = timing.total_time_s * self.conv_unfold_overhead * factor
-        return dataclasses.replace(
-            timing,
-            total_time_s=timing.total_time_s + unfold_s,
-            overhead_s=timing.overhead_s + unfold_s,
+        cells = self.build_layer_cells(
+            arch,
+            [shape],
+            np.array([density], dtype=np.float64),
+            kernel_sizes=[spec.kernel_size],
+            **kwargs,
         )
+        return simulate_cells(arch, cells).timing(0)
+
+    def metadata_bytes_grid(
+        self, ms: np.ndarray, ks: np.ndarray, densities: np.ndarray, **kwargs
+    ) -> np.ndarray:
+        """Bytes of sparse metadata the format needs per cell (0 for dense
+        kernels)."""
+        return np.zeros(len(ms))
 
     # ------------------------------ misc -------------------------------- #
     def capabilities(self) -> KernelCapabilities:
@@ -553,9 +603,11 @@ class SpMMKernel(abc.ABC):
             requires_sparse_tensor_core=self.requires_sparse_tensor_core,
         )
 
-    def metadata_bytes(self, shape: GEMMShape, density: float, **kwargs) -> float:
+    def metadata_bytes(self, shape: GEMMShape, density: float = 1.0, **kwargs) -> float:
         """Bytes of sparse metadata the format needs (0 for dense kernels)."""
-        return 0.0
+        ms, _, ks = shape_arrays([shape])
+        densities = np.array([density], dtype=np.float64)
+        return float(self.metadata_bytes_grid(ms, ks, densities, **kwargs)[0])
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} name={self.name!r} pattern={self.pattern.value}>"

@@ -18,24 +18,22 @@ import numpy as np
 
 from ..core.pattern import PatternKind
 from ..gpu.arch import GPUArch
-from ..gpu.memory import BYTES_INDEX, TrafficBatch, TrafficBreakdown
-from ..gpu.simulator import ComputeUnit, KernelLaunch, LaunchBatch
-from ..gpu.tensorcore import ceil_div, ceil_div_array
-from ..gpu.tiling import TileConfig
+from ..gpu.memory import BYTES_INDEX, TrafficBatch
+from ..gpu.simulator import ComputeUnit, LaunchBatch
+from ..gpu.tensorcore import ceil_div_array
 from ..sparse.convert import dense_to_block
 from ..sparse.formats import BlockSparseMatrix
 from ..sparse.spmm import spmm_block
 from .base import (
     GEMMShape,
+    LaunchCells,
     SpMMKernel,
-    activation_traffic,
     activation_traffic_grid,
-    merge_traffic,
     merge_traffic_grid,
-    output_traffic,
     output_traffic_grid,
+    screen_cells,
     shape_arrays,
-    weight_traffic,
+    traffic_density_checks,
     weight_traffic_grid,
 )
 
@@ -84,63 +82,43 @@ class CusparseBSRKernel(SpMMKernel):
     def run(self, prepared: BlockSparseMatrix, activations: np.ndarray) -> np.ndarray:
         return spmm_block(prepared, activations)
 
-    def metadata_bytes(self, shape: GEMMShape, density: float, **kwargs) -> float:
+    def metadata_bytes_grid(
+        self, ms: np.ndarray, ks: np.ndarray, densities: np.ndarray, **kwargs
+    ) -> np.ndarray:
+        """BSR block-column indices of the kept blocks plus block-row
+        pointers."""
         v = kwargs.get("block_size", self.block_size)
-        block_rows = ceil_div(shape.m, v)
-        blocks_kept = block_rows * ceil_div(shape.k, v) * density
-        return blocks_kept * BYTES_INDEX + (block_rows + 1) * BYTES_INDEX
+        block_rows = ceil_div_array(ms, v)
+        return (
+            block_rows * ceil_div_array(ks, v) * densities * BYTES_INDEX
+            + (block_rows + 1) * BYTES_INDEX
+        )
 
     def _efficiency(self, arch: GPUArch, block_size: int) -> float:
         return self.efficiency_table.get((arch.name, block_size), self.default_efficiency)
 
-    def build_launch(
-        self, arch: GPUArch, shape: GEMMShape, density: float, **kwargs
-    ) -> KernelLaunch:
-        v = kwargs.get("block_size", self.block_size)
-        if shape.m % v or shape.k % v:
-            raise ValueError(f"GEMM shape {shape} is not divisible by block size {v}")
-        tile = TileConfig(
-            tile_m=v,
-            tile_n=min(64, max(16, shape.n)),
-            tile_k=v,
-            threads=128,
-            pipeline_stages=2,
-        )
-        traffic = merge_traffic(
-            weight_traffic(shape, density),
-            activation_traffic(shape, row_tile=v, kept_fraction=density),
-            output_traffic(shape),
-        )
-        meta = TrafficBreakdown()
-        meta.add("metadata", self.metadata_bytes(shape, density, block_size=v))
-        n_tiles = ceil_div(shape.m, v) * ceil_div(shape.n, tile.tile_n)
-        return KernelLaunch(
-            name=f"{self.name}-v{v}",
-            useful_flops=shape.sparse_flops(density),
-            traffic=traffic,
-            meta_traffic=meta,
-            tile=tile,
-            num_tiles=n_tiles,
-            k_steps=max(1, int(round(shape.k * density / v))),
-            compute_unit=ComputeUnit.TENSOR_CORE,
-            compute_efficiency=self._efficiency(arch, v),
-            bandwidth_efficiency=self.bandwidth_efficiency,
-            prefetch_metadata=False,
-            launches=2,  # the library performs a separate analysis/setup pass
-        )
-
     def build_launch_batch(
         self, arch: GPUArch, shapes, densities, **kwargs
-    ) -> LaunchBatch:
-        """Vectorized :meth:`build_launch` over whole grids."""
+    ) -> LaunchCells:
+        """Dense ``V x V`` blocks on tensor cores at the vendor library's
+        (architecture, block size) efficiency, plus its separate setup pass.
+        Rejects cells whose ``M`` or ``K`` is not a multiple of ``V`` and
+        densities outside ``(0, 1]``."""
         v = kwargs.get("block_size", self.block_size)
         ms, ns, ks = shape_arrays(shapes)
-        densities = np.asarray(densities, dtype=np.float64)
-        ragged = (ms % v != 0) | (ks % v != 0)
-        if np.any(ragged):
-            offender = int(np.argmax(ragged))
-            bad = GEMMShape(int(ms[offender]), int(ns[offender]), int(ks[offender]))
-            raise ValueError(f"GEMM shape {bad} is not divisible by block size {v}")
+        requested = np.asarray(densities, dtype=np.float64)
+
+        def ragged(i: int) -> ValueError:
+            shape = GEMMShape(int(ms[i]), int(ns[i]), int(ks[i]))
+            return ValueError(f"GEMM shape {shape} is not divisible by block size {v}")
+
+        densities, errors = screen_cells(
+            requested,
+            [
+                ((ms % v != 0) | (ks % v != 0), ragged),
+                *traffic_density_checks(requested),
+            ],
+        )
         tile_n = np.minimum(64, np.maximum(16, ns))
         block_rows = ceil_div_array(ms, v)
         traffic = merge_traffic_grid(
@@ -153,11 +131,10 @@ class CusparseBSRKernel(SpMMKernel):
         meta = TrafficBatch(len(ms))
         meta.add(
             "metadata",
-            block_rows * ceil_div_array(ks, v) * densities * BYTES_INDEX
-            + (block_rows + 1) * BYTES_INDEX,
+            self.metadata_bytes_grid(ms, ks, densities, block_size=v),
             validate=False,
         )
-        return LaunchBatch(
+        batch = LaunchBatch(
             validate=False,
             names=[f"{self.name}-v{v}"],
             useful_flops=2.0 * ms * ns * ks * densities,
@@ -174,5 +151,6 @@ class CusparseBSRKernel(SpMMKernel):
             compute_efficiency=self._efficiency(arch, v),
             bandwidth_efficiency=self.bandwidth_efficiency,
             prefetch_metadata=False,
-            launches=2,
+            launches=2,  # the library performs a separate analysis/setup pass
         )
+        return LaunchCells(batch, errors)

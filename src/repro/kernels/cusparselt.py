@@ -14,25 +14,22 @@ import numpy as np
 
 from ..core.pattern import PatternKind
 from ..gpu.arch import GPUArch
-from ..gpu.memory import TrafficBatch, TrafficBreakdown
-from ..gpu.simulator import ComputeUnit, KernelLaunch, LaunchBatch
-from ..gpu.tensorcore import ceil_div, ceil_div_array
-from ..gpu.tiling import default_gemm_tile, default_gemm_tile_grid
+from ..gpu.memory import TrafficBatch
+from ..gpu.simulator import ComputeUnit, LaunchBatch
+from ..gpu.tensorcore import ceil_div_array
+from ..gpu.tiling import default_gemm_tile_grid
 from ..sparse.convert import dense_to_balanced
 from ..sparse.formats import Balanced24Matrix
 from ..sparse.spmm import spmm_balanced
 from .base import (
-    GEMMShape,
     KernelNotApplicableError,
+    LaunchCells,
     SpMMKernel,
-    activation_traffic,
     activation_traffic_grid,
-    merge_traffic,
     merge_traffic_grid,
-    output_traffic,
     output_traffic_grid,
+    screen_cells,
     shape_arrays,
-    weight_traffic,
     weight_traffic_grid,
 )
 
@@ -61,93 +58,57 @@ class CusparseLtKernel(SpMMKernel):
     def run(self, prepared: Balanced24Matrix, activations: np.ndarray) -> np.ndarray:
         return spmm_balanced(prepared, activations)
 
-    def metadata_bytes(self, shape: GEMMShape, density: float = 0.5, **kwargs) -> float:
-        kept = shape.m * shape.k * self.fixed_density
-        return kept * self.metadata_bits_per_kept / 8.0
-
-    def check_applicable(self, arch: GPUArch, density: float) -> None:
-        """Raise if the configuration cannot run on the balanced pattern."""
-        if abs(density - self.fixed_density) > 1e-9:
-            raise KernelNotApplicableError(
-                f"balanced 2:4 sparsity only supports density {self.fixed_density}, "
-                f"got {density}"
-            )
-        if not arch.supports_sparse_tensor_core:
-            raise KernelNotApplicableError(
-                f"{arch.name} has no sparse tensor cores; cuSPARSELt 2:4 SpMM "
-                "is only evaluated on A100 in the paper"
-            )
-
-    def build_launch(
-        self, arch: GPUArch, shape: GEMMShape, density: float = 0.5, **kwargs
-    ) -> KernelLaunch:
-        self.check_applicable(arch, density)
-        tile = default_gemm_tile(shape.m, shape.n, shape.k)
-        n_tiles_m = ceil_div(shape.m, tile.tile_m)
-        n_tiles_n = ceil_div(shape.n, tile.tile_n)
-        traffic = merge_traffic(
-            # Compressed weight values (half the dense size).
-            weight_traffic(shape, self.fixed_density, column_tiles=n_tiles_n),
-            # The dense activation operand is loaded in full; operand
-            # selection happens after the load (the memory-bound issue the
-            # paper points out).
-            activation_traffic(shape, row_tile=tile.tile_m, kept_fraction=1.0),
-            output_traffic(shape),
-        )
-        meta = TrafficBreakdown()
-        meta.add("metadata", self.metadata_bytes(shape))
-        return KernelLaunch(
-            name=self.name,
-            useful_flops=shape.sparse_flops(self.fixed_density),
-            traffic=traffic,
-            meta_traffic=meta,
-            tile=tile,
-            num_tiles=n_tiles_m * n_tiles_n,
-            k_steps=tile.k_steps(shape.k),
-            compute_unit=ComputeUnit.SPARSE_TENSOR_CORE,
-            compute_efficiency=self.compute_efficiency,
-            bandwidth_efficiency=self.bandwidth_efficiency,
-            prefetch_metadata=True,
-            meta_prefetch_steps=4,
-        )
+    def metadata_bytes_grid(
+        self, ms: np.ndarray, ks: np.ndarray, densities: np.ndarray, **kwargs
+    ) -> np.ndarray:
+        """A 2-bit position index per kept value (the pattern fixes the
+        density, so the requested one does not matter)."""
+        return ms * ks * self.fixed_density * self.metadata_bits_per_kept / 8.0
 
     def build_launch_batch(
         self, arch: GPUArch, shapes, densities, **kwargs
-    ) -> LaunchBatch:
-        """Vectorized :meth:`build_launch` over whole grids (every cell must
-        sit at the balanced density on a sparse-tensor-core arch, exactly as
-        :meth:`check_applicable` enforces per cell)."""
-        densities = np.asarray(densities, dtype=np.float64)
-        off_pattern = np.abs(densities - self.fixed_density) > 1e-9
-        if np.any(off_pattern):
-            bad = float(densities[np.argmax(off_pattern)])
-            raise KernelNotApplicableError(
-                f"balanced 2:4 sparsity only supports density {self.fixed_density}, "
-                f"got {bad}"
-            )
-        if not arch.supports_sparse_tensor_core:
-            raise KernelNotApplicableError(
-                f"{arch.name} has no sparse tensor cores; cuSPARSELt 2:4 SpMM "
-                "is only evaluated on A100 in the paper"
-            )
+    ) -> LaunchCells:
+        """The 2:4 compressed weight on sparse tensor cores.  Rejects NaN
+        densities, any density but the balanced 0.5, and GPUs without sparse
+        tensor cores, in that order."""
+        requested = np.asarray(densities, dtype=np.float64)
+        no_sparse_cores = KernelNotApplicableError(
+            f"{arch.name} has no sparse tensor cores; cuSPARSELt 2:4 SpMM "
+            "is only evaluated on A100 in the paper"
+        )
+        _, errors = screen_cells(
+            requested,
+            [
+                (np.isnan(requested), lambda _: ValueError("density must be in (0, 1]")),
+                (
+                    np.abs(requested - self.fixed_density) > 1e-9,
+                    lambda i: KernelNotApplicableError(
+                        "balanced 2:4 sparsity only supports density "
+                        f"{self.fixed_density}, got {float(requested[i])}"
+                    ),
+                ),
+                (not arch.supports_sparse_tensor_core, lambda _: no_sparse_cores),
+            ],
+        )
         ms, ns, ks = shape_arrays(shapes)
         tile_m, tile_n, tile_k = default_gemm_tile_grid(ms, ns, ks)
         traffic = merge_traffic_grid(
+            # Compressed weight values (half the dense size).
             weight_traffic_grid(
                 ms,
                 ks,
                 self.fixed_density,
                 column_tiles=ceil_div_array(ns, tile_n),
             ),
+            # The dense activation operand is loaded in full; operand
+            # selection happens after the load (the memory-bound issue the
+            # paper points out).
             activation_traffic_grid(ms, ns, ks, row_tile=tile_m, kept_fraction=1.0),
             output_traffic_grid(ms, ns),
         )
         meta = TrafficBatch(len(ms))
-        meta.add(
-            "metadata",
-            ms * ks * self.fixed_density * self.metadata_bits_per_kept / 8.0,
-        )
-        return LaunchBatch(
+        meta.add("metadata", self.metadata_bytes_grid(ms, ks, requested))
+        batch = LaunchBatch(
             validate=False,
             names=[self.name],
             useful_flops=2.0 * ms * ns * ks * self.fixed_density,
@@ -164,3 +125,4 @@ class CusparseLtKernel(SpMMKernel):
             prefetch_metadata=True,
             meta_prefetch_steps=4,
         )
+        return LaunchCells(batch, errors)

@@ -15,21 +15,17 @@ import numpy as np
 
 from ..core.pattern import PatternKind
 from ..gpu.arch import GPUArch
-from ..gpu.simulator import ComputeUnit, KernelLaunch, LaunchBatch
-from ..gpu.tensorcore import ceil_div, ceil_div_array
-from ..gpu.tiling import TileConfig, default_gemm_tile, default_gemm_tile_grid
+from ..gpu.simulator import ComputeUnit, LaunchBatch
+from ..gpu.tensorcore import ceil_div_array
+from ..gpu.tiling import default_gemm_tile_grid
 from ..sparse.spmm import dense_gemm
 from .base import (
-    GEMMShape,
+    LaunchCells,
     SpMMKernel,
-    activation_traffic,
     activation_traffic_grid,
-    merge_traffic,
     merge_traffic_grid,
-    output_traffic,
     output_traffic_grid,
     shape_arrays,
-    weight_traffic,
     weight_traffic_grid,
 )
 
@@ -54,51 +50,11 @@ class DenseTensorCoreGEMM(SpMMKernel):
     def run(self, prepared: np.ndarray, activations: np.ndarray) -> np.ndarray:
         return dense_gemm(prepared, activations)
 
-    def build_launch(
-        self, arch: GPUArch, shape: GEMMShape, density: float = 1.0, **kwargs
-    ) -> KernelLaunch:
-        tile = default_gemm_tile(shape.m, shape.n, shape.k)
-        n_tiles_m = ceil_div(shape.m, tile.tile_m)
-        n_tiles_n = ceil_div(shape.n, tile.tile_n)
-        num_tiles = n_tiles_m * n_tiles_n
-        traffic = merge_traffic(
-            weight_traffic(shape, 1.0, column_tiles=n_tiles_n),
-            activation_traffic(shape, row_tile=tile.tile_m),
-            output_traffic(shape),
-        )
-        # Library GEMMs fall back to split-K when the output grid is too
-        # small to fill the machine (the typical case for narrow DNN layers):
-        # the reduction is partitioned across extra threadblocks and partial
-        # sums are reduced in a second pass through a workspace.
-        split_k = 1
-        while num_tiles * split_k < arch.sm_count and split_k < 8:
-            split_k *= 2
-        launches = 1
-        if split_k > 1:
-            workspace = shape.m * shape.n * 4.0 * split_k
-            traffic.add("splitk-workspace-write", workspace, is_write=True)
-            traffic.add("splitk-workspace-read", workspace)
-            num_tiles *= split_k
-            launches = 2
-        return KernelLaunch(
-            name=self.name,
-            useful_flops=shape.flops,
-            traffic=traffic,
-            tile=tile,
-            num_tiles=num_tiles,
-            k_steps=max(1, ceil_div(tile.k_steps(shape.k), split_k)),
-            compute_unit=ComputeUnit.TENSOR_CORE,
-            compute_efficiency=self.compute_efficiency,
-            bandwidth_efficiency=self.bandwidth_efficiency,
-            prefetch_metadata=False,
-            launches=launches,
-        )
-
     def build_launch_batch(
         self, arch: GPUArch, shapes, densities, **kwargs
-    ) -> LaunchBatch:
-        """Vectorized :meth:`build_launch` over whole grids (splits-K and
-        tile shrinking included, cell by cell)."""
+    ) -> LaunchCells:
+        """The library GEMM at every cell, whatever its density: dense
+        kernels do not exploit the zeros, so they accept every cell."""
         ms, ns, ks = shape_arrays(shapes)
         tile_m, tile_n, tile_k = default_gemm_tile_grid(ms, ns, ks)
         n_tiles_n = ceil_div_array(ns, tile_n)
@@ -108,15 +64,19 @@ class DenseTensorCoreGEMM(SpMMKernel):
             activation_traffic_grid(ms, ns, ks, row_tile=tile_m),
             output_traffic_grid(ms, ns),
         )
+        # Library GEMMs fall back to split-K when the output grid is too
+        # small to fill the machine (the typical case for narrow DNN layers):
+        # the reduction is partitioned across extra threadblocks and partial
+        # sums are reduced in a second pass through a workspace.
         split_k = np.ones_like(num_tiles)
-        for _ in range(3):  # 1 -> 2 -> 4 -> 8, exactly the scalar while loop
+        for _ in range(3):  # 1 -> 2 -> 4 -> 8
             grow = (num_tiles * split_k < arch.sm_count) & (split_k < 8)
             split_k = np.where(grow, split_k * 2, split_k)
         split = split_k > 1
         workspace = np.where(split, ms * ns * 4.0 * split_k, 0.0)
         traffic.add("splitk-workspace-write", workspace, is_write=True)
         traffic.add("splitk-workspace-read", workspace)
-        return LaunchBatch(
+        batch = LaunchBatch(
             validate=False,
             names=[self.name],
             useful_flops=2.0 * ms * ns * ks,
@@ -132,6 +92,7 @@ class DenseTensorCoreGEMM(SpMMKernel):
             prefetch_metadata=False,
             launches=np.where(split, 2, 1),
         )
+        return LaunchCells(batch, (None,) * len(batch))
 
 
 class DenseCudaCoreGEMM(SpMMKernel):
@@ -156,43 +117,13 @@ class DenseCudaCoreGEMM(SpMMKernel):
     def run(self, prepared: np.ndarray, activations: np.ndarray) -> np.ndarray:
         return dense_gemm(prepared, activations)
 
-    def build_launch(
-        self, arch: GPUArch, shape: GEMMShape, density: float = 1.0, **kwargs
-    ) -> KernelLaunch:
-        # CUDA-core GEMMs use smaller tiles (register pressure without MMA
-        # fragments), which also lowers their data reuse.
-        tile = TileConfig(
-            tile_m=min(64, max(16, shape.m)),
-            tile_n=min(64, max(16, shape.n)),
-            tile_k=min(32, max(8, shape.k)),
-            threads=256,
-            pipeline_stages=2,
-        )
-        n_tiles_m = ceil_div(shape.m, tile.tile_m)
-        n_tiles_n = ceil_div(shape.n, tile.tile_n)
-        traffic = merge_traffic(
-            weight_traffic(shape, 1.0, column_tiles=n_tiles_n),
-            activation_traffic(shape, row_tile=tile.tile_m),
-            output_traffic(shape),
-        )
-        return KernelLaunch(
-            name=self.name,
-            useful_flops=shape.flops,
-            traffic=traffic,
-            tile=tile,
-            num_tiles=n_tiles_m * n_tiles_n,
-            k_steps=tile.k_steps(shape.k),
-            compute_unit=ComputeUnit.CUDA_CORE,
-            compute_efficiency=self.compute_efficiency,
-            bandwidth_efficiency=self.bandwidth_efficiency,
-            prefetch_metadata=False,
-        )
-
     def build_launch_batch(
         self, arch: GPUArch, shapes, densities, **kwargs
-    ) -> LaunchBatch:
-        """Vectorized :meth:`build_launch` over whole grids."""
+    ) -> LaunchCells:
+        """The CUDA-core GEMM at every cell, whatever its density."""
         ms, ns, ks = shape_arrays(shapes)
+        # CUDA-core GEMMs use smaller tiles (register pressure without MMA
+        # fragments), which also lowers their data reuse.
         tile_m = np.minimum(64, np.maximum(16, ms))
         tile_n = np.minimum(64, np.maximum(16, ns))
         tile_k = np.minimum(32, np.maximum(8, ks))
@@ -201,7 +132,7 @@ class DenseCudaCoreGEMM(SpMMKernel):
             activation_traffic_grid(ms, ns, ks, row_tile=tile_m),
             output_traffic_grid(ms, ns),
         )
-        return LaunchBatch(
+        batch = LaunchBatch(
             validate=False,
             names=[self.name],
             useful_flops=2.0 * ms * ns * ks,
@@ -218,3 +149,4 @@ class DenseCudaCoreGEMM(SpMMKernel):
             bandwidth_efficiency=self.bandwidth_efficiency,
             prefetch_metadata=False,
         )
+        return LaunchCells(batch, (None,) * len(batch))

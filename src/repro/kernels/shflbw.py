@@ -25,14 +25,12 @@ import numpy as np
 
 from ..core.pattern import PatternKind
 from ..gpu.arch import GPUArch
-from ..gpu.memory import BYTES_INDEX, TrafficBatch, TrafficBreakdown
-from ..gpu.simulator import KernelLaunch, LaunchBatch
-from ..gpu.tensorcore import ceil_div_array
+from ..gpu.memory import BYTES_INDEX
 from ..sparse.convert import dense_to_shflbw
 from ..sparse.formats import ShflBWMatrix
 from ..sparse.spconv import Conv2dSpec, conv2d_sparse
 from ..sparse.spmm import spmm_shflbw
-from .base import GEMMShape, shape_arrays
+from .base import LaunchCells, shape_arrays
 from .vector_wise import VectorWiseKernel
 
 __all__ = ["ShflBWKernel", "ShflBWConvKernel"]
@@ -81,62 +79,37 @@ class ShflBWKernel(VectorWiseKernel):
         return spmm_shflbw(prepared, activations, tile_cols=self.stitch_tile_k)
 
     # -------------------------- performance side ------------------------- #
-    def metadata_bytes(self, shape: GEMMShape, density: float, **kwargs) -> float:
-        """Column indices (as vector-wise) plus the row-shuffle indices."""
-        column_meta = super().metadata_bytes(shape, density, **kwargs)
-        row_meta = shape.m * BYTES_INDEX if self.reordered_write_back else 0.0
+    def metadata_bytes_grid(
+        self, ms: np.ndarray, ks: np.ndarray, densities: np.ndarray, **kwargs
+    ) -> np.ndarray:
+        """Column indices (as vector-wise) plus the row-shuffle indices the
+        reordered write-back consumes."""
+        column_meta = super().metadata_bytes_grid(ms, ks, densities, **kwargs)
+        row_meta = ms * BYTES_INDEX if self.reordered_write_back else 0.0
         return column_meta + row_meta
-
-    def build_launch(
-        self, arch: GPUArch, shape: GEMMShape, density: float, **kwargs
-    ) -> KernelLaunch:
-        launch = super().build_launch(arch, shape, density, **kwargs)
-        v = kwargs.get("vector_size", self.vector_size)
-        launch.name = f"{self.name}-v{v}"
-        launch.prefetch_metadata = self.prefetch_metadata
-        launch.meta_prefetch_steps = self.meta_prefetch_steps
-        # Replace the metadata stream with the Shfl-BW one (adds the row
-        # indices consumed by the reordered write-back).
-        meta = TrafficBreakdown()
-        meta.add("metadata", self.metadata_bytes(shape, density, vector_size=v))
-        launch.meta_traffic = meta
-        if not self.reordered_write_back:
-            # Ablation: without the fused write-back the kernel writes the
-            # permuted output and a second pass scatters it to the original
-            # row order — one extra launch plus an extra read+write of C.
-            launch.launches += 1
-            launch.traffic.add("output-reorder-read", shape.m * shape.n * 2)
-            launch.traffic.add(
-                "output-reorder-write", shape.m * shape.n * 2, is_write=True
-            )
-        return launch
 
     def build_launch_batch(
         self, arch: GPUArch, shapes, densities, **kwargs
-    ) -> LaunchBatch:
-        """Vectorized :meth:`build_launch`: the vector-wise batch with the
-        Shfl-BW metadata stream (column indices + row-shuffle indices)."""
-        batch = super().build_launch_batch(arch, shapes, densities, **kwargs)
-        v = kwargs.get("vector_size", self.vector_size)
-        ms, ns, ks = shape_arrays(shapes)
-        densities = np.asarray(densities, dtype=np.float64)
-        batch.names = [f"{self.name}-v{v}"] * len(batch)
+    ) -> LaunchCells:
+        """The vector-wise launches with the Shfl-BW metadata stream (see
+        :meth:`metadata_bytes_grid`), metadata prefetch and write-back."""
+        cells = super().build_launch_batch(arch, shapes, densities, **kwargs)
+        batch = cells.batch
         batch.prefetch_metadata = np.broadcast_to(
             np.bool_(self.prefetch_metadata), (len(batch),)
         )
         batch.meta_prefetch_steps = np.broadcast_to(
             np.int64(self.meta_prefetch_steps), (len(batch),)
         )
-        column_meta = ceil_div_array(ms, v) * (ks * densities) * BYTES_INDEX
-        row_meta = ms * BYTES_INDEX if self.reordered_write_back else 0.0
-        meta = TrafficBatch(len(ms))
-        meta.add("metadata", column_meta + row_meta)
-        batch.meta_traffic = meta
         if not self.reordered_write_back:
+            # Ablation: without the fused write-back the kernel writes the
+            # permuted output and a second pass scatters it to the original
+            # row order — one extra launch plus an extra read+write of C.
+            ms, ns, _ = shape_arrays(shapes)
             batch.launches = batch.launches + 1
             batch.traffic.add("output-reorder-read", ms * ns * 2)
             batch.traffic.add("output-reorder-write", ms * ns * 2, is_write=True)
-        return batch
+        return cells
 
 
 class ShflBWConvKernel(ShflBWKernel):

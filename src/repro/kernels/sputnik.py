@@ -20,39 +20,42 @@ import numpy as np
 
 from ..core.pattern import PatternKind
 from ..gpu.arch import GPUArch
-from ..gpu.memory import BYTES_INDEX, TrafficBatch, TrafficBreakdown
-from ..gpu.simulator import ComputeUnit, KernelLaunch, LaunchBatch
-from ..gpu.tensorcore import ceil_div, ceil_div_array
-from ..gpu.tiling import TileConfig
+from ..gpu.memory import BYTES_INDEX, TrafficBatch
+from ..gpu.simulator import ComputeUnit, LaunchBatch
+from ..gpu.tensorcore import ceil_div_array
+from ..gpu.vectorize import anytrue
 from ..sparse.convert import dense_to_csr
 from ..sparse.formats import CSRMatrix
 from ..sparse.spmm import spmm_csr
 from .base import (
-    GEMMShape,
+    LaunchCells,
     SpMMKernel,
-    activation_traffic,
     activation_traffic_grid,
-    merge_traffic,
     merge_traffic_grid,
-    output_traffic,
     output_traffic_grid,
+    screen_cells,
     shape_arrays,
-    weight_traffic,
     weight_traffic_grid,
 )
 
 __all__ = ["SputnikKernel", "CusparseCSRKernel", "unstructured_union_fraction"]
 
 
-def unstructured_union_fraction(density: float, rows: int) -> float:
+def _outside_unit_interval(density: np.ndarray) -> np.ndarray:
+    """Densities that are not in ``(0, 1]`` (NaN included)."""
+    return ~((density > 0.0) & (density <= 1.0))
+
+
+def unstructured_union_fraction(density: np.ndarray | float, rows: int) -> np.ndarray:
     """Expected fraction of activation rows touched by ``rows`` weight rows
-    with independent non-zero positions at the given density.
+    with independent non-zero positions at the given density (element-wise).
 
     A tile of ``rows`` unstructured rows needs activation row ``j`` whenever
     *any* of them keeps column ``j``: ``1 - (1 - density) ** rows``.  This is
     what prevents unstructured tiles from reaching block-wise reuse.
     """
-    if not 0.0 < density <= 1.0:
+    density = np.asarray(density, dtype=np.float64)
+    if anytrue(_outside_unit_interval(density)):
         raise ValueError("density must be in (0, 1]")
     if rows <= 0:
         raise ValueError("rows must be positive")
@@ -81,59 +84,30 @@ class _UnstructuredKernel(SpMMKernel):
     def run(self, prepared: CSRMatrix, activations: np.ndarray) -> np.ndarray:
         return spmm_csr(prepared, activations)
 
-    def metadata_bytes(self, shape: GEMMShape, density: float, **kwargs) -> float:
-        nnz = shape.m * shape.k * density
-        return nnz * BYTES_INDEX + (shape.m + 1) * BYTES_INDEX
-
-    def build_launch(
-        self, arch: GPUArch, shape: GEMMShape, density: float, **kwargs
-    ) -> KernelLaunch:
-        tile = TileConfig(
-            tile_m=self.row_tile,
-            tile_n=min(self.col_tile, max(8, shape.n)),
-            tile_k=32,
-            threads=128,
-            pipeline_stages=2,
-        )
-        kept = unstructured_union_fraction(density, self.row_tile)
-        traffic = merge_traffic(
-            weight_traffic(shape, density),
-            activation_traffic(
-                shape,
-                row_tile=self.row_tile,
-                kept_fraction=kept,
-                access_efficiency=self.activation_access_efficiency,
-            ),
-            output_traffic(shape),
-        )
-        meta = TrafficBreakdown()
-        meta.add("metadata", self.metadata_bytes(shape, density))
-        n_tiles = ceil_div(shape.m, tile.tile_m) * ceil_div(shape.n, tile.tile_n)
-        return KernelLaunch(
-            name=self.name,
-            useful_flops=shape.sparse_flops(density),
-            traffic=traffic,
-            meta_traffic=meta,
-            tile=tile,
-            num_tiles=n_tiles,
-            k_steps=tile.k_steps(shape.k),
-            compute_unit=ComputeUnit.CUDA_CORE,
-            compute_efficiency=self.compute_efficiency,
-            bandwidth_efficiency=self.bandwidth_efficiency,
-            prefetch_metadata=True,
-            meta_prefetch_steps=2,
-        )
+    def metadata_bytes_grid(
+        self, ms: np.ndarray, ks: np.ndarray, densities: np.ndarray, **kwargs
+    ) -> np.ndarray:
+        """CSR column indices plus row pointers."""
+        return ms * ks * densities * BYTES_INDEX + (ms + 1) * BYTES_INDEX
 
     def build_launch_batch(
         self, arch: GPUArch, shapes, densities, **kwargs
-    ) -> LaunchBatch:
-        """Vectorized :meth:`build_launch` over whole grids."""
+    ) -> LaunchCells:
+        """CUDA-core FMAs over ``row_tile``-row CSR tiles, gathering the
+        activation rows any row of the tile keeps.  Rejects densities
+        outside ``(0, 1]``."""
         ms, ns, ks = shape_arrays(shapes)
-        densities = np.asarray(densities, dtype=np.float64)
-        if np.any((densities <= 0.0) | (densities > 1.0)):
-            raise ValueError("density must be in (0, 1]")
+        requested = np.asarray(densities, dtype=np.float64)
+        densities, errors = screen_cells(
+            requested,
+            [
+                (
+                    _outside_unit_interval(requested),
+                    lambda _: ValueError("density must be in (0, 1]"),
+                )
+            ],
+        )
         tile_n = np.minimum(self.col_tile, np.maximum(8, ns))
-        kept = 1.0 - (1.0 - densities) ** self.row_tile
         row_tiles = ceil_div_array(ms, self.row_tile)
         traffic = merge_traffic_grid(
             weight_traffic_grid(ms, ks, densities),
@@ -142,7 +116,7 @@ class _UnstructuredKernel(SpMMKernel):
                 ns,
                 ks,
                 row_tile=self.row_tile,
-                kept_fraction=kept,
+                kept_fraction=unstructured_union_fraction(densities, self.row_tile),
                 access_efficiency=self.activation_access_efficiency,
                 row_tiles=row_tiles,
             ),
@@ -150,11 +124,9 @@ class _UnstructuredKernel(SpMMKernel):
         )
         meta = TrafficBatch(len(ms))
         meta.add(
-            "metadata",
-            ms * ks * densities * BYTES_INDEX + (ms + 1) * BYTES_INDEX,
-            validate=False,
+            "metadata", self.metadata_bytes_grid(ms, ks, densities), validate=False
         )
-        return LaunchBatch(
+        batch = LaunchBatch(
             validate=False,
             names=[self.name],
             useful_flops=2.0 * ms * ns * ks * densities,
@@ -173,6 +145,7 @@ class _UnstructuredKernel(SpMMKernel):
             prefetch_metadata=True,
             meta_prefetch_steps=2,
         )
+        return LaunchCells(batch, errors)
 
 
 class SputnikKernel(_UnstructuredKernel):

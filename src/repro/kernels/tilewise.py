@@ -14,9 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..gpu.arch import GPUArch
-from ..gpu.simulator import KernelLaunch, LaunchBatch
-from ..gpu.tensorcore import ceil_div, ceil_div_array
-from .base import GEMMShape, shape_arrays
+from ..gpu.tensorcore import ceil_div_array
+from .base import LaunchCells, shape_arrays
 from .vector_wise import VectorWiseKernel
 
 __all__ = ["TileWiseKernel"]
@@ -47,31 +46,19 @@ class TileWiseKernel(VectorWiseKernel):
     def label(self) -> str:
         return f"TileWise(VW,V={self.vector_size})"
 
-    def build_launch(
-        self, arch: GPUArch, shape: GEMMShape, density: float, **kwargs
-    ) -> KernelLaunch:
-        launch = super().build_launch(arch, shape, density, **kwargs)
-        v = kwargs.get("vector_size", self.vector_size)
-        streams = min(self.max_streams, ceil_div(shape.m, v))
-        launch.name = f"{self.name}-v{v}"
-        launch.launches = streams
-        launch.extra_overhead_s = streams * self.stream_overhead_s
-        # Splitting the GEMM across streams forfeits the single fused kernel's
-        # software pipelining across row groups.
-        launch.prefetch_metadata = False
-        return launch
-
     def build_launch_batch(
         self, arch: GPUArch, shapes, densities, **kwargs
-    ) -> LaunchBatch:
-        """Vectorized :meth:`build_launch`: the vector-wise batch with the
-        per-stream launch and synchronisation overheads."""
-        batch = super().build_launch_batch(arch, shapes, densities, **kwargs)
+    ) -> LaunchCells:
+        """The vector-wise launches split over one stream per row group (up
+        to ``max_streams``), each paying a launch and a synchronisation."""
+        cells = super().build_launch_batch(arch, shapes, densities, **kwargs)
+        batch = cells.batch
         v = kwargs.get("vector_size", self.vector_size)
         ms, _, _ = shape_arrays(shapes)
         streams = np.minimum(self.max_streams, ceil_div_array(ms, v))
-        batch.names = [f"{self.name}-v{v}"] * len(batch)
         batch.launches = streams
         batch.extra_overhead_s = streams * self.stream_overhead_s
+        # Splitting the GEMM across streams forfeits the single fused kernel's
+        # software pipelining across row groups.
         batch.prefetch_metadata = np.broadcast_to(np.bool_(False), (len(batch),))
-        return batch
+        return cells

@@ -14,24 +14,21 @@ import numpy as np
 
 from ..core.pattern import PatternKind
 from ..gpu.arch import GPUArch
-from ..gpu.memory import BYTES_INDEX, TrafficBatch, TrafficBreakdown
-from ..gpu.simulator import ComputeUnit, KernelLaunch, LaunchBatch
-from ..gpu.tensorcore import ceil_div, ceil_div_array
-from ..gpu.tiling import TileConfig
+from ..gpu.memory import BYTES_INDEX, TrafficBatch
+from ..gpu.simulator import ComputeUnit, LaunchBatch
+from ..gpu.tensorcore import ceil_div_array
 from ..sparse.convert import dense_to_vector_wise
 from ..sparse.formats import VectorSparseMatrix
 from ..sparse.spmm import spmm_vector_wise
 from .base import (
-    GEMMShape,
+    LaunchCells,
     SpMMKernel,
-    activation_traffic,
     activation_traffic_grid,
-    merge_traffic,
     merge_traffic_grid,
-    output_traffic,
     output_traffic_grid,
+    screen_cells,
     shape_arrays,
-    weight_traffic,
+    traffic_density_checks,
     weight_traffic_grid,
 )
 
@@ -72,64 +69,32 @@ class VectorWiseKernel(SpMMKernel):
         return spmm_vector_wise(prepared, activations)
 
     # -------------------------- performance side ------------------------- #
-    def metadata_bytes(self, shape: GEMMShape, density: float, **kwargs) -> float:
+    def metadata_bytes_grid(
+        self, ms: np.ndarray, ks: np.ndarray, densities: np.ndarray, **kwargs
+    ) -> np.ndarray:
         """Column indices: one per kept column per row group."""
         v = kwargs.get("vector_size", self.vector_size)
-        groups = ceil_div(shape.m, v)
-        kept_cols = shape.k * density
-        return groups * kept_cols * BYTES_INDEX
-
-    def _tile(self, shape: GEMMShape, vector_size: int) -> TileConfig:
-        return TileConfig(
-            tile_m=vector_size,
-            tile_n=min(self.tile_n, max(16, shape.n)),
-            tile_k=self.stitch_tile_k,
-            threads=128,
-            pipeline_stages=3,
-        )
-
-    def build_launch(
-        self, arch: GPUArch, shape: GEMMShape, density: float, **kwargs
-    ) -> KernelLaunch:
-        v = kwargs.get("vector_size", self.vector_size)
-        if shape.m % v:
-            raise ValueError(f"M={shape.m} is not divisible by V={v}")
-        tile = self._tile(shape, v)
-        traffic = merge_traffic(
-            weight_traffic(shape, density),
-            activation_traffic(shape, row_tile=v, kept_fraction=density),
-            output_traffic(shape),
-        )
-        meta = TrafficBreakdown()
-        meta.add("metadata", self.metadata_bytes(shape, density, vector_size=v))
-        n_tiles = ceil_div(shape.m, v) * ceil_div(shape.n, tile.tile_n)
-        kept_per_group = max(1, int(round(shape.k * density)))
-        return KernelLaunch(
-            name=f"{self.name}-v{v}",
-            useful_flops=shape.sparse_flops(density),
-            traffic=traffic,
-            meta_traffic=meta,
-            tile=tile,
-            num_tiles=n_tiles,
-            k_steps=max(1, ceil_div(kept_per_group, tile.tile_k)),
-            compute_unit=ComputeUnit.TENSOR_CORE,
-            compute_efficiency=self.compute_efficiency,
-            bandwidth_efficiency=self.bandwidth_efficiency,
-            prefetch_metadata=True,
-            meta_prefetch_steps=4,
-        )
+        return ceil_div_array(ms, v) * (ks * densities) * BYTES_INDEX
 
     def build_launch_batch(
         self, arch: GPUArch, shapes, densities, **kwargs
-    ) -> LaunchBatch:
-        """Vectorized :meth:`build_launch` over whole grids."""
+    ) -> LaunchCells:
+        """Stitched ``V x T_K`` tensor-core tiles over each row group's kept
+        columns.  Rejects cells whose ``M`` is not a multiple of ``V`` and
+        densities outside ``(0, 1]``."""
         v = kwargs.get("vector_size", self.vector_size)
         ms, ns, ks = shape_arrays(shapes)
-        densities = np.asarray(densities, dtype=np.float64)
-        ragged = ms % v != 0
-        if np.any(ragged):
-            bad = int(ms[np.argmax(ragged)])
-            raise ValueError(f"M={bad} is not divisible by V={v}")
+        requested = np.asarray(densities, dtype=np.float64)
+        densities, errors = screen_cells(
+            requested,
+            [
+                (
+                    ms % v != 0,
+                    lambda i: ValueError(f"M={int(ms[i])} is not divisible by V={v}"),
+                ),
+                *traffic_density_checks(requested),
+            ],
+        )
         tile_n = np.minimum(self.tile_n, np.maximum(16, ns))
         groups = ceil_div_array(ms, v)
         traffic = merge_traffic_grid(
@@ -140,9 +105,13 @@ class VectorWiseKernel(SpMMKernel):
             output_traffic_grid(ms, ns),
         )
         meta = TrafficBatch(len(ms))
-        meta.add("metadata", groups * (ks * densities) * BYTES_INDEX, validate=False)
+        meta.add(
+            "metadata",
+            self.metadata_bytes_grid(ms, ks, densities, vector_size=v),
+            validate=False,
+        )
         kept_per_group = np.maximum(1, np.round(ks * densities).astype(np.int64))
-        return LaunchBatch(
+        batch = LaunchBatch(
             validate=False,
             names=[f"{self.name}-v{v}"],
             useful_flops=2.0 * ms * ns * ks * densities,
@@ -161,3 +130,4 @@ class VectorWiseKernel(SpMMKernel):
             prefetch_metadata=True,
             meta_prefetch_steps=4,
         )
+        return LaunchCells(batch, errors)

@@ -90,6 +90,15 @@ class LayerShape:
         """Dense FLOPs of all occurrences of this layer."""
         return self.gemm.flops * self.count
 
+    @property
+    def conv_kernel_size(self) -> int:
+        """The convolution's ``KH``, or 0 for a linear layer (how
+        :meth:`~repro.kernels.base.SpMMKernel.build_layer_cells` tells the
+        two apart)."""
+        if self.kind == "conv" and self.conv is not None:
+            return self.conv.kernel_size
+        return 0
+
     def with_tokens(self, tokens: int) -> "LayerShape":
         """This layer re-shaped to a different activation batch width.
 

@@ -1,26 +1,18 @@
-"""SC004 — kernel conformance: the scalar and batched timing paths of every
-kernel must be declared as one unit.
+"""SC004 — kernel conformance: every registered kernel is complete, and the
+sweep executor's cross-GPU batch reuse is sound.
 
-The batched estimation engine only reproduces the scalar timing model
-bit-for-bit because every kernel that customises its scalar launch
-construction also ships the matching vectorized builder, and because the
-sweep executor's cross-GPU batch reuse trusts the ``launch_arch_agnostic``
-declaration.  Three statically checkable contracts follow:
+The timing model prices every kernel through one path:
+``build_launch_batch`` describes a grid of launches, ``simulate_batch``
+times it.  Two statically checkable contracts follow:
 
-* **pair rule** — a ``SpMMKernel`` subclass that defines ``build_launch``
-  (or a custom scalar ``estimate``) must define ``build_launch_batch`` in
-  the same class, and vice versa.  Overriding one half leaves the other
-  half inherited from a parent whose launch semantics the override just
-  changed — the batched sweep then silently diverges from the scalar
-  oracle.
 * **arch-agnosticism** — a kernel whose effective ``launch_arch_agnostic``
   is ``True`` must not consult the ``arch`` parameter inside
-  ``build_launch`` / ``build_launch_batch`` (forwarding it to
-  ``super().build_launch*`` is fine).  A violation means the executor
-  reuses one GPU's launch batch for a different GPU.
+  ``build_launch_batch`` (forwarding it to ``super().build_launch_batch`` is
+  fine).  A violation means the executor reuses one GPU's launch batch for
+  a different GPU.
 * **registry completeness** — every kernel named in the registry's
   ``_FACTORIES`` table must resolve, via its analyzed ancestry, to concrete
-  ``prepare`` / ``run`` / ``build_launch`` implementations below the
+  ``prepare`` / ``run`` / ``build_launch_batch`` implementations below the
   abstract base.
 """
 
@@ -37,9 +29,8 @@ __all__ = ["check_kernel_conformance"]
 RULE_ID = "SC004"
 
 _BASE_CLASS = "SpMMKernel"
-_SCALAR_METHODS = ("build_launch", "estimate")
 _BATCH_METHOD = "build_launch_batch"
-_REQUIRED_CONCRETE = ("prepare", "run", "build_launch")
+_REQUIRED_CONCRETE = ("prepare", "run", _BATCH_METHOD)
 _AGNOSTIC_ATTR = "launch_arch_agnostic"
 
 
@@ -73,12 +64,12 @@ class _ArchUseScanner(ast.NodeVisitor):
         func = node.func
         if (
             isinstance(func, ast.Attribute)
-            and func.attr.startswith("build_launch")
+            and func.attr == _BATCH_METHOD
             and isinstance(func.value, ast.Call)
             and isinstance(func.value.func, ast.Name)
             and func.value.func.id == "super"
         ):
-            # ``super().build_launch*(arch, ...)``: forwarding is sanctioned —
+            # ``super().build_launch_batch(arch, ...)``: forwarding is sanctioned —
             # skip the argument expressions, but still scan nested calls that
             # are not plain names.
             for arg in node.args:
@@ -100,48 +91,21 @@ def _check_arch_agnosticism(
 ) -> None:
     if not _effective_arch_agnostic(index, cls):
         return
-    for method_name in ("build_launch", _BATCH_METHOD):
-        method = cls.methods.get(method_name)
-        if method is None:
-            continue
-        scanner = _ArchUseScanner()
-        for stmt in method.node.body:
-            scanner.visit(stmt)
-        for name in scanner.offending:
-            findings.append(
-                _finding(
-                    cls,
-                    name,
-                    method.qualname,
-                    f"declares {_AGNOSTIC_ATTR}=True but {method_name} reads "
-                    "the arch parameter; cross-GPU batch reuse would apply "
-                    "one GPU's launch description to another",
-                )
-            )
-
-
-def _check_pairing(cls: ClassInfo, findings: list[Finding]) -> None:
-    scalar = [name for name in _SCALAR_METHODS if name in cls.methods]
-    has_batch = _BATCH_METHOD in cls.methods
-    if scalar and not has_batch:
+    method = cls.methods.get(_BATCH_METHOD)
+    if method is None:
+        return
+    scanner = _ArchUseScanner()
+    for stmt in method.node.body:
+        scanner.visit(stmt)
+    for name in scanner.offending:
         findings.append(
             _finding(
                 cls,
-                cls.methods[scalar[0]].node,
-                cls.qualname,
-                f"overrides {'/'.join(scalar)} without {_BATCH_METHOD}: the "
-                "inherited batched builder no longer matches the scalar "
-                "timing path",
-            )
-        )
-    elif has_batch and not scalar:
-        findings.append(
-            _finding(
-                cls,
-                cls.methods[_BATCH_METHOD].node,
-                cls.qualname,
-                f"overrides {_BATCH_METHOD} without build_launch: the batched "
-                "builder has no scalar twin to stay bit-identical with",
+                name,
+                method.qualname,
+                f"declares {_AGNOSTIC_ATTR}=True but {_BATCH_METHOD} reads "
+                "the arch parameter; cross-GPU batch reuse would apply "
+                "one GPU's launch description to another",
             )
         )
 
@@ -194,14 +158,12 @@ def _is_kernel_class(index: ProjectIndex, cls: ClassInfo) -> bool:
 @rule(
     RULE_ID,
     "kernel-conformance",
-    "SpMMKernel subclasses must override build_launch/build_launch_batch as "
-    "a pair, honour launch_arch_agnostic, and registered kernels must be "
-    "concrete",
+    "SpMMKernel subclasses must honour launch_arch_agnostic, and registered "
+    "kernels must be concrete",
 )
 def check_kernel_conformance(index: ProjectIndex) -> list[Finding]:
     findings: list[Finding] = []
     for cls in index.subclasses_of(_BASE_CLASS):
-        _check_pairing(cls, findings)
         _check_arch_agnosticism(index, cls, findings)
 
     for label, resolved, context, node in _registered_classes(index):

@@ -7,8 +7,8 @@ Figure 1 regions).  The :class:`Autotuner` turns that observation into an
 execution plan: for every layer of a workload it enumerates the candidate
 pool (:func:`repro.tune.candidates.default_candidates`), prunes statically
 infeasible kernels from their capability metadata, scores the survivors with
-the analytical timing model (:func:`repro.eval.speedup.layer_time`) and
-assigns each layer the argmin.  An optional
+the analytical timing model (:func:`repro.eval.speedup.layer_times_grid`,
+one batched call per candidate) and assigns each layer the argmin.  An optional
 :class:`~repro.tune.measure.MeasuredRefiner` re-ranks the analytical top-k by
 measured functional wall time.
 
@@ -41,7 +41,6 @@ from .candidates import (
     build_kernel,
     candidate_density,
     default_candidates,
-    prune_candidates,
 )
 from .measure import Refiner
 
@@ -348,19 +347,14 @@ class Autotuner:
     ``candidates`` defaults to the full paper line-up; ``cache_dir`` enables
     the persistent :class:`PlanCache` (``store`` picks its substrate, blob
     by default); ``refiner`` switches planning to the measured-refinement
-    mode.  ``batched`` (the default) scores each candidate over every
-    feasible layer in one batched timing-model call
-    (:func:`repro.eval.speedup.layer_times_grid`); the scalar path remains
-    as the bit-identical oracle.  ``stats`` accumulates plan-cache
-    hits/misses across the tuner's lifetime (same accounting class as the
-    sweep runner).
+    mode.  ``stats`` accumulates plan-cache hits/misses across the tuner's
+    lifetime (same accounting class as the sweep runner).
     """
 
     candidates: tuple[KernelSpec, ...] = field(default_factory=default_candidates)
     cache_dir: str | Path | None = None
     salt: str = MODEL_VERSION
     refiner: Refiner | None = None
-    batched: bool = True
     store: str = "blob"
     stats: CacheStats = field(default_factory=CacheStats)
 
@@ -437,12 +431,7 @@ class Autotuner:
 
         arch = get_gpu(gpu)
         density = 1.0 - sparsity
-        if self.batched:
-            assignments = self._assign_layers_batched(arch, layers, density)
-        else:
-            assignments = tuple(
-                self._assign_layer(arch, layer, density) for layer in layers
-            )
+        assignments = self._assign_layers(arch, layers, density)
         plan = TuningPlan(
             gpu=arch.name,
             sparsity=sparsity,
@@ -458,48 +447,24 @@ class Autotuner:
             self.cache.flush()
         return plan
 
-    def _assign_layer(self, arch, layer: LayerShape, density: float) -> LayerAssignment:
-        """Argmin of the timing model over the feasible candidates of one
-        layer, scored one scalar estimate at a time (the batched path's
-        oracle)."""
-        # Imported here: repro.eval.speedup imports the runner this module
-        # shares types with, and the experiment layer imports both.
-        from ..eval.speedup import layer_time
-
-        feasible, rejected = prune_candidates(self.candidates, arch, layer, density)
-        scored: list[tuple[KernelSpec, object, float]] = []
-        for spec, kernel in feasible:
-            try:
-                time_s = layer_time(
-                    kernel, arch, layer, candidate_density(kernel, density)
-                )
-            except (KernelNotApplicableError, ValueError) as exc:
-                # Dynamic (shape-dependent) inapplicability the static
-                # capability stage cannot see.
-                rejected[spec.display_label] = str(exc)
-                continue
-            scored.append((spec, kernel, time_s))
-        return self._choose(arch, layer, density, scored, rejected)
-
-    def _assign_layers_batched(
+    def _assign_layers(
         self, arch, layers: Sequence[LayerShape], density: float
     ) -> tuple[LayerAssignment, ...]:
-        """Assign every layer of a workload with batched candidate scoring.
+        """Assign every layer of a workload its argmin candidate.
 
-        Each candidate is scored over all its feasible layers in a single
-        :func:`~repro.eval.speedup.layer_times_grid` call (one batched
-        timing-model evaluation instead of one scalar call per layer); the
-        per-layer argmin, tie-breaking, rejection bookkeeping and refinement
-        then replicate :meth:`_assign_layer` exactly, so the two paths
-        produce identical plans.
+        Each candidate is scored over all its statically feasible layers in
+        a single :func:`~repro.eval.speedup.layer_times_grid` call; layers it
+        rejects there (shape-dependent inapplicability the static stage
+        cannot see) join its static rejections.
         """
-        from ..eval.speedup import layer_time, layer_times_grid
+        # Imported here: repro.eval.speedup imports the runner this module
+        # shares types with, and the experiment layer imports both.
+        from ..eval.speedup import layer_times_grid
 
         scored_per_layer: list[list[tuple[KernelSpec, object, float]]] = [
             [] for _ in layers
         ]
-        # Static rejects land before dynamic ones per layer, matching the
-        # prune-then-score dict order of the scalar path.
+        # Per layer, static rejects are listed before dynamic ones.
         static_rejects: list[dict[str, str]] = [{} for _ in layers]
         dynamic_rejects: list[dict[str, str]] = [{} for _ in layers]
         for spec in self.candidates:
@@ -517,26 +482,14 @@ class Autotuner:
                     static_rejects[position][spec.display_label] = reason
             if not feasible:
                 continue
-            try:
-                times = layer_times_grid(
-                    kernel, arch, [layers[p] for p in feasible], scored_density
-                )
-            except (KernelNotApplicableError, ValueError):
-                # Some layer of this candidate fails dynamically; score the
-                # layers one by one so the per-layer outcomes (and their
-                # rejection reasons) match the scalar path exactly.
-                for position in feasible:
-                    try:
-                        time_s = layer_time(
-                            kernel, arch, layers[position], scored_density
-                        )
-                    except (KernelNotApplicableError, ValueError) as exc:
-                        dynamic_rejects[position][spec.display_label] = str(exc)
-                        continue
-                    scored_per_layer[position].append((spec, kernel, time_s))
-                continue
+            times, errors = layer_times_grid(
+                kernel, arch, [layers[p] for p in feasible], scored_density
+            )
             for slot, position in enumerate(feasible):
-                scored_per_layer[position].append((spec, kernel, float(times[slot])))
+                if errors[slot] is not None:
+                    dynamic_rejects[position][spec.display_label] = str(errors[slot])
+                else:
+                    scored_per_layer[position].append((spec, kernel, float(times[slot])))
         return tuple(
             self._choose(
                 arch,

@@ -1,6 +1,6 @@
 """Tests for the sweep runner: cache-key stability (including across process
-restarts and dict orderings), cache hit/miss accounting, and serial-vs-
-parallel executor equivalence."""
+restarts and dict orderings), cache hit/miss accounting, in-process vs
+parallel executor equivalence, and the exact not-applicable details."""
 
 from __future__ import annotations
 
@@ -22,11 +22,9 @@ from repro.eval.runner import (
     SweepSpec,
     batched_executor,
     canonical_config_hash,
-    execute_config,
     process_executor,
-    serial_executor,
 )
-from repro.eval.speedup import figure1_spec, figure6_spec, headline_spec
+from repro.eval.speedup import figure1_spec, headline_spec
 from repro.eval.store import CorruptCacheWarning, blob_root_for
 
 SRC_DIR = Path(__file__).resolve().parents[2] / "src"
@@ -175,6 +173,12 @@ class TestSweepSpec:
             )
 
 
+def execute_config(config: RunConfig):
+    """Evaluate a single grid cell."""
+    (record,) = batched_executor([config])
+    return record
+
+
 class TestExecuteConfig:
     def test_grid_setup_errors_raise(self):
         """Spec mistakes (unknown model / kernel) must raise, not silently
@@ -210,83 +214,16 @@ class TestExecuteConfig:
 class TestExecutors:
     def test_serial_and_parallel_records_identical(self):
         configs = small_spec().expand()
-        serial = serial_executor(configs)
+        serial = batched_executor(configs)
         parallel = process_executor(configs, jobs=2)
         assert parallel == serial  # same floats, same order, same configs
 
-    def test_runner_with_injected_serial_matches_process_pool(self):
-        spec = small_spec()
-        injected = SweepRunner(executor=serial_executor).run(spec)
-        pooled = SweepRunner(jobs=2).run(spec)
-        assert injected.records == pooled.records
-
     def test_jobs_one_falls_back_to_serial(self):
         configs = small_spec().expand()
-        assert process_executor(configs, jobs=1) == serial_executor(configs)
+        assert process_executor(configs, jobs=1) == batched_executor(configs)
 
 
 class TestBatchedExecutor:
-    """The batched fast path must be indistinguishable from the scalar loop:
-    same records, same floats, same not-applicable details — on every grid
-    the evaluation actually runs plus randomly composed ones."""
-
-    @pytest.mark.parametrize(
-        "spec_factory", [figure1_spec, figure6_spec, headline_spec]
-    )
-    def test_paper_grids_bit_identical(self, spec_factory):
-        configs = spec_factory().expand()
-        assert batched_executor(configs) == serial_executor(configs)
-
-    @settings(max_examples=25, deadline=None)
-    @given(
-        kernels=st.lists(
-            st.sampled_from(
-                [
-                    ("dense", ()),
-                    ("dense-cudacore", ()),
-                    ("sputnik", ()),
-                    ("cusparse-csr", ()),
-                    ("cusparselt", ()),
-                    ("tilewise", ()),
-                    ("shfl-bw", (("vector_size", 32),)),
-                    ("vector-wise", (("vector_size", 64),)),
-                    ("cusparse-bsr", (("block_size", 32),)),
-                ]
-            ),
-            min_size=1,
-            max_size=4,
-            unique=True,
-        ),
-        gpus=st.lists(
-            st.sampled_from(("V100", "T4", "A100")), min_size=1, max_size=3, unique=True
-        ),
-        sparsities=st.lists(
-            st.sampled_from((0.0, 0.25, 0.5, 0.75, 0.9)),
-            min_size=1,
-            max_size=3,
-            unique=True,
-        ),
-        workload=st.one_of(
-            st.sampled_from(("transformer", "gnmt", "resnet50")).map(
-                lambda model: {"models": (model,)}
-            ),
-            st.tuples(
-                st.integers(1, 64).map(lambda i: i * 32),
-                st.integers(1, 2048),
-                st.integers(1, 64).map(lambda i: i * 32),
-            ).map(lambda gemm: {"gemm": gemm}),
-        ),
-    )
-    def test_random_specs_bit_identical(self, kernels, gpus, sparsities, workload):
-        spec = SweepSpec(
-            kernels=tuple(KernelSpec(name, kwargs=kwargs) for name, kwargs in kernels),
-            gpus=tuple(gpus),
-            sparsities=tuple(sparsities),
-            **workload,
-        )
-        configs = spec.expand()
-        assert batched_executor(configs) == serial_executor(configs)
-
     def test_batched_is_the_default_executor(self):
         assert SweepRunner()._executor is batched_executor
 
@@ -300,17 +237,97 @@ class TestBatchedExecutor:
         with pytest.raises(KeyError):
             batched_executor([config])
 
-    def test_ragged_shape_falls_back_to_scalar_records(self):
-        """A grid whose shapes a vector kernel rejects per cell (M % V != 0)
-        must produce the scalar path's not-applicable records."""
-        spec = SweepSpec(
-            kernels=(KernelSpec("vector-wise", kwargs=(("vector_size", 64),)),),
-            gpus=("V100",),
-            sparsities=(0.5,),
-            gemm=(100, 64, 256),
-        )
-        configs = spec.expand()
-        assert batched_executor(configs) == serial_executor(configs)
+
+#: One cell per distinct not-applicable reason of the Figure 6 grid, plus
+#: the ragged GEMM cells a vector / block kernel cannot tile, with the
+#: record detail each must carry.
+NOT_APPLICABLE_DETAILS = [
+    (
+        RunConfig("cusparselt", "V100", 0.5, model="transformer"),
+        "V100 has no sparse tensor cores; cuSPARSELt 2:4 SpMM is only "
+        "evaluated on A100 in the paper",
+    ),
+    (
+        RunConfig("cusparselt", "T4", 0.5, model="gnmt"),
+        "T4 has no sparse tensor cores; cuSPARSELt 2:4 SpMM is only "
+        "evaluated on A100 in the paper",
+    ),
+    (
+        RunConfig("cusparselt", "V100", 0.75, model="transformer"),
+        "balanced 2:4 sparsity only supports density 0.5, got 0.25",
+    ),
+    (
+        RunConfig("cusparselt", "A100", 0.85, model="gnmt"),
+        "balanced 2:4 sparsity only supports density 0.5, got 0.15000000000000002",
+    ),
+    (
+        RunConfig("cusparselt", "T4", 0.95, model="transformer"),
+        "balanced 2:4 sparsity only supports density 0.5, got 0.050000000000000044",
+    ),
+    (
+        RunConfig("vectorsparse", "T4", 0.5, model="transformer"),
+        "kernel 'vectorsparse' only runs on V100",
+    ),
+    (
+        RunConfig("tilewise", "A100", 0.75, model="gnmt"),
+        "kernel 'tilewise' only runs on V100",
+    ),
+    (
+        RunConfig("cusparse-csr", "V100", 0.5, model="resnet50"),
+        "kernel 'cusparse-csr' has no convolution implementation",
+    ),
+    (
+        RunConfig("sputnik", "T4", 0.75, model="resnet50"),
+        "kernel 'sputnik' has no convolution implementation",
+    ),
+    (
+        RunConfig("vectorsparse", "V100", 0.85, model="resnet50"),
+        "kernel 'vectorsparse' has no convolution implementation",
+    ),
+    (
+        RunConfig("tilewise", "V100", 0.95, model="resnet50"),
+        "kernel 'tilewise' has no convolution implementation",
+    ),
+    (
+        RunConfig("cusparselt", "A100", 0.5, model="resnet50"),
+        "kernel 'cusparselt-2in4' has no convolution implementation",
+    ),
+    (
+        RunConfig("cusparse-bsr", "V100", 0.5, model="resnet50",
+                  kernel_kwargs=(("block_size", 32),)),
+        "kernel 'cusparse-bsr' has no convolution implementation",
+    ),
+    (
+        RunConfig("vector-wise", "V100", 0.5, gemm=(100, 64, 256),
+                  kernel_kwargs=(("vector_size", 64),)),
+        "M=100 is not divisible by V=64",
+    ),
+    (
+        RunConfig("cusparse-bsr", "T4", 0.75, gemm=(256, 64, 100),
+                  kernel_kwargs=(("block_size", 32),)),
+        "GEMM shape M256/N64/K100 is not divisible by block size 32",
+    ),
+]
+
+
+class TestNotApplicableDetails:
+    @pytest.mark.parametrize(
+        ("config", "detail"),
+        NOT_APPLICABLE_DETAILS,
+        ids=[
+            f"{c.kernel}-{c.gpu}-{c.model or 'gemm'}-{c.sparsity}"
+            for c, _ in NOT_APPLICABLE_DETAILS
+        ],
+    )
+    def test_detail_is_pinned(self, config, detail):
+        """Alone or inside a grid of other kernels, GPUs and workloads, the
+        cell's record carries exactly this detail."""
+        alone = execute_config(config)
+        assert alone.status == "not-applicable"
+        assert alone.time_s is None
+        assert alone.detail == detail
+        grid = [config for config, _ in NOT_APPLICABLE_DETAILS]
+        assert batched_executor(grid)[grid.index(config)] == alone
 
 
 class TestResultCache:

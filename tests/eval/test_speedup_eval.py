@@ -1,10 +1,10 @@
 """Tests for the speedup-experiment harness (Figures 1 and 6, headline)."""
 
+import numpy as np
 import pytest
 
 from repro.eval.experiments import run_experiment
 from repro.eval.report import Report, Table
-from repro.eval.runner import SweepRunner, serial_executor
 from repro.eval.speedup import (
     PAPER_GPUS,
     PAPER_SPARSITIES,
@@ -46,6 +46,7 @@ class TestModelTime:
         total = model_time(dense, arch, layers, 1.0)
         assert total > 0
         assert total > model_time(dense, arch, layers[:1], 1.0)
+        assert model_time(dense, arch, [], 1.0) == 0
 
     def test_model_speedup_none_for_inapplicable(self):
         arch = get_gpu("V100")
@@ -115,34 +116,30 @@ class TestConvRouting:
         gemm_time = kernel.estimate(arch, layer.gemm, 1.0).total_time_s
         assert conv_time > gemm_time
 
-    def test_figure6_resnet_sweep_exercises_estimate_conv(self, monkeypatch):
+    def test_figure6_resnet_sweep_prices_conv_layers_as_convolutions(self, monkeypatch):
         calls = []
-        original = SpMMKernel.estimate_conv
+        original = SpMMKernel.build_layer_cells
 
-        def spy(self, arch, spec, density, **kwargs):
-            calls.append((type(self).__name__, spec.kernel_size))
-            return original(self, arch, spec, density, **kwargs)
+        def spy(self, arch, shapes, densities, *, kernel_sizes, **kwargs):
+            calls.append((type(self).__name__, tuple(np.asarray(kernel_sizes).tolist())))
+            return original(self, arch, shapes, densities, kernel_sizes=kernel_sizes, **kwargs)
 
-        monkeypatch.setattr(SpMMKernel, "estimate_conv", spy)
-        # The batched default executor folds the unfolding overhead into its
-        # grid expressions (and is property-tested to match bit for bit);
-        # the routing contract under test lives on the scalar oracle path.
+        monkeypatch.setattr(SpMMKernel, "build_layer_cells", spy)
         report = run_experiment(
             "figure6",
             models=("resnet50",),
             gpus=("V100",),
             sparsities=(0.75,),
             vector_sizes=(32,),
-            runner=SweepRunner(executor=serial_executor),
         )
         assert "resnet50 on V100" in report.to_text()
-        assert calls, "the ResNet-50 sweep must route layers through estimate_conv"
+        assert calls, "the ResNet-50 sweep must build its cells as layer cells"
         # Both our kernel and the dense baseline take the conv path,
         # including the 3x3 layers that pay the unfolding overhead.
         names = {name for name, _ in calls}
         assert "ShflBWKernel" in names
         assert "DenseTensorCoreGEMM" in names
-        assert any(ks == 3 for _, ks in calls)
+        assert all(3 in sizes for _, sizes in calls)
 
 
 class TestFigure1:

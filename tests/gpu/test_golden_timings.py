@@ -2,8 +2,8 @@
 
 The timing model is the substrate every number in the evaluation depends on:
 Figure 1's crossover regions, Figure 6's speedup bars and the Section 6.2
-headline all reduce to ``simulate()`` outputs.  This suite snapshots the
-full paper grid into a checked-in JSON fixture:
+headline all reduce to ``simulate_batch()`` outputs.  This suite snapshots
+the full paper grid into a checked-in JSON fixture:
 
 * ``simulate``: per (GPU x paper kernel x sparsity) total time and bound
   classification on the Figure 1 GEMM shape (2048/128/2048), straight
@@ -37,7 +37,7 @@ from repro.kernels.base import GEMMShape, KernelNotApplicableError
 from repro.kernels.registry import make_kernel, paper_baseline_specs
 
 GOLDEN_PATH = Path(__file__).parent / "goldens" / "golden_timings.json"
-#: The Figure 1 GEMM shape used for the per-kernel simulate() snapshot.
+#: The Figure 1 GEMM shape used for the per-kernel estimate() snapshot.
 GOLDEN_SHAPE = (2048, 128, 2048)
 #: Relative tolerance for float comparison: tight enough that any real model
 #: change trips it, loose enough to absorb benign float-summation noise.
@@ -206,7 +206,7 @@ def test_golden_model_version(goldens):
 
 
 def test_golden_simulate_totals_and_bounds(goldens):
-    """simulate() totals and bound classification over GPUs x kernels x
+    """estimate() totals and bound classification over GPUs x kernels x
     sparsities are unchanged."""
     _check_tree("simulate", goldens["simulate"], _simulate_grid())
 

@@ -6,7 +6,6 @@ import pytest
 
 from repro.gpu.arch import A100, T4, V100
 from repro.gpu.roofline import (
-    attainable_flops,
     dense_gemm_intensity,
     dense_tile_reuse,
     machine_balance,
@@ -19,26 +18,6 @@ from repro.gpu.tiling import optimal_tile_extent
 
 
 class TestRoofline:
-    def test_memory_bound_below_balance(self):
-        balance = machine_balance(V100)
-        point = attainable_flops(V100, balance / 10)
-        assert point.memory_bound
-        assert point.attainable_flops < point.peak_flops
-
-    def test_compute_bound_above_balance(self):
-        balance = machine_balance(V100)
-        point = attainable_flops(V100, balance * 10)
-        assert not point.memory_bound
-        assert point.attainable_flops == pytest.approx(point.peak_flops)
-
-    def test_negative_intensity_rejected(self):
-        with pytest.raises(ValueError):
-            attainable_flops(V100, -1.0)
-
-    def test_efficiency_bounded(self):
-        point = attainable_flops(V100, 10.0)
-        assert 0.0 < point.efficiency <= 1.0
-
     def test_a100_balance_highest(self):
         assert machine_balance(A100) > machine_balance(V100)
 

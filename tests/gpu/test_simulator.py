@@ -1,35 +1,49 @@
 """Tests for the kernel-timing simulator."""
 
+import numpy as np
 import pytest
 
 from repro.gpu.arch import A100, T4, V100
-from repro.gpu.memory import TrafficBreakdown
-from repro.gpu.simulator import ComputeUnit, KernelLaunch, simulate
-from repro.gpu.tiling import TileConfig
+from repro.gpu.memory import TrafficBatch
+from repro.gpu.simulator import ComputeUnit, KernelTiming, LaunchBatch, simulate_batch
 
 
-def make_launch(**overrides) -> KernelLaunch:
-    """A plausible mid-sized GEMM launch used across tests."""
-    traffic = TrafficBreakdown()
-    traffic.add("weight", 8.0e6)
-    traffic.add("activation", 1.0e6, reads=4.0)
-    traffic.add("output", 1.0e6, is_write=True)
+def traffic(*streams) -> TrafficBatch:
+    """One-launch traffic from ``(name, bytes, reads, is_write)`` streams."""
+    batch = TrafficBatch(1)
+    for name, size, reads, is_write in streams:
+        batch.add(name, size, reads=reads, is_write=is_write)
+    return batch
+
+
+def make_launch(**overrides) -> LaunchBatch:
+    """A plausible mid-sized GEMM launch (a batch of one) used across tests."""
     defaults = dict(
-        name="test-kernel",
-        useful_flops=2.0e9,
-        traffic=traffic,
-        tile=TileConfig(64, 64, 32),
+        names=["test-kernel"],
+        useful_flops=np.array([2.0e9]),
+        traffic=traffic(
+            ("weight", 8.0e6, 1.0, False),
+            ("activation", 1.0e6, 4.0, False),
+            ("output", 1.0e6, 1.0, True),
+        ),
+        tile_m=64,
+        tile_n=64,
+        tile_k=32,
         num_tiles=512,
         k_steps=32,
     )
     defaults.update(overrides)
-    return KernelLaunch(**defaults)
+    return LaunchBatch(**defaults)
+
+
+def simulate(arch, launch: LaunchBatch) -> KernelTiming:
+    return simulate_batch(arch, launch).timing(0)
 
 
 class TestLaunchValidation:
     def test_negative_flops_rejected(self):
         with pytest.raises(ValueError):
-            make_launch(useful_flops=-1.0)
+            make_launch(useful_flops=np.array([-1.0]))
 
     def test_invalid_tiles_rejected(self):
         with pytest.raises(ValueError):
@@ -86,15 +100,12 @@ class TestSimulate:
         assert narrow.compute_time_s > wide.compute_time_s
 
     def test_more_traffic_means_more_time(self):
-        heavy_traffic = TrafficBreakdown()
-        heavy_traffic.add("weight", 200.0e6)
-        heavy = simulate(V100, make_launch(traffic=heavy_traffic))
+        heavy = simulate(V100, make_launch(traffic=traffic(("weight", 200.0e6, 1.0, False))))
         light = simulate(V100, make_launch())
         assert heavy.total_time_s > light.total_time_s
 
     def test_metadata_prefetch_beneficial(self):
-        meta = TrafficBreakdown()
-        meta.add("metadata", 4.0e6)
+        meta = traffic(("metadata", 4.0e6, 1.0, False))
         with_prefetch = simulate(V100, make_launch(meta_traffic=meta, prefetch_metadata=True))
         without = simulate(V100, make_launch(meta_traffic=meta, prefetch_metadata=False))
         assert with_prefetch.total_time_s <= without.total_time_s

@@ -1,87 +1,110 @@
 """Tests for tiling, occupancy and wave quantisation."""
 
+import numpy as np
 import pytest
 
 from repro.gpu.arch import T4, V100
+from repro.gpu.memory import TrafficBatch
+from repro.gpu.simulator import LaunchBatch
 from repro.gpu.tiling import (
-    TileConfig,
-    concurrent_tiles,
-    default_gemm_tile,
-    occupancy,
+    concurrent_tiles_grid,
+    default_gemm_tile_grid,
+    occupancy_grid,
     optimal_tile_extent,
-    wave_count,
-    wave_efficiency,
+    smem_bytes_grid,
+    wave_count_grid,
 )
+
+
+def tile(tile_m, tile_n, tile_k, *, threads=128, pipeline_stages=2) -> dict:
+    """One threadblock tile as the per-launch fields the grid functions take."""
+    return dict(
+        tile_m=np.array([tile_m]),
+        tile_n=np.array([tile_n]),
+        tile_k=np.array([tile_k]),
+        threads=np.array([threads]),
+        pipeline_stages=np.array([pipeline_stages]),
+        accumulator_bytes=np.array([4]),
+    )
+
+
+def occupancy(arch, fields: dict) -> int:
+    return int(occupancy_grid(arch, **fields)[0])
+
+
+def concurrent_tiles(arch, fields: dict) -> int:
+    return int(concurrent_tiles_grid(arch, **fields)[0])
+
+
+def wave_count(arch, fields: dict, num_tiles: int) -> int:
+    return int(wave_count_grid(np.array([num_tiles]), concurrent_tiles(arch, fields))[0])
+
+
+def default_gemm_tile(m, n, k, **kwargs) -> tuple[int, int, int]:
+    tiles = default_gemm_tile_grid(np.array([m]), np.array([n]), np.array([k]), **kwargs)
+    return tuple(int(extent[0]) for extent in tiles)
+
+
+def launch(**tile_fields) -> LaunchBatch:
+    """A one-launch batch with the given tile fields."""
+    fields = dict(tile_m=64, tile_n=64, tile_k=32)
+    fields.update(tile_fields)
+    return LaunchBatch(
+        names=["k"],
+        useful_flops=np.array([1.0]),
+        traffic=TrafficBatch(1),
+        num_tiles=1,
+        k_steps=1,
+        **fields,
+    )
 
 
 class TestTileConfig:
     def test_invalid_dimensions(self):
-        with pytest.raises(ValueError):
-            TileConfig(tile_m=0, tile_n=64, tile_k=32)
+        with pytest.raises(ValueError, match="tile dimensions"):
+            launch(tile_m=0)
 
     def test_threads_must_be_warp_multiple(self):
-        with pytest.raises(ValueError):
-            TileConfig(tile_m=64, tile_n=64, tile_k=32, threads=100)
+        with pytest.raises(ValueError, match="multiple of 32"):
+            launch(threads=100)
+        with pytest.raises(ValueError, match="pipeline_stages"):
+            launch(pipeline_stages=0)
 
     def test_smem_scales_with_stages(self):
-        one = TileConfig(64, 64, 32, pipeline_stages=1)
-        two = TileConfig(64, 64, 32, pipeline_stages=2)
-        assert two.smem_bytes == 2 * one.smem_bytes
-
-    def test_grid_tiles(self):
-        tile = TileConfig(64, 64, 32)
-        assert tile.grid_tiles(128, 128) == 4
-        assert tile.grid_tiles(129, 128) == 6
-
-    def test_k_steps(self):
-        tile = TileConfig(64, 64, 32)
-        assert tile.k_steps(64) == 2
-        assert tile.k_steps(65) == 3
-
-    def test_flops_and_bytes_per_step(self):
-        tile = TileConfig(64, 32, 16)
-        assert tile.flops_per_k_step == 2 * 64 * 32 * 16
-        assert tile.load_bytes_per_k_step == (64 * 16 + 16 * 32) * 2
+        one = smem_bytes_grid(*(np.array([v]) for v in (64, 64, 32, 1)))
+        two = smem_bytes_grid(*(np.array([v]) for v in (64, 64, 32, 2)))
+        assert two[0] == 2 * one[0]
 
     def test_invalid_grid(self):
-        with pytest.raises(ValueError):
-            TileConfig(64, 64, 32).grid_tiles(0, 10)
+        with pytest.raises(ValueError, match="problem dimensions"):
+            default_gemm_tile(0, 10, 64)
 
 
 class TestOccupancy:
     def test_small_tile_fits_many_blocks(self):
-        small = TileConfig(32, 32, 16, threads=64)
-        assert occupancy(V100, small) >= 2
+        assert occupancy(V100, tile(32, 32, 16, threads=64)) >= 2
 
     def test_huge_tile_still_runs(self):
-        huge = TileConfig(256, 256, 64, pipeline_stages=3)
-        assert occupancy(V100, huge) == 1
+        assert occupancy(V100, tile(256, 256, 64, pipeline_stages=3)) == 1
 
     def test_concurrent_tiles_scales_with_sms(self):
-        tile = TileConfig(64, 64, 32)
-        assert concurrent_tiles(V100, tile) == occupancy(V100, tile) * 80
-        assert concurrent_tiles(V100, tile) > concurrent_tiles(T4, tile)
+        fields = tile(64, 64, 32)
+        assert concurrent_tiles(V100, fields) == occupancy(V100, fields) * 80
+        assert concurrent_tiles(V100, fields) > concurrent_tiles(T4, fields)
 
 
 class TestWaves:
     def test_one_wave_when_grid_fits(self):
-        tile = TileConfig(64, 64, 32)
-        assert wave_count(V100, tile, 10) == 1
+        assert wave_count(V100, tile(64, 64, 32), 10) == 1
 
     def test_multiple_waves_for_large_grids(self):
-        tile = TileConfig(64, 64, 32)
-        conc = concurrent_tiles(V100, tile)
-        assert wave_count(V100, tile, conc + 1) == 2
-
-    def test_wave_efficiency_in_unit_interval(self):
-        tile = TileConfig(64, 64, 32)
-        for tiles in (1, 10, 1000, 4096):
-            eff = wave_efficiency(V100, tile, tiles)
-            assert 0.0 < eff <= 1.0
+        fields = tile(64, 64, 32)
+        conc = concurrent_tiles(V100, fields)
+        assert wave_count(V100, fields, conc + 1) == 2
 
     def test_invalid_num_tiles(self):
         with pytest.raises(ValueError):
-            wave_count(V100, TileConfig(64, 64, 32), 0)
+            wave_count(V100, tile(64, 64, 32), 0)
 
 
 class TestOptimalTile:
@@ -90,16 +113,16 @@ class TestOptimalTile:
         assert t_opt == pytest.approx((256 * 1024 / 4) ** 0.5)
 
     def test_default_tile_shrinks_for_small_problems(self):
-        tile = default_gemm_tile(64, 64, 64)
-        assert tile.tile_m <= 64
-        assert tile.tile_n <= 64
+        tile_m, tile_n, _ = default_gemm_tile(64, 64, 64)
+        assert tile_m <= 64
+        assert tile_n <= 64
 
     def test_default_tile_prefers_large_tiles_for_big_problems(self):
-        tile = default_gemm_tile(8192, 8192, 8192)
-        assert tile.tile_m == 128
-        assert tile.tile_n == 128
+        tile_m, tile_n, _ = default_gemm_tile(8192, 8192, 8192)
+        assert tile_m == 128
+        assert tile_n == 128
 
     def test_default_tile_creates_enough_parallelism(self):
-        tile = default_gemm_tile(2048, 128, 2048, min_tiles=96)
-        grid = tile.grid_tiles(2048, 128)
-        assert grid >= 96 or (tile.tile_m == 32 and tile.tile_n == 32)
+        tile_m, tile_n, _ = default_gemm_tile(2048, 128, 2048, min_tiles=96)
+        grid = -(-2048 // tile_m) * -(-128 // tile_n)
+        assert grid >= 96 or (tile_m == 32 and tile_n == 32)

@@ -1,185 +1,103 @@
-"""Hypothesis net: every kernel's batched grid estimation matches scalar.
+"""Grid estimation: per-cell rejections, the single-cell API on top of the
+grid, and the model-grid helpers.
 
-For every kernel in the registry's paper line-up, over random shapes,
-densities and architectures:
-
-* ``estimate_grid`` must reproduce ``estimate`` *bit for bit* on every cell
-  a scalar estimate accepts (every :class:`KernelTiming` field, not just the
-  totals),
-* ``build_launch_batch`` must raise exactly when the scalar path raises
-  (same exception type) on grids containing an invalid cell,
-* the model-grid helpers (``model_time_grid`` / ``layer_times_grid``) must
-  reproduce the scalar ``model_time`` / ``layer_time`` sums, convolution
-  unfolding overhead included.
+* ``build_launch_batch`` never fails a whole grid: each cell it cannot run
+  carries its own exception, the one ``estimate`` raises for that cell;
+* ``estimate_grid`` raises the first rejected cell's exception;
+* a NaN density is rejected by every non-dense kernel and ignored by the
+  dense ones, like any other density;
+* the model-grid helpers (``model_time_grid`` / ``layer_times_grid``) apply
+  the convolution rules.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.eval.speedup import layer_time, layer_times_grid, model_time, model_time_grid
-from repro.gpu.arch import available_gpus, get_gpu
-from repro.kernels.base import GEMMShape, KernelNotApplicableError, SpMMKernel
-from repro.kernels.registry import make_kernel, paper_baseline_specs
+from repro.eval.speedup import layer_times_grid, model_time_grid
+from repro.gpu.arch import get_gpu
+from repro.gpu.simulator import simulate_batch
+from repro.kernels.base import GEMMShape, KernelNotApplicableError
+from repro.kernels.registry import available_kernels, make_kernel
 from repro.models.shapes import model_layers
 
-SETTINGS = dict(max_examples=40, deadline=None)
-
-#: Every distinct kernel of the paper line-up (label -> constructor spec).
-KERNEL_SPECS = sorted(paper_baseline_specs().items())
-gpus = st.sampled_from(sorted(available_gpus()))
-kernel_specs = st.sampled_from(KERNEL_SPECS)
-#: Multiples of 64 keep every vector/block size in the line-up divisible.
-aligned_dims = st.integers(min_value=1, max_value=48).map(lambda i: i * 64)
-batch_dims = st.integers(min_value=1, max_value=4096)
-densities = st.sampled_from((0.05, 0.1, 0.25, 0.5, 0.75, 1.0))
+#: Every registry name whose kernel exploits weight sparsity.
+NON_DENSE = [
+    name
+    for name in available_kernels()
+    if not make_kernel(name).capabilities().is_dense
+]
+DENSE = [name for name in available_kernels() if name not in NON_DENSE]
 
 
-def _supported(kernel, arch) -> bool:
-    supported = getattr(kernel, "supported_archs", None)
-    return supported is None or arch.name in supported
+class TestNaNDensity:
+    @pytest.mark.parametrize("name", NON_DENSE)
+    def test_non_dense_kernels_reject_nan(self, name):
+        kernel = make_kernel(name)
+        arch = get_gpu("A100")
+        shape = GEMMShape(2048, 128, 2048)
+        with pytest.raises(ValueError):
+            kernel.estimate(arch, shape, float("nan"))
+        with pytest.raises(ValueError):
+            kernel.estimate_grid(arch, [shape], np.array([np.nan]))
+
+    @pytest.mark.parametrize("name", DENSE)
+    def test_dense_kernels_ignore_density(self, name):
+        kernel = make_kernel(name)
+        arch = get_gpu("A100")
+        shape = GEMMShape(2048, 128, 2048)
+        nan = kernel.estimate_grid(arch, [shape], np.array([np.nan]))
+        assert nan.timing(0) == kernel.estimate(arch, shape, 1.0)
+
+    def test_registry_split(self):
+        assert set(NON_DENSE) == {
+            "balanced-2in4",
+            "blockwise",
+            "cusparse-bsr",
+            "cusparse-csr",
+            "cusparselt",
+            "shfl-bw",
+            "shfl-bw-conv",
+            "sputnik",
+            "tilewise",
+            "unstructured",
+            "vector-wise",
+            "vectorsparse",
+        }
 
 
-@st.composite
-def grids(draw):
-    cells = draw(st.integers(min_value=1, max_value=6))
-    shapes = [
-        GEMMShape(draw(aligned_dims), draw(batch_dims), draw(aligned_dims))
-        for _ in range(cells)
-    ]
-    return shapes, [draw(densities) for _ in range(cells)]
-
-
-class TestEstimateGridMatchesScalar:
-    def test_every_registry_kernel_overrides_the_batched_builder(self):
-        for _, (name, kwargs) in KERNEL_SPECS:
-            kernel = make_kernel(name, **kwargs)
-            assert (
-                type(kernel).build_launch_batch is not SpMMKernel.build_launch_batch
-            ), f"{name} still uses the scalar fallback builder"
-
-    @settings(**SETTINGS)
-    @given(spec=kernel_specs, grid=grids(), gpu=gpus)
-    def test_cells_bit_identical(self, spec, grid, gpu):
-        _, (name, kwargs) = spec
-        kernel = make_kernel(name, **kwargs)
-        arch = get_gpu(gpu)
-        if not _supported(kernel, arch):
-            return
-        shapes, cell_densities = grid
-        scalars = []
-        for shape, density in zip(shapes, cell_densities, strict=True):
-            try:
-                scalars.append(kernel.estimate(arch, shape, density))
-            except (KernelNotApplicableError, ValueError):
-                scalars.append(None)
-        if any(timing is None for timing in scalars):
-            # The scalar path rejects some cell; the batch must reject the
-            # whole grid with the same exception family.
-            with pytest.raises((KernelNotApplicableError, ValueError)):
-                kernel.estimate_grid(arch, shapes, cell_densities)
-            return
-        timing = kernel.estimate_grid(arch, shapes, cell_densities)
-        assert len(timing) == len(shapes)
-        for index, scalar in enumerate(scalars):
-            assert timing.timing(index) == scalar
-
-    @settings(**SETTINGS)
-    @given(grid=grids(), gpu=gpus, vector_size=st.sampled_from((8, 16, 32, 64)))
-    def test_vector_size_kwarg_respected(self, grid, gpu, vector_size):
-        kernel = make_kernel("shfl-bw")
-        arch = get_gpu(gpu)
-        shapes, cell_densities = grid
-        timing = kernel.estimate_grid(
-            arch, shapes, cell_densities, vector_size=vector_size
+class TestPerCellRejection:
+    def test_rejected_cells_do_not_fail_the_grid(self):
+        kernel = make_kernel("vector-wise", vector_size=64)
+        shapes = [GEMMShape(128, 64, 256), GEMMShape(100, 64, 256), GEMMShape(128, 64, 256)]
+        cells = kernel.build_launch_batch(
+            get_gpu("V100"), shapes, np.array([0.5, 0.5, 0.0])
         )
-        for index, (shape, density) in enumerate(zip(shapes, cell_densities, strict=True)):
-            assert timing.timing(index) == kernel.estimate(
-                arch, shape, density, vector_size=vector_size
-            )
+        assert len(cells.batch) == 3
+        assert cells.errors[0] is None
+        assert isinstance(cells.errors[1], ValueError)
+        assert str(cells.errors[1]) == "M=100 is not divisible by V=64"
+        assert str(cells.errors[2]) == "kept_fraction must be in (0, 1]"
 
-    @settings(**SETTINGS)
-    @given(grid=grids(), gpu=gpus, prefetch=st.booleans(), writeback=st.booleans())
-    def test_shflbw_ablation_variants_match(self, grid, gpu, prefetch, writeback):
-        """The ablation knobs (metadata prefetch off, un-fused write-back)
-        flow through the batched builder exactly as through the scalar one."""
-        from repro.kernels.shflbw import ShflBWKernel
+    def test_estimate_grid_raises_the_first_rejection(self):
+        kernel = make_kernel("cusparselt")
+        shapes = [GEMMShape(256, 64, 256)] * 3
+        with pytest.raises(KernelNotApplicableError, match="got 0.25"):
+            kernel.estimate_grid(get_gpu("A100"), shapes, [0.5, 0.25, 0.75])
 
-        kernel = ShflBWKernel(
-            vector_size=32,
-            prefetch_metadata=prefetch,
-            reordered_write_back=writeback,
+    def test_accepted_cells_match_their_own_grid(self):
+        """Rejected neighbours never leak into an accepted cell's numbers."""
+        kernel = make_kernel("cusparse-bsr", block_size=32)
+        arch = get_gpu("T4")
+        good = GEMMShape(256, 96, 512)
+        cells = kernel.build_launch_batch(
+            arch, [GEMMShape(100, 96, 512), good], np.array([0.25, 0.25])
         )
-        arch = get_gpu(gpu)
-        shapes, cell_densities = grid
-        timing = kernel.estimate_grid(arch, shapes, cell_densities)
-        for index, scalar in enumerate(timing.timings()):
-            assert scalar == kernel.estimate(
-                arch, shapes[index], cell_densities[index]
-            )
-
-    def test_generic_fallback_builder_matches_scalar_too(self):
-        """A custom kernel without an override still gets a correct (if
-        unvectorized) batched path from the base class."""
-
-        class Custom(type(make_kernel("dense"))):
-            name = "custom-dense"
-            build_launch_batch = SpMMKernel.build_launch_batch
-
-        kernel = Custom()
-        arch = get_gpu("V100")
-        shapes = [GEMMShape(256, 64, 512), GEMMShape(128, 1024, 128)]
-        timing = kernel.estimate_grid(arch, shapes, [1.0, 1.0])
-        for index, shape in enumerate(shapes):
-            assert timing.timing(index) == kernel.estimate(arch, shape, 1.0)
+        timing = simulate_batch(arch, cells.batch)
+        assert cells.errors[1] is None
+        assert timing.timing(1) == kernel.estimate(arch, good, 0.25)
 
 
 class TestModelGrids:
-    @settings(**SETTINGS)
-    @given(
-        spec=kernel_specs,
-        model=st.sampled_from(("transformer", "gnmt", "resnet50")),
-        gpu=gpus,
-        grid=st.lists(densities, min_size=1, max_size=4),
-    )
-    def test_model_time_grid_matches_scalar_sum(self, spec, model, gpu, grid):
-        _, (name, kwargs) = spec
-        kernel = make_kernel(name, **kwargs)
-        arch = get_gpu(gpu)
-        if not _supported(kernel, arch):
-            return
-        layers = model_layers(model)
-        scalars = []
-        for density in grid:
-            try:
-                scalars.append(model_time(kernel, arch, layers, density))
-            except (KernelNotApplicableError, ValueError):
-                scalars.append(None)
-        if any(total is None for total in scalars):
-            with pytest.raises((KernelNotApplicableError, ValueError)):
-                model_time_grid(kernel, arch, layers, grid)
-            return
-        totals = model_time_grid(kernel, arch, layers, grid)
-        assert totals.shape == (len(grid),)
-        for index, scalar in enumerate(scalars):
-            assert float(totals[index]) == scalar
-
-    @settings(**SETTINGS)
-    @given(
-        model=st.sampled_from(("transformer", "gnmt", "resnet50")),
-        gpu=gpus,
-        density=densities,
-    )
-    def test_layer_times_grid_matches_layer_time(self, model, gpu, density):
-        kernel = make_kernel("shfl-bw", vector_size=64)
-        arch = get_gpu(gpu)
-        layers = model_layers(model)
-        times = layer_times_grid(kernel, arch, layers, density)
-        assert times.shape == (len(layers),)
-        for index, layer in enumerate(layers):
-            assert float(times[index]) == layer_time(kernel, arch, layer, density)
-
     def test_conv_unsupported_kernel_raises_scalar_message(self):
         kernel = make_kernel("sputnik")
         layers = model_layers("resnet50")
@@ -190,13 +108,14 @@ class TestModelGrids:
 
     def test_conv_unfold_overhead_applied(self):
         """3x3 conv layers must pay the unfold overhead in the batched path
-        (a pure-GEMM batch would undercut the scalar conv estimate)."""
+        (a pure-GEMM batch would undercut the conv estimate)."""
         kernel = make_kernel("dense")
         arch = get_gpu("V100")
         layers = [
             layer for layer in model_layers("resnet50") if layer.conv.kernel_size > 1
         ]
-        times = layer_times_grid(kernel, arch, layers, 1.0)
+        times, errors = layer_times_grid(kernel, arch, layers, 1.0)
+        assert not any(errors)
         for index, layer in enumerate(layers):
             bare = kernel.estimate(arch, layer.gemm, 1.0).total_time_s
             assert float(times[index]) > bare

@@ -415,40 +415,12 @@ class SpMMKernel:
     def run(self, problem):
         raise NotImplementedError
 
-    def build_launch(self, problem, arch):
-        raise NotImplementedError
-
     def build_launch_batch(self, shapes, arch):
-        return [self.build_launch(s, arch) for s in shapes]
+        raise NotImplementedError
 """
 
 
 class TestKernelConformance:
-    def test_flags_unpaired_build_launch(self, tmp_path: Path) -> None:
-        index = build_index(
-            tmp_path,
-            {
-                "base.py": KERNEL_BASE,
-                "kern.py": """
-from .base import SpMMKernel
-
-
-class HalfKernel(SpMMKernel):
-    def prepare(self, problem):
-        return problem
-
-    def run(self, problem):
-        return problem
-
-    def build_launch(self, problem, arch):
-        return problem
-""",
-            },
-        )
-        findings = run_rule("SC004", index)
-        assert len(findings) == 1
-        assert "without build_launch_batch" in findings[0].message
-
     def test_flags_arch_use_in_declared_agnostic_kernel(self, tmp_path: Path) -> None:
         index = build_index(
             tmp_path,
@@ -467,18 +439,15 @@ class LyingKernel(SpMMKernel):
     def run(self, problem):
         return problem
 
-    def build_launch(self, problem, arch):
-        return problem.size * arch.sm_count
-
     def build_launch_batch(self, shapes, arch):
-        return super().build_launch_batch(shapes, arch)
+        return [shape.size * arch.sm_count for shape in shapes]
 """,
             },
         )
         findings = run_rule("SC004", index)
         assert len(findings) == 1
         assert "launch_arch_agnostic=True" in findings[0].message
-        assert findings[0].symbol.endswith("build_launch")
+        assert findings[0].symbol.endswith("build_launch_batch")
 
     def test_super_forwarding_is_sanctioned(self, tmp_path: Path) -> None:
         index = build_index(
@@ -497,9 +466,6 @@ class ForwardingKernel(SpMMKernel):
 
     def run(self, problem):
         return problem
-
-    def build_launch(self, problem, arch):
-        return super().build_launch(problem, arch)
 
     def build_launch_batch(self, shapes, arch):
         return super().build_launch_batch(shapes, arch)
@@ -534,7 +500,7 @@ _FACTORIES = {
         )
         findings = run_rule("SC004", index)
         messages = " | ".join(f.message for f in findings)
-        assert "without concrete" in messages
+        assert "without concrete prepare/run/build_launch_batch" in messages
         assert "does not inherit" in messages
 
     def test_concrete_registered_kernel_is_clean(self, tmp_path: Path) -> None:
@@ -551,9 +517,6 @@ class GoodKernel(SpMMKernel):
         return problem
 
     def run(self, problem):
-        return problem
-
-    def build_launch(self, problem, arch):
         return problem
 
     def build_launch_batch(self, shapes, arch):

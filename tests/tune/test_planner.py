@@ -102,38 +102,6 @@ class TestNeverSlowerThanSingleKernel:
         assert comparison.best_single_label in labels
 
 
-class TestBatchedScoring:
-    """The batched candidate-scoring path (the default) must produce exactly
-    the plans of the scalar per-layer loop — same kernels, same bit-exact
-    modelled times, same rejection bookkeeping."""
-
-    @pytest.mark.parametrize("model", ["transformer", "gnmt", "resnet50"])
-    @pytest.mark.parametrize("gpu", ["V100", "T4", "A100"])
-    def test_batched_plan_equals_scalar_plan(self, model, gpu):
-        for sparsity in (0.5, 0.75, 0.95):
-            batched = Autotuner().plan(model, gpu, sparsity)
-            scalar = Autotuner(batched=False).plan(model, gpu, sparsity)
-            assert batched == scalar
-
-    def test_gemm_plans_equal_too(self):
-        gemm = (2048, 128, 2048)
-        assert Autotuner().plan_gemm(gemm, "T4", 0.75) == Autotuner(
-            batched=False
-        ).plan_gemm(gemm, "T4", 0.75)
-
-    def test_no_feasible_candidate_message_identical(self):
-        only_balanced = tuple(
-            spec for spec in default_candidates() if spec.display_label == "Balanced 2in4"
-        )
-        messages = []
-        for batched in (True, False):
-            tuner = Autotuner(candidates=only_balanced, batched=batched)
-            with pytest.raises(KernelNotApplicableError) as excinfo:
-                tuner.plan("transformer", "V100", 0.75)
-            messages.append(str(excinfo.value))
-        assert messages[0] == messages[1]
-
-
 class TestPlanShape:
     def test_plans_are_deterministic(self):
         a = Autotuner().plan("gnmt", "A100", 0.85)
