@@ -14,11 +14,18 @@ variant:
 Distances are squared Euclidean, which on binary vectors equals the Hamming
 distance; everything is deterministic given the ``seed``.
 
-This is the vectorized engine; the original scalar implementation (one Python
-loop iteration per sorted distance pair — ``n * k`` iterations per Lloyd
-step) is preserved verbatim in :mod:`repro.core.reference` as the
-bit-for-bit oracle the property tests compare against.  Three techniques
-replace the loops without changing a single output bit:
+This is the vectorized engine; the original implementation (one Python loop
+iteration per sorted distance pair — ``n * k`` iterations per Lloyd step —
+and a float broadcast per k-means++ centroid) is preserved verbatim in
+:mod:`repro.core.reference` as the bit-for-bit oracle the property tests
+compare against.  Five techniques replace the loops, sorts and broadcasts
+without changing a single output bit:
+
+* **Packed-bit k-means++** — on binary points every seeding distance is a
+  Hamming distance, an exact integer: a popcount (``np.bitwise_count``) over
+  the rows packed into uint64 words yields the seed's distances, and so its
+  sampling probabilities and RNG draws, without a float pass over the
+  ``(n, K)`` matrix per centroid.
 
 * **Exact Gram-matrix distances** — on the pattern search's actual inputs
   (binary mask rows, power-of-two group sizes) every quantity involved is a
@@ -29,11 +36,17 @@ replace the loops without changing a single output bit:
   which makes the BLAS form ``|x|^2 - 2 x.c + |c|^2`` bitwise identical to
   the seed's elementwise ``((x - c) ** 2).sum()`` — at a matmul's cost
   instead of an ``(n, k, K)`` broadcast.
+* **Integer-keyed pair order** — the same proof makes ``d * V^2`` an exact
+  integer for every pair, so the greedy's visiting order (the stable argsort
+  of all ``n * k`` distances) is the plain sort of the unique int64 keys
+  ``(d * V^2) * (n * k) + pair_index``, built and sorted in the distance
+  buffer itself.
 * **Chunked broadcasting** — for inputs outside that regime (non-binary
   points, non-power-of-two capacities) the seed expression is evaluated
   verbatim over row blocks: elementwise ops and a last-axis reduction are
   independent of the leading batch dimension, so the result is bitwise
-  identical while the ``(n, k, K)`` intermediate never materialises.
+  identical while the ``(n, k, K)`` intermediate never materialises; those
+  distances are ordered by the stable float argsort.
 * **Prefix-accepted greedy rounds** — the capacity-constrained assignment
   walks the sorted distance pairs in vectorized chunks.  Within a chunk,
   duplicate-row pairs are skipped and every pair up to the first *capacity*
@@ -46,6 +59,8 @@ replace the loops without changing a single output bit:
 from __future__ import annotations
 
 import numpy as np
+
+from .transforms import _pack_rows
 
 __all__ = ["balanced_kmeans", "kmeans_plusplus_init"]
 
@@ -80,9 +95,13 @@ def _exact_denominator(centroids: np.ndarray, capacity: int | None) -> int | Non
 
 
 def _pairwise_sq_dists(
-    points: np.ndarray, centroids: np.ndarray, capacity: int | None = None
-) -> np.ndarray:
+    points: np.ndarray, centroids: np.ndarray, capacity: int | None, binary: bool
+) -> tuple[np.ndarray, int | None]:
     """``(n, k)`` squared distances, bitwise equal to the seed broadcast.
+
+    Returns the distances and, when they are proven exact, the denominator
+    ``D`` that makes every one of them an integer multiple of ``1 / D**2``
+    (``None`` otherwise).  ``binary`` says whether every point is 0/1.
 
     The fast path rewrites ``|x - c|^2`` as ``|x|^2 - 2 x.c + |c|^2`` and is
     only taken when every term is provably exact (binary points, dyadic
@@ -93,14 +112,16 @@ def _pairwise_sq_dists(
     the leading dimension.
     """
     n, dim = points.shape
-    if _is_binary(points):
+    if binary:
         denom = _exact_denominator(centroids, capacity)
         # Distance numerators are bounded by dim * denom**2; staying far
         # below 2**53 guarantees every partial sum is exact.
         if denom is not None and dim * denom * denom < (1 << 52):
-            row_sq = np.einsum("ij,ij->i", points, points)
-            cent_sq = np.einsum("ij,ij->i", centroids, centroids)
-            return row_sq[:, None] - 2.0 * (points @ centroids.T) + cent_sq[None, :]
+            dists = points @ centroids.T
+            dists *= -2.0
+            dists += np.einsum("ij,ij->i", points, points)[:, None]
+            dists += np.einsum("ij,ij->i", centroids, centroids)
+            return dists, denom
     k = centroids.shape[0]
     dists = np.empty((n, k), dtype=np.float64)
     chunk = max(1, _CHUNK_ELEMENTS // max(1, k * max(1, dim)))
@@ -109,7 +130,7 @@ def _pairwise_sq_dists(
         dists[start : start + chunk] = (
             (block[:, None, :] - centroids[None, :, :]) ** 2
         ).sum(axis=2)
-    return dists
+    return dists, None
 
 
 def kmeans_plusplus_init(
@@ -121,22 +142,25 @@ def kmeans_plusplus_init(
         raise ValueError("num_clusters must be in [1, n_points]")
     points = np.asarray(points)
     # Candidate centroids are raw data rows, so on binary inputs every
-    # distance is an exact integer (the Hamming distance) no matter how it
-    # is summed: the Gram form below equals the seed broadcast bit-for-bit
-    # at a matvec's cost per centroid.
+    # squared distance is a Hamming distance, an exact integer however it
+    # is summed: a popcount over the rows packed into uint64 words gives the
+    # seed broadcast's values (and so its sums, probabilities and RNG
+    # draws) at a fraction of a float pass per centroid.  The words are
+    # stored transposed, one word of every row per line, so the per-row
+    # popcount sums reduce over whole contiguous lines.
     binary = _is_binary(points)
     if binary:
-        row_sq = np.einsum("ij,ij->i", points, points)
+        words = np.ascontiguousarray(_pack_rows(points != 0).T)
 
-    def _sq_dists_to(centroid: np.ndarray) -> np.ndarray:
+    def _sq_dists_to(c: int, row: int) -> np.ndarray:
         if binary:
-            return row_sq - 2.0 * (points @ centroid) + centroid.sum()
-        return np.sum((points - centroid) ** 2, axis=1)
+            return np.bitwise_count(words ^ words[:, row, None]).sum(axis=0)
+        return np.sum((points - centroids[c]) ** 2, axis=1)
 
     centroids = np.empty((num_clusters, points.shape[1]), dtype=np.float64)
     first = int(rng.integers(n))
     centroids[0] = points[first]
-    closest = _sq_dists_to(centroids[0])
+    closest = _sq_dists_to(0, first)
     for c in range(1, num_clusters):
         total = closest.sum()
         if total <= 0:
@@ -146,7 +170,7 @@ def kmeans_plusplus_init(
             probs = closest / total
             idx = int(rng.choice(n, p=probs))
         centroids[c] = points[idx]
-        closest = np.minimum(closest, _sq_dists_to(centroids[c]))
+        closest = np.minimum(closest, _sq_dists_to(c, idx))
     return centroids
 
 
@@ -214,6 +238,43 @@ def _assign_in_order(order: np.ndarray, n: int, k: int, capacity: int) -> np.nda
     return assign
 
 
+def _pair_order(dists: np.ndarray, denom: int | None, dim: int) -> np.ndarray:
+    """Flat ``(row, cluster)`` pair indices by ascending distance, ties by
+    index: exactly ``np.argsort(dists, axis=None, kind="stable")``.
+
+    When every distance is a proven integer multiple of ``1 / D**2`` (``denom``
+    is ``D``; numerators are at most ``dim * D**2``), each pair gets the
+    unique int64 key ``(d * D**2) * (n * k) + index``.  Distinct keys leave
+    nothing for a stable sort to decide, so numpy's default sort orders them
+    in place and the remainder recovers the index.  The keys are built in
+    ``dists``' own buffer, which this consumes.
+    """
+    n, k = dists.shape
+    pairs = n * k
+    if denom is None or (dim * denom * denom + 1) * pairs >= 1 << 63:
+        return np.argsort(dists, axis=None, kind="stable")
+    flat = dists.reshape(-1)
+    keys = flat.view(np.int64)
+    np.multiply(flat, float(denom * denom), out=keys, casting="unsafe")
+    keys *= pairs
+    grid = keys.reshape(n, k)
+    grid += np.arange(0, pairs, k, dtype=np.int64)[:, None]
+    grid += np.arange(k, dtype=np.int64)
+    keys.sort()
+    keys %= pairs
+    return keys
+
+
+def _greedy_assignment(
+    points: np.ndarray, centroids: np.ndarray, capacity: int, binary: bool
+) -> np.ndarray:
+    """One Lloyd step's greedy capacity-constrained assignment, with the
+    binarity of ``points`` decided by the caller."""
+    dists, denom = _pairwise_sq_dists(points, centroids, capacity, binary)
+    n, k = dists.shape
+    return _assign_in_order(_pair_order(dists, denom, points.shape[1]), n, k, capacity)
+
+
 def _balanced_assignment(
     points: np.ndarray, centroids: np.ndarray, capacity: int
 ) -> np.ndarray:
@@ -221,13 +282,12 @@ def _balanced_assignment(
 
     Returns an array ``assign`` with ``assign[i]`` the cluster of row ``i``;
     every cluster receives exactly ``capacity`` rows.  Bitwise identical to
-    :func:`repro.core.reference.balanced_assignment_loop`.
+    :func:`repro.core.reference.balanced_assignment_loop`, whose call
+    surface it shares; :func:`balanced_kmeans` calls
+    :func:`_greedy_assignment` directly so it scans ``points`` for binarity
+    once per search rather than once per Lloyd step.
     """
-    n = points.shape[0]
-    k = centroids.shape[0]
-    dists = _pairwise_sq_dists(points, centroids, capacity)
-    order = np.argsort(dists, axis=None, kind="stable")
-    return _assign_in_order(order, n, k, capacity)
+    return _greedy_assignment(points, centroids, capacity, _is_binary(points))
 
 
 def _balanced_centroids(
@@ -286,10 +346,11 @@ def balanced_kmeans(
 
     rng = np.random.default_rng(seed)
     centroids = kmeans_plusplus_init(points, num_clusters, rng)
-    assign = _balanced_assignment(points, centroids, group_size)
+    binary = _is_binary(points)
+    assign = _greedy_assignment(points, centroids, group_size, binary)
     for _ in range(max(0, num_iters - 1)):
         centroids = _balanced_centroids(points, assign, num_clusters, group_size)
-        new_assign = _balanced_assignment(points, centroids, group_size)
+        new_assign = _greedy_assignment(points, centroids, group_size, binary)
         if np.array_equal(new_assign, assign):
             break
         assign = new_assign

@@ -88,6 +88,32 @@ def _check_scores(scores: np.ndarray) -> np.ndarray:
     return scores
 
 
+def _top_k_mask(values: np.ndarray, keep: int) -> np.ndarray:
+    """Mask of each row's ``keep`` largest entries, ties kept in position order.
+
+    Row for row the same set as the first ``keep`` entries of
+    ``argsort(-values, kind="stable")``: every entry above the row's
+    ``keep``-th largest value (found by ``np.partition``) is kept, and the
+    remaining slots go to the entries equal to that threshold, earliest
+    first.  Only the tied positions are ranked, so no full sort and no
+    full-size cumulative sum is needed.
+    """
+    rows, width = values.shape
+    if keep >= width:
+        return np.ones(values.shape, dtype=bool)
+    # A list index copies the column out, so the partitioned copy is freed.
+    threshold = np.partition(values, width - keep, axis=1)[:, [width - keep]]
+    mask = values > threshold
+    # Tied slots still open per row (at least one: the threshold itself).
+    short = keep - np.count_nonzero(mask, axis=1)
+    tied = np.flatnonzero(values == threshold)
+    tied_rows = tied // width
+    tied_counts = np.bincount(tied_rows, minlength=rows)
+    rank = np.arange(tied.size) - (np.cumsum(tied_counts) - tied_counts)[tied_rows]
+    mask.reshape(-1)[tied[rank < short[tied_rows]]] = True
+    return mask
+
+
 def unstructured_mask(scores: np.ndarray, density: float) -> np.ndarray:
     """Keep the globally top-``density`` fraction of scores.
 
@@ -97,30 +123,23 @@ def unstructured_mask(scores: np.ndarray, density: float) -> np.ndarray:
     scores = _check_scores(scores)
     if not 0.0 < density <= 1.0:
         raise ValueError("density must be in (0, 1]")
-    total = scores.size
-    keep = max(1, int(round(density * total)))
-    if keep >= total:
-        return np.ones_like(scores, dtype=bool)
-    flat = scores.reshape(-1)
-    # argsort descending, stable so earlier positions win ties.
-    order = np.argsort(-flat, kind="stable")
-    mask = np.zeros(total, dtype=bool)
-    mask[order[:keep]] = True
-    return mask.reshape(scores.shape)
+    keep = max(1, int(round(density * scores.size)))
+    return _top_k_mask(scores.reshape(1, -1), keep).reshape(scores.shape)
 
 
 def vector_wise_mask(scores: np.ndarray, density: float, vector_size: int) -> np.ndarray:
     """Vector-wise pruning mask on *consecutive* row groups of size ``V``.
 
     Each group keeps the ``round(density * K)`` columns with the largest
-    summed score (at least one column per group).
+    summed score (at least one column per group; ties go to the earlier
+    column).
 
     Vectorized over all groups at once: one reshape, one reduction and one
-    row-wise stable argsort replace the per-group Python loop.  Bitwise
+    row-wise top-k selection replace the per-group Python loop.  Bitwise
     identical to :func:`repro.core.reference.vector_wise_mask_loop` — the
     ``(G, V, K)`` middle-axis sum reduces each group's rows in the same
-    order as the per-group ``sum(axis=0)``, and a stable row-wise argsort
-    matches the per-group 1-D argsort element for element.
+    order as the per-group ``sum(axis=0)``, and the top-k selection keeps
+    exactly the columns the per-group stable argsort puts first.
     """
     scores = _check_scores(scores)
     if not 0.0 < density <= 1.0:
@@ -131,10 +150,7 @@ def vector_wise_mask(scores: np.ndarray, density: float, vector_size: int) -> np
         raise ValueError(f"M={m} must be a positive multiple of V={v}")
     keep_cols = max(1, int(round(density * k)))
     group_scores = scores.reshape(m // v, v, k).sum(axis=1)
-    order = np.argsort(-group_scores, axis=1, kind="stable")
-    group_mask = np.zeros((m // v, k), dtype=bool)
-    np.put_along_axis(group_mask, order[:, :keep_cols], True, axis=1)
-    return np.repeat(group_mask, v, axis=0)
+    return np.repeat(_top_k_mask(group_scores, keep_cols), v, axis=0)
 
 
 def search_shflbw_pattern(

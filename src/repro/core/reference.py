@@ -1,10 +1,11 @@
 """Loop-based oracle implementations of the pattern-search engine.
 
-These are the original scalar-Python implementations that
-:mod:`repro.core.kmeans`, :mod:`repro.core.pruning` and
-:mod:`repro.core.transforms` shipped with before the Shfl-BW pattern search
-was vectorized.  They are deliberately kept verbatim (mirroring
-:mod:`repro.sparse.spmm_reference` for the SpMM engine):
+These are the original implementations (scalar Python loops, full stable
+sorts and float broadcasts) that :mod:`repro.core.kmeans`,
+:mod:`repro.core.pruning` and :mod:`repro.core.transforms` shipped with
+before the Shfl-BW pattern search was vectorized.  They are deliberately
+kept verbatim (mirroring :mod:`repro.sparse.spmm_reference` for the SpMM
+engine):
 
 * the property-based test-suite uses them as the *oracle* the vectorized
   engine must match bit-for-bit — identical masks, groups, permutations and
@@ -20,17 +21,42 @@ from __future__ import annotations
 
 import numpy as np
 
-from .kmeans import kmeans_plusplus_init
-from .pruning import ShflBWSearchResult, _check_scores, unstructured_mask
+from .pruning import ShflBWSearchResult, _check_scores
 from .transforms import groups_to_permutation
 
 __all__ = [
     "balanced_assignment_loop",
     "balanced_kmeans_loop",
+    "kmeans_plusplus_init_loop",
+    "unstructured_mask_loop",
     "vector_wise_mask_loop",
     "group_rows_by_support_loop",
     "search_shflbw_pattern_loop",
 ]
+
+
+def kmeans_plusplus_init_loop(
+    points: np.ndarray, num_clusters: int, rng: np.random.Generator
+) -> np.ndarray:
+    """The seed ``kmeans_plusplus_init``: one broadcast distance pass per centroid."""
+    n = points.shape[0]
+    if num_clusters <= 0 or num_clusters > n:
+        raise ValueError("num_clusters must be in [1, n_points]")
+    centroids = np.empty((num_clusters, points.shape[1]), dtype=np.float64)
+    first = int(rng.integers(n))
+    centroids[0] = points[first]
+    closest = np.sum((points - centroids[0]) ** 2, axis=1)
+    for c in range(1, num_clusters):
+        total = closest.sum()
+        if total <= 0:
+            # All remaining points coincide with an existing centroid.
+            idx = int(rng.integers(n))
+        else:
+            probs = closest / total
+            idx = int(rng.choice(n, p=probs))
+        centroids[c] = points[idx]
+        closest = np.minimum(closest, np.sum((points - centroids[c]) ** 2, axis=1))
+    return centroids
 
 
 def balanced_assignment_loop(
@@ -81,7 +107,7 @@ def balanced_kmeans_loop(
         return [np.arange(m, dtype=np.int64)]
 
     rng = np.random.default_rng(seed)
-    centroids = kmeans_plusplus_init(points, num_clusters, rng)
+    centroids = kmeans_plusplus_init_loop(points, num_clusters, rng)
     assign = balanced_assignment_loop(points, centroids, group_size)
     for _ in range(max(0, num_iters - 1)):
         for c in range(num_clusters):
@@ -99,6 +125,23 @@ def balanced_kmeans_loop(
     ]
     groups.sort(key=lambda g: int(g[0]))
     return groups
+
+
+def unstructured_mask_loop(scores: np.ndarray, density: float) -> np.ndarray:
+    """The seed ``unstructured_mask``: one stable argsort of all scores."""
+    scores = _check_scores(scores)
+    if not 0.0 < density <= 1.0:
+        raise ValueError("density must be in (0, 1]")
+    total = scores.size
+    keep = max(1, int(round(density * total)))
+    if keep >= total:
+        return np.ones_like(scores, dtype=bool)
+    flat = scores.reshape(-1)
+    # argsort descending, stable so earlier positions win ties.
+    order = np.argsort(-flat, kind="stable")
+    mask = np.zeros(total, dtype=bool)
+    mask[order[:keep]] = True
+    return mask.reshape(scores.shape)
 
 
 def vector_wise_mask_loop(
@@ -159,8 +202,8 @@ def search_shflbw_pattern_loop(
     """The seed two-stage pattern search built from the loop oracles.
 
     Identical driver to :func:`repro.core.pruning.search_shflbw_pattern`,
-    with the k-means clustering and the vector-wise pruning stage routed
-    through the scalar reference implementations.
+    with the unstructured mask, the k-means clustering and the vector-wise
+    pruning stage routed through the reference implementations.
     """
     scores = _check_scores(scores)
     if not 0.0 < density <= 1.0:
@@ -172,7 +215,7 @@ def search_shflbw_pattern_loop(
         raise ValueError(f"M={m} must be a positive multiple of V={vector_size}")
 
     beta = min(1.0, beta_factor * density)
-    coarse_mask = unstructured_mask(scores, beta)
+    coarse_mask = unstructured_mask_loop(scores, beta)
     groups = balanced_kmeans_loop(
         coarse_mask.astype(np.float64),
         vector_size,

@@ -63,6 +63,19 @@ def reordered_write_back(permuted_output: np.ndarray, row_indices: np.ndarray) -
     return out
 
 
+def _pack_rows(mask: np.ndarray) -> np.ndarray:
+    """Each row of a boolean ``(m, K)`` mask packed into ``ceil(K / 64)``
+    uint64 words, zero-padded, so equal rows have equal words and the
+    Hamming distance of two rows is the popcount of their XOR."""
+    packed = np.packbits(mask, axis=1)
+    pad = -packed.shape[1] % 8
+    if pad:
+        packed = np.concatenate(
+            [packed, np.zeros((packed.shape[0], pad), dtype=np.uint8)], axis=1
+        )
+    return np.ascontiguousarray(packed).view(np.uint64)
+
+
 def group_rows_by_support(mask: np.ndarray, vector_size: int) -> list[np.ndarray]:
     """Group rows that share an identical non-zero column support.
 
@@ -89,13 +102,7 @@ def group_rows_by_support(mask: np.ndarray, vector_size: int) -> list[np.ndarray
     # fixed-width integer words is much cheaper than ``np.unique(axis=0)``'s
     # generic row comparisons.
     if mask.shape[1]:
-        packed = np.packbits(mask, axis=1)
-        pad = -packed.shape[1] % 8
-        if pad:
-            packed = np.concatenate(
-                [packed, np.zeros((m, pad), dtype=np.uint8)], axis=1
-            )
-        words = np.ascontiguousarray(packed).view(np.uint64)
+        words = _pack_rows(mask)
         word_order = np.lexsort(words.T[::-1])
         sorted_words = words[word_order]
         new_support = np.empty(m, dtype=bool)

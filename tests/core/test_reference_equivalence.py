@@ -4,7 +4,9 @@ the seed loop oracles in :mod:`repro.core.reference`.
 Every test asserts *exact* equality — identical assignments, masks, groups
 and permutations down to the last bit — across random shapes, densities,
 vector sizes (including non-powers-of-two, which exercise the chunked
-fallback distance path) and seeds.
+fallback distance path) and seeds.  Scores are drawn tie-heavy as well as
+continuous, because the engine's top-k selection and pair ordering resolve
+ties differently from a stable sort and must still land on its answer.
 """
 
 import numpy as np
@@ -12,15 +14,20 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.kmeans import (
     _balanced_assignment,
+    _is_binary,
+    _pair_order,
     _pairwise_sq_dists,
     balanced_kmeans,
+    kmeans_plusplus_init,
 )
-from repro.core.pruning import search_shflbw_pattern, vector_wise_mask
+from repro.core.pruning import search_shflbw_pattern, unstructured_mask, vector_wise_mask
 from repro.core.reference import (
     balanced_assignment_loop,
     balanced_kmeans_loop,
     group_rows_by_support_loop,
+    kmeans_plusplus_init_loop,
     search_shflbw_pattern_loop,
+    unstructured_mask_loop,
     vector_wise_mask_loop,
 )
 from repro.core.transforms import group_rows_by_support
@@ -57,6 +64,27 @@ def clustering_case(draw):
     return points, centroids, v
 
 
+def _scores(rng: np.random.Generator, shape: tuple[int, int], kind: str) -> np.ndarray:
+    """Non-negative scores: continuous, or tie-heavy in one of three ways."""
+    if kind == "normal":
+        return np.abs(rng.normal(size=shape))
+    if kind == "constant":
+        return np.full(shape, float(rng.integers(0, 3)))
+    scores = rng.integers(0, 3, size=shape).astype(np.float64)
+    if kind == "signed-zero":
+        # -0.0 passes the non-negativity check and ties with +0.0.
+        scores[(scores == 0) & (rng.random(shape) < 0.5)] = -0.0
+    return scores
+
+
+SCORE_KINDS = ["normal", "small-int", "signed-zero", "constant"]
+
+# Densities near 0 keep a single entry; 1.0 keeps everything.
+DENSITIES = st.one_of(
+    st.floats(min_value=0.02, max_value=1.0), st.sampled_from([1e-9, 0.01, 1.0])
+)
+
+
 @st.composite
 def scores_and_v(draw):
     """Random non-negative scores with a vector size dividing the rows."""
@@ -64,8 +92,9 @@ def scores_and_v(draw):
     num_groups = draw(st.integers(min_value=1, max_value=5))
     k_dim = draw(st.integers(min_value=1, max_value=24))
     seed = draw(st.integers(min_value=0, max_value=2**16))
+    kind = draw(st.sampled_from(SCORE_KINDS))
     rng = np.random.default_rng(seed)
-    return np.abs(rng.normal(size=(v * num_groups, k_dim))), v
+    return _scores(rng, (v * num_groups, k_dim), kind), v
 
 
 class TestBalancedAssignment:
@@ -82,9 +111,68 @@ class TestBalancedAssignment:
     def test_distances_bitwise_equal_to_broadcast(self, case):
         points, centroids, v = case
         seed_dists = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-        np.testing.assert_array_equal(
-            _pairwise_sq_dists(points, centroids, v), seed_dists
+        dists, _ = _pairwise_sq_dists(points, centroids, v, _is_binary(points))
+        np.testing.assert_array_equal(dists, seed_dists)
+
+
+class TestPairOrder:
+    """The integer-key order against the stable float argsort it replaces."""
+
+    @given(
+        st.sampled_from(VECTOR_SIZES),
+        st.integers(min_value=1, max_value=6),
+        st.sampled_from([1, 2, 5, 64, 65]),
+        st.integers(min_value=0, max_value=2**16),
+    )
+    @settings(**SETTINGS)
+    def test_equals_stable_argsort(self, v, num_groups, k_dim, seed):
+        rng = np.random.default_rng(seed)
+        m = v * num_groups
+        # Few distinct supports, so equal distances (ties) are common.
+        points = (rng.random((m, k_dim)) < rng.random()).astype(np.float64)
+        centroids = np.stack(
+            [points[rng.integers(0, m, size=v)].mean(axis=0) for _ in range(num_groups)]
         )
+        dists, denom = _pairwise_sq_dists(points, centroids, v, True)
+        if v & (v - 1) == 0:
+            assert denom is not None  # power-of-two capacity: the key path
+        expected = np.argsort(dists, axis=None, kind="stable")
+        np.testing.assert_array_equal(_pair_order(dists, denom, k_dim), expected)
+
+    def test_keys_that_would_overflow_fall_back(self):
+        rng = np.random.default_rng(3)
+        dists = rng.integers(0, 3, size=(8, 4)).astype(np.float64)
+        expected = np.argsort(dists, axis=None, kind="stable")
+        # (dim * D**2 + 1) * n * k >= 2**63: the keys would not fit int64.
+        np.testing.assert_array_equal(_pair_order(dists, 1, 1 << 59), expected)
+
+
+class TestKMeansPlusPlus:
+    @given(
+        st.sampled_from([1, 63, 64, 65, 130]),
+        st.integers(min_value=1, max_value=40),
+        st.integers(min_value=0, max_value=2**16),
+        st.sampled_from(["binary", "zero-rows", "all-zero", "normal"]),
+        st.data(),
+    )
+    @settings(**SETTINGS)
+    def test_centroids_and_draws_identical_to_loop(self, k_dim, n, seed, kind, data):
+        rng = np.random.default_rng(seed)
+        if kind == "normal":
+            points = rng.normal(size=(n, k_dim))
+        else:
+            points = (rng.random((n, k_dim)) < rng.random()).astype(np.float64)
+            if kind == "zero-rows":
+                points[rng.random(n) < 0.5] = 0.0
+            elif kind == "all-zero":
+                points[:] = 0.0
+        num_clusters = data.draw(st.integers(min_value=1, max_value=n))
+        expected_rng = np.random.default_rng(seed + 1)
+        actual_rng = np.random.default_rng(seed + 1)
+        expected = kmeans_plusplus_init_loop(points, num_clusters, expected_rng)
+        actual = kmeans_plusplus_init(points, num_clusters, actual_rng)
+        np.testing.assert_array_equal(actual, expected)
+        assert actual_rng.bit_generator.state == expected_rng.bit_generator.state
 
 
 class TestBalancedKMeans:
@@ -111,8 +199,18 @@ class TestBalancedKMeans:
             np.testing.assert_array_equal(got, want)
 
 
+class TestUnstructuredMask:
+    @given(scores_and_v(), DENSITIES)
+    @settings(**SETTINGS)
+    def test_mask_identical_to_loop(self, case, density):
+        scores, _ = case
+        expected = unstructured_mask_loop(scores, density)
+        actual = unstructured_mask(scores, density)
+        np.testing.assert_array_equal(actual, expected)
+
+
 class TestVectorWiseMask:
-    @given(scores_and_v(), st.floats(min_value=0.02, max_value=1.0))
+    @given(scores_and_v(), DENSITIES)
     @settings(**SETTINGS)
     def test_mask_identical_to_loop(self, case, density):
         scores, v = case
