@@ -304,8 +304,9 @@ class Conv2d(Module):
         def backward(grad: np.ndarray):
             grad2d = grad.transpose(1, 0, 2, 3).reshape(spec.out_channels, -1)
             grad_weight = grad2d @ cols.T
-            grad_cols = weight.data.T @ grad2d
-            grad_input = col2im(grad_cols, input_shape, spec)
+            if not x.requires_grad:
+                return None, grad_weight
+            grad_input = col2im(weight.data.T @ grad2d, input_shape, spec)
             return grad_input, grad_weight
 
         out = x._make(out_data, (x, weight), backward)

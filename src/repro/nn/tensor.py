@@ -5,8 +5,12 @@ training and fine-tuning pruned models.  PyTorch is not available in this
 environment, so this module provides the smallest autograd core that supports
 the proxy models in :mod:`repro.models`: dense/elementwise ops, matmul,
 reductions, indexing/embedding gather, and the shape manipulations the layers
-need.  It is intentionally simple — eager, define-by-run, float64 — and tuned
-for clarity over speed (the proxy models are tiny).
+need.  It is intentionally simple — eager, define-by-run, float64.
+
+Every fast path performs the same float operations in the same order as the
+generic expression it replaces, so training results stay bit-identical; the
+property tests in ``tests/nn/test_fast_paths.py`` pin each one with
+``np.array_equal``.
 """
 
 from __future__ import annotations
@@ -52,6 +56,22 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
         if size == 1 and grad.shape[axis] != 1:
             grad = grad.sum(axis=axis, keepdims=True)
     return grad.reshape(shape)
+
+
+def _is_basic_index(index) -> bool:
+    """Whether ``index`` is numpy basic indexing (no target can repeat).
+
+    Slices, integers, ``None`` and ``Ellipsis``, alone or in a tuple.  A
+    ``bool`` is an advanced (mask) index even though it is an ``int``.
+    """
+    items = index if isinstance(index, tuple) else (index,)
+    return all(
+        item is None
+        or item is Ellipsis
+        or isinstance(item, slice)
+        or (isinstance(item, (int, np.integer)) and not isinstance(item, bool))
+        for item in items
+    )
 
 
 class Tensor:
@@ -184,12 +204,6 @@ class Tensor:
                     grads[id(parent)] = grads[id(parent)] + pgrad
                 else:
                     grads[id(parent)] = pgrad
-        # Leaves whose gradients are still pending (e.g. self is a leaf).
-        for node_id, pending in grads.items():
-            for node in order:
-                if id(node) == node_id:
-                    node._accumulate(pending)
-                    break
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -202,8 +216,8 @@ class Tensor:
 
         def backward(grad: np.ndarray):
             return (
-                _unbroadcast(grad, self.data.shape),
-                _unbroadcast(grad, other.data.shape),
+                _unbroadcast(grad, self.data.shape) if self.requires_grad else None,
+                _unbroadcast(grad, other.data.shape) if other.requires_grad else None,
             )
 
         return self._make(self.data + other.data, (self, other), backward)
@@ -227,8 +241,8 @@ class Tensor:
 
         def backward(grad: np.ndarray):
             return (
-                _unbroadcast(grad * other.data, self.data.shape),
-                _unbroadcast(grad * self.data, other.data.shape),
+                _unbroadcast(grad * other.data, self.data.shape) if self.requires_grad else None,
+                _unbroadcast(grad * self.data, other.data.shape) if other.requires_grad else None,
             )
 
         return self._make(self.data * other.data, (self, other), backward)
@@ -240,8 +254,10 @@ class Tensor:
 
         def backward(grad: np.ndarray):
             return (
-                _unbroadcast(grad / other.data, self.data.shape),
-                _unbroadcast(-grad * self.data / (other.data**2), other.data.shape),
+                _unbroadcast(grad / other.data, self.data.shape) if self.requires_grad else None,
+                _unbroadcast(-grad * self.data / (other.data**2), other.data.shape)
+                if other.requires_grad
+                else None,
             )
 
         return self._make(self.data / other.data, (self, other), backward)
@@ -263,15 +279,22 @@ class Tensor:
 
         def backward(grad: np.ndarray):
             a, b = self.data, other.data
-            if a.ndim == 2 and b.ndim == 2:
-                return grad @ b.T, a.T @ grad
-            # Batched matmul: contract over the batch dimensions.
-            grad_a = grad @ np.swapaxes(b, -1, -2)
-            grad_b = np.swapaxes(a, -1, -2) @ grad
-            return (
-                _unbroadcast(grad_a, a.shape),
-                _unbroadcast(grad_b, b.shape),
-            )
+            grad_a = grad_b = None
+            # Batched operands contract over the batch dimensions; for 2-D
+            # ones ``_unbroadcast`` is the identity.
+            if self.requires_grad:
+                grad_a = _unbroadcast(grad @ np.swapaxes(b, -1, -2), a.shape)
+            if other.requires_grad and a.ndim == 3 and b.ndim == 2 and len(a) and b.size > 1:
+                # The per-item products the batched matmul makes, summed in
+                # ``.sum(axis=0)``'s sequential order without the (B, K, N)
+                # temporary.  A 1x1 ``b`` is excluded: its axis-0 sum is a
+                # 1-D pairwise sum.
+                grad_b = a[0].T @ grad[0]
+                for i in range(1, len(a)):
+                    grad_b += a[i].T @ grad[i]
+            elif other.requires_grad:
+                grad_b = _unbroadcast(np.swapaxes(a, -1, -2) @ grad, b.shape)
+            return grad_a, grad_b
 
         return self._make(self.data @ other.data, (self, other), backward)
 
@@ -384,7 +407,12 @@ class Tensor:
     def __getitem__(self, index) -> "Tensor":
         def backward(grad: np.ndarray):
             full = np.zeros_like(self.data)
-            np.add.at(full, index, grad)
+            if _is_basic_index(index):
+                # A basic index selects each element at most once, so one
+                # in-place add into zeros equals the unbuffered scatter-add.
+                full[index] += grad
+            else:
+                np.add.at(full, index, grad)
             return (full,)
 
         return self._make(self.data[index], (self,), backward)

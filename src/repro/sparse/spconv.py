@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .spmm import spmm
 
@@ -80,28 +81,14 @@ class Conv2dSpec:
         return oh, ow
 
 
-def _unfold_indices(
-    spec: Conv2dSpec, oh: int, ow: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Padded-input row / column gather indices of the unfolding.
-
-    Broadcasting the two returned arrays yields shape
-    ``(KH, KW, OH, OW)``: entry ``(ki, kj, oi, oj)`` is the padded-input
-    pixel that kernel position ``(ki, kj)`` reads for output ``(oi, oj)``.
-    """
-    taps = np.arange(spec.kernel_size)
-    rows = (taps[:, None] + spec.stride * np.arange(oh)[None, :])[:, None, :, None]
-    cols = (taps[:, None] + spec.stride * np.arange(ow)[None, :])[None, :, None, :]
-    return rows, cols
-
-
 def im2col(inputs: np.ndarray, spec: Conv2dSpec) -> np.ndarray:
     """Unfold an NCHW input into the implicit-GEMM activation matrix.
 
-    Returns an array of shape ``(C_in * KH * KW, N * OH * OW)``.  One fancy-
-    indexed gather replaces the seed's channel x kernel-position loop nest
-    (kept as :func:`repro.sparse.spmm_reference.im2col_loop`, the oracle the
-    property suite checks exact equality against).
+    Returns an array of shape ``(C_in * KH * KW, N * OH * OW)``.  One copy
+    out of a strided window view of the padded input replaces the seed's
+    channel x kernel-position loop nest (kept as
+    :func:`repro.sparse.spmm_reference.im2col_loop`, the oracle the property
+    suite checks exact equality against).
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim != 4:
@@ -116,10 +103,11 @@ def im2col(inputs: np.ndarray, spec: Conv2dSpec) -> np.ndarray:
         inputs,
         ((0, 0), (0, 0), (spec.padding, spec.padding), (spec.padding, spec.padding)),
     )
-    rows, cols = _unfold_indices(spec, oh, ow)
-    # (n, c, kh, kh, oh, ow): every kernel tap of every output position.
-    patches = padded[:, :, rows, cols]
-    return patches.transpose(1, 2, 3, 0, 4, 5).reshape(c * kh * kh, n * oh * ow)
+    # (n, c, oh, ow, kh, kw): every kernel tap of every output position.
+    windows = sliding_window_view(padded, (kh, kh), axis=(2, 3))[
+        :, :, :: spec.stride, :: spec.stride
+    ]
+    return windows.transpose(1, 4, 5, 0, 2, 3).reshape(c * kh * kh, n * oh * ow)
 
 
 def col2im(
@@ -142,23 +130,18 @@ def col2im(
     padded = np.zeros(
         (n, c, h + 2 * spec.padding, w + 2 * spec.padding), dtype=np.float64
     )
-    # One unbuffered scatter-add replaces the seed's channel x kernel-position
-    # loop nest (kept as repro.sparse.spmm_reference.col2im_loop).  np.add.at
-    # accumulates duplicate targets in C iteration order — (ki, kj) ascending
-    # per output pixel, the same order the loops added them in, so the result
-    # is bit-identical.
-    rows, cols_ix = _unfold_indices(spec, oh, ow)
+    # One strided-slice add per kernel tap replaces the seed's channel x
+    # kernel-position loop nest (kept as
+    # repro.sparse.spmm_reference.col2im_loop).  Taps go in ascending
+    # (ki, kj) order, the order the loops added overlapping windows in, so
+    # the result is bit-identical.
     values = cols.reshape(c, kh, kh, n, oh, ow).transpose(3, 0, 1, 2, 4, 5)
-    np.add.at(
-        padded,
-        (
-            np.arange(n)[:, None, None, None, None, None],
-            np.arange(c)[None, :, None, None, None, None],
-            rows[None, None],
-            cols_ix[None, None],
-        ),
-        values,
-    )
+    rows_end, cols_end = spec.stride * oh, spec.stride * ow
+    for ki in range(kh):
+        for kj in range(kh):
+            padded[
+                :, :, ki : ki + rows_end : spec.stride, kj : kj + cols_end : spec.stride
+            ] += values[:, :, ki, kj]
     if spec.padding:
         return padded[:, :, spec.padding : spec.padding + h, spec.padding : spec.padding + w]
     return padded

@@ -121,6 +121,19 @@ class TestLayers:
         assert layer.weight.grad is not None
         assert layer.weight.grad.shape == layer.weight.data.shape
 
+    def test_linear_weight_gradient_numeric_on_3d_input(self, rng):
+        # A (batch, time, features) input takes the 3-D @ 2-D weight-grad path.
+        layer = Linear(3, 2, rng=rng)
+        x = Tensor(rng.normal(size=(4, 5, 3)))
+        (layer(x) ** 2).sum().backward()
+
+        def loss_for(wdata):
+            layer.weight.data = wdata
+            return float((layer(x) ** 2).sum().data)
+
+        numeric = numeric_gradient(loss_for, layer.weight.data.copy())
+        np.testing.assert_allclose(layer.weight.grad, numeric, atol=1e-5)
+
     def test_embedding_lookup(self, rng):
         emb = Embedding(10, 6, rng=rng)
         out = emb(np.array([[1, 3], [0, 9]]))

@@ -103,6 +103,11 @@ class TestGraphMechanics:
         y.backward()
         np.testing.assert_allclose(x.grad, np.full(3, 5.0))
 
+    def test_backward_on_a_bare_leaf_sets_ones(self):
+        x = Tensor(np.array([[1.0, -2.0, 0.5]]), requires_grad=True)
+        x.backward()
+        assert np.array_equal(x.grad, np.ones((1, 3)))
+
     def test_backward_requires_grad(self):
         with pytest.raises(RuntimeError):
             Tensor(np.ones(3)).backward()

@@ -124,10 +124,11 @@ class TestSparseConv:
 
 
 class TestVectorizedUnfoldOracles:
-    """The fancy-indexed im2col and the np.add.at col2im must match the seed
+    """The window-view im2col and the per-tap col2im must match the seed
     channel x kernel-position loop nest (kept in
-    repro.sparse.spmm_reference) bit for bit — gathers are pure copies and
-    the scatter-add accumulates duplicates in the same (ki, kj) order."""
+    repro.sparse.spmm_reference) bit for bit — the unfolding is a pure copy
+    and the scatter-add accumulates overlapping taps in the same (ki, kj)
+    order."""
 
     conv_cases = st.tuples(
         st.integers(1, 3),   # batch
