@@ -24,11 +24,10 @@ Run the Table 1 accuracy protocol at full scale (slower)::
 
     python -m repro.eval table1 --full
 
-Inspect and maintain a cache directory (the content-addressed blob stores
-and their legacy single-file ancestors)::
+Inspect and maintain a cache directory (one content-addressed blob store
+per cell family)::
 
     python -m repro.eval cache stats --cache-dir .sweep-cache
-    python -m repro.eval cache migrate --cache-dir .sweep-cache
     python -m repro.eval cache gc --cache-dir .sweep-cache --keep-salt timing-v2
 
 List the available experiments::
@@ -58,7 +57,7 @@ def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     if argv and argv[0] == "cache":
-        # Cache maintenance is its own CLI surface (stats / gc / migrate),
+        # Cache maintenance is its own CLI surface (stats / gc),
         # routed before the experiment parser so its subcommand flags never
         # collide with experiment options.
         from .runner import MODEL_VERSION
@@ -69,7 +68,7 @@ def main(argv: list[str] | None = None) -> int:
         prog="python -m repro.eval",
         description="Regenerate the paper's tables and figures on the simulated substrate.",
         epilog=(
-            "Cache maintenance: python -m repro.eval cache {stats,gc,migrate} "
+            "Cache maintenance: python -m repro.eval cache {stats,gc} "
             "--cache-dir PATH"
         ),
     )

@@ -63,8 +63,8 @@ __all__ = [
     "table1_sweep",
 ]
 
-#: File the accuracy sweep keeps inside a runner's cache directory (its own
-#: store: accuracy records and timing records have different schemas).
+#: Names the accuracy sweep's blob root inside a runner's cache directory
+#: (its own store: accuracy records and timing records have different schemas).
 ACCURACY_CACHE_FILENAME = "accuracy-cache.json"
 
 

@@ -48,7 +48,7 @@ __all__ = [
     "pattern_search_sweep",
 ]
 
-#: File the pattern-search sweep keeps inside a runner's cache directory.
+#: Names the pattern-search sweep's blob root inside a runner's cache directory.
 PATTERN_SEARCH_CACHE_FILENAME = "pattern-search-cache.json"
 
 #: The vector sizes the paper evaluates (Figure 2 adds V=128).

@@ -40,13 +40,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, TypeVar, cast
 
-from .store import (
-    BlobStore,
-    CacheStore,
-    CorruptCacheWarning,
-    JsonFileStore,
-    make_store,
-)
+from .store import BlobStore, CorruptCacheWarning, blob_root_for
 
 if TYPE_CHECKING:
     import numpy as np
@@ -70,9 +64,7 @@ __all__ = [
     "CellSweepResult",
     "CacheStats",
     "BlobStore",
-    "CacheStore",
     "CorruptCacheWarning",
-    "JsonFileStore",
     "ResultCache",
     "SweepRunner",
     "batched_executor",
@@ -87,9 +79,8 @@ __all__ = [
 #: serving stale numbers.
 MODEL_VERSION = "timing-v2"
 
-#: Legacy single-file store of the :class:`ResultCache` inside its cache
-#: directory; the default blob backend derives its root from this name
-#: (``sweep-cache.blobs/``) and reads through to the file while migrating.
+#: Names the :class:`ResultCache`'s blob root inside its cache directory
+#: (``sweep-cache.blobs/``, see :func:`~repro.eval.store.blob_root_for`).
 CACHE_FILENAME = "sweep-cache.json"
 
 
@@ -621,16 +612,12 @@ class ResultCache:
 
     Keys are ``config.config_hash(salt=...)`` digests salted with the timing
     :data:`MODEL_VERSION`, so a model bump reads as a cold cache rather than
-    as stale hits.  The default substrate (``backend="blob"``) is the
-    content-addressed :class:`~repro.eval.store.BlobStore`: one atomic
-    canonical-JSON blob per key under ``<filename stem>.blobs/`` inside
-    ``cache_dir``, safe for concurrent writers, reading through to (and
-    migrating from) the legacy single file named by ``filename`` (by default
-    :data:`CACHE_FILENAME`).  ``backend="json"`` keeps everything in that
-    single legacy :class:`~repro.eval.store.JsonFileStore` file —
-    last-writer-wins across processes, so only for single-writer uses.  In
-    both layouts each entry keeps the canonical config dict next to the
-    result payload so the store is debuggable by eye.
+    as stale hits.  Entries live in a content-addressed
+    :class:`~repro.eval.store.BlobStore`: one atomic canonical-JSON blob per
+    key under ``<filename stem>.blobs/`` inside ``cache_dir`` (by default
+    :data:`CACHE_FILENAME`), safe for concurrent writers.  Each entry keeps
+    the canonical config dict next to the result payload so the store is
+    debuggable by eye.
 
     By default the cache speaks :class:`RunRecord`; other cell families (the
     accuracy and pattern-search sweeps) plug in their own ``encode`` /
@@ -646,17 +633,13 @@ class ResultCache:
         filename: str = CACHE_FILENAME,
         encode: Callable[[object], dict] | None = None,
         decode: Callable[[object, Mapping], object | None] | None = None,
-        backend: str = "blob",
     ) -> None:
         self.cache_dir = Path(cache_dir)
         self.salt = salt
-        self.backend = backend
         self._encode = encode if encode is not None else _encode_run_record
         self._decode = decode if decode is not None else _decode_run_record
-        self._store: CacheStore = make_store(
-            self.cache_dir / filename, backend=backend, salt=salt
-        )
-        self.path = self._store.path
+        self._store = BlobStore(blob_root_for(self.cache_dir / filename), salt=salt)
+        self.path = self._store.root
 
     def __len__(self) -> int:
         return len(self._store)
@@ -676,8 +659,8 @@ class ResultCache:
         self._store.put(self.key(config), self._encode(record))
 
     def flush(self) -> None:
-        """Persist staged entries atomically (unique temp + fsync + rename;
-        one file per entry on the blob backend)."""
+        """Persist staged entries atomically, one blob per entry (unique
+        temp + fsync + rename)."""
         self._store.flush()
 
 
@@ -735,7 +718,7 @@ class CellTask:
       ``ProcessPoolExecutor`` workers, and every record must be a frozen
       dataclass with a ``config`` field (records are re-bound to the
       requesting config after deduplication and cache round-trips).
-    * ``cache_filename`` names the task's own JSON file inside the runner's
+    * ``cache_filename`` names the task's own blob root inside the runner's
       cache directory, so different record schemas never share a store.
     * ``encode`` / ``decode`` are the cache codec (record -> JSON entry and
       back; ``decode`` returns ``None`` for malformed entries).
@@ -783,13 +766,11 @@ class SweepRunner:
     Cells run in-process through :func:`batched_executor`, or — with
     ``jobs`` > 1 — across a process pool whose workers batch their chunks
     the same way.  ``cache_dir`` enables the persistent
-    :class:`ResultCache`; ``store`` picks its substrate — ``"blob"``
-    (default: the content-addressed multi-writer-safe
-    :class:`~repro.eval.store.BlobStore`, migrating any legacy single-file
-    cache it finds) or ``"json"`` (the legacy single-file store).  The
-    runner deduplicates identical cells within a grid, so a config appearing
-    twice is computed once.  ``stats`` accumulates hit/miss counts across
-    every ``run`` call on this runner.
+    :class:`ResultCache` (a content-addressed, multi-writer-safe
+    :class:`~repro.eval.store.BlobStore`).  The runner deduplicates
+    identical cells within a grid, so a config appearing twice is computed
+    once.  ``stats`` accumulates hit/miss counts across every ``run`` call
+    on this runner.
     """
 
     def __init__(
@@ -798,16 +779,12 @@ class SweepRunner:
         jobs: int | None = None,
         cache_dir: str | Path | None = None,
         salt: str = MODEL_VERSION,
-        store: str = "blob",
     ) -> None:
         self.jobs = jobs
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         self.salt = salt
-        self.store = store
         self.cache = (
-            ResultCache(cache_dir, salt=salt, backend=store)
-            if cache_dir is not None
-            else None
+            ResultCache(cache_dir, salt=salt) if cache_dir is not None else None
         )
         self._executor: Callable[..., list[RunRecord]] = (
             process_executor if (jobs or 0) > 1 else batched_executor
@@ -878,7 +855,7 @@ class SweepRunner:
     def cell_cache(self, task: CellTask) -> ResultCache | None:
         """The per-task :class:`ResultCache` (``None`` without a cache dir).
 
-        Each cell family keeps its own JSON file inside the runner's cache
+        Each cell family keeps its own blob root inside the runner's cache
         directory, with the task's codec and the runner's salt.
         """
         if self.cache_dir is None:
@@ -893,7 +870,6 @@ class SweepRunner:
                     filename=task.cache_filename,
                     encode=task.encode,
                     decode=task.decode,
-                    backend=self.store,
                 ),
             )
         return cache
@@ -902,8 +878,8 @@ class SweepRunner:
         """Evaluate one family of sweep cells with caching and parallelism.
 
         The generic counterpart of :meth:`run` for non-timing workloads: the
-        same deduplication, persistent caching (in the task's own cache
-        file) and hit/miss accounting, with execution delegated to the
+        same deduplication, persistent caching (in the task's own blob
+        root) and hit/miss accounting, with execution delegated to the
         task's ``execute`` — serially in-process, or strided across a
         process pool when the runner was built with ``jobs`` > 1.
         """

@@ -1,41 +1,33 @@
-"""Content-addressed cache stores: the multi-writer-safe persistence substrate.
+"""Content-addressed cache store: the multi-writer-safe persistence substrate.
 
-The sweep caches began life as one JSON file per cell family
-(:class:`JsonFileStore`): a single mutable blob, loaded wholesale at
-construction and rewritten wholesale on flush.  That shape is last-writer-wins
-by construction — two concurrent sweeps against one ``--cache-dir`` each load
-the file once, compute their deltas, and the second flush silently discards
-the first writer's entries.  This module replaces it with a store that is
-safe for concurrent writers *by construction*:
+Every persistent cache in the package — the sweep cells of
+:class:`repro.eval.runner.ResultCache` and the tuning plans of
+:class:`repro.tune.planner.PlanCache` — is a :class:`BlobStore`:
 
-* :class:`BlobStore` is a **content-addressed dir-of-blobs**: one
-  canonical-JSON file per ``canonical_config_hash`` key, fanned out under
-  two-hex-char shard directories (``<root>/ab/abcdef....json``).  Every write
-  goes through a unique temp file (:func:`tempfile.mkstemp` in the target
-  directory) + ``fsync`` + ``os.replace``, so a reader never observes a
-  partial entry, a crashed writer never corrupts the store, and concurrent
-  writers of *different* keys touch different files.  Concurrent writers of
-  the *same* key write byte-identical content (cells are pure functions of
-  their hashed config — the SC001 contract), so per-entry last-write-wins is
-  harmless.
-* :class:`JsonFileStore` survives as the legacy single-file substrate with
-  the same :class:`CacheStore` surface (and the temp-file collision and
-  corrupt-file-clobbering bugs fixed); :class:`BlobStore` reads *through* to
-  a legacy file and migrates entries into blobs on first touch, so existing
-  cache directories stay warm across the switch.
-* Corrupt cache files are never silently destroyed: the raw bytes are
-  preserved as a ``.corrupt-<digest>`` sidecar (:func:`preserve_corrupt_file`)
-  with a once-per-file :class:`CorruptCacheWarning` before the store treats
-  them as empty.
+* a **content-addressed dir-of-blobs**: one canonical-JSON file per
+  ``canonical_config_hash`` key, fanned out under two-hex-char shard
+  directories (``<root>/ab/abcdef....json``).  Every write goes through a
+  unique temp file (:func:`tempfile.mkstemp` in the target directory) +
+  ``fsync`` + ``os.replace``, so a reader never observes a partial entry, a
+  crashed writer never corrupts the store, and concurrent writers of
+  *different* keys touch different files.  Concurrent writers of the *same*
+  key write byte-identical content (cells are pure functions of their hashed
+  config — the SC001 contract), so per-entry last-write-wins is harmless.
+* Corrupt blobs are never silently destroyed: the raw bytes are preserved as
+  a ``.corrupt-<digest>`` sidecar (:func:`preserve_corrupt_file`) with a
+  once-per-file :class:`CorruptCacheWarning` before the slot reads as a miss.
 * :func:`cache_main` is the fleet-hygiene CLI behind ``python -m repro.eval
-  cache``: ``stats`` (per-family entry/byte/salt accounting), ``gc``
-  (``--keep-salt`` retires entries of orphaned ``MODEL_VERSION`` salts and
-  stray temp files) and ``migrate`` (bulk legacy-file -> blob conversion).
+  cache``: ``stats`` (per-family blob/byte/salt accounting) and ``gc``
+  (``--keep-salt`` retires blobs of orphaned ``MODEL_VERSION`` salts and
+  stray temp files).
+
+A cache directory holds one blob root per cell family, ``<name>.blobs/``
+(:func:`blob_root_for`).  Nothing else in it is read: a pre-blob
+single-file ``<name>.json`` cache is ignored, so such a directory reads cold
+and should be deleted.
 
 The module is deliberately stdlib-only (no numpy, no repro imports), so the
-higher layers — :class:`repro.eval.runner.ResultCache`,
-:class:`repro.tune.planner.PlanCache` — can plug either backend in through
-:func:`make_store` without import cycles.
+higher layers can build on it without import cycles.
 """
 
 from __future__ import annotations
@@ -51,34 +43,28 @@ import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Protocol
+from typing import Any
 
 __all__ = [
     "BLOB_SUFFIX",
     "BlobStore",
-    "CacheStore",
     "CorruptCacheWarning",
     "FamilyStats",
     "GcResult",
-    "JsonFileStore",
-    "MigrateResult",
     "atomic_write_bytes",
     "blob_root_for",
     "cache_main",
     "collect_stats",
     "discover_families",
     "gc_blobs",
-    "load_json_entries",
-    "make_store",
-    "migrate_legacy_file",
     "preserve_corrupt_file",
 ]
 
 #: A JSON object as Python data — the entry currency of every cache store.
 JsonDict = dict[str, Any]
 
-#: Directory suffix pairing a blob root with its legacy file:
-#: ``sweep-cache.json`` migrates into ``sweep-cache.blobs/``.
+#: Directory suffix of a blob root: the cache filename ``sweep-cache.json``
+#: names the root ``sweep-cache.blobs/``.
 BLOB_SUFFIX = ".blobs"
 
 #: Valid store keys: lowercase hex digests (``canonical_config_hash`` /
@@ -94,30 +80,6 @@ _WARNED_CORRUPT: set[tuple[str, str]] = set()
 class CorruptCacheWarning(UserWarning):
     """A cache file failed to parse; its bytes were preserved as a
     ``.corrupt-<digest>`` sidecar before the store read it as empty."""
-
-
-class CacheStore(Protocol):
-    """The persistence surface :class:`~repro.eval.runner.ResultCache` and
-    :class:`~repro.tune.planner.PlanCache` program against.
-
-    ``get`` returns the entry under a key or ``None`` (missing and malformed
-    are both misses); ``put`` stages an entry; ``flush`` persists staged
-    entries atomically; ``keys`` lists every visible key (persisted, staged
-    and — for migrating stores — legacy).
-    """
-
-    @property
-    def path(self) -> Path: ...
-
-    def __len__(self) -> int: ...
-
-    def get(self, key: str) -> JsonDict | None: ...
-
-    def put(self, key: str, entry: JsonDict) -> None: ...
-
-    def flush(self) -> None: ...
-
-    def keys(self) -> list[str]: ...
 
 
 # --------------------------------------------------------------------------- #
@@ -178,83 +140,9 @@ def preserve_corrupt_file(path: Path, raw: bytes, *, reason: str) -> Path:
     return sidecar
 
 
-def load_json_entries(path: Path, *, quarantine: bool = True) -> dict[str, Any]:
-    """Tolerantly load a legacy single-file store's key -> entry mapping.
-
-    A missing file reads as empty.  A file that is not a JSON object is
-    *corrupt*: its bytes are preserved via :func:`preserve_corrupt_file`
-    (unless ``quarantine`` is false) and it reads as empty.  Values are
-    returned untyped — entry-level malformation is the caller's per-key
-    miss, not a file-level failure.
-    """
-    try:
-        raw = path.read_bytes()
-    except OSError:
-        return {}
-    loaded: object = None
-    try:
-        loaded = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError):
-        loaded = None
-    if not isinstance(loaded, dict):
-        if quarantine and raw.strip():
-            preserve_corrupt_file(path, raw, reason="not a JSON object")
-        return {}
-    return {str(key): value for key, value in loaded.items()}
-
-
 # --------------------------------------------------------------------------- #
-# Stores
+# The store
 # --------------------------------------------------------------------------- #
-
-
-class JsonFileStore:
-    """Single-file JSON store with tolerant loads and atomic writes.
-
-    The **legacy** persistence substrate: one debuggable JSON file mapping
-    string keys to dict entries, loaded eagerly and rewritten wholesale on
-    ``flush``.  It is inherently last-writer-wins across processes — two
-    concurrent writers each load the file once and the second flush drops the
-    first writer's entries — which is why :class:`BlobStore` replaced it as
-    the default; it remains for single-writer uses and as the read-through
-    migration source.
-
-    The flush path uses :func:`atomic_write_bytes` (unique temp file +
-    ``fsync`` + ``os.replace``), so two processes flushing the same path can
-    race on *which* snapshot wins but can never interleave bytes; a corrupt
-    file on load is preserved as a ``.corrupt-<digest>`` sidecar instead of
-    being clobbered by the next flush.
-    """
-
-    def __init__(self, path: str | Path) -> None:
-        self.path = Path(path)
-        self._dirty = False
-        self._entries: dict[str, Any] = load_json_entries(self.path)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, key: str) -> JsonDict | None:
-        """The entry under ``key``, or ``None`` for missing/malformed ones."""
-        entry = self._entries.get(key)
-        return entry if isinstance(entry, dict) else None
-
-    def put(self, key: str, entry: JsonDict) -> None:
-        self._entries[key] = entry
-        self._dirty = True
-
-    def keys(self) -> list[str]:
-        return sorted(
-            key for key, entry in self._entries.items() if isinstance(entry, dict)
-        )
-
-    def flush(self) -> None:
-        """Write the store atomically (unique temp + fsync + rename)."""
-        if not self._dirty:
-            return
-        data = json.dumps(self._entries, sort_keys=True, indent=1)
-        atomic_write_bytes(self.path, data.encode("utf-8"))
-        self._dirty = False
 
 
 class BlobStore:
@@ -265,49 +153,28 @@ class BlobStore:
     processes hammering one store lose nothing — each key is its own file,
     and writers of the same key write byte-identical content by the purity
     contract.  ``salt`` stamps each envelope with the cache generation that
-    produced it (``cache gc --keep-salt`` retires orphaned generations);
-    ``legacy_path`` names the single-file store this root migrates from —
-    keys missing from the blob tree are served from it and written back as
-    blobs on first touch, so a warm legacy cache stays warm with zero
-    recomputation.
+    produced it (``cache gc --keep-salt`` retires orphaned generations).
 
     ``put`` stages entries in memory; ``flush`` persists them one atomic
-    file per key.  ``get`` always consults the staged set, then the blob
-    tree, then the legacy file — so entries written by *other* processes
-    after construction are visible, unlike the eagerly-loaded legacy store.
+    file per key.  ``get`` consults the staged set, then the blob tree — so
+    entries written by *other* processes after construction are visible.
     """
 
-    def __init__(
-        self,
-        root: str | Path,
-        *,
-        salt: str | None = None,
-        legacy_path: str | Path | None = None,
-    ) -> None:
+    def __init__(self, root: str | Path, *, salt: str | None = None) -> None:
         self.root = Path(root)
         self.salt = salt
-        self.legacy_path = Path(legacy_path) if legacy_path is not None else None
         self._pending: dict[str, JsonDict] = {}
-        self._legacy: dict[str, Any] | None = None
-
-    @property
-    def path(self) -> Path:
-        """The store's on-disk location (the shard-tree root)."""
-        return self.root
-
-    # ------------------------------ reading ------------------------------ #
-    def _legacy_entries(self) -> dict[str, Any]:
-        if self._legacy is None:
-            if self.legacy_path is not None:
-                self._legacy = load_json_entries(self.legacy_path)
-            else:
-                self._legacy = {}
-        return self._legacy
 
     def _blob_path(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.json"
 
-    def _read_blob(self, key: str) -> JsonDict | None:
+    # ------------------------------ reading ------------------------------ #
+    def get(self, key: str) -> JsonDict | None:
+        """The entry under ``key`` from the staged set or the blob tree, or
+        ``None`` (missing and malformed entries are both misses)."""
+        staged = self._pending.get(key)
+        if staged is not None:
+            return staged
         if _KEY_PATTERN.fullmatch(key) is None:
             return None
         path = self._blob_path(key)
@@ -333,32 +200,11 @@ class BlobStore:
         entry = envelope.get("entry")
         return entry if isinstance(entry, dict) else None
 
-    def get(self, key: str) -> JsonDict | None:
-        """The entry under ``key`` from the staged set, the blob tree or the
-        legacy file — or ``None``.  A legacy hit is written back as a blob
-        (read-through migration), so even an all-hits warm run migrates."""
-        staged = self._pending.get(key)
-        if staged is not None:
-            return staged
-        entry = self._read_blob(key)
-        if entry is not None:
-            return entry
-        legacy = self._legacy_entries().get(key)
-        if isinstance(legacy, dict):
-            if _KEY_PATTERN.fullmatch(key) is not None:
-                self._write_blob(key, legacy)
-            return legacy
-        return None
-
     def keys(self) -> list[str]:
-        """Every visible key: persisted blobs, staged entries and
-        (well-formed) legacy entries."""
+        """Every visible key: persisted blobs and staged entries."""
         found = set(self._pending)
         for blob in _iter_blob_files(self.root):
             found.add(blob.name[: -len(".json")])
-        for key, entry in self._legacy_entries().items():
-            if isinstance(entry, dict):
-                found.add(key)
         return sorted(found)
 
     def __len__(self) -> int:
@@ -373,44 +219,24 @@ class BlobStore:
             )
         self._pending[key] = entry
 
-    def _write_blob(self, key: str, entry: JsonDict) -> None:
-        envelope = {"key": key, "salt": self.salt, "entry": entry}
-        data = json.dumps(envelope, sort_keys=True, indent=1)
-        atomic_write_bytes(self._blob_path(key), data.encode("utf-8"))
-
     def flush(self) -> None:
         """Persist every staged entry, one atomic file per key."""
         for key in sorted(self._pending):
-            self._write_blob(key, self._pending[key])
+            envelope = {"key": key, "salt": self.salt, "entry": self._pending[key]}
+            data = json.dumps(envelope, sort_keys=True, indent=1)
+            atomic_write_bytes(self._blob_path(key), data.encode("utf-8"))
         self._pending.clear()
 
 
 def blob_root_for(path: str | Path) -> Path:
-    """The blob root paired with a legacy single-file store path
-    (``sweep-cache.json`` -> ``sweep-cache.blobs``)."""
+    """The blob root a cache filename names (``sweep-cache.json`` ->
+    ``sweep-cache.blobs``)."""
     resolved = Path(path)
     return resolved.with_name(resolved.stem + BLOB_SUFFIX)
 
 
-def make_store(
-    path: str | Path, *, backend: str = "blob", salt: str | None = None
-) -> CacheStore:
-    """Build the cache store behind a legacy-store path.
-
-    ``backend="blob"`` (the default) returns a :class:`BlobStore` rooted at
-    :func:`blob_root_for` the path, reading through to the legacy file;
-    ``backend="json"`` returns the legacy :class:`JsonFileStore` itself.
-    """
-    resolved = Path(path)
-    if backend == "json":
-        return JsonFileStore(resolved)
-    if backend == "blob":
-        return BlobStore(blob_root_for(resolved), salt=salt, legacy_path=resolved)
-    raise ValueError(f"unknown cache store backend {backend!r}: use 'blob' or 'json'")
-
-
 # --------------------------------------------------------------------------- #
-# Fleet hygiene: stats / gc / migrate
+# Fleet hygiene: stats / gc
 # --------------------------------------------------------------------------- #
 
 
@@ -445,14 +271,13 @@ def _iter_stray_tmp_files(root: Path) -> Iterator[Path]:
 
 @dataclass
 class FamilyStats:
-    """Accounting for one cell family inside a cache directory."""
+    """Accounting for one cell family's blob root inside a cache directory."""
 
     name: str
     blobs: int = 0
     blob_bytes: int = 0
     shards: int = 0
     salts: dict[str, int] = field(default_factory=dict)
-    legacy_entries: int = 0
     corrupt_sidecars: int = 0
     stray_tmp: int = 0
 
@@ -463,7 +288,6 @@ class FamilyStats:
             "blob_bytes": self.blob_bytes,
             "shards": self.shards,
             "salts": dict(sorted(self.salts.items())),
-            "legacy_entries": self.legacy_entries,
             "corrupt_sidecars": self.corrupt_sidecars,
             "stray_tmp": self.stray_tmp,
         }
@@ -475,53 +299,25 @@ class FamilyStats:
         )
         return (
             f"{self.name}: {self.blobs} blobs ({self.blob_bytes} bytes, "
-            f"{self.shards} shards; salts: {salts}), legacy entries: "
-            f"{self.legacy_entries}, corrupt sidecars: {self.corrupt_sidecars}, "
-            f"stray tmp: {self.stray_tmp}"
+            f"{self.shards} shards; salts: {salts}), corrupt sidecars: "
+            f"{self.corrupt_sidecars}, stray tmp: {self.stray_tmp}"
         )
 
 
 def discover_families(cache_dir: Path) -> list[str]:
-    """The cell-family names present in a cache directory — one per blob
-    root (``<name>.blobs/``) or legacy file (``<name>.json``)."""
-    names: set[str] = set()
+    """The cell-family names present in a cache directory, one per blob root
+    (``<name>.blobs/``).  Everything else in the directory is ignored."""
     if not cache_dir.is_dir():
         return []
-    for child in sorted(cache_dir.iterdir()):
-        if child.is_dir() and child.name.endswith(BLOB_SUFFIX):
-            names.add(child.name[: -len(BLOB_SUFFIX)])
-        elif (
-            child.is_file()
-            and child.suffix == ".json"
-            and ".corrupt-" not in child.name
-        ):
-            names.add(child.stem)
-    return sorted(names)
-
-
-def _count_corrupt_sidecars(cache_dir: Path, name: str) -> int:
-    count = 0
-    legacy_prefix = f"{name}.json.corrupt-"
-    if cache_dir.is_dir():
-        count += sum(
-            1
-            for child in cache_dir.iterdir()
-            if child.is_file() and child.name.startswith(legacy_prefix)
-        )
-    root = cache_dir / (name + BLOB_SUFFIX)
-    if root.is_dir():
-        for shard in root.iterdir():
-            if shard.is_dir():
-                count += sum(
-                    1
-                    for child in shard.iterdir()
-                    if child.is_file() and ".corrupt-" in child.name
-                )
-    return count
+    return sorted(
+        child.name[: -len(BLOB_SUFFIX)]
+        for child in cache_dir.iterdir()
+        if child.is_dir() and child.name.endswith(BLOB_SUFFIX)
+    )
 
 
 def collect_stats(cache_dir: Path) -> list[FamilyStats]:
-    """Per-family accounting over every store in a cache directory."""
+    """Per-family accounting over every blob root in a cache directory."""
     stats: list[FamilyStats] = []
     for name in discover_families(cache_dir):
         family = FamilyStats(name=name)
@@ -541,14 +337,7 @@ def collect_stats(cache_dir: Path) -> list[FamilyStats]:
             family.salts[label] = family.salts.get(label, 0) + 1
         family.shards = len(shards)
         family.stray_tmp = sum(1 for _ in _iter_stray_tmp_files(root))
-        legacy = cache_dir / (name + ".json")
-        if legacy.is_file():
-            family.legacy_entries = sum(
-                1
-                for entry in load_json_entries(legacy, quarantine=False).values()
-                if isinstance(entry, dict)
-            )
-        family.corrupt_sidecars = _count_corrupt_sidecars(cache_dir, name)
+        family.corrupt_sidecars = sum(1 for _ in root.glob("*/*.corrupt-*"))
         stats.append(family)
     return stats
 
@@ -576,20 +365,16 @@ class GcResult:
 
 
 def gc_blobs(
-    root: Path,
-    keep_salts: frozenset[str],
-    *,
-    drop_unsalted: bool = False,
-    dry_run: bool = False,
+    root: Path, keep_salts: frozenset[str], *, dry_run: bool = False
 ) -> GcResult:
     """Retire blobs whose envelope salt is not in ``keep_salts``.
 
-    Unsalted envelopes (read-through-migrated legacy entries carry
-    ``salt: null``) are kept unless ``drop_unsalted``; unparseable blobs are
-    quarantined as ``.corrupt-`` sidecars and removed; stray ``*.tmp`` files
-    from crashed writers are deleted.  ``dry_run`` counts without deleting.
-    Run gc only while no sweep is writing to the directory — it may remove a
-    live writer's in-flight temp file.
+    A blob is kept exactly when its salt is one of ``keep_salts``, so an
+    unsalted envelope is removed too; unparseable blobs are quarantined as
+    ``.corrupt-`` sidecars and removed; stray ``*.tmp`` files from crashed
+    writers are deleted.  ``dry_run`` counts without deleting.  Run gc only
+    while no sweep is writing to the directory — it may remove a live
+    writer's in-flight temp file.
     """
     result = GcResult()
     for blob in _iter_blob_files(root):
@@ -609,10 +394,7 @@ def gc_blobs(
                 blob.unlink(missing_ok=True)
             continue
         salt = envelope.get("salt")
-        keep = (isinstance(salt, str) and salt in keep_salts) or (
-            salt is None and not drop_unsalted
-        )
-        if keep:
+        if isinstance(salt, str) and salt in keep_salts:
             result.kept += 1
             continue
         result.removed += 1
@@ -626,74 +408,23 @@ def gc_blobs(
     return result
 
 
-@dataclass
-class MigrateResult:
-    """Outcome of one :func:`migrate_legacy_file` pass."""
-
-    migrated: int = 0
-    skipped_existing: int = 0
-    skipped_invalid: int = 0
-    removed_legacy: bool = False
-
-    def to_dict(self) -> JsonDict:
-        return {
-            "migrated": self.migrated,
-            "skipped_existing": self.skipped_existing,
-            "skipped_invalid": self.skipped_invalid,
-            "removed_legacy": self.removed_legacy,
-        }
-
-
-def migrate_legacy_file(
-    legacy_path: Path, *, remove_legacy: bool = False
-) -> MigrateResult:
-    """Bulk-migrate a legacy single-file store into its paired blob root.
-
-    Entries already present as blobs are skipped (blobs win: they may be
-    fresher than the legacy snapshot); non-dict entries and non-hex keys are
-    counted as invalid and left behind.  Migrated envelopes carry
-    ``salt: null`` — the legacy format never recorded which generation wrote
-    an entry (the salt only participated in the key), so gc keeps them until
-    ``--drop-unsalted``.  With ``remove_legacy`` the file is deleted once
-    every valid entry is safely a blob.
-    """
-    result = MigrateResult()
-    entries = load_json_entries(legacy_path)
-    store = BlobStore(blob_root_for(legacy_path))
-    for key in sorted(entries):
-        entry = entries[key]
-        if not isinstance(entry, dict) or _KEY_PATTERN.fullmatch(key) is None:
-            result.skipped_invalid += 1
-            continue
-        if store._read_blob(key) is not None:
-            result.skipped_existing += 1
-            continue
-        store.put(key, entry)
-        result.migrated += 1
-    store.flush()
-    if remove_legacy and result.skipped_invalid == 0 and legacy_path.is_file():
-        legacy_path.unlink()
-        result.removed_legacy = True
-    return result
-
-
 # --------------------------------------------------------------------------- #
-# CLI: python -m repro.eval cache {stats,gc,migrate}
+# CLI: python -m repro.eval cache {stats,gc}
 # --------------------------------------------------------------------------- #
 
 
-def _build_parser(default_salt: str | None) -> argparse.ArgumentParser:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.eval cache",
         description=(
-            "Inspect and maintain a sweep-cache directory (content-addressed "
-            "blob stores plus their legacy single-file ancestors)."
+            "Inspect and maintain a sweep-cache directory (one content-addressed "
+            "blob store per cell family)."
         ),
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
     stats = commands.add_parser(
-        "stats", help="per-family entry / byte / salt accounting"
+        "stats", help="per-family blob / byte / salt accounting"
     )
     stats.add_argument("--cache-dir", required=True, metavar="PATH")
     stats.add_argument(
@@ -715,22 +446,7 @@ def _build_parser(default_salt: str | None) -> argparse.ArgumentParser:
         ),
     )
     gc.add_argument(
-        "--drop-unsalted",
-        action="store_true",
-        help="also remove migrated legacy entries (their envelopes carry salt: null)",
-    )
-    gc.add_argument(
         "--dry-run", action="store_true", help="report what would be removed"
-    )
-
-    migrate = commands.add_parser(
-        "migrate", help="bulk-convert legacy single-file stores into blob roots"
-    )
-    migrate.add_argument("--cache-dir", required=True, metavar="PATH")
-    migrate.add_argument(
-        "--remove-legacy",
-        action="store_true",
-        help="delete each legacy file after its entries are safely blobs",
     )
     return parser
 
@@ -739,8 +455,7 @@ def cache_main(
     argv: list[str] | None = None, *, default_salt: str | None = None
 ) -> int:
     """Entry point of ``python -m repro.eval cache`` (see module docstring)."""
-    parser = _build_parser(default_salt)
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     cache_dir = Path(args.cache_dir)
     if not cache_dir.is_dir():
         print(f"error: cache directory {cache_dir} does not exist", file=sys.stderr)
@@ -757,8 +472,7 @@ def cache_main(
                 print(family.describe())
             print(
                 f"total: {sum(f.blobs for f in stats)} blobs, "
-                f"{sum(f.blob_bytes for f in stats)} bytes, "
-                f"{sum(f.legacy_entries for f in stats)} legacy entries"
+                f"{sum(f.blob_bytes for f in stats)} bytes"
             )
         return 0
 
@@ -772,9 +486,7 @@ def cache_main(
         keep = frozenset(salts)
         for name in discover_families(cache_dir):
             root = cache_dir / (name + BLOB_SUFFIX)
-            result = gc_blobs(
-                root, keep, drop_unsalted=args.drop_unsalted, dry_run=args.dry_run
-            )
+            result = gc_blobs(root, keep, dry_run=args.dry_run)
             verb = "would remove" if args.dry_run else "removed"
             print(
                 f"{name}: {verb} {result.removed} of {result.examined} blobs "
@@ -782,24 +494,6 @@ def cache_main(
                 f"quarantined {result.quarantined}, stray tmp: {result.tmp_removed}"
             )
         print(f"keep salts: {', '.join(sorted(keep))}")
-        return 0
-
-    if args.command == "migrate":
-        migrated_any = False
-        for name in discover_families(cache_dir):
-            legacy = cache_dir / (name + ".json")
-            if not legacy.is_file():
-                continue
-            migrated_any = True
-            result = migrate_legacy_file(legacy, remove_legacy=args.remove_legacy)
-            removed = ", legacy file removed" if result.removed_legacy else ""
-            print(
-                f"{name}: migrated {result.migrated} entries "
-                f"(already blobs: {result.skipped_existing}, invalid: "
-                f"{result.skipped_invalid}){removed}"
-            )
-        if not migrated_any:
-            print(f"no legacy stores to migrate in {cache_dir}")
         return 0
 
     raise AssertionError(f"unhandled command {args.command!r}")

@@ -35,7 +35,6 @@ __all__ = [
     "shflbw_to_vector_wise",
     "StitchedPanels",
     "vector_wise_to_block",
-    "vector_wise_to_block_lists",
     "stitched_panels",
     "identity_row_indices",
 ]
@@ -150,7 +149,10 @@ class StitchedPanels:
         return self.values[start:end], self.columns[start:end]
 
     def to_group_lists(self) -> list[list[dict]]:
-        """Legacy view: one list of ``{"values", "columns"}`` dicts per group."""
+        """List-of-dicts view walked by the loop oracle: ``out[g]`` lists
+        group ``g``'s panels, each a dict of ``"values"`` (a zero-padded
+        ``(V, tile_cols)`` array) and ``"columns"`` (the source column of each
+        lane, ``-1`` for padding)."""
         out: list[list[dict]] = []
         for g in range(self.num_groups):
             vals, cols = self.group_panels(g)
@@ -182,8 +184,7 @@ def vector_wise_to_block(
     StitchedPanels
         All panels stacked into ``(num_panels, V, tile_cols)`` /
         ``(num_panels, tile_cols)`` arrays plus a per-group pointer array.
-        Use :meth:`StitchedPanels.to_group_lists` (or
-        :func:`vector_wise_to_block_lists`) for the legacy list-of-dicts
+        Use :meth:`StitchedPanels.to_group_lists` for the list-of-dicts
         layout.
     """
     v = matrix.vector_size
@@ -221,19 +222,6 @@ def vector_wise_to_block(
         columns=columns,
         group_indptr=group_indptr,
     )
-
-
-def vector_wise_to_block_lists(
-    matrix: VectorSparseMatrix, tile_cols: int | None = None
-) -> list[list[dict]]:
-    """Compatibility shim: the pre-vectorization list-of-dicts panel layout.
-
-    ``panels[g]`` is the list of panels of group ``g``; each panel is a dict
-    with keys ``"values"`` (a dense ``(V, tile_cols)`` array, zero padded) and
-    ``"columns"`` (the source column index of each stitched column, ``-1``
-    for padding).
-    """
-    return vector_wise_to_block(matrix, tile_cols=tile_cols).to_group_lists()
 
 
 def stitched_panels(

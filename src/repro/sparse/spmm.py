@@ -17,19 +17,13 @@ Two caches keep repeated calls cheap:
 
 * the stitched-panel view consumed by the vector-wise / Shfl-BW kernels is
   memoised per matrix and tile width (:func:`repro.sparse.convert.stitched_panels`),
-* the CSR kernel memoises its ``scipy.sparse`` handle on the matrix when
-  scipy is available (a pure-numpy segment-reduction path covers the case
-  where it is not).
+* the CSR kernel memoises its ``scipy.sparse`` handle on the matrix.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-try:  # pragma: no cover - exercised implicitly on hosts with scipy
-    import scipy.sparse as _scipy_sparse
-except ImportError:  # pragma: no cover - scipy is optional
-    _scipy_sparse = None
+import scipy.sparse as _scipy_sparse
 
 from .convert import stitched_panels
 from .formats import (
@@ -90,25 +84,20 @@ def dense_gemm(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 def spmm_csr(matrix: CSRMatrix, rhs: np.ndarray) -> np.ndarray:
     """Row-wise CSR SpMM (the Sputnik-style unstructured kernel).
 
-    Uses a memoised ``scipy.sparse`` handle when scipy is available (the
-    fastest CSR row-gather engine on the host), falling back to a batched
-    gather + segment reduction in pure numpy.
+    Runs on a ``scipy.sparse`` handle (the fastest CSR row-gather engine on
+    the host), memoised on the matrix.
     """
     rhs = _check_rhs(matrix.shape, rhs)
     m, _ = matrix.shape
     if matrix.nnz == 0:
         return np.zeros((m, rhs.shape[1]), dtype=np.float64)
-    if _scipy_sparse is not None:
-        handle = matrix.__dict__.get("_scipy_handle")
-        if handle is None:
-            handle = _scipy_sparse.csr_matrix(
-                (matrix.data, matrix.indices, matrix.indptr), shape=matrix.shape
-            )
-            matrix.__dict__["_scipy_handle"] = handle
-        return np.asarray(handle @ rhs)
-    gathered = rhs[matrix.indices]
-    gathered *= matrix.data[:, None]
-    return _segment_rows(gathered, matrix.indptr, m)
+    handle = matrix.__dict__.get("_scipy_handle")
+    if handle is None:
+        handle = _scipy_sparse.csr_matrix(
+            (matrix.data, matrix.indices, matrix.indptr), shape=matrix.shape
+        )
+        matrix.__dict__["_scipy_handle"] = handle
+    return np.asarray(handle @ rhs)
 
 
 def spmm_block(matrix: BlockSparseMatrix, rhs: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .convert import vector_wise_to_block_lists
+from .convert import vector_wise_to_block
 from .formats import (
     Balanced24Matrix,
     BlockSparseMatrix,
@@ -111,9 +111,9 @@ def spmm_shflbw_loop(
     v = matrix.vector_size
     out = np.zeros((m, n), dtype=np.float64)
 
-    panels_per_group = vector_wise_to_block_lists(
+    panels_per_group = vector_wise_to_block(
         matrix.vector_matrix, tile_cols=tile_cols
-    )
+    ).to_group_lists()
     for g, panels in enumerate(panels_per_group):
         acc = np.zeros((v, n), dtype=np.float64)
         for panel in panels:

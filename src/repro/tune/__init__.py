@@ -7,12 +7,7 @@ functional runs), emits a persistent, versioned :class:`TuningPlan`, and
 :class:`PlannedModel` executes whole workloads through the plan.
 """
 
-from .candidates import (
-    build_kernel,
-    candidate_density,
-    default_candidates,
-    prune_candidates,
-)
+from .candidates import build_kernel, candidate_density, default_candidates
 from .measure import MeasuredRefiner
 from .planned import (
     PlanComparison,
@@ -45,6 +40,5 @@ __all__ = [
     "default_candidates",
     "gemm_layer",
     "plan_request_hash",
-    "prune_candidates",
     "single_kernel_spec",
 ]

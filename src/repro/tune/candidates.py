@@ -1,4 +1,4 @@
-"""Candidate kernel enumeration and feasibility pruning for the autotuner.
+"""Candidate kernel enumeration for the autotuner.
 
 The tuner searches over *kernel specs* — registry name plus constructor
 kwargs, the same hashable form :mod:`repro.eval.runner` sweeps consume — not
@@ -6,30 +6,24 @@ over kernel instances.  The default pool is the full Figure 6 line-up
 (including the dense baseline, so a plan can always fall back to dense when
 no sparse kernel wins, exactly the Figure 1 low-sparsity region).
 
-Pruning is two-staged:
-
-* *static*: :meth:`repro.kernels.base.SpMMKernel.capabilities` rules out
-  candidates from declarative metadata alone (wrong GPU, missing convolution
-  support, fixed-density patterns at the wrong density) without touching the
-  timing model;
-* *dynamic*: anything the static stage cannot see still surfaces as
-  :class:`~repro.kernels.base.KernelNotApplicableError` when the planner
-  scores the survivors, and is treated as infeasible there.
+Feasibility is the planner's job (:class:`repro.tune.planner.Autotuner`):
+each candidate's :meth:`~repro.kernels.base.SpMMKernel.capabilities` rule it
+out statically (wrong GPU, missing convolution support, fixed-density
+patterns at the wrong density), and anything that check cannot see surfaces
+as :class:`~repro.kernels.base.KernelNotApplicableError` when the survivors
+are scored.  :func:`candidate_density` is the density both stages use.
 """
 
 from __future__ import annotations
 
 from ..eval.runner import KernelSpec
-from ..gpu.arch import GPUArch
 from ..kernels.base import SpMMKernel
 from ..kernels.registry import make_kernel, paper_baseline_specs
-from ..models.shapes import LayerShape
 
 __all__ = [
     "default_candidates",
     "build_kernel",
     "candidate_density",
-    "prune_candidates",
 ]
 
 
@@ -58,31 +52,3 @@ def candidate_density(kernel: SpMMKernel, density: float) -> float:
     matching the sweep runner's sparsity-0 dense baseline cells.
     """
     return 1.0 if kernel.capabilities().is_dense else density
-
-
-def prune_candidates(
-    candidates: tuple[KernelSpec, ...],
-    arch: GPUArch,
-    layer: LayerShape,
-    density: float,
-) -> tuple[list[tuple[KernelSpec, SpMMKernel]], dict[str, str]]:
-    """Split a candidate pool into statically feasible kernels and rejects.
-
-    Returns ``(feasible, rejected)`` where ``feasible`` preserves pool order
-    as ``(spec, kernel)`` pairs and ``rejected`` maps each pruned candidate's
-    display label to the reason it cannot run this ``(arch, layer, density)``
-    cell.
-    """
-    feasible: list[tuple[KernelSpec, SpMMKernel]] = []
-    rejected: dict[str, str] = {}
-    for spec in candidates:
-        kernel = build_kernel(spec)
-        caps = kernel.capabilities()
-        reason = caps.infeasible_reason(
-            arch, kind=layer.kind, density=candidate_density(kernel, density)
-        )
-        if reason is None:
-            feasible.append((spec, kernel))
-        else:
-            rejected[spec.display_label] = reason
-    return feasible, rejected

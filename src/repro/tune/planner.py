@@ -33,7 +33,7 @@ from ..eval.runner import (
     KernelSpec,
     _freeze_kwargs,
 )
-from ..eval.store import CacheStore, make_store
+from ..eval.store import BlobStore, blob_root_for
 from ..gpu.arch import get_gpu
 from ..kernels.base import GEMMShape, KernelNotApplicableError
 from ..models.shapes import LayerShape, model_layers
@@ -53,7 +53,8 @@ __all__ = [
     "gemm_layer",
 ]
 
-#: File the :class:`PlanCache` keeps inside its cache directory.
+#: Names the :class:`PlanCache`'s blob root inside its cache directory
+#: (``tuning-plans.blobs/``).
 PLAN_FILENAME = "tuning-plans.json"
 
 
@@ -285,33 +286,21 @@ def plan_request_hash(
 class PlanCache:
     """Persistent on-disk cache of :class:`TuningPlan` results.
 
-    The same store substrate as the sweep result cache
-    (:func:`repro.eval.store.make_store`): by default (``backend="blob"``) a
-    content-addressed, multi-writer-safe blob root (``tuning-plans.blobs/``
-    inside ``cache_dir``, one atomic canonical-JSON file per request digest)
-    that reads through to — and migrates — the legacy single
-    :data:`PLAN_FILENAME` file; ``backend="json"`` keeps the legacy
-    single-file layout.  Each entry keeps the plan dict next to the request
-    digest so the store is debuggable by eye.  Entries whose ``salt``
-    disagrees with the cache's read as misses (the hash already guarantees
-    this for new keys; the explicit check also invalidates hand-edited
-    files).
+    The same store as the sweep result cache: a content-addressed,
+    multi-writer-safe :class:`~repro.eval.store.BlobStore` rooted at
+    ``tuning-plans.blobs/`` inside ``cache_dir`` (:data:`PLAN_FILENAME`), one
+    atomic canonical-JSON file per request digest.  Each entry keeps the
+    plan dict next to the request digest so the store is debuggable by eye.
+    Entries whose ``salt`` disagrees with the cache's read as misses (the
+    hash already guarantees this for new keys; the explicit check also
+    invalidates hand-edited blobs).
     """
 
-    def __init__(
-        self,
-        cache_dir: str | Path,
-        *,
-        salt: str = MODEL_VERSION,
-        backend: str = "blob",
-    ) -> None:
+    def __init__(self, cache_dir: str | Path, *, salt: str = MODEL_VERSION) -> None:
         self.cache_dir = Path(cache_dir)
         self.salt = salt
-        self.backend = backend
-        self._store: CacheStore = make_store(
-            self.cache_dir / PLAN_FILENAME, backend=backend, salt=salt
-        )
-        self.path = self._store.path
+        self._store = BlobStore(blob_root_for(self.cache_dir / PLAN_FILENAME), salt=salt)
+        self.path = self._store.root
 
     def __len__(self) -> int:
         return len(self._store)
@@ -335,8 +324,8 @@ class PlanCache:
         self._store.put(key, {"plan": plan.to_dict()})
 
     def flush(self) -> None:
-        """Persist staged plans atomically (unique temp + fsync + rename;
-        one file per plan on the blob backend)."""
+        """Persist staged plans atomically, one blob per plan (unique temp +
+        fsync + rename)."""
         self._store.flush()
 
 
@@ -345,8 +334,7 @@ class Autotuner:
     """Plans per-layer kernel assignments for whole workloads.
 
     ``candidates`` defaults to the full paper line-up; ``cache_dir`` enables
-    the persistent :class:`PlanCache` (``store`` picks its substrate, blob
-    by default); ``refiner`` switches planning to the measured-refinement
+    the persistent :class:`PlanCache`; ``refiner`` switches planning to the measured-refinement
     mode.  ``stats`` accumulates plan-cache hits/misses across the tuner's
     lifetime (same accounting class as the sweep runner).
     """
@@ -355,7 +343,6 @@ class Autotuner:
     cache_dir: str | Path | None = None
     salt: str = MODEL_VERSION
     refiner: Refiner | None = None
-    store: str = "blob"
     stats: CacheStats = field(default_factory=CacheStats)
 
     def __post_init__(self) -> None:
@@ -363,7 +350,7 @@ class Autotuner:
         if not self.candidates:
             raise ValueError("the autotuner needs at least one candidate kernel")
         self.cache = (
-            PlanCache(self.cache_dir, salt=self.salt, backend=self.store)
+            PlanCache(self.cache_dir, salt=self.salt)
             if self.cache_dir is not None
             else None
         )

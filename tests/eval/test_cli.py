@@ -131,7 +131,7 @@ class TestSweepFlags:
 
 
 class TestCacheCli:
-    """The maintenance surface: python -m repro.eval cache {stats,gc,migrate}."""
+    """The maintenance surface: python -m repro.eval cache {stats,gc}."""
 
     @staticmethod
     def seed(cache_dir):
@@ -145,9 +145,9 @@ class TestCacheCli:
         stale = BlobStore(cache_dir / "sweep-cache.blobs", salt="timing-v0")
         stale.put("cd" + "1" * 14, {"value": 2})
         stale.flush()
-        (cache_dir / "accuracy-cache.json").write_text(
-            json.dumps({"ef" + "2" * 14: {"value": 3}})
-        )
+        accuracy = BlobStore(cache_dir / "accuracy-cache.blobs", salt=MODEL_VERSION)
+        accuracy.put("ef" + "2" * 14, {"value": 3})
+        accuracy.flush()
 
     def test_missing_cache_dir_is_an_error(self, tmp_path, capsys):
         assert main(["cache", "stats", "--cache-dir", str(tmp_path / "nope")]) == 2
@@ -158,9 +158,8 @@ class TestCacheCli:
         assert main(["cache", "stats", "--cache-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "sweep-cache: 2 blobs" in out
-        assert "accuracy-cache: 0 blobs" in out
-        assert "legacy entries: 1" in out
-        assert out.strip().endswith("1 legacy entries")
+        assert "accuracy-cache: 1 blobs" in out
+        assert out.strip().splitlines()[-1].startswith("total: 3 blobs, ")
 
     def test_stats_json_is_structured(self, tmp_path, capsys):
         self.seed(tmp_path)
@@ -168,18 +167,20 @@ class TestCacheCli:
         families = {f["name"]: f for f in json.loads(capsys.readouterr().out)}
         assert families["sweep-cache"]["blobs"] == 2
         assert set(families["sweep-cache"]["salts"]) == {"timing-v0", "timing-v2"}
-        assert families["accuracy-cache"]["legacy_entries"] == 1
+        assert families["accuracy-cache"]["blobs"] == 1
 
-    def test_migrate_then_stats_shows_no_legacy_left(self, tmp_path, capsys):
+    def test_stats_ignores_json_files(self, tmp_path, capsys):
+        """A pre-blob ``<name>.json`` cache whose stem names no blob root is
+        not a family: stats neither list nor touch it."""
         self.seed(tmp_path)
-        args = ["cache", "migrate", "--cache-dir", str(tmp_path), "--remove-legacy"]
-        assert main(args) == 0
-        out = capsys.readouterr().out
-        assert "accuracy-cache: migrated 1 entries" in out
-        assert "legacy file removed" in out
-        assert not (tmp_path / "accuracy-cache.json").exists()
-        assert main(args) == 0
-        assert "no legacy stores to migrate" in capsys.readouterr().out
+        stray = tmp_path / "pattern-search-cache.json"
+        stray.write_text(json.dumps({"ab" + "3" * 14: {"value": 4}}))
+        assert main(["cache", "stats", "--cache-dir", str(tmp_path), "--json"]) == 0
+        families = [f["name"] for f in json.loads(capsys.readouterr().out)]
+        assert families == ["accuracy-cache", "sweep-cache"]
+        assert main(["cache", "stats", "--cache-dir", str(tmp_path)]) == 0
+        assert "pattern-search-cache" not in capsys.readouterr().out
+        assert json.loads(stray.read_text()) == {"ab" + "3" * 14: {"value": 4}}
 
     def test_gc_defaults_to_current_model_version(self, tmp_path, capsys):
         from repro.eval.runner import MODEL_VERSION

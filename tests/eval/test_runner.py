@@ -7,6 +7,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -367,19 +368,32 @@ class TestResultCache:
         bumped = SweepRunner(cache_dir=tmp_path, salt="timing-v2").run(spec)
         assert bumped.cache_hits == 0
 
-    def test_corrupt_legacy_file_reads_as_cold_and_is_preserved(self, tmp_path):
-        """A malformed legacy cache file must read as cold — and its bytes
-        must survive as a .corrupt-<digest> sidecar instead of being
-        clobbered by the next flush."""
-        legacy = tmp_path / CACHE_FILENAME
-        legacy.write_text("{not json")
+    @pytest.mark.parametrize("content", ["corrupt", "well-formed"])
+    def test_pre_blob_cache_file_is_ignored(self, tmp_path, content):
+        """A single-file cache from before the blob store is never read,
+        rewritten or quarantined: its family reads cold, without a warning,
+        even when the file holds an entry for every cell."""
         spec = small_spec()
-        with pytest.warns(CorruptCacheWarning, match="preserved"):
-            result = SweepRunner(cache_dir=tmp_path).run(spec)
+        raw = b"{not json"
+        if content == "well-formed":
+            donor = tmp_path / "donor"
+            SweepRunner(cache_dir=donor).run(spec)
+            envelopes = [
+                json.loads(blob.read_text())
+                for blob in blob_root_for(donor / CACHE_FILENAME).glob("*/*.json")
+            ]
+            raw = json.dumps({e["key"]: e["entry"] for e in envelopes}).encode()
+        cache_dir = tmp_path / "cache"
+        cache_dir.mkdir()
+        stray = cache_dir / CACHE_FILENAME
+        stray.write_bytes(raw)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = SweepRunner(cache_dir=cache_dir).run(spec)
         assert result.cache_hits == 0
-        assert all(r.ok or r.detail for r in result.records)
-        (sidecar,) = tmp_path.glob(CACHE_FILENAME + ".corrupt-*")
-        assert sidecar.read_text() == "{not json"
+        assert result.cache_misses == len({c.config_hash() for c in spec.expand()})
+        assert stray.read_bytes() == raw
+        assert not list(cache_dir.rglob("*.corrupt-*"))
 
     def test_malformed_cache_entry_reads_as_miss(self, tmp_path):
         """A hand-edited blob (unparseable file or broken entry payload)
@@ -398,27 +412,6 @@ class TestResultCache:
         assert warm.records == cold.records
         # The unparseable blob was quarantined next to its shard.
         assert list(root.glob("*/*.corrupt-*"))
-
-    def test_json_backend_keeps_the_legacy_single_file_layout(self, tmp_path):
-        spec = small_spec()
-        cold = SweepRunner(cache_dir=tmp_path, store="json").run(spec)
-        assert (tmp_path / CACHE_FILENAME).exists()
-        assert not blob_root_for(tmp_path / CACHE_FILENAME).exists()
-        warm = SweepRunner(cache_dir=tmp_path, store="json").run(spec)
-        assert warm.hit_rate == 1.0
-        assert warm.records == cold.records
-
-    def test_blob_store_reads_through_and_migrates_a_legacy_cache(self, tmp_path):
-        """A cache dir written by the legacy single-file store stays warm
-        under the blob store — hits are served from the legacy file and
-        written back as blobs, so even an all-hits run migrates."""
-        spec = small_spec()
-        cold = SweepRunner(cache_dir=tmp_path, store="json").run(spec)
-        warm = SweepRunner(cache_dir=tmp_path).run(spec)
-        assert warm.hit_rate == 1.0
-        assert warm.records == cold.records
-        root = blob_root_for(tmp_path / CACHE_FILENAME)
-        assert len(list(root.glob("*/*.json"))) == warm.cache_hits
 
     def test_cached_record_rebinds_requesting_label(self, tmp_path):
         config = RunConfig("dense", "V100", 0.0, model="transformer", label="first")

@@ -1,6 +1,6 @@
 """Unit tests for the cache persistence substrate (``repro.eval.store``):
-atomic writes, corrupt-file quarantine, the legacy single-file store, the
-content-addressed blob store and the stats/gc/migrate helpers."""
+atomic writes, corrupt-file quarantine, the content-addressed blob store and
+the stats/gc helpers."""
 
 from __future__ import annotations
 
@@ -12,15 +12,10 @@ import pytest
 from repro.eval.store import (
     BlobStore,
     CorruptCacheWarning,
-    JsonFileStore,
     atomic_write_bytes,
-    blob_root_for,
     collect_stats,
     discover_families,
     gc_blobs,
-    load_json_entries,
-    make_store,
-    migrate_legacy_file,
     preserve_corrupt_file,
 )
 
@@ -66,72 +61,6 @@ class TestPreserveCorruptFile:
             preserve_corrupt_file(path, b"{other", reason="test")
 
 
-class TestLoadJsonEntries:
-    def test_missing_file_is_empty(self, tmp_path):
-        assert load_json_entries(tmp_path / "absent.json") == {}
-
-    def test_non_object_payload_is_quarantined(self, tmp_path):
-        path = tmp_path / "cache.json"
-        path.write_text("[1, 2, 3]")
-        with pytest.warns(CorruptCacheWarning):
-            assert load_json_entries(path) == {}
-        assert list(tmp_path.glob("cache.json.corrupt-*"))
-
-    def test_quarantine_can_be_disabled(self, tmp_path):
-        path = tmp_path / "cache.json"
-        path.write_text("{nope")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert load_json_entries(path, quarantine=False) == {}
-        assert not list(tmp_path.glob("cache.json.corrupt-*"))
-
-
-class TestJsonFileStore:
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "cache.json"
-        store = JsonFileStore(path)
-        assert len(store) == 0
-        store.put(KEY_A, {"value": 1})
-        store.flush()
-        again = JsonFileStore(path)
-        assert again.get(KEY_A) == {"value": 1}
-        assert again.keys() == [KEY_A]
-
-    def test_flush_is_atomic_and_leaves_no_temp(self, tmp_path):
-        path = tmp_path / "cache.json"
-        store = JsonFileStore(path)
-        for index in range(3):
-            store.put(f"{KEY_A}{index:02d}", {"value": index})
-            store.flush()
-        assert [child.name for child in tmp_path.iterdir()] == ["cache.json"]
-        assert json.loads(path.read_text())  # well-formed after every flush
-
-    def test_flush_without_puts_writes_nothing(self, tmp_path):
-        path = tmp_path / "cache.json"
-        JsonFileStore(path).flush()
-        assert not path.exists()
-
-    def test_corrupt_file_is_preserved_not_clobbered(self, tmp_path):
-        path = tmp_path / "cache.json"
-        path.write_text("{definitely not json")
-        with pytest.warns(CorruptCacheWarning):
-            store = JsonFileStore(path)
-        assert len(store) == 0
-        store.put(KEY_A, {"value": 1})
-        store.flush()
-        (sidecar,) = tmp_path.glob("cache.json.corrupt-*")
-        assert sidecar.read_text() == "{definitely not json"
-        assert json.loads(path.read_text()) == {KEY_A: {"value": 1}}
-
-    def test_malformed_entry_is_a_miss_but_not_dropped(self, tmp_path):
-        path = tmp_path / "cache.json"
-        path.write_text(json.dumps({KEY_A: "oops", KEY_B: {"ok": True}}))
-        store = JsonFileStore(path)
-        assert store.get(KEY_A) is None
-        assert store.get(KEY_B) == {"ok": True}
-        assert store.keys() == [KEY_B]
-
-
 class TestBlobStore:
     def test_round_trip_and_sharding(self, tmp_path):
         root = tmp_path / "cache.blobs"
@@ -153,8 +82,8 @@ class TestBlobStore:
         assert len(again) == 3
 
     def test_sees_writes_from_other_stores(self, tmp_path):
-        """Unlike the eagerly-loaded legacy store, blob reads go to disk —
-        a second process's flushes become visible immediately."""
+        """Blob reads go to disk, so a second process's flushes become
+        visible to an already-open store immediately."""
         root = tmp_path / "cache.blobs"
         reader = BlobStore(root)
         assert reader.get(KEY_A) is None
@@ -196,86 +125,6 @@ class TestBlobStore:
         blob.write_text(json.dumps({"key": KEY_A, "entry": "not a dict"}))
         assert store.get(KEY_A) is None
 
-    def test_reads_through_legacy_and_writes_back(self, tmp_path):
-        legacy = tmp_path / "cache.json"
-        legacy.write_text(json.dumps({KEY_A: {"value": 1}, "bad key": {"value": 2}}))
-        store = BlobStore(
-            blob_root_for(legacy), salt="timing-v2", legacy_path=legacy
-        )
-        assert store.get(KEY_A) == {"value": 1}
-        # The hit was immediately written back as a blob (so even an
-        # all-hits warm run migrates), stamped with the reader's salt.
-        blob = blob_root_for(legacy) / KEY_A[:2] / f"{KEY_A}.json"
-        assert json.loads(blob.read_text())["salt"] == "timing-v2"
-        # Non-hex legacy keys are still served, just never become blobs.
-        assert store.get("bad key") == {"value": 2}
-        assert store.keys() == sorted([KEY_A, "bad key"])
-
-    def test_blob_wins_over_legacy(self, tmp_path):
-        legacy = tmp_path / "cache.json"
-        legacy.write_text(json.dumps({KEY_A: {"value": "stale"}}))
-        store = BlobStore(blob_root_for(legacy), legacy_path=legacy)
-        store.put(KEY_A, {"value": "fresh"})
-        store.flush()
-        assert BlobStore(blob_root_for(legacy), legacy_path=legacy).get(KEY_A) == {
-            "value": "fresh"
-        }
-
-
-class TestMakeStore:
-    def test_json_backend(self, tmp_path):
-        store = make_store(tmp_path / "cache.json", backend="json")
-        assert isinstance(store, JsonFileStore)
-        assert store.path == tmp_path / "cache.json"
-
-    def test_blob_backend_derives_root_and_legacy(self, tmp_path):
-        store = make_store(tmp_path / "cache.json", salt="s")
-        assert isinstance(store, BlobStore)
-        assert store.path == tmp_path / "cache.blobs"
-        assert store.legacy_path == tmp_path / "cache.json"
-        assert store.salt == "s"
-
-    def test_unknown_backend(self, tmp_path):
-        with pytest.raises(ValueError, match="backend"):
-            make_store(tmp_path / "cache.json", backend="sqlite")
-
-
-class TestMigrate:
-    def test_bulk_migration(self, tmp_path):
-        legacy = tmp_path / "cache.json"
-        legacy.write_text(
-            json.dumps({KEY_A: {"value": 1}, KEY_B: {"value": 2}, "bad key": {}})
-        )
-        result = migrate_legacy_file(legacy)
-        assert (result.migrated, result.skipped_invalid) == (2, 1)
-        assert not result.removed_legacy
-        store = BlobStore(blob_root_for(legacy))
-        assert store.get(KEY_A) == {"value": 1}
-        # Envelopes carry salt: null — legacy never recorded a generation.
-        blob = blob_root_for(legacy) / KEY_A[:2] / f"{KEY_A}.json"
-        assert json.loads(blob.read_text())["salt"] is None
-
-    def test_existing_blobs_win(self, tmp_path):
-        legacy = tmp_path / "cache.json"
-        legacy.write_text(json.dumps({KEY_A: {"value": "stale"}}))
-        fresh = BlobStore(blob_root_for(legacy))
-        fresh.put(KEY_A, {"value": "fresh"})
-        fresh.flush()
-        result = migrate_legacy_file(legacy)
-        assert (result.migrated, result.skipped_existing) == (0, 1)
-        assert fresh.get(KEY_A) == {"value": "fresh"}
-
-    def test_remove_legacy_only_when_fully_migrated(self, tmp_path):
-        partial = tmp_path / "partial.json"
-        partial.write_text(json.dumps({KEY_A: {}, "bad key": {}}))
-        assert not migrate_legacy_file(partial, remove_legacy=True).removed_legacy
-        assert partial.exists()
-        clean = tmp_path / "clean.json"
-        clean.write_text(json.dumps({KEY_B: {"value": 2}}))
-        assert migrate_legacy_file(clean, remove_legacy=True).removed_legacy
-        assert not clean.exists()
-        assert BlobStore(blob_root_for(clean)).get(KEY_B) == {"value": 2}
-
 
 class TestStatsAndGc:
     def seed(self, cache_dir):
@@ -290,19 +139,37 @@ class TestStatsAndGc:
 
     def test_discover_families(self, tmp_path):
         self.seed(tmp_path)
-        (tmp_path / "accuracy-cache.json").write_text("{}")
+        other = BlobStore(tmp_path / "accuracy-cache.blobs", salt="timing-v2")
+        other.put(KEY_A, {"value": 1})
+        other.flush()
         assert discover_families(tmp_path) == ["accuracy-cache", "sweep-cache"]
 
     def test_collect_stats(self, tmp_path):
         self.seed(tmp_path)
-        (tmp_path / "sweep-cache.json").write_text(json.dumps({KEY_A: {"v": 1}}))
         (family,) = collect_stats(tmp_path)
         assert family.name == "sweep-cache"
         assert family.blobs == 3
         assert family.shards == 2
         assert family.salts == {"timing-v1": 1, "timing-v2": 2}
-        assert family.legacy_entries == 1
         assert family.blob_bytes > 0
+
+    def test_json_files_are_not_families(self, tmp_path):
+        """A pre-blob single-file cache is neither a family of its own nor
+        counted into the blob root its stem names — and stats never touch
+        its bytes."""
+        self.seed(tmp_path)
+        stray = {
+            tmp_path / "accuracy-cache.json": json.dumps({KEY_A: {"v": 1}}),
+            tmp_path / "sweep-cache.json": "{not json",
+        }
+        for path, text in stray.items():
+            path.write_text(text)
+        assert discover_families(tmp_path) == ["sweep-cache"]
+        (family,) = collect_stats(tmp_path)
+        assert (family.blobs, family.corrupt_sidecars) == (3, 0)
+        for path, text in stray.items():
+            assert path.read_text() == text
+        assert not list(tmp_path.rglob("*.corrupt-*"))
 
     def test_gc_retires_orphaned_salts(self, tmp_path):
         root = self.seed(tmp_path)
@@ -316,12 +183,17 @@ class TestStatsAndGc:
         assert store.get(KEY_A) is not None
 
     def test_gc_unsalted_policy(self, tmp_path):
-        legacy = tmp_path / "sweep-cache.json"
-        legacy.write_text(json.dumps({KEY_A: {"value": 1}}))
-        migrate_legacy_file(legacy)
-        root = blob_root_for(legacy)
-        assert gc_blobs(root, frozenset({"timing-v2"})).kept == 1
-        assert gc_blobs(root, frozenset({"timing-v2"}), drop_unsalted=True).removed == 1
+        """gc keeps a blob exactly when its salt is in the keep set, so an
+        unsalted envelope is an orphan like any other."""
+        root = self.seed(tmp_path)
+        key = "ef" + "3" * 14
+        unsalted = BlobStore(root)
+        unsalted.put(key, {"value": 4})
+        unsalted.flush()
+        result = gc_blobs(root, frozenset({"timing-v2"}))
+        assert (result.examined, result.kept, result.removed) == (4, 2, 2)
+        assert unsalted.get(key) is None
+        assert unsalted.get(KEY_A) is not None
 
     def test_gc_sweeps_stray_tmp_and_corrupt_blobs(self, tmp_path):
         root = self.seed(tmp_path)

@@ -1,12 +1,12 @@
 """Multi-writer stress tests for the cache substrate.
 
-The bug this PR class exists for: N sweep processes sharing one
-``--cache-dir`` under the legacy single-file store silently lost entries —
-each process loaded the file once and the last flush won wholesale.  The
-blob store makes concurrent writers safe *by construction* (one atomic file
-per key), and this module proves it the hard way: several processes hammer
-one store while the parent concurrently reads, and afterwards every write
-must be present and internally consistent.
+N sweep processes may share one ``--cache-dir``.  A store that loads once
+and rewrites one file wholesale on flush would silently keep only the last
+writer's entries.  The blob store makes concurrent writers safe *by
+construction* (one atomic file per key), and this module proves it the hard
+way: several processes hammer one store while the parent concurrently
+reads, and afterwards every write must be present and internally
+consistent.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import json
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-from repro.eval.store import BlobStore, JsonFileStore, blob_root_for
+from repro.eval.store import BlobStore
 
 N_WORKERS = 4
 KEYS_PER_WORKER = 25
@@ -117,33 +117,17 @@ class TestBlobStoreUnderConcurrentWriters:
         # No writer died mid-replace: no stray temp files remain.
         assert not list(root.glob("*/*.tmp"))
 
-
-class TestLegacyStoreIsLastWriterWins:
-    def test_concurrent_legacy_writers_lose_entries(self, tmp_path):
-        """Documents the hazard the blob store fixes: two JsonFileStore
-        writers over one path each snapshot the file at construction, so
-        the second flush discards the first writer's entries wholesale."""
-        path = tmp_path / "sweep-cache.json"
-        first = JsonFileStore(path)
-        second = JsonFileStore(path)  # loads before first flushes
+    def test_two_open_writers_keep_both(self, tmp_path):
+        """The interleaving that loses an entry in a load-once, rewrite-whole
+        store: both writers open before the first flush."""
+        root = tmp_path / "sweep-cache.blobs"
+        first = BlobStore(root)
+        second = BlobStore(root)
         key_a, key_b = _key_for("writer-a"), _key_for("writer-b")
         first.put(key_a, {"value": "a"})
         first.flush()
         second.put(key_b, {"value": "b"})
         second.flush()
-        survivors = JsonFileStore(path)
-        assert survivors.get(key_b) == {"value": "b"}
-        assert survivors.get(key_a) is None  # first writer's entry is gone
-
-    def test_blob_store_survives_the_same_interleaving(self, tmp_path):
-        legacy = tmp_path / "sweep-cache.json"
-        first = BlobStore(blob_root_for(legacy), legacy_path=legacy)
-        second = BlobStore(blob_root_for(legacy), legacy_path=legacy)
-        key_a, key_b = _key_for("writer-a"), _key_for("writer-b")
-        first.put(key_a, {"value": "a"})
-        first.flush()
-        second.put(key_b, {"value": "b"})
-        second.flush()
-        survivors = BlobStore(blob_root_for(legacy), legacy_path=legacy)
+        survivors = BlobStore(root)
         assert survivors.get(key_a) == {"value": "a"}
         assert survivors.get(key_b) == {"value": "b"}

@@ -14,7 +14,6 @@ from repro.sparse.convert import (
     shflbw_to_vector_wise,
     stitched_panels,
     vector_wise_to_block,
-    vector_wise_to_block_lists,
 )
 
 
@@ -74,13 +73,14 @@ class TestKernelOfflineSteps:
         panels = vector_wise_to_block(dense_to_vector_wise(dense, 4))
         assert panels.values.shape == (1, 4, 4)
 
-    def test_vector_wise_to_block_lists_shim_matches_stacked(self, rng):
+    def test_to_group_lists_matches_stacked(self, rng):
+        """The list-of-dicts view the Shfl-BW loop oracle walks."""
         dense = np.zeros((8, 16))
         dense[0:4, [0, 3, 7, 9, 12]] = rng.normal(size=(4, 5))
         dense[4:8, [2, 5]] = rng.normal(size=(4, 2))
         vec = dense_to_vector_wise(dense, 4)
         stacked = vector_wise_to_block(vec, tile_cols=2)
-        lists = vector_wise_to_block_lists(vec, tile_cols=2)
+        lists = stacked.to_group_lists()
         assert len(lists) == stacked.num_groups
         for g, group in enumerate(lists):
             vals, cols = stacked.group_panels(g)

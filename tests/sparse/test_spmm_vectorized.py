@@ -169,8 +169,4 @@ class TestEdgeCases:
         matrix = dense_to_csr(pruned)
         rhs = rng.normal(size=(8, 2))
         spmm_csr(matrix, rhs)
-        try:
-            import scipy.sparse  # noqa: F401
-        except ImportError:
-            return
         assert matrix.__dict__.get("_scipy_handle") is not None

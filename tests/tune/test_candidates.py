@@ -7,7 +7,7 @@ import pytest
 from repro.gpu.arch import get_gpu
 from repro.kernels.registry import DENSE_BASELINE_LABEL, make_kernel
 from repro.models.shapes import model_layers, resnet50_layers, transformer_layers
-from repro.tune import build_kernel, candidate_density, default_candidates, prune_candidates
+from repro.tune import build_kernel, candidate_density, default_candidates
 
 
 class TestCapabilities:
@@ -69,47 +69,35 @@ class TestDefaultCandidates:
 
 
 class TestPruning:
+    """Static pruning of the default pool: the planner drops a candidate for
+    a layer exactly when its capabilities give an ``infeasible_reason``."""
+
+    @staticmethod
+    def reason(label, gpu, layer, density):
+        (spec,) = [spec for spec in default_candidates() if spec.display_label == label]
+        kernel = build_kernel(spec)
+        return kernel.capabilities().infeasible_reason(
+            get_gpu(gpu), kind=layer.kind, density=candidate_density(kernel, density)
+        )
+
     def test_conv_layers_prune_gemm_only_kernels(self):
         layer = resnet50_layers()[1]  # a 3x3 convolution
         assert layer.kind == "conv"
-        feasible, rejected = prune_candidates(
-            default_candidates(), get_gpu("V100"), layer, 0.25
-        )
-        feasible_labels = {spec.display_label for spec, _ in feasible}
-        for spec, kernel in feasible:
-            assert kernel.supports_conv
-        assert "Unstructured (Sputnik)" in rejected
-        assert "Balanced 2in4" in rejected
-        assert DENSE_BASELINE_LABEL in feasible_labels
-        assert "Shfl-BW,V=64" in feasible_labels
-
-    def test_fixed_density_pruning(self):
-        layer = transformer_layers()[0]
-        _, rejected = prune_candidates(
-            default_candidates(), get_gpu("A100"), layer, 0.25
-        )
-        assert "Balanced 2in4" in rejected
-        assert "density" in rejected["Balanced 2in4"]
-        feasible_50, _ = prune_candidates(
-            default_candidates(), get_gpu("A100"), layer, 0.5
-        )
-        assert "Balanced 2in4" in {spec.display_label for spec, _ in feasible_50}
+        assert self.reason("Unstructured (Sputnik)", "V100", layer, 0.25)
+        assert self.reason("Balanced 2in4", "V100", layer, 0.25)
+        assert self.reason(DENSE_BASELINE_LABEL, "V100", layer, 0.25) is None
+        assert self.reason("Shfl-BW,V=64", "V100", layer, 0.25) is None
+        for spec in default_candidates():
+            if self.reason(spec.display_label, "V100", layer, 0.25) is None:
+                assert build_kernel(spec).supports_conv, spec.display_label
 
     @pytest.mark.parametrize("gpu", ["T4", "A100"])
     def test_arch_pruning(self, gpu):
         layer = transformer_layers()[0]
-        _, rejected = prune_candidates(
-            default_candidates(), get_gpu(gpu), layer, 0.25
-        )
-        assert "TileWise (VW,V=128)" in rejected
+        assert self.reason("TileWise (VW,V=128)", gpu, layer, 0.25)
 
     def test_dense_is_always_feasible(self):
         for model in ("transformer", "gnmt", "resnet50"):
             for gpu in ("V100", "T4", "A100"):
                 for layer in model_layers(model):
-                    feasible, _ = prune_candidates(
-                        default_candidates(), get_gpu(gpu), layer, 0.15
-                    )
-                    assert DENSE_BASELINE_LABEL in {
-                        spec.display_label for spec, _ in feasible
-                    }
+                    assert self.reason(DENSE_BASELINE_LABEL, gpu, layer, 0.15) is None

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro.eval.runner import MODEL_VERSION
-from repro.eval.store import CorruptCacheWarning, blob_root_for
+from repro.eval.store import BlobStore, CorruptCacheWarning, blob_root_for
 from repro.models.shapes import transformer_layers
 from repro.tune import (
     PLAN_FILENAME,
@@ -154,15 +154,24 @@ class TestModelVersionInvalidation:
         stale = PlanCache(tmp_path, salt="some-other-version")
         assert stale.get(key) is None
 
-    def test_malformed_legacy_file_reads_as_empty(self, tmp_path):
-        (tmp_path / PLAN_FILENAME).write_text("{not json")
+    def test_corrupt_blob_reads_as_miss(self, tmp_path):
+        plan = Autotuner(cache_dir=tmp_path).plan("transformer", "V100", 0.75)
+        (blob,) = blob_root_for(tmp_path / PLAN_FILENAME).glob("*/*.json")
+        blob.write_text("{not json")
         tuner = Autotuner(cache_dir=tmp_path)
         with pytest.warns(CorruptCacheWarning):
-            tuner.plan("transformer", "V100", 0.75)
+            assert tuner.plan("transformer", "V100", 0.75) == plan
         assert tuner.stats.misses == 1
+        # The slot was recomputed and holds a readable plan again.
+        assert PlanCache(tmp_path).get(blob.name.removesuffix(".json")) == plan
 
     def test_malformed_entry_reads_as_miss(self, tmp_path):
-        (tmp_path / PLAN_FILENAME).write_text(json.dumps({"abc": {"nope": 1}}))
+        store = BlobStore(blob_root_for(tmp_path / PLAN_FILENAME), salt=MODEL_VERSION)
+        planless, undecodable = "ab" + "0" * 30, "cd" + "1" * 30
+        store.put(planless, {"nope": 1})
+        store.put(undecodable, {"plan": {"model": "transformer"}})
+        store.flush()
         cache = PlanCache(tmp_path)
-        assert cache.get("abc") is None
+        assert cache.get(planless) is None
+        assert cache.get(undecodable) is None
         assert cache.get("missing") is None
