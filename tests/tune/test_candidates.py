@@ -91,6 +91,12 @@ class TestPruning:
             if self.reason(spec.display_label, "V100", layer, 0.25) is None:
                 assert build_kernel(spec).supports_conv, spec.display_label
 
+    def test_fixed_density_pruning(self):
+        layer = transformer_layers()[0]
+        rejected = self.reason("Balanced 2in4", "A100", layer, 0.25)
+        assert rejected and "density" in rejected
+        assert self.reason("Balanced 2in4", "A100", layer, 0.5) is None
+
     @pytest.mark.parametrize("gpu", ["T4", "A100"])
     def test_arch_pruning(self, gpu):
         layer = transformer_layers()[0]
