@@ -11,7 +11,6 @@ from collections.abc import Callable
 
 from ..core.analysis import compare_patterns, log_row_shuffle_multiplier
 from ..gpu.arch import get_gpu
-from .accuracy import AccuracyConfig, collate_accuracy, table1_records
 from .pattern_search import (
     PAPER_VECTOR_SIZES,
     collate_pattern_search,
@@ -29,7 +28,6 @@ from .speedup import (
     figure6_spec,
     headline_spec,
 )
-from .tradeoff import figure2_sweep
 
 __all__ = [
     "available_experiments",
@@ -150,6 +148,11 @@ def run_figure2(
     The accuracy cells run through ``runner`` (``--jobs`` parallelism and a
     persistent ``--cache-dir`` record cache), like the timing sweeps.
     """
+    # Imported here so the timing experiments never load the accuracy stack
+    # (proxy models, repro.nn, repro.pruning).
+    from .accuracy import AccuracyConfig
+    from .tradeoff import figure2_sweep
+
     points = figure2_sweep(
         config=AccuracyConfig(quick=quick, tiny=tiny), runner=runner, **kwargs
     )
@@ -374,6 +377,9 @@ def run_table1(
     fans them over a process pool, ``--cache-dir`` persists finished
     records so a re-run only computes the delta.
     """
+    # Imported here for the same reason as in run_figure2.
+    from .accuracy import AccuracyConfig, collate_accuracy, table1_records
+
     config = AccuracyConfig(quick=quick, tiny=tiny)
     records = table1_records(
         tuple(models), tuple(sparsities), config, specs, runner=runner

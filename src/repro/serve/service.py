@@ -282,9 +282,11 @@ class InferenceService:
         if self._started:
             return self
         # Building the runtime prepares every layer up front (the forked
-        # workers inherit it), so both probe runs below are steady-state;
-        # the faster one is the calibration sample, which keeps one noisy
-        # run from inflating a deadline.
+        # workers inherit it).  The first probe of a CSR layer also imports
+        # scipy.sparse and memoises its handle, so it must run here, before
+        # the pool forks, for the workers to inherit both.  The faster probe
+        # is the calibration sample, which keeps that one-off cost and one
+        # noisy run from inflating a deadline.
         _runtime_for(self.plan, self.weight_seed)
         for layer, window in list(self.windows.items()):
             probe = PredictRequest.from_array(

@@ -18,12 +18,15 @@ Two caches keep repeated calls cheap:
 * the stitched-panel view consumed by the vector-wise / Shfl-BW kernels is
   memoised per matrix and tile width (:func:`repro.sparse.convert.stitched_panels`),
 * the CSR kernel memoises its ``scipy.sparse`` handle on the matrix.
+
+``scipy.sparse`` is imported on the first :func:`spmm_csr` call, not at module
+load: the timing experiments import this module through :mod:`repro.kernels`
+but never run a CSR SpMM, so they never pay for scipy.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as _scipy_sparse
 
 from .convert import stitched_panels
 from .formats import (
@@ -85,7 +88,8 @@ def spmm_csr(matrix: CSRMatrix, rhs: np.ndarray) -> np.ndarray:
     """Row-wise CSR SpMM (the Sputnik-style unstructured kernel).
 
     Runs on a ``scipy.sparse`` handle (the fastest CSR row-gather engine on
-    the host), memoised on the matrix.
+    the host), memoised on the matrix.  ``scipy.sparse`` is imported here, on
+    the first call, rather than at module load.
     """
     rhs = _check_rhs(matrix.shape, rhs)
     m, _ = matrix.shape
@@ -93,7 +97,9 @@ def spmm_csr(matrix: CSRMatrix, rhs: np.ndarray) -> np.ndarray:
         return np.zeros((m, rhs.shape[1]), dtype=np.float64)
     handle = matrix.__dict__.get("_scipy_handle")
     if handle is None:
-        handle = _scipy_sparse.csr_matrix(
+        import scipy.sparse
+
+        handle = scipy.sparse.csr_matrix(
             (matrix.data, matrix.indices, matrix.indptr), shape=matrix.shape
         )
         matrix.__dict__["_scipy_handle"] = handle
