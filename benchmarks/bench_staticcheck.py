@@ -4,7 +4,7 @@
 Runs ``repro.staticcheck`` over the full repo tree twice against one
 ``--cache-dir``: the cold run pays for parsing, the effect scanner, both
 fixpoints and every rule; the warm run must be served by the content-hash
-keyed parse/summary/findings caches.  The gate (``--max-warm-s``, default
+keyed parse and findings caches.  The gate (``--max-warm-s``, default
 2 s) fails the build when a warm unchanged-tree run regresses past the
 bar — the property that makes the linter cheap enough for CI and
 pre-commit hooks.

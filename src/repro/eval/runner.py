@@ -904,7 +904,3 @@ class SweepRunner:
             cache_misses=misses,
             elapsed_s=time.monotonic() - start,
         )
-
-    def run_configs(self, configs: Iterable[RunConfig]) -> list[RunRecord]:
-        """Evaluate an explicit config list (no spec), without caching."""
-        return self._executor(list(configs), jobs=self.jobs)

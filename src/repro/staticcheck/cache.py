@@ -1,6 +1,6 @@
-"""Content-addressed persistence for parsed modules and effect summaries.
+"""Content-addressed persistence for parsed modules and rule findings.
 
-Three caches back the ``--cache-dir`` CLI flag, all keyed by source content
+Two caches back the ``--cache-dir`` CLI flag, both keyed by source content
 hashes so stale entries are impossible by construction (an edited file has
 a new digest and simply misses):
 
@@ -8,16 +8,12 @@ a new digest and simply misses):
   :class:`~repro.staticcheck.project.ModuleInfo` per (display path, source
   digest), skipping the parse and the import/definition indexing of
   unchanged files;
-* :class:`SummaryCache` — the whole dataflow artifact set of one project
-  (the :class:`~repro.staticcheck.effects.FunctionSummary` map, the call
-  graph edges and the lock registry), keyed by the digest of every indexed
-  file's (path, hash) pair, skipping the call-graph build, the effect
-  scanner and both fixpoints on a warm full-repo run;
 * :class:`FindingsCache` — the raw (pre-suppression) findings of the
-  ordinary rules, keyed by the same project digest plus the executed rule
-  ids.  Rules are pure functions of the index, so a warm unchanged run can
-  skip them wholesale; post rules (SC008) re-run every time — they are
-  cheap and depend only on cached inputs.
+  ordinary rules, keyed by the digest of every indexed file's (path, hash)
+  pair plus the rule ids.  Rules are pure functions of the index, so a warm
+  unchanged run skips them wholesale — and with them the dataflow layer,
+  which only rules consume; post rules (SC008) re-run every time — they
+  are cheap and depend only on cached inputs.
 
 Every key is salted with a cache schema version and the running Python
 minor version (AST shapes differ across versions), and writes go through a
@@ -34,14 +30,12 @@ import pickle
 import sys
 from pathlib import Path
 
-from .effects import FunctionSummary
 from .findings import Finding
 from .project import ModuleInfo, ProjectIndex
 
-__all__ = ["CACHE_VERSION", "FindingsCache", "ParseCache", "SummaryCache"]
+__all__ = ["CACHE_VERSION", "FindingsCache", "ParseCache"]
 
-#: Bumped whenever the pickled shapes (ModuleInfo/FunctionSummary fields,
-#: scanner semantics baked into summaries) change.
+#: Bumped whenever the pickled shapes (ModuleInfo/Finding fields) change.
 CACHE_VERSION = 1
 
 
@@ -95,42 +89,6 @@ class ParseCache:
 
     def store(self, display_path: str, content_hash: str, module: ModuleInfo) -> None:
         self._store.store(_key(display_path, content_hash), module)
-
-
-#: (summaries, call-graph edges, module-level locks, per-class lock attrs).
-FlowArtifacts = tuple[
-    dict[str, FunctionSummary],
-    dict[str, tuple[str, ...]],
-    set[str],
-    dict[str, set[str]],
-]
-
-
-class SummaryCache:
-    """Whole-project cache of the dataflow artifacts."""
-
-    def __init__(self, cache_dir: Path) -> None:
-        self._store = _PickleStore(Path(cache_dir) / "summaries")
-
-    def load(self, index: ProjectIndex) -> FlowArtifacts | None:
-        value = self._store.load(project_key(index))
-        if not isinstance(value, tuple) or len(value) != 4:
-            return None
-        summaries, edges, module_locks, class_locks = value
-        if not (
-            isinstance(summaries, dict)
-            and isinstance(edges, dict)
-            and isinstance(module_locks, set)
-            and isinstance(class_locks, dict)
-        ):
-            return None
-        for key, summary in summaries.items():
-            if not isinstance(key, str) or not isinstance(summary, FunctionSummary):
-                return None
-        return summaries, edges, module_locks, class_locks
-
-    def store(self, index: ProjectIndex, artifacts: FlowArtifacts) -> None:
-        self._store.store(project_key(index), artifacts)
 
 
 def project_key(index: ProjectIndex) -> str:

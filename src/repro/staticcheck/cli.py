@@ -2,18 +2,16 @@
 
 Exit codes follow the usual linter contract:
 
-* ``0`` — every selected rule ran and produced no (unsuppressed) findings;
+* ``0`` — every rule ran and produced no (unsuppressed) findings;
 * ``1`` — findings were reported (or files failed to parse);
-* ``2`` — usage error: unknown rule id, or a path that does not exist.
+* ``2`` — usage error: a bad option, or a path that does not exist.
 
-``--format json`` (and ``--output FILE``, which always writes JSON) emit a
-machine-readable report; ``--format sarif`` emits a SARIF 2.1.0 log for
-code-scanning ingestion.  ``--cache-dir DIR`` persists parsed modules and
-effect summaries keyed by source content hashes, making warm re-runs over
-an unchanged tree nearly parse-free.  ``--paths PREFIX[,PREFIX...]``
-restricts *reporting* to files under the given prefixes while the whole
-positional tree is still indexed — the call graph stays complete, so
-interprocedural findings in the filtered files remain correct.
+Every registered rule runs on every invocation.  ``--format json`` (and
+``--output FILE``, which always writes JSON) emit a machine-readable
+report.  ``--cache-dir DIR`` persists parsed modules and the rules' raw
+findings keyed by source content hashes, so a warm re-run over an
+unchanged tree neither parses nor runs a rule.  ``--list-rules`` prints the
+rule catalogue.
 """
 
 from __future__ import annotations
@@ -26,10 +24,8 @@ from typing import Any, TextIO
 
 from .cache import FindingsCache, ParseCache
 from .findings import Finding
-from .flow import FlowAnalysis
 from .project import ProjectIndex
-from .registry import Rule, UnknownRuleError, get_rules
-from .sarif import to_sarif
+from .registry import Rule, all_rules
 
 __all__ = ["main"]
 
@@ -52,28 +48,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--format",
-        choices=("text", "json", "sarif"),
+        choices=("text", "json"),
         default="text",
         help="report format on stdout (default: text)",
-    )
-    parser.add_argument(
-        "--rules",
-        help="comma-separated rule ids to run (default: all registered rules)",
-    )
-    parser.add_argument(
-        "--paths",
-        dest="report_paths",
-        metavar="PREFIX[,PREFIX...]",
-        help=(
-            "only report findings for files under these path prefixes "
-            "(the full positional tree is still indexed for the call graph)"
-        ),
     )
     parser.add_argument(
         "--cache-dir",
         type=Path,
         metavar="DIR",
-        help="persist parse/summary caches under DIR (content-hash keyed)",
+        help="persist parse/findings caches under DIR (content-hash keyed)",
     )
     parser.add_argument(
         "--output",
@@ -118,18 +101,6 @@ def _split_findings(
         else:
             active.append(finding)
     return active, suppressed
-
-
-def _path_filter(prefixes: list[str]) -> Any:
-    normalised = [prefix.rstrip("/") for prefix in prefixes if prefix.strip()]
-
-    def matches(finding: Finding) -> bool:
-        return any(
-            finding.path == prefix or finding.path.startswith(prefix + "/")
-            for prefix in normalised
-        )
-
-    return matches
 
 
 def _report(
@@ -181,15 +152,7 @@ def _print_text(report: dict[str, Any], active: list[Finding], out: TextIO) -> N
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-
-    try:
-        rule_ids = None if args.rules is None else [
-            part.strip() for part in args.rules.split(",") if part.strip()
-        ]
-        rules = get_rules(rule_ids)
-    except UnknownRuleError as exc:
-        print(f"error: unknown rule id {exc.args[0]!r}", file=sys.stderr)
-        return 2
+    rules = all_rules()
 
     if args.list_rules:
         for rule in rules:
@@ -220,10 +183,6 @@ def main(argv: list[str] | None = None) -> int:
         else None
     )
     if raw is None:
-        # Precompute (and with --cache-dir, persist) the shared dataflow
-        # layer so every interprocedural rule hits the memo instead of
-        # re-deriving it.
-        FlowAnalysis.for_index(index, cache_dir=args.cache_dir)
         raw = []
         for rule in ordinary:
             raw.extend(rule.run(index))
@@ -234,13 +193,8 @@ def main(argv: list[str] | None = None) -> int:
     # Post rules see the raw findings (a suppressed finding still *matches*
     # its suppression) and their own findings cannot be suppressed.
     for rule in post:
-        active.extend(rule.run_post(index, raw, ordinary_ids))
+        active.extend(rule.run_post(index, raw))
     active.sort()
-
-    if args.report_paths is not None:
-        matches = _path_filter(args.report_paths.split(","))
-        active = [finding for finding in active if matches(finding)]
-        suppressed = [finding for finding in suppressed if matches(finding)]
 
     report = _report(
         rules=rules,
@@ -253,8 +207,6 @@ def main(argv: list[str] | None = None) -> int:
         args.output.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     if args.format == "json":
         print(json.dumps(report, indent=2))
-    elif args.format == "sarif":
-        print(json.dumps(to_sarif(report), indent=2))
     else:
         _print_text(report, active, sys.stdout)
 

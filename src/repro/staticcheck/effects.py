@@ -4,20 +4,19 @@ This module is the *intraprocedural* half of the dataflow layer
 (:mod:`repro.staticcheck.flow` is the interprocedural half).  One
 :class:`EffectScanner` pass over a function body produces a list of
 :class:`EffectSite` records — each pins one effect kind to a source
-location with a human-readable detail string.  The kinds cover every
-dimension a contract rule consumes:
+location with a human-readable detail string.  The scanner records only
+the kinds a contract rule reads:
 
 * the four *purity* kinds SC001 scans for (wall-clock reads, unseeded
   RNG, environment reads, set-order-dependent outputs),
-* filesystem writes,
-* process/thread spawning,
-* lock acquisition and release (resolved to project-wide lock
-  identities by a caller-supplied resolver),
-* potentially blocking primitives (queue ``put``/``get``, pipe
-  ``send``/``recv``, ``join``, ``wait``, ``sleep``, ``result``...),
-* resource releases (``close``/``terminate``/``kill``/bounded ``join``),
-* reply emission (pipe/socket sends and ``wfile`` writes — the ops the
-  reply-protocol rule counts).
+* process/thread spawning (SC007),
+* lock acquisition, resolved to project-wide lock identities by a
+  caller-supplied resolver (SC007),
+* potentially blocking primitives — queue ``put``/``get``, pipe
+  ``send``/``recv``, ``join``, ``wait``, ``sleep``, ``result``... (SC005
+  and SC007),
+* reply emission: pipe/socket sends and ``wfile`` writes, the ops the
+  SC005 reply-protocol rule counts.
 
 Everything here is purely syntactic; receiver types are unknown, so the
 classifiers use argument-shape heuristics (a zero-argument ``.get()`` is
@@ -36,11 +35,8 @@ from .project import FunctionInfo, ModuleInfo, dotted_chain
 __all__ = [
     "BLOCKING",
     "ENVIRON",
-    "FS_WRITE",
     "LOCK_ACQUIRE",
-    "LOCK_RELEASE",
     "PURITY_KINDS",
-    "RELEASE",
     "REPLY",
     "SET_ORDER",
     "SPAWN",
@@ -63,12 +59,9 @@ WALL_CLOCK = "wall-clock"
 UNSEEDED_RNG = "unseeded-rng"
 ENVIRON = "environ"
 SET_ORDER = "set-order"
-FS_WRITE = "fs-write"
 SPAWN = "spawn"
 LOCK_ACQUIRE = "lock-acquire"
-LOCK_RELEASE = "lock-release"
 BLOCKING = "blocking"
-RELEASE = "release"
 REPLY = "reply"
 
 #: The nondeterminism kinds the SC001 purity rule reports.
@@ -105,34 +98,11 @@ _LOCK_CTORS = frozenset(
     {"Lock", "RLock", "Condition", "Semaphore", "BoundedSemaphore"}
 )
 
-#: Methods that release a resource in bounded time.
-_RELEASE_METHODS = frozenset(
-    {"close", "terminate", "kill", "shutdown", "release", "cancel"}
-)
-
 #: Methods that receive one message from a channel (handler-loop anchors).
 _RECEIVE_METHODS = frozenset({"recv", "recv_bytes", "readline"})
 
 #: Methods that emit one message on a channel.
 _SEND_METHODS = frozenset({"send", "sendall", "send_bytes"})
-
-#: Fully resolved call targets that mutate the filesystem.
-_FS_WRITE_CALLS = frozenset(
-    {
-        "os.replace",
-        "os.rename",
-        "os.remove",
-        "os.unlink",
-        "os.makedirs",
-        "os.mkdir",
-        "shutil.rmtree",
-        "shutil.copy",
-        "shutil.copyfile",
-        "shutil.copytree",
-        "shutil.move",
-    }
-)
-_FS_WRITE_METHODS = frozenset({"write_text", "write_bytes"})
 
 
 @dataclass(frozen=True, order=True)
@@ -328,27 +298,6 @@ def _is_set_display(module: ModuleInfo, node: ast.expr) -> bool:
     return False
 
 
-def _open_write_mode(module: ModuleInfo, node: ast.Call) -> bool:
-    """Whether the call is an ``open(...)`` with a writing mode string."""
-    chain = dotted_chain(node.func)
-    resolved = module.resolve(chain) if chain is not None else None
-    if resolved == "open":
-        mode_pos = 1
-    elif isinstance(node.func, ast.Attribute) and node.func.attr == "open":
-        mode_pos = 0  # Path.open(mode, ...)
-    else:
-        return False
-    mode: ast.expr | None = None
-    if len(node.args) > mode_pos:
-        mode = node.args[mode_pos]
-    for kw in node.keywords:
-        if kw.arg == "mode":
-            mode = kw.value
-    if not isinstance(mode, ast.Constant) or not isinstance(mode.value, str):
-        return False
-    return any(flag in mode.value for flag in "wax+")
-
-
 class EffectScanner(ast.NodeVisitor):
     """Collects the direct :class:`EffectSite` list of one function body.
 
@@ -392,14 +341,7 @@ class EffectScanner(ast.NodeVisitor):
     def visit_Call(self, node: ast.Call) -> None:
         chain = dotted_chain(node.func)
         if chain is not None:
-            resolved = self.module.resolve(chain)
-            self._check_purity_call(node, resolved)
-            if resolved in _FS_WRITE_CALLS:
-                self._add(node, FS_WRITE, f"calls {resolved}")
-        if isinstance(node.func, ast.Attribute) and node.func.attr in _FS_WRITE_METHODS:
-            self._add(node, FS_WRITE, f"calls .{node.func.attr}(...)")
-        if _open_write_mode(self.module, node):
-            self._add(node, FS_WRITE, "opens a file for writing")
+            self._check_purity_call(node, self.module.resolve(chain))
         spawn = spawn_detail(self.module, node)
         if spawn is not None:
             self._add(node, SPAWN, f"spawns {spawn}")
@@ -407,31 +349,17 @@ class EffectScanner(ast.NodeVisitor):
         blocking = blocking_detail(self.module, node)
         if blocking is not None:
             self._add(node, BLOCKING, blocking)
-        self._check_release(node)
         reply = reply_receiver(node)
         if reply is not None:
             self._add(node, REPLY, f"reply via {reply}")
         self.generic_visit(node)
 
     def _check_lock_call(self, node: ast.Call) -> None:
-        if not isinstance(node.func, ast.Attribute):
-            return
-        if node.func.attr not in ("acquire", "release"):
+        if not isinstance(node.func, ast.Attribute) or node.func.attr != "acquire":
             return
         identity = self._lock_identity(_receiver_chain(node))
-        if identity is None:
-            return
-        kind = LOCK_ACQUIRE if node.func.attr == "acquire" else LOCK_RELEASE
-        self._add(node, kind, identity)
-
-    def _check_release(self, node: ast.Call) -> None:
-        if not isinstance(node.func, ast.Attribute):
-            return
-        attr = node.func.attr
-        bounded_join = attr == "join" and bool(node.args or node.keywords)
-        if attr in _RELEASE_METHODS or bounded_join:
-            receiver = _receiver_chain(node) or "<expr>"
-            self._add(node, RELEASE, f"{receiver}.{attr}(...)")
+        if identity is not None:
+            self._add(node, LOCK_ACQUIRE, identity)
 
     def _check_purity_call(self, node: ast.Call, resolved: str) -> None:
         """The SC001 nondeterminism sources; details are the rule messages."""

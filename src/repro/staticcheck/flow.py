@@ -32,7 +32,6 @@ from __future__ import annotations
 import ast
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import NamedTuple
 from weakref import WeakKeyDictionary
 
@@ -607,51 +606,26 @@ class FlowAnalysis:
 
     # ------------------------------ building ------------------------------ #
     @classmethod
-    def for_index(
-        cls, index: ProjectIndex, cache_dir: Path | None = None
-    ) -> FlowAnalysis:
+    def for_index(cls, index: ProjectIndex) -> FlowAnalysis:
         """The (memoised) analysis of ``index``.
 
         The first call computes everything; rule functions hitting the memo
-        afterwards share the artifacts.  With ``cache_dir`` set, finished
-        summaries are persisted keyed by the content hashes of every indexed
-        file, so a warm re-run over an unchanged tree skips the scanner and
-        both fixpoints.
+        afterwards share the artifacts.  Nothing is persisted: a warm
+        ``--cache-dir`` run over an unchanged tree is served by the findings
+        cache and never asks for the analysis.
         """
         cached = _MEMO.get(index)
         if cached is not None:
             return cached
-        analysis = cls._compute(index, cache_dir)
+        analysis = cls._compute(index)
         _MEMO[index] = analysis
         return analysis
 
     @classmethod
-    def _compute(cls, index: ProjectIndex, cache_dir: Path | None) -> FlowAnalysis:
-        summary_cache = None
-        if cache_dir is not None:
-            from .cache import SummaryCache
-
-            summary_cache = SummaryCache(cache_dir)
-            loaded = summary_cache.load(index)
-            if loaded is not None:
-                summaries, edges, module_locks, class_locks = loaded
-                locks = LockRegistry()
-                locks.module_locks = module_locks
-                locks.class_locks = class_locks
-                return cls(
-                    index=index,
-                    graph=CallGraph(edges=edges),
-                    summaries=summaries,
-                    locks=locks,
-                )
+    def _compute(cls, index: ProjectIndex) -> FlowAnalysis:
         graph = CallGraph.build(index)
         locks = LockRegistry.build(index)
         summaries = cls._summarise(index, graph, locks)
-        if summary_cache is not None:
-            summary_cache.store(
-                index,
-                (summaries, graph.edges, locks.module_locks, locks.class_locks),
-            )
         return cls(index=index, graph=graph, summaries=summaries, locks=locks)
 
     @classmethod

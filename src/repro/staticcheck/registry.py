@@ -1,8 +1,8 @@
-"""Rule registry: the catalogue of contract checks the CLI can run.
+"""Rule registry: the catalogue of contract checks the CLI runs.
 
 Rules register themselves with the :func:`rule` decorator at import time
 (importing :mod:`repro.staticcheck.rules` loads every built-in rule); the
-CLI selects them by id.  A rule is a pure function from a parsed
+CLI runs all of them.  A rule is a pure function from a parsed
 :class:`~repro.staticcheck.project.ProjectIndex` to a list of
 :class:`~repro.staticcheck.findings.Finding` records — registration carries
 the id, a short name and the one-line description shown by ``--list-rules``.
@@ -10,7 +10,7 @@ the id, a short name and the one-line description shown by ``--list-rules``.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .findings import Finding
@@ -20,22 +20,15 @@ __all__ = [
     "PostCheck",
     "Rule",
     "RuleCheck",
-    "UnknownRuleError",
     "all_rules",
-    "get_rules",
     "post_rule",
     "rule",
 ]
 
 RuleCheck = Callable[[ProjectIndex], list[Finding]]
 #: A post rule sees the raw (pre-suppression) findings of every ordinary
-#: rule that ran, plus the set of rule ids that were executed — the shape
-#: the SC008 suppression-hygiene check needs.
-PostCheck = Callable[[ProjectIndex, "list[Finding]", frozenset[str]], "list[Finding]"]
-
-
-class UnknownRuleError(KeyError):
-    """Raised when a rule id is selected that no rule registered."""
+#: rule — the shape the SC008 suppression-hygiene check needs.
+PostCheck = Callable[[ProjectIndex, "list[Finding]"], "list[Finding]"]
 
 
 @dataclass(frozen=True)
@@ -63,12 +56,10 @@ class Rule:
             return []
         return sorted(self.check(index))
 
-    def run_post(
-        self, index: ProjectIndex, findings: list[Finding], executed: frozenset[str]
-    ) -> list[Finding]:
+    def run_post(self, index: ProjectIndex, findings: list[Finding]) -> list[Finding]:
         if self.post_check is None:
             return []
-        return sorted(self.post_check(index, findings, executed))
+        return sorted(self.post_check(index, findings))
 
 
 _RULES: dict[str, Rule] = {}
@@ -108,22 +99,6 @@ def all_rules() -> list[Rule]:
     """Every registered rule, ordered by id."""
     _load_builtin_rules()
     return [_RULES[rule_id] for rule_id in sorted(_RULES)]
-
-
-def get_rules(rule_ids: Iterable[str] | None) -> list[Rule]:
-    """The selected rules (all of them for ``None``), ordered by id.
-
-    Raises :class:`UnknownRuleError` naming the first unknown id.
-    """
-    rules = all_rules()
-    if rule_ids is None:
-        return rules
-    wanted = list(rule_ids)
-    known = {r.rule_id: r for r in rules}
-    for rule_id in wanted:
-        if rule_id not in known:
-            raise UnknownRuleError(rule_id)
-    return [known[rule_id] for rule_id in sorted(set(wanted))]
 
 
 def _load_builtin_rules() -> None:

@@ -12,18 +12,18 @@ pre-suppression findings) keeps that debt honest:
   wrong and the comment never protected anything — including the malformed
   empty list ``ignore[]``, which suppresses nothing by definition.
 
-Unused-ness is only decided for rule ids that actually executed in this
-run (a ``--rules SC001`` invocation cannot prove an ``ignore[SC006]``
-stale), and blanket ignores are only checked when every ordinary rule ran.
-SC008 findings are themselves exempt from suppression — the hygiene rule
-cannot be ignored away by the mechanism it polices.
+Unused-ness is only decided for the ordinary rule ids: an id no rule
+registers, or SC008 itself, is never reported stale.  A blanket ignore is
+stale when no finding at all lands on its line.  SC008 findings are
+themselves exempt from suppression — the hygiene rule cannot be ignored
+away by the mechanism it polices.
 """
 
 from __future__ import annotations
 
 from ..findings import Finding
 from ..project import ProjectIndex
-from ..registry import post_rule
+from ..registry import all_rules, post_rule
 
 __all__ = ["check_suppression_hygiene"]
 
@@ -41,9 +41,8 @@ def _format_rules(rules: frozenset[str]) -> str:
     "still match a real finding; stale and reason-less ignores are flagged "
     "(and SC008 itself cannot be suppressed)",
 )
-def check_suppression_hygiene(
-    index: ProjectIndex, findings: list[Finding], executed: frozenset[str]
-) -> list[Finding]:
+def check_suppression_hygiene(index: ProjectIndex, findings: list[Finding]) -> list[Finding]:
+    ordinary = frozenset(r.rule_id for r in all_rules() if not r.is_post)
     out: list[Finding] = []
     by_path_line: dict[tuple[str, int], set[str]] = {}
     for finding in findings:
@@ -66,8 +65,7 @@ def check_suppression_hygiene(
                 )
             hit_rules = by_path_line.get((module.display_path, entry.line), set())
             if entry.rules is None:
-                # Blanket ignore: only a full-rule run can prove it unused.
-                if executed >= _ordinary_rule_ids() and not hit_rules:
+                if not hit_rules:
                     out.append(
                         Finding(
                             path=module.display_path,
@@ -98,7 +96,7 @@ def check_suppression_hygiene(
                     )
                 )
                 continue
-            unused = (entry.rules & executed) - hit_rules
+            unused = (entry.rules & ordinary) - hit_rules
             if unused:
                 out.append(
                     Finding(
@@ -115,9 +113,3 @@ def check_suppression_hygiene(
                     )
                 )
     return out
-
-
-def _ordinary_rule_ids() -> frozenset[str]:
-    from ..registry import all_rules
-
-    return frozenset(r.rule_id for r in all_rules() if not r.is_post)

@@ -9,6 +9,7 @@ import pytest
 
 from repro.staticcheck import main
 from repro.staticcheck.cli import REPORT_VERSION
+from repro.staticcheck.flow import FlowAnalysis
 
 CLEAN_MODULE = """
 def add(a, b):
@@ -53,11 +54,6 @@ class TestExitCodes:
         assert "SC003" in out
         assert "1 finding(s)" in out
 
-    def test_unknown_rule_exits_two(self, tmp_path: Path, capsys) -> None:
-        root = write_tree(tmp_path, CLEAN_MODULE)
-        assert main([str(root), "--rules", "SC999"]) == 2
-        assert "unknown rule" in capsys.readouterr().err
-
     def test_missing_path_exits_two(self, tmp_path: Path, capsys) -> None:
         assert main([str(tmp_path / "nope")]) == 2
         assert "no such file or directory" in capsys.readouterr().err
@@ -66,6 +62,20 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as excinfo:
             main(["--format", "yaml"])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize(
+        "flag",
+        [["--format", "sarif"], ["--rules", "SC001"], ["--paths", "src"]],
+        ids=" ".join,
+    )
+    def test_removed_flag_exits_two(
+        self, tmp_path: Path, capsys, flag: list[str]
+    ) -> None:
+        root = write_tree(tmp_path, CLEAN_MODULE)
+        with pytest.raises(SystemExit) as excinfo:
+            main([str(root), *flag])
+        assert excinfo.value.code == 2
+        assert flag[0] in capsys.readouterr().err
 
     def test_parse_error_exits_one(self, tmp_path: Path, capsys) -> None:
         root = write_tree(tmp_path, "def broken(:\n")
@@ -195,17 +205,25 @@ class TestSuppressionHygiene:
         assert "SC008" in out
         assert "unused suppression of SC001" in out
 
-    def test_unused_not_decided_for_unexecuted_rules(
-        self, tmp_path: Path, capsys
+    @pytest.mark.parametrize("rules", ["SC008", "SC999"])
+    def test_unused_only_decided_for_ordinary_rules(
+        self, tmp_path: Path, capsys, rules: str
     ) -> None:
         source = CLEAN_MODULE.replace(
             "    return a + b",
-            "    return a + b  # staticcheck: ignore[SC001] -- stale",
+            f"    return a + b  # staticcheck: ignore[{rules}] -- not an ordinary rule",
         )
         root = write_tree(tmp_path, source)
-        # SC001 did not run, so its suppression cannot be proved stale.
-        assert main([str(root), "--rules", "SC003,SC008"]) == 0
+        assert main([str(root)]) == 0
         assert "clean" in capsys.readouterr().out
+
+    def test_stale_blanket_suppression_is_flagged(self, tmp_path: Path, capsys) -> None:
+        source = CLEAN_MODULE.replace(
+            "    return a + b", "    return a + b  # staticcheck: ignore -- stale"
+        )
+        root = write_tree(tmp_path, source)
+        assert main([str(root)]) == 1
+        assert "blanket suppression matches no finding" in capsys.readouterr().out
 
     def test_ignore_syntax_inside_string_is_not_a_suppression(
         self, tmp_path: Path, capsys
@@ -227,48 +245,6 @@ class TestSuppressionHygiene:
         assert "unused suppression" in capsys.readouterr().out
 
 
-class TestSarif:
-    def test_sarif_log_shape(self, tmp_path: Path, capsys) -> None:
-        root = write_tree(tmp_path, DIRTY_MODULE)
-        assert main([str(root), "--format", "sarif"]) == 1
-        log = json.loads(capsys.readouterr().out)
-        assert log["version"] == "2.1.0"
-        (run,) = log["runs"]
-        driver = run["tool"]["driver"]
-        assert driver["name"] == "repro.staticcheck"
-        rule_ids = {entry["id"] for entry in driver["rules"]}
-        assert "SC003" in rule_ids and "SC008" in rule_ids
-        (result,) = run["results"]
-        assert result["ruleId"] == "SC003"
-        region = result["locations"][0]["physicalLocation"]["region"]
-        assert region["startLine"] >= 1
-        assert region["startColumn"] >= 1  # SARIF columns are 1-indexed
-
-    def test_sarif_clean_run_has_no_results(self, tmp_path: Path, capsys) -> None:
-        root = write_tree(tmp_path, CLEAN_MODULE)
-        assert main([str(root), "--format", "sarif"]) == 0
-        log = json.loads(capsys.readouterr().out)
-        assert log["runs"][0]["results"] == []
-
-
-class TestPathsFilter:
-    def test_paths_prefix_restricts_reporting(
-        self, tmp_path: Path, capsys
-    ) -> None:
-        root = write_tree(tmp_path, DIRTY_MODULE)
-        other = tmp_path / "other"
-        other.mkdir()
-        (other / "clean.py").write_text(CLEAN_MODULE, encoding="utf-8")
-        # Index both trees, report only the clean one: exit goes to 0.
-        assert main([str(root), str(other), "--paths", str(other)]) == 0
-        assert "clean" in capsys.readouterr().out
-
-    def test_paths_keeps_matching_findings(self, tmp_path: Path, capsys) -> None:
-        root = write_tree(tmp_path, DIRTY_MODULE)
-        assert main([str(root), "--paths", str(root)]) == 1
-        assert "SC003" in capsys.readouterr().out
-
-
 class TestCacheDir:
     def test_warm_run_reproduces_report(self, tmp_path: Path, capsys) -> None:
         root = write_tree(tmp_path, DIRTY_MODULE)
@@ -279,6 +255,23 @@ class TestCacheDir:
         warm = json.loads(capsys.readouterr().out)
         assert warm == cold
         assert any(cache.rglob("*.pkl"))  # entries actually persisted
+
+    def test_warm_run_never_computes_the_dataflow_layer(
+        self, tmp_path: Path, capsys, monkeypatch
+    ) -> None:
+        root = write_tree(tmp_path, DIRTY_MODULE)
+        argv = [str(root), "--cache-dir", str(tmp_path / "cache"), "--format", "json"]
+        assert main(argv) == 1
+        cold = json.loads(capsys.readouterr().out)
+
+        def fail(cls: type, index: object) -> None:
+            raise AssertionError("a warm unchanged run recomputed the dataflow layer")
+
+        # The findings cache short-circuits every rule on an unchanged tree,
+        # which is why the dataflow summaries need no cache of their own.
+        monkeypatch.setattr(FlowAnalysis, "_compute", classmethod(fail))
+        assert main(argv) == 1
+        assert json.loads(capsys.readouterr().out) == cold
 
     def test_edited_file_misses_cache(self, tmp_path: Path, capsys) -> None:
         root = write_tree(tmp_path, DIRTY_MODULE)

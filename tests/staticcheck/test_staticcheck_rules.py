@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.staticcheck import Finding, ProjectIndex, get_rules
+from repro.staticcheck import Finding, ProjectIndex, all_rules
 
 
 def build_index(tmp_path: Path, files: dict[str, str]) -> ProjectIndex:
@@ -26,7 +26,7 @@ def build_index(tmp_path: Path, files: dict[str, str]) -> ProjectIndex:
 
 
 def run_rule(rule_id: str, index: ProjectIndex) -> list[Finding]:
-    (rule,) = get_rules([rule_id])
+    (rule,) = [r for r in all_rules() if r.rule_id == rule_id]
     return rule.run(index)
 
 
