@@ -7,7 +7,7 @@ Two gated rows:
   the 32000 x 1024 GNMT projection shape at V=64, density 0.1 and 2 Lloyd
   iterations (the largest layer the ``pattern-search`` experiment runs),
   best of :data:`PROJECTION_REPEATS` runs, gated at :data:`PROJECTION_GATE_S`:
-  an absolute bound about 3x the local median (~4 s, 3.1-5.4 s over six
+  an absolute bound about 3x the local median (~3.6 s, 3.2-3.9 s over six
   runs on a 2-core container), so full stable sorts of the scores or of the
   distance pairs fail it (16.6-25 s there).
 * **seed ratio** — the same search against the seed implementations frozen

@@ -18,35 +18,39 @@ This is the vectorized engine; the original implementation (one Python loop
 iteration per sorted distance pair — ``n * k`` iterations per Lloyd step —
 and a float broadcast per k-means++ centroid) is preserved verbatim in
 :mod:`repro.core.reference` as the bit-for-bit oracle the property tests
-compare against.  Five techniques replace the loops, sorts and broadcasts
-without changing a single output bit:
+compare against.  Binarity is decided once per search: 0/1 points are kept
+as ``bool`` rows (plus one 0/1 GEMM operand), never as a float64 copy.  Six
+techniques replace the loops, sorts and broadcasts without changing a single
+output bit:
 
 * **Packed-bit k-means++** — on binary points every seeding distance is a
   Hamming distance, an exact integer: a popcount (``np.bitwise_count``) over
   the rows packed into uint64 words yields the seed's distances, and so its
   sampling probabilities and RNG draws, without a float pass over the
   ``(n, K)`` matrix per centroid.
-
-* **Exact Gram-matrix distances** — on the pattern search's actual inputs
-  (binary mask rows, power-of-two group sizes) every quantity involved is a
-  dyadic rational with a small numerator: points are 0/1, centroids are
-  means of ``V = 2^t`` binary rows (``j / V``), so squared distances are
-  exact multiples of ``1 / V^2`` well below 2^53.  Floating-point addition
-  and multiplication on such values are *exact* in any association order,
-  which makes the BLAS form ``|x|^2 - 2 x.c + |c|^2`` bitwise identical to
-  the seed's elementwise ``((x - c) ** 2).sum()`` — at a matmul's cost
-  instead of an ``(n, k, K)`` broadcast.
-* **Integer-keyed pair order** — the same proof makes ``d * V^2`` an exact
-  integer for every pair, so the greedy's visiting order (the stable argsort
-  of all ``n * k`` distances) is the plain sort of the unique int64 keys
-  ``(d * V^2) * (n * k) + pair_index``, built and sorted in the distance
-  buffer itself.
+* **Exact integer distances** — on the pattern search's actual inputs
+  (binary rows, power-of-two group sizes) every centroid is ``j / D`` with
+  ``j`` an integer in ``[0, D]``: raw rows (``D = 1``, the k-means++ seeds)
+  or means of ``V = 2^t`` rows (``D = V``).  Then ``D^2 |x - c|^2 =
+  D^2 |x|^2 - 2 D x.(c D) + |c D|^2`` is an integer, and the seed's float64
+  ``((x - c) ** 2).sum()`` is exactly that integer over ``D^2`` (every
+  partial sum is a multiple of ``1 / D^2`` below 2^52).  The dot products
+  come from one float32 GEMM of the 0/1 rows against the numerators
+  ``c D``: its partial sums are integers at most ``K D``, exact up to 2^24
+  in any order (float64 past that); ``|x|^2`` is a popcount.
+* **Integer-keyed pair order** — the greedy's visiting order (the stable
+  argsort of all ``n * k`` distances) is the plain sort of the unique int64
+  keys ``(d D^2) << B | (row * k + c)``, built from those integers with
+  int64 arithmetic in one buffer, sorted in place and decoded with a mask.
+* **Exact centroid counts** — a Lloyd update gathers each cluster's
+  ``bool`` rows and counts them: the seed's float64 mean of 0/1 values is
+  that exact count divided once by ``V``, so ``count / V`` has its bits.
 * **Chunked broadcasting** — for inputs outside that regime (non-binary
-  points, non-power-of-two capacities) the seed expression is evaluated
-  verbatim over row blocks: elementwise ops and a last-axis reduction are
-  independent of the leading batch dimension, so the result is bitwise
-  identical while the ``(n, k, K)`` intermediate never materialises; those
-  distances are ordered by the stable float argsort.
+  points, non-dyadic centroids, keys that would overflow int64) the seed
+  expression is evaluated verbatim over row blocks: elementwise ops and a
+  last-axis reduction are independent of the leading batch dimension, so
+  the result is bitwise identical while the ``(n, k, K)`` intermediate never
+  materialises; those distances are ordered by the stable float argsort.
 * **Prefix-accepted greedy rounds** — the capacity-constrained assignment
   walks the sorted distance pairs in vectorized chunks.  Within a chunk,
   duplicate-row pairs are skipped and every pair up to the first *capacity*
@@ -69,59 +73,104 @@ __all__ = ["balanced_kmeans", "kmeans_plusplus_init"]
 _CHUNK_ELEMENTS = 1 << 22
 
 
-def _is_binary(points: np.ndarray) -> bool:
-    """Whether every entry is exactly 0.0 or 1.0 (the pattern-search case)."""
-    return bool(np.all((points == 0.0) | (points == 1.0)))
+def _as_rows(points: np.ndarray) -> np.ndarray:
+    """``points`` as ``bool`` rows when every entry is 0 or 1, else float64.
+
+    This is where binarity is decided: the exact integer paths key on the
+    ``bool`` dtype, and a ``bool`` input is taken as it is, without a scan.
+    """
+    points = np.asarray(points)
+    if points.dtype == bool:
+        return points
+    points = np.asarray(points, dtype=np.float64)
+    binary = np.all((points == 0.0) | (points == 1.0))
+    return points != 0 if binary else points
 
 
-def _exact_denominator(centroids: np.ndarray, capacity: int | None) -> int | None:
-    """A power-of-two ``D`` with ``centroids * D`` exactly integral, if any.
+def _exact_denominator(centroids: np.ndarray, capacity: int) -> int | None:
+    """A power-of-two ``D`` with ``centroids * D`` integers in ``[0, D]``, if any.
 
-    Multiplying by a power of two only shifts exponents, so the integrality
-    check is itself exact: a hit proves every centroid entry is a dyadic
-    rational ``j / D`` represented without rounding.  Candidates are ``1``
-    (centroids that are raw binary rows, e.g. the k-means++ seeds) and the
-    group capacity when it is a power of two (centroids that are means of
-    ``capacity`` binary rows).  Returns ``None`` when no candidate fits.
+    Multiplying by a power of two only shifts exponents, so the check is
+    itself exact: a hit proves every centroid entry is a dyadic rational
+    ``j / D`` in ``[0, 1]`` represented without rounding.  Candidates are
+    ``1`` (centroids that are raw binary rows, e.g. the k-means++ seeds)
+    and the group capacity when it is a power of two (centroids that are
+    means of ``capacity`` binary rows).  Returns ``None`` when none fits.
     """
     candidates = [1]
-    if capacity is not None and capacity > 0 and capacity & (capacity - 1) == 0:
+    if capacity > 1 and capacity & (capacity - 1) == 0:
         candidates.append(capacity)
     for denom in candidates:
         scaled = centroids * float(denom)
-        if np.all(scaled == np.rint(scaled)):
+        if np.all((scaled == np.rint(scaled)) & (scaled >= 0) & (scaled <= denom)):
             return denom
     return None
 
 
-def _pairwise_sq_dists(
-    points: np.ndarray, centroids: np.ndarray, capacity: int | None, binary: bool
-) -> tuple[np.ndarray, int | None]:
-    """``(n, k)`` squared distances, bitwise equal to the seed broadcast.
+def _gemm_operand(rows: np.ndarray, capacity: int) -> np.ndarray:
+    """Boolean ``rows`` as the 0/1 operand of the distance GEMM.
 
-    Returns the distances and, when they are proven exact, the denominator
-    ``D`` that makes every one of them an integer multiple of ``1 / D**2``
-    (``None`` otherwise).  ``binary`` says whether every point is 0/1.
+    Against numerators ``c * D`` (``D <= capacity``, see
+    :func:`_exact_denominator`) every partial sum of a dot product is an
+    integer at most ``K * D``: float32 holds those exactly up to 2**24,
+    float64 past that.
+    """
+    exact32 = rows.shape[1] * max(1, capacity) <= 1 << 24
+    return rows.astype(np.float32 if exact32 else np.float64)
 
-    The fast path rewrites ``|x - c|^2`` as ``|x|^2 - 2 x.c + |c|^2`` and is
-    only taken when every term is provably exact (binary points, dyadic
-    centroids, sums below 2^53) — then *any* summation order, including the
-    BLAS one, yields the identical float.  Otherwise the seed expression is
-    evaluated verbatim over row chunks, which is bitwise identical because
-    elementwise arithmetic and the last-axis pairwise sum do not depend on
-    the leading dimension.
+
+def _key_bits(n: int, k: int, dim: int, denom: int) -> int | None:
+    """Bits ``B`` of the pair index in the keys ``(d * D**2) << B | index``,
+    or ``None`` when integer keys are not provably exact.
+
+    The numerators ``d * D**2`` are at most ``dim * D**2``.  Below 2**52 the
+    seed's float64 sums are exact, so the integer order is its order; and
+    the keys, whose construction passes through ``-2 * D * x.(c * D)`` (up
+    to twice that bound) shifted by ``B``, must fit int64.
+    """
+    bits = (n * k - 1).bit_length()
+    bound = dim * denom * denom
+    if bound >= 1 << 52 or (2 * bound) << bits >= 1 << 63:
+        return None
+    return bits
+
+
+def _pair_keys(
+    rows: np.ndarray, operand: np.ndarray, centroids: np.ndarray, denom: int, bits: int
+) -> np.ndarray:
+    """``(n, k)`` int64 keys ``(d * D**2) << bits | (row * k + c)``.
+
+    ``d * D**2 = D**2 |x|**2 - 2 D x.(c D) + |c D|**2`` with ``D = denom``
+    (see :func:`_exact_denominator`), every term an exact integer: the dot
+    products come from one GEMM of ``operand`` (see :func:`_gemm_operand`),
+    ``|x|**2`` is the row's popcount.  The scaled dot products become the
+    key buffer; one per-row and one per-cluster term, each already shifted
+    and carrying its half of the pair index, are added in place.
+    """
+    n = rows.shape[0]
+    k = centroids.shape[0]
+    numerators = centroids * float(denom)
+    keys = (operand @ numerators.T.astype(operand.dtype)).astype(np.int64)
+    keys *= -(2 * denom) << bits
+    row_terms = (np.count_nonzero(rows, axis=1) * (denom * denom)) << bits
+    row_terms += np.arange(0, n * k, k)
+    keys += row_terms[:, None]
+    whole = numerators.astype(np.int64)
+    cluster_terms = np.einsum("ij,ij->i", whole, whole) << bits
+    cluster_terms += np.arange(k)
+    keys += cluster_terms
+    return keys
+
+
+def _broadcast_sq_dists(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """``(n, k)`` squared distances by the seed expression, over row chunks.
+
+    Elementwise arithmetic and the last-axis pairwise sum do not depend on
+    the leading dimension, so every chunk is bitwise the seed's full
+    ``(n, k, K)`` broadcast restricted to its rows; ``bool`` rows promote to
+    the same 0.0/1.0.
     """
     n, dim = points.shape
-    if binary:
-        denom = _exact_denominator(centroids, capacity)
-        # Distance numerators are bounded by dim * denom**2; staying far
-        # below 2**53 guarantees every partial sum is exact.
-        if denom is not None and dim * denom * denom < (1 << 52):
-            dists = points @ centroids.T
-            dists *= -2.0
-            dists += np.einsum("ij,ij->i", points, points)[:, None]
-            dists += np.einsum("ij,ij->i", centroids, centroids)
-            return dists, denom
     k = centroids.shape[0]
     dists = np.empty((n, k), dtype=np.float64)
     chunk = max(1, _CHUNK_ELEMENTS // max(1, k * max(1, dim)))
@@ -130,7 +179,7 @@ def _pairwise_sq_dists(
         dists[start : start + chunk] = (
             (block[:, None, :] - centroids[None, :, :]) ** 2
         ).sum(axis=2)
-    return dists, None
+    return dists
 
 
 def kmeans_plusplus_init(
@@ -140,7 +189,7 @@ def kmeans_plusplus_init(
     n = points.shape[0]
     if num_clusters <= 0 or num_clusters > n:
         raise ValueError("num_clusters must be in [1, n_points]")
-    points = np.asarray(points)
+    points = _as_rows(points)
     # Candidate centroids are raw data rows, so on binary inputs every
     # squared distance is a Hamming distance, an exact integer however it
     # is summed: a popcount over the rows packed into uint64 words gives the
@@ -148,9 +197,9 @@ def kmeans_plusplus_init(
     # draws) at a fraction of a float pass per centroid.  The words are
     # stored transposed, one word of every row per line, so the per-row
     # popcount sums reduce over whole contiguous lines.
-    binary = _is_binary(points)
+    binary = points.dtype == bool
     if binary:
-        words = np.ascontiguousarray(_pack_rows(points != 0).T)
+        words = np.ascontiguousarray(_pack_rows(points).T)
 
     def _sq_dists_to(c: int, row: int) -> np.ndarray:
         if binary:
@@ -238,41 +287,40 @@ def _assign_in_order(order: np.ndarray, n: int, k: int, capacity: int) -> np.nda
     return assign
 
 
-def _pair_order(dists: np.ndarray, denom: int | None, dim: int) -> np.ndarray:
-    """Flat ``(row, cluster)`` pair indices by ascending distance, ties by
-    index: exactly ``np.argsort(dists, axis=None, kind="stable")``.
+def _pair_order(
+    points: np.ndarray, operand: np.ndarray | None, centroids: np.ndarray, capacity: int
+) -> np.ndarray:
+    """Flat ``(row, cluster)`` pair indices by ascending squared distance,
+    ties by index: exactly the seed's ``np.argsort(dists, axis=None,
+    kind="stable")``.
 
-    When every distance is a proven integer multiple of ``1 / D**2`` (``denom``
-    is ``D``; numerators are at most ``dim * D**2``), each pair gets the
-    unique int64 key ``(d * D**2) * (n * k) + index``.  Distinct keys leave
-    nothing for a stable sort to decide, so numpy's default sort orders them
-    in place and the remainder recovers the index.  The keys are built in
-    ``dists``' own buffer, which this consumes.
+    ``points`` are :func:`_as_rows` rows and ``operand`` their
+    :func:`_gemm_operand` (``None`` for float rows).  Binary rows against
+    dyadic centroids get unique integer keys (:func:`_pair_keys`): nothing
+    is left for a stable sort to decide, so numpy's default sort orders them
+    in place and a mask recovers the index.  Everything else takes the
+    broadcast distances and the stable float argsort.
     """
-    n, k = dists.shape
-    pairs = n * k
-    if denom is None or (dim * denom * denom + 1) * pairs >= 1 << 63:
+    n, dim = points.shape
+    k = centroids.shape[0]
+    denom = None if operand is None else _exact_denominator(centroids, capacity)
+    bits = None if denom is None else _key_bits(n, k, dim, denom)
+    if denom is None or bits is None:
+        dists = _broadcast_sq_dists(points, centroids)
         return np.argsort(dists, axis=None, kind="stable")
-    flat = dists.reshape(-1)
-    keys = flat.view(np.int64)
-    np.multiply(flat, float(denom * denom), out=keys, casting="unsafe")
-    keys *= pairs
-    grid = keys.reshape(n, k)
-    grid += np.arange(0, pairs, k, dtype=np.int64)[:, None]
-    grid += np.arange(k, dtype=np.int64)
+    keys = _pair_keys(points, operand, centroids, denom, bits).reshape(-1)
     keys.sort()
-    keys %= pairs
+    keys &= (1 << bits) - 1
     return keys
 
 
 def _greedy_assignment(
-    points: np.ndarray, centroids: np.ndarray, capacity: int, binary: bool
+    points: np.ndarray, operand: np.ndarray | None, centroids: np.ndarray, capacity: int
 ) -> np.ndarray:
-    """One Lloyd step's greedy capacity-constrained assignment, with the
-    binarity of ``points`` decided by the caller."""
-    dists, denom = _pairwise_sq_dists(points, centroids, capacity, binary)
-    n, k = dists.shape
-    return _assign_in_order(_pair_order(dists, denom, points.shape[1]), n, k, capacity)
+    """One Lloyd step's greedy capacity-constrained assignment over
+    :func:`_as_rows` rows and their GEMM operand."""
+    order = _pair_order(points, operand, centroids, capacity)
+    return _assign_in_order(order, points.shape[0], centroids.shape[0], capacity)
 
 
 def _balanced_assignment(
@@ -284,10 +332,12 @@ def _balanced_assignment(
     every cluster receives exactly ``capacity`` rows.  Bitwise identical to
     :func:`repro.core.reference.balanced_assignment_loop`, whose call
     surface it shares; :func:`balanced_kmeans` calls
-    :func:`_greedy_assignment` directly so it scans ``points`` for binarity
-    once per search rather than once per Lloyd step.
+    :func:`_greedy_assignment` directly so it decides binarity and builds
+    the GEMM operand once per search rather than once per Lloyd step.
     """
-    return _greedy_assignment(points, centroids, capacity, _is_binary(points))
+    rows = _as_rows(points)
+    operand = _gemm_operand(rows, capacity) if rows.dtype == bool else None
+    return _greedy_assignment(rows, operand, centroids, capacity)
 
 
 def _balanced_centroids(
@@ -299,10 +349,15 @@ def _balanced_centroids(
     rows, so a stable sort by cluster id reshapes straight into
     ``(k, V, K)``; the mean over the middle axis reduces each cluster's rows
     in the same order (ascending row index) and with the same reduction as
-    the seed's per-cluster ``points[assign == c].mean(axis=0)``.
+    the seed's per-cluster ``points[assign == c].mean(axis=0)``.  On
+    ``bool`` rows that float64 mean is an exact count of ones divided once
+    by ``V``, so the counts over ``V`` carry its bits.
     """
     order = np.argsort(assign, kind="stable")
-    return points[order].reshape(num_clusters, group_size, -1).mean(axis=1)
+    members = points[order].reshape(num_clusters, group_size, -1)
+    if members.dtype == bool:
+        return np.count_nonzero(members, axis=1) / group_size
+    return members.mean(axis=1)
 
 
 def balanced_kmeans(
@@ -317,8 +372,9 @@ def balanced_kmeans(
     Parameters
     ----------
     points:
-        ``(M, K)`` array; for the pattern search this is the binary mask from
-        the reduced-sparsity unstructured pruning step.
+        ``(M, K)`` array; for the pattern search this is the ``bool`` mask
+        from the reduced-sparsity unstructured pruning step.  Float points
+        whose entries are all 0 or 1 are clustered as that mask would be.
     group_size:
         Required rows per group (the vector size ``V``); ``M`` must be a
         multiple of it.
@@ -334,7 +390,7 @@ def balanced_kmeans(
         ``group_size``, sorted within each group; groups are ordered by their
         smallest member so the output is deterministic.
     """
-    points = np.asarray(points, dtype=np.float64)
+    points = _as_rows(points)
     if points.ndim != 2:
         raise ValueError("points must be a 2-D array")
     m = points.shape[0]
@@ -346,11 +402,11 @@ def balanced_kmeans(
 
     rng = np.random.default_rng(seed)
     centroids = kmeans_plusplus_init(points, num_clusters, rng)
-    binary = _is_binary(points)
-    assign = _greedy_assignment(points, centroids, group_size, binary)
+    operand = _gemm_operand(points, group_size) if points.dtype == bool else None
+    assign = _greedy_assignment(points, operand, centroids, group_size)
     for _ in range(max(0, num_iters - 1)):
         centroids = _balanced_centroids(points, assign, num_clusters, group_size)
-        new_assign = _greedy_assignment(points, centroids, group_size, binary)
+        new_assign = _greedy_assignment(points, operand, centroids, group_size)
         if np.array_equal(new_assign, assign):
             break
         assign = new_assign

@@ -190,12 +190,7 @@ def search_shflbw_pattern(
     # Stage 1 — row-group search on a reduced-sparsity unstructured mask.
     beta = min(1.0, beta_factor * density)
     coarse_mask = unstructured_mask(scores, beta)
-    groups = balanced_kmeans(
-        coarse_mask.astype(np.float64),
-        vector_size,
-        num_iters=kmeans_iters,
-        seed=seed,
-    )
+    groups = balanced_kmeans(coarse_mask, vector_size, num_iters=kmeans_iters, seed=seed)
     row_indices = groups_to_permutation(groups, m)
 
     # Stage 2 — vector-wise pruning on the permuted scores, then reverse.

@@ -15,7 +15,9 @@ Importance scores are synthetic but deterministic: magnitude-like
 ``|N(0, 1)|`` draws seeded per (model, layer, seed), standing in for the
 absolute trained weights the paper prunes (offline training at these shapes
 is not reproducible; the *relative* retained-importance ordering across V
-and sparsity is what the experiment surfaces).
+and sparsity is what the experiment surfaces).  The grid keeps each layer's
+cells adjacent, and a one-entry memo hands them one read-only matrix, so
+each (model, layer, seed) is drawn once per serial sweep.
 
 Execution mirrors the other sweeps: the grid expands into hashable
 :class:`PatternSearchCell` configs, :func:`execute_pattern_search_cell` is a
@@ -149,7 +151,26 @@ def layer_scores(model: str, layer: str, m: int, k: int, seed: int) -> np.ndarra
         f"pattern-search/{model}/{layer}/{seed}".encode("utf-8"), digest_size=8
     ).digest()
     rng = np.random.default_rng(int.from_bytes(digest, "little"))
-    return np.abs(rng.standard_normal((m, k)))
+    scores = rng.standard_normal((m, k))
+    return np.abs(scores, out=scores)
+
+
+#: One-entry memo of the last score matrix, keyed by its ``layer_scores``
+#: arguments.  Grid order puts each layer's cells next to each other, so a
+#: serial sweep draws every matrix once; holding one entry keeps RSS flat.
+_LAST_SCORES: dict[tuple[str, str, int, int, int], np.ndarray] = {}
+
+
+def _memoised_layer_scores(model: str, layer: str, m: int, k: int, seed: int) -> np.ndarray:
+    """:func:`layer_scores`, read-only and shared by adjacent cells of a layer."""
+    key = (model, layer, m, k, seed)
+    scores = _LAST_SCORES.get(key)
+    if scores is None:
+        _LAST_SCORES.clear()  # free the old matrix before drawing the new one
+        scores = layer_scores(*key)
+        scores.flags.writeable = False
+        _LAST_SCORES[key] = scores
+    return scores
 
 
 _LAYER_CACHE: dict[str, dict[str, object]] = {}
@@ -182,7 +203,7 @@ def execute_pattern_search_cell(cell: PatternSearchCell) -> PatternSearchRecord:
             layer_count=shape.count,
             detail=f"M={m} is not divisible by V={cell.vector_size}",
         )
-    scores = layer_scores(cell.model, cell.layer, m, k, cell.seed)
+    scores = _memoised_layer_scores(cell.model, cell.layer, m, k, cell.seed)
     result = search_shflbw_pattern(
         scores,
         density=cell.density,

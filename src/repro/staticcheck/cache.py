@@ -15,15 +15,18 @@ a new digest and simply misses):
   which only rules consume; post rules (SC008) re-run every time — they
   are cheap and depend only on cached inputs.
 
-Every key is salted with a cache schema version and the running Python
-minor version (AST shapes differ across versions), and writes go through a
-unique temp file plus :func:`os.replace` — the same atomic, multi-writer
-safe discipline as :mod:`repro.eval.store`.  A corrupt or unreadable entry
-is treated as a miss, never an error.
+Every key is salted with a digest of the ``repro.staticcheck`` sources
+themselves and the running Python minor version (AST shapes differ across
+versions): an edit to a rule, the scanner, the parser or the pickled shapes
+misses every entry, even on a run whose paths leave the linter out.  Writes
+go through a unique temp file plus :func:`os.replace` — the same atomic,
+multi-writer safe discipline as :mod:`repro.eval.store`.  A corrupt or
+unreadable entry is treated as a miss, never an error.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import pickle
@@ -33,15 +36,24 @@ from pathlib import Path
 from .findings import Finding
 from .project import ModuleInfo, ProjectIndex
 
-__all__ = ["CACHE_VERSION", "FindingsCache", "ParseCache"]
+__all__ = ["FindingsCache", "ParseCache"]
 
-#: Bumped whenever the pickled shapes (ModuleInfo/Finding fields) change.
-CACHE_VERSION = 1
+
+@functools.cache
+def _sources_digest() -> str:
+    """Digest of every ``.py`` file of this package, by relative path."""
+    package = Path(__file__).resolve().parent
+    digest = hashlib.blake2b(digest_size=16)
+    for path in sorted(package.rglob("*.py")):
+        digest.update(path.relative_to(package).as_posix().encode())
+        digest.update(b"\x00")
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
 
 
 def _salt() -> bytes:
     return (
-        f"staticcheck-cache-v{CACHE_VERSION}"
+        f"staticcheck-cache-{_sources_digest()}"
         f"-py{sys.version_info[0]}.{sys.version_info[1]}"
     ).encode()
 

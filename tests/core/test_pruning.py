@@ -114,6 +114,17 @@ class TestSearchShflBW:
         np.testing.assert_array_equal(a.mask, b.mask)
         np.testing.assert_array_equal(a.row_indices, b.row_indices)
 
+    def test_accepts_read_only_scores(self, rng):
+        # The search never writes to its input, so callers may share one
+        # read-only score matrix across searches.
+        scores = rng.random((32, 24))
+        expected = search_shflbw_pattern(scores.copy(), 0.25, 8, seed=3)
+        scores.flags.writeable = False
+        actual = search_shflbw_pattern(scores, 0.25, 8, seed=3)
+        np.testing.assert_array_equal(actual.mask, expected.mask)
+        np.testing.assert_array_equal(actual.row_indices, expected.row_indices)
+        assert actual.retained_score == expected.retained_score
+
     def test_beta_factor_validated(self, rng):
         with pytest.raises(ValueError):
             search_shflbw_pattern(rng.random((8, 8)), 0.5, 4, beta_factor=0.0)

@@ -13,10 +13,15 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.core.kmeans import (
+    _as_rows,
     _balanced_assignment,
-    _is_binary,
+    _balanced_centroids,
+    _broadcast_sq_dists,
+    _exact_denominator,
+    _gemm_operand,
+    _key_bits,
+    _pair_keys,
     _pair_order,
-    _pairwise_sq_dists,
     balanced_kmeans,
     kmeans_plusplus_init,
 )
@@ -35,7 +40,7 @@ from repro.core.transforms import group_rows_by_support
 SETTINGS = dict(max_examples=30, deadline=None)
 
 # Vector sizes cover both distance paths: powers of two take the exact
-# Gram-matrix fast path on binary points, the rest the chunked broadcast.
+# integer path on binary points, the rest the chunked broadcast.
 VECTOR_SIZES = [1, 2, 3, 4, 5, 7, 8, 16]
 
 
@@ -111,8 +116,25 @@ class TestBalancedAssignment:
     def test_distances_bitwise_equal_to_broadcast(self, case):
         points, centroids, v = case
         seed_dists = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-        dists, _ = _pairwise_sq_dists(points, centroids, v, _is_binary(points))
-        np.testing.assert_array_equal(dists, seed_dists)
+        rows = _as_rows(points)
+        np.testing.assert_array_equal(_broadcast_sq_dists(rows, centroids), seed_dists)
+        denom = _exact_denominator(centroids, v)
+        if rows.dtype != bool or denom is None:
+            return
+        # The exact path: integer numerators over D**2 are the seed's floats.
+        n, k = seed_dists.shape
+        bits = _key_bits(n, k, points.shape[1], denom)
+        keys = _pair_keys(rows, _gemm_operand(rows, v), centroids, denom, bits)
+        np.testing.assert_array_equal((keys >> bits) / float(denom * denom), seed_dists)
+        np.testing.assert_array_equal(
+            keys & ((1 << bits) - 1), np.arange(n * k).reshape(n, k)
+        )
+
+
+def _seed_order(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """The seed's visiting order: stable argsort of the broadcast distances."""
+    dists = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+    return np.argsort(dists, axis=None, kind="stable")
 
 
 class TestPairOrder:
@@ -129,22 +151,58 @@ class TestPairOrder:
         rng = np.random.default_rng(seed)
         m = v * num_groups
         # Few distinct supports, so equal distances (ties) are common.
-        points = (rng.random((m, k_dim)) < rng.random()).astype(np.float64)
+        rows = rng.random((m, k_dim)) < rng.random()
+        points = rows.astype(np.float64)
         centroids = np.stack(
             [points[rng.integers(0, m, size=v)].mean(axis=0) for _ in range(num_groups)]
         )
-        dists, denom = _pairwise_sq_dists(points, centroids, v, True)
-        if v & (v - 1) == 0:
-            assert denom is not None  # power-of-two capacity: the key path
-        expected = np.argsort(dists, axis=None, kind="stable")
-        np.testing.assert_array_equal(_pair_order(dists, denom, k_dim), expected)
+        if v & (v - 1) == 0:  # power-of-two capacity: the key path
+            denom = _exact_denominator(centroids, v)
+            assert denom is not None
+            assert _key_bits(m, num_groups, k_dim, denom) is not None
+        order = _pair_order(rows, _gemm_operand(rows, v), centroids, v)
+        np.testing.assert_array_equal(order, _seed_order(points, centroids))
 
-    def test_keys_that_would_overflow_fall_back(self):
-        rng = np.random.default_rng(3)
-        dists = rng.integers(0, 3, size=(8, 4)).astype(np.float64)
-        expected = np.argsort(dists, axis=None, kind="stable")
-        # (dim * D**2 + 1) * n * k >= 2**63: the keys would not fit int64.
-        np.testing.assert_array_equal(_pair_order(dists, 1, 1 << 59), expected)
+    @given(st.integers(min_value=0, max_value=2**16))
+    @settings(max_examples=5, deadline=None)
+    def test_float64_gemm_past_the_float32_bound(self, seed):
+        rng = np.random.default_rng(seed)
+        n, k, dim, denom = 48, 8, 512, 1 << 16
+        rows = rng.random((n, dim)) < rng.uniform(0.6, 1.0)
+        # Numerators near D: the dot products, about popcount * D, pass
+        # 2**24, beyond what a float32 GEMM sums exactly.
+        centroids = (denom - rng.integers(0, 3, size=(k, dim))) / denom
+        operand = _gemm_operand(rows, denom)
+        assert operand.dtype == np.float64
+        assert _exact_denominator(centroids, denom) == denom
+        assert _key_bits(n, k, dim, denom) is not None
+        order = _pair_order(rows, operand, centroids, denom)
+        np.testing.assert_array_equal(order, _seed_order(rows.astype(np.float64), centroids))
+
+    @given(st.integers(min_value=0, max_value=2**16))
+    @settings(max_examples=5, deadline=None)
+    def test_keys_that_would_overflow_fall_back(self, seed):
+        rng = np.random.default_rng(seed)
+        n, k, dim, denom = 64, 64, 15, 1 << 24
+        # Against near-zero centroids d * D**2 is about popcount * 2**48:
+        # below dim * D**2 < 2**52 (the seed's sums stay exact), but shifted
+        # past the 12 pair-index bits it would not fit int64 for the rows
+        # with 8 or more ones.
+        rows = rng.random((n, dim)) < 0.5
+        centroids = rng.integers(0, 1 << 20, size=(k, dim)) / denom
+        assert _exact_denominator(centroids, denom) == denom
+        assert _key_bits(n, k, dim, denom) is None
+        order = _pair_order(rows, _gemm_operand(rows, denom), centroids, denom)
+        np.testing.assert_array_equal(order, _seed_order(rows.astype(np.float64), centroids))
+
+    def test_centroids_outside_the_unit_interval_fall_back(self):
+        rng = np.random.default_rng(11)
+        rows = rng.random((16, 8)) < 0.5
+        # Integral, but far past the dim * D**2 bound the keys rely on.
+        centroids = rng.integers(-(2**40), 2**40, size=(4, 8)).astype(np.float64)
+        assert _exact_denominator(centroids, 4) is None
+        order = _pair_order(rows, _gemm_operand(rows, 4), centroids, 4)
+        np.testing.assert_array_equal(order, _seed_order(rows.astype(np.float64), centroids))
 
 
 class TestKMeansPlusPlus:
@@ -197,6 +255,73 @@ class TestBalancedKMeans:
         assert len(actual) == len(expected)
         for got, want in zip(actual, expected, strict=True):
             np.testing.assert_array_equal(got, want)
+
+
+class TestBooleanRows:
+    """``bool`` rows, as the search passes its coarse mask, against the
+    oracles run on the same rows as float64."""
+
+    @given(
+        st.sampled_from([1, 63, 64, 65, 130]),
+        st.integers(min_value=1, max_value=40),
+        st.integers(min_value=0, max_value=2**16),
+        st.sampled_from(["binary", "zero-rows", "all-zero"]),
+        st.data(),
+    )
+    @settings(**SETTINGS)
+    def test_kmeans_plusplus_identical_to_loop(self, k_dim, n, seed, kind, data):
+        rng = np.random.default_rng(seed)
+        rows = rng.random((n, k_dim)) < rng.random()
+        if kind == "zero-rows":
+            rows[rng.random(n) < 0.5] = False
+        elif kind == "all-zero":
+            rows[:] = False
+        num_clusters = data.draw(st.integers(min_value=1, max_value=n))
+        expected_rng = np.random.default_rng(seed + 1)
+        actual_rng = np.random.default_rng(seed + 1)
+        expected = kmeans_plusplus_init_loop(
+            rows.astype(np.float64), num_clusters, expected_rng
+        )
+        actual = kmeans_plusplus_init(rows, num_clusters, actual_rng)
+        assert actual.dtype == np.float64
+        np.testing.assert_array_equal(actual, expected)
+        assert actual_rng.bit_generator.state == expected_rng.bit_generator.state
+
+    @given(
+        st.sampled_from(VECTOR_SIZES),
+        st.integers(min_value=1, max_value=5),
+        st.integers(min_value=1, max_value=24),
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=0, max_value=2**16),
+    )
+    @settings(**SETTINGS)
+    def test_balanced_kmeans_identical_to_loop(self, v, num_groups, k_dim, iters, seed):
+        rng = np.random.default_rng(seed)
+        rows = rng.random((v * num_groups, k_dim)) < rng.random()
+        expected = balanced_kmeans_loop(
+            rows.astype(np.float64), v, num_iters=iters, seed=seed
+        )
+        actual = balanced_kmeans(rows, v, num_iters=iters, seed=seed)
+        assert len(actual) == len(expected)
+        for got, want in zip(actual, expected, strict=True):
+            np.testing.assert_array_equal(got, want)
+
+    @given(
+        st.sampled_from(VECTOR_SIZES),
+        st.integers(min_value=1, max_value=5),
+        st.integers(min_value=1, max_value=24),
+        st.integers(min_value=0, max_value=2**16),
+    )
+    @settings(**SETTINGS)
+    def test_centroids_bitwise_equal_to_float_mean(self, v, num_groups, k_dim, seed):
+        rng = np.random.default_rng(seed)
+        rows = rng.random((v * num_groups, k_dim)) < rng.random()
+        assign = rng.permutation(np.repeat(np.arange(num_groups), v))
+        members = rows.astype(np.float64)[np.argsort(assign, kind="stable")]
+        expected = members.reshape(num_groups, v, k_dim).mean(axis=1)
+        actual = _balanced_centroids(rows, assign, num_groups, v)
+        assert actual.dtype == np.float64
+        np.testing.assert_array_equal(actual.view(np.uint64), expected.view(np.uint64))
 
 
 class TestUnstructuredMask:

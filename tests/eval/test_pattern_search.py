@@ -8,6 +8,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.eval import pattern_search
 from repro.eval.experiments import run_experiment
 from repro.eval.pattern_search import (
     PATTERN_SEARCH_CACHE_FILENAME,
@@ -79,6 +80,33 @@ class TestExecution:
             execute_pattern_search_cell(
                 PatternSearchCell("gnmt", "nope", 32, 0.8, kmeans_iters=1)
             )
+
+    def test_adjacent_cells_of_a_layer_draw_scores_once(self, monkeypatch):
+        drawn = []
+
+        def counting_layer_scores(*args):
+            drawn.append(args)
+            return layer_scores(*args)
+
+        monkeypatch.setattr(pattern_search, "layer_scores", counting_layer_scores)
+        monkeypatch.setattr(pattern_search, "_LAST_SCORES", {})
+        for sparsity in (0.8, 0.9):
+            execute_pattern_search_cell(
+                PatternSearchCell(**{**FAST_CELL, "sparsity": sparsity})
+            )
+        assert drawn == [("transformer", "attn_out", 1024, 1024, 0)]
+
+    def test_memo_holds_one_read_only_matrix(self, monkeypatch):
+        memo: dict = {}
+        monkeypatch.setattr(pattern_search, "_LAST_SCORES", memo)
+        execute_pattern_search_cell(PatternSearchCell(**FAST_CELL))
+        execute_pattern_search_cell(
+            PatternSearchCell(**{**FAST_CELL, "model": "gnmt", "layer": "attention"})
+        )
+        assert list(memo) == [("gnmt", "attention", 1024, 2048, 0)]
+        (scores,) = memo.values()
+        assert not scores.flags.writeable
+        np.testing.assert_array_equal(scores, layer_scores("gnmt", "attention", 1024, 2048, 0))
 
     def test_scores_are_deterministic_and_nonnegative(self):
         a = layer_scores("gnmt", "proj", 8, 4, seed=0)

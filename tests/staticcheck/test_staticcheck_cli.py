@@ -7,7 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.staticcheck import main
+import dataclasses
+
+from repro.staticcheck import cache as staticcheck_cache
+from repro.staticcheck import main, registry
 from repro.staticcheck.cli import REPORT_VERSION
 from repro.staticcheck.flow import FlowAnalysis
 
@@ -279,6 +282,22 @@ class TestCacheDir:
         assert main([str(root), "--cache-dir", str(cache)]) == 1
         capsys.readouterr()
         (root / "mod.py").write_text(CLEAN_MODULE, encoding="utf-8")
+        assert main([str(root), "--cache-dir", str(cache)]) == 0
+        assert "clean" in capsys.readouterr().out
+
+    def test_linter_source_edit_recomputes_findings(
+        self, tmp_path: Path, capsys, monkeypatch
+    ) -> None:
+        root = write_tree(tmp_path, DIRTY_MODULE)
+        cache = tmp_path / "cache"
+        assert main([str(root), "--cache-dir", str(cache)]) == 1
+        assert "SC003" in capsys.readouterr().out
+        # Edit a rule: SC003 now finds nothing.  The linted tree is
+        # unchanged, so only the linter's own source digest can tell the
+        # warm run that its cached findings are stale.
+        sc003 = dataclasses.replace(registry._RULES["SC003"], check=lambda index: [])
+        monkeypatch.setitem(registry._RULES, "SC003", sc003)
+        monkeypatch.setattr(staticcheck_cache, "_sources_digest", lambda: "edited")
         assert main([str(root), "--cache-dir", str(cache)]) == 0
         assert "clean" in capsys.readouterr().out
 
