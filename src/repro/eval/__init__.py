@@ -22,8 +22,8 @@ from .pattern_search import (
 from .report import Report, Table
 from .runner import (
     MODEL_VERSION,
+    TIMING_TASK,
     CacheStats,
-    CellSweepResult,
     CellTask,
     KernelSpec,
     ResultCache,
@@ -79,8 +79,8 @@ __all__ = [
     "Report",
     "Table",
     "MODEL_VERSION",
+    "TIMING_TASK",
     "CacheStats",
-    "CellSweepResult",
     "CellTask",
     "KernelSpec",
     "ResultCache",

@@ -43,7 +43,14 @@ from ..models.transformer import TransformerConfig, TransformerProxy
 from ..nn.data import SyntheticClassificationTask, SyntheticTranslationTask
 from ..nn.train import TrainConfig, build_masks, train_model
 from ..pruning.patterns import make_pruner
-from .runner import MODEL_VERSION, CellTask, SweepRunner, canonical_config_hash
+from .runner import (
+    MODEL_VERSION,
+    CellTask,
+    SweepRunner,
+    canonical_config_hash,
+    encode_record,
+    record_decoder,
+)
 
 __all__ = [
     "AccuracyConfig",
@@ -51,7 +58,6 @@ __all__ = [
     "AccuracyResult",
     "AccuracyCell",
     "AccuracyRecord",
-    "ACCURACY_CACHE_FILENAME",
     "ACCURACY_TASK",
     "accuracy_cells",
     "collate_accuracy",
@@ -62,11 +68,6 @@ __all__ = [
     "table1_records",
     "table1_sweep",
 ]
-
-#: Names the accuracy sweep's blob root inside a runner's cache directory
-#: (its own store: accuracy records and timing records have different schemas).
-ACCURACY_CACHE_FILENAME = "accuracy-cache.json"
-
 
 @dataclass(frozen=True)
 class PatternSpec:
@@ -398,30 +399,6 @@ def _execute_accuracy_cells(cells: list[AccuracyCell]) -> list[AccuracyRecord]:
     return [execute_accuracy_cell(cell) for cell in cells]
 
 
-def _encode_accuracy_record(record: AccuracyRecord) -> dict:
-    return {
-        "config": record.config.to_dict(),
-        "status": record.status,
-        "metric": record.metric,
-        "metric_name": record.metric_name,
-        "dense_metric": record.dense_metric,
-        "detail": record.detail,
-    }
-
-
-def _decode_accuracy_record(cell: AccuracyCell, entry: Mapping) -> AccuracyRecord | None:
-    if "status" not in entry:
-        return None
-    return AccuracyRecord(
-        config=cell,
-        status=entry["status"],
-        metric=entry.get("metric"),
-        metric_name=entry.get("metric_name"),
-        dense_metric=entry.get("dense_metric"),
-        detail=entry.get("detail"),
-    )
-
-
 #: The accuracy protocol as a sweep-runner cell family.  Contiguous
 #: chunking keeps each worker's cells on as few models as possible, so the
 #: per-process dense-proxy memo retrains each model's (expensive) dense run
@@ -429,9 +406,9 @@ def _decode_accuracy_record(cell: AccuracyCell, entry: Mapping) -> AccuracyRecor
 ACCURACY_TASK = CellTask(
     name="accuracy",
     execute=_execute_accuracy_cells,
-    cache_filename=ACCURACY_CACHE_FILENAME,
-    encode=_encode_accuracy_record,
-    decode=_decode_accuracy_record,
+    salt=MODEL_VERSION,
+    encode=encode_record,
+    decode=record_decoder(AccuracyRecord),
     chunking="contiguous",
 )
 

@@ -1,8 +1,8 @@
 """Experiment registry: one entry per table / figure of the paper.
 
 Each experiment returns a :class:`repro.eval.report.Report`; the command-line
-entry point (``python -m repro.eval <experiment>``) prints it, and the
-benchmark harness in ``benchmarks/`` asserts on the underlying numbers.
+entry point (``python -m repro.eval <experiment>``) prints it, and the test
+suite asserts the paper's claims on the underlying sweeps.
 """
 
 from __future__ import annotations

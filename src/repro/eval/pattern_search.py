@@ -28,19 +28,24 @@ process-pool parallelism across cells plus a persistent per-task cache.
 from __future__ import annotations
 
 import hashlib
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..core.pruning import search_shflbw_pattern
 from ..models.shapes import MODEL_NAMES, model_layers
-from .runner import MODEL_VERSION, CellTask, SweepRunner, canonical_config_hash
+from .runner import (
+    MODEL_VERSION,
+    CellTask,
+    SweepRunner,
+    canonical_config_hash,
+    encode_record,
+    record_decoder,
+)
 
 __all__ = [
     "PatternSearchCell",
     "PatternSearchRecord",
-    "PATTERN_SEARCH_CACHE_FILENAME",
     "PATTERN_SEARCH_TASK",
     "PAPER_VECTOR_SIZES",
     "layer_scores",
@@ -49,9 +54,6 @@ __all__ = [
     "collate_pattern_search",
     "pattern_search_sweep",
 ]
-
-#: Names the pattern-search sweep's blob root inside a runner's cache directory.
-PATTERN_SEARCH_CACHE_FILENAME = "pattern-search-cache.json"
 
 #: The vector sizes the paper evaluates (Figure 2 adds V=128).
 PAPER_VECTOR_SIZES = (32, 64, 128)
@@ -229,41 +231,13 @@ def _execute_pattern_search_cells(
     return [execute_pattern_search_cell(cell) for cell in cells]
 
 
-def _encode_pattern_search_record(record: PatternSearchRecord) -> dict:
-    return {
-        "config": record.config.to_dict(),
-        "status": record.status,
-        "retained_score": record.retained_score,
-        "total_score": record.total_score,
-        "density": record.density,
-        "layer_count": record.layer_count,
-        "detail": record.detail,
-    }
-
-
-def _decode_pattern_search_record(
-    cell: PatternSearchCell, entry: Mapping
-) -> PatternSearchRecord | None:
-    if "status" not in entry:
-        return None
-    return PatternSearchRecord(
-        config=cell,
-        status=entry["status"],
-        retained_score=entry.get("retained_score"),
-        total_score=entry.get("total_score"),
-        density=entry.get("density"),
-        layer_count=entry.get("layer_count", 1),
-        detail=entry.get("detail"),
-    )
-
-
 #: The pattern search as a sweep-runner cell family.
 PATTERN_SEARCH_TASK = CellTask(
     name="pattern-search",
     execute=_execute_pattern_search_cells,
-    cache_filename=PATTERN_SEARCH_CACHE_FILENAME,
-    encode=_encode_pattern_search_record,
-    decode=_decode_pattern_search_record,
+    salt=MODEL_VERSION,
+    encode=encode_record,
+    decode=record_decoder(PatternSearchRecord),
 )
 
 

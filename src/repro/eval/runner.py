@@ -2,27 +2,29 @@
 
 The paper's evaluation is one large cross-product — models x GPUs x
 sparsities x kernels x vector sizes (Figures 1/2/6, Table 1, the Section 6.2
-headline) — and every scaling PR grows it further.  This module turns those
-sweeps into data:
+headline).  This module turns those sweeps into data:
 
-* :class:`SweepSpec` declares a grid and expands it into hashable
+* :class:`SweepSpec` declares a timing grid and expands it into hashable
   :class:`RunConfig` cells in a deterministic order;
-* :func:`batched_executor` evaluates a list of cells on the analytical timing
-  model, one launch batch per (kernel, GPU) group (it is a module-level pure
-  function, so it pickles into worker processes);
-* :class:`SweepRunner` runs it in-process or maps configs through a
-  ``concurrent.futures`` process pool with deterministic chunking, and
-  deduplicates identical cells;
-* :class:`ResultCache` persists finished :class:`RunRecord` results to disk
-  as JSON, keyed by a stable config hash salted with :data:`MODEL_VERSION`,
-  so re-running a sweep only computes the delta;
-* :class:`SweepResult` carries the records (in grid order) plus cache-hit
+* :class:`CellTask` describes one family of pure, cached cells: its execute
+  function, version salt, cache codec and chunking.  Four families ship:
+  the timing grid (:data:`TIMING_TASK`, whose :func:`batched_executor` times
+  a cell list on the analytical model, one launch batch per (kernel, GPU)
+  group), the accuracy protocol, the pattern search and serve replay;
+* :class:`SweepRunner` deduplicates a family's cells, resolves them against
+  its :class:`ResultCache` and runs the misses in-process or across a
+  ``concurrent.futures`` process pool with deterministic chunking;
+* :class:`ResultCache` persists finished records as canonical JSON in the
+  family's own content-addressed blob root, keyed by a stable config hash
+  salted with the family's salt, so re-running a sweep only computes the
+  delta; :func:`encode_record` / :func:`record_decoder` are the codec of
+  every flat record dataclass;
+* :class:`SweepResult` carries the records (in request order) plus cache-hit
   accounting, ready for JSON/CSV export via :class:`repro.eval.report.Report`.
 
-Records are bit-identical between the in-process and parallel paths: the
-timing model is element-wise, so every cell is a pure function of its
-:class:`RunConfig` and the executor only decides *where* the float is
-computed, never its value.
+Records are bit-identical between the in-process and parallel paths: every
+cell is a pure function of its config, so the executor only decides *where*
+a float is computed, never its value.
 
 Bump :data:`MODEL_VERSION` whenever the timing model changes semantically;
 the salt flows into every cache key, so stale caches invalidate themselves.
@@ -33,14 +35,13 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import time
 from collections.abc import Callable, Iterable, Mapping
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, TypeVar, cast
+from typing import TYPE_CHECKING, Any, TypeVar, cast
 
-from .store import BlobStore, CorruptCacheWarning, blob_root_for
+from .store import BLOB_SUFFIX, BlobStore, CorruptCacheWarning
 
 if TYPE_CHECKING:
     import numpy as np
@@ -53,7 +54,6 @@ R = TypeVar("R")
 
 __all__ = [
     "MODEL_VERSION",
-    "CACHE_FILENAME",
     "canonical_config_hash",
     "RunConfig",
     "RunRecord",
@@ -61,14 +61,15 @@ __all__ = [
     "SweepSpec",
     "SweepResult",
     "CellTask",
-    "CellSweepResult",
+    "TIMING_TASK",
     "CacheStats",
     "BlobStore",
     "CorruptCacheWarning",
     "ResultCache",
     "SweepRunner",
     "batched_executor",
-    "process_executor",
+    "encode_record",
+    "record_decoder",
     "strided_process_map",
     "contiguous_process_map",
 ]
@@ -79,32 +80,29 @@ __all__ = [
 #: serving stale numbers.
 MODEL_VERSION = "timing-v2"
 
-#: Names the :class:`ResultCache`'s blob root inside its cache directory
-#: (``sweep-cache.blobs/``, see :func:`~repro.eval.store.blob_root_for`).
-CACHE_FILENAME = "sweep-cache.json"
-
 
 def canonical_config_hash(payload: Mapping, *, salt: str = MODEL_VERSION) -> str:
     """Stable hex digest of a config's canonical dict form.
 
-    The one keying scheme every sweep-cell family shares (timing
-    :class:`RunConfig`, accuracy and pattern-search cells): canonical JSON
+    The one keying scheme every sweep-cell family (timing :class:`RunConfig`,
+    accuracy, pattern-search and serve cells) and every tuning-plan request
+    shares: canonical JSON
     (sorted keys, exact float ``repr``) with the salt folded into the
     payload, digested with blake2b — never Python's per-process ``hash()``,
     so the same config hashes identically across interpreter restarts,
     ``PYTHONHASHSEED`` values and kwargs insertion orders.
 
     A payload carrying its own top-level ``"salt"`` key is rejected: it
-    would silently *replace* the :data:`MODEL_VERSION` salt in the hashed
-    dict (``{"salt": salt, **payload}`` lets the payload win), so such a
-    config would never invalidate on a model-version bump.  Nested dicts
+    would silently *replace* the version salt in the hashed dict
+    (``{"salt": salt, **payload}`` lets the payload win), so such a config
+    would never invalidate on a version bump.  Nested dicts
     (e.g. ``kernel_kwargs``) may use the name freely.
     """
     if "salt" in payload:
         raise ValueError(
             "config payloads must not define a top-level 'salt' key: it "
-            "would override the cache's MODEL_VERSION salt and survive "
-            "version bumps"
+            "would override the cache's version salt and survive version "
+            "bumps"
         )
     data = json.dumps(
         {"salt": salt, **payload}, sort_keys=True, separators=(",", ":")
@@ -324,9 +322,7 @@ class SweepSpec:
         return configs
 
 
-def batched_executor(
-    configs: list[RunConfig], *, jobs: int | None = None
-) -> list[RunRecord]:
+def batched_executor(configs: list[RunConfig]) -> list[RunRecord]:
     """Evaluate grid cells on the analytical timing model, in order.
 
     Cells are grouped by (kernel, kwargs, GPU) and each group's whole
@@ -342,7 +338,8 @@ def batched_executor(
     the rejection of its first rejected layer.  Grid-setup errors (unknown
     GPU / kernel / model, malformed GEMM shape) raise, because they mean the
     *spec* is wrong.  Pure function of ``configs`` (module-level, so it
-    pickles into ``ProcessPoolExecutor`` workers).
+    pickles into ``ProcessPoolExecutor`` workers); the execute function of
+    :data:`TIMING_TASK`.
     """
     # Imported lazily: this module is the orchestration substrate the sweep
     # modules build on, so importing them at the top would be circular.
@@ -510,10 +507,6 @@ def _cell_template(config: RunConfig) -> _CellTemplate:
     )
 
 
-def _execute_chunk(configs: list[RunConfig]) -> list[RunRecord]:
-    return batched_executor(configs)
-
-
 def strided_process_map(
     execute: Callable[[list[C]], list[R]], configs: list[C], jobs: int | None = None
 ) -> list[R]:
@@ -567,96 +560,123 @@ def contiguous_process_map(
     return records
 
 
-def process_executor(
-    configs: list[RunConfig], *, jobs: int | None = None
-) -> list[RunRecord]:
-    """Evaluate configs across a process pool with deterministic chunking.
+def encode_record(record: Any) -> dict:
+    """Cache codec of every flat record dataclass: a debuggable JSON entry
+    holding the canonical config dict next to every other field."""
+    entry = {"config": record.config.to_dict()}
+    for spec in fields(record):
+        if spec.name != "config":
+            entry[spec.name] = getattr(record, spec.name)
+    return entry
 
-    The strided chunking interleaves the convolution-heavy ResNet cells with
-    the cheap GEMM cells; each worker batches its chunk through
-    :func:`batched_executor`, so the records are identical to the in-process
-    path.
+
+def record_decoder(record_type: Callable[..., R]) -> Callable[[Any, Mapping], R | None]:
+    """The decoder of :func:`encode_record` entries of ``record_type``.
+
+    The record is re-bound to the requesting config; an optional field the
+    entry lacks takes its default, and an entry lacking a required field
+    (``status``) is malformed and reads as a miss (``None``).
     """
-    if len(configs) <= 1:
-        return batched_executor(configs)
-    return strided_process_map(_execute_chunk, configs, jobs)
+    record_fields = [spec for spec in fields(cast(Any, record_type)) if spec.name != "config"]
+
+    def decode(config: Any, entry: Mapping) -> R | None:
+        values: dict[str, Any] = {}
+        for spec in record_fields:
+            if spec.name in entry:
+                values[spec.name] = entry[spec.name]
+            elif spec.default is MISSING:
+                return None
+        return record_type(config=config, **values)
+
+    return decode
 
 
-def _encode_run_record(record: RunRecord) -> dict:
-    """Default cache codec: a :class:`RunRecord` as a debuggable JSON entry."""
-    return {
-        "config": record.config.to_dict(),
-        "status": record.status,
-        "time_s": record.time_s,
-        "bound": record.bound,
-        "detail": record.detail,
-    }
+@dataclass(frozen=True)
+class CellTask:
+    """Execution and persistence recipe for one family of sweep cells.
+
+    Every sweep runs through :meth:`SweepRunner.run_cells` with one of
+    these: the timing grid (:data:`TIMING_TASK`), the Table 1 / Figure 2
+    accuracy protocol, the Shfl-BW pattern search and serve replay each
+    define a hashable config dataclass and describe themselves here:
+
+    * ``name`` names the family's blob root inside the runner's cache
+      directory (``<name>-cache.blobs/``), so different record schemas
+      never share a store.
+    * ``execute`` maps a config list to a record list *in order*.  It must
+      be a module-level function so it pickles by reference into
+      ``ProcessPoolExecutor`` workers, and every record must be a frozen
+      dataclass with a ``config`` field (records are re-bound to the
+      requesting config after deduplication and cache round-trips).
+    * ``salt`` is the family's version salt: it keys every cell
+      (``config.config_hash(salt=...)``) and stamps every blob, so bumping
+      it reads as a cold cache instead of stale hits.
+    * ``encode`` / ``decode`` are the cache codec (record -> JSON entry and
+      back; ``decode`` returns ``None`` for malformed entries).  Flat
+      records use :func:`encode_record` / :func:`record_decoder`.
+    * ``chunking`` picks how a parallel run splits cells over workers:
+      ``"strided"`` (round-robin, balances heterogeneous cell costs) or
+      ``"contiguous"`` (runs of adjacent cells, preserves per-worker memo
+      locality when the executor caches expensive state per adjacent group
+      — the accuracy cells' per-model dense proxies).
+
+    Configs must expose ``config_hash(salt=...)`` built on canonical JSON,
+    like :class:`RunConfig`.
+    """
+
+    name: str
+    execute: Callable[[list], list]
+    salt: str
+    encode: Callable[[Any], dict]
+    decode: Callable[[Any, Mapping], object | None]
+    chunking: str = "strided"
+
+    def __post_init__(self) -> None:
+        if self.chunking not in ("strided", "contiguous"):
+            raise ValueError("chunking must be 'strided' or 'contiguous'")
 
 
-def _decode_run_record(config: RunConfig, entry: Mapping) -> RunRecord | None:
-    """Default cache codec: rebuild a :class:`RunRecord` from a JSON entry
-    (a structurally malformed entry reads as a miss, not a crash)."""
-    if "status" not in entry:
-        return None
-    return RunRecord(
-        config=config,
-        status=entry["status"],
-        time_s=entry.get("time_s"),
-        bound=entry.get("bound"),
-        detail=entry.get("detail"),
-    )
+#: The timing grid as a cell family: :class:`RunConfig` cells timed by
+#: :func:`batched_executor`, strided over workers so the convolution-heavy
+#: ResNet cells interleave with the cheap GEMM cells.
+TIMING_TASK = CellTask(
+    name="sweep",
+    execute=batched_executor,
+    salt=MODEL_VERSION,
+    encode=encode_record,
+    decode=record_decoder(RunRecord),
+)
 
 
 class ResultCache:
-    """Persistent on-disk cache of sweep-cell results.
+    """Persistent on-disk cache of one cell family's records.
 
-    Keys are ``config.config_hash(salt=...)`` digests salted with the timing
-    :data:`MODEL_VERSION`, so a model bump reads as a cold cache rather than
-    as stale hits.  Entries live in a content-addressed
-    :class:`~repro.eval.store.BlobStore`: one atomic canonical-JSON blob per
-    key under ``<filename stem>.blobs/`` inside ``cache_dir`` (by default
-    :data:`CACHE_FILENAME`), safe for concurrent writers.  Each entry keeps
-    the canonical config dict next to the result payload so the store is
-    debuggable by eye.
-
-    By default the cache speaks :class:`RunRecord`; other cell families (the
-    accuracy and pattern-search sweeps) plug in their own ``encode`` /
-    ``decode`` codec and filename through :class:`CellTask`, sharing the
-    keying, atomic-write and tolerant-load machinery.
+    Entries live in a content-addressed :class:`~repro.eval.store.BlobStore`
+    under ``<cache_dir>/<task.name>-cache.blobs/``, stamped with the task's
+    salt: one atomic canonical-JSON blob per cell, safe for concurrent
+    writers.  They are read and written by the ``config_hash(salt=task.salt)``
+    digest the runner already computed, through the task's codec, and each
+    entry keeps the canonical config dict next to the result payload so the
+    store is debuggable by eye.
     """
 
-    def __init__(
-        self,
-        cache_dir: str | Path,
-        *,
-        salt: str = MODEL_VERSION,
-        filename: str = CACHE_FILENAME,
-        encode: Callable[[object], dict] | None = None,
-        decode: Callable[[object, Mapping], object | None] | None = None,
-    ) -> None:
-        self.cache_dir = Path(cache_dir)
-        self.salt = salt
-        self._encode = encode if encode is not None else _encode_run_record
-        self._decode = decode if decode is not None else _decode_run_record
-        self._store = BlobStore(blob_root_for(self.cache_dir / filename), salt=salt)
+    def __init__(self, cache_dir: str | Path, task: CellTask) -> None:
+        self.task = task
+        self._store = BlobStore(
+            Path(cache_dir) / f"{task.name}-cache{BLOB_SUFFIX}", salt=task.salt
+        )
         self.path = self._store.root
 
-    def __len__(self) -> int:
-        return len(self._store)
-
-    def key(self, config) -> str:
-        return config.config_hash(salt=self.salt)
-
-    def get(self, config):
-        """Cached record for ``config``, re-bound to the caller's config
+    def get(self, digest: str, config: object) -> object | None:
+        """Cached record under ``digest``, re-bound to the caller's config
         instance (which may carry a different cosmetic label)."""
-        entry = self._store.get(self.key(config))
+        entry = self._store.get(digest)
         if entry is None:
             return None
-        return self._decode(config, entry)
+        return self.task.decode(config, entry)
 
-    def put(self, config, record) -> None:
-        self._store.put(self.key(config), self._encode(record))
+    def put(self, digest: str, record: object) -> None:
+        self._store.put(digest, self.task.encode(record))
 
     def flush(self) -> None:
         """Persist staged entries atomically, one blob per entry (unique
@@ -682,21 +702,20 @@ class CacheStats:
 
 @dataclass
 class SweepResult:
-    """Outcome of one :meth:`SweepRunner.run`: records in grid order plus
-    cache accounting."""
+    """Outcome of one :meth:`SweepRunner.run_cells` call: records in request
+    order plus cache accounting.  :meth:`SweepRunner.run` also sets
+    ``spec``, the timing grid the records expand."""
 
-    spec: SweepSpec
-    records: list[RunRecord]
+    records: list
     cache_hits: int = 0
     cache_misses: int = 0
-    elapsed_s: float = 0.0
+    spec: SweepSpec | None = None
 
     @property
     def hit_rate(self) -> float:
-        total = self.cache_hits + self.cache_misses
-        return self.cache_hits / total if total else 0.0
+        return CacheStats(self.cache_hits, self.cache_misses).hit_rate
 
-    def by_config(self) -> dict[RunConfig, RunRecord]:
+    def by_config(self) -> dict:
         """Lookup table from config to record (labels ignored, like equality)."""
         return {record.config: record for record in self.records}
 
@@ -704,73 +723,17 @@ class SweepResult:
         return [record.to_dict() for record in self.records]
 
 
-@dataclass(frozen=True)
-class CellTask:
-    """Execution and persistence recipe for one family of sweep cells.
-
-    The timing grids speak :class:`RunConfig`/:class:`RunRecord` natively;
-    other workloads (the Table 1 / Figure 2 accuracy protocol, the Shfl-BW
-    pattern search) define their own hashable config dataclasses and route
-    through :meth:`SweepRunner.run_cells` by describing themselves here:
-
-    * ``execute`` maps a config list to a record list *in order*.  It must
-      be a module-level function so it pickles by reference into
-      ``ProcessPoolExecutor`` workers, and every record must be a frozen
-      dataclass with a ``config`` field (records are re-bound to the
-      requesting config after deduplication and cache round-trips).
-    * ``cache_filename`` names the task's own blob root inside the runner's
-      cache directory, so different record schemas never share a store.
-    * ``encode`` / ``decode`` are the cache codec (record -> JSON entry and
-      back; ``decode`` returns ``None`` for malformed entries).
-    * ``chunking`` picks how a parallel run splits cells over workers:
-      ``"strided"`` (round-robin, balances heterogeneous cell costs) or
-      ``"contiguous"`` (runs of adjacent cells, preserves per-worker memo
-      locality when the executor caches expensive state per adjacent group
-      — the accuracy cells' per-model dense proxies).
-
-    Configs must expose ``config_hash(salt=...)`` built on canonical JSON,
-    like :class:`RunConfig`.
-    """
-
-    name: str
-    execute: Callable[[list], list]
-    cache_filename: str
-    encode: Callable[[object], dict]
-    decode: Callable[[object, Mapping], object | None]
-    chunking: str = "strided"
-
-    def __post_init__(self) -> None:
-        if self.chunking not in ("strided", "contiguous"):
-            raise ValueError("chunking must be 'strided' or 'contiguous'")
-
-
-@dataclass
-class CellSweepResult:
-    """Outcome of one :meth:`SweepRunner.run_cells` call: records in request
-    order plus cache accounting."""
-
-    records: list
-    cache_hits: int = 0
-    cache_misses: int = 0
-    elapsed_s: float = 0.0
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.cache_hits + self.cache_misses
-        return self.cache_hits / total if total else 0.0
-
-
 class SweepRunner:
-    """Executes :class:`SweepSpec` grids with caching and parallelism.
+    """Runs sweep cells with deduplication, caching and parallelism.
 
-    Cells run in-process through :func:`batched_executor`, or — with
-    ``jobs`` > 1 — across a process pool whose workers batch their chunks
-    the same way.  ``cache_dir`` enables the persistent
-    :class:`ResultCache` (a content-addressed, multi-writer-safe
+    Every cell family is a :class:`CellTask`; :meth:`run` is the timing
+    grid's entry point.  Cells run in-process, or — with ``jobs`` > 1 —
+    across a process pool chunked by the task's policy.  ``cache_dir``
+    enables one persistent :class:`ResultCache` per family (a
+    content-addressed, multi-writer-safe
     :class:`~repro.eval.store.BlobStore`).  The runner deduplicates
-    identical cells within a grid, so a config appearing twice is computed
-    once.  ``stats`` accumulates hit/miss counts across every ``run`` call
-    on this runner.
+    identical cells, so a config appearing twice is computed once.
+    ``stats`` accumulates hit/miss counts across every call on this runner.
     """
 
     def __init__(
@@ -778,129 +741,81 @@ class SweepRunner:
         *,
         jobs: int | None = None,
         cache_dir: str | Path | None = None,
-        salt: str = MODEL_VERSION,
     ) -> None:
         self.jobs = jobs
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
-        self.salt = salt
-        self.cache = (
-            ResultCache(cache_dir, salt=salt) if cache_dir is not None else None
-        )
-        self._executor: Callable[..., list[RunRecord]] = (
-            process_executor if (jobs or 0) > 1 else batched_executor
-        )
-        self._cell_caches: dict[str, ResultCache] = {}
+        self._caches: dict[CellTask, ResultCache] = {}
         self.stats = CacheStats()
 
-    def _resolve(
-        self,
-        configs: list,
-        cache: ResultCache | None,
-        execute: Callable[[list], list],
-    ) -> tuple[list, int, int]:
-        """Shared dedup -> cache lookup -> execute -> cache write core.
+    def cell_cache(self, task: CellTask) -> ResultCache | None:
+        """The task's :class:`ResultCache` (``None`` without a cache dir)."""
+        if self.cache_dir is None:
+            return None
+        cache = self._caches.get(task)
+        if cache is None:
+            cache = self._caches.setdefault(task, ResultCache(self.cache_dir, task))
+        return cache
 
-        Returns the records in request order (each re-bound to the
-        requesting config so cosmetic labels survive deduplication and cache
-        round-trips) plus the hit/miss counts.
+    def run(self, spec: SweepSpec) -> SweepResult:
+        """Evaluate a timing grid: its expanded cells through
+        :data:`TIMING_TASK`, with ``spec`` attached to the result."""
+        result = self.run_cells(spec.expand(), TIMING_TASK)
+        result.spec = spec
+        return result
+
+    def run_cells(self, configs: Iterable, task: CellTask) -> SweepResult:
+        """Evaluate one family of sweep cells: dedup -> cache lookup ->
+        execute -> cache write.
+
+        Each config is hashed once with the task's salt; that digest keys
+        deduplication and the cache.  Misses run through the task's
+        ``execute`` — serially in-process, or chunked across a process pool
+        when the runner was built with ``jobs`` > 1.  Records come back in
+        request order, each re-bound to the requesting config so cosmetic
+        labels survive deduplication and cache round-trips.
         """
-        digests = [config.config_hash(salt=self.salt) for config in configs]
+        configs = list(configs)
+        cache = self.cell_cache(task)
+        digests = [config.config_hash(salt=task.salt) for config in configs]
         unique: dict[str, object] = {}
         for digest, config in zip(digests, configs, strict=True):
             unique.setdefault(digest, config)
 
-        hits = 0
         resolved: dict[str, object] = {}
         pending: list[tuple[str, object]] = []
         for digest, config in unique.items():
-            cached = cache.get(config) if cache is not None else None
+            cached = cache.get(digest, config) if cache is not None else None
             if cached is not None:
                 resolved[digest] = cached
-                hits += 1
             else:
                 pending.append((digest, config))
 
         if pending:
-            computed = execute([c for _, c in pending])
-            for (digest, config), record in zip(pending, computed, strict=True):
+            todo = [config for _, config in pending]
+            if (self.jobs or 0) > 1:
+                process_map = (
+                    contiguous_process_map
+                    if task.chunking == "contiguous"
+                    else strided_process_map
+                )
+                computed = process_map(task.execute, todo, self.jobs)
+            else:
+                computed = task.execute(todo)
+            for (digest, _), record in zip(pending, computed, strict=True):
                 resolved[digest] = record
                 if cache is not None:
-                    cache.put(config, record)
+                    cache.put(digest, record)
             if cache is not None:
                 cache.flush()
 
-        misses = len(pending)
+        hits = len(unique) - len(pending)
         self.stats.hits += hits
-        self.stats.misses += misses
-        records = [
-            replace(resolved[digest], config=config)
-            for digest, config in zip(digests, configs, strict=True)
-        ]
-        return records, hits, misses
-
-    def run(self, spec: SweepSpec) -> SweepResult:
-        start = time.monotonic()
-        configs = spec.expand()
-        records, hits, misses = self._resolve(
-            configs, self.cache, lambda pending: self._executor(pending, jobs=self.jobs)
-        )
+        self.stats.misses += len(pending)
         return SweepResult(
-            spec=spec,
-            records=records,
+            records=[
+                replace(cast(Any, resolved[digest]), config=config)
+                for digest, config in zip(digests, configs, strict=True)
+            ],
             cache_hits=hits,
-            cache_misses=misses,
-            elapsed_s=time.monotonic() - start,
-        )
-
-    def cell_cache(self, task: CellTask) -> ResultCache | None:
-        """The per-task :class:`ResultCache` (``None`` without a cache dir).
-
-        Each cell family keeps its own blob root inside the runner's cache
-        directory, with the task's codec and the runner's salt.
-        """
-        if self.cache_dir is None:
-            return None
-        cache = self._cell_caches.get(task.name)
-        if cache is None:
-            cache = self._cell_caches.setdefault(
-                task.name,
-                ResultCache(
-                    self.cache_dir,
-                    salt=self.salt,
-                    filename=task.cache_filename,
-                    encode=task.encode,
-                    decode=task.decode,
-                ),
-            )
-        return cache
-
-    def run_cells(self, configs: Iterable, task: CellTask) -> CellSweepResult:
-        """Evaluate one family of sweep cells with caching and parallelism.
-
-        The generic counterpart of :meth:`run` for non-timing workloads: the
-        same deduplication, persistent caching (in the task's own blob
-        root) and hit/miss accounting, with execution delegated to the
-        task's ``execute`` — serially in-process, or strided across a
-        process pool when the runner was built with ``jobs`` > 1.
-        """
-        start = time.monotonic()
-        configs = list(configs)
-        cache = self.cell_cache(task)
-        if (self.jobs or 0) > 1:
-            process_map = (
-                contiguous_process_map
-                if task.chunking == "contiguous"
-                else strided_process_map
-            )
-
-            def execute(pending: list) -> list:
-                return process_map(task.execute, pending, self.jobs)
-        else:
-            execute = task.execute
-        records, hits, misses = self._resolve(configs, cache, execute)
-        return CellSweepResult(
-            records=records,
-            cache_hits=hits,
-            cache_misses=misses,
-            elapsed_s=time.monotonic() - start,
+            cache_misses=len(pending),
         )

@@ -311,7 +311,7 @@ def execute_serve_batches(batches: list[ServeBatch]) -> list[ServeBatchRecord]:
 SERVE_TASK = CellTask(
     name="serve",
     execute=execute_serve_batches,
-    cache_filename="serve-cache.json",
+    salt=MODEL_VERSION,
     encode=_encode_serve_record,
     decode=_decode_serve_record,
     chunking="contiguous",

@@ -3,18 +3,15 @@
 The repo's central cache contract is that every sweep cell is a *pure*
 function of its hashable config: serial and parallel runs must produce
 byte-identical records, and a cached record must stay valid forever (until
-the ``MODEL_VERSION`` salt is bumped).  Any nondeterminism inside a cell
+its family's ``CellTask`` salt is bumped).  Any nondeterminism inside a cell
 executor silently breaks both.
 
 The rule roots a reachability walk over the shared
-:mod:`repro.staticcheck.flow` call graph at the cell-execution entry
-points:
-
-* every function passed as the ``execute=`` argument of a ``CellTask(...)``
-  construction, and
-* every module-level function whose name ends in ``_executor`` defined in a
-  module that also defines the ``SweepRunner`` class (the runner's injectable
-  executor surface).
+:mod:`repro.staticcheck.flow` call graph at the cell-execution entry points:
+every function passed as the ``execute=`` argument of a ``CellTask(...)``
+construction.  Every cell family is a ``CellTask`` — the timing grid's
+``batched_executor`` included — so these roots cover every executor the
+sweep runner can run.
 
 Every reachable function's effect summary is then filtered for the
 nondeterminism kinds that would break the serial == parallel byte-identity
@@ -64,26 +61,16 @@ def _celltask_execute_roots(index: ProjectIndex) -> Iterator[tuple[FunctionInfo,
                     yield info, f"CellTask execute ({module.name})"
 
 
-def _executor_roots(index: ProjectIndex) -> Iterator[tuple[FunctionInfo, str]]:
-    """Module-level ``*_executor`` functions next to the ``SweepRunner``."""
-    for module in index.all_modules:
-        if "SweepRunner" not in module.classes:
-            continue
-        for name, info in module.functions.items():
-            if name.endswith("_executor"):
-                yield info, f"SweepRunner executor ({module.name})"
-
-
 @rule(
     RULE_ID,
     "cell-purity",
-    "functions reachable from CellTask bodies and SweepRunner executors must "
-    "be deterministic (no wall clock, unseeded RNG, environment reads, or "
+    "functions reachable from CellTask execute functions must be "
+    "deterministic (no wall clock, unseeded RNG, environment reads, or "
     "set-order-dependent outputs)",
 )
 def check_cell_purity(index: ProjectIndex) -> list[Finding]:
     flow = FlowAnalysis.for_index(index)
-    roots = list(_celltask_execute_roots(index)) + list(_executor_roots(index))
+    roots = list(_celltask_execute_roots(index))
     findings: list[Finding] = []
     for qualname, origin in sorted(reachable(flow.graph, roots).items()):
         summary = flow.summary(qualname)

@@ -13,16 +13,14 @@ one batched call per candidate) and assigns each layer the argmin.  An optional
 measured functional wall time.
 
 Plans are persistent and versioned: :class:`PlanCache` stores them as JSON
-keyed by a canonical-JSON request hash — the same hashing discipline as
-:class:`repro.eval.runner.ResultCache` — salted with
+keyed by the :func:`repro.eval.runner.canonical_config_hash` of the
+request — the keying of every sweep-cell family — salted with
 :data:`repro.eval.runner.MODEL_VERSION`, so a timing-model bump orphans every
 cached plan instead of silently serving stale assignments.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -32,6 +30,7 @@ from ..eval.runner import (
     CacheStats,
     KernelSpec,
     _freeze_kwargs,
+    canonical_config_hash,
 )
 from ..eval.store import BlobStore, blob_root_for
 from ..gpu.arch import get_gpu
@@ -258,14 +257,12 @@ def plan_request_hash(
 ) -> str:
     """Stable hex digest of one tuning request.
 
-    Canonical-JSON hashing with the timing :data:`MODEL_VERSION` as salt,
-    exactly the discipline of :meth:`repro.eval.runner.RunConfig.config_hash`:
-    the same request hashes identically across processes, and a model bump
-    reads as a cold cache.
+    The :func:`~repro.eval.runner.canonical_config_hash` of the request, with
+    the timing :data:`MODEL_VERSION` as salt: the same request hashes
+    identically across processes, and a model bump reads as a cold cache.
     """
-    payload = json.dumps(
+    return canonical_config_hash(
         {
-            "salt": salt,
             "gpu": gpu,
             "sparsity": sparsity,
             "model": model,
@@ -277,10 +274,8 @@ def plan_request_hash(
             "mode": mode,
             "refiner": refiner.to_dict() if refiner is not None else None,
         },
-        sort_keys=True,
-        separators=(",", ":"),
+        salt=salt,
     )
-    return hashlib.blake2b(payload.encode("utf-8"), digest_size=16).hexdigest()
 
 
 class PlanCache:

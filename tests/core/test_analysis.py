@@ -98,6 +98,12 @@ class TestPatternAnalysis:
             "blockwise",
             "shflbw",
         }
+        # At DNN sparsity Shfl-BW keeps more reuse than unstructured and more
+        # flexibility than vector-wise.
+        by_pattern = {a.pattern: a for a in analyses}
+        shfl = by_pattern["shflbw"]
+        assert shfl.max_reuse_flop_per_byte > by_pattern["unstructured"].max_reuse_flop_per_byte
+        assert shfl.log_candidates > by_pattern["vectorwise"].log_candidates
 
     def test_shflbw_reuse_equals_blockwise_reuse(self):
         shfl = analyze_pattern("shflbw", V100, 512, 512, 0.1, 64)

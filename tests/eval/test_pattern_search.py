@@ -11,7 +11,6 @@ import pytest
 from repro.eval import pattern_search
 from repro.eval.experiments import run_experiment
 from repro.eval.pattern_search import (
-    PATTERN_SEARCH_CACHE_FILENAME,
     PATTERN_SEARCH_TASK,
     PatternSearchCell,
     PatternSearchRecord,
@@ -22,7 +21,6 @@ from repro.eval.pattern_search import (
     pattern_search_sweep,
 )
 from repro.eval.runner import SweepRunner
-from repro.eval.store import blob_root_for
 
 # The smallest real layer: transformer attn_out is 1024 x 1024, which at
 # V=256 clusters into just 4 groups — fast enough for unit tests.
@@ -129,7 +127,7 @@ class TestSweepAndCache:
         runner = SweepRunner(cache_dir=tmp_path)
         cold = runner.run_cells(cells, PATTERN_SEARCH_TASK)
         assert (cold.cache_hits, cold.cache_misses) == (0, 2)
-        root = blob_root_for(tmp_path / PATTERN_SEARCH_CACHE_FILENAME)
+        root = runner.cell_cache(PATTERN_SEARCH_TASK).path
         assert root.is_dir()
         warm = SweepRunner(cache_dir=tmp_path).run_cells(cells, PATTERN_SEARCH_TASK)
         assert (warm.cache_hits, warm.cache_misses) == (2, 0)

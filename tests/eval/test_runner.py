@@ -1,9 +1,11 @@
 """Tests for the sweep runner: cache-key stability (including across process
-restarts and dict orderings), cache hit/miss accounting, in-process vs
-parallel executor equivalence, and the exact not-applicable details."""
+restarts and dict orderings), cache hit/miss accounting, the cache layout
+and record codec, in-process vs parallel equivalence, and the exact
+not-applicable details."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -14,19 +16,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.eval import runner as runner_module
+from repro.eval.accuracy import ACCURACY_TASK, AccuracyCell, AccuracyRecord
+from repro.eval.pattern_search import (
+    PATTERN_SEARCH_TASK,
+    PatternSearchCell,
+    PatternSearchRecord,
+)
 from repro.eval.runner import (
-    CACHE_FILENAME,
+    MODEL_VERSION,
+    TIMING_TASK,
     KernelSpec,
     ResultCache,
     RunConfig,
+    RunRecord,
     SweepRunner,
     SweepSpec,
     batched_executor,
     canonical_config_hash,
-    process_executor,
+    encode_record,
+    record_decoder,
 )
 from repro.eval.speedup import figure1_spec, headline_spec
-from repro.eval.store import CorruptCacheWarning, blob_root_for
+from repro.eval.store import CorruptCacheWarning
+from repro.serve.cells import SERVE_TASK
 
 SRC_DIR = Path(__file__).resolve().parents[2] / "src"
 
@@ -214,19 +227,28 @@ class TestExecuteConfig:
 
 class TestExecutors:
     def test_serial_and_parallel_records_identical(self):
-        configs = small_spec().expand()
-        serial = batched_executor(configs)
-        parallel = process_executor(configs, jobs=2)
-        assert parallel == serial  # same floats, same order, same configs
+        spec = small_spec()
+        serial = SweepRunner().run(spec)
+        parallel = SweepRunner(jobs=2).run(spec)
+        # Same floats, same order, same configs.
+        assert parallel.records == serial.records == batched_executor(spec.expand())
 
-    def test_jobs_one_falls_back_to_serial(self):
-        configs = small_spec().expand()
-        assert process_executor(configs, jobs=1) == batched_executor(configs)
+    def test_jobs_one_falls_back_to_serial(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("jobs <= 1 must not start a process pool")
+
+        monkeypatch.setattr(runner_module, "ProcessPoolExecutor", no_pool)
+        spec = small_spec()
+        serial = batched_executor(spec.expand())
+        for jobs in (1, 0, -1):
+            assert SweepRunner(jobs=jobs).run(spec).records == serial
 
 
 class TestBatchedExecutor:
     def test_batched_is_the_default_executor(self):
-        assert SweepRunner()._executor is batched_executor
+        assert TIMING_TASK.execute is batched_executor
+        assert TIMING_TASK.chunking == "strided"
+        assert TIMING_TASK.salt == MODEL_VERSION
 
     def test_grid_setup_errors_still_raise(self):
         config = RunConfig(kernel="no-such-kernel", gpu="V100", sparsity=0.5,
@@ -352,7 +374,7 @@ class TestResultCache:
         cold = SweepRunner(cache_dir=tmp_path).run(spec)
         # The default substrate is the sharded blob store: one atomic
         # canonical-JSON file per cell under two-hex-char fan-out dirs.
-        root = blob_root_for(tmp_path / CACHE_FILENAME)
+        root = SweepRunner(cache_dir=tmp_path).cell_cache(TIMING_TASK).path
         assert root.is_dir()
         blobs = sorted(root.glob("*/*.json"))
         assert len(blobs) == len({c.config_hash() for c in spec.expand()})
@@ -363,10 +385,12 @@ class TestResultCache:
         assert warm.records == cold.records
 
     def test_salt_invalidates(self, tmp_path):
-        spec = small_spec()
-        SweepRunner(cache_dir=tmp_path, salt="timing-v1").run(spec)
-        bumped = SweepRunner(cache_dir=tmp_path, salt="timing-v2").run(spec)
-        assert bumped.cache_hits == 0
+        configs = small_spec().expand()
+        old = dataclasses.replace(TIMING_TASK, salt="timing-v1")
+        bumped = dataclasses.replace(TIMING_TASK, salt="timing-v2")
+        SweepRunner(cache_dir=tmp_path).run_cells(configs, old)
+        assert SweepRunner(cache_dir=tmp_path).run_cells(configs, bumped).cache_hits == 0
+        assert SweepRunner(cache_dir=tmp_path).run_cells(configs, old).hit_rate == 1.0
 
     @pytest.mark.parametrize("content", ["corrupt", "well-formed"])
     def test_pre_blob_cache_file_is_ignored(self, tmp_path, content):
@@ -378,14 +402,12 @@ class TestResultCache:
         if content == "well-formed":
             donor = tmp_path / "donor"
             SweepRunner(cache_dir=donor).run(spec)
-            envelopes = [
-                json.loads(blob.read_text())
-                for blob in blob_root_for(donor / CACHE_FILENAME).glob("*/*.json")
-            ]
+            root = SweepRunner(cache_dir=donor).cell_cache(TIMING_TASK).path
+            envelopes = [json.loads(blob.read_text()) for blob in root.glob("*/*.json")]
             raw = json.dumps({e["key"]: e["entry"] for e in envelopes}).encode()
         cache_dir = tmp_path / "cache"
         cache_dir.mkdir()
-        stray = cache_dir / CACHE_FILENAME
+        stray = cache_dir / "sweep-cache.json"
         stray.write_bytes(raw)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -400,7 +422,7 @@ class TestResultCache:
         must not crash the sweep — it recomputes that cell."""
         spec = small_spec()
         cold = SweepRunner(cache_dir=tmp_path).run(spec)
-        root = blob_root_for(tmp_path / CACHE_FILENAME)
+        root = SweepRunner(cache_dir=tmp_path).cell_cache(TIMING_TASK).path
         blobs = sorted(root.glob("*/*.json"))
         blobs[0].write_text("oops not json")
         envelope = json.loads(blobs[1].read_text())
@@ -415,13 +437,15 @@ class TestResultCache:
 
     def test_cached_record_rebinds_requesting_label(self, tmp_path):
         config = RunConfig("dense", "V100", 0.0, model="transformer", label="first")
-        cache = ResultCache(tmp_path)
-        cache.put(config, execute_config(config))
+        cache = ResultCache(tmp_path, TIMING_TASK)
+        cache.put(config.config_hash(), execute_config(config))
         cache.flush()
         relabelled = RunConfig(
             "dense", "V100", 0.0, model="transformer", label="second"
         )
-        restored = ResultCache(tmp_path).get(relabelled)
+        restored = ResultCache(tmp_path, TIMING_TASK).get(
+            relabelled.config_hash(), relabelled
+        )
         assert restored is not None
         assert restored.config.label == "second"
 
@@ -438,6 +462,125 @@ class TestResultCache:
         warm = SweepRunner(cache_dir=tmp_path).run(spec)
         assert warm.cache_hits == 1
         assert warm.records == cold.records
+
+
+class TestCacheLayout:
+    """Caches written by earlier versions stay warm only while every
+    family's blob root and entry bytes stay put."""
+
+    @pytest.mark.parametrize(
+        ("task", "root"),
+        [
+            (TIMING_TASK, "sweep-cache.blobs"),
+            (ACCURACY_TASK, "accuracy-cache.blobs"),
+            (PATTERN_SEARCH_TASK, "pattern-search-cache.blobs"),
+            (SERVE_TASK, "serve-cache.blobs"),
+        ],
+        ids=["sweep", "accuracy", "pattern-search", "serve"],
+    )
+    def test_family_blob_root_is_pinned(self, tmp_path, task, root):
+        assert SweepRunner(cache_dir=tmp_path).cell_cache(task).path == tmp_path / root
+        assert task.salt == MODEL_VERSION
+
+    @pytest.mark.parametrize(
+        ("record", "entry"),
+        [
+            (
+                RunRecord(
+                    RunConfig("shfl-bw", "V100", 0.75, gemm=(256, 64, 256),
+                              kernel_kwargs=(("vector_size", 32),), label="Shfl-BW,V=32"),
+                    status="ok",
+                    time_s=1.5e-05,
+                    bound="memory",
+                ),
+                {
+                    "config": {
+                        "kernel": "shfl-bw",
+                        "gpu": "V100",
+                        "sparsity": 0.75,
+                        "model": None,
+                        "gemm": [256, 64, 256],
+                        "kernel_kwargs": {"vector_size": 32},
+                    },
+                    "status": "ok",
+                    "time_s": 1.5e-05,
+                    "bound": "memory",
+                    "detail": None,
+                },
+            ),
+            (
+                AccuracyRecord(
+                    AccuracyCell("gnmt", "shflbw", 0.9, vector_size=16, tiny=True, seed=3,
+                                 label="Shfl-BW, V=64"),
+                    status="ok",
+                    metric=21.5,
+                    metric_name="BLEU",
+                    dense_metric=24.25,
+                ),
+                {
+                    "config": {
+                        "model": "gnmt",
+                        "pattern": "shflbw",
+                        "sparsity": 0.9,
+                        "vector_size": 16,
+                        "quick": True,
+                        "tiny": True,
+                        "seed": 3,
+                    },
+                    "status": "ok",
+                    "metric": 21.5,
+                    "metric_name": "BLEU",
+                    "dense_metric": 24.25,
+                    "detail": None,
+                },
+            ),
+            (
+                PatternSearchRecord(
+                    PatternSearchCell("resnet50", "conv2_1", 128, 0.8, label="x"),
+                    status="not-applicable",
+                    layer_count=3,
+                    detail="M=64 is not divisible by V=128",
+                ),
+                {
+                    "config": {
+                        "model": "resnet50",
+                        "layer": "conv2_1",
+                        "vector_size": 128,
+                        "sparsity": 0.8,
+                        "beta_factor": 2.0,
+                        "kmeans_iters": 4,
+                        "seed": 0,
+                    },
+                    "status": "not-applicable",
+                    "retained_score": None,
+                    "total_score": None,
+                    "density": None,
+                    "layer_count": 3,
+                    "detail": "M=64 is not divisible by V=128",
+                },
+            ),
+        ],
+        ids=["timing", "accuracy", "pattern-search"],
+    )
+    def test_record_codec_entry_is_pinned(self, record, entry):
+        assert encode_record(record) == entry
+        decoded = record_decoder(type(record))(record.config, json.loads(json.dumps(entry)))
+        assert decoded == record
+        assert decoded.config.label == record.config.label
+
+    def test_decoder_reads_entry_without_status_as_miss(self):
+        config = RunConfig("dense", "V100", 0.0, model="transformer")
+        assert record_decoder(RunRecord)(config, {"config": config.to_dict()}) is None
+
+    def test_decoder_fills_missing_optional_fields_with_defaults(self):
+        cell = PatternSearchCell("transformer", "attn_out", 256, 0.8)
+        entry = {"status": "ok", "retained_score": 1.5, "total_score": 2.0, "density": 0.2}
+        decoded = record_decoder(PatternSearchRecord)(cell, entry)
+        assert decoded == PatternSearchRecord(
+            cell, "ok", retained_score=1.5, total_score=2.0, density=0.2
+        )
+        assert decoded.layer_count == 1
+        assert decoded.detail is None
 
 
 class TestDeduplication:

@@ -15,10 +15,14 @@ from repro.eval.speedup import (
     model_time,
     spmm_throughput_sweep,
 )
+from repro.eval.tradeoff import _kernel_for_spec, figure2_pattern_specs
 from repro.gpu.arch import get_gpu
 from repro.kernels.base import KernelNotApplicableError, SpMMKernel
 from repro.kernels.registry import make_kernel
-from repro.models.shapes import resnet50_layers, transformer_layers
+from repro.models.shapes import gnmt_layers, resnet50_layers, transformer_layers
+
+#: The paper's Section 6.2 headline speedups (Transformer, 75 % sparsity).
+PAPER_HEADLINE = {"V100": 1.81, "T4": 4.18, "A100": 1.90}
 
 
 class TestReportContainers:
@@ -163,6 +167,15 @@ class TestFigure1:
         # CUDA-core sparse only competes at extreme sparsity.
         assert curves["Cuda-Core Sparse"][0.5] < 1.0
         assert curves["Cuda-Core Sparse"][0.02] > 1.0
+        # Region B: it beats the tensor-core dense GEMM only at extreme
+        # sparsity (paper: ~95 %).
+        assert curves["Cuda-Core Sparse"][0.25] < tc_dense
+        assert curves["Cuda-Core Sparse"][0.02] > curves["Tensor-Core"][0.02]
+        # Region C: ours is above the CUDA-core dense reference already at
+        # 50 % sparsity, and gains with sparsity.
+        ours = curves["Tensor-Core Sparse (Ours)"]
+        assert ours[0.5] > 1.0
+        assert ours[0.02] >= ours[0.5]
 
 
 class TestHeadlineAndFigure6:
@@ -171,6 +184,7 @@ class TestHeadlineAndFigure6:
         assert set(speedups) == set(PAPER_GPUS)
         for gpu, value in speedups.items():
             assert value > 1.3, f"{gpu} speedup {value}"
+            assert value < PAPER_HEADLINE[gpu] * 2.5, f"{gpu} speedup {value}"
 
     def test_figure6_small_slice(self):
         results = figure6_sweep(
@@ -185,3 +199,89 @@ class TestHeadlineAndFigure6:
 
     def test_paper_sparsity_grid(self):
         assert PAPER_SPARSITIES == (0.50, 0.75, 0.85, 0.95)
+
+
+class TestFigure6Claims:
+    """Section 6.2's claims on the full Figure 6 grid."""
+
+    @pytest.fixture(scope="class")
+    def results(self):
+        return figure6_sweep()
+
+    def test_gnmt_and_resnet_gain_at_75_percent(self, results):
+        for model in ("gnmt", "resnet50"):
+            assert results[(model, "V100")]["Shfl-BW,V=64"][0.75] > 1.0
+
+    def test_speedup_increases_with_sparsity(self, results):
+        for gpu in PAPER_GPUS:
+            per_kernel = results[("transformer", gpu)]
+            series = [per_kernel["Shfl-BW,V=64"][s] for s in (0.50, 0.75, 0.85)]
+            assert series[0] < series[1] <= series[2] * 1.05
+
+    def test_shflbw_tracks_vector_wise(self, results):
+        for gpu in PAPER_GPUS:
+            per_kernel = results[("transformer", gpu)]
+            for sparsity in PAPER_SPARSITIES:
+                ratio = per_kernel["Shfl-BW,V=64"][sparsity] / per_kernel["VW,V=64"][sparsity]
+                assert 0.95 <= ratio <= 1.05
+
+    def test_unstructured_never_beats_dense(self, results):
+        for gpu in PAPER_GPUS:
+            per_kernel = results[("transformer", gpu)]
+            for sparsity in PAPER_SPARSITIES:
+                assert per_kernel["Unstructured (Sputnik)"][sparsity] < 1.0
+                assert per_kernel["Unstructured cuSPARSE"][sparsity] < 1.0
+
+    def test_balanced_2in4_only_on_a100_at_50_percent(self, results):
+        for gpu in PAPER_GPUS:
+            per_kernel = results[("transformer", gpu)]
+            value = per_kernel["Balanced 2in4"][0.50]
+            if gpu == "A100":
+                assert value is not None and 1.0 < value < 2.0
+            else:
+                assert value is None
+            assert per_kernel["Balanced 2in4"][0.75] is None
+
+    def test_vectorsparse_and_tilewise_below_ours_on_v100(self, results):
+        per_kernel = results[("transformer", "V100")]
+        for sparsity in (0.75, 0.85):
+            ours = per_kernel["Shfl-BW,V=32"][sparsity]
+            assert per_kernel["VectorSparse (VW,V=8)"][sparsity] < ours
+            assert per_kernel["TileWise (VW,V=128)"][sparsity] < 1.0
+
+
+class TestFigure2Speedups:
+    """The kernel-speedup side of Figure 2 (GNMT on V100), no training."""
+
+    @pytest.fixture(scope="class")
+    def speedups(self):
+        arch = get_gpu("V100")
+        layers = gnmt_layers()
+        dense = make_kernel("dense")
+        dense_time = model_time(dense, arch, layers, 1.0)
+        return {
+            (spec.label, sparsity): model_speedup(
+                _kernel_for_spec(spec), dense, arch, layers, sparsity, dense_time=dense_time
+            ).speedup
+            for spec in figure2_pattern_specs()
+            for sparsity in (0.80, 0.90)
+        }
+
+    def test_unstructured_has_no_practical_speedup(self, speedups):
+        assert all(speedups[("Unstructured", s)] < 1.0 for s in (0.80, 0.90))
+
+    def test_shflbw_achieves_real_speedup(self, speedups):
+        shfl = [value for (label, _), value in speedups.items() if label.startswith("Shfl-BW")]
+        assert shfl and all(value > 1.0 for value in shfl)
+
+    def test_larger_v_gives_no_less_speedup(self, speedups):
+        for sparsity in (0.80, 0.90):
+            assert (
+                speedups[("Shfl-BW, V=64", sparsity)]
+                >= speedups[("Shfl-BW, V=32", sparsity)] * 0.95
+            )
+
+    def test_shflbw_speedup_close_to_vector_wise(self, speedups):
+        for sparsity in (0.80, 0.90):
+            ratio = speedups[("Shfl-BW, V=32", sparsity)] / speedups[("VW, V=32", sparsity)]
+            assert 0.9 <= ratio <= 1.1

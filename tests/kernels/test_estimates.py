@@ -6,9 +6,13 @@ sparsity, vector size and GPU, and which baselines fall where.
 
 import pytest
 
+from repro.eval.speedup import model_time
 from repro.gpu.arch import get_gpu
 from repro.kernels.base import GEMMShape, KernelNotApplicableError, conv_to_gemm_shape
 from repro.kernels.registry import available_kernels, make_kernel, paper_baselines
+from repro.kernels.shflbw import ShflBWKernel
+from repro.kernels.vector_wise import VectorWiseKernel
+from repro.models.shapes import gnmt_layers, transformer_layers
 from repro.sparse.spconv import Conv2dSpec
 
 SHAPE = GEMMShape(m=2048, n=128, k=2048)
@@ -107,6 +111,42 @@ class TestSpeedupTrends:
         kernel = make_kernel("cusparse-bsr", block_size=32)
         with pytest.raises(ValueError):
             kernel.estimate(V100, GEMMShape(m=100, n=64, k=128), 0.5)
+
+
+class TestAblations:
+    """The kernel-design ablations of Sections 4.2 and 4.4, whole-model."""
+
+    @staticmethod
+    def prefetch_gain(density: float) -> float:
+        """No-prefetch over prefetch time of Shfl-BW V=32 on GNMT, T4."""
+        layers = gnmt_layers()
+        with_prefetch = ShflBWKernel(vector_size=32, prefetch_metadata=True)
+        without = ShflBWKernel(vector_size=32, prefetch_metadata=False)
+        return model_time(without, T4, layers, density) / model_time(
+            with_prefetch, T4, layers, density
+        )
+
+    def test_prefetch_never_slower(self):
+        for density in (0.5, 0.25, 0.15, 0.05):
+            assert self.prefetch_gain(density) >= 1 / 1.001
+
+    def test_prefetch_matters_more_at_high_sparsity(self):
+        # Metadata is a larger share of the traffic when weights are very
+        # sparse, so prefetching gains more there.
+        assert self.prefetch_gain(0.05) >= self.prefetch_gain(0.5) * 0.999
+
+    def test_fused_write_back_makes_the_shuffle_nearly_free(self):
+        layers = transformer_layers()
+
+        def seconds(kernel):
+            return model_time(kernel, V100, layers, 0.25)
+
+        vector_wise = seconds(VectorWiseKernel(vector_size=64))
+        fused = seconds(ShflBWKernel(vector_size=64, reordered_write_back=True))
+        separate = seconds(ShflBWKernel(vector_size=64, reordered_write_back=False))
+        assert 0.97 <= fused / vector_wise <= 1.05
+        # A separate permutation pass over the output costs measurably more.
+        assert separate > fused * 1.03
 
 
 class TestMetadata:

@@ -38,10 +38,6 @@ RUNNER_SCAFFOLD = """
 class CellTask:
     def __init__(self, execute=None):
         self.execute = execute
-
-
-class SweepRunner:
-    pass
 """
 
 
@@ -89,6 +85,9 @@ def custom_executor(cells):
 
     seed = os.environ["SEED"]
     return np.random.rand(len(cells)), seed
+
+
+TASK = CellTask(execute=custom_executor)
 """,
             },
         )

@@ -35,6 +35,12 @@ class TestRequestHash:
     def test_stable_across_calls(self):
         assert plan_request_hash(**self.kwargs()) == plan_request_hash(**self.kwargs())
 
+    def test_digest_is_pinned(self):
+        """Plan caches written by earlier versions stay warm only while a
+        request keeps its digest."""
+        digest = plan_request_hash(**self.kwargs(sparsity=0.9))
+        assert digest == "0226301bbf9345b0e9c8368593b1dabc"
+
     def test_salt_changes_key(self):
         assert plan_request_hash(**self.kwargs()) != plan_request_hash(
             **self.kwargs(), salt="timing-v999"
