@@ -28,7 +28,7 @@ Inspect and maintain a cache directory (one content-addressed blob store
 per cell family)::
 
     python -m repro.eval cache stats --cache-dir .sweep-cache
-    python -m repro.eval cache gc --cache-dir .sweep-cache --keep-salt timing-v2
+    python -m repro.eval cache gc --cache-dir .sweep-cache
 
 List the available experiments::
 
@@ -60,10 +60,18 @@ def main(argv: list[str] | None = None) -> int:
         # Cache maintenance is its own CLI surface (stats / gc),
         # routed before the experiment parser so its subcommand flags never
         # collide with experiment options.
-        from .runner import MODEL_VERSION
+        from .runner import ACCURACY_SALT, MODEL_VERSION, PATTERN_SEARCH_SALT, SERVE_SALT
         from .store import cache_main
 
-        return cache_main(argv[1:], default_salt=MODEL_VERSION)
+        # Each cell family's blob root (``<CellTask.name>-cache``) keeps its
+        # own current salt; any other root (tuning plans) keeps the timing one.
+        family_salts = {
+            "sweep-cache": MODEL_VERSION,
+            "accuracy-cache": ACCURACY_SALT,
+            "pattern-search-cache": PATTERN_SEARCH_SALT,
+            "serve-cache": SERVE_SALT,
+        }
+        return cache_main(argv[1:], family_salts=family_salts, default_salt=MODEL_VERSION)
     parser = argparse.ArgumentParser(
         prog="python -m repro.eval",
         description="Regenerate the paper's tables and figures on the simulated substrate.",

@@ -44,6 +44,7 @@ from ..nn.data import SyntheticClassificationTask, SyntheticTranslationTask
 from ..nn.train import TrainConfig, build_masks, train_model
 from ..pruning.patterns import make_pruner
 from .runner import (
+    ACCURACY_SALT,
     MODEL_VERSION,
     CellTask,
     SweepRunner,
@@ -406,7 +407,7 @@ def _execute_accuracy_cells(cells: list[AccuracyCell]) -> list[AccuracyRecord]:
 ACCURACY_TASK = CellTask(
     name="accuracy",
     execute=_execute_accuracy_cells,
-    salt=MODEL_VERSION,
+    salt=ACCURACY_SALT,
     encode=encode_record,
     decode=record_decoder(AccuracyRecord),
     chunking="contiguous",

@@ -36,6 +36,7 @@ from ..core.pruning import search_shflbw_pattern
 from ..models.shapes import MODEL_NAMES, model_layers
 from .runner import (
     MODEL_VERSION,
+    PATTERN_SEARCH_SALT,
     CellTask,
     SweepRunner,
     canonical_config_hash,
@@ -235,7 +236,7 @@ def _execute_pattern_search_cells(
 PATTERN_SEARCH_TASK = CellTask(
     name="pattern-search",
     execute=_execute_pattern_search_cells,
-    salt=MODEL_VERSION,
+    salt=PATTERN_SEARCH_SALT,
     encode=encode_record,
     decode=record_decoder(PatternSearchRecord),
 )

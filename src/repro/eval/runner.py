@@ -26,15 +26,16 @@ Records are bit-identical between the in-process and parallel paths: every
 cell is a pure function of its config, so the executor only decides *where*
 a float is computed, never its value.
 
-Bump :data:`MODEL_VERSION` whenever the timing model changes semantically;
-the salt flows into every cache key, so stale caches invalidate themselves.
+Bump :data:`MODEL_VERSION` whenever the timing model changes semantically,
+and a family's own salt (:data:`ACCURACY_SALT`, :data:`PATTERN_SEARCH_SALT`,
+:data:`SERVE_SALT`) whenever its records change; the salt flows into every
+cache key of its family, so stale caches invalidate themselves.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 from collections.abc import Callable, Iterable, Mapping
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields, replace
@@ -54,6 +55,9 @@ R = TypeVar("R")
 
 __all__ = [
     "MODEL_VERSION",
+    "ACCURACY_SALT",
+    "PATTERN_SEARCH_SALT",
+    "SERVE_SALT",
     "canonical_config_hash",
     "RunConfig",
     "RunRecord",
@@ -79,6 +83,15 @@ __all__ = [
 #: change) orphans all previously cached results instead of silently
 #: serving stale numbers.
 MODEL_VERSION = "timing-v2"
+
+#: Version salts of the other cell families, one per family, so a change to
+#: one family's records re-keys only that family's cells (a timing bump no
+#: longer discards accuracy results).  Bump a family's salt whenever its
+#: records would change; the timing grid and tuning plans keep
+#: :data:`MODEL_VERSION`.
+ACCURACY_SALT = "accuracy-v1"
+PATTERN_SEARCH_SALT = "pattern-search-v1"
+SERVE_SALT = "serve-v1"
 
 
 def canonical_config_hash(payload: Mapping, *, salt: str = MODEL_VERSION) -> str:
@@ -508,7 +521,7 @@ def _cell_template(config: RunConfig) -> _CellTemplate:
 
 
 def strided_process_map(
-    execute: Callable[[list[C]], list[R]], configs: list[C], jobs: int | None = None
+    execute: Callable[[list[C]], list[R]], configs: list[C], jobs: int
 ) -> list[R]:
     """Map an executor over configs across a process pool, deterministically.
 
@@ -518,8 +531,8 @@ def strided_process_map(
     identical to running ``execute`` over the whole list serially.
     ``execute`` must be a module-level function (it pickles into the worker
     processes by reference) mapping a config list to a record list in order.
+    ``jobs`` <= 1 (or a single config) runs ``execute(configs)`` in-process.
     """
-    jobs = jobs if jobs and jobs > 0 else (os.cpu_count() or 1)
     jobs = min(jobs, len(configs))
     if jobs <= 1:
         return execute(configs)
@@ -534,7 +547,7 @@ def strided_process_map(
 
 
 def contiguous_process_map(
-    execute: Callable[[list[C]], list[R]], configs: list[C], jobs: int | None = None
+    execute: Callable[[list[C]], list[R]], configs: list[C], jobs: int
 ) -> list[R]:
     """Map an executor over configs across a process pool in contiguous runs.
 
@@ -546,7 +559,6 @@ def contiguous_process_map(
     re-deriving every group's state, while reassembly (plain concatenation)
     stays a pure function of the input order.
     """
-    jobs = jobs if jobs and jobs > 0 else (os.cpu_count() or 1)
     jobs = min(jobs, len(configs))
     if jobs <= 1:
         return execute(configs)
@@ -792,15 +804,12 @@ class SweepRunner:
 
         if pending:
             todo = [config for _, config in pending]
-            if (self.jobs or 0) > 1:
-                process_map = (
-                    contiguous_process_map
-                    if task.chunking == "contiguous"
-                    else strided_process_map
-                )
-                computed = process_map(task.execute, todo, self.jobs)
-            else:
-                computed = task.execute(todo)
+            process_map = (
+                contiguous_process_map
+                if task.chunking == "contiguous"
+                else strided_process_map
+            )
+            computed = process_map(task.execute, todo, self.jobs or 1)
             for (digest, _), record in zip(pending, computed, strict=True):
                 resolved[digest] = record
                 if cache is not None:

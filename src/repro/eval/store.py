@@ -18,8 +18,8 @@ Every persistent cache in the package — the sweep cells of
   once-per-file :class:`CorruptCacheWarning` before the slot reads as a miss.
 * :func:`cache_main` is the fleet-hygiene CLI behind ``python -m repro.eval
   cache``: ``stats`` (per-family blob/byte/salt accounting) and ``gc``
-  (``--keep-salt`` retires blobs of orphaned ``MODEL_VERSION`` salts and
-  stray temp files).
+  (retires stray temp files and every blob whose salt is not its family's
+  current one, or not a ``--keep-salt`` when any is given).
 
 A cache directory holds one blob root per cell family, ``<name>.blobs/``
 (:func:`blob_root_for`).  Nothing else in it is read: a pre-blob
@@ -40,7 +40,7 @@ import re
 import sys
 import tempfile
 import warnings
-from collections.abc import Iterator
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -153,7 +153,7 @@ class BlobStore:
     processes hammering one store lose nothing — each key is its own file,
     and writers of the same key write byte-identical content by the purity
     contract.  ``salt`` stamps each envelope with the cache generation that
-    produced it (``cache gc --keep-salt`` retires orphaned generations).
+    produced it (``cache gc`` retires orphaned generations).
 
     ``put`` stages entries in memory; ``flush`` persists them one atomic
     file per key.  ``get`` consults the staged set, then the blob tree — so
@@ -441,8 +441,8 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SALT",
         help=(
-            "cache generation to keep (repeatable; defaults to the current "
-            "MODEL_VERSION)"
+            "cache generation to keep in every family (repeatable; defaults to "
+            "each family's current salt)"
         ),
     )
     gc.add_argument(
@@ -452,9 +452,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cache_main(
-    argv: list[str] | None = None, *, default_salt: str | None = None
+    argv: list[str] | None = None,
+    *,
+    family_salts: Mapping[str, str],
+    default_salt: str,
 ) -> int:
-    """Entry point of ``python -m repro.eval cache`` (see module docstring)."""
+    """Entry point of ``python -m repro.eval cache`` (see module docstring).
+
+    Without ``--keep-salt``, ``gc`` keeps each blob root's current salt:
+    ``family_salts[name]`` for a shipped family (keyed by root name, e.g.
+    ``accuracy-cache``), ``default_salt`` for any other root (e.g.
+    ``tuning-plans``).
+    """
     args = _build_parser().parse_args(argv)
     cache_dir = Path(args.cache_dir)
     if not cache_dir.is_dir():
@@ -477,23 +486,17 @@ def cache_main(
         return 0
 
     if args.command == "gc":
-        salts = args.keep_salt if args.keep_salt else None
-        if salts is None:
-            if default_salt is None:
-                print("error: gc needs at least one --keep-salt", file=sys.stderr)
-                return 2
-            salts = [default_salt]
-        keep = frozenset(salts)
         for name in discover_families(cache_dir):
+            keep = frozenset(args.keep_salt or [family_salts.get(name, default_salt)])
             root = cache_dir / (name + BLOB_SUFFIX)
             result = gc_blobs(root, keep, dry_run=args.dry_run)
             verb = "would remove" if args.dry_run else "removed"
             print(
                 f"{name}: {verb} {result.removed} of {result.examined} blobs "
-                f"({result.removed_bytes} bytes), kept {result.kept}, "
+                f"({result.removed_bytes} bytes), kept {result.kept} "
+                f"(salts: {', '.join(sorted(keep))}), "
                 f"quarantined {result.quarantined}, stray tmp: {result.tmp_removed}"
             )
-        print(f"keep salts: {', '.join(sorted(keep))}")
         return 0
 
     raise AssertionError(f"unhandled command {args.command!r}")

@@ -76,7 +76,7 @@ class ShflBWKernel(VectorWiseKernel):
         return dense_to_shflbw(weight, vector_size, row_indices)
 
     def run(self, prepared: ShflBWMatrix, activations: np.ndarray) -> np.ndarray:
-        return spmm_shflbw(prepared, activations, tile_cols=self.stitch_tile_k)
+        return spmm_shflbw(prepared, activations)
 
     # -------------------------- performance side ------------------------- #
     def metadata_bytes_grid(

@@ -46,7 +46,9 @@ class VectorWiseKernel(SpMMKernel):
     bandwidth_efficiency = 0.85
     #: The launch description never consults the architecture.
     launch_arch_agnostic = True
-    #: Stitched reduction-tile width (columns gathered per main-loop step).
+    #: Stitched reduction-tile width ``T_K`` (columns gathered per main-loop
+    #: step) of the timing model only; the functional ``run`` picks its own
+    #: panel width.
     stitch_tile_k = 32
     #: Output-tile width along N.
     tile_n = 64

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..eval.runner import MODEL_VERSION, CellTask, canonical_config_hash
+from ..eval.runner import MODEL_VERSION, SERVE_SALT, CellTask, canonical_config_hash
 from ..tune.planned import PlannedModel
 from ..tune.planner import TuningPlan
 from .weights import planned_runtime
@@ -311,7 +311,7 @@ def execute_serve_batches(batches: list[ServeBatch]) -> list[ServeBatchRecord]:
 SERVE_TASK = CellTask(
     name="serve",
     execute=execute_serve_batches,
-    salt=MODEL_VERSION,
+    salt=SERVE_SALT,
     encode=_encode_serve_record,
     decode=_decode_serve_record,
     chunking="contiguous",

@@ -120,6 +120,24 @@ def spmm_block(matrix: BlockSparseMatrix, rhs: np.ndarray) -> np.ndarray:
     return acc.reshape(m, n)
 
 
+def _panel_width(matrix: VectorSparseMatrix) -> int:
+    """Panel width when the caller names no ``tile_cols``: the widest group
+    (one panel per group) or the ceil-mean width (padding bounded by one tile
+    per group), whichever pads fewer lanes.  Ties go to the widest, so
+    near-uniform groups never spill their last columns into a padded panel.
+    """
+    widths = np.fromiter(
+        (len(c) for c in matrix.group_columns), dtype=np.int64, count=matrix.num_groups
+    )
+    widest = int(widths.max(initial=1))
+    total = int(widths.sum())
+    if total == 0:
+        return widest
+    mean = -(-total // len(widths))
+    mean_lanes = int((-(-widths // mean)).sum()) * mean
+    return widest if widest * np.count_nonzero(widths) <= mean_lanes else mean
+
+
 def _spmm_stitched(
     matrix: VectorSparseMatrix, rhs: np.ndarray, tile_cols: int | None
 ) -> np.ndarray:
@@ -127,9 +145,13 @@ def _spmm_stitched(
 
     Mirrors the GPU kernel: gather the activation rows named by each panel's
     stitched columns (in-buffer stitching), run one batched panel GEMM over
-    all panels (tensor-core MMA), and segment-sum the panels of each group.
-    Returns the output in the matrix's own (group-contiguous) row order.
+    all panels (tensor-core MMA), and segment-sum the panels of each group
+    (skipped when every group owns one panel: the products are the output).
+    ``tile_cols=None`` picks the width with :func:`_panel_width`.  Returns
+    the output in the matrix's own (group-contiguous) row order.
     """
+    if tile_cols is None:
+        tile_cols = _panel_width(matrix)
     panels = stitched_panels(matrix, tile_cols)
     n = rhs.shape[1]
     if panels.num_panels == 0:
@@ -137,6 +159,8 @@ def _spmm_stitched(
     # Padded lanes index row 0 but carry zero weights, so no masking needed.
     gathered = rhs[panels.gather_columns]  # (P, tile, N)
     products = np.matmul(panels.values, gathered)  # (P, V, N)
+    if np.array_equal(panels.group_indptr, np.arange(panels.num_groups + 1)):
+        return products.reshape(matrix.shape[0], n)
     acc = _segment_rows(products, panels.group_indptr, panels.num_groups)
     return acc.reshape(matrix.shape[0], n)
 
@@ -145,18 +169,12 @@ def spmm_vector_wise(matrix: VectorSparseMatrix, rhs: np.ndarray) -> np.ndarray:
     """Vector-wise SpMM: gather the kept activation rows of each group, then
     run one batched dense panel GEMM over all groups (our vector-wise kernel).
 
-    Panels are sized to the *mean* group width: uniformly sparse matrices get
-    one panel per group (a single batched ``matmul``), while skewed matrices
-    stay bounded — total padding never exceeds the stored values plus one
-    tile per group, unlike padding every group to the widest one.
+    Panels take the width :func:`_panel_width` picks: near-uniform matrices
+    get one panel per group (one batched ``matmul``, no segment sum), while
+    skewed matrices stay bounded — padding stays under one ceil-mean tile
+    per group, unlike padding every group to the widest one.
     """
-    rhs = _check_rhs(matrix.shape, rhs)
-    widths = [len(c) for c in matrix.group_columns]
-    total = sum(widths)
-    if total == 0:
-        return np.zeros((matrix.shape[0], rhs.shape[1]), dtype=np.float64)
-    tile = min(max(widths), -(-total // len(widths)))
-    return _spmm_stitched(matrix, rhs, tile_cols=tile)
+    return _spmm_stitched(matrix, _check_rhs(matrix.shape, rhs), None)
 
 
 def spmm_shflbw(
@@ -169,7 +187,8 @@ def spmm_shflbw(
     1. the matrix is already stored in permuted vector-wise form (offline
        step (a)),
     2. each row group's kept columns are stitched into dense ``V x tile``
-       panels; the matching activation rows are gathered to form the other
+       panels (``tile_cols``, by default the width :func:`_panel_width`
+       picks); the matching activation rows are gathered to form the other
        tile (in-buffer stitching, step (b)) — the stitched panels are
        memoised on the matrix, so repeated calls skip the offline step,
     3. one batched panel GEMM accumulates every group's output tile

@@ -190,12 +190,45 @@ class TestCacheCli:
         assert main(["cache", "gc", "--cache-dir", str(tmp_path), "--dry-run"]) == 0
         out = capsys.readouterr().out
         assert "sweep-cache: would remove 1 of 2 blobs" in out
-        assert f"keep salts: {MODEL_VERSION}" in out
+        sweep_line = next(line for line in out.splitlines() if line.startswith("sweep-cache:"))
+        assert f"(salts: {MODEL_VERSION})" in sweep_line
         store = BlobStore(tmp_path / "sweep-cache.blobs")
         assert len(store) == 2  # dry run removed nothing
         assert main(["cache", "gc", "--cache-dir", str(tmp_path)]) == 0
         assert "sweep-cache: removed 1 of 2 blobs" in capsys.readouterr().out
         assert store.keys() == ["ab" + "0" * 14]
+
+    def test_default_gc_keeps_each_family_salt(self, tmp_path, capsys):
+        """Default gc keeps every shipped family's own current salt, and the
+        timing salt in any other root (tuning plans); an accuracy blob left
+        under the timing salt is an orphan and goes."""
+        from repro.eval.accuracy import ACCURACY_TASK
+        from repro.eval.pattern_search import PATTERN_SEARCH_TASK
+        from repro.eval.runner import MODEL_VERSION, TIMING_TASK, SweepRunner
+        from repro.eval.store import BlobStore, blob_root_for
+        from repro.serve.cells import SERVE_TASK
+        from repro.tune.planner import PLAN_FILENAME
+
+        runner = SweepRunner(cache_dir=tmp_path)
+        roots = [
+            (runner.cell_cache(task).path, task.salt)
+            for task in (TIMING_TASK, ACCURACY_TASK, PATTERN_SEARCH_TASK, SERVE_TASK)
+        ]
+        roots.append((blob_root_for(tmp_path / PLAN_FILENAME), MODEL_VERSION))
+        for index, (root, salt) in enumerate(roots):
+            store = BlobStore(root, salt=salt)
+            store.put(f"{index:02x}" + "0" * 14, {"value": index})
+            store.flush()
+        accuracy_root = roots[1][0]
+        orphan = BlobStore(accuracy_root, salt=MODEL_VERSION)
+        orphan.put("ff" + "1" * 14, {"value": -1})
+        orphan.flush()
+
+        assert main(["cache", "gc", "--cache-dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "accuracy-cache: removed 1 of 2 blobs" in out
+        for index, (root, _) in enumerate(roots):
+            assert BlobStore(root).keys() == [f"{index:02x}" + "0" * 14]
 
     def test_gc_keep_salt_is_repeatable(self, tmp_path, capsys):
         from repro.eval.runner import MODEL_VERSION

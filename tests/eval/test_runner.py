@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import subprocess
 import sys
 import warnings
@@ -24,7 +25,10 @@ from repro.eval.pattern_search import (
     PatternSearchRecord,
 )
 from repro.eval.runner import (
+    ACCURACY_SALT,
     MODEL_VERSION,
+    PATTERN_SEARCH_SALT,
+    SERVE_SALT,
     TIMING_TASK,
     KernelSpec,
     ResultCache,
@@ -34,8 +38,10 @@ from repro.eval.runner import (
     SweepSpec,
     batched_executor,
     canonical_config_hash,
+    contiguous_process_map,
     encode_record,
     record_decoder,
+    strided_process_map,
 )
 from repro.eval.speedup import figure1_spec, headline_spec
 from repro.eval.store import CorruptCacheWarning
@@ -55,6 +61,11 @@ def small_spec() -> SweepSpec:
         sparsities=(0.5, 0.75, 0.9),
         gemm=(256, 64, 256),
     )
+
+
+def _pids(configs: list) -> list[int]:
+    """Executor recording the process each config ran in."""
+    return [os.getpid()] * len(configs)
 
 
 # --------------------------------------------------------------------------- #
@@ -242,6 +253,11 @@ class TestExecutors:
         serial = batched_executor(spec.expand())
         for jobs in (1, 0, -1):
             assert SweepRunner(jobs=jobs).run(spec).records == serial
+
+    @pytest.mark.parametrize("process_map", [strided_process_map, contiguous_process_map])
+    @pytest.mark.parametrize("jobs", [1, 0])
+    def test_process_maps_run_below_two_jobs_in_process(self, process_map, jobs):
+        assert process_map(_pids, list(range(3)), jobs) == [os.getpid()] * 3
 
 
 class TestBatchedExecutor:
@@ -469,18 +485,24 @@ class TestCacheLayout:
     family's blob root and entry bytes stay put."""
 
     @pytest.mark.parametrize(
-        ("task", "root"),
+        ("task", "root", "salt"),
         [
-            (TIMING_TASK, "sweep-cache.blobs"),
-            (ACCURACY_TASK, "accuracy-cache.blobs"),
-            (PATTERN_SEARCH_TASK, "pattern-search-cache.blobs"),
-            (SERVE_TASK, "serve-cache.blobs"),
+            (TIMING_TASK, "sweep-cache.blobs", MODEL_VERSION),
+            (ACCURACY_TASK, "accuracy-cache.blobs", ACCURACY_SALT),
+            (PATTERN_SEARCH_TASK, "pattern-search-cache.blobs", PATTERN_SEARCH_SALT),
+            (SERVE_TASK, "serve-cache.blobs", SERVE_SALT),
         ],
         ids=["sweep", "accuracy", "pattern-search", "serve"],
     )
-    def test_family_blob_root_is_pinned(self, tmp_path, task, root):
+    def test_family_blob_root_is_pinned(self, tmp_path, task, root, salt):
         assert SweepRunner(cache_dir=tmp_path).cell_cache(task).path == tmp_path / root
-        assert task.salt == MODEL_VERSION
+        assert task.salt == salt
+
+    def test_family_salts_are_distinct(self):
+        """Each family owns its salt, so one family's bump never re-keys
+        another's cells."""
+        tasks = (TIMING_TASK, ACCURACY_TASK, PATTERN_SEARCH_TASK, SERVE_TASK)
+        assert len({task.salt for task in tasks}) == len(tasks)
 
     @pytest.mark.parametrize(
         ("record", "entry"),

@@ -63,13 +63,25 @@ class TestPredictRequest:
     def test_batch_digest_is_stable(self, plan):
         """A fixed batch keeps the digest it had when requests stored
         nested tuples, so replay cache keys survive the array payload."""
-        rng = np.random.default_rng(5)
-        requests = tuple(
-            PredictRequest.from_array(LAYER, rng.normal(size=(256, 2)))
-            for _ in range(3)
-        )
-        batch = ServeBatch(plan=plan, weight_seed=1, layer=LAYER, requests=requests)
+        batch = _fixed_batch(plan)
         assert batch.config_hash() == "010cca03ce8e0d2ecba4da677e726bce"
+
+    def test_replay_key_uses_the_serve_salt(self, plan):
+        """The runner keys serve batches under the family's own salt, so
+        replay blobs written under the timing salt read cold."""
+        assert cells.SERVE_TASK.salt == "serve-v1"
+        assert _fixed_batch(plan).config_hash(salt=cells.SERVE_TASK.salt) == (
+            "a6b0dc3aace6e4b3b85377c6d6384382"
+        )
+
+
+def _fixed_batch(plan) -> ServeBatch:
+    """Three seeded width-2 requests on the tiny GEMM layer."""
+    rng = np.random.default_rng(5)
+    requests = tuple(
+        PredictRequest.from_array(LAYER, rng.normal(size=(256, 2))) for _ in range(3)
+    )
+    return ServeBatch(plan=plan, weight_seed=1, layer=LAYER, requests=requests)
 
 
 class TestPreparedHotPath:
