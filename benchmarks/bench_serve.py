@@ -69,9 +69,10 @@ GPU = "V100"
 SPARSITY = 0.9
 LAYER = f"gemm-{GEMM[0]}x{GEMM[1]}x{GEMM[2]}"
 #: Serial req/s floor: a third of the slowest serial rate (~830 req/s) in
-#: seven runs on a 2-core x86 host.  Hashing the weight on every batch again
-#: drops the serial mode to ~75 req/s there; a runner at half that host's
-#: speed still passes.
+#: seven runs on a 2-core x86 host when it was set; six later runs there
+#: read 1090-1570 req/s.  Hashing the weight on every batch again drops the
+#: serial mode to ~75 req/s there; a runner at half that host's speed still
+#: passes.
 SERIAL_FLOOR_RPS = 275.0
 #: Faulted vs serial req/s bar.  The faulted run pays a worker respawn on
 #: top of the micro-batched work, so its ratio sits below the micro-batched

@@ -123,6 +123,11 @@ def unstructured_mask(scores: np.ndarray, density: float) -> np.ndarray:
     scores = _check_scores(scores)
     if not 0.0 < density <= 1.0:
         raise ValueError("density must be in (0, 1]")
+    return _unstructured_mask(scores, density)
+
+
+def _unstructured_mask(scores: np.ndarray, density: float) -> np.ndarray:
+    """:func:`unstructured_mask` on scores and a density already checked."""
     keep = max(1, int(round(density * scores.size)))
     return _top_k_mask(scores.reshape(1, -1), keep).reshape(scores.shape)
 
@@ -144,10 +149,16 @@ def vector_wise_mask(scores: np.ndarray, density: float, vector_size: int) -> np
     scores = _check_scores(scores)
     if not 0.0 < density <= 1.0:
         raise ValueError("density must be in (0, 1]")
+    m, _ = scores.shape
+    if vector_size <= 0 or m % vector_size:
+        raise ValueError(f"M={m} must be a positive multiple of V={vector_size}")
+    return _vector_wise_mask(scores, density, vector_size)
+
+
+def _vector_wise_mask(scores: np.ndarray, density: float, v: int) -> np.ndarray:
+    """:func:`vector_wise_mask` on scores, a density and a ``V`` already
+    checked."""
     m, k = scores.shape
-    v = vector_size
-    if v <= 0 or m % v:
-        raise ValueError(f"M={m} must be a positive multiple of V={v}")
     keep_cols = max(1, int(round(density * k)))
     group_scores = scores.reshape(m // v, v, k).sum(axis=1)
     return np.repeat(_top_k_mask(group_scores, keep_cols), v, axis=0)
@@ -177,6 +188,9 @@ def search_shflbw_pattern(
         for the row-group search (2.0 in the paper).
     kmeans_iters, seed:
         Balanced k-means parameters.
+
+    The scores are validated once here; both stages then run the unchecked
+    cores of :func:`unstructured_mask` and :func:`vector_wise_mask`.
     """
     scores = _check_scores(scores)
     if not 0.0 < density <= 1.0:
@@ -189,13 +203,13 @@ def search_shflbw_pattern(
 
     # Stage 1 — row-group search on a reduced-sparsity unstructured mask.
     beta = min(1.0, beta_factor * density)
-    coarse_mask = unstructured_mask(scores, beta)
+    coarse_mask = _unstructured_mask(scores, beta)
     groups = balanced_kmeans(coarse_mask, vector_size, num_iters=kmeans_iters, seed=seed)
     row_indices = groups_to_permutation(groups, m)
 
     # Stage 2 — vector-wise pruning on the permuted scores, then reverse.
     permuted_scores = scores[row_indices, :]
-    permuted_mask = vector_wise_mask(permuted_scores, density, vector_size)
+    permuted_mask = _vector_wise_mask(permuted_scores, density, vector_size)
     mask = np.zeros_like(permuted_mask)
     mask[row_indices, :] = permuted_mask
 

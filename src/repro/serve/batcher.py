@@ -152,7 +152,13 @@ class MicroBatcher:
     :class:`QueueFullError` beyond it (reject semantics — the service never
     silently drops an accepted request).
 
-    All methods take ``now`` explicitly (any monotonic float clock).
+    All methods take ``now`` explicitly (any monotonic float clock).  Each
+    does constant work per request it queues or releases: running counters
+    hold the queued width per layer, their total and the number of queued
+    requests carrying their own ``deadline_s``, so the per-request deadline
+    scans in :meth:`next_deadline` and :meth:`shed_expired` run only while
+    that count is non-zero.  The class is not thread-safe; the service
+    calls it under its lock.
     """
 
     def __init__(
@@ -166,15 +172,14 @@ class MicroBatcher:
         self._queues: dict[str, deque[tuple[PredictRequest, float]]] = {
             layer: deque() for layer in self.windows
         }
+        self._widths = dict.fromkeys(self.windows, 0)
+        self._pending = 0
+        self._with_deadline = 0
 
     @property
     def pending(self) -> int:
         """Total queued column width across all layers."""
-        return sum(
-            request.width
-            for queue in self._queues.values()
-            for request, _ in queue
-        )
+        return self._pending
 
     def push(self, request: PredictRequest, now: float) -> None:
         """Enqueue one request at time ``now``.
@@ -184,12 +189,14 @@ class MicroBatcher:
         """
         if request.layer not in self._queues:
             raise KeyError(f"no serving window for layer {request.layer!r}")
-        if self.pending + request.width > self.max_pending:
+        width = request.width
+        if self._pending + width > self.max_pending:
             raise QueueFullError(
-                f"queue full: {self.pending} pending columns + "
-                f"{request.width} would exceed max_pending={self.max_pending}"
+                f"queue full: {self._pending} pending columns + "
+                f"{width} would exceed max_pending={self.max_pending}"
             )
         self._queues[request.layer].append((request, now))
+        self._count(request.layer, width, request.deadline_s is not None)
 
     def poll(self, now: float) -> list[list[PredictRequest]]:
         """Release every batch that is ready at time ``now``.
@@ -203,10 +210,10 @@ class MicroBatcher:
         for layer in sorted(self._queues):
             window = self.windows[layer]
             queue = self._queues[layer]
-            while self._queued_width(queue) >= window.width:
-                ready.append(self._take(queue, window.width))
+            while self._widths[layer] >= window.width:
+                ready.append(self._take(layer, window.width))
             if queue and now - queue[0][1] >= window.deadline_s:
-                ready.append(self._take(queue, window.width))
+                ready.append(self._take(layer, window.width))
         return ready
 
     def next_deadline(self) -> float | None:
@@ -217,17 +224,19 @@ class MicroBatcher:
         own optional shed deadline (``request.deadline_s``), so the service
         wakes in time to flush partial batches *and* to shed expired work.
         """
-        deadlines: list[float] = []
-        for layer, queue in self._queues.items():
-            if not queue:
-                continue
-            deadlines.append(queue[0][1] + self.windows[layer].deadline_s)
+        deadlines = [
+            queue[0][1] + self.windows[layer].deadline_s
+            for layer, queue in self._queues.items()
+            if queue
+        ]
+        if self._with_deadline:
             deadlines.extend(
                 enqueued + request.deadline_s
+                for queue in self._queues.values()
                 for request, enqueued in queue
                 if request.deadline_s is not None
             )
-        return min(deadlines) if deadlines else None
+        return min(deadlines, default=None)
 
     def remove(self, request: PredictRequest) -> bool:
         """Withdraw one queued request by identity (False if not queued).
@@ -241,9 +250,14 @@ class MicroBatcher:
         queue = self._queues.get(request.layer)
         if queue is None:
             return False
-        for entry in queue:
-            if entry[0] is request:
-                queue.remove(entry)
+        for index, (queued, _) in enumerate(queue):
+            if queued is request:
+                # By position: ``deque.remove`` compares entries by value,
+                # and an earlier request with an equal payload would match.
+                del queue[index]
+                self._count(
+                    request.layer, -request.width, -(request.deadline_s is not None)
+                )
                 return True
         return False
 
@@ -257,6 +271,8 @@ class MicroBatcher:
         the shed order is deterministic.
         """
         shed: list[PredictRequest] = []
+        if not self._with_deadline:
+            return shed
         for layer in sorted(self._queues):
             queue = self._queues[layer]
             kept: deque[tuple[PredictRequest, float]] = deque()
@@ -266,6 +282,7 @@ class MicroBatcher:
                     and now - enqueued >= request.deadline_s
                 ):
                     shed.append(request)
+                    self._count(layer, -request.width, -1)
                 else:
                     kept.append((request, enqueued))
             self._queues[layer] = kept
@@ -279,25 +296,29 @@ class MicroBatcher:
             window = self.windows[layer]
             queue = self._queues[layer]
             while queue:
-                ready.append(self._take(queue, window.width))
+                ready.append(self._take(layer, window.width))
         return ready
 
-    @staticmethod
-    def _queued_width(queue: deque[tuple[PredictRequest, float]]) -> int:
-        return sum(request.width for request, _ in queue)
+    def _count(self, layer: str, width: int, deadlines: int) -> None:
+        """Move the running counters by ``width`` queued columns of ``layer``
+        and ``deadlines`` queued requests that carry their own deadline."""
+        self._widths[layer] += width
+        self._pending += width
+        self._with_deadline += deadlines
 
-    @staticmethod
-    def _take(
-        queue: deque[tuple[PredictRequest, float]], width: int
-    ) -> list[PredictRequest]:
+    def _take(self, layer: str, width: int) -> list[PredictRequest]:
         """Pop requests in arrival order until ``width`` columns are filled
         (or the queue empties)."""
+        queue = self._queues[layer]
         batch: list[PredictRequest] = []
         filled = 0
+        with_deadline = 0
         while queue and filled < width:
             request, _ = queue.popleft()
             batch.append(request)
             filled += request.width
+            with_deadline += request.deadline_s is not None
+        self._count(layer, -filled, -with_deadline)
         return batch
 
 
@@ -315,6 +336,7 @@ def replay_batches(
     across any number of workers produces byte-identical outputs.
     """
     buffers: dict[str, list[PredictRequest]] = {}
+    filled: dict[str, int] = {}
     order: list[str] = []
     batches: list[list[PredictRequest]] = []
     for request in requests:
@@ -324,9 +346,11 @@ def replay_batches(
         if not buffer and request.layer not in order:
             order.append(request.layer)
         buffer.append(request)
-        if sum(r.width for r in buffer) >= windows[request.layer].width:
+        filled[request.layer] = filled.get(request.layer, 0) + request.width
+        if filled[request.layer] >= windows[request.layer].width:
             batches.append(buffer.copy())
             buffer.clear()
+            filled[request.layer] = 0
     for layer in order:
         if buffers.get(layer):
             batches.append(buffers[layer])

@@ -620,8 +620,9 @@ class InferenceService:
                 return  # already shed by a bounded stop
             _, pendings = entry
             now = self._clock()
+            width = batch.width
             self.stats.batches += 1
-            self.stats.batch_widths.append(batch.width)
+            self.stats.batch_widths.append(width)
             self._recorded.setdefault(batch.layer, []).append(elapsed_s)
             for request, output, pending in zip(
                 batch.requests, outputs, pendings, strict=True
@@ -634,7 +635,7 @@ class InferenceService:
                         request_id=request.request_id,
                         layer=request.layer,
                         output=output,
-                        width=batch.width,
+                        width=width,
                         latency_s=latency,
                     )
                 )
@@ -647,6 +648,7 @@ class InferenceService:
                 return  # already shed by a bounded stop
             _, pendings = entry
             now = self._clock()
+            width = batch.width
             self.stats.batches += 1
             if error.kind == "quarantined":
                 self.stats.quarantined += 1
@@ -658,7 +660,7 @@ class InferenceService:
                         request_id=request.request_id,
                         layer=request.layer,
                         output=None,
-                        width=batch.width,
+                        width=width,
                         latency_s=now - pending.submitted_at,
                         error=error.describe(),
                     )
@@ -699,6 +701,7 @@ class InferenceService:
         result = runner.run_cells(batches, SERVE_TASK)
         by_identity: dict[int, PredictResponse] = {}
         for record in result.records:
+            width = record.config.width
             for request, output in zip(
                 record.config.requests, record.outputs, strict=True
             ):
@@ -706,7 +709,7 @@ class InferenceService:
                     request_id=request.request_id,
                     layer=request.layer,
                     output=output,
-                    width=record.config.width,
+                    width=width,
                 )
         return [by_identity[id(request)] for request in requests]
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import repro.core.pruning as pruning_module
 from repro.core.pruning import (
     prune_shflbw,
     search_shflbw_pattern,
@@ -29,8 +30,23 @@ class TestUnstructuredMask:
         assert unstructured_mask(rng.random((4, 4)), 1.0).all()
 
     def test_negative_scores_rejected(self):
-        with pytest.raises(ValueError):
-            unstructured_mask(np.array([[-1.0, 2.0]]), 0.5)
+        scores = np.ones((4, 4))
+        scores[0, 0] = -1.0
+        with pytest.raises(ValueError, match="non-negative"):
+            unstructured_mask(scores, 0.5)
+        with pytest.raises(ValueError, match="non-negative"):
+            vector_wise_mask(scores, 0.5, 2)
+        with pytest.raises(ValueError, match="non-negative"):
+            search_shflbw_pattern(scores, 0.5, 2)
+
+    def test_one_dimensional_scores_rejected(self):
+        scores = np.ones(16)
+        with pytest.raises(ValueError, match="2-D"):
+            unstructured_mask(scores, 0.5)
+        with pytest.raises(ValueError, match="2-D"):
+            vector_wise_mask(scores, 0.5, 2)
+        with pytest.raises(ValueError, match="2-D"):
+            search_shflbw_pattern(scores, 0.5, 2)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_scores_rejected(self, bad):
@@ -161,6 +177,20 @@ class TestSearchShflBW:
     def test_indivisible_rows_rejected(self, rng):
         with pytest.raises(ValueError):
             search_shflbw_pattern(rng.random((10, 8)), 0.5, 4)
+
+    def test_scores_validated_once(self, rng, monkeypatch):
+        """Both search stages run on the scores validated at entry; the
+        rejections are pinned in TestUnstructuredMask."""
+        calls = []
+        check = pruning_module._check_scores
+
+        def counted(scores):
+            calls.append(None)
+            return check(scores)
+
+        monkeypatch.setattr(pruning_module, "_check_scores", counted)
+        search_shflbw_pattern(rng.random((32, 24)), 0.25, 8)
+        assert len(calls) == 1
 
 
 class TestPruneShflBW:
