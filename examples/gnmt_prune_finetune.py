@@ -13,21 +13,20 @@ Run with::
 
 from __future__ import annotations
 
-from repro.eval.speedup import model_speedup
-from repro.gpu import get_gpu
-from repro.kernels import make_kernel
-from repro.models import GNMTConfig, GNMTProxy, gnmt_layers
+from repro.eval import KernelSpec, SweepRunner, SweepSpec
+from repro.models import GNMTConfig, GNMTProxy
 from repro.nn import SyntheticTranslationTask, TrainConfig, build_masks, train_model
 from repro.pruning import make_pruner
 
 SPARSITY = 0.80
-#: (label, pruner pattern, proxy vector size, kernel name, kernel vector size)
+GPU = "V100"
+#: (label, pruner pattern, pruner kwargs at proxy scale, kernel on the real shapes)
 CONFIGS = [
-    ("Unstructured", "unstructured", None, "sputnik", None),
-    ("BW, V=32", "blockwise", 8, "cusparse-bsr", 32),
-    ("VW, V=32", "vectorwise", 8, "vector-wise", 32),
-    ("Shfl-BW, V=32", "shflbw", 8, "shfl-bw", 32),
-    ("Shfl-BW, V=64", "shflbw", 16, "shfl-bw", 64),
+    ("Unstructured", "unstructured", {}, KernelSpec("sputnik")),
+    ("BW, V=32", "blockwise", {"block_size": 8}, KernelSpec("cusparse-bsr", {"block_size": 32})),
+    ("VW, V=32", "vectorwise", {"vector_size": 8}, KernelSpec("vector-wise", {"vector_size": 32})),
+    ("Shfl-BW, V=32", "shflbw", {"vector_size": 8}, KernelSpec("shfl-bw", {"vector_size": 32})),
+    ("Shfl-BW, V=64", "shflbw", {"vector_size": 16}, KernelSpec("shfl-bw", {"vector_size": 64})),
 ]
 
 
@@ -40,27 +39,25 @@ def main() -> None:
     dense_state = model.state_dict()
     print(f"dense proxy BLEU: {dense_result.final_metric:.2f}\n")
 
-    arch = get_gpu("V100")
-    layers = gnmt_layers()
-    dense_kernel = make_kernel("dense")
+    # One timing grid prices every pattern's kernel on the real GNMT shapes.
+    spec = SweepSpec(
+        kernels=tuple(kernel for *_, kernel in CONFIGS),
+        gpus=(GPU,),
+        sparsities=(SPARSITY,),
+        models=("gnmt",),
+    )
+    timing = SweepRunner().run(spec).by_config()
+    dense_time = timing[spec.dense_config("gnmt", GPU)].time_s
 
     print(f"{'pattern':<16}{'BLEU':>8}{'drop':>8}{'kernel speedup (V100)':>24}")
-    for label, pattern, proxy_v, kernel_name, kernel_v in CONFIGS:
+    for label, pattern, pruner_kwargs, kernel in CONFIGS:
         model.load_state_dict(dense_state)
-        kwargs = {} if proxy_v is None else (
-            {"block_size": proxy_v} if pattern == "blockwise" else {"vector_size": proxy_v}
-        )
-        pruner = make_pruner(pattern, **kwargs)
-        masks, _ = build_masks(model, pruner, SPARSITY)
+        masks, _ = build_masks(model, make_pruner(pattern, **pruner_kwargs), SPARSITY)
         finetuned = train_model(
             model, task, TrainConfig(epochs=3, learning_rate=1.5e-3, batch_size=64), masks=masks
         )
-        kernel_kwargs = {} if kernel_v is None else (
-            {"block_size": kernel_v} if kernel_name == "cusparse-bsr" else {"vector_size": kernel_v}
-        )
-        kernel = make_kernel(kernel_name, **kernel_kwargs)
-        point = model_speedup(kernel, dense_kernel, arch, layers, SPARSITY)
-        speedup = "-" if point is None else f"{point.speedup:.2f}x"
+        record = timing[spec.config(kernel, "gnmt", GPU, SPARSITY)]
+        speedup = f"{dense_time / record.time_s:.2f}x" if record.ok else "-"
         drop = dense_result.final_metric - finetuned.final_metric
         print(f"{label:<16}{finetuned.final_metric:>8.2f}{drop:>8.2f}{speedup:>24}")
 

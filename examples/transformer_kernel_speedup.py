@@ -11,38 +11,29 @@ Run with::
 
 from __future__ import annotations
 
-from repro.eval.speedup import PAPER_SPARSITIES, headline_speedups, model_speedup
-from repro.gpu import get_gpu
-from repro.kernels import make_kernel, paper_baselines
-from repro.models import transformer_layers
+from repro.eval import SweepRunner
+from repro.eval.speedup import collate_figure6, collate_headline, figure6_spec, headline_spec
 
 
 def main() -> None:
-    layers = transformer_layers(tokens=256)
-    dense = make_kernel("dense")
-    lineup = paper_baselines(vector_sizes=(32, 64))
+    runner = SweepRunner()
+    spec = figure6_spec(models=("transformer",))
+    results = collate_figure6(runner.run(spec))
 
-    for gpu in ("V100", "T4", "A100"):
-        arch = get_gpu(gpu)
+    for (_, gpu), per_kernel in results.items():
         print(f"\n=== Transformer GEMM layers on {gpu} (speedup over dense) ===")
-        header = f"{'kernel':<26}" + "".join(f"{s:>9.0%}" for s in PAPER_SPARSITIES)
+        header = f"{'kernel':<26}" + "".join(f"{s:>9.0%}" for s in spec.sparsities)
         print(header)
-        for label, kernel in lineup.items():
-            if label == "Dense (tensor-core)":
-                continue
-            supported = getattr(kernel, "supported_archs", None)
-            cells = []
-            for sparsity in PAPER_SPARSITIES:
-                if supported is not None and arch.name not in supported:
-                    cells.append(f"{'-':>9}")
-                    continue
-                point = model_speedup(kernel, dense, arch, layers, sparsity)
-                cells.append(f"{'-':>9}" if point is None else f"{point.speedup:>8.2f}x")
+        for label, by_sparsity in per_kernel.items():
+            cells = [
+                f"{'-':>9}" if speedup is None else f"{speedup:>8.2f}x"
+                for speedup in by_sparsity.values()
+            ]
             print(f"{label:<26}" + "".join(cells))
 
     print("\n=== Section 6.2 headline (Shfl-BW V=64 at 75% sparsity) ===")
     paper = {"V100": 1.81, "T4": 4.18, "A100": 1.90}
-    for gpu, value in headline_speedups().items():
+    for gpu, value in collate_headline(runner.run(headline_spec())).items():
         print(f"  {gpu:>5}: measured {value:.2f}x   (paper {paper[gpu]:.2f}x)")
 
 

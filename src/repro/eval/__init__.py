@@ -17,7 +17,6 @@ from .pattern_search import (
     collate_pattern_search,
     execute_pattern_search_cell,
     pattern_search_cells,
-    pattern_search_sweep,
 )
 from .report import Report, Table
 from .runner import (
@@ -40,16 +39,8 @@ from .speedup import (
     FIGURE1_DENSITIES,
     PAPER_GPUS,
     PAPER_SPARSITIES,
-    SpeedupPoint,
     figure6_spec,
-    figure6_sweep,
     headline_spec,
-    headline_speedups,
-    kernel_time,
-    layer_time,
-    model_speedup,
-    model_time,
-    spmm_throughput_sweep,
 )
 
 __all__ = [
@@ -61,11 +52,8 @@ __all__ = [
     "PatternSpec",
     "accuracy_cells",
     "collate_accuracy",
-    "evaluate_model_accuracy",
     "execute_accuracy_cell",
     "table1_pattern_specs",
-    "table1_records",
-    "table1_sweep",
     "available_experiments",
     "run_experiment",
     "RUNNER_EXPERIMENTS",
@@ -75,7 +63,6 @@ __all__ = [
     "collate_pattern_search",
     "execute_pattern_search_cell",
     "pattern_search_cells",
-    "pattern_search_sweep",
     "Report",
     "Table",
     "MODEL_VERSION",
@@ -97,18 +84,11 @@ __all__ = [
     "FIGURE1_DENSITIES",
     "PAPER_GPUS",
     "PAPER_SPARSITIES",
-    "SpeedupPoint",
     "figure6_spec",
-    "figure6_sweep",
     "headline_spec",
-    "headline_speedups",
-    "kernel_time",
-    "layer_time",
-    "model_speedup",
-    "model_time",
-    "spmm_throughput_sweep",
     "TradeoffPoint",
     "figure2_pattern_specs",
+    "figure2_spec",
     "figure2_sweep",
 ]
 
@@ -121,13 +101,11 @@ _LAZY = {
     "PatternSpec": ".accuracy",
     "accuracy_cells": ".accuracy",
     "collate_accuracy": ".accuracy",
-    "evaluate_model_accuracy": ".accuracy",
     "execute_accuracy_cell": ".accuracy",
     "table1_pattern_specs": ".accuracy",
-    "table1_records": ".accuracy",
-    "table1_sweep": ".accuracy",
     "TradeoffPoint": ".tradeoff",
     "figure2_pattern_specs": ".tradeoff",
+    "figure2_spec": ".tradeoff",
     "figure2_sweep": ".tradeoff",
 }
 

@@ -47,7 +47,6 @@ from .runner import (
     ACCURACY_SALT,
     MODEL_VERSION,
     CellTask,
-    SweepRunner,
     canonical_config_hash,
     encode_record,
     record_decoder,
@@ -63,11 +62,7 @@ __all__ = [
     "accuracy_cells",
     "collate_accuracy",
     "execute_accuracy_cell",
-    "run_accuracy_cells",
     "table1_pattern_specs",
-    "evaluate_model_accuracy",
-    "table1_records",
-    "table1_sweep",
 ]
 
 @dataclass(frozen=True)
@@ -463,75 +458,3 @@ def collate_accuracy(records: list[AccuracyRecord]) -> dict[str, AccuracyResult]
                 record.metric
             )
     return out
-
-
-def run_accuracy_cells(
-    cells: list[AccuracyCell], *, runner: SweepRunner | None = None
-) -> list[AccuracyRecord]:
-    """Evaluate cells through a sweep runner (parallelism + caching)."""
-    runner = runner if runner is not None else SweepRunner()
-    return runner.run_cells(cells, ACCURACY_TASK).records
-
-
-def evaluate_model_accuracy(
-    model_name: str,
-    sparsities: tuple[float, ...] = (0.80, 0.90),
-    specs: list[PatternSpec] | None = None,
-    config: AccuracyConfig | None = None,
-    *,
-    runner: SweepRunner | None = None,
-) -> AccuracyResult:
-    """Run the Table 1 protocol for one model.
-
-    The dense proxy is trained once (per process) and every (pattern,
-    sparsity) cell prunes + fine-tunes a copy of it; ``runner`` adds
-    process-pool parallelism and persistent caching across the cells.
-    """
-    config = config or AccuracyConfig()
-    specs = specs if specs is not None else table1_pattern_specs()
-    cells = accuracy_cells((model_name,), sparsities, specs, config)
-    records = run_accuracy_cells(cells, runner=runner)
-    return collate_accuracy(records)[model_name]
-
-
-def table1_records(
-    models: tuple[str, ...] = ("transformer", "gnmt", "resnet50"),
-    sparsities: tuple[float, ...] = (0.80, 0.90),
-    config: AccuracyConfig | None = None,
-    specs: list[PatternSpec] | None = None,
-    *,
-    runner: SweepRunner | None = None,
-) -> list[AccuracyRecord]:
-    """The Table 1 grid as raw records, in grid order.
-
-    The single place the Table 1 defaults live (the paper's three models,
-    80/90 % sparsity, the pattern line-up minus the unstructured reference
-    Figure 2 adds): both :func:`table1_sweep` and the ``table1`` experiment
-    expand and execute through here.
-    """
-    config = config or AccuracyConfig()
-    if specs is None:
-        specs = [s for s in table1_pattern_specs() if s.label != "Unstructured"]
-    cells = accuracy_cells(tuple(models), tuple(sparsities), specs, config)
-    return run_accuracy_cells(cells, runner=runner)
-
-
-def table1_sweep(
-    models: tuple[str, ...] = ("transformer", "gnmt", "resnet50"),
-    sparsities: tuple[float, ...] = (0.80, 0.90),
-    config: AccuracyConfig | None = None,
-    specs: list[PatternSpec] | None = None,
-    *,
-    runner: SweepRunner | None = None,
-) -> dict[str, AccuracyResult]:
-    """Table 1: every model x pattern x sparsity configuration.
-
-    The grid expands into :class:`AccuracyCell` cells executed through the
-    sweep runner: ``SweepRunner(jobs=N)`` fans the cells over a process
-    pool, ``cache_dir`` persists finished records so a re-run only computes
-    the delta — exactly like the Figure 1/6 timing sweeps.
-    """
-    records = table1_records(models, sparsities, config, specs, runner=runner)
-    collated = collate_accuracy(records)
-    # Preserve the requested model order (collation is record-ordered).
-    return {model: collated[model] for model in models if model in collated}

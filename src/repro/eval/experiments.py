@@ -13,8 +13,9 @@ from ..core.analysis import compare_patterns, log_row_shuffle_multiplier
 from ..gpu.arch import get_gpu
 from .pattern_search import (
     PAPER_VECTOR_SIZES,
+    PATTERN_SEARCH_TASK,
     collate_pattern_search,
-    pattern_search_sweep,
+    pattern_search_cells,
 )
 from .report import Report, Table
 from .runner import SweepRunner
@@ -145,8 +146,8 @@ def run_figure2(
 ) -> Report:
     """Figure 2: accuracy-speedup trade-off for GNMT on V100.
 
-    The accuracy cells run through ``runner`` (``--jobs`` parallelism and a
-    persistent ``--cache-dir`` record cache), like the timing sweeps.
+    The timing and accuracy cells run through ``runner`` (``--jobs``
+    parallelism and a persistent ``--cache-dir`` record cache).
     """
     # Imported here so the timing experiments never load the accuracy stack
     # (proxy models, repro.nn, repro.pruning).
@@ -378,12 +379,21 @@ def run_table1(
     records so a re-run only computes the delta.
     """
     # Imported here for the same reason as in run_figure2.
-    from .accuracy import AccuracyConfig, collate_accuracy, table1_records
-
-    config = AccuracyConfig(quick=quick, tiny=tiny)
-    records = table1_records(
-        tuple(models), tuple(sparsities), config, specs, runner=runner
+    from .accuracy import (
+        ACCURACY_TASK,
+        AccuracyConfig,
+        accuracy_cells,
+        collate_accuracy,
+        table1_pattern_specs,
     )
+
+    if specs is None:
+        # Table 1's rows; the unstructured reference is Figure 2's.
+        specs = [s for s in table1_pattern_specs() if s.label != "Unstructured"]
+    cells = accuracy_cells(
+        tuple(models), tuple(sparsities), specs, AccuracyConfig(quick=quick, tiny=tiny)
+    )
+    records = (runner or SweepRunner()).run_cells(cells, ACCURACY_TASK).records
     results = collate_accuracy(records)
 
     report = Report("Table 1 - Accuracy of pruned proxy models")
@@ -429,14 +439,14 @@ def run_pattern_search(
     """
     if kmeans_iters is None:
         kmeans_iters = 2 if quick else 8
-    records = pattern_search_sweep(
+    cells = pattern_search_cells(
         tuple(models),
         tuple(vector_sizes),
         tuple(sparsities),
         kmeans_iters=kmeans_iters,
         seed=seed,
-        runner=runner,
     )
+    records = (runner or SweepRunner()).run_cells(cells, PATTERN_SEARCH_TASK).records
     curves = collate_pattern_search(records)
 
     report = Report(

@@ -38,7 +38,6 @@ from .runner import (
     MODEL_VERSION,
     PATTERN_SEARCH_SALT,
     CellTask,
-    SweepRunner,
     canonical_config_hash,
     encode_record,
     record_decoder,
@@ -53,7 +52,6 @@ __all__ = [
     "pattern_search_cells",
     "execute_pattern_search_cell",
     "collate_pattern_search",
-    "pattern_search_sweep",
 ]
 
 #: The vector sizes the paper evaluates (Figure 2 adds V=128).
@@ -306,26 +304,3 @@ def collate_pattern_search(
             for sparsity in sorted(sparsities)
         }
     return out
-
-
-def pattern_search_sweep(
-    models: tuple[str, ...] = MODEL_NAMES,
-    vector_sizes: tuple[int, ...] = PAPER_VECTOR_SIZES,
-    sparsities: tuple[float, ...] = (0.80, 0.90),
-    *,
-    kmeans_iters: int = 4,
-    beta_factor: float = 2.0,
-    seed: int = 0,
-    runner: SweepRunner | None = None,
-) -> list[PatternSearchRecord]:
-    """Run the whole grid through the sweep runner; records in grid order."""
-    cells = pattern_search_cells(
-        tuple(models),
-        tuple(vector_sizes),
-        tuple(sparsities),
-        kmeans_iters=kmeans_iters,
-        beta_factor=beta_factor,
-        seed=seed,
-    )
-    runner = runner if runner is not None else SweepRunner()
-    return runner.run_cells(cells, PATTERN_SEARCH_TASK).records

@@ -260,12 +260,12 @@ class KernelSpec:
 class SweepSpec:
     """Declarative sweep grid.
 
-    ``models`` names workloads evaluated with :func:`repro.eval.speedup.
-    model_time` over their real layer shapes; alternatively ``gemm`` pins one
-    explicit ``(M, N, K)`` problem (the Figure 1 mode).  ``dense_baseline``
-    (a registry name, or ``None`` to disable) adds one sparsity-0 config per
-    (workload, GPU) so speedups can be formed without re-simulating the dense
-    reference per kernel cell.
+    ``models`` names workloads timed over their real layer shapes (each cell
+    sums its layers' weighted times, see :func:`batched_executor`);
+    alternatively ``gemm`` pins one explicit ``(M, N, K)`` problem (the
+    Figure 1 mode).  ``dense_baseline`` (a registry name, or ``None`` to
+    disable) adds one sparsity-0 config per (workload, GPU) so speedups can
+    be formed without re-simulating the dense reference per kernel cell.
     """
 
     kernels: tuple[KernelSpec, ...]

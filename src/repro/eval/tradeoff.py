@@ -2,12 +2,13 @@
 
 Figure 2 plots, for GNMT on V100, the BLEU score against the kernel speedup
 over the tensor-core dense baseline for several sparsity patterns and vector
-sizes at 80 % and 90 % sparsity.  The reproduction combines:
+sizes at 80 % and 90 % sparsity.  The reproduction runs two cell families
+through one :class:`~repro.eval.runner.SweepRunner`:
 
-* the kernel-speedup side from the GPU timing model on the *real* GNMT layer
-  shapes (:func:`repro.eval.speedup.model_speedup`), and
-* the accuracy side from the proxy-GNMT protocol of
-  :mod:`repro.eval.accuracy`.
+* the kernel-speedup side, :func:`figure2_spec`: timing cells of each
+  pattern's kernel on the *real* GNMT layer shapes plus the dense baseline,
+  on the timing model of Figure 6, and
+* the accuracy side, the proxy-GNMT protocol of :mod:`repro.eval.accuracy`.
 
 The paper's qualitative claims to check: unstructured sparsity sits below
 1x speedup (no tensor cores) despite the best accuracy; Shfl-BW reaches real
@@ -19,14 +20,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..gpu.arch import get_gpu
-from ..kernels.registry import make_kernel
-from ..models.shapes import gnmt_layers
-from .accuracy import AccuracyConfig, PatternSpec, evaluate_model_accuracy
-from .runner import SweepRunner
-from .speedup import model_speedup, model_time
+from .accuracy import (
+    ACCURACY_TASK,
+    AccuracyConfig,
+    PatternSpec,
+    accuracy_cells,
+    collate_accuracy,
+)
+from .runner import KernelSpec, SweepRunner, SweepSpec
 
-__all__ = ["TradeoffPoint", "figure2_pattern_specs", "figure2_sweep"]
+__all__ = ["TradeoffPoint", "figure2_pattern_specs", "figure2_spec", "figure2_sweep"]
 
 
 @dataclass(frozen=True)
@@ -50,16 +53,34 @@ def figure2_pattern_specs() -> list[PatternSpec]:
     ]
 
 
-def _kernel_for_spec(spec: PatternSpec):
+def _kernel_spec(spec: PatternSpec) -> KernelSpec:
+    """The kernel a pattern runs on, labelled like its Figure 2 point."""
+    v = spec.paper_vector_size
     if spec.pattern == "unstructured":
-        return make_kernel("sputnik")
+        return KernelSpec("sputnik", label=spec.label)
     if spec.pattern == "vectorwise":
-        return make_kernel("vector-wise", vector_size=spec.paper_vector_size)
+        return KernelSpec("vector-wise", {"vector_size": v}, label=spec.label)
     if spec.pattern == "shflbw":
-        return make_kernel("shfl-bw", vector_size=spec.paper_vector_size)
+        return KernelSpec("shfl-bw", {"vector_size": v}, label=spec.label)
     if spec.pattern == "blockwise":
-        return make_kernel("cusparse-bsr", block_size=spec.paper_vector_size)
+        return KernelSpec("cusparse-bsr", {"block_size": v}, label=spec.label)
     raise ValueError(f"no kernel mapping for pattern {spec.pattern!r}")
+
+
+def figure2_spec(
+    gpu: str = "V100",
+    sparsities: tuple[float, ...] = (0.80, 0.90),
+    specs: list[PatternSpec] | None = None,
+) -> SweepSpec:
+    """The timing side of Figure 2: every pattern's kernel on the real GNMT
+    layer shapes at every sparsity, plus the dense baseline."""
+    specs = specs if specs is not None else figure2_pattern_specs()
+    return SweepSpec(
+        kernels=tuple(_kernel_spec(spec) for spec in specs),
+        gpus=(gpu,),
+        sparsities=tuple(sparsities),
+        models=("gnmt",),
+    )
 
 
 def figure2_sweep(
@@ -72,39 +93,35 @@ def figure2_sweep(
 ) -> list[TradeoffPoint]:
     """Compute the accuracy-speedup points of Figure 2.
 
-    Speedups use the real GNMT layer shapes on the requested GPU; accuracies
-    come from the proxy-GNMT pruning protocol, whose (pattern, sparsity)
-    cells run through ``runner`` (process-pool parallelism + persistent
-    caching) exactly like the timing sweeps.
+    The :func:`figure2_spec` timing cells and the proxy-GNMT accuracy cells
+    run through the same ``runner`` (process-pool parallelism and one
+    persistent cache per cell family).  A (pattern, sparsity) point is left
+    out when either side is not applicable.
     """
     config = config or AccuracyConfig()
     specs = specs if specs is not None else figure2_pattern_specs()
-    arch = get_gpu(gpu)
-    layers = gnmt_layers()
-    dense_kernel = make_kernel("dense")
+    sparsities = tuple(sparsities)
+    runner = runner or SweepRunner()
 
-    accuracy = evaluate_model_accuracy("gnmt", sparsities, specs, config, runner=runner)
-    # One dense baseline per sweep; every point reuses it.
-    dense_time = model_time(dense_kernel, arch, layers, 1.0)
+    grid = figure2_spec(gpu, sparsities, specs)
+    lookup = runner.run(grid).by_config()
+    cells = accuracy_cells(("gnmt",), sparsities, specs, config)
+    accuracy = collate_accuracy(runner.run_cells(cells, ACCURACY_TASK).records)["gnmt"]
 
+    dense_time = lookup[grid.dense_config("gnmt", gpu)].time_s
     points: list[TradeoffPoint] = []
-    for spec in specs:
-        kernel = _kernel_for_spec(spec)
+    for spec, kernel in zip(specs, grid.kernels, strict=True):
         for sparsity in sparsities:
             metric = accuracy.metric(spec.label, sparsity)
-            if metric is None:
-                continue
-            point = model_speedup(
-                kernel, dense_kernel, arch, layers, sparsity, dense_time=dense_time
-            )
-            if point is None:
+            record = lookup[grid.config(kernel, "gnmt", gpu, sparsity)]
+            if metric is None or not record.ok:
                 continue
             points.append(
                 TradeoffPoint(
                     label=spec.label,
                     sparsity=sparsity,
                     accuracy=metric,
-                    speedup=point.speedup,
+                    speedup=dense_time / record.time_s,
                 )
             )
     return points

@@ -17,7 +17,6 @@ from .registry import (
     available_kernels,
     make_kernel,
     paper_baseline_specs,
-    paper_baselines,
     register_kernel,
 )
 from .shflbw import ShflBWConvKernel, ShflBWKernel
@@ -38,7 +37,6 @@ __all__ = [
     "DenseTensorCoreGEMM",
     "available_kernels",
     "make_kernel",
-    "paper_baselines",
     "paper_baseline_specs",
     "DENSE_BASELINE_LABEL",
     "register_kernel",

@@ -22,7 +22,6 @@ __all__ = [
     "available_kernels",
     "make_kernel",
     "register_kernel",
-    "paper_baselines",
     "paper_baseline_specs",
     "DENSE_BASELINE_LABEL",
 ]
@@ -96,15 +95,3 @@ def paper_baseline_specs(
         specs[f"VW,V={v}"] = ("vector-wise", {"vector_size": v})
         specs[f"Shfl-BW,V={v}"] = ("shfl-bw", {"vector_size": v})
     return specs
-
-
-def paper_baselines(vector_sizes: tuple[int, ...] = (32, 64)) -> dict[str, SpMMKernel]:
-    """The full kernel line-up of Figure 6, keyed by the figure's labels.
-
-    Includes the dense baseline, every baseline sparse kernel and our
-    vector-wise / Shfl-BW kernels at the requested vector sizes.
-    """
-    return {
-        label: make_kernel(name, **kwargs)
-        for label, (name, kwargs) in paper_baseline_specs(vector_sizes).items()
-    }

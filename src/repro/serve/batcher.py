@@ -59,29 +59,21 @@ class BatchWindow:
 
     ``width`` is the target coalesced column count; ``deadline_s`` how long
     the oldest queued request may wait before a partial batch is flushed;
-    ``predicted_batch_time_s`` / ``predicted_unit_time_s`` the timing-model
-    estimates at ``width`` and at ``N = 1`` that the policy was derived from
-    (the deadline starts as the modelled batch time and is re-scaled to host
-    time by the service's calibration pass).
+    ``predicted_batch_time_s`` the timing-model estimate at ``width`` the
+    policy was derived from (the deadline starts as the modelled batch time
+    and is re-scaled to host time by the service's calibration pass).
     """
 
     layer: str
     width: int
     deadline_s: float
     predicted_batch_time_s: float
-    predicted_unit_time_s: float
 
     def __post_init__(self) -> None:
         if self.width <= 0:
             raise ValueError("window width must be positive")
         if self.deadline_s < 0.0:
             raise ValueError("deadline must be non-negative")
-
-    def calibrated(self, scale: float) -> "BatchWindow":
-        """The same window with its deadline re-scaled to host time."""
-        if scale <= 0.0:
-            raise ValueError("calibration scale must be positive")
-        return dataclasses.replace(self, deadline_s=self.deadline_s * scale)
 
     def with_deadline(self, deadline_s: float) -> "BatchWindow":
         """The same window with an explicit deadline override."""
@@ -127,16 +119,12 @@ def serving_windows(
         ).total_time_s
         throughput = np.asarray(priced, dtype=np.float64) / times
         best = int(np.argmax(throughput))
-        unit_time = float(times[0]) if priced[0] == 1 else float(
-            kernel.estimate(arch, layer.with_tokens(1).gemm, scored_density).total_time_s
-        )
         batch_time = float(times[best])
         windows[assignment.layer] = BatchWindow(
             layer=assignment.layer,
             width=int(priced[best]),
             deadline_s=batch_time if deadline_s is None else float(deadline_s),
             predicted_batch_time_s=batch_time,
-            predicted_unit_time_s=unit_time,
         )
     return windows
 

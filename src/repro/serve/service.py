@@ -275,6 +275,10 @@ class InferenceService:
         self._abort = False
         self._degraded = False
         self._started = False
+        # Set when the dispatcher dies: the error every request it stranded
+        # was answered with, and how many there were.
+        self._failure: str | None = None
+        self._failure_shed = 0
 
     # ------------------------------ lifecycle ---------------------------- #
     def start(self) -> "InferenceService":
@@ -321,6 +325,8 @@ class InferenceService:
             )
         self._stopping = False
         self._abort = False
+        self._failure = None
+        self._failure_shed = 0
         self._dispatcher = threading.Thread(
             target=self._dispatch_loop, name="serve-dispatcher", daemon=True
         )
@@ -340,7 +346,9 @@ class InferenceService:
         shutdown escalates join → terminate → kill.  Returns a report:
         ``{"shed": <requests resolved with shutdown errors>, "clean":
         <True when the drain finished in time>, "pool": <escalation
-        counts>}``.
+        counts>}``.  A dispatcher that died on an unexpected exception
+        makes the stop unclean, and ``shed`` counts the requests it
+        answered with ``[dispatcher]`` errors.
         """
         report: dict = {
             "shed": 0,
@@ -360,7 +368,12 @@ class InferenceService:
             with self._condition:
                 self._condition.notify_all()
             self._dispatcher.join(timeout=1.0)
-            report["shed"] = self._shed_unanswered()
+            report["shed"] = self._shed_unanswered(
+                "[shutdown] service stopped before the request was served"
+            )
+        if self._failure is not None:
+            report["clean"] = False
+            report["shed"] += self._failure_shed
         if self._pool is not None:
             report["pool"] = self._pool.close(
                 timeout=5.0 if timeout is None else max(timeout, 0.1)
@@ -371,8 +384,8 @@ class InferenceService:
         self._started = False
         return report
 
-    def _shed_unanswered(self) -> int:
-        """Resolve every still-unanswered request with a shutdown error."""
+    def _shed_unanswered(self, error: str) -> int:
+        """Resolve every still-unanswered request with an ``error`` response."""
         with self._condition:
             pendings = list(self._waiting.values())
             self._waiting.clear()
@@ -394,8 +407,7 @@ class InferenceService:
                         output=None,
                         width=0,
                         latency_s=now - pending.submitted_at,
-                        error="[shutdown] service stopped before the request "
-                        "was served",
+                        error=error,
                     )
                 )
             return shed
@@ -416,10 +428,13 @@ class InferenceService:
         activation row count does not match the layer's input width (a
         mis-shaped request would poison every companion coalesced into its
         batch, so it is rejected at the gate), and
-        :class:`ServiceOverloadedError` when the queue is full.
+        :class:`ServiceOverloadedError` when the queue is full.  Once the
+        dispatcher has died every submit raises ``RuntimeError``.
         """
         self.validate(request)
         with self._condition:
+            if self._failure is not None:
+                raise RuntimeError(f"the service is down: {self._failure}")
             now = self._clock()
             try:
                 self._batcher.push(request, now)
@@ -489,46 +504,53 @@ class InferenceService:
         # the OS socket buffer (parent wedged sending work, worker wedged
         # sending results, nobody collecting).
         max_inflight = self.workers if self.workers > 0 else 1
-        while True:
-            if self._abort:
-                return
-            with self._condition:
-                now = self._clock()
-                self._shed_expired_locked(now)
-                if self._stopping:
-                    self._backlog.extend(self._batcher.drain())
-                else:
-                    due = self._batcher.poll(now)  # staticcheck: ignore[SC007] -- in-memory poll
-                    self._backlog.extend(due)
-                idle = not self._backlog and not self._inflight
-                if idle and not self._stopping:
-                    deadline = self._batcher.next_deadline()
-                    timeout = (
-                        max(0.0, deadline - now) if deadline is not None else None
-                    )
-                    self._condition.wait(timeout=timeout)
-                    continue
-            while self._backlog and len(self._inflight) < max_inflight:
-                self._dispatch(self._backlog.popleft())
-            if self._pool is not None and self._inflight:
-                for result in self._pool.collect(timeout=0.005):
-                    if result.error is not None:
-                        self._complete_error(result.batch, result.error)
-                    else:
-                        self._complete(
-                            result.batch, result.outputs, result.elapsed_s
-                        )
-                self.stats.retried = self._pool.retried
-                if self._pool.broken:
-                    self._degrade()
-            with self._condition:
-                if (
-                    self._stopping
-                    and self._batcher.pending == 0
-                    and not self._backlog
-                    and not self._inflight
-                ):
+        try:
+            while True:
+                if self._abort:
                     return
+                with self._condition:
+                    now = self._clock()
+                    self._shed_expired_locked(now)
+                    if self._stopping:
+                        self._backlog.extend(self._batcher.drain())
+                    else:
+                        due = self._batcher.poll(now)  # staticcheck: ignore[SC007] -- in-memory poll
+                        self._backlog.extend(due)
+                    idle = not self._backlog and not self._inflight
+                    if idle and not self._stopping:
+                        deadline = self._batcher.next_deadline()
+                        timeout = (
+                            max(0.0, deadline - now) if deadline is not None else None
+                        )
+                        self._condition.wait(timeout=timeout)
+                        continue
+                while self._backlog and len(self._inflight) < max_inflight:
+                    self._dispatch(self._backlog.popleft())
+                if self._pool is not None and self._inflight:
+                    for result in self._pool.collect(timeout=0.005):
+                        if result.error is not None:
+                            self._complete_error(result.batch, result.error)
+                        else:
+                            self._complete(
+                                result.batch, result.outputs, result.elapsed_s
+                            )
+                    self.stats.retried = self._pool.retried
+                    if self._pool.broken:
+                        self._degrade()
+                with self._condition:
+                    if (
+                        self._stopping
+                        and self._batcher.pending == 0
+                        and not self._backlog
+                        and not self._inflight
+                    ):
+                        return
+        except Exception as exc:
+            # Any escape would end the thread silently and strand every
+            # accepted request: refuse new ones and answer the rest.
+            with self._condition:
+                self._failure = f"[dispatcher] {type(exc).__name__}: {exc}"
+                self._failure_shed = self._shed_unanswered(self._failure)
 
     def _shed_expired_locked(self, now: float) -> None:
         """Shed queued requests whose own deadline passed (lock held)."""

@@ -184,10 +184,6 @@ class BlockSparseMatrix:
         return self.shape[0] // self.block_size
 
     @property
-    def num_block_cols(self) -> int:
-        return self.shape[1] // self.block_size
-
-    @property
     def nnz_blocks(self) -> int:
         """Number of stored blocks."""
         return int(len(self.data))

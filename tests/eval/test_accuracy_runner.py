@@ -16,8 +16,6 @@ from repro.eval.accuracy import (
     PatternSpec,
     accuracy_cells,
     collate_accuracy,
-    evaluate_model_accuracy,
-    table1_sweep,
 )
 from repro.eval.runner import TIMING_TASK, SweepRunner
 
@@ -224,20 +222,45 @@ class TestAccuracyExperiments:
         assert 0.0 <= row[2] <= 100.0  # the proxy BLEU column
 
 
+    def test_figure2_timing_cells_share_the_sweep_store(self, tmp_path):
+        from repro.eval.tradeoff import figure2_spec, figure2_sweep
+
+        grid = dict(sparsities=(0.8,), config=TINY, specs=SPECS)
+        cold = figure2_sweep(runner=SweepRunner(cache_dir=tmp_path), **grid)
+        warm_runner = SweepRunner(cache_dir=tmp_path)
+        warm = figure2_sweep(runner=warm_runner, **grid)
+        assert warm == cold
+        # Both families are cached: the dense baseline plus one cell per
+        # pattern in the timing store, one per pattern in the accuracy one.
+        timing_cells = len(figure2_spec("V100", (0.8,), SPECS).expand())
+        assert timing_cells == len(SPECS) + 1
+        assert (warm_runner.stats.hits, warm_runner.stats.misses) == (
+            timing_cells + len(SPECS),
+            0,
+        )
+        blobs = list(warm_runner.cell_cache(TIMING_TASK).path.glob("*/*.json"))
+        assert len(blobs) == timing_cells
+
+
 class TestProtocolAPI:
     def test_table1_sweep_through_runner_matches_direct(self, tmp_path):
-        direct = table1_sweep(("transformer",), (0.8,), TINY, SPECS)
+        from repro.eval.experiments import run_table1
+
+        grid = dict(tiny=True, models=("transformer",), sparsities=(0.8,), specs=SPECS)
+        direct = run_table1(**grid)
         runner = SweepRunner(cache_dir=tmp_path)
-        cached = table1_sweep(("transformer",), (0.8,), TINY, SPECS, runner=runner)
-        assert cached["transformer"].results == direct["transformer"].results
+        cached = run_table1(runner=runner, **grid)
+        assert cached.records == direct.records
         assert runner.stats.misses == 2
-        # Warm re-run: identical numbers, all hits.
-        warm = table1_sweep(("transformer",), (0.8,), TINY, SPECS, runner=runner)
-        assert warm["transformer"].results == direct["transformer"].results
+        # Warm re-run: identical records, all hits.
+        warm = run_table1(runner=runner, **grid)
+        assert warm.records == direct.records
         assert runner.stats.hits == 2
 
     def test_evaluate_model_accuracy_keeps_seed_contract(self):
-        result = evaluate_model_accuracy("transformer", (0.8,), SPECS, TINY)
+        cells = accuracy_cells(("transformer",), (0.8,), SPECS, TINY)
+        records = SweepRunner().run_cells(cells, ACCURACY_TASK).records
+        result = collate_accuracy(records)["transformer"]
         assert result.metric_name == "BLEU"
         assert {label for (label, _) in result.results} == {spec.label for spec in SPECS}
         assert all(0.0 <= v <= 100.0 for v in result.results.values())

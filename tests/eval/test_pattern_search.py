@@ -18,7 +18,6 @@ from repro.eval.pattern_search import (
     execute_pattern_search_cell,
     layer_scores,
     pattern_search_cells,
-    pattern_search_sweep,
 )
 from repro.eval.runner import SweepRunner
 
@@ -137,9 +136,8 @@ class TestSweepAndCache:
         assert all(entry["status"] == "ok" for entry in entries)
 
     def test_sweep_returns_records_in_grid_order(self, cells):
-        records = pattern_search_sweep(
-            ("transformer",), (256,), (0.8,), kmeans_iters=1
-        )
+        grid = pattern_search_cells(("transformer",), (256,), (0.8,), kmeans_iters=1)
+        records = SweepRunner().run_cells(grid, PATTERN_SEARCH_TASK).records
         assert [r.config.layer for r in records] == [
             "attn_qkv",
             "attn_out",

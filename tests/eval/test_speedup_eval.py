@@ -5,21 +5,23 @@ import pytest
 
 from repro.eval.experiments import run_experiment
 from repro.eval.report import Report, Table
+from repro.eval.runner import KernelSpec, SweepRunner, SweepSpec
 from repro.eval.speedup import (
     PAPER_GPUS,
     PAPER_SPARSITIES,
-    figure6_sweep,
-    headline_speedups,
-    layer_time,
-    model_speedup,
-    model_time,
-    spmm_throughput_sweep,
+    collate_figure1,
+    collate_figure6,
+    collate_headline,
+    figure1_spec,
+    figure6_spec,
+    headline_spec,
+    layer_times_grid,
 )
-from repro.eval.tradeoff import _kernel_for_spec, figure2_pattern_specs
+from repro.eval.tradeoff import figure2_spec
 from repro.gpu.arch import get_gpu
-from repro.kernels.base import KernelNotApplicableError, SpMMKernel
+from repro.kernels.base import SpMMKernel
 from repro.kernels.registry import make_kernel
-from repro.models.shapes import gnmt_layers, resnet50_layers, transformer_layers
+from repro.models.shapes import model_layers, resnet50_layers
 
 #: The paper's Section 6.2 headline speedups (Transformer, 75 % sparsity).
 PAPER_HEADLINE = {"V100": 1.81, "T4": 4.18, "A100": 1.90}
@@ -42,69 +44,96 @@ class TestReportContainers:
         assert "-" in text  # None rendered as dash
 
 
+def layer_order_sum(kernel: SpMMKernel, gpu: str, model: str, density: float):
+    """The whole-model oracle: ``0.0 + sum(times[i] * count[i])`` over
+    :func:`layer_times_grid` in layer order, or the first rejected layer's
+    exception."""
+    layers = model_layers(model)
+    times, errors = layer_times_grid(kernel, get_gpu(gpu), layers, density)
+    error = next((e for e in errors if e is not None), None)
+    if error is not None:
+        return error
+    total = 0.0
+    for time_s, layer in zip(times.tolist(), layers, strict=True):
+        total += time_s * layer.count
+    return total
+
+
 class TestModelTime:
-    def test_dense_time_positive_and_additive(self):
-        arch = get_gpu("V100")
-        layers = transformer_layers()
-        dense = make_kernel("dense")
-        total = model_time(dense, arch, layers, 1.0)
-        assert total > 0
-        assert total > model_time(dense, arch, layers[:1], 1.0)
-        assert model_time(dense, arch, [], 1.0) == 0
+    """Whole-workload time is one ``TIMING_TASK`` cell per (kernel, model,
+    GPU, sparsity): the weighted layer sum, or the rejection that stops it."""
+
+    @pytest.fixture(scope="class")
+    def figure6(self):
+        return SweepRunner().run(figure6_spec())
+
+    def test_model_cells_equal_the_layer_order_sum(self, figure6):
+        """Every model x GPU x Figure 6 kernel cell equals the layer-order
+        oracle bit for bit; a rejected layer makes the cell not-applicable
+        with that layer's message.  A GPU the kernel does not support is
+        rejected up front, with the capability's own message."""
+        checked = 0
+        for record in figure6.records:
+            config = record.config
+            kernel = make_kernel(config.kernel, **dict(config.kernel_kwargs))
+            unsupported = kernel.capabilities().unsupported_arch(get_gpu(config.gpu))
+            expected = layer_order_sum(kernel, config.gpu, config.model, config.density)
+            if unsupported is not None:
+                assert (record.status, record.detail) == ("not-applicable", unsupported)
+            elif isinstance(expected, Exception):
+                assert (record.status, record.detail) == ("not-applicable", str(expected))
+            else:
+                assert record.ok and record.time_s == expected, config
+                checked += 1
+        assert checked > len(figure6.records) // 2
+
+    def test_dense_time_positive_and_additive(self, figure6):
+        for model in figure6.spec.models:
+            for gpu in figure6.spec.gpus:
+                record = figure6.by_config()[figure6.spec.dense_config(model, gpu)]
+                expected = layer_order_sum(make_kernel("dense"), gpu, model, 1.0)
+                assert record.ok and record.time_s == expected > 0
 
     def test_model_speedup_none_for_inapplicable(self):
-        arch = get_gpu("V100")
-        layers = transformer_layers()
-        balanced = make_kernel("cusparselt")
-        dense = make_kernel("dense")
-        assert model_speedup(balanced, dense, arch, layers, 0.75) is None
+        results = collate_figure6(
+            SweepRunner().run(
+                figure6_spec(models=("transformer",), gpus=("V100",), sparsities=(0.75,))
+            )
+        )
+        assert results[("transformer", "V100")]["Balanced 2in4"][0.75] is None
 
     def test_model_speedup_value(self):
-        arch = get_gpu("T4")
-        layers = transformer_layers()
-        point = model_speedup(
-            make_kernel("shfl-bw", vector_size=64), make_kernel("dense"), arch, layers, 0.75
-        )
-        assert point is not None
-        assert point.speedup > 1.5
-        assert point.arch == "T4"
-
-    def test_precomputed_dense_time_matches_recomputation(self):
-        arch = get_gpu("V100")
-        layers = transformer_layers()
-        kernel = make_kernel("shfl-bw", vector_size=64)
-        dense = make_kernel("dense")
-        dense_time = model_time(dense, arch, layers, 1.0)
-        fresh = model_speedup(kernel, dense, arch, layers, 0.75)
-        cached = model_speedup(kernel, dense, arch, layers, 0.75, dense_time=dense_time)
-        assert fresh is not None and cached is not None
-        assert cached.speedup == pytest.approx(fresh.speedup)
-        assert cached.dense_time_s == pytest.approx(fresh.dense_time_s)
+        speedups = collate_headline(SweepRunner().run(headline_spec()))
+        assert speedups["T4"] > 1.5
 
 
 class TestConvRouting:
-    def test_conv_layers_go_through_estimate_conv(self, monkeypatch):
+    def test_conv_layers_go_through_estimate_conv(self):
+        """Every conv layer costs exactly what ``estimate_conv`` prices it
+        at: the implicit GEMM plus the unfolding overhead."""
         layers = [layer for layer in resnet50_layers() if layer.kind == "conv"]
         assert layers, "resnet50 must expose conv layers"
         arch = get_gpu("V100")
         kernel = make_kernel("shfl-bw", vector_size=32)
-        calls = []
-        original = SpMMKernel.estimate_conv
-
-        def spy(self, conv_arch, spec, density, **kwargs):
-            calls.append(spec)
-            return original(self, conv_arch, spec, density, **kwargs)
-
-        monkeypatch.setattr(SpMMKernel, "estimate_conv", spy)
-        time = layer_time(kernel, arch, layers[0], 0.25)
-        assert time > 0
-        assert calls == [layers[0].conv]
+        times, errors = layer_times_grid(kernel, arch, layers, 0.25)
+        assert not any(errors)
+        for time_s, layer in zip(times.tolist(), layers, strict=True):
+            conv = kernel.estimate_conv(
+                arch, layer.conv, 0.25, batch=layer.batch, height=layer.height, width=layer.width
+            )
+            assert time_s == conv.total_time_s > 0
 
     def test_model_time_rejects_convless_kernels_on_resnet(self):
-        layers = resnet50_layers()
-        arch = get_gpu("V100")
-        with pytest.raises(KernelNotApplicableError):
-            model_time(make_kernel("sputnik"), arch, layers, 0.25)
+        spec = SweepSpec(
+            kernels=(KernelSpec("sputnik"),),
+            gpus=("V100",),
+            sparsities=(0.75,),
+            models=("resnet50",),
+        )
+        lookup = SweepRunner().run(spec).by_config()
+        record = lookup[spec.config(spec.kernels[0], "resnet50", "V100", 0.75)]
+        assert record.status == "not-applicable"
+        assert "no convolution implementation" in record.detail
 
     def test_conv_layer_costs_more_than_plain_gemm(self):
         # The unfolding overhead must actually show up in the layer time.
@@ -116,9 +145,9 @@ class TestConvRouting:
         arch = get_gpu("V100")
         kernel = make_kernel("dense")
         layer = layers[0]
-        conv_time = layer_time(kernel, arch, layer, 1.0)
+        times, _ = layer_times_grid(kernel, arch, [layer], 1.0)
         gemm_time = kernel.estimate(arch, layer.gemm, 1.0).total_time_s
-        assert conv_time > gemm_time
+        assert float(times[0]) > gemm_time
 
     def test_figure6_resnet_sweep_prices_conv_layers_as_convolutions(self, monkeypatch):
         calls = []
@@ -146,9 +175,13 @@ class TestConvRouting:
         assert all(3 in sizes for _, sizes in calls)
 
 
+def figure1_curves(densities: tuple[float, ...]) -> dict[str, dict[float, float]]:
+    return collate_figure1(SweepRunner().run(figure1_spec(densities=densities)), densities)
+
+
 class TestFigure1:
     def test_curve_structure(self):
-        curves = spmm_throughput_sweep(densities=(0.05, 0.25, 0.5))
+        curves = figure1_curves((0.05, 0.25, 0.5))
         assert set(curves) == {
             "Cuda-Core",
             "Tensor-Core",
@@ -158,7 +191,7 @@ class TestFigure1:
         assert all(len(v) == 3 for v in curves.values())
 
     def test_paper_relationships(self):
-        curves = spmm_throughput_sweep(densities=(0.02, 0.05, 0.25, 0.5))
+        curves = figure1_curves((0.02, 0.05, 0.25, 0.5))
         tc_dense = curves["Tensor-Core"][0.25]
         # Tensor-core dense is well above CUDA-core dense.
         assert tc_dense > 1.5
@@ -180,16 +213,17 @@ class TestFigure1:
 
 class TestHeadlineAndFigure6:
     def test_headline_covers_all_gpus(self):
-        speedups = headline_speedups()
+        speedups = collate_headline(SweepRunner().run(headline_spec()))
         assert set(speedups) == set(PAPER_GPUS)
         for gpu, value in speedups.items():
             assert value > 1.3, f"{gpu} speedup {value}"
             assert value < PAPER_HEADLINE[gpu] * 2.5, f"{gpu} speedup {value}"
 
     def test_figure6_small_slice(self):
-        results = figure6_sweep(
+        spec = figure6_spec(
             models=("transformer",), gpus=("V100",), sparsities=(0.75,), vector_sizes=(32,)
         )
+        results = collate_figure6(SweepRunner().run(spec))
         per_kernel = results[("transformer", "V100")]
         assert per_kernel["Shfl-BW,V=32"][0.75] is not None
         assert per_kernel["Shfl-BW,V=32"][0.75] > 1.0
@@ -206,7 +240,7 @@ class TestFigure6Claims:
 
     @pytest.fixture(scope="class")
     def results(self):
-        return figure6_sweep()
+        return collate_figure6(SweepRunner().run(figure6_spec()))
 
     def test_gnmt_and_resnet_gain_at_75_percent(self, results):
         for model in ("gnmt", "resnet50"):
@@ -255,16 +289,14 @@ class TestFigure2Speedups:
 
     @pytest.fixture(scope="class")
     def speedups(self):
-        arch = get_gpu("V100")
-        layers = gnmt_layers()
-        dense = make_kernel("dense")
-        dense_time = model_time(dense, arch, layers, 1.0)
+        spec = figure2_spec()
+        lookup = SweepRunner().run(spec).by_config()
+        dense_time = lookup[spec.dense_config("gnmt", "V100")].time_s
         return {
-            (spec.label, sparsity): model_speedup(
-                _kernel_for_spec(spec), dense, arch, layers, sparsity, dense_time=dense_time
-            ).speedup
-            for spec in figure2_pattern_specs()
-            for sparsity in (0.80, 0.90)
+            (kernel.display_label, sparsity): dense_time
+            / lookup[spec.config(kernel, "gnmt", "V100", sparsity)].time_s
+            for kernel in spec.kernels
+            for sparsity in spec.sparsities
         }
 
     def test_unstructured_has_no_practical_speedup(self, speedups):

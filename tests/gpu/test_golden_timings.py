@@ -30,8 +30,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.eval.runner import MODEL_VERSION
-from repro.eval.speedup import PAPER_GPUS, PAPER_SPARSITIES, figure6_sweep
+from repro.eval.runner import MODEL_VERSION, SweepRunner
+from repro.eval.speedup import PAPER_GPUS, PAPER_SPARSITIES, collate_figure6, figure6_spec
 from repro.gpu.arch import get_gpu
 from repro.kernels.base import GEMMShape, KernelNotApplicableError
 from repro.kernels.registry import make_kernel, paper_baseline_specs
@@ -76,7 +76,7 @@ def _simulate_grid() -> dict:
 
 def _figure6_grid() -> dict:
     """``{"model|gpu": {kernel_label: {sparsity: speedup | None}}}``."""
-    results = figure6_sweep()
+    results = collate_figure6(SweepRunner().run(figure6_spec()))
     return {
         f"{model}|{gpu}": {
             label: {str(s): value for s, value in by_sparsity.items()}

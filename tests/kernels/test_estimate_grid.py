@@ -6,14 +6,14 @@ grid, and the model-grid helpers.
 * ``estimate_grid`` raises the first rejected cell's exception;
 * a NaN density is rejected by every non-dense kernel and ignored by the
   dense ones, like any other density;
-* the model-grid helpers (``model_time_grid`` / ``layer_times_grid``) apply
-  the convolution rules.
+* the per-layer model grid (``layer_times_grid``) applies the convolution
+  rules.
 """
 
 import numpy as np
 import pytest
 
-from repro.eval.speedup import layer_times_grid, model_time_grid
+from repro.eval.speedup import layer_times_grid
 from repro.gpu.arch import get_gpu
 from repro.gpu.simulator import simulate_batch
 from repro.kernels.base import GEMMShape, KernelNotApplicableError
@@ -99,12 +99,23 @@ class TestPerCellRejection:
 
 class TestModelGrids:
     def test_conv_unsupported_kernel_raises_scalar_message(self):
+        """A kernel without a convolution implementation rejects every conv
+        layer with the exception the scalar ``estimate_conv`` raises."""
         kernel = make_kernel("sputnik")
+        arch = get_gpu("V100")
         layers = model_layers("resnet50")
-        with pytest.raises(
-            KernelNotApplicableError, match="no convolution implementation"
-        ):
-            model_time_grid(kernel, get_gpu("V100"), layers, [0.5])
+        _, errors = layer_times_grid(kernel, arch, layers, 0.5)
+        layer = layers[0]
+        with pytest.raises(KernelNotApplicableError) as scalar:
+            kernel.estimate_conv(
+                arch, layer.conv, 0.5, batch=layer.batch, height=layer.height, width=layer.width
+            )
+        assert "no convolution implementation" in str(scalar.value)
+        for layer, error in zip(layers, errors, strict=True):
+            assert (layer.kind == "conv") == (error is not None)
+            if error is not None:
+                assert isinstance(error, KernelNotApplicableError)
+                assert str(error) == str(scalar.value)
 
     def test_conv_unfold_overhead_applied(self):
         """3x3 conv layers must pay the unfold overhead in the batched path

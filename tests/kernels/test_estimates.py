@@ -6,13 +6,11 @@ sparsity, vector size and GPU, and which baselines fall where.
 
 import pytest
 
-from repro.eval.speedup import model_time
+from repro.eval.runner import KernelSpec, SweepRunner, SweepSpec
+from repro.eval.speedup import PAPER_SPARSITIES
 from repro.gpu.arch import get_gpu
 from repro.kernels.base import GEMMShape, KernelNotApplicableError, conv_to_gemm_shape
-from repro.kernels.registry import available_kernels, make_kernel, paper_baselines
-from repro.kernels.shflbw import ShflBWKernel
-from repro.kernels.vector_wise import VectorWiseKernel
-from repro.models.shapes import gnmt_layers, transformer_layers
+from repro.kernels.registry import available_kernels, make_kernel, paper_baseline_specs
 from repro.sparse.spconv import Conv2dSpec
 
 SHAPE = GEMMShape(m=2048, n=128, k=2048)
@@ -23,6 +21,20 @@ A100 = get_gpu("A100")
 
 def time_of(name, arch, density, **kwargs):
     return make_kernel(name, **kwargs).estimate(arch, SHAPE, density).total_time_s
+
+
+def whole_model_seconds(gpu, model, sparsity, *kernels):
+    """Whole-model time of each kernel line: one timing cell each."""
+    spec = SweepSpec(
+        kernels=kernels,
+        gpus=(gpu,),
+        sparsities=(sparsity,),
+        models=(model,),
+        dense_baseline=None,
+    )
+    records = SweepRunner().run(spec).records
+    assert all(record.ok for record in records)
+    return [record.time_s for record in records]
 
 
 class TestGEMMShape:
@@ -117,33 +129,35 @@ class TestAblations:
     """The kernel-design ablations of Sections 4.2 and 4.4, whole-model."""
 
     @staticmethod
-    def prefetch_gain(density: float) -> float:
+    def prefetch_gain(sparsity: float) -> float:
         """No-prefetch over prefetch time of Shfl-BW V=32 on GNMT, T4."""
-        layers = gnmt_layers()
-        with_prefetch = ShflBWKernel(vector_size=32, prefetch_metadata=True)
-        without = ShflBWKernel(vector_size=32, prefetch_metadata=False)
-        return model_time(without, T4, layers, density) / model_time(
-            with_prefetch, T4, layers, density
+        with_prefetch, without = whole_model_seconds(
+            "T4",
+            "gnmt",
+            sparsity,
+            KernelSpec("shfl-bw", {"vector_size": 32, "prefetch_metadata": True}),
+            KernelSpec("shfl-bw", {"vector_size": 32, "prefetch_metadata": False}),
         )
+        return without / with_prefetch
 
     def test_prefetch_never_slower(self):
-        for density in (0.5, 0.25, 0.15, 0.05):
-            assert self.prefetch_gain(density) >= 1 / 1.001
+        for sparsity in PAPER_SPARSITIES:
+            assert self.prefetch_gain(sparsity) >= 1 / 1.001
 
     def test_prefetch_matters_more_at_high_sparsity(self):
         # Metadata is a larger share of the traffic when weights are very
         # sparse, so prefetching gains more there.
-        assert self.prefetch_gain(0.05) >= self.prefetch_gain(0.5) * 0.999
+        assert self.prefetch_gain(0.95) >= self.prefetch_gain(0.5) * 0.999
 
     def test_fused_write_back_makes_the_shuffle_nearly_free(self):
-        layers = transformer_layers()
-
-        def seconds(kernel):
-            return model_time(kernel, V100, layers, 0.25)
-
-        vector_wise = seconds(VectorWiseKernel(vector_size=64))
-        fused = seconds(ShflBWKernel(vector_size=64, reordered_write_back=True))
-        separate = seconds(ShflBWKernel(vector_size=64, reordered_write_back=False))
+        vector_wise, fused, separate = whole_model_seconds(
+            "V100",
+            "transformer",
+            0.75,
+            KernelSpec("vector-wise", {"vector_size": 64}),
+            KernelSpec("shfl-bw", {"vector_size": 64, "reordered_write_back": True}),
+            KernelSpec("shfl-bw", {"vector_size": 64, "reordered_write_back": False}),
+        )
         assert 0.97 <= fused / vector_wise <= 1.05
         # A separate permutation pass over the output costs measurably more.
         assert separate > fused * 1.03
@@ -173,7 +187,7 @@ class TestRegistry:
             make_kernel("warp-speed")
 
     def test_paper_baselines_lineup(self):
-        lineup = paper_baselines((32, 64))
+        lineup = paper_baseline_specs((32, 64))
         assert "Shfl-BW,V=32" in lineup
         assert "Shfl-BW,V=64" in lineup
         assert "Balanced 2in4" in lineup

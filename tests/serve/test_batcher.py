@@ -29,7 +29,6 @@ def window(*, width=4, deadline=1.0, layer=LAYER):
             width=width,
             deadline_s=deadline,
             predicted_batch_time_s=1e-6,
-            predicted_unit_time_s=1e-6,
         )
     }
 

@@ -243,6 +243,32 @@ class TestStopReport:
         assert first["clean"] is True
         assert second["shed"] == 0
 
+    def test_dispatcher_failure_answers_every_accepted_request(self, plan, monkeypatch):
+        """An exception escaping the dispatcher loop must not strand the
+        accepted requests: each is answered with a ``[dispatcher]`` error,
+        later submits are refused and stop() reports the unclean shed."""
+
+        def broken_dispatch(self, requests):
+            raise RuntimeError("dispatch exploded")
+
+        monkeypatch.setattr(InferenceService, "_dispatch", broken_dispatch)
+        service = InferenceService(plan, workers=0, width=4, deadline_s=60.0)
+        service.start()
+        # The fourth request fills the window, so the (failing) first
+        # dispatch happens only once all four are queued.
+        handles = [service.submit(request) for request in make_requests(4)]
+        responses = [handle.result(timeout=2) for handle in handles]
+        assert not any(response.ok for response in responses)
+        assert all(
+            response.error == "[dispatcher] RuntimeError: dispatch exploded"
+            for response in responses
+        )
+        with pytest.raises(RuntimeError, match="dispatch exploded"):
+            service.submit(make_requests(5)[4])
+        report = service.stop()
+        assert report["clean"] is False
+        assert report["shed"] == 4
+
     def test_stats_dict_has_robustness_counters(self, plan):
         snapshot = InferenceService(plan).stats.to_dict()
         for key in ("retried", "quarantined", "errors", "expired", "degraded"):

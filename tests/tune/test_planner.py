@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.eval.runner import KernelSpec
-from repro.eval.speedup import FIGURE1_DENSITIES, PAPER_SPARSITIES, layer_time
+from repro.eval.speedup import FIGURE1_DENSITIES, PAPER_SPARSITIES
 from repro.gpu.arch import get_gpu
 from repro.kernels.base import KernelNotApplicableError
 from repro.models.shapes import model_layers
@@ -22,6 +22,16 @@ from repro.tune import (
 FIGURE1_GEMM = (2048, 128, 2048)
 
 
+def layer_seconds(kernel, arch, layer, density):
+    """One layer occurrence on the scalar estimates: ``estimate_conv`` for
+    convolutions, ``estimate`` for GEMMs."""
+    if layer.kind == "conv":
+        return kernel.estimate_conv(
+            arch, layer.conv, density, batch=layer.batch, height=layer.height, width=layer.width
+        ).total_time_s
+    return kernel.estimate(arch, layer.gemm, density).total_time_s
+
+
 def brute_force_best(candidates, arch, layer, density):
     """Reference argmin: try every candidate on the timing model, mirroring
     the sweep runner's applicability semantics (``supported_archs`` checked
@@ -32,7 +42,7 @@ def brute_force_best(candidates, arch, layer, density):
         if kernel.supported_archs is not None and arch.name not in kernel.supported_archs:
             continue
         try:
-            time_s = layer_time(kernel, arch, layer, candidate_density(kernel, density))
+            time_s = layer_seconds(kernel, arch, layer, candidate_density(kernel, density))
         except (KernelNotApplicableError, ValueError):
             continue
         if best is None or time_s < best[1]:
