@@ -8,18 +8,14 @@ the sweep runner.  Two gates:
 
 * *never slower*: the planned whole-model time must not exceed the best
   single-kernel baseline on any cell (the per-layer argmin construction
-  guarantees this for analytical plans; the gate catches regressions in the
-  plan/eval plumbing).  In ``--measured`` mode the refiner may deliberately
-  trade modelled time for measured wall-clock wins, so the gate is reported
-  but not enforced there;
-* *cache coherence*: re-planning against a warm plan cache must reproduce
-  the cold plan exactly (both modes).
+  guarantees this; the gate catches regressions in the plan/eval plumbing);
+* *cache coherence*: re-planning against the runner's warm cache must
+  reproduce the cold plan exactly.
 
 Run standalone (after ``pip install -e .``)::
 
     python benchmarks/bench_autotune.py
     python benchmarks/bench_autotune.py --smoke        # CI subset
-    python benchmarks/bench_autotune.py --measured     # measured refinement
 """
 
 from __future__ import annotations
@@ -31,7 +27,7 @@ import time
 
 from repro.eval.runner import SweepRunner
 from repro.eval.speedup import PAPER_GPUS
-from repro.tune import Autotuner, MeasuredRefiner, compare_with_single_kernels
+from repro.tune import Autotuner, compare_with_single_kernels
 
 #: Allowed relative slack on the never-slower gate (float summation only;
 #: the argmin construction is exact).
@@ -44,52 +40,33 @@ def run_grid(
     models: tuple[str, ...],
     gpus: tuple[str, ...],
     sparsity: float,
-    *,
-    measured: bool,
 ) -> int:
-    refiner = MeasuredRefiner(top_k=2, repeats=2) if measured else None
     failures = 0
-    print(
-        f"Autotuned plan vs best single kernel "
-        f"(sparsity {sparsity:.0%}, {'measured' if measured else 'model'} mode)"
-    )
+    print(f"Autotuned plan vs best single kernel (sparsity {sparsity:.0%})")
     header = (
         f"{'model':<12} {'GPU':<5} {'planned ms':>11} {'best single':>22} "
         f"{'single ms':>10} {'advantage':>9}"
     )
     print(header)
     print("-" * len(header))
-    with tempfile.TemporaryDirectory() as plan_dir:
-        tuner = Autotuner(cache_dir=plan_dir, refiner=refiner)
-        runner = SweepRunner()
+    with tempfile.TemporaryDirectory() as cache_dir:
+        runner = SweepRunner(cache_dir=cache_dir)
+        tuner = Autotuner(runner=runner)
         start = time.perf_counter()
         for model in models:
             for gpu in gpus:
-                comparison = compare_with_single_kernels(
-                    model, gpu, sparsity, tuner=tuner, runner=runner
-                )
+                comparison = compare_with_single_kernels(model, gpu, sparsity, tuner=tuner)
                 ok = comparison.planned_time_s <= comparison.best_single_time_s * (
                     1 + REL_EPS
                 )
-                # Measured refinement may pick a kernel whose *modelled* time
-                # is not the argmin (that is its purpose), so only analytical
-                # plans are held to the never-slower bar.
-                failures += not ok and not measured
+                failures += not ok
                 print(
                     f"{model:<12} {gpu:<5} "
                     f"{comparison.planned_time_s * 1e3:>11.4f} "
                     f"{comparison.best_single_label:>22} "
                     f"{comparison.best_single_time_s * 1e3:>10.4f} "
                     f"{comparison.advantage:>8.4f}x"
-                    + (
-                        ""
-                        if ok
-                        else (
-                            "  (measured trade-off)"
-                            if measured
-                            else "  << SLOWER THAN SINGLE KERNEL"
-                        )
-                    )
+                    + ("" if ok else "  << SLOWER THAN SINGLE KERNEL")
                 )
                 warm = tuner.plan(model, gpu, sparsity)
                 if warm != comparison.plan:
@@ -97,8 +74,8 @@ def run_grid(
                     print(f"{model:<12} {gpu:<5}  << WARM PLAN != COLD PLAN")
         elapsed = time.perf_counter() - start
         print(
-            f"\n{len(models) * len(gpus)} cells in {elapsed:.2f}s; plan cache: "
-            f"{tuner.stats.hits} hits / {tuner.stats.misses} misses"
+            f"\n{len(models) * len(gpus)} cells in {elapsed:.2f}s; runner cache: "
+            f"{runner.stats.hits} hits / {runner.stats.misses} misses"
         )
     return failures
 
@@ -111,23 +88,15 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--sparsity", type=float, default=0.75, help="weight sparsity (default 0.75)"
     )
-    parser.add_argument(
-        "--measured",
-        action="store_true",
-        help="refine the analytical shortlist by measured functional runs",
-    )
     args = parser.parse_args(argv)
 
     models = MODELS[:1] if args.smoke else MODELS
     gpus = PAPER_GPUS[:1] if args.smoke else PAPER_GPUS
-    failures = run_grid(models, gpus, args.sparsity, measured=args.measured)
+    failures = run_grid(models, gpus, args.sparsity)
     if failures:
         print(f"FAILED: {failures} gate violation(s)", file=sys.stderr)
         return 1
-    if args.measured:
-        print("OK: measured plans produced and reproduced from a warm cache")
-    else:
-        print("OK: planned whole-model time never exceeded the best single kernel")
+    print("OK: planned whole-model time never exceeded the best single kernel")
     return 0
 
 

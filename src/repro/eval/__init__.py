@@ -34,7 +34,7 @@ from .runner import (
     canonical_config_hash,
     strided_process_map,
 )
-from .store import BlobStore, CorruptCacheWarning, blob_root_for
+from .store import BlobStore, CorruptCacheWarning
 from .speedup import (
     FIGURE1_DENSITIES,
     PAPER_GPUS,
@@ -80,7 +80,6 @@ __all__ = [
     "strided_process_map",
     "BlobStore",
     "CorruptCacheWarning",
-    "blob_root_for",
     "FIGURE1_DENSITIES",
     "PAPER_GPUS",
     "PAPER_SPARSITIES",

@@ -16,9 +16,10 @@ hit rate is reported after the tables)::
     python -m repro.eval figure6 --cache-dir .sweep-cache
 
 Autotune per-layer kernel plans and compare them against the best
-single-kernel baseline, with a persistent plan cache::
+single-kernel baseline; plans are cells like any other, so ``--cache-dir``
+persists them too::
 
-    python -m repro.eval autotune --plan-dir .plan-cache
+    python -m repro.eval autotune --cache-dir .sweep-cache
 
 Run the Table 1 accuracy protocol at full scale (slower)::
 
@@ -41,7 +42,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from ..tune import Autotuner, MeasuredRefiner
+from ..tune import Autotuner
 from .experiments import (
     ACCURACY_EXPERIMENTS,
     RUNNER_EXPERIMENTS,
@@ -125,20 +126,6 @@ def main(argv: list[str] | None = None) -> int:
         ),
     )
     parser.add_argument(
-        "--plan-dir",
-        default=None,
-        metavar="PATH",
-        help="persistent tuning-plan cache directory (implies --tune)",
-    )
-    parser.add_argument(
-        "--measured",
-        action="store_true",
-        help=(
-            "refine the analytical plan by measured functional runs "
-            "(machine-dependent; implies --tune)"
-        ),
-    )
-    parser.add_argument(
         "--json",
         dest="json_out",
         default=None,
@@ -197,19 +184,12 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
 
-    tune = args.tune or args.plan_dir is not None or args.measured
-    tuner = None
-    if experiment == "autotune" or (tune and experiment in TUNABLE_EXPERIMENTS):
-        tuner = Autotuner(
-            cache_dir=args.plan_dir,
-            refiner=MeasuredRefiner() if args.measured else None,
-        )
-        kwargs["tuner"] = tuner
-    elif tune:
+    if experiment == "autotune" or (args.tune and experiment in TUNABLE_EXPERIMENTS):
+        kwargs["tuner"] = Autotuner(runner=runner)
+    elif args.tune:
         print(
-            f"note: --tune/--plan-dir/--measured only apply to tunable "
-            f"experiments ({', '.join(sorted(TUNABLE_EXPERIMENTS))}); "
-            f"ignored for {experiment!r}",
+            f"note: --tune only applies to tunable experiments "
+            f"({', '.join(sorted(TUNABLE_EXPERIMENTS))}); ignored for {experiment!r}",
             file=sys.stderr,
         )
 
@@ -226,12 +206,6 @@ def main(argv: list[str] | None = None) -> int:
         print(
             f"cache: {stats.hits} hits, {stats.misses} misses "
             f"({stats.hit_rate:.0%} hit rate) in {args.cache_dir}"
-        )
-    if tuner is not None and args.plan_dir is not None:
-        stats = tuner.stats
-        print(
-            f"plan cache: {stats.hits} hits, {stats.misses} misses "
-            f"({stats.hit_rate:.0%} hit rate) in {args.plan_dir}"
         )
     return 0
 

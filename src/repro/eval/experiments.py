@@ -57,7 +57,7 @@ RUNNER_EXPERIMENTS = frozenset(
 #: ``--tiny`` training scales.
 ACCURACY_EXPERIMENTS = frozenset({"table1", "figure2"})
 
-#: Experiments that understand the autotuner (``--tune`` / ``--plan-dir``).
+#: Experiments that understand the autotuner (``--tune``).
 TUNABLE_EXPERIMENTS = frozenset({"figure6", "headline", "autotune"})
 
 #: Paper-claimed sparsity thresholds of the Figure 1 regions.
@@ -207,14 +207,7 @@ def run_figure6(*, runner: SweepRunner | None = None, tuner=None, **kwargs) -> R
     if tuner is not None:
         report.add_note(
             "The 'Autotuned plan' row runs each layer on its tuned per-layer "
-            "kernel (repro.tune); "
-            + (
-                "it is never below the best single-kernel row."
-                if tuner.mode == "model"
-                else "measured-refined plans may trade modelled time for "
-                "measured wall-clock wins, so the row can dip below the best "
-                "single-kernel row."
-            )
+            "kernel (repro.tune); it is never below the best single-kernel row."
         )
     report.add_metadata(
         "grid",
@@ -263,24 +256,22 @@ def run_autotune(
     models: tuple[str, ...] = ("transformer", "gnmt", "resnet50"),
     gpus: tuple[str, ...] = PAPER_GPUS,
     sparsity: float = 0.75,
-    plan_dir: str | None = None,
-    measured: bool = False,
 ) -> Report:
     """Autotuned execution plans: per-layer kernel assignments and the
-    aggregate speedup versus the best single-kernel baseline."""
+    aggregate speedup versus the best single-kernel baseline.
+
+    ``tuner`` defaults to an :class:`~repro.tune.Autotuner` on ``runner``;
+    plans and baselines run on the tuner's runner.
+    """
     # Imported lazily: repro.tune builds on repro.eval.runner, so a module-
     # level import here would be circular through the package __init__.
-    from ..tune import Autotuner, MeasuredRefiner, compare_with_single_kernels
+    from ..tune import Autotuner, compare_with_single_kernels
 
     if tuner is None:
-        tuner = Autotuner(
-            cache_dir=plan_dir,
-            refiner=MeasuredRefiner() if measured else None,
-        )
-    runner = runner or SweepRunner()
+        tuner = Autotuner(runner=runner or SweepRunner())
     report = Report(
         f"Autotuned kernel selection - per-layer plans at {sparsity:.0%} sparsity "
-        f"({tuner.mode} mode)"
+        "(model mode)"
     )
     summary = Table(
         "Whole-model speedup over dense: tuned plan vs best single kernel",
@@ -290,9 +281,7 @@ def run_autotune(
     comparisons = {}
     for model in models:
         for gpu in gpus:
-            comparison = compare_with_single_kernels(
-                model, gpu, sparsity, tuner=tuner, runner=runner
-            )
+            comparison = compare_with_single_kernels(model, gpu, sparsity, tuner=tuner)
             comparisons[(model, gpu)] = comparison
             summary.add_row(
                 model,
@@ -341,12 +330,7 @@ def run_autotune(
         report.add_table(table)
     report.add_note(
         "'advantage' is best-single-kernel time / planned time; "
-        + (
-            "the per-layer argmin construction guarantees it is >= 1."
-            if tuner.mode == "model"
-            else "measured-refined plans may trade modelled time for measured "
-            "wall-clock wins, so it can dip below 1."
-        )
+        "the per-layer argmin construction guarantees it is >= 1."
     )
     report.add_metadata(
         "plans",
@@ -354,10 +338,6 @@ def run_autotune(
             f"{model}|{gpu}": comparison.plan.to_dict()
             for (model, gpu), comparison in comparisons.items()
         },
-    )
-    report.add_metadata(
-        "plan_cache",
-        {"hits": tuner.stats.hits, "misses": tuner.stats.misses},
     )
     report.add_records(records)
     return report

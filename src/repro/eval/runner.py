@@ -7,10 +7,11 @@ headline).  This module turns those sweeps into data:
 * :class:`SweepSpec` declares a timing grid and expands it into hashable
   :class:`RunConfig` cells in a deterministic order;
 * :class:`CellTask` describes one family of pure, cached cells: its execute
-  function, version salt, cache codec and chunking.  Four families ship:
+  function, version salt, cache codec and chunking.  Five families ship:
   the timing grid (:data:`TIMING_TASK`, whose :func:`batched_executor` times
   a cell list on the analytical model, one launch batch per (kernel, GPU)
-  group), the accuracy protocol, the pattern search and serve replay;
+  group), the accuracy protocol, the pattern search, serve replay and the
+  autotuner's plans;
 * :class:`SweepRunner` deduplicates a family's cells, resolves them against
   its :class:`ResultCache` and runs the misses in-process or across a
   ``concurrent.futures`` process pool with deterministic chunking;
@@ -98,8 +99,7 @@ def canonical_config_hash(payload: Mapping, *, salt: str = MODEL_VERSION) -> str
     """Stable hex digest of a config's canonical dict form.
 
     The one keying scheme every sweep-cell family (timing :class:`RunConfig`,
-    accuracy, pattern-search and serve cells) and every tuning-plan request
-    shares: canonical JSON
+    accuracy, pattern-search, serve and tuning cells) shares: canonical JSON
     (sorted keys, exact float ``repr``) with the salt folded into the
     payload, digested with blake2b — never Python's per-process ``hash()``,
     so the same config hashes identically across interpreter restarts,
@@ -609,8 +609,9 @@ class CellTask:
 
     Every sweep runs through :meth:`SweepRunner.run_cells` with one of
     these: the timing grid (:data:`TIMING_TASK`), the Table 1 / Figure 2
-    accuracy protocol, the Shfl-BW pattern search and serve replay each
-    define a hashable config dataclass and describe themselves here:
+    accuracy protocol, the Shfl-BW pattern search, serve replay and the
+    autotuner's plans each define a hashable config dataclass and describe
+    themselves here:
 
     * ``name`` names the family's blob root inside the runner's cache
       directory (``<name>-cache.blobs/``), so different record schemas

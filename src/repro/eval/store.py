@@ -1,8 +1,8 @@
 """Content-addressed cache store: the multi-writer-safe persistence substrate.
 
-Every persistent cache in the package — the sweep cells of
-:class:`repro.eval.runner.ResultCache` and the tuning plans of
-:class:`repro.tune.planner.PlanCache` — is a :class:`BlobStore`:
+Every persistent cache in the package — one
+:class:`repro.eval.runner.ResultCache` per sweep-cell family, tuning plans
+included — is a :class:`BlobStore`:
 
 * a **content-addressed dir-of-blobs**: one canonical-JSON file per
   ``canonical_config_hash`` key, fanned out under two-hex-char shard
@@ -21,10 +21,9 @@ Every persistent cache in the package — the sweep cells of
   (retires stray temp files and every blob whose salt is not its family's
   current one, or not a ``--keep-salt`` when any is given).
 
-A cache directory holds one blob root per cell family, ``<name>.blobs/``
-(:func:`blob_root_for`).  Nothing else in it is read: a pre-blob
-single-file ``<name>.json`` cache is ignored, so such a directory reads cold
-and should be deleted.
+A cache directory holds one blob root per cell family, ``<name>.blobs/``.
+Nothing else in it is read: a pre-blob single-file ``<name>.json`` cache is
+ignored, so such a directory reads cold and should be deleted.
 
 The module is deliberately stdlib-only (no numpy, no repro imports), so the
 higher layers can build on it without import cycles.
@@ -52,7 +51,6 @@ __all__ = [
     "FamilyStats",
     "GcResult",
     "atomic_write_bytes",
-    "blob_root_for",
     "cache_main",
     "collect_stats",
     "discover_families",
@@ -63,13 +61,13 @@ __all__ = [
 #: A JSON object as Python data — the entry currency of every cache store.
 JsonDict = dict[str, Any]
 
-#: Directory suffix of a blob root: the cache filename ``sweep-cache.json``
-#: names the root ``sweep-cache.blobs/``.
+#: Directory suffix of a blob root: the ``sweep`` family's root is
+#: ``sweep-cache.blobs/``.
 BLOB_SUFFIX = ".blobs"
 
-#: Valid store keys: lowercase hex digests (``canonical_config_hash`` /
-#: ``plan_request_hash`` outputs).  The two leading characters name the shard
-#: directory, so anything outside this alphabet never becomes a path.
+#: Valid store keys: lowercase hex digests (``canonical_config_hash``
+#: outputs).  The two leading characters name the shard directory, so
+#: anything outside this alphabet never becomes a path.
 _KEY_PATTERN = re.compile(r"[0-9a-f]{3,128}")
 
 #: ``(path, digest)`` pairs already warned about, so a corrupt file produces
@@ -226,13 +224,6 @@ class BlobStore:
             data = json.dumps(envelope, sort_keys=True, indent=1)
             atomic_write_bytes(self._blob_path(key), data.encode("utf-8"))
         self._pending.clear()
-
-
-def blob_root_for(path: str | Path) -> Path:
-    """The blob root a cache filename names (``sweep-cache.json`` ->
-    ``sweep-cache.blobs``)."""
-    resolved = Path(path)
-    return resolved.with_name(resolved.stem + BLOB_SUFFIX)
 
 
 # --------------------------------------------------------------------------- #
@@ -461,8 +452,7 @@ def cache_main(
 
     Without ``--keep-salt``, ``gc`` keeps each blob root's current salt:
     ``family_salts[name]`` for a shipped family (keyed by root name, e.g.
-    ``accuracy-cache``), ``default_salt`` for any other root (e.g.
-    ``tuning-plans``).
+    ``accuracy-cache``), ``default_salt`` for any other root.
     """
     args = _build_parser().parse_args(argv)
     cache_dir = Path(args.cache_dir)

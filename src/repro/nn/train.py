@@ -23,13 +23,11 @@ from .tensor import no_grad
 __all__ = [
     "TrainConfig",
     "TrainResult",
-    "collect_prunable",
     "build_masks",
     "apply_masks",
     "mask_gradients",
     "train_model",
     "prune_model",
-    "prune_and_finetune",
 ]
 
 
@@ -66,11 +64,6 @@ def _make_optimizer(model: Module, config: TrainConfig) -> Optimizer:
     if config.optimizer == "adam":
         return Adam(model.parameters(), lr=config.learning_rate)
     return SGD(model.parameters(), lr=config.learning_rate, momentum=0.9)
-
-
-def collect_prunable(model: Module) -> dict[str, np.ndarray]:
-    """Current values of every prunable weight matrix, keyed by name."""
-    return {name: param.data.copy() for name, param in model.prunable_parameters()}
 
 
 def build_masks(
@@ -191,21 +184,3 @@ def prune_model(model: Module, pruner: Pruner, sparsity: float) -> dict[str, np.
     masks, _ = build_masks(model, pruner, sparsity)
     apply_masks(model, masks)
     return masks
-
-
-def prune_and_finetune(
-    model: Module,
-    task,
-    pruner: Pruner,
-    sparsity: float,
-    *,
-    finetune: TrainConfig | None = None,
-) -> tuple[float, dict[str, np.ndarray]]:
-    """Prune a trained model and fine-tune it with the masks held fixed.
-
-    Returns the post-fine-tuning validation metric and the masks.
-    """
-    masks = prune_model(model, pruner, sparsity)
-    config = finetune or TrainConfig(epochs=2)
-    result = train_model(model, task, config, masks=masks)
-    return result.final_metric, masks

@@ -58,16 +58,14 @@ class BatchWindow:
     """The coalescing policy of one layer.
 
     ``width`` is the target coalesced column count; ``deadline_s`` how long
-    the oldest queued request may wait before a partial batch is flushed;
-    ``predicted_batch_time_s`` the timing-model estimate at ``width`` the
-    policy was derived from (the deadline starts as the modelled batch time
-    and is re-scaled to host time by the service's calibration pass).
+    the oldest queued request may wait before a partial batch is flushed
+    (it starts as the modelled batch time at ``width`` and is replaced by
+    host time in the service's calibration pass).
     """
 
     layer: str
     width: int
     deadline_s: float
-    predicted_batch_time_s: float
 
     def __post_init__(self) -> None:
         if self.width <= 0:
@@ -119,12 +117,10 @@ def serving_windows(
         ).total_time_s
         throughput = np.asarray(priced, dtype=np.float64) / times
         best = int(np.argmax(throughput))
-        batch_time = float(times[best])
         windows[assignment.layer] = BatchWindow(
             layer=assignment.layer,
             width=int(priced[best]),
-            deadline_s=batch_time if deadline_s is None else float(deadline_s),
-            predicted_batch_time_s=batch_time,
+            deadline_s=float(times[best]) if deadline_s is None else float(deadline_s),
         )
     return windows
 

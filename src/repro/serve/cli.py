@@ -29,6 +29,7 @@ import json
 import socketserver
 import sys
 
+from ..eval.runner import SweepRunner
 from ..tune.planner import Autotuner
 from .cells import PredictRequest
 from .service import (
@@ -63,9 +64,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--sparsity", type=float, default=0.9, help="weight sparsity of the plan"
     )
     parser.add_argument(
-        "--plan-dir",
+        "--cache-dir",
         default=None,
-        help="persistent plan-cache directory (plans are tuned on miss)",
+        help="persistent cache directory for the tuning plan (tuned on a miss)",
     )
     parser.add_argument(
         "--workers",
@@ -128,8 +129,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def load_service(args: argparse.Namespace) -> InferenceService:
-    """Tune (or load from ``--plan-dir``) the plan and build the service."""
-    tuner = Autotuner(cache_dir=args.plan_dir)
+    """Tune (or load from ``--cache-dir``) the plan and build the service."""
+    tuner = Autotuner(runner=SweepRunner(cache_dir=args.cache_dir))
     if args.model is not None:
         plan = tuner.plan(args.model, args.gpu, args.sparsity)
     else:

@@ -85,8 +85,8 @@ def _worker_main(conn: connection.Connection) -> None:
     ``None`` is the shutdown sentinel.  Replies are ``("ok", batch_id,
     outputs, elapsed)`` or ``("err", batch_id, message, elapsed)`` — an
     executor exception is *answered*, not fatal.  The timing wraps the pure
-    executor from outside, so the measured host time per batch feeds the
-    service's per-layer recordings without the executor touching a clock.
+    executor from outside, so each reply carries the batch's host time
+    without the executor touching a clock.
     An injected :class:`~repro.serve.faults.FaultSpec` is obeyed before (or
     instead of) executing; the pure executor itself is never instrumented.
     """

@@ -12,8 +12,8 @@ worker processes) or offline
 sweep runner whose outputs are byte-identical at any worker count).
 
 Deadline semantics: the timing model predicts GPU execution times while the
-functional engines run on the host, so the modelled per-batch time is
-re-scaled at :meth:`~InferenceService.start` by a measured calibration pass
+functional engines run on the host, so the modelled per-batch deadline is
+replaced at :meth:`~InferenceService.start` by a measured calibration pass
 (the faster of two full-width batches per layer through the real engine,
 after the runtime the forked workers inherit is prepared).  The calibrated
 deadline ≈ the host-time cost of one full batch, so a request's worst-case
@@ -48,7 +48,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..eval.runner import SweepRunner
-from ..tune.measure import RecordedRefiner
 from ..tune.planner import TuningPlan
 from .batcher import MicroBatcher, QueueFullError, serving_windows
 from .cells import (
@@ -266,8 +265,6 @@ class InferenceService:
         self._waiting: dict[int, PendingPrediction] = {}
         self._inflight: dict[int, tuple[ServeBatch, list[PendingPrediction]]] = {}
         self._backlog: deque[list[PredictRequest]] = deque()
-        self._recorded: dict[str, list[float]] = {}
-        self._calibration: dict[str, float] = {}
         self._next_batch_id = 0
         self._pool = None
         self._dispatcher: threading.Thread | None = None
@@ -307,10 +304,8 @@ class InferenceService:
                 began = time.perf_counter()
                 execute_serve_batches([batch])
                 runs.append(time.perf_counter() - began)
-            host_time = max(min(runs), 1e-9)
-            self._calibration[layer] = host_time / window.predicted_batch_time_s
             if self._explicit_deadline is None:
-                self.windows[layer] = window.with_deadline(host_time)
+                self.windows[layer] = window.with_deadline(max(min(runs), 1e-9))
         self._batcher.windows = dict(self.windows)
         if self.workers > 0:
             from .pool import WorkerPool
@@ -531,9 +526,7 @@ class InferenceService:
                         if result.error is not None:
                             self._complete_error(result.batch, result.error)
                         else:
-                            self._complete(
-                                result.batch, result.outputs, result.elapsed_s
-                            )
+                            self._complete(result.batch, result.outputs)
                     self.stats.retried = self._pool.retried
                     if self._pool.broken:
                         self._degrade()
@@ -612,7 +605,6 @@ class InferenceService:
         Executor exceptions become structured error responses here too, so
         a poison batch cannot kill the dispatcher thread.
         """
-        began = time.perf_counter()
         try:
             record = execute_serve_batches([batch])[0]
         except Exception as exc:
@@ -625,17 +617,11 @@ class InferenceService:
                 ),
             )
             return
-        elapsed = time.perf_counter() - began
         if self._degraded:
             self.stats.degraded += 1
-        self._complete(batch, record.outputs, elapsed)
+        self._complete(batch, record.outputs)
 
-    def _complete(
-        self,
-        batch: ServeBatch,
-        outputs: tuple[np.ndarray, ...],
-        elapsed_s: float,
-    ) -> None:
+    def _complete(self, batch: ServeBatch, outputs: tuple[np.ndarray, ...]) -> None:
         with self._condition:
             entry = self._inflight.pop(batch.batch_id, None)
             if entry is None:
@@ -645,7 +631,6 @@ class InferenceService:
             width = batch.width
             self.stats.batches += 1
             self.stats.batch_widths.append(width)
-            self._recorded.setdefault(batch.layer, []).append(elapsed_s)
             for request, output, pending in zip(
                 batch.requests, outputs, pendings, strict=True
             ):
@@ -734,30 +719,3 @@ class InferenceService:
                     width=width,
                 )
         return [by_identity[id(request)] for request in requests]
-
-    # ------------------------------ telemetry ---------------------------- #
-    def recorded_times(self) -> dict[str, float]:
-        """Median measured host seconds per dispatched batch, per layer.
-
-        A batch's time is its kernel run on the weight prepared at start,
-        plus coalescing and slicing; no batch prepares or hashes a weight.
-        """
-        return {
-            layer: float(np.median(np.asarray(times)))
-            for layer, times in sorted(self._recorded.items())
-        }
-
-    def recorded_refiner(self) -> RecordedRefiner:
-        """The measured per-layer times as a planner refinement hook.
-
-        Host medians are re-scaled back to the timing model's clock through
-        the calibration factors, so a re-plan can compare them against the
-        analytical estimates of candidates that never served (ROADMAP's
-        online-autotuning direction).
-        """
-        records = []
-        for layer, median in self.recorded_times().items():
-            scale = self._calibration.get(layer, 1.0)
-            label = self.plan.assignment_for(layer).label
-            records.append(((layer, label), median / scale))
-        return RecordedRefiner(records=tuple(records))

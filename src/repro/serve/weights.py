@@ -2,10 +2,9 @@
 
 The service binds a :class:`~repro.tune.planner.TuningPlan` to concrete
 weight tensors.  Real deployments would load trained checkpoints; this repo
-derives them the same way :class:`~repro.tune.measure.MeasuredRefiner`
-derives its probe operands — a seeded unstructured mask at the plan's
-density over seeded normal values — so the whole serving state is a pure
-function of ``(plan, weight_seed)``.  Every kernel re-compresses the dense
+derives them from a seeded unstructured mask at the plan's density over
+seeded normal values, so the whole serving state is a pure function of
+``(plan, weight_seed)``.  Every kernel re-compresses the dense
 masked tensor into its own format inside ``prepare`` (Shfl-BW falls back to
 its deterministic degenerate row grouping when no witness permutation is
 supplied), which keeps weight derivation kernel-agnostic.

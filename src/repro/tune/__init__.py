@@ -2,13 +2,13 @@
 
 Turns the repo from "compare kernels" into "automatically pick the winner
 per layer": the :class:`Autotuner` scores every feasible candidate kernel of
-every layer on the analytical timing model (optionally refined by measured
-functional runs), emits a persistent, versioned :class:`TuningPlan`, and
-:class:`PlannedModel` executes whole workloads through the plan.
+every layer on the analytical timing model, emits a versioned
+:class:`TuningPlan` (one :data:`TUNING_TASK` cell, cached by the sweep
+runner like every other cell family), and :class:`PlannedModel` executes
+whole workloads through the plan.
 """
 
 from .candidates import build_kernel, candidate_density, default_candidates
-from .measure import MeasuredRefiner
 from .planned import (
     PlanComparison,
     PlannedModel,
@@ -16,29 +16,30 @@ from .planned import (
     single_kernel_spec,
 )
 from .planner import (
-    PLAN_FILENAME,
+    TUNING_TASK,
     Autotuner,
     LayerAssignment,
-    PlanCache,
+    PlanRecord,
+    PlanRequest,
     TuningPlan,
+    execute_plan_requests,
     gemm_layer,
-    plan_request_hash,
 )
 
 __all__ = [
-    "PLAN_FILENAME",
+    "TUNING_TASK",
     "Autotuner",
     "LayerAssignment",
-    "MeasuredRefiner",
-    "PlanCache",
     "PlanComparison",
+    "PlanRecord",
+    "PlanRequest",
     "PlannedModel",
     "TuningPlan",
     "build_kernel",
     "candidate_density",
     "compare_with_single_kernels",
     "default_candidates",
+    "execute_plan_requests",
     "gemm_layer",
-    "plan_request_hash",
     "single_kernel_spec",
 ]

@@ -7,15 +7,13 @@ SpMM engines) and the timing path (modelled per-layer and whole-model times)
 through the per-layer assignments.
 
 :func:`compare_with_single_kernels` is the evaluation harness: it prices
-every candidate as a whole-model single-kernel baseline through the sweep
-runner (so the results land in the same persistent sweep cache as Figure 6)
+every candidate as a whole-model single-kernel baseline on the tuner's sweep
+runner (so plan and baselines land in the same persistent cache as Figure 6)
 and reports the plan's aggregate speedup against the best of them and
 against the dense baseline.  Because the planner takes a per-layer argmin
-over the same candidate pool and the same timing model, an analytical
-(model-mode) plan is never slower than the best single kernel — the gap is
-exactly the per-layer win the paper's Figure 1 regions promise.  Measured-
-refined plans may deliberately deviate from the modelled argmin, so the
-invariant is not enforced for them.
+over the same candidate pool and the same timing model, a plan is never
+slower than the best single kernel — the gap is exactly the per-layer win
+the paper's Figure 1 regions promise.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..eval.runner import SweepRunner, SweepSpec
+from ..eval.runner import SweepSpec
 from ..kernels.base import SpMMKernel
 from ..kernels.registry import DENSE_BASELINE_LABEL, make_kernel
 from ..models.shapes import LayerShape, model_layers
@@ -165,21 +163,20 @@ def compare_with_single_kernels(
     sparsity: float,
     *,
     tuner: Autotuner | None = None,
-    runner: SweepRunner | None = None,
 ) -> PlanComparison:
     """Tune one cell and price it against every single-kernel baseline.
 
-    The dense baseline always participates in the "best single kernel"
+    The baselines run on ``tuner.runner``, the runner the plan itself ran
+    on.  The dense baseline always participates in the "best single kernel"
     minimum: where no sparse kernel beats dense (the Figure 1 low-sparsity
     region) the comparison degrades gracefully instead of crowning a losing
     sparse kernel.
     """
     tuner = tuner if tuner is not None else Autotuner()
-    runner = runner if runner is not None else SweepRunner()
     plan = tuner.plan(model, gpu, sparsity)
 
     spec = single_kernel_spec(model, gpu, sparsity, tuner.candidates)
-    lookup = runner.run(spec).by_config()
+    lookup = tuner.runner.run(spec).by_config()
     dense_time = lookup[spec.dense_config(model, gpu)].time_s
     times: list[tuple[str, float]] = [(DENSE_BASELINE_LABEL, dense_time)]
     for kernel in spec.kernels:

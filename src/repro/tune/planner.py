@@ -1,4 +1,4 @@
-"""Cost-model-driven kernel autotuner and its persistent plan cache.
+"""Cost-model-driven kernel autotuner: tuning plans as a sweep-cell family.
 
 The paper's central observation is that no single sparse kernel wins
 everywhere — the best choice among shfl-bw, sputnik, cuSPARSELt, vector-wise,
@@ -8,31 +8,33 @@ execution plan: for every layer of a workload it enumerates the candidate
 pool (:func:`repro.tune.candidates.default_candidates`), prunes statically
 infeasible kernels from their capability metadata, scores the survivors with
 the analytical timing model (:func:`repro.eval.speedup.layer_times_grid`,
-one batched call per candidate) and assigns each layer the argmin.  An optional
-:class:`~repro.tune.measure.MeasuredRefiner` re-ranks the analytical top-k by
-measured functional wall time.
+one batched call per candidate) and assigns each layer the argmin.
 
-Plans are persistent and versioned: :class:`PlanCache` stores them as JSON
-keyed by the :func:`repro.eval.runner.canonical_config_hash` of the
-request — the keying of every sweep-cell family — salted with
-:data:`repro.eval.runner.MODEL_VERSION`, so a timing-model bump orphans every
-cached plan instead of silently serving stale assignments.
+A tuning request is a sweep cell like any other: :class:`PlanRequest` is
+its hashable config, :func:`execute_plan_requests` its pure executor and
+:data:`TUNING_TASK` its :class:`~repro.eval.runner.CellTask`.  The
+:class:`Autotuner` runs one cell per plan through its
+:class:`~repro.eval.runner.SweepRunner`, so a runner with a ``cache_dir``
+keeps plans in ``tuning-cache.blobs/`` beside the other families and counts
+their hits and misses with theirs.  The family is salted with
+:data:`repro.eval.runner.MODEL_VERSION`: a plan is an argmin of timing
+estimates, so a timing-model bump re-tunes every plan instead of silently
+serving stale assignments.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from ..eval.runner import (
     MODEL_VERSION,
-    CacheStats,
+    CellTask,
     KernelSpec,
+    SweepRunner,
     _freeze_kwargs,
     canonical_config_hash,
 )
-from ..eval.store import BlobStore, blob_root_for
 from ..gpu.arch import get_gpu
 from ..kernels.base import GEMMShape, KernelNotApplicableError
 from ..models.shapes import LayerShape, model_layers
@@ -41,20 +43,17 @@ from .candidates import (
     candidate_density,
     default_candidates,
 )
-from .measure import Refiner
 
 __all__ = [
-    "PLAN_FILENAME",
     "LayerAssignment",
     "TuningPlan",
-    "PlanCache",
+    "PlanRequest",
+    "PlanRecord",
+    "TUNING_TASK",
     "Autotuner",
+    "execute_plan_requests",
     "gemm_layer",
 ]
-
-#: Names the :class:`PlanCache`'s blob root inside its cache directory
-#: (``tuning-plans.blobs/``).
-PLAN_FILENAME = "tuning-plans.json"
 
 
 def gemm_layer(gemm: tuple[int, int, int], *, name: str | None = None) -> LayerShape:
@@ -124,10 +123,9 @@ class TuningPlan:
 
     Exactly one of ``model`` (a :func:`repro.models.shapes.model_layers`
     name) or ``gemm`` (an explicit problem) identifies the workload, the same
-    convention as :class:`repro.eval.runner.RunConfig`.  ``mode`` is
-    ``"model"`` for purely analytical plans and ``"measured"`` when a
-    refinement pass re-ranked the shortlist; ``salt`` pins the timing-model
-    version the plan was produced under.
+    convention as :class:`repro.eval.runner.RunConfig`.  ``mode`` records
+    the plan's provenance (``"model"``: the analytical argmin); ``salt`` pins
+    the timing-model version the plan was produced under.
     """
 
     gpu: str
@@ -243,117 +241,125 @@ def _layers_signature(layers: Sequence[LayerShape]) -> list[list]:
     return signature
 
 
-def plan_request_hash(
-    *,
-    gpu: str,
-    sparsity: float,
-    layers: Sequence[LayerShape],
-    candidates: tuple[KernelSpec, ...],
-    mode: str,
-    refiner: Refiner | None,
-    model: str | None = None,
-    gemm: tuple[int, int, int] | None = None,
-    salt: str = MODEL_VERSION,
-) -> str:
-    """Stable hex digest of one tuning request.
+@dataclass(frozen=True)
+class PlanRequest:
+    """One tuning cell: a workload's layers at one (GPU, sparsity) operating
+    point, tuned over one candidate pool.
 
-    The :func:`~repro.eval.runner.canonical_config_hash` of the request, with
-    the timing :data:`MODEL_VERSION` as salt: the same request hashes
-    identically across processes, and a model bump reads as a cold cache.
+    Exactly one of ``model`` or ``gemm`` names the workload (the
+    :class:`TuningPlan` convention); ``layers`` are the shapes actually
+    tuned.  Every field flows into :meth:`to_dict`, the cache key, so an
+    overridden layer list never aliases the default plan.  Candidate labels
+    are hashed too: unlike a sweep record's label, they are baked into the
+    plan (its assignments and candidate list).
     """
-    return canonical_config_hash(
-        {
-            "gpu": gpu,
-            "sparsity": sparsity,
-            "model": model,
-            "gemm": list(gemm) if gemm is not None else None,
-            "layers": _layers_signature(layers),
+
+    gpu: str
+    sparsity: float
+    layers: tuple[LayerShape, ...]
+    candidates: tuple[KernelSpec, ...]
+    model: str | None = None
+    gemm: tuple[int, int, int] | None = None
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "layers", tuple(self.layers))
+        object.__setattr__(self, "candidates", tuple(self.candidates))
+        if not self.layers:
+            raise ValueError("cannot plan an empty workload")
+        if not 0.0 <= self.sparsity < 1.0:
+            raise ValueError("sparsity must be in [0, 1)")
+
+    def to_dict(self) -> dict:
+        """Canonical JSON-compatible form (used for hashing and export)."""
+        return {
+            "gpu": self.gpu,
+            "sparsity": self.sparsity,
+            "model": self.model,
+            "gemm": list(self.gemm) if self.gemm is not None else None,
+            "layers": _layers_signature(self.layers),
             "candidates": [
-                {"name": spec.name, "kwargs": dict(spec.kwargs)} for spec in candidates
+                {"name": spec.name, "kwargs": dict(spec.kwargs), "label": spec.display_label}
+                for spec in self.candidates
             ],
-            "mode": mode,
-            "refiner": refiner.to_dict() if refiner is not None else None,
-        },
-        salt=salt,
-    )
+        }
+
+    def config_hash(self, *, salt: str = MODEL_VERSION) -> str:
+        """Stable hex digest (shared keying scheme of every cell family)."""
+        return canonical_config_hash(self.to_dict(), salt=salt)
 
 
-class PlanCache:
-    """Persistent on-disk cache of :class:`TuningPlan` results.
+@dataclass(frozen=True)
+class PlanRecord:
+    """Result of one :class:`PlanRequest`: its tuned plan."""
 
-    The same store as the sweep result cache: a content-addressed,
-    multi-writer-safe :class:`~repro.eval.store.BlobStore` rooted at
-    ``tuning-plans.blobs/`` inside ``cache_dir`` (:data:`PLAN_FILENAME`), one
-    atomic canonical-JSON file per request digest.  Each entry keeps the
-    plan dict next to the request digest so the store is debuggable by eye.
-    Entries whose ``salt`` disagrees with the cache's read as misses (the
-    hash already guarantees this for new keys; the explicit check also
-    invalidates hand-edited blobs).
-    """
+    config: PlanRequest
+    plan: TuningPlan
 
-    def __init__(self, cache_dir: str | Path, *, salt: str = MODEL_VERSION) -> None:
-        self.cache_dir = Path(cache_dir)
-        self.salt = salt
-        self._store = BlobStore(blob_root_for(self.cache_dir / PLAN_FILENAME), salt=salt)
-        self.path = self._store.root
 
-    def __len__(self) -> int:
-        return len(self._store)
+def _encode_plan_record(record: object) -> dict:
+    """Cache codec: a :class:`PlanRecord` as a debuggable JSON entry."""
+    assert isinstance(record, PlanRecord)
+    return {"config": record.config.to_dict(), "plan": record.plan.to_dict()}
 
-    def get(self, key: str) -> TuningPlan | None:
-        """The cached plan under ``key``, or ``None`` on a miss, an
-        undecodable entry, or a salt (model-version) mismatch."""
-        entry = self._store.get(key)
-        if entry is None or "plan" not in entry:
-            return None
-        try:
-            plan = TuningPlan.from_dict(entry["plan"])
-        except (KeyError, TypeError, ValueError):
-            return None
-        if plan.salt != self.salt:
-            return None
-        return plan
 
-    def put(self, key: str, plan: TuningPlan) -> None:
-        """Stage ``plan`` under ``key`` (persisted on :meth:`flush`)."""
-        self._store.put(key, {"plan": plan.to_dict()})
+def _decode_plan_record(config: object, entry: Mapping) -> PlanRecord | None:
+    """Cache codec: rebuild a record from a JSON entry (malformed -> miss)."""
+    assert isinstance(config, PlanRequest)
+    try:
+        plan = TuningPlan.from_dict(entry["plan"])
+    except (KeyError, TypeError, ValueError):
+        return None
+    return PlanRecord(config=config, plan=plan)
 
-    def flush(self) -> None:
-        """Persist staged plans atomically, one blob per plan (unique temp +
-        fsync + rename)."""
-        self._store.flush()
+
+def execute_plan_requests(requests: list[PlanRequest]) -> list[PlanRecord]:
+    """Tune every request on the analytical timing model, in order (the
+    :class:`CellTask` entry point); a pure function of the requests."""
+    records = []
+    for request in requests:
+        arch = get_gpu(request.gpu)
+        plan = TuningPlan(
+            gpu=arch.name,
+            sparsity=request.sparsity,
+            assignments=_assign_layers(
+                request.candidates, arch, request.layers, 1.0 - request.sparsity
+            ),
+            model=request.model,
+            gemm=request.gemm,
+            candidates=tuple(spec.display_label for spec in request.candidates),
+        )
+        records.append(PlanRecord(config=request, plan=plan))
+    return records
+
+
+#: Tuning plans as a sweep-runner cell family.  It keeps the timing model's
+#: salt: a plan is an argmin of timing estimates, so a timing bump re-tunes.
+TUNING_TASK = CellTask(
+    name="tuning",
+    execute=execute_plan_requests,
+    salt=MODEL_VERSION,
+    encode=_encode_plan_record,
+    decode=_decode_plan_record,
+)
 
 
 @dataclass
 class Autotuner:
     """Plans per-layer kernel assignments for whole workloads.
 
-    ``candidates`` defaults to the full paper line-up; ``cache_dir`` enables
-    the persistent :class:`PlanCache`; ``refiner`` switches planning to the measured-refinement
-    mode.  ``stats`` accumulates plan-cache hits/misses across the tuner's
-    lifetime (same accounting class as the sweep runner).
+    ``candidates`` defaults to the full paper line-up.  Every plan is one
+    :data:`TUNING_TASK` cell run through ``runner``: a runner with a
+    ``cache_dir`` persists plans next to its other cell families and counts
+    their hits and misses in ``runner.stats``.
     """
 
     candidates: tuple[KernelSpec, ...] = field(default_factory=default_candidates)
-    cache_dir: str | Path | None = None
-    salt: str = MODEL_VERSION
-    refiner: Refiner | None = None
-    stats: CacheStats = field(default_factory=CacheStats)
+    runner: SweepRunner = field(default_factory=SweepRunner)
 
     def __post_init__(self) -> None:
         self.candidates = tuple(self.candidates)
         if not self.candidates:
             raise ValueError("the autotuner needs at least one candidate kernel")
-        self.cache = (
-            PlanCache(self.cache_dir, salt=self.salt)
-            if self.cache_dir is not None
-            else None
-        )
-
-    @property
-    def mode(self) -> str:
-        """Plan provenance: ``"measured"`` with a refiner, else ``"model"``."""
-        return "measured" if self.refiner is not None else "model"
 
     # ------------------------------ planning ----------------------------- #
     def plan(
@@ -367,151 +373,107 @@ class Autotuner:
         """Tune one named workload at one (GPU, sparsity) operating point.
 
         ``layers`` overrides the workload's default layer shapes (e.g. a
-        different token batch); the plan cache keys on the actual shapes, so
+        different token batch); the request keys on the actual shapes, so
         an override never aliases the default plan.
         """
-        resolved = list(layers) if layers is not None else model_layers(model)
-        return self._plan(resolved, gpu, sparsity, model=model)
+        resolved = model_layers(model) if layers is None else layers
+        return self._plan(PlanRequest(gpu, sparsity, resolved, self.candidates, model=model))
 
     def plan_gemm(
         self, gemm: tuple[int, int, int], gpu: str, sparsity: float
     ) -> TuningPlan:
         """Tune a single explicit GEMM problem (the Figure 1 mode)."""
         shape = tuple(int(v) for v in gemm)
-        return self._plan([gemm_layer(shape)], gpu, sparsity, gemm=shape)
-
-    def _plan(
-        self,
-        layers: Sequence[LayerShape],
-        gpu: str,
-        sparsity: float,
-        *,
-        model: str | None = None,
-        gemm: tuple[int, int, int] | None = None,
-    ) -> TuningPlan:
-        if not layers:
-            raise ValueError("cannot plan an empty workload")
-        if not 0.0 <= sparsity < 1.0:
-            raise ValueError("sparsity must be in [0, 1)")
-        key = plan_request_hash(
-            gpu=gpu,
-            sparsity=sparsity,
-            layers=layers,
-            candidates=self.candidates,
-            mode=self.mode,
-            refiner=self.refiner,
-            model=model,
-            gemm=gemm,
-            salt=self.salt,
+        return self._plan(
+            PlanRequest(gpu, sparsity, (gemm_layer(shape),), self.candidates, gemm=shape)
         )
-        if self.cache is not None:
-            cached = self.cache.get(key)
-            if cached is not None:
-                self.stats.hits += 1
-                return cached
-        self.stats.misses += 1
 
-        arch = get_gpu(gpu)
-        density = 1.0 - sparsity
-        assignments = self._assign_layers(arch, layers, density)
-        plan = TuningPlan(
-            gpu=arch.name,
-            sparsity=sparsity,
-            assignments=assignments,
-            model=model,
-            gemm=gemm,
-            mode=self.mode,
-            salt=self.salt,
-            candidates=tuple(spec.display_label for spec in self.candidates),
-        )
-        if self.cache is not None:
-            self.cache.put(key, plan)
-            self.cache.flush()
-        return plan
+    def _plan(self, request: PlanRequest) -> TuningPlan:
+        (record,) = self.runner.run_cells([request], TUNING_TASK).records
+        return record.plan
 
-    def _assign_layers(
-        self, arch, layers: Sequence[LayerShape], density: float
-    ) -> tuple[LayerAssignment, ...]:
-        """Assign every layer of a workload its argmin candidate.
 
-        Each candidate is scored over all its statically feasible layers in
-        a single :func:`~repro.eval.speedup.layer_times_grid` call; layers it
-        rejects there (shape-dependent inapplicability the static stage
-        cannot see) join its static rejections.
-        """
-        # Imported here: repro.eval.speedup imports the runner this module
-        # shares types with, and the experiment layer imports both.
-        from ..eval.speedup import layer_times_grid
+def _assign_layers(
+    candidates: tuple[KernelSpec, ...],
+    arch,
+    layers: Sequence[LayerShape],
+    density: float,
+) -> tuple[LayerAssignment, ...]:
+    """Assign every layer of a workload its argmin candidate.
 
-        scored_per_layer: list[list[tuple[KernelSpec, object, float]]] = [
-            [] for _ in layers
-        ]
-        # Per layer, static rejects are listed before dynamic ones.
-        static_rejects: list[dict[str, str]] = [{} for _ in layers]
-        dynamic_rejects: list[dict[str, str]] = [{} for _ in layers]
-        for spec in self.candidates:
-            kernel = build_kernel(spec)
-            capabilities = kernel.capabilities()
-            scored_density = candidate_density(kernel, density)
-            feasible: list[int] = []
-            for position, layer in enumerate(layers):
-                reason = capabilities.infeasible_reason(
-                    arch, kind=layer.kind, density=scored_density
-                )
-                if reason is None:
-                    feasible.append(position)
-                else:
-                    static_rejects[position][spec.display_label] = reason
-            if not feasible:
-                continue
-            times, errors = layer_times_grid(
-                kernel, arch, [layers[p] for p in feasible], scored_density
+    Each candidate is scored over all its statically feasible layers in a
+    single :func:`~repro.eval.speedup.layer_times_grid` call; layers it
+    rejects there (shape-dependent inapplicability the static stage cannot
+    see) join its static rejections.
+    """
+    # Imported here: repro.eval.speedup imports the runner this module
+    # shares types with, and the experiment layer imports both.
+    from ..eval.speedup import layer_times_grid
+
+    scored_per_layer: list[list[tuple[KernelSpec, float]]] = [[] for _ in layers]
+    # Per layer, static rejects are listed before dynamic ones.
+    static_rejects: list[dict[str, str]] = [{} for _ in layers]
+    dynamic_rejects: list[dict[str, str]] = [{} for _ in layers]
+    for spec in candidates:
+        kernel = build_kernel(spec)
+        capabilities = kernel.capabilities()
+        scored_density = candidate_density(kernel, density)
+        feasible: list[int] = []
+        for position, layer in enumerate(layers):
+            reason = capabilities.infeasible_reason(
+                arch, kind=layer.kind, density=scored_density
             )
-            for slot, position in enumerate(feasible):
-                if errors[slot] is not None:
-                    dynamic_rejects[position][spec.display_label] = str(errors[slot])
-                else:
-                    scored_per_layer[position].append((spec, kernel, float(times[slot])))
-        return tuple(
-            self._choose(
-                arch,
-                layer,
-                density,
-                scored_per_layer[position],
-                {**static_rejects[position], **dynamic_rejects[position]},
-            )
-            for position, layer in enumerate(layers)
+            if reason is None:
+                feasible.append(position)
+            else:
+                static_rejects[position][spec.display_label] = reason
+        if not feasible:
+            continue
+        times, errors = layer_times_grid(
+            kernel, arch, [layers[p] for p in feasible], scored_density
         )
+        for slot, position in enumerate(feasible):
+            if errors[slot] is not None:
+                dynamic_rejects[position][spec.display_label] = str(errors[slot])
+            else:
+                scored_per_layer[position].append((spec, float(times[slot])))
+    return tuple(
+        _choose(
+            len(candidates),
+            arch,
+            layer,
+            density,
+            scored_per_layer[position],
+            {**static_rejects[position], **dynamic_rejects[position]},
+        )
+        for position, layer in enumerate(layers)
+    )
 
-    def _choose(
-        self,
-        arch,
-        layer: LayerShape,
-        density: float,
-        scored: list[tuple[KernelSpec, object, float]],
-        rejected: dict[str, str],
-    ) -> LayerAssignment:
-        """Pick the winning candidate for one layer from its scored pool
-        (first-in-pool-order wins exact ties, so plans are stable)."""
-        if not scored:
-            raise KernelNotApplicableError(
-                f"no feasible kernel for layer {layer.name!r} on {arch.name} "
-                f"at density {density:g}: "
-                + "; ".join(f"{label}: {why}" for label, why in rejected.items())
-            )
-        ranked = sorted(range(len(scored)), key=lambda i: (scored[i][2], i))
-        ordered = [scored[i] for i in ranked]
-        winner = 0
-        if self.refiner is not None:
-            winner = self.refiner.refine(ordered, layer, density)
-        spec, _, time_s = ordered[winner]
-        return LayerAssignment(
-            layer=layer.name,
-            kernel=spec.name,
-            kernel_kwargs=spec.kwargs,
-            label=spec.display_label,
-            time_s=time_s,
-            count=layer.count,
-            considered=len(scored),
-            pruned=len(self.candidates) - len(scored),
+
+def _choose(
+    pool_size: int,
+    arch,
+    layer: LayerShape,
+    density: float,
+    scored: list[tuple[KernelSpec, float]],
+    rejected: dict[str, str],
+) -> LayerAssignment:
+    """Pick the winning candidate for one layer from its scored pool
+    (first-in-pool-order wins exact ties, so plans are stable)."""
+    if not scored:
+        raise KernelNotApplicableError(
+            f"no feasible kernel for layer {layer.name!r} on {arch.name} "
+            f"at density {density:g}: "
+            + "; ".join(f"{label}: {why}" for label, why in rejected.items())
         )
+    spec, time_s = min(scored, key=lambda entry: entry[1])
+    return LayerAssignment(
+        layer=layer.name,
+        kernel=spec.name,
+        kernel_kwargs=spec.kwargs,
+        label=spec.display_label,
+        time_s=time_s,
+        count=layer.count,
+        considered=len(scored),
+        pruned=pool_size - len(scored),
+    )

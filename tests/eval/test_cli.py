@@ -199,22 +199,22 @@ class TestCacheCli:
         assert store.keys() == ["ab" + "0" * 14]
 
     def test_default_gc_keeps_each_family_salt(self, tmp_path, capsys):
-        """Default gc keeps every shipped family's own current salt, and the
-        timing salt in any other root (tuning plans); an accuracy blob left
-        under the timing salt is an orphan and goes."""
+        """Default gc keeps every shipped family's own current salt; an
+        accuracy blob left under the timing salt is an orphan and goes."""
         from repro.eval.accuracy import ACCURACY_TASK
         from repro.eval.pattern_search import PATTERN_SEARCH_TASK
         from repro.eval.runner import MODEL_VERSION, TIMING_TASK, SweepRunner
-        from repro.eval.store import BlobStore, blob_root_for
+        from repro.eval.store import BlobStore
         from repro.serve.cells import SERVE_TASK
-        from repro.tune.planner import PLAN_FILENAME
+        from repro.tune.planner import TUNING_TASK
 
         runner = SweepRunner(cache_dir=tmp_path)
         roots = [
             (runner.cell_cache(task).path, task.salt)
-            for task in (TIMING_TASK, ACCURACY_TASK, PATTERN_SEARCH_TASK, SERVE_TASK)
+            for task in (
+                TIMING_TASK, ACCURACY_TASK, PATTERN_SEARCH_TASK, SERVE_TASK, TUNING_TASK
+            )
         ]
-        roots.append((blob_root_for(tmp_path / PLAN_FILENAME), MODEL_VERSION))
         for index, (root, salt) in enumerate(roots):
             store = BlobStore(root, salt=salt)
             store.put(f"{index:02x}" + "0" * 14, {"value": index})
@@ -251,31 +251,26 @@ class TestTuneFlags:
         assert "Autotuned kernel selection" in out
         assert "per-layer assignments" in out
 
-    def test_plan_dir_reports_hits_on_second_run(self, tmp_path, capsys):
-        plan_dir = tmp_path / "plans"
-        args = ["autotune", "--plan-dir", str(plan_dir)]
-        assert main(args) == 0
-        first = capsys.readouterr().out
-        assert "plan cache: 0 hits" in first
-        assert main(args) == 0
-        second = capsys.readouterr().out
-        assert "0 misses" in second
-        assert (plan_dir / "tuning-plans.blobs").is_dir()
+    def test_autotune_cache_dir_covers_plans(self, tmp_path, capsys):
+        """Plans are cells in the experiment's one cache: a warm re-run is
+        all hits and writes the cold report's bytes."""
+        cache = tmp_path / "cache"
+        cold, warm = tmp_path / "cold.json", tmp_path / "warm.json"
+        assert main(["autotune", "--cache-dir", str(cache), "--json", str(cold)]) == 0
+        capsys.readouterr()
+        assert main(["autotune", "--cache-dir", str(cache), "--json", str(warm)]) == 0
+        assert "(100% hit rate)" in capsys.readouterr().out
+        assert cold.read_bytes() == warm.read_bytes()
+        assert len(list((cache / "tuning-cache.blobs").glob("*/*.json"))) == 9
 
     def test_tune_flag_augments_headline(self, capsys):
         assert main(["headline", "--tune"]) == 0
         assert "autotuned" in capsys.readouterr().out
 
-    def test_plan_dir_implies_tune(self, tmp_path, capsys):
-        assert main(["headline", "--plan-dir", str(tmp_path / "p")]) == 0
-        out = capsys.readouterr().out
-        assert "autotuned" in out
-        assert "plan cache:" in out
-
     def test_tune_flags_warn_for_untunable_experiments(self, capsys):
         assert main(["analysis", "--tune"]) == 0
         captured = capsys.readouterr()
-        assert "--tune/--plan-dir/--measured only apply" in captured.err
+        assert "--tune only applies" in captured.err
 
 
 class TestReportExports:

@@ -46,6 +46,7 @@ from repro.eval.runner import (
 from repro.eval.speedup import figure1_spec, headline_spec
 from repro.eval.store import CorruptCacheWarning
 from repro.serve.cells import SERVE_TASK
+from repro.tune.planner import TUNING_TASK
 
 SRC_DIR = Path(__file__).resolve().parents[2] / "src"
 
@@ -491,8 +492,9 @@ class TestCacheLayout:
             (ACCURACY_TASK, "accuracy-cache.blobs", ACCURACY_SALT),
             (PATTERN_SEARCH_TASK, "pattern-search-cache.blobs", PATTERN_SEARCH_SALT),
             (SERVE_TASK, "serve-cache.blobs", SERVE_SALT),
+            (TUNING_TASK, "tuning-cache.blobs", MODEL_VERSION),
         ],
-        ids=["sweep", "accuracy", "pattern-search", "serve"],
+        ids=["sweep", "accuracy", "pattern-search", "serve", "tuning"],
     )
     def test_family_blob_root_is_pinned(self, tmp_path, task, root, salt):
         assert SweepRunner(cache_dir=tmp_path).cell_cache(task).path == tmp_path / root

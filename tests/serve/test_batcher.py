@@ -28,7 +28,6 @@ def window(*, width=4, deadline=1.0, layer=LAYER):
             layer=layer,
             width=width,
             deadline_s=deadline,
-            predicted_batch_time_s=1e-6,
         )
     }
 
@@ -39,17 +38,20 @@ class TestServingWindows:
         assert set(windows) == {LAYER}
         w = windows[LAYER]
         assert w.width in DEFAULT_WIDTHS
-        assert w.deadline_s == w.predicted_batch_time_s > 0.0
+        assert w.deadline_s > 0.0
 
     def test_width_maximises_modelled_throughput(self, plan):
-        """The chosen width is the throughput argmax over the candidates."""
+        """The chosen width is the throughput argmax over the candidates.
+
+        Without a forced deadline a window's deadline is its modelled batch
+        time, so ``width / deadline_s`` is its modelled throughput."""
         windows = serving_windows(plan)
         w = windows[LAYER]
-        best_throughput = w.width / w.predicted_batch_time_s
+        best_throughput = w.width / w.deadline_s
         # No candidate width beats it (re-derive each candidate's estimate).
         for other in DEFAULT_WIDTHS:
             forced = serving_windows(plan, width=other)[LAYER]
-            assert other / forced.predicted_batch_time_s <= best_throughput + 1e-12
+            assert other / forced.deadline_s <= best_throughput + 1e-12
 
     def test_overrides(self, plan):
         forced = serving_windows(plan, width=8, deadline_s=0.25)[LAYER]

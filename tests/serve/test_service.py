@@ -14,7 +14,6 @@ from repro.serve import (
     ServiceOverloadedError,
     derive_weights,
 )
-from repro.tune.measure import RecordedRefiner
 from repro.tune.planned import PlannedModel
 
 from conftest import LAYER, make_requests
@@ -147,18 +146,6 @@ class TestLiveService:
         service.stop()
         responses = [handle.result(timeout=1.0) for handle in handles]
         assert len(responses) == 6
-
-    def test_recorded_times_feed_the_refiner(self, plan):
-        with InferenceService(plan, max_pending=64) as service:
-            for request in make_requests(8):
-                service.submit(request)
-        recorded = service.recorded_times()
-        assert set(recorded) == {LAYER}
-        assert recorded[LAYER] > 0.0
-        refiner = service.recorded_refiner()
-        assert isinstance(refiner, RecordedRefiner)
-        label = plan.assignment_for(LAYER).label
-        assert refiner.recorded_time(LAYER, label) is not None
 
 
 class TestDeadlinesAndCancellation:

@@ -1,66 +1,76 @@
-"""Persistence, versioning and invalidation of the tuning-plan cache."""
+"""Persistence, versioning and invalidation of cached tuning plans.
+
+Plans are :data:`~repro.tune.planner.TUNING_TASK` cells: keyed by
+:meth:`PlanRequest.config_hash` and stored by the sweep runner's cache.
+"""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
 
-from repro.eval.runner import MODEL_VERSION
-from repro.eval.store import BlobStore, CorruptCacheWarning, blob_root_for
+from repro.eval.runner import MODEL_VERSION, KernelSpec, SweepRunner
+from repro.eval.store import CorruptCacheWarning
 from repro.models.shapes import transformer_layers
-from repro.tune import (
-    PLAN_FILENAME,
-    Autotuner,
-    PlanCache,
-    default_candidates,
-    plan_request_hash,
-)
+from repro.tune import TUNING_TASK, Autotuner, PlanRequest, default_candidates
+
+
+def tuning_blobs(cache_dir):
+    return list((cache_dir / "tuning-cache.blobs").glob("*/*.json"))
 
 
 class TestRequestHash:
-    def kwargs(self, **overrides):
+    def request(self, **overrides) -> PlanRequest:
         base = dict(
             gpu="V100",
             sparsity=0.75,
             layers=transformer_layers(),
             candidates=default_candidates(),
-            mode="model",
-            refiner=None,
             model="transformer",
         )
         base.update(overrides)
-        return base
+        return PlanRequest(**base)
 
     def test_stable_across_calls(self):
-        assert plan_request_hash(**self.kwargs()) == plan_request_hash(**self.kwargs())
+        assert self.request().config_hash() == self.request().config_hash()
 
     def test_digest_is_pinned(self):
         """Plan caches written by earlier versions stay warm only while a
         request keeps its digest."""
-        digest = plan_request_hash(**self.kwargs(sparsity=0.9))
-        assert digest == "0226301bbf9345b0e9c8368593b1dabc"
+        digest = self.request(sparsity=0.9).config_hash(salt=TUNING_TASK.salt)
+        assert digest == "31628cd74c80d84cb0f23b388b749e26"
 
     def test_salt_changes_key(self):
-        assert plan_request_hash(**self.kwargs()) != plan_request_hash(
-            **self.kwargs(), salt="timing-v999"
+        assert self.request().config_hash() != self.request().config_hash(
+            salt="timing-v999"
         )
 
     def test_layer_shapes_participate(self):
-        assert plan_request_hash(**self.kwargs()) != plan_request_hash(
-            **self.kwargs(layers=transformer_layers(tokens=512))
-        )
+        assert self.request().config_hash() != self.request(
+            layers=transformer_layers(tokens=512)
+        ).config_hash()
 
     def test_operating_point_participates(self):
-        base = plan_request_hash(**self.kwargs())
-        assert base != plan_request_hash(**self.kwargs(sparsity=0.85))
-        assert base != plan_request_hash(**self.kwargs(gpu="T4"))
+        base = self.request().config_hash()
+        assert base != self.request(sparsity=0.85).config_hash()
+        assert base != self.request(gpu="T4").config_hash()
 
     def test_candidate_pool_participates(self):
+        """Labels count too: a plan records them (assignment labels and its
+        candidate list), so a relabelled pool must not read another's plan."""
         smaller = default_candidates()[:3]
-        assert plan_request_hash(**self.kwargs()) != plan_request_hash(
-            **self.kwargs(candidates=smaller)
+        assert self.request().config_hash() != self.request(
+            candidates=smaller
+        ).config_hash()
+        relabelled = tuple(
+            dataclasses.replace(spec, label=f"{spec.display_label}*")
+            for spec in default_candidates()
         )
+        assert self.request().config_hash() != self.request(
+            candidates=relabelled
+        ).config_hash()
 
     def test_conv_spec_participates_beyond_the_gemm_shape(self):
         """Two convolutions lowering to the same implicit GEMM (a 3x3 and a
@@ -91,93 +101,100 @@ class TestRequestHash:
         three_by_three = conv_layer(64, 3)
         one_by_one = conv_layer(64 * 9, 1)
         assert three_by_three.gemm == one_by_one.gemm
-        assert plan_request_hash(
-            **self.kwargs(layers=[three_by_three], model="resnet50")
-        ) != plan_request_hash(**self.kwargs(layers=[one_by_one], model="resnet50"))
+        assert self.request(
+            layers=[three_by_three], model="resnet50"
+        ).config_hash() != self.request(layers=[one_by_one], model="resnet50").config_hash()
 
     def test_conv_resolution_participates(self):
         from repro.models.shapes import resnet50_layers
 
         default = resnet50_layers()
         bigger = resnet50_layers(batch=64)
-        assert plan_request_hash(
-            **self.kwargs(layers=default, model="resnet50")
-        ) != plan_request_hash(**self.kwargs(layers=bigger, model="resnet50"))
+        assert self.request(
+            layers=default, model="resnet50"
+        ).config_hash() != self.request(layers=bigger, model="resnet50").config_hash()
 
 
 class TestPlanCacheRoundTrip:
     def test_round_trip_identical_plan(self, tmp_path):
-        first = Autotuner(cache_dir=tmp_path)
-        plan = first.plan("transformer", "V100", 0.75)
-        assert first.stats.misses == 1 and first.stats.hits == 0
-        assert blob_root_for(tmp_path / PLAN_FILENAME).is_dir()
+        first = SweepRunner(cache_dir=tmp_path)
+        plan = Autotuner(runner=first).plan("transformer", "V100", 0.75)
+        assert (first.stats.hits, first.stats.misses) == (0, 1)
+        assert len(tuning_blobs(tmp_path)) == 1
 
-        second = Autotuner(cache_dir=tmp_path)
-        cached = second.plan("transformer", "V100", 0.75)
-        assert second.stats.hits == 1 and second.stats.misses == 0
+        second = SweepRunner(cache_dir=tmp_path)
+        cached = Autotuner(runner=second).plan("transformer", "V100", 0.75)
+        assert (second.stats.hits, second.stats.misses) == (1, 0)
         assert cached == plan
 
     def test_same_tuner_hits_its_own_cache(self, tmp_path):
-        tuner = Autotuner(cache_dir=tmp_path)
+        runner = SweepRunner(cache_dir=tmp_path)
+        tuner = Autotuner(runner=runner)
         tuner.plan("gnmt", "T4", 0.85)
         tuner.plan("gnmt", "T4", 0.85)
-        assert (tuner.stats.hits, tuner.stats.misses) == (1, 1)
+        assert (runner.stats.hits, runner.stats.misses) == (1, 1)
 
     def test_cache_blobs_are_debuggable_json(self, tmp_path):
-        Autotuner(cache_dir=tmp_path).plan("transformer", "A100", 0.5)
-        (blob,) = blob_root_for(tmp_path / PLAN_FILENAME).glob("*/*.json")
+        Autotuner(runner=SweepRunner(cache_dir=tmp_path)).plan("transformer", "A100", 0.5)
+        (blob,) = tuning_blobs(tmp_path)
         envelope = json.loads(blob.read_text())
         assert envelope["key"] == blob.name.removesuffix(".json")
+        assert envelope["salt"] == MODEL_VERSION
         entry = envelope["entry"]
+        assert entry["config"]["model"] == "transformer"
         assert entry["plan"]["salt"] == MODEL_VERSION
         assert entry["plan"]["model"] == "transformer"
         assert entry["plan"]["assignments"]
 
+    def test_relabelled_pool_gets_its_own_labels(self, tmp_path):
+        runner = SweepRunner(cache_dir=tmp_path)
+        labels = []
+        for label in ("Dense A", "Dense B"):
+            tuner = Autotuner(candidates=(KernelSpec("dense", label=label),), runner=runner)
+            plan = tuner.plan_gemm((256, 32, 256), "V100", 0.5)
+            labels.append((plan.assignments[0].label, plan.candidates))
+        assert labels == [("Dense A", ("Dense A",)), ("Dense B", ("Dense B",))]
+
     def test_distinct_operating_points_do_not_alias(self, tmp_path):
-        tuner = Autotuner(cache_dir=tmp_path)
+        runner = SweepRunner(cache_dir=tmp_path)
+        tuner = Autotuner(runner=runner)
         a = tuner.plan("transformer", "V100", 0.75)
         b = tuner.plan("transformer", "V100", 0.85)
-        assert tuner.stats.misses == 2
+        assert runner.stats.misses == 2
         assert a.sparsity != b.sparsity
 
 
 class TestModelVersionInvalidation:
     def test_salt_bump_reads_as_cold_cache(self, tmp_path):
-        Autotuner(cache_dir=tmp_path).plan("transformer", "V100", 0.75)
-        bumped = Autotuner(cache_dir=tmp_path, salt=MODEL_VERSION + "-bumped")
-        bumped.plan("transformer", "V100", 0.75)
+        request = PlanRequest(
+            "V100", 0.75, transformer_layers(), default_candidates(), model="transformer"
+        )
+        SweepRunner(cache_dir=tmp_path).run_cells([request], TUNING_TASK)
+        bumped = SweepRunner(cache_dir=tmp_path)
+        bumped.run_cells(
+            [request], dataclasses.replace(TUNING_TASK, salt=MODEL_VERSION + "-bumped")
+        )
         assert (bumped.stats.hits, bumped.stats.misses) == (0, 1)
         # Both generations coexist in the store under different keys.
-        blobs = list(blob_root_for(tmp_path / PLAN_FILENAME).glob("*/*.json"))
-        assert len(blobs) == 2
-
-    def test_entry_salt_is_checked_on_read(self, tmp_path):
-        """Even a hand-edited blob cannot serve a stale-version plan."""
-        tuner = Autotuner(cache_dir=tmp_path)
-        tuner.plan("transformer", "V100", 0.75)
-        (blob,) = blob_root_for(tmp_path / PLAN_FILENAME).glob("*/*.json")
-        key = blob.name.removesuffix(".json")
-        stale = PlanCache(tmp_path, salt="some-other-version")
-        assert stale.get(key) is None
+        assert len(tuning_blobs(tmp_path)) == 2
 
     def test_corrupt_blob_reads_as_miss(self, tmp_path):
-        plan = Autotuner(cache_dir=tmp_path).plan("transformer", "V100", 0.75)
-        (blob,) = blob_root_for(tmp_path / PLAN_FILENAME).glob("*/*.json")
+        plan = Autotuner(runner=SweepRunner(cache_dir=tmp_path)).plan(
+            "transformer", "V100", 0.75
+        )
+        (blob,) = tuning_blobs(tmp_path)
         blob.write_text("{not json")
-        tuner = Autotuner(cache_dir=tmp_path)
+        runner = SweepRunner(cache_dir=tmp_path)
         with pytest.warns(CorruptCacheWarning):
-            assert tuner.plan("transformer", "V100", 0.75) == plan
-        assert tuner.stats.misses == 1
+            assert Autotuner(runner=runner).plan("transformer", "V100", 0.75) == plan
+        assert runner.stats.misses == 1
         # The slot was recomputed and holds a readable plan again.
-        assert PlanCache(tmp_path).get(blob.name.removesuffix(".json")) == plan
+        warm = SweepRunner(cache_dir=tmp_path)
+        assert Autotuner(runner=warm).plan("transformer", "V100", 0.75) == plan
+        assert warm.stats.hits == 1
 
-    def test_malformed_entry_reads_as_miss(self, tmp_path):
-        store = BlobStore(blob_root_for(tmp_path / PLAN_FILENAME), salt=MODEL_VERSION)
-        planless, undecodable = "ab" + "0" * 30, "cd" + "1" * 30
-        store.put(planless, {"nope": 1})
-        store.put(undecodable, {"plan": {"model": "transformer"}})
-        store.flush()
-        cache = PlanCache(tmp_path)
-        assert cache.get(planless) is None
-        assert cache.get(undecodable) is None
-        assert cache.get("missing") is None
+    def test_malformed_entry_reads_as_miss(self):
+        request = PlanRequest("V100", 0.75, transformer_layers(), default_candidates(),
+                              model="transformer")
+        assert TUNING_TASK.decode(request, {"nope": 1}) is None
+        assert TUNING_TASK.decode(request, {"plan": {"model": "transformer"}}) is None

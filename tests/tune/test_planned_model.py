@@ -1,4 +1,4 @@
-"""PlannedModel execution, plan serialisation and measured refinement."""
+"""PlannedModel execution and plan serialisation."""
 
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ from repro.kernels.registry import make_kernel
 from repro.models.shapes import LayerShape
 from repro.tune import (
     Autotuner,
-    MeasuredRefiner,
     PlannedModel,
     TuningPlan,
     gemm_layer,
@@ -86,57 +85,3 @@ class TestPlannedModel:
         with pytest.raises(ValueError, match="absent"):
             PlannedModel(plan, layers=[gemm_layer((64, 16, 64))])
 
-
-class TestMeasuredRefinement:
-    def test_probe_shape_is_downscaled_and_aligned(self):
-        refiner = MeasuredRefiner(max_dim=256)
-        m, n, k = refiner.probe_shape(LayerShape("big", GEMMShape(4096, 300, 1024)))
-        assert (m, n, k) == (256, 256, 256)
-        m, n, k = refiner.probe_shape(LayerShape("small", GEMMShape(100, 8, 70)))
-        assert m % 64 == 0 and k % 64 == 0 and n % 16 == 0
-        assert m >= 64 and n >= 16 and k >= 64
-
-    def test_probe_operands_are_deterministic_and_sparse(self):
-        refiner = MeasuredRefiner(seed=7)
-        layer = gemm_layer((256, 64, 256))
-        w1, a1 = refiner.probe_operands(layer, 0.25)
-        w2, a2 = refiner.probe_operands(layer, 0.25)
-        np.testing.assert_array_equal(w1, w2)
-        np.testing.assert_array_equal(a1, a2)
-        density = np.count_nonzero(w1) / w1.size
-        assert 0.15 < density < 0.35
-
-    def test_measure_failure_returns_none(self):
-        class Exploding:
-            def prepare_cached(self, weight):
-                raise RuntimeError("boom")
-
-        refiner = MeasuredRefiner(repeats=1)
-        assert refiner.measure(Exploding(), gemm_layer((64, 16, 64)), 0.5) is None
-
-    def test_refine_falls_back_to_analytical_winner(self):
-        class Exploding:
-            def prepare_cached(self, weight):
-                raise RuntimeError("boom")
-
-        refiner = MeasuredRefiner(repeats=1, top_k=2)
-        scored = [(None, Exploding(), 1.0), (None, Exploding(), 2.0)]
-        assert refiner.refine(scored, gemm_layer((64, 16, 64)), 0.5) == 0
-
-    def test_measured_plan_smoke(self):
-        """Measured mode produces a feasible plan tagged as measured."""
-        tuner = Autotuner(refiner=MeasuredRefiner(top_k=2, repeats=1, max_dim=128))
-        plan = tuner.plan("transformer", "V100", 0.75)
-        assert plan.mode == "measured"
-        pool = {spec.display_label for spec in tuner.candidates}
-        assert {a.label for a in plan.assignments} <= pool
-
-    def test_measured_and_model_plans_cache_separately(self, tmp_path):
-        model_tuner = Autotuner(cache_dir=tmp_path)
-        model_tuner.plan_gemm((256, 32, 256), "V100", 0.75)
-        measured_tuner = Autotuner(
-            cache_dir=tmp_path, refiner=MeasuredRefiner(top_k=1, repeats=1)
-        )
-        measured_tuner.plan_gemm((256, 32, 256), "V100", 0.75)
-        assert measured_tuner.stats.hits == 0
-        assert measured_tuner.stats.misses == 1
