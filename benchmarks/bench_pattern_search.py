@@ -1,7 +1,7 @@
 #!/usr/bin/env python
-"""Wall time of the Shfl-BW pattern-search engine: absolute and vs the seed.
+"""Wall time and memory of the Shfl-BW pattern search: absolute and vs the seed.
 
-Two gated rows:
+Three gated rows:
 
 * **projection** — :func:`repro.core.pruning.search_shflbw_pattern` alone on
   the 32000 x 1024 GNMT projection shape at V=64, density 0.1 and 2 Lloyd
@@ -10,6 +10,12 @@ Two gated rows:
   an absolute bound about 3x the local median (~3.6 s, 3.2-3.9 s over six
   runs on a 2-core container), so full stable sorts of the scores or of the
   distance pairs fail it (16.6-25 s there).
+* **projection memory** — one more, untimed, run of the same search under
+  ``tracemalloc``: its peak allocation beyond the input, divided by the
+  score matrix's bytes, gated at :data:`MEMORY_GATE`.  A full-size copy of
+  the scores (a partitioned threshold copy, a permuted copy) or of the
+  coarse mask as floats fails it; the search that made those copies read
+  1.48x, the bounded one reads about 0.69x.
 * **seed ratio** — the same search against the seed implementations frozen
   in :mod:`repro.core.reference` on the 4096 x 1024 LSTM gate matrix at
   V=64, where the seed walks ~260k sorted distance pairs per Lloyd step in a
@@ -35,6 +41,7 @@ import argparse
 import json
 import sys
 import time
+import tracemalloc
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -52,6 +59,10 @@ PROJECTION_REPEATS = 3
 
 #: Gate on the projection search's best time, in seconds.
 PROJECTION_GATE_S = 12.0
+
+#: Gate on the projection search's tracemalloc peak beyond its input, as a
+#: multiple of the score matrix's bytes.
+MEMORY_GATE = 1.0
 
 
 @dataclass
@@ -122,27 +133,35 @@ def run(
 
 
 def run_projection(seed: int) -> dict:
-    """Best-of-N wall time of the engine alone on the projection shape."""
+    """Best-of-N wall time of the engine alone on the projection shape, and
+    the peak memory of one more, untimed, run beyond its input."""
     rng = np.random.default_rng(seed)
     scores = np.abs(rng.normal(size=(PROJECTION["m"], PROJECTION["k"])))
-    samples = [
-        _time(
-            lambda: search_shflbw_pattern(
-                scores,
-                PROJECTION["density"],
-                PROJECTION["vector_size"],
-                kmeans_iters=PROJECTION["kmeans_iters"],
-                seed=seed,
-            )
-        )[0]
-        for _ in range(PROJECTION_REPEATS)
-    ]
+
+    def search():
+        return search_shflbw_pattern(
+            scores,
+            PROJECTION["density"],
+            PROJECTION["vector_size"],
+            kmeans_iters=PROJECTION["kmeans_iters"],
+            seed=seed,
+        )
+
+    samples = [_time(search)[0] for _ in range(PROJECTION_REPEATS)]
+    tracemalloc.start()
+    search()
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
     return {
         **PROJECTION,
         "repeats": PROJECTION_REPEATS,
         "samples_s": samples,
         "best_s": min(samples),
         "gate_s": PROJECTION_GATE_S,
+        "score_mb": scores.nbytes / 1e6,
+        "peak_mb": peak / 1e6,
+        "peak_over_scores": peak / scores.nbytes,
+        "memory_gate": MEMORY_GATE,
     }
 
 
@@ -214,7 +233,9 @@ def main(argv: list[str] | None = None) -> int:
         f"projection search (M={projection['m']} K={projection['k']} "
         f"V={projection['vector_size']} density={projection['density']:.0%}, "
         f"{projection['kmeans_iters']} Lloyd iters): {projection['best_s']:.2f} s "
-        f"(best of {projection['repeats']}; gate: <= {PROJECTION_GATE_S:.0f} s)"
+        f"(best of {projection['repeats']}; gate: <= {PROJECTION_GATE_S:.0f} s); "
+        f"peak {projection['peak_mb']:.0f} MB beyond the input = "
+        f"{projection['peak_over_scores']:.2f}x the scores (gate: <= {MEMORY_GATE:.2f}x)"
     )
     payload = {
         "benchmark": "pattern_search",
@@ -244,13 +265,18 @@ def main(argv: list[str] | None = None) -> int:
             f"the projection search takes {projection['best_s']:.2f} s "
             f"(gate: {PROJECTION_GATE_S:.0f} s)"
         )
+    if projection["peak_over_scores"] > MEMORY_GATE:
+        failures.append(
+            f"the projection search allocates {projection['peak_over_scores']:.2f}x "
+            f"its scores beyond its input (gate: {MEMORY_GATE:.2f}x)"
+        )
     if failures:
         for failure in failures:
             print(f"FAIL: {failure}", file=sys.stderr)
         return 1
     print(
         "masks, permutations and groups are bit-identical; speedup bar and "
-        "projection gate met"
+        "projection time and memory gates met"
     )
     return 0
 

@@ -19,15 +19,19 @@ iteration per sorted distance pair — ``n * k`` iterations per Lloyd step —
 and a float broadcast per k-means++ centroid) is preserved verbatim in
 :mod:`repro.core.reference` as the bit-for-bit oracle the property tests
 compare against.  Binarity is decided once per search: 0/1 points are kept
-as ``bool`` rows (plus one 0/1 GEMM operand), never as a float64 copy.  Six
-techniques replace the loops, sorts and broadcasts without changing a single
-output bit:
+as ``bool`` rows, and no float copy of them is made whole.  Six techniques
+replace the loops, sorts and broadcasts without changing a single output
+bit; beyond the rows, the working memory is one int64 key per ``(row,
+cluster)`` pair, one gather of the ``bool`` rows per centroid update and
+fixed-size blocks:
 
 * **Packed-bit k-means++** — on binary points every seeding distance is a
   Hamming distance, an exact integer: a popcount (``np.bitwise_count``) over
   the rows packed into uint64 words yields the seed's distances, and so its
   sampling probabilities and RNG draws, without a float pass over the
-  ``(n, K)`` matrix per centroid.
+  ``(n, K)`` matrix per centroid.  Those are also the first Lloyd step's
+  distances (``D = 1`` below), so seeding writes their pair keys as it goes
+  and that step runs no GEMM.
 * **Exact integer distances** — on the pattern search's actual inputs
   (binary rows, power-of-two group sizes) every centroid is ``j / D`` with
   ``j`` an integer in ``[0, D]``: raw rows (``D = 1``, the k-means++ seeds)
@@ -35,13 +39,15 @@ output bit:
   D^2 |x|^2 - 2 D x.(c D) + |c D|^2`` is an integer, and the seed's float64
   ``((x - c) ** 2).sum()`` is exactly that integer over ``D^2`` (every
   partial sum is a multiple of ``1 / D^2`` below 2^52).  The dot products
-  come from one float32 GEMM of the 0/1 rows against the numerators
-  ``c D``: its partial sums are integers at most ``K D``, exact up to 2^24
-  in any order (float64 past that); ``|x|^2`` is a popcount.
+  come from a float32 GEMM of the 0/1 rows against the numerators ``c D``,
+  one block of rows converted at a time: its partial sums are integers at
+  most ``K D``, exact up to 2^24 in any order and any blocking (float64
+  past that); ``|x|^2`` is a popcount.
 * **Integer-keyed pair order** — the greedy's visiting order (the stable
   argsort of all ``n * k`` distances) is the plain sort of the unique int64
   keys ``(d D^2) << B | (row * k + c)``, built from those integers with
-  int64 arithmetic in one buffer, sorted in place and decoded with a mask.
+  int64 arithmetic in one buffer (each row block finished in place), sorted
+  in place and decoded with a mask.
 * **Exact centroid counts** — a Lloyd update gathers each cluster's
   ``bool`` rows and counts them: the seed's float64 mean of 0/1 values is
   that exact count divided once by ``V``, so ``count / V`` has its bits.
@@ -68,9 +74,10 @@ from .transforms import _pack_rows
 
 __all__ = ["balanced_kmeans", "kmeans_plusplus_init"]
 
-#: Elements per distance-chunk in the broadcast fallback (about 32 MiB of
-#: float64 intermediates per block, instead of the seed's full (n, k, K)).
-_CHUNK_ELEMENTS = 1 << 22
+#: Elements per row block of a distance intermediate: the broadcast
+#: fallback's ``(rows, k, K)`` float64 block (8 MiB, instead of the seed's
+#: full ``(n, k, K)``) and the key GEMM's ``(rows, K)`` operand block.
+_CHUNK_ELEMENTS = 1 << 20
 
 
 def _as_rows(points: np.ndarray) -> np.ndarray:
@@ -107,16 +114,15 @@ def _exact_denominator(centroids: np.ndarray, capacity: int) -> int | None:
     return None
 
 
-def _gemm_operand(rows: np.ndarray, capacity: int) -> np.ndarray:
-    """Boolean ``rows`` as the 0/1 operand of the distance GEMM.
+def _gemm_dtype(dim: int, denom: int) -> type:
+    """Float type of the distance GEMM over ``dim`` columns against
+    numerators ``c * D`` (``D = denom``, see :func:`_exact_denominator`).
 
-    Against numerators ``c * D`` (``D <= capacity``, see
-    :func:`_exact_denominator`) every partial sum of a dot product is an
-    integer at most ``K * D``: float32 holds those exactly up to 2**24,
+    Every partial sum of a dot product of a 0/1 row with the numerators is
+    an integer at most ``dim * D``: float32 holds those exactly up to 2**24,
     float64 past that.
     """
-    exact32 = rows.shape[1] * max(1, capacity) <= 1 << 24
-    return rows.astype(np.float32 if exact32 else np.float64)
+    return np.float32 if dim * denom <= 1 << 24 else np.float64
 
 
 def _key_bits(n: int, k: int, dim: int, denom: int) -> int | None:
@@ -135,30 +141,38 @@ def _key_bits(n: int, k: int, dim: int, denom: int) -> int | None:
     return bits
 
 
-def _pair_keys(
-    rows: np.ndarray, operand: np.ndarray, centroids: np.ndarray, denom: int, bits: int
-) -> np.ndarray:
+def _pair_keys(rows: np.ndarray, centroids: np.ndarray, denom: int, bits: int) -> np.ndarray:
     """``(n, k)`` int64 keys ``(d * D**2) << bits | (row * k + c)``.
 
     ``d * D**2 = D**2 |x|**2 - 2 D x.(c D) + |c D|**2`` with ``D = denom``
     (see :func:`_exact_denominator`), every term an exact integer: the dot
-    products come from one GEMM of ``operand`` (see :func:`_gemm_operand`),
-    ``|x|**2`` is the row's popcount.  The scaled dot products become the
-    key buffer; one per-row and one per-cluster term, each already shifted
-    and carrying its half of the pair index, are added in place.
+    products come from a GEMM of the ``bool`` rows, converted to
+    :func:`_gemm_dtype` one block of rows at a time, and ``|x|**2`` is the
+    row's popcount.  Each block's scaled dot products are written straight
+    into the key buffer, and one per-row and one per-cluster term, each
+    already shifted and carrying its half of the pair index, are added in
+    place.  Every partial sum is an integer at most ``K * D`` whatever the
+    blocking, so the blocks change no key, and no full-size float copy of
+    the rows or of the products is made.
     """
-    n = rows.shape[0]
+    n, dim = rows.shape
     k = centroids.shape[0]
     numerators = centroids * float(denom)
-    keys = (operand @ numerators.T.astype(operand.dtype)).astype(np.int64)
-    keys *= -(2 * denom) << bits
+    dtype = _gemm_dtype(dim, denom)
+    right = numerators.T.astype(dtype)
     row_terms = (np.count_nonzero(rows, axis=1) * (denom * denom)) << bits
     row_terms += np.arange(0, n * k, k)
-    keys += row_terms[:, None]
     whole = numerators.astype(np.int64)
     cluster_terms = np.einsum("ij,ij->i", whole, whole) << bits
     cluster_terms += np.arange(k)
-    keys += cluster_terms
+    keys = np.empty((n, k), dtype=np.int64)
+    step = max(1, _CHUNK_ELEMENTS // max(1, dim))
+    for start in range(0, n, step):
+        block = keys[start : start + step]
+        block[...] = rows[start : start + step].astype(dtype) @ right
+        block *= -(2 * denom) << bits
+        block += row_terms[start : start + step, None]
+        block += cluster_terms
     return keys
 
 
@@ -183,9 +197,22 @@ def _broadcast_sq_dists(points: np.ndarray, centroids: np.ndarray) -> np.ndarray
 
 
 def kmeans_plusplus_init(
-    points: np.ndarray, num_clusters: int, rng: np.random.Generator
+    points: np.ndarray,
+    num_clusters: int,
+    rng: np.random.Generator,
+    *,
+    keys: np.ndarray | None = None,
 ) -> np.ndarray:
-    """k-means++ seeding: spread the initial centroids across the data."""
+    """k-means++ seeding: spread the initial centroids across the data.
+
+    ``keys``, if given, is a ``(num_clusters, n)`` int64 buffer for binary
+    points.  Seeding measures every row's distance ``d`` to each seed ``c``
+    anyway, and it writes the pair keys ``(d << B) | (row * k + c)`` with
+    ``B = _key_bits(n, k, K, 1)`` into row ``c``.  Those are the first Lloyd
+    step's keys (:func:`_pair_keys` at ``D = 1``), which
+    :func:`balanced_kmeans` then sorts instead of recomputing them with a
+    GEMM.  The centroids and the RNG draws do not depend on ``keys``.
+    """
     n = points.shape[0]
     if num_clusters <= 0 or num_clusters > n:
         raise ValueError("num_clusters must be in [1, n_points]")
@@ -200,11 +227,22 @@ def kmeans_plusplus_init(
     binary = points.dtype == bool
     if binary:
         words = np.ascontiguousarray(_pack_rows(points).T)
+    if keys is not None:
+        bits = _key_bits(n, num_clusters, points.shape[1], 1)
+        if not binary or bits is None:
+            raise ValueError("pair keys need binary points whose keys fit int64")
+        pair_index = np.arange(0, n * num_clusters, num_clusters)
 
     def _sq_dists_to(c: int, row: int) -> np.ndarray:
-        if binary:
-            return np.bitwise_count(words ^ words[:, row, None]).sum(axis=0)
-        return np.sum((points - centroids[c]) ** 2, axis=1)
+        if not binary:
+            return np.sum((points - centroids[c]) ** 2, axis=1)
+        dists = np.bitwise_count(words ^ words[:, row, None]).sum(axis=0)
+        if keys is not None:
+            seed_keys = keys[c]
+            seed_keys[...] = dists
+            seed_keys <<= bits
+            seed_keys += pair_index + c
+        return dists
 
     centroids = np.empty((num_clusters, points.shape[1]), dtype=np.float64)
     first = int(rng.integers(n))
@@ -287,40 +325,37 @@ def _assign_in_order(order: np.ndarray, n: int, k: int, capacity: int) -> np.nda
     return assign
 
 
-def _pair_order(
-    points: np.ndarray, operand: np.ndarray | None, centroids: np.ndarray, capacity: int
-) -> np.ndarray:
-    """Flat ``(row, cluster)`` pair indices by ascending squared distance,
-    ties by index: exactly the seed's ``np.argsort(dists, axis=None,
-    kind="stable")``.
+def _key_order(keys: np.ndarray, bits: int) -> np.ndarray:
+    """The pair indices of unique ``keys`` in ascending key order.
 
-    ``points`` are :func:`_as_rows` rows and ``operand`` their
-    :func:`_gemm_operand` (``None`` for float rows).  Binary rows against
-    dyadic centroids get unique integer keys (:func:`_pair_keys`): nothing
-    is left for a stable sort to decide, so numpy's default sort orders them
-    in place and a mask recovers the index.  Everything else takes the
-    broadcast distances and the stable float argsort.
+    Nothing is left for a stable sort to decide, so numpy's default sort
+    orders the keys in place (their layout does not matter), and a mask of
+    the low ``bits`` recovers each pair's index.
     """
-    n, dim = points.shape
-    k = centroids.shape[0]
-    denom = None if operand is None else _exact_denominator(centroids, capacity)
-    bits = None if denom is None else _key_bits(n, k, dim, denom)
-    if denom is None or bits is None:
-        dists = _broadcast_sq_dists(points, centroids)
-        return np.argsort(dists, axis=None, kind="stable")
-    keys = _pair_keys(points, operand, centroids, denom, bits).reshape(-1)
+    keys = keys.reshape(-1)
     keys.sort()
     keys &= (1 << bits) - 1
     return keys
 
 
-def _greedy_assignment(
-    points: np.ndarray, operand: np.ndarray | None, centroids: np.ndarray, capacity: int
-) -> np.ndarray:
-    """One Lloyd step's greedy capacity-constrained assignment over
-    :func:`_as_rows` rows and their GEMM operand."""
-    order = _pair_order(points, operand, centroids, capacity)
-    return _assign_in_order(order, points.shape[0], centroids.shape[0], capacity)
+def _pair_order(points: np.ndarray, centroids: np.ndarray, capacity: int) -> np.ndarray:
+    """Flat ``(row, cluster)`` pair indices by ascending squared distance,
+    ties by index: exactly the seed's ``np.argsort(dists, axis=None,
+    kind="stable")``.
+
+    ``points`` are :func:`_as_rows` rows.  Binary rows against dyadic
+    centroids are ordered by their unique integer keys (:func:`_pair_keys`,
+    :func:`_key_order`).  Everything else takes the broadcast distances and
+    the stable float argsort.
+    """
+    n, dim = points.shape
+    k = centroids.shape[0]
+    denom = _exact_denominator(centroids, capacity) if points.dtype == bool else None
+    bits = None if denom is None else _key_bits(n, k, dim, denom)
+    if bits is None:
+        dists = _broadcast_sq_dists(points, centroids)
+        return np.argsort(dists, axis=None, kind="stable")
+    return _key_order(_pair_keys(points, centroids, denom, bits), bits)
 
 
 def _balanced_assignment(
@@ -331,13 +366,11 @@ def _balanced_assignment(
     Returns an array ``assign`` with ``assign[i]`` the cluster of row ``i``;
     every cluster receives exactly ``capacity`` rows.  Bitwise identical to
     :func:`repro.core.reference.balanced_assignment_loop`, whose call
-    surface it shares; :func:`balanced_kmeans` calls
-    :func:`_greedy_assignment` directly so it decides binarity and builds
-    the GEMM operand once per search rather than once per Lloyd step.
+    surface it shares.  ``bool`` rows are taken as they are, so
+    :func:`balanced_kmeans` decides binarity once per search.
     """
-    rows = _as_rows(points)
-    operand = _gemm_operand(rows, capacity) if rows.dtype == bool else None
-    return _greedy_assignment(rows, operand, centroids, capacity)
+    order = _pair_order(_as_rows(points), centroids, capacity)
+    return _assign_in_order(order, points.shape[0], centroids.shape[0], capacity)
 
 
 def _balanced_centroids(
@@ -401,12 +434,20 @@ def balanced_kmeans(
         return [np.arange(m, dtype=np.int64)]
 
     rng = np.random.default_rng(seed)
-    centroids = kmeans_plusplus_init(points, num_clusters, rng)
-    operand = _gemm_operand(points, group_size) if points.dtype == bool else None
-    assign = _greedy_assignment(points, operand, centroids, group_size)
+    bits = _key_bits(m, num_clusters, points.shape[1], 1) if points.dtype == bool else None
+    if bits is None:
+        centroids = kmeans_plusplus_init(points, num_clusters, rng)
+        assign = _balanced_assignment(points, centroids, group_size)
+    else:
+        # The seeds are raw binary rows (D = 1), and seeding measures every
+        # row's distance to each of them: it writes the first step's keys.
+        keys = np.empty((num_clusters, m), dtype=np.int64)
+        centroids = kmeans_plusplus_init(points, num_clusters, rng, keys=keys)
+        assign = _assign_in_order(_key_order(keys, bits), m, num_clusters, group_size)
+        del keys  # free the buffer before the next step builds its own
     for _ in range(max(0, num_iters - 1)):
         centroids = _balanced_centroids(points, assign, num_clusters, group_size)
-        new_assign = _greedy_assignment(points, operand, centroids, group_size)
+        new_assign = _balanced_assignment(points, centroids, group_size)
         if np.array_equal(new_assign, assign):
             break
         assign = new_assign

@@ -20,6 +20,7 @@ The output mask is guaranteed to satisfy the Shfl-BW pattern with the returned
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,14 +79,50 @@ def _check_scores(scores: np.ndarray) -> np.ndarray:
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 2:
         raise ValueError(f"scores must be a 2-D matrix, got shape {scores.shape}")
-    # NaN compares False against everything, so a plain `scores < 0` check
-    # would let non-finite scores flow into argsort and produce silently
-    # wrong masks; reject them explicitly.
-    if not np.all(np.isfinite(scores)):
-        raise ValueError("importance scores must be finite (no NaN / infinity)")
-    if np.any(scores < 0):
-        raise ValueError("importance scores must be non-negative")
+    # NaN compares False against everything, so a plain sign check would let
+    # non-finite scores flow into the selections and produce silently wrong
+    # masks.  min() and max() propagate NaN, so these two reductions reject
+    # NaN and infinities before the sign check, with no full-size temporary.
+    if scores.size:
+        low, high = scores.min(), scores.max()
+        if not (np.isfinite(low) and np.isfinite(high)):
+            raise ValueError("importance scores must be finite (no NaN / infinity)")
+        if low < 0:
+            raise ValueError("importance scores must be non-negative")
     return scores
+
+
+#: Entries in the strided sample that brackets an unstructured threshold.
+_SAMPLE = 1 << 12
+
+
+def _band_threshold(values: np.ndarray, keep: int) -> float:
+    """The ``keep``-th largest entry of the flat ``values`` (``keep < size``).
+
+    A sorted strided sample brackets the order statistic in a band ``[lo,
+    hi]``.  A count of the entries above ``hi`` and one of the entries at or
+    above ``lo`` prove that the band holds it, and then only the band is
+    partitioned.  A band that misses is widened and retried.  The widest
+    band is the whole array, so the loop always ends, and the scores are
+    copied whole only when a band that wide is needed.
+    """
+    size = values.size
+    sample = np.sort(values[:: (size // _SAMPLE) | 1])
+    at = (size - keep) * sample.size // size
+    margin = 2 * math.isqrt(sample.size)
+    while True:
+        lo = sample[at - margin] if at >= margin else -np.inf
+        hi = sample[at + margin] if at + margin < sample.size else np.inf
+        above = np.count_nonzero(values > hi)
+        if above < keep:
+            within = values >= lo
+            if np.count_nonzero(within) >= keep:
+                within &= values <= hi
+                band = values[within]
+                # The threshold is the band's (keep - above)-th largest.
+                position = band.size - (keep - above)
+                return np.partition(band, position)[position]
+        margin *= 4
 
 
 def _top_k_mask(values: np.ndarray, keep: int) -> np.ndarray:
@@ -93,16 +130,23 @@ def _top_k_mask(values: np.ndarray, keep: int) -> np.ndarray:
 
     Row for row the same set as the first ``keep`` entries of
     ``argsort(-values, kind="stable")``: every entry above the row's
-    ``keep``-th largest value (found by ``np.partition``) is kept, and the
-    remaining slots go to the entries equal to that threshold, earliest
-    first.  Only the tied positions are ranked, so no full sort and no
-    full-size cumulative sum is needed.
+    ``keep``-th largest value is kept, and the remaining slots go to the
+    entries equal to that threshold, earliest first.  A single row (the
+    unstructured mask) finds its threshold by band selection
+    (:func:`_band_threshold`) instead of partitioning a copy of all the
+    scores; more rows (the vector-wise group sums) take ``np.partition``
+    along each row.
+    Only the tied positions are ranked, so no full sort and no full-size
+    cumulative sum is needed.
     """
     rows, width = values.shape
     if keep >= width:
         return np.ones(values.shape, dtype=bool)
-    # A list index copies the column out, so the partitioned copy is freed.
-    threshold = np.partition(values, width - keep, axis=1)[:, [width - keep]]
+    if rows == 1:
+        threshold = np.full((1, 1), _band_threshold(values.reshape(-1), keep))
+    else:
+        # A list index copies the column out, so the partitioned copy is freed.
+        threshold = np.partition(values, width - keep, axis=1)[:, [width - keep]]
     mask = values > threshold
     # Tied slots still open per row (at least one: the threshold itself).
     short = keep - np.count_nonzero(mask, axis=1)
@@ -139,12 +183,13 @@ def vector_wise_mask(scores: np.ndarray, density: float, vector_size: int) -> np
     summed score (at least one column per group; ties go to the earlier
     column).
 
-    Vectorized over all groups at once: one reshape, one reduction and one
-    row-wise top-k selection replace the per-group Python loop.  Bitwise
-    identical to :func:`repro.core.reference.vector_wise_mask_loop` — the
-    ``(G, V, K)`` middle-axis sum reduces each group's rows in the same
-    order as the per-group ``sum(axis=0)``, and the top-k selection keeps
-    exactly the columns the per-group stable argsort puts first.
+    Vectorized over all groups at once: one group-sum pass
+    (:func:`_group_sums`) and one row-wise top-k selection replace the
+    per-group Python loop.  Bitwise identical to
+    :func:`repro.core.reference.vector_wise_mask_loop`: each group's rows are
+    summed in the same order as the per-group ``sum(axis=0)``, and the top-k
+    selection keeps exactly the columns the per-group stable argsort puts
+    first.
     """
     scores = _check_scores(scores)
     if not 0.0 < density <= 1.0:
@@ -152,16 +197,38 @@ def vector_wise_mask(scores: np.ndarray, density: float, vector_size: int) -> np
     m, _ = scores.shape
     if vector_size <= 0 or m % vector_size:
         raise ValueError(f"M={m} must be a positive multiple of V={vector_size}")
-    return _vector_wise_mask(scores, density, vector_size)
+    return _vector_wise_mask(scores, density, np.arange(m).reshape(-1, vector_size))
 
 
-def _vector_wise_mask(scores: np.ndarray, density: float, v: int) -> np.ndarray:
-    """:func:`vector_wise_mask` on scores, a density and a ``V`` already
-    checked."""
-    m, k = scores.shape
-    keep_cols = max(1, int(round(density * k)))
-    group_scores = scores.reshape(m // v, v, k).sum(axis=1)
-    return np.repeat(_top_k_mask(group_scores, keep_cols), v, axis=0)
+def _group_sums(scores: np.ndarray, groups: np.ndarray) -> np.ndarray:
+    """``(G, K)`` score sums of the row groups ``groups`` (``(G, V)`` indices).
+
+    Bitwise ``scores[groups.reshape(-1)].reshape(G, V, K).sum(axis=1)``
+    without the permuted copy: for ``K > 1`` numpy reduces that middle axis
+    one row at a time onto zeros, and so does the gather below, one ``(G,
+    K)`` slab of rows per group position.  At ``K = 1`` the middle axis
+    becomes the contiguous inner loop, which numpy sums pairwise, so that
+    case (a copy of ``M`` scalars) keeps the reshape sum.
+    """
+    g, v = groups.shape
+    k = scores.shape[1]
+    if k == 1:
+        return scores[groups.reshape(-1)].reshape(g, v, 1).sum(axis=1)
+    sums = np.zeros((g, k))
+    for position in range(v):
+        sums += scores[groups[:, position]]
+    return sums
+
+
+def _vector_wise_mask(scores: np.ndarray, density: float, groups: np.ndarray) -> np.ndarray:
+    """Vector-wise mask of the row groups ``groups`` (``(G, V)`` row
+    indices), on scores and a density already checked: every row of a group
+    keeps its group's top columns.  The mask is in the original row order."""
+    g, v = groups.shape
+    keep_cols = max(1, int(round(density * scores.shape[1])))
+    group_of_row = np.empty(g * v, dtype=np.intp)
+    group_of_row[groups.reshape(-1)] = np.arange(g).repeat(v)
+    return _top_k_mask(_group_sums(scores, groups), keep_cols)[group_of_row]
 
 
 def search_shflbw_pattern(
@@ -207,11 +274,9 @@ def search_shflbw_pattern(
     groups = balanced_kmeans(coarse_mask, vector_size, num_iters=kmeans_iters, seed=seed)
     row_indices = groups_to_permutation(groups, m)
 
-    # Stage 2 — vector-wise pruning on the permuted scores, then reverse.
-    permuted_scores = scores[row_indices, :]
-    permuted_mask = _vector_wise_mask(permuted_scores, density, vector_size)
-    mask = np.zeros_like(permuted_mask)
-    mask[row_indices, :] = permuted_mask
+    # Stage 2 — vector-wise pruning of the permuted row groups, written
+    # straight back in the original row order.
+    mask = _vector_wise_mask(scores, density, row_indices.reshape(-1, vector_size))
 
     retained = float(scores[mask].sum())
     total = float(scores.sum())

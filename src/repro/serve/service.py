@@ -17,7 +17,9 @@ replaced at :meth:`~InferenceService.start` by a measured calibration pass
 (the faster of two full-width batches per layer through the real engine,
 after the runtime the forked workers inherit is prepared).  The calibrated
 deadline ≈ the host-time cost of one full batch, so a request's worst-case
-latency stays within roughly two batch service times.
+latency stays within roughly two batch service times.  An explicit
+``deadline_s`` needs no calibration, so each layer then runs a single probe
+batch, which still warms what the workers inherit before the pool forks.
 
 Backpressure: the micro-batcher's queue is bounded in total coalesced
 columns; a ``submit`` beyond the bound raises
@@ -285,10 +287,12 @@ class InferenceService:
         # Building the runtime prepares every layer up front (the forked
         # workers inherit it).  The first probe of a CSR layer also imports
         # scipy.sparse and memoises its handle, so it must run here, before
-        # the pool forks, for the workers to inherit both.  The faster probe
-        # is the calibration sample, which keeps that one-off cost and one
-        # noisy run from inflating a deadline.
+        # the pool forks, for the workers to inherit both.  When the
+        # deadline is calibrated, a second probe runs and the faster one is
+        # the sample, which keeps that one-off cost and one noisy run from
+        # inflating a deadline; an explicit deadline needs only the first.
         _runtime_for(self.plan, self.weight_seed)
+        probes = 2 if self._explicit_deadline is None else 1
         for layer, window in list(self.windows.items()):
             probe = PredictRequest.from_array(
                 layer, np.ones((self._expected_rows[layer], window.width))
@@ -300,7 +304,7 @@ class InferenceService:
                 requests=(probe,),
             )
             runs = []
-            for _ in range(2):
+            for _ in range(probes):
                 began = time.perf_counter()
                 execute_serve_batches([batch])
                 runs.append(time.perf_counter() - began)

@@ -61,6 +61,24 @@ class TestUnstructuredMask:
         with pytest.raises(ValueError, match="finite"):
             search_shflbw_pattern(scores, 0.5, 2)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_message_wins_over_negative(self, bad):
+        scores = np.ones((4, 4))
+        scores[0, 0] = -1.0
+        scores[3, 3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            unstructured_mask(scores, 0.5)
+
+    def test_negative_zero_accepted(self):
+        scores = np.full((4, 4), -0.0)
+        np.testing.assert_array_equal(
+            unstructured_mask(scores, 0.25), unstructured_mask(np.zeros((4, 4)), 0.25)
+        )
+
+    def test_empty_matrix_accepted(self):
+        assert pruning_module._check_scores(np.empty((0, 4))).shape == (0, 4)
+        assert unstructured_mask(np.empty((0, 4)), 0.5).shape == (0, 4)
+
     def test_invalid_density(self, rng):
         with pytest.raises(ValueError):
             unstructured_mask(rng.random((4, 4)), 0.0)

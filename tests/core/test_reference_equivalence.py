@@ -18,7 +18,7 @@ from repro.core.kmeans import (
     _balanced_centroids,
     _broadcast_sq_dists,
     _exact_denominator,
-    _gemm_operand,
+    _gemm_dtype,
     _key_bits,
     _pair_keys,
     _pair_order,
@@ -124,7 +124,7 @@ class TestBalancedAssignment:
         # The exact path: integer numerators over D**2 are the seed's floats.
         n, k = seed_dists.shape
         bits = _key_bits(n, k, points.shape[1], denom)
-        keys = _pair_keys(rows, _gemm_operand(rows, v), centroids, denom, bits)
+        keys = _pair_keys(rows, centroids, denom, bits)
         np.testing.assert_array_equal((keys >> bits) / float(denom * denom), seed_dists)
         np.testing.assert_array_equal(
             keys & ((1 << bits) - 1), np.arange(n * k).reshape(n, k)
@@ -160,7 +160,7 @@ class TestPairOrder:
             denom = _exact_denominator(centroids, v)
             assert denom is not None
             assert _key_bits(m, num_groups, k_dim, denom) is not None
-        order = _pair_order(rows, _gemm_operand(rows, v), centroids, v)
+        order = _pair_order(rows, centroids, v)
         np.testing.assert_array_equal(order, _seed_order(points, centroids))
 
     @given(st.integers(min_value=0, max_value=2**16))
@@ -172,11 +172,10 @@ class TestPairOrder:
         # Numerators near D: the dot products, about popcount * D, pass
         # 2**24, beyond what a float32 GEMM sums exactly.
         centroids = (denom - rng.integers(0, 3, size=(k, dim))) / denom
-        operand = _gemm_operand(rows, denom)
-        assert operand.dtype == np.float64
+        assert _gemm_dtype(dim, denom) is np.float64
         assert _exact_denominator(centroids, denom) == denom
         assert _key_bits(n, k, dim, denom) is not None
-        order = _pair_order(rows, operand, centroids, denom)
+        order = _pair_order(rows, centroids, denom)
         np.testing.assert_array_equal(order, _seed_order(rows.astype(np.float64), centroids))
 
     @given(st.integers(min_value=0, max_value=2**16))
@@ -192,7 +191,7 @@ class TestPairOrder:
         centroids = rng.integers(0, 1 << 20, size=(k, dim)) / denom
         assert _exact_denominator(centroids, denom) == denom
         assert _key_bits(n, k, dim, denom) is None
-        order = _pair_order(rows, _gemm_operand(rows, denom), centroids, denom)
+        order = _pair_order(rows, centroids, denom)
         np.testing.assert_array_equal(order, _seed_order(rows.astype(np.float64), centroids))
 
     def test_centroids_outside_the_unit_interval_fall_back(self):
@@ -201,7 +200,7 @@ class TestPairOrder:
         # Integral, but far past the dim * D**2 bound the keys rely on.
         centroids = rng.integers(-(2**40), 2**40, size=(4, 8)).astype(np.float64)
         assert _exact_denominator(centroids, 4) is None
-        order = _pair_order(rows, _gemm_operand(rows, 4), centroids, 4)
+        order = _pair_order(rows, centroids, 4)
         np.testing.assert_array_equal(order, _seed_order(rows.astype(np.float64), centroids))
 
 

@@ -135,6 +135,28 @@ class TestLiveService:
         finally:
             service.stop()
 
+    @pytest.mark.parametrize("deadline_s, probes", [(None, 2), (0.123, 1)])
+    def test_probes_per_layer(self, transformer_plan, monkeypatch, deadline_s, probes):
+        """Calibration takes the faster of two probes per layer; an explicit
+        deadline discards the timing, so one probe (which still prepares
+        what the workers inherit) is all ``start`` runs."""
+        calls: dict[str, int] = {}
+        real = service_module.execute_serve_batches
+
+        def counted(batches):
+            for batch in batches:
+                calls[batch.layer] = calls.get(batch.layer, 0) + 1
+            return real(batches)
+
+        monkeypatch.setattr(service_module, "execute_serve_batches", counted)
+        service = InferenceService(transformer_plan, deadline_s=deadline_s, max_pending=8)
+        service.start()
+        try:
+            assert len(calls) > 1
+            assert calls == dict.fromkeys(service.windows, probes)
+        finally:
+            service.stop()
+
     def test_explicit_deadline_survives_calibration(self, plan):
         with InferenceService(plan, deadline_s=0.123, max_pending=8) as service:
             assert service.windows[LAYER].deadline_s == 0.123
