@@ -20,6 +20,8 @@ from .kmeans import balanced_kmeans, kmeans_plusplus_init
 from .pattern import PatternKind, ShflBWPattern
 from .pruning import (
     ShflBWSearchResult,
+    balanced_mask,
+    block_wise_mask,
     prune_shflbw,
     search_shflbw_pattern,
     unstructured_mask,
@@ -52,6 +54,8 @@ __all__ = [
     "PatternKind",
     "ShflBWPattern",
     "ShflBWSearchResult",
+    "balanced_mask",
+    "block_wise_mask",
     "prune_shflbw",
     "search_shflbw_pattern",
     "unstructured_mask",

@@ -32,6 +32,8 @@ __all__ = [
     "ShflBWSearchResult",
     "unstructured_mask",
     "vector_wise_mask",
+    "block_wise_mask",
+    "balanced_mask",
     "search_shflbw_pattern",
     "prune_shflbw",
 ]
@@ -229,6 +231,46 @@ def _vector_wise_mask(scores: np.ndarray, density: float, groups: np.ndarray) ->
     group_of_row = np.empty(g * v, dtype=np.intp)
     group_of_row[groups.reshape(-1)] = np.arange(g).repeat(v)
     return _top_k_mask(_group_sums(scores, groups), keep_cols)[group_of_row]
+
+
+def block_wise_mask(scores: np.ndarray, density: float, block_size: int) -> np.ndarray:
+    """Block-wise pruning mask: keep the ``V x V`` blocks with the largest
+    summed score.
+
+    The block sums are ranked by :func:`unstructured_mask`, so
+    ``round(density * blocks)`` blocks are kept (at least one; ties go to
+    the earlier block in row-major order).
+    """
+    scores = _check_scores(scores)
+    if not 0.0 < density <= 1.0:
+        raise ValueError("density must be in (0, 1]")
+    m, k = scores.shape
+    v = block_size
+    if v <= 0 or m % v or k % v:
+        raise ValueError(f"matrix shape {scores.shape} is not divisible by V={v}")
+    block_scores = scores.reshape(m // v, v, k // v, v).sum(axis=(1, 3))
+    return _unstructured_mask(block_scores, density).repeat(v, axis=0).repeat(v, axis=1)
+
+
+def balanced_mask(scores: np.ndarray, n: int = 2, m: int = 4) -> np.ndarray:
+    """Balanced ``n:m`` mask: each run of ``m`` consecutive entries in a row
+    keeps its ``n`` largest scores (ties go to the earlier position).
+
+    At the default 2:4 this is the pattern A100 sparse tensor cores run, and
+    on magnitude scores it keeps exactly the values
+    :meth:`repro.sparse.formats.Balanced24Matrix.from_dense` stores.
+    """
+    scores = _check_scores(scores)
+    if m <= 0 or not 0 < n <= m:
+        raise ValueError("need 0 < n <= m")
+    rows, k = scores.shape
+    if k % m:
+        raise ValueError(f"K={k} must be a multiple of m={m}")
+    groups = scores.reshape(rows, k // m, m)
+    order = np.argsort(-groups, axis=2, kind="stable")
+    mask = np.zeros_like(groups, dtype=bool)
+    np.put_along_axis(mask, order[:, :, :n], True, axis=2)
+    return mask.reshape(rows, k)
 
 
 def search_shflbw_pattern(

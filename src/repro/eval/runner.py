@@ -92,7 +92,7 @@ MODEL_VERSION = "timing-v2"
 #: :data:`MODEL_VERSION`.
 ACCURACY_SALT = "accuracy-v1"
 PATTERN_SEARCH_SALT = "pattern-search-v1"
-SERVE_SALT = "serve-v1"
+SERVE_SALT = "serve-v2"
 
 
 def canonical_config_hash(payload: Mapping, *, salt: str = MODEL_VERSION) -> str:

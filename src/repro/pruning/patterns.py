@@ -15,7 +15,13 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.pattern import PatternKind
-from ..core.pruning import search_shflbw_pattern, unstructured_mask, vector_wise_mask
+from ..core.pruning import (
+    balanced_mask,
+    block_wise_mask,
+    search_shflbw_pattern,
+    unstructured_mask,
+    vector_wise_mask,
+)
 from .base import Pruner
 
 __all__ = [
@@ -50,14 +56,7 @@ class BlockwisePruner(Pruner):
         self.block_size = block_size
 
     def mask(self, scores: np.ndarray, sparsity: float) -> np.ndarray:
-        m, k = scores.shape
-        v = self.block_size
-        if m % v or k % v:
-            raise ValueError(f"matrix shape {scores.shape} is not divisible by V={v}")
-        density = 1.0 - sparsity
-        block_scores = scores.reshape(m // v, v, k // v, v).sum(axis=(1, 3))
-        block_mask = unstructured_mask(block_scores, density)
-        return np.kron(block_mask, np.ones((v, v), dtype=bool))
+        return block_wise_mask(scores, 1.0 - sparsity, self.block_size)
 
     def extra_info(self) -> dict:
         return {"block_size": self.block_size}
@@ -109,14 +108,7 @@ class BalancedPruner(Pruner):
                 f"balanced {self.n}:{self.m} sparsity is fixed at "
                 f"{self.fixed_sparsity:.0%}, got {sparsity:.0%}"
             )
-        rows, k = scores.shape
-        if k % self.m:
-            raise ValueError(f"K={k} must be a multiple of m={self.m}")
-        groups = scores.reshape(rows, k // self.m, self.m)
-        order = np.argsort(-groups, axis=2, kind="stable")
-        mask = np.zeros_like(groups, dtype=bool)
-        np.put_along_axis(mask, order[:, :, : self.n], True, axis=2)
-        return mask.reshape(rows, k)
+        return balanced_mask(scores, self.n, self.m)
 
     def extra_info(self) -> dict:
         return {"n": self.n, "m": self.m}

@@ -2,12 +2,13 @@
 
 The service binds a :class:`~repro.tune.planner.TuningPlan` to concrete
 weight tensors.  Real deployments would load trained checkpoints; this repo
-derives them from a seeded unstructured mask at the plan's density over
-seeded normal values, so the whole serving state is a pure function of
-``(plan, weight_seed)``.  Every kernel re-compresses the dense
-masked tensor into its own format inside ``prepare`` (Shfl-BW falls back to
-its deterministic degenerate row grouping when no witness permutation is
-supplied), which keeps weight derivation kernel-agnostic.
+derives them from seeded normal values, pruned at the plan's density in the
+sparsity pattern of each layer's assigned kernel, so the whole serving state
+is a pure function of ``(plan, weight_seed)``.  The pattern is what makes a
+sparse kernel fast: a vector-wise group that kept a column for any one of
+its rows would multiply a dense matrix.  So each layer is pruned by
+magnitude the way its kernel's pattern prunes (see :func:`derive_weights`),
+and the kernel's ``prepare`` stores exactly the kept weights.
 
 :func:`planned_runtime` is that state in the form the paper's kernels
 consume it: each servable layer's weight compressed once, at load, into its
@@ -19,6 +20,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..core.pattern import PatternKind
+from ..core.pruning import balanced_mask, block_wise_mask, vector_wise_mask
+from ..kernels.base import SpMMKernel
 from ..tune.planned import PlannedModel
 from ..tune.planner import TuningPlan
 
@@ -31,6 +35,19 @@ def derive_weights(plan: TuningPlan, weight_seed: int) -> dict[str, np.ndarray]:
     Layers are seeded independently (``weight_seed`` plus the assignment's
     position in the plan), so a weight tensor depends only on the plan and
     the seed — never on which subset of layers a worker happens to touch.
+
+    Each layer's mask follows the pattern of its assigned kernel, selected
+    by weight magnitude:
+
+    * vector-wise and Shfl-BW: :func:`~repro.core.pruning.vector_wise_mask`
+      on consecutive groups of the kernel's ``vector_size`` rows (Shfl-BW
+      then prepares with its identity row grouping);
+    * block-wise: :func:`~repro.core.pruning.block_wise_mask` at the
+      kernel's ``block_size``;
+    * balanced: the top 2 of every 4
+      (:func:`~repro.core.pruning.balanced_mask`), which is what the 2:4
+      format stores;
+    * dense and unstructured: a seeded random draw at the plan's density.
     """
     density = 1.0 - plan.sparsity
     model = PlannedModel(plan)
@@ -39,9 +56,23 @@ def derive_weights(plan: TuningPlan, weight_seed: int) -> dict[str, np.ndarray]:
         shape = model.layers[assignment.layer].gemm
         rng = np.random.default_rng([int(weight_seed), index])
         values = rng.normal(size=(shape.m, shape.k))
-        mask = rng.random(size=(shape.m, shape.k)) < density
+        mask = _kernel_mask(model.kernel_for(assignment.layer), values, density, rng)
         weights[assignment.layer] = values * mask
     return weights
+
+
+def _kernel_mask(
+    kernel: SpMMKernel, values: np.ndarray, density: float, rng: np.random.Generator
+) -> np.ndarray:
+    """The keep-mask of ``values`` in ``kernel``'s sparsity pattern."""
+    pattern = kernel.pattern
+    if pattern in (PatternKind.VECTORWISE, PatternKind.SHFLBW):
+        return vector_wise_mask(np.abs(values), density, kernel.vector_size)
+    if pattern is PatternKind.BLOCKWISE:
+        return block_wise_mask(np.abs(values), density, kernel.block_size)
+    if pattern is PatternKind.BALANCED:
+        return balanced_mask(np.abs(values))
+    return rng.random(size=values.shape) < density
 
 
 def planned_runtime(

@@ -1,4 +1,4 @@
-"""The timing CLI loads only what it runs.
+"""The timing CLI and the serving runtime load only what they run.
 
 Each check runs in a fresh interpreter, because this test process has
 already imported every package.
@@ -29,6 +29,10 @@ NEVER_LOADED = (
     "repro.models.resnet",
     "repro.models.transformer",
 )
+
+
+#: Modules the serving runtime never loads (scipy loads for CSR layers).
+SERVE_NEVER_LOADED = tuple(name for name in NEVER_LOADED if name != "scipy")
 
 
 def run_fresh(code: str) -> object:
@@ -95,4 +99,36 @@ print(json.dumps(seen))
         "sparse_before_spmm": False,
         "sparse_after_spmm": True,
         "spmm_is_scipy": True,
+    }
+
+
+def test_serving_runtime_skips_the_accuracy_stack():
+    """``import repro.serve`` and ``planned_runtime`` prune every served
+    layer in its kernel's pattern with the masks of ``repro.core``: the
+    vector-wise, 2:4 and block-wise plans load no pruner, autograd or
+    proxy model."""
+    code = f"""
+import json, sys
+from repro.eval.runner import KernelSpec
+from repro.serve import planned_runtime
+from repro.tune import Autotuner
+
+gemm = (256, 32, 256)
+plans = [
+    Autotuner().plan("transformer", "V100", 0.9),
+    Autotuner(candidates=(KernelSpec("cusparselt"),)).plan_gemm(gemm, "A100", 0.5),
+    Autotuner(candidates=(KernelSpec("cusparse-bsr", (("block_size", 32),)),)).plan_gemm(
+        gemm, "V100", 0.9
+    ),
+]
+patterns = set()
+for plan in plans:
+    model, prepared = planned_runtime(plan, 1)
+    patterns |= {{model.kernel_for(layer).pattern.value for layer in prepared}}
+loaded = [name for name in {SERVE_NEVER_LOADED!r} if name in sys.modules]
+print(json.dumps({{"loaded": loaded, "patterns": sorted(patterns)}}))
+"""
+    assert run_fresh(code) == {
+        "loaded": [],
+        "patterns": ["balanced", "blockwise", "vectorwise"],
     }

@@ -68,10 +68,12 @@ class TestPredictRequest:
 
     def test_replay_key_uses_the_serve_salt(self, plan):
         """The runner keys serve batches under the family's own salt, so
-        replay blobs written under the timing salt read cold."""
-        assert cells.SERVE_TASK.salt == "serve-v1"
+        replay blobs written under the timing salt read cold.  ``serve-v2``
+        keys the weights pruned in each kernel's own pattern; a ``serve-v1``
+        blob holds the outputs of the older unstructured weights."""
+        assert cells.SERVE_TASK.salt == "serve-v2"
         assert _fixed_batch(plan).config_hash(salt=cells.SERVE_TASK.salt) == (
-            "a6b0dc3aace6e4b3b85377c6d6384382"
+            "c399b4056e6d3ba5dad8e5f01c1a581c"
         )
 
 

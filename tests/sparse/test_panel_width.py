@@ -98,10 +98,11 @@ def test_chosen_width_pads_no_more_than_either_candidate(widths, v, n, seed):
 
 class TestServedRegime:
     def test_near_dense_groups_get_one_panel_each(self):
-        """A 3072x1024 weight under a 10% unstructured mask, the matrix
-        ``repro.serve.derive_weights`` builds for a transformer layer: at
-        V=64 every group keeps ~1023 columns, and the ceil-mean width would
-        spill the wider groups' last column into a padded second panel."""
+        """The near-dense case: a 3072x1024 weight under a 10% unstructured
+        mask, compressed vector-wise.  At V=64 a group keeps a column if any
+        of its rows does, so every group keeps ~1023 columns, and the
+        ceil-mean width would spill the wider groups' last column into a
+        padded second panel."""
         rng = np.random.default_rng([1, 0])
         weight = rng.normal(size=(3072, 1024))
         weight *= rng.random(size=(3072, 1024)) < 0.1
