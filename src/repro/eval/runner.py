@@ -614,15 +614,15 @@ class CellTask:
     themselves here:
 
     * ``name`` names the family's blob root inside the runner's cache
-      directory (``<name>-cache.blobs/``), so different record schemas
-      never share a store.
+      directory (``<name>-cache.blobs/``, one pack file per flush), so
+      different record schemas never share a store.
     * ``execute`` maps a config list to a record list *in order*.  It must
       be a module-level function so it pickles by reference into
       ``ProcessPoolExecutor`` workers, and every record must be a frozen
       dataclass with a ``config`` field (records are re-bound to the
       requesting config after deduplication and cache round-trips).
     * ``salt`` is the family's version salt: it keys every cell
-      (``config.config_hash(salt=...)``) and stamps every blob, so bumping
+      (``config.config_hash(salt=...)``) and stamps every pack, so bumping
       it reads as a cold cache instead of stale hits.
     * ``encode`` / ``decode`` are the cache codec (record -> JSON entry and
       back; ``decode`` returns ``None`` for malformed entries).  Flat
@@ -666,11 +666,11 @@ class ResultCache:
 
     Entries live in a content-addressed :class:`~repro.eval.store.BlobStore`
     under ``<cache_dir>/<task.name>-cache.blobs/``, stamped with the task's
-    salt: one atomic canonical-JSON blob per cell, safe for concurrent
-    writers.  They are read and written by the ``config_hash(salt=task.salt)``
-    digest the runner already computed, through the task's codec, and each
-    entry keeps the canonical config dict next to the result payload so the
-    store is debuggable by eye.
+    salt: each flush commits its cells as one atomic canonical-JSON pack,
+    safe for concurrent writers.  They are read and written by the
+    ``config_hash(salt=task.salt)`` digest the runner already computed,
+    through the task's codec, and each entry keeps the canonical config dict
+    next to the result payload so the store is debuggable by eye.
     """
 
     def __init__(self, cache_dir: str | Path, task: CellTask) -> None:
@@ -692,8 +692,8 @@ class ResultCache:
         self._store.put(digest, self.task.encode(record))
 
     def flush(self) -> None:
-        """Persist staged entries atomically, one blob per entry (unique
-        temp + fsync + rename)."""
+        """Persist staged entries as one pack: a single atomic file however
+        many entries it holds (unique temp + one fsync + rename)."""
         self._store.flush()
 
 
@@ -744,7 +744,8 @@ class SweepRunner:
     across a process pool chunked by the task's policy.  ``cache_dir``
     enables one persistent :class:`ResultCache` per family (a
     content-addressed, multi-writer-safe
-    :class:`~repro.eval.store.BlobStore`).  The runner deduplicates
+    :class:`~repro.eval.store.BlobStore`; each :meth:`run_cells` call writes
+    its misses as one pack).  The runner deduplicates
     identical cells, so a config appearing twice is computed once.
     ``stats`` accumulates hit/miss counts across every call on this runner.
     """

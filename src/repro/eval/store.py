@@ -4,26 +4,34 @@ Every persistent cache in the package — one
 :class:`repro.eval.runner.ResultCache` per sweep-cell family, tuning plans
 included — is a :class:`BlobStore`:
 
-* a **content-addressed dir-of-blobs**: one canonical-JSON file per
-  ``canonical_config_hash`` key, fanned out under two-hex-char shard
-  directories (``<root>/ab/abcdef....json``).  Every write goes through a
-  unique temp file (:func:`tempfile.mkstemp` in the target directory) +
-  ``fsync`` + ``os.replace``, so a reader never observes a partial entry, a
-  crashed writer never corrupts the store, and concurrent writers of
-  *different* keys touch different files.  Concurrent writers of the *same*
-  key write byte-identical content (cells are pure functions of their hashed
-  config — the SC001 contract), so per-entry last-write-wins is harmless.
-* Corrupt blobs are never silently destroyed: the raw bytes are preserved as
+* a **dir of packs**: each :meth:`BlobStore.flush` commits every entry it
+  staged as one *pack*, a canonical-JSON file ``{"salt": ..., "entries":
+  {key: entry}}`` keyed by ``canonical_config_hash`` digests, named by its
+  own content digest and placed directly under the root
+  (``<root>/<digest>.json``).  A flush is a group commit: one unique temp
+  file (:func:`tempfile.mkstemp` in the root) + one ``fsync`` + one
+  ``os.replace``, however many entries it holds, so a reader never observes a
+  partial pack, a crashed writer never corrupts the store, and no writer
+  changes another's pack (two packs with one name hold the same bytes).
+  Concurrent writers of the *same* key write byte-identical entries (cells
+  are pure functions of their hashed config — the SC001 contract), so it is
+  harmless which pack a reader takes a key from; where packs disagree the
+  newest (by ``mtime``) wins, so a recomputed malformed entry supersedes the
+  old one.
+* Corrupt packs are never silently destroyed: the raw bytes are preserved as
   a ``.corrupt-<digest>`` sidecar (:func:`preserve_corrupt_file`) with a
-  once-per-file :class:`CorruptCacheWarning` before the slot reads as a miss.
+  once-per-file :class:`CorruptCacheWarning`, and every key of the pack reads
+  as a miss — a corrupted file costs its whole flush's entries.
 * :func:`cache_main` is the fleet-hygiene CLI behind ``python -m repro.eval
-  cache``: ``stats`` (per-family blob/byte/salt accounting) and ``gc``
-  (retires stray temp files and every blob whose salt is not its family's
+  cache``: ``stats`` (per-family blob/byte/pack/salt accounting) and ``gc``
+  (retires stray temp files and every pack whose salt is not its family's
   current one, or not a ``--keep-salt`` when any is given).
 
 A cache directory holds one blob root per cell family, ``<name>.blobs/``.
-Nothing else in it is read: a pre-blob single-file ``<name>.json`` cache is
-ignored, so such a directory reads cold and should be deleted.
+Nothing else in it is read: a pre-blob single-file ``<name>.json`` cache and
+the two-hex-char shard directories of the earlier one-file-per-entry layout
+(``<root>/ab/<key>.json``) are ignored, so such caches read cold and should
+be deleted.
 
 The module is deliberately stdlib-only (no numpy, no repro imports), so the
 higher layers can build on it without import cycles.
@@ -39,7 +47,7 @@ import re
 import sys
 import tempfile
 import warnings
-from collections.abc import Iterator, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -66,9 +74,12 @@ JsonDict = dict[str, Any]
 BLOB_SUFFIX = ".blobs"
 
 #: Valid store keys: lowercase hex digests (``canonical_config_hash``
-#: outputs).  The two leading characters name the shard directory, so
-#: anything outside this alphabet never becomes a path.
+#: outputs).  A pack entry under any other key is dropped on read.
 _KEY_PATTERN = re.compile(r"[0-9a-f]{3,128}")
+
+#: Committed pack files: ``<content digest>.json`` directly under a blob
+#: root (temp files end in ``.tmp``, corrupt sidecars in ``.corrupt-<d>``).
+_PACK_NAME = re.compile(r"[0-9a-f]+\.json")
 
 #: ``(path, digest)`` pairs already warned about, so a corrupt file produces
 #: exactly one :class:`CorruptCacheWarning` per process.
@@ -139,74 +150,132 @@ def preserve_corrupt_file(path: Path, raw: bytes, *, reason: str) -> Path:
 
 
 # --------------------------------------------------------------------------- #
+# Packs
+# --------------------------------------------------------------------------- #
+
+
+def _pack_paths(root: Path) -> list[Path]:
+    """Every committed pack directly under a blob root, in name order."""
+    try:
+        names = os.listdir(root)
+    except OSError:
+        return []
+    return [root / name for name in sorted(names) if _PACK_NAME.fullmatch(name)]
+
+
+def _parse_pack(raw: bytes) -> tuple[str | None, dict[str, JsonDict]] | None:
+    """A pack's salt and well-formed entries, or ``None`` when its bytes are
+    not a JSON object.  An entry under an invalid key, or one that is not a
+    JSON object, is dropped: it reads as a miss."""
+    try:
+        pack: object = json.loads(raw.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError):
+        return None
+    if not isinstance(pack, dict):
+        return None
+    salt = pack.get("salt")
+    entries = pack.get("entries")
+    if not isinstance(entries, dict):
+        entries = {}
+    return (
+        salt if isinstance(salt, str) else None,
+        {
+            key: entry
+            for key, entry in entries.items()
+            if isinstance(entry, dict) and _KEY_PATTERN.fullmatch(key)
+        },
+    )
+
+
+def _quarantine(path: Path, raw: bytes) -> None:
+    """Preserve an unparseable pack's bytes as a sidecar and remove it.
+
+    A pack only ever appears via ``os.replace``, so a parse failure means
+    outside interference, not a crashed writer: keep the evidence and clear
+    the pack so its cells are recomputed.
+    """
+    preserve_corrupt_file(path, raw, reason="unparseable pack")
+    try:
+        path.unlink()
+    except OSError:
+        pass
+
+
+# --------------------------------------------------------------------------- #
 # The store
 # --------------------------------------------------------------------------- #
 
 
 class BlobStore:
-    """Content-addressed, sharded dir-of-blobs cache store.
+    """Content-addressed pack store of one cell family's entries.
 
-    One canonical-JSON envelope per key under ``<root>/<key[:2]>/<key>.json``;
-    every write is atomic per entry (:func:`atomic_write_bytes`), so N
-    processes hammering one store lose nothing — each key is its own file,
-    and writers of the same key write byte-identical content by the purity
-    contract.  ``salt`` stamps each envelope with the cache generation that
-    produced it (``cache gc`` retires orphaned generations).
+    ``put`` stages entries in memory; ``flush`` commits them as one pack
+    (``<root>/<digest>.json``, see the module docstring) — one atomic write
+    and one ``fsync`` per flush, not per entry — stamped with ``salt``, the
+    cache generation that produced them (``cache gc`` retires orphaned
+    generations).  N processes hammering one store lose nothing: each flush
+    is its own file.
 
-    ``put`` stages entries in memory; ``flush`` persists them one atomic
-    file per key.  ``get`` consults the staged set, then the blob tree — so
-    entries written by *other* processes after construction are visible.
+    ``get`` consults the staged set, then the entries of every pack read so
+    far; on a miss it reads every pack it has not read yet, oldest ``mtime``
+    first (ties by name), so a newer pack wins a duplicate key and packs
+    flushed by *other* processes after construction become visible.
+    ``flush`` does not index its own entries, so reads reflect what is on
+    disk.
     """
 
     def __init__(self, root: str | Path, *, salt: str | None = None) -> None:
         self.root = Path(root)
         self.salt = salt
         self._pending: dict[str, JsonDict] = {}
-
-    def _blob_path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.json"
+        self._entries: dict[str, JsonDict] = {}
+        self._pack_keys: dict[str, list[str]] = {}
 
     # ------------------------------ reading ------------------------------ #
     def get(self, key: str) -> JsonDict | None:
-        """The entry under ``key`` from the staged set or the blob tree, or
+        """The entry under ``key`` from the staged set or the packs, or
         ``None`` (missing and malformed entries are both misses)."""
-        staged = self._pending.get(key)
-        if staged is not None:
-            return staged
-        if _KEY_PATTERN.fullmatch(key) is None:
-            return None
-        path = self._blob_path(key)
-        try:
-            raw = path.read_bytes()
-        except OSError:
-            return None
-        envelope: object = None
-        try:
-            envelope = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            # A blob only ever appears via os.replace, so a parse failure
-            # means outside interference, not a crashed writer: preserve the
-            # evidence and clear the slot so the cell can be recomputed.
-            preserve_corrupt_file(path, raw, reason="unparseable blob")
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            return None
-        if not isinstance(envelope, dict):
-            return None
-        entry = envelope.get("entry")
-        return entry if isinstance(entry, dict) else None
+        entry = self._pending.get(key)
+        if entry is None:
+            entry = self._entries.get(key)
+        if entry is None:
+            self._read_new_packs()
+            entry = self._entries.get(key)
+        return entry
 
     def keys(self) -> list[str]:
-        """Every visible key: persisted blobs and staged entries."""
+        """Every visible key: staged entries and those of the packs on disk."""
         found = set(self._pending)
-        for blob in _iter_blob_files(self.root):
-            found.add(blob.name[: -len(".json")])
+        for name in self._read_new_packs():
+            found.update(self._pack_keys.get(name, ()))
         return sorted(found)
 
     def __len__(self) -> int:
         return len(self.keys())
+
+    def _read_new_packs(self) -> list[str]:
+        """Index every pack not read yet, oldest ``mtime`` first; return the
+        names of every pack on disk."""
+        present = _pack_paths(self.root)
+        new: list[tuple[int, str, Path]] = []
+        for path in present:
+            if path.name not in self._pack_keys:
+                try:
+                    new.append((path.stat().st_mtime_ns, path.name, path))
+                except OSError:
+                    continue  # removed since the listing
+        for _, name, path in sorted(new):
+            try:
+                raw = path.read_bytes()
+            except OSError:
+                continue
+            pack = _parse_pack(raw)
+            if pack is None:
+                _quarantine(path, raw)
+            entries = pack[1] if pack is not None else {}
+            self._pack_keys[name] = list(entries)
+            self._entries.update(entries)
+        return [path.name for path in present]
 
     # ------------------------------ writing ------------------------------ #
     def put(self, key: str, entry: JsonDict) -> None:
@@ -218,11 +287,22 @@ class BlobStore:
         self._pending[key] = entry
 
     def flush(self) -> None:
-        """Persist every staged entry, one atomic file per key."""
-        for key in sorted(self._pending):
-            envelope = {"key": key, "salt": self.salt, "entry": self._pending[key]}
-            data = json.dumps(envelope, sort_keys=True, indent=1)
-            atomic_write_bytes(self._blob_path(key), data.encode("utf-8"))
+        """Commit every staged entry as one pack: canonical JSON (sorted
+        keys, compact separators, which keeps json's C encoder) named by its
+        content digest, written through :func:`atomic_write_bytes`."""
+        if not self._pending:
+            return
+        data = json.dumps(
+            {"salt": self.salt, "entries": self._pending},
+            sort_keys=True,
+            separators=(",", ":"),
+        ).encode("utf-8")
+        digest = hashlib.blake2b(data, digest_size=16).hexdigest()
+        atomic_write_bytes(self.root / f"{digest}.json", data)
+        # The new pack supersedes any copy of these keys read earlier; the
+        # next read of one loads the pack back from disk.
+        for key in self._pending:
+            self._entries.pop(key, None)
         self._pending.clear()
 
 
@@ -231,43 +311,15 @@ class BlobStore:
 # --------------------------------------------------------------------------- #
 
 
-def _iter_blob_files(root: Path) -> Iterator[Path]:
-    """Every committed blob file under a shard-tree root, in sorted order
-    (corrupt sidecars and stray temp files excluded)."""
-    if not root.is_dir():
-        return
-    for shard in sorted(root.iterdir()):
-        if not shard.is_dir():
-            continue
-        for blob in sorted(shard.iterdir()):
-            if (
-                blob.is_file()
-                and blob.suffix == ".json"
-                and ".corrupt-" not in blob.name
-            ):
-                yield blob
-
-
-def _iter_stray_tmp_files(root: Path) -> Iterator[Path]:
-    """Temp files a crashed writer left behind under a shard-tree root."""
-    if not root.is_dir():
-        return
-    for shard in sorted(root.iterdir()):
-        if not shard.is_dir():
-            continue
-        for child in sorted(shard.iterdir()):
-            if child.is_file() and child.suffix == ".tmp":
-                yield child
-
-
 @dataclass
 class FamilyStats:
-    """Accounting for one cell family's blob root inside a cache directory."""
+    """Accounting for one cell family's blob root inside a cache directory:
+    ``blobs`` distinct keys in ``packs`` pack files of ``blob_bytes``."""
 
     name: str
     blobs: int = 0
     blob_bytes: int = 0
-    shards: int = 0
+    packs: int = 0
     salts: dict[str, int] = field(default_factory=dict)
     corrupt_sidecars: int = 0
     stray_tmp: int = 0
@@ -277,7 +329,7 @@ class FamilyStats:
             "name": self.name,
             "blobs": self.blobs,
             "blob_bytes": self.blob_bytes,
-            "shards": self.shards,
+            "packs": self.packs,
             "salts": dict(sorted(self.salts.items())),
             "corrupt_sidecars": self.corrupt_sidecars,
             "stray_tmp": self.stray_tmp,
@@ -290,7 +342,7 @@ class FamilyStats:
         )
         return (
             f"{self.name}: {self.blobs} blobs ({self.blob_bytes} bytes, "
-            f"{self.shards} shards; salts: {salts}), corrupt sidecars: "
+            f"{self.packs} packs; salts: {salts}), corrupt sidecars: "
             f"{self.corrupt_sidecars}, stray tmp: {self.stray_tmp}"
         )
 
@@ -308,34 +360,40 @@ def discover_families(cache_dir: Path) -> list[str]:
 
 
 def collect_stats(cache_dir: Path) -> list[FamilyStats]:
-    """Per-family accounting over every blob root in a cache directory."""
+    """Per-family accounting over every blob root in a cache directory.
+
+    Read-only: an unparseable pack counts its bytes but no blobs, and is
+    left for ``gc`` (or the next read) to quarantine.
+    """
     stats: list[FamilyStats] = []
     for name in discover_families(cache_dir):
         family = FamilyStats(name=name)
         root = cache_dir / (name + BLOB_SUFFIX)
-        shards: set[str] = set()
-        for blob in _iter_blob_files(root):
-            family.blobs += 1
-            family.blob_bytes += blob.stat().st_size
-            shards.add(blob.parent.name)
-            envelope: object = None
+        labels: dict[str, str] = {}
+        for path in _pack_paths(root):
             try:
-                envelope = json.loads(blob.read_bytes().decode("utf-8"))
-            except (OSError, UnicodeDecodeError, json.JSONDecodeError):
-                envelope = None
-            salt = envelope.get("salt") if isinstance(envelope, dict) else None
-            label = salt if isinstance(salt, str) else "<unsalted>"
+                raw = path.read_bytes()
+            except OSError:
+                continue
+            family.packs += 1
+            family.blob_bytes += len(raw)
+            pack = _parse_pack(raw)
+            if pack is not None:
+                salt, entries = pack
+                labels.update(dict.fromkeys(entries, "<unsalted>" if salt is None else salt))
+        family.blobs = len(labels)
+        for label in labels.values():
             family.salts[label] = family.salts.get(label, 0) + 1
-        family.shards = len(shards)
-        family.stray_tmp = sum(1 for _ in _iter_stray_tmp_files(root))
-        family.corrupt_sidecars = sum(1 for _ in root.glob("*/*.corrupt-*"))
+        family.stray_tmp = sum(1 for _ in root.glob("*.tmp"))
+        family.corrupt_sidecars = sum(1 for _ in root.glob("*.corrupt-*"))
         stats.append(family)
     return stats
 
 
 @dataclass
 class GcResult:
-    """Outcome of one :func:`gc_blobs` pass over a blob root."""
+    """Outcome of one :func:`gc_blobs` pass over a blob root: entry counts
+    (``examined``, ``kept``, ``removed``) and pack counts (``quarantined``)."""
 
     examined: int = 0
     kept: int = 0
@@ -358,41 +416,38 @@ class GcResult:
 def gc_blobs(
     root: Path, keep_salts: frozenset[str], *, dry_run: bool = False
 ) -> GcResult:
-    """Retire blobs whose envelope salt is not in ``keep_salts``.
+    """Retire the packs whose salt is not in ``keep_salts``.
 
-    A blob is kept exactly when its salt is one of ``keep_salts``, so an
-    unsalted envelope is removed too; unparseable blobs are quarantined as
-    ``.corrupt-`` sidecars and removed; stray ``*.tmp`` files from crashed
-    writers are deleted.  ``dry_run`` counts without deleting.  Run gc only
-    while no sweep is writing to the directory — it may remove a live
-    writer's in-flight temp file.
+    gc keeps or removes whole packs: a pack is kept exactly when its salt is
+    one of ``keep_salts``, so an unsalted pack is removed too.  Unparseable
+    packs are quarantined as ``.corrupt-`` sidecars and removed; stray
+    ``*.tmp`` files from crashed writers are deleted.  ``dry_run`` counts
+    without deleting.  Run gc only while no sweep is writing to the
+    directory — it may remove a live writer's in-flight temp file.
     """
     result = GcResult()
-    for blob in _iter_blob_files(root):
-        result.examined += 1
-        size = blob.stat().st_size
-        envelope: object = None
-        raw = b""
+    for path in _pack_paths(root):
         try:
-            raw = blob.read_bytes()
-            envelope = json.loads(raw.decode("utf-8"))
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError):
-            envelope = None
-        if not isinstance(envelope, dict):
+            raw = path.read_bytes()
+        except OSError:
+            continue
+        pack = _parse_pack(raw)
+        if pack is None:
             result.quarantined += 1
             if not dry_run:
-                preserve_corrupt_file(blob, raw, reason="unparseable blob")
-                blob.unlink(missing_ok=True)
+                _quarantine(path, raw)
             continue
-        salt = envelope.get("salt")
-        if isinstance(salt, str) and salt in keep_salts:
-            result.kept += 1
+        salt, entries = pack
+        result.examined += len(entries)
+        if salt is not None and salt in keep_salts:
+            result.kept += len(entries)
             continue
-        result.removed += 1
-        result.removed_bytes += size
+        result.removed += len(entries)
+        result.removed_bytes += len(raw)
         if not dry_run:
-            blob.unlink(missing_ok=True)
-    for tmp in _iter_stray_tmp_files(root):
+            path.unlink(missing_ok=True)
+    # Temp files a crashed writer left behind.
+    for tmp in sorted(root.glob("*.tmp")):
         result.tmp_removed += 1
         if not dry_run:
             tmp.unlink(missing_ok=True)
@@ -415,7 +470,7 @@ def _build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     stats = commands.add_parser(
-        "stats", help="per-family blob / byte / salt accounting"
+        "stats", help="per-family blob / byte / pack / salt accounting"
     )
     stats.add_argument("--cache-dir", required=True, metavar="PATH")
     stats.add_argument(
@@ -423,7 +478,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     gc = commands.add_parser(
-        "gc", help="retire blobs of orphaned cache salts and stray temp files"
+        "gc", help="retire packs of orphaned cache salts and stray temp files"
     )
     gc.add_argument("--cache-dir", required=True, metavar="PATH")
     gc.add_argument(

@@ -4,8 +4,6 @@ collation."""
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from repro.eval.accuracy import (
@@ -18,6 +16,7 @@ from repro.eval.accuracy import (
     collate_accuracy,
 )
 from repro.eval.runner import TIMING_TASK, SweepRunner
+from repro.eval.store import BlobStore
 
 TINY = AccuracyConfig(quick=True, tiny=True)
 SPECS = [
@@ -130,8 +129,9 @@ class TestExecution:
         root = runner.cell_cache(ACCURACY_TASK).path
         assert root.is_dir()
         assert not runner.cell_cache(TIMING_TASK).path.exists()
-        (blob,) = root.glob("*/*.json")
-        entry = json.loads(blob.read_text())["entry"]
+        store = BlobStore(root)
+        (key,) = store.keys()
+        entry = store.get(key)
         assert entry["status"] == "ok"
         assert entry["config"]["model"] == "transformer"
 
@@ -238,7 +238,7 @@ class TestAccuracyExperiments:
             timing_cells + len(SPECS),
             0,
         )
-        blobs = list(warm_runner.cell_cache(TIMING_TASK).path.glob("*/*.json"))
+        blobs = BlobStore(warm_runner.cell_cache(TIMING_TASK).path).keys()
         assert len(blobs) == timing_cells
 
 

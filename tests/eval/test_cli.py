@@ -261,7 +261,9 @@ class TestTuneFlags:
         assert main(["autotune", "--cache-dir", str(cache), "--json", str(warm)]) == 0
         assert "(100% hit rate)" in capsys.readouterr().out
         assert cold.read_bytes() == warm.read_bytes()
-        assert len(list((cache / "tuning-cache.blobs").glob("*/*.json"))) == 9
+        from repro.eval.store import BlobStore
+
+        assert len(BlobStore(cache / "tuning-cache.blobs").keys()) == 9
 
     def test_tune_flag_augments_headline(self, capsys):
         assert main(["headline", "--tune"]) == 0

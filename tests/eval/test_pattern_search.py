@@ -3,8 +3,6 @@ execution, collation, caching and the report."""
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 import pytest
 
@@ -20,6 +18,7 @@ from repro.eval.pattern_search import (
     pattern_search_cells,
 )
 from repro.eval.runner import SweepRunner
+from repro.eval.store import BlobStore
 
 # The smallest real layer: transformer attn_out is 1024 x 1024, which at
 # V=256 clusters into just 4 groups — fast enough for unit tests.
@@ -131,7 +130,8 @@ class TestSweepAndCache:
         warm = SweepRunner(cache_dir=tmp_path).run_cells(cells, PATTERN_SEARCH_TASK)
         assert (warm.cache_hits, warm.cache_misses) == (2, 0)
         assert warm.records == cold.records
-        entries = [json.loads(b.read_text())["entry"] for b in root.glob("*/*.json")]
+        store = BlobStore(root)
+        entries = [store.get(key) for key in store.keys()]
         assert len(entries) == 2
         assert all(entry["status"] == "ok" for entry in entries)
 

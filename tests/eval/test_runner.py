@@ -43,8 +43,8 @@ from repro.eval.runner import (
     record_decoder,
     strided_process_map,
 )
-from repro.eval.speedup import figure1_spec, headline_spec
-from repro.eval.store import CorruptCacheWarning
+from repro.eval.speedup import figure1_spec, figure6_spec, headline_spec
+from repro.eval.store import BlobStore, CorruptCacheWarning
 from repro.serve.cells import SERVE_TASK
 from repro.tune.planner import TUNING_TASK
 
@@ -389,13 +389,12 @@ class TestResultCache:
     def test_cache_survives_restart(self, tmp_path):
         spec = small_spec()
         cold = SweepRunner(cache_dir=tmp_path).run(spec)
-        # The default substrate is the sharded blob store: one atomic
-        # canonical-JSON file per cell under two-hex-char fan-out dirs.
+        # The default substrate is the pack store: the run's cells land in
+        # one atomic canonical-JSON pack directly under the family's root.
         root = SweepRunner(cache_dir=tmp_path).cell_cache(TIMING_TASK).path
         assert root.is_dir()
-        blobs = sorted(root.glob("*/*.json"))
-        assert len(blobs) == len({c.config_hash() for c in spec.expand()})
-        assert all(b.parent.name == b.name[:2] for b in blobs)
+        assert BlobStore(root).keys() == sorted({c.config_hash() for c in spec.expand()})
+        assert [p.suffix for p in root.iterdir()] == [".json"]
         # A brand-new runner (fresh process in real life) reads the same store.
         warm = SweepRunner(cache_dir=tmp_path).run(spec)
         assert warm.hit_rate == 1.0
@@ -419,9 +418,8 @@ class TestResultCache:
         if content == "well-formed":
             donor = tmp_path / "donor"
             SweepRunner(cache_dir=donor).run(spec)
-            root = SweepRunner(cache_dir=donor).cell_cache(TIMING_TASK).path
-            envelopes = [json.loads(blob.read_text()) for blob in root.glob("*/*.json")]
-            raw = json.dumps({e["key"]: e["entry"] for e in envelopes}).encode()
+            store = BlobStore(SweepRunner(cache_dir=donor).cell_cache(TIMING_TASK).path)
+            raw = json.dumps({key: store.get(key) for key in store.keys()}).encode()
         cache_dir = tmp_path / "cache"
         cache_dir.mkdir()
         stray = cache_dir / "sweep-cache.json"
@@ -435,22 +433,65 @@ class TestResultCache:
         assert not list(cache_dir.rglob("*.corrupt-*"))
 
     def test_malformed_cache_entry_reads_as_miss(self, tmp_path):
-        """A hand-edited blob (unparseable file or broken entry payload)
-        must not crash the sweep — it recomputes that cell."""
+        """A hand-edited cache (a broken entry payload or an unparseable
+        pack) must not crash the sweep — it recomputes those cells."""
+        spec = small_spec()
+        n_unique = len({c.config_hash() for c in spec.expand()})
+        cold = SweepRunner(cache_dir=tmp_path).run(spec)
+        root = SweepRunner(cache_dir=tmp_path).cell_cache(TIMING_TASK).path
+        (pack,) = root.glob("*.json")
+        data = json.loads(pack.read_text())
+        data["entries"][min(data["entries"])] = {"config": {}}
+        pack.write_text(json.dumps(data))
+        warm = SweepRunner(cache_dir=tmp_path).run(spec)
+        assert warm.cache_misses == 1
+        assert warm.records == cold.records
+        # An unparseable pack costs every cell of its flush but the one the
+        # warm run recomputed into a pack of its own.
+        pack.write_text("oops not json")
+        with pytest.warns(CorruptCacheWarning):
+            again = SweepRunner(cache_dir=tmp_path).run(spec)
+        assert again.cache_misses == n_unique - 1
+        assert again.records == cold.records
+        # The unparseable pack was quarantined next to the others.
+        assert list(root.glob("*.corrupt-*"))
+
+    def test_malformed_entry_is_recomputed_once(self, tmp_path):
+        """The recomputed entry's newer pack supersedes the malformed one:
+        the next run, and the same runner's next call, are all hits."""
         spec = small_spec()
         cold = SweepRunner(cache_dir=tmp_path).run(spec)
         root = SweepRunner(cache_dir=tmp_path).cell_cache(TIMING_TASK).path
-        blobs = sorted(root.glob("*/*.json"))
-        blobs[0].write_text("oops not json")
-        envelope = json.loads(blobs[1].read_text())
-        envelope["entry"] = {"config": {}}
-        blobs[1].write_text(json.dumps(envelope))
-        with pytest.warns(CorruptCacheWarning):
-            warm = SweepRunner(cache_dir=tmp_path).run(spec)
-        assert warm.cache_misses == 2
-        assert warm.records == cold.records
-        # The unparseable blob was quarantined next to its shard.
-        assert list(root.glob("*/*.corrupt-*"))
+        (pack,) = root.glob("*.json")
+        data = json.loads(pack.read_text())
+        del data["entries"][min(data["entries"])]["status"]
+        pack.write_text(json.dumps(data))
+        past = pack.stat().st_mtime_ns - 10**9
+        os.utime(pack, ns=(past, past))  # the hand edit predates the rerun
+        runner = SweepRunner(cache_dir=tmp_path)
+        first = runner.run(spec)
+        assert (first.cache_misses, first.records) == (1, cold.records)
+        assert runner.run(spec).hit_rate == 1.0
+        warm = SweepRunner(cache_dir=tmp_path).run(spec)
+        assert (warm.hit_rate, warm.records) == (1.0, cold.records)
+        assert len(list(root.glob("*.json"))) == 2
+
+    def test_figure6_flush_is_one_pack_and_one_fsync(self, tmp_path, monkeypatch):
+        """A cold Figure 6 writes its 405 cells as one group commit."""
+        synced = []
+        real_fsync = os.fsync
+
+        def counting_fsync(fd):
+            synced.append(fd)
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", counting_fsync)
+        runner = SweepRunner(cache_dir=tmp_path)
+        result = runner.run(figure6_spec())
+        assert (result.cache_misses, len(synced)) == (405, 1)
+        root = runner.cell_cache(TIMING_TASK).path
+        assert len(list(root.iterdir())) == 1
+        assert len(BlobStore(root).keys()) == 405
 
     def test_cached_record_rebinds_requesting_label(self, tmp_path):
         config = RunConfig("dense", "V100", 0.0, model="transformer", label="first")

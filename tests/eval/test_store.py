@@ -1,10 +1,12 @@
 """Unit tests for the cache persistence substrate (``repro.eval.store``):
-atomic writes, corrupt-file quarantine, the content-addressed blob store and
-the stats/gc helpers."""
+atomic writes, corrupt-file quarantine, the pack store and the stats/gc
+helpers."""
 
 from __future__ import annotations
 
+import hashlib
 import json
+import os
 import warnings
 
 import pytest
@@ -21,7 +23,7 @@ from repro.eval.store import (
 
 KEY_A = "ab" + "0" * 14
 KEY_B = "cd" + "1" * 14
-KEY_C = "ab" + "2" * 14  # shares KEY_A's shard
+KEY_C = "ab" + "2" * 14
 
 
 class TestAtomicWriteBytes:
@@ -61,8 +63,19 @@ class TestPreserveCorruptFile:
             preserve_corrupt_file(path, b"{other", reason="test")
 
 
+def packs(root):
+    """The pack files under a blob root (one per flush)."""
+    return sorted(root.glob("*.json"))
+
+
+def age(path, seconds=10):
+    """Move a file's mtime into the past, as if written ``seconds`` earlier."""
+    past = path.stat().st_mtime_ns - seconds * 10**9
+    os.utime(path, ns=(past, past))
+
+
 class TestBlobStore:
-    def test_round_trip_and_sharding(self, tmp_path):
+    def test_round_trip_one_pack_per_flush(self, tmp_path):
         root = tmp_path / "cache.blobs"
         store = BlobStore(root, salt="timing-v2")
         store.put(KEY_A, {"value": 1})
@@ -71,15 +84,25 @@ class TestBlobStore:
         # Staged entries are visible before flush.
         assert store.get(KEY_A) == {"value": 1}
         store.flush()
-        assert sorted(p.name for p in root.iterdir()) == ["ab", "cd"]
-        blob = root / KEY_A[:2] / f"{KEY_A}.json"
-        envelope = json.loads(blob.read_text())
-        assert envelope == {"key": KEY_A, "salt": "timing-v2", "entry": {"value": 1}}
+        # One pack per flush, directly under the root, named by its content
+        # digest and holding canonical (sorted, compact) JSON.
+        (pack,) = root.iterdir()
+        raw = pack.read_bytes()
+        assert pack.name == hashlib.blake2b(raw, digest_size=16).hexdigest() + ".json"
+        data = json.loads(raw)
+        assert data == {
+            "salt": "timing-v2",
+            "entries": {KEY_A: {"value": 1}, KEY_B: {"value": 2}, KEY_C: {"value": 3}},
+        }
+        assert raw == json.dumps(data, sort_keys=True, separators=(",", ":")).encode()
         # A fresh store over the same root sees everything.
         again = BlobStore(root)
         assert again.get(KEY_B) == {"value": 2}
         assert again.keys() == sorted([KEY_A, KEY_B, KEY_C])
         assert len(again) == 3
+        # Flushing nothing writes nothing.
+        again.flush()
+        assert packs(root) == [pack]
 
     def test_sees_writes_from_other_stores(self, tmp_path):
         """Blob reads go to disk, so a second process's flushes become
@@ -91,6 +114,35 @@ class TestBlobStore:
         writer.put(KEY_A, {"value": 1})
         writer.flush()
         assert reader.get(KEY_A) == {"value": 1}
+
+    def test_newer_pack_wins_a_duplicate_key(self, tmp_path):
+        root = tmp_path / "cache.blobs"
+        old = BlobStore(root)
+        old.put(KEY_A, {"value": "old"})
+        old.put(KEY_B, {"value": 2})
+        old.flush()
+        age(packs(root)[0])
+        new = BlobStore(root)
+        new.put(KEY_A, {"value": "new"})
+        new.flush()
+        store = BlobStore(root)
+        assert store.get(KEY_A) == {"value": "new"}
+        assert store.get(KEY_B) == {"value": 2}
+        assert store.keys() == [KEY_A, KEY_B]
+
+    def test_flush_supersedes_an_entry_already_read(self, tmp_path):
+        """A store that read an entry and then flushes a replacement reads
+        the replacement back: flush drops its keys from the index."""
+        root = tmp_path / "cache.blobs"
+        first = BlobStore(root)
+        first.put(KEY_A, {"value": "bad"})
+        first.flush()
+        age(packs(root)[0])
+        store = BlobStore(root)
+        assert store.get(KEY_A) == {"value": "bad"}
+        store.put(KEY_A, {"value": "good"})
+        store.flush()
+        assert store.get(KEY_A) == {"value": "good"}
 
     def test_put_rejects_non_hex_keys(self, tmp_path):
         store = BlobStore(tmp_path / "cache.blobs")
@@ -104,26 +156,65 @@ class TestBlobStore:
         assert store.get("../escape") is None
 
     def test_corrupt_blob_is_quarantined_and_reads_as_miss(self, tmp_path):
+        """An unparseable pack leaves one sidecar and one warning, and every
+        key it held reads as a miss; other packs are untouched."""
         root = tmp_path / "cache.blobs"
         store = BlobStore(root)
         store.put(KEY_A, {"value": 1})
+        store.put(KEY_C, {"value": 3})
         store.flush()
-        blob = root / KEY_A[:2] / f"{KEY_A}.json"
-        blob.write_text("{smashed")
-        with pytest.warns(CorruptCacheWarning):
-            assert store.get(KEY_A) is None
-        assert not blob.exists()
-        (sidecar,) = blob.parent.glob(f"{KEY_A}.json.corrupt-*")
+        (pack,) = packs(root)
+        other = BlobStore(root)
+        other.put(KEY_B, {"value": 2})
+        other.flush()
+        pack.write_text("{smashed")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            reader = BlobStore(root)
+            assert reader.get(KEY_A) is None
+            assert reader.get(KEY_C) is None
+            assert reader.get(KEY_B) == {"value": 2}
+            assert BlobStore(root).get(KEY_A) is None
+        assert [w.category for w in caught] == [CorruptCacheWarning]
+        assert not pack.exists()
+        (sidecar,) = root.glob("*.corrupt-*")
+        assert sidecar.name.startswith(pack.name + ".corrupt-")
         assert sidecar.read_text() == "{smashed"
+        assert reader.keys() == [KEY_B]
 
     def test_malformed_envelope_is_a_silent_miss(self, tmp_path):
         root = tmp_path / "cache.blobs"
         store = BlobStore(root)
         store.put(KEY_A, {"value": 1})
+        store.put(KEY_B, {"value": 2})
         store.flush()
-        blob = root / KEY_A[:2] / f"{KEY_A}.json"
-        blob.write_text(json.dumps({"key": KEY_A, "entry": "not a dict"}))
+        (pack,) = packs(root)
+        pack.write_text(json.dumps({"entries": {KEY_A: "not a dict", KEY_B: {"v": 2}}}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            reader = BlobStore(root)
+            assert reader.get(KEY_A) is None
+            assert reader.get(KEY_B) == {"v": 2}
+            pack.write_text(json.dumps({"salt": None, "entries": ["not", "a", "dict"]}))
+            assert BlobStore(root).get(KEY_B) is None
+
+    def test_old_shard_tree_reads_cold(self, tmp_path):
+        """The earlier one-file-per-key layout (``<root>/ab/<key>.json``) is
+        neither read nor counted nor collected: it reads cold."""
+        root = tmp_path / "sweep-cache.blobs"
+        shard = root / KEY_A[:2]
+        shard.mkdir(parents=True)
+        blob = shard / f"{KEY_A}.json"
+        envelope = json.dumps({"key": KEY_A, "salt": "timing-v2", "entry": {"value": 1}})
+        blob.write_text(envelope)
+        store = BlobStore(root)
         assert store.get(KEY_A) is None
+        assert store.keys() == []
+        (family,) = collect_stats(tmp_path)
+        assert (family.blobs, family.packs) == (0, 0)
+        result = gc_blobs(root, frozenset({"timing-v1"}))
+        assert (result.examined, result.removed) == (0, 0)
+        assert blob.read_text() == envelope
 
 
 class TestStatsAndGc:
@@ -145,13 +236,22 @@ class TestStatsAndGc:
         assert discover_families(tmp_path) == ["accuracy-cache", "sweep-cache"]
 
     def test_collect_stats(self, tmp_path):
-        self.seed(tmp_path)
+        root = self.seed(tmp_path)
         (family,) = collect_stats(tmp_path)
         assert family.name == "sweep-cache"
         assert family.blobs == 3
-        assert family.shards == 2
+        assert family.packs == 2
         assert family.salts == {"timing-v1": 1, "timing-v2": 2}
-        assert family.blob_bytes > 0
+        assert family.blob_bytes == sum(pack.stat().st_size for pack in packs(root))
+        # A key in two packs (a recomputed entry) is one blob.
+        again = BlobStore(root, salt="timing-v2")
+        again.put(KEY_A, {"value": 1})
+        again.put("ef" + "3" * 14, {"value": 4})
+        again.flush()
+        (family,) = collect_stats(tmp_path)
+        assert (family.blobs, family.packs) == (4, 3)
+        assert family.to_dict()["packs"] == 3
+        assert "4 blobs" in family.describe() and "3 packs" in family.describe()
 
     def test_json_files_are_not_families(self, tmp_path):
         """A pre-blob single-file cache is neither a family of its own nor
@@ -181,6 +281,7 @@ class TestStatsAndGc:
         store = BlobStore(root)
         assert store.get(KEY_C) is None
         assert store.get(KEY_A) is not None
+        assert len(packs(root)) == 1
 
     def test_gc_unsalted_policy(self, tmp_path):
         """gc keeps a blob exactly when its salt is in the keep set, so an
@@ -197,13 +298,18 @@ class TestStatsAndGc:
 
     def test_gc_sweeps_stray_tmp_and_corrupt_blobs(self, tmp_path):
         root = self.seed(tmp_path)
-        (root / KEY_A[:2] / "dead-writer.tmp").write_text("partial")
-        blob = root / KEY_C[:2] / f"{KEY_C}.json"
-        blob.write_text("{smashed")
+        (root / "dead-writer.json.tmp").write_text("partial")
+        old_pack = next(
+            pack for pack in packs(root) if json.loads(pack.read_text())["salt"] == "timing-v1"
+        )
+        old_pack.write_text("{smashed")
         with pytest.warns(CorruptCacheWarning):
             result = gc_blobs(root, frozenset({"timing-v1", "timing-v2"}))
         assert result.tmp_removed == 1
         assert result.quarantined == 1
-        assert not (root / KEY_A[:2] / "dead-writer.tmp").exists()
-        assert not blob.exists()
-        assert list(blob.parent.glob(f"{KEY_C}.json.corrupt-*"))
+        assert (result.examined, result.kept) == (2, 2)
+        assert not (root / "dead-writer.json.tmp").exists()
+        assert not old_pack.exists()
+        assert list(root.glob(f"{old_pack.name}.corrupt-*"))
+        (family,) = collect_stats(tmp_path)
+        assert (family.blobs, family.packs, family.corrupt_sidecars) == (2, 1, 1)

@@ -3,10 +3,10 @@
 N sweep processes may share one ``--cache-dir``.  A store that loads once
 and rewrites one file wholesale on flush would silently keep only the last
 writer's entries.  The blob store makes concurrent writers safe *by
-construction* (one atomic file per key), and this module proves it the hard
-way: several processes hammer one store while the parent concurrently
-reads, and afterwards every write must be present and internally
-consistent.
+construction* (one new atomic pack file per flush, never rewritten), and
+this module proves it the hard way: several processes hammer one store while
+the parent concurrently reads, and afterwards every write must be present
+and internally consistent.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ def _hammer(root_str: str, worker_id: int) -> int:
     store = BlobStore(Path(root_str), salt="stress-v1")
     written = 0
     # Interleave disjoint and shared keys so same-key collisions happen
-    # while other writers are mid-flush on neighbouring shards.
+    # while other writers are mid-flush.
     for index, key in enumerate(_disjoint_keys(worker_id)):
         store.put(key, _payload_for(key))
         store.flush()
@@ -67,26 +67,28 @@ def _hammer(root_str: str, worker_id: int) -> int:
 
 
 def _verify_visible_blobs(root: Path) -> int:
-    """Parse every committed blob and validate its checksum.
+    """Parse every committed pack, validate each entry's checksum and count
+    the distinct keys.
 
-    Runs concurrently with the writers: atomic per-entry replace means any
+    Runs concurrently with the writers: an atomic replace per pack means any
     file we can open must parse wholesale and self-validate — a torn or
-    partial entry would fail here.
+    partial pack would fail here.
     """
-    seen = 0
-    for blob in root.glob("*/*.json"):
+    seen: set[str] = set()
+    for pack in root.glob("*.json"):
         try:
-            envelope = json.loads(blob.read_text())
+            data = json.loads(pack.read_text())
         except OSError:
             continue  # replaced between glob and open; fine
-        entry = envelope["entry"]
-        body = entry["body"]
-        assert entry["checksum"] == hashlib.sha256(body.encode()).hexdigest(), (
-            f"torn read in {blob}"
-        )
-        assert envelope["key"] == blob.name.removesuffix(".json")
-        seen += 1
-    return seen
+        assert data["salt"] == "stress-v1"
+        for key, entry in data["entries"].items():
+            body = entry["body"]
+            assert entry["checksum"] == hashlib.sha256(body.encode()).hexdigest(), (
+                f"torn read in {pack}"
+            )
+            assert entry["key"] == key
+            seen.add(key)
+    return len(seen)
 
 
 class TestBlobStoreUnderConcurrentWriters:
@@ -115,7 +117,7 @@ class TestBlobStoreUnderConcurrentWriters:
             assert store.get(key) == _payload_for(key), f"lost update for {key}"
         assert _verify_visible_blobs(root) == len(expected)
         # No writer died mid-replace: no stray temp files remain.
-        assert not list(root.glob("*/*.tmp"))
+        assert not list(root.glob("*.tmp"))
 
     def test_two_open_writers_keep_both(self, tmp_path):
         """The interleaving that loses an entry in a load-once, rewrite-whole

@@ -12,13 +12,19 @@ import json
 import pytest
 
 from repro.eval.runner import MODEL_VERSION, KernelSpec, SweepRunner
-from repro.eval.store import CorruptCacheWarning
+from repro.eval.store import BlobStore, CorruptCacheWarning
 from repro.models.shapes import transformer_layers
 from repro.tune import TUNING_TASK, Autotuner, PlanRequest, default_candidates
 
 
 def tuning_blobs(cache_dir):
-    return list((cache_dir / "tuning-cache.blobs").glob("*/*.json"))
+    """The keys of every cached plan."""
+    return BlobStore(cache_dir / "tuning-cache.blobs").keys()
+
+
+def tuning_packs(cache_dir):
+    """The plan store's pack files (one per flush)."""
+    return sorted((cache_dir / "tuning-cache.blobs").glob("*.json"))
 
 
 class TestRequestHash:
@@ -136,11 +142,11 @@ class TestPlanCacheRoundTrip:
 
     def test_cache_blobs_are_debuggable_json(self, tmp_path):
         Autotuner(runner=SweepRunner(cache_dir=tmp_path)).plan("transformer", "A100", 0.5)
-        (blob,) = tuning_blobs(tmp_path)
-        envelope = json.loads(blob.read_text())
-        assert envelope["key"] == blob.name.removesuffix(".json")
-        assert envelope["salt"] == MODEL_VERSION
-        entry = envelope["entry"]
+        (pack,) = tuning_packs(tmp_path)
+        data = json.loads(pack.read_text())
+        assert list(data["entries"]) == tuning_blobs(tmp_path)
+        assert data["salt"] == MODEL_VERSION
+        (entry,) = data["entries"].values()
         assert entry["config"]["model"] == "transformer"
         assert entry["plan"]["salt"] == MODEL_VERSION
         assert entry["plan"]["model"] == "transformer"
@@ -182,8 +188,8 @@ class TestModelVersionInvalidation:
         plan = Autotuner(runner=SweepRunner(cache_dir=tmp_path)).plan(
             "transformer", "V100", 0.75
         )
-        (blob,) = tuning_blobs(tmp_path)
-        blob.write_text("{not json")
+        (pack,) = tuning_packs(tmp_path)
+        pack.write_text("{not json")
         runner = SweepRunner(cache_dir=tmp_path)
         with pytest.warns(CorruptCacheWarning):
             assert Autotuner(runner=runner).plan("transformer", "V100", 0.75) == plan
