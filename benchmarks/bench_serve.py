@@ -9,9 +9,11 @@ The gates over ``repro.serve``:
 * *throughput*: the live service with timing-model-planned micro-batching
   must reach at least ``--min-speedup`` times the request rate of the same
   service forced to batch-size-1 serial dispatch, at the same worker count;
-* *absolute floor*: the serial mode must reach :data:`SERIAL_FLOOR_RPS`,
-  so per-batch overhead creeping back into the hot path fails even when it
-  slows both modes alike;
+* *absolute floors*: the serial mode must reach :data:`SERIAL_FLOOR_RPS`
+  and the micro-batched mode :data:`MICROBATCH_FLOOR_RPS`, so per-batch
+  overhead creeping back into the hot path, or a slower batch transport
+  (serial width-1 batches go through the same worker pool), fails even
+  when it slows both modes alike and the ratio gate holds;
 * *fault recovery*: the same micro-batched run with one worker killed
   mid-stream (a deterministic ``FaultPlan``) must lose zero requests and
   still reach :data:`MIN_FAULTED_SPEEDUP` times the serial rate — crash
@@ -74,6 +76,13 @@ LAYER = f"gemm-{GEMM[0]}x{GEMM[1]}x{GEMM[2]}"
 #: serial mode to ~75 req/s there; a runner at half that host's speed still
 #: passes.
 SERIAL_FLOOR_RPS = 275.0
+#: Micro-batched req/s floor: a third of the slowest micro-batched rate
+#: (~13,580 req/s) in five runs on a 2-core x86 host when it was set, with
+#: batches moving through per-worker shared-memory slots; those runs read
+#: 13,580-16,680 req/s.  The same host read 10,090-10,660 req/s in three
+#: runs while batches were pickled through the worker pipes, so this floor
+#: catches gross regressions, not that transport.
+MICROBATCH_FLOOR_RPS = 4500.0
 #: Faulted vs serial req/s bar.  The faulted run pays a worker respawn on
 #: top of the micro-batched work, so its ratio sits below the micro-batched
 #: one; the bar keeps 1.5x headroom below the committed measurement.
@@ -240,6 +249,7 @@ def main(argv: list[str] | None = None) -> int:
     result["min_speedup"] = args.min_speedup
     result["min_faulted_speedup"] = MIN_FAULTED_SPEEDUP
     result["serial_floor_rps"] = SERIAL_FLOOR_RPS
+    result["microbatch_floor_rps"] = MICROBATCH_FLOOR_RPS
     args.output.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
 
     identity = result["replay_identity"]
@@ -277,12 +287,21 @@ def main(argv: list[str] | None = None) -> int:
         f"killed mid-stream (gate: >= {MIN_FAULTED_SPEEDUP}x, zero lost)"
     )
     serial_rps = result["serial"]["requests_per_s"]
+    batched_rps = result["microbatched"]["requests_per_s"]
     print(f"serial floor : {serial_rps:8.1f} req/s (gate: >= {SERIAL_FLOOR_RPS})")
+    print(f"batched floor: {batched_rps:8.1f} req/s (gate: >= {MICROBATCH_FLOOR_RPS})")
     print(f"wrote {args.output}")
     if serial_rps < SERIAL_FLOOR_RPS:
         print(
             f"FAILED: serial serving reached only {serial_rps:.1f} req/s, below "
             f"the {SERIAL_FLOOR_RPS} req/s floor",
+            file=sys.stderr,
+        )
+        return 1
+    if batched_rps < MICROBATCH_FLOOR_RPS:
+        print(
+            f"FAILED: micro-batched serving reached only {batched_rps:.1f} req/s, "
+            f"below the {MICROBATCH_FLOOR_RPS} req/s floor",
             file=sys.stderr,
         )
         return 1

@@ -39,6 +39,7 @@ __all__ = [
     "ServeBatchRecord",
     "SERVE_TASK",
     "execute_serve_batches",
+    "serve_operand",
 ]
 
 
@@ -279,17 +280,30 @@ def _runtime_for(plan: TuningPlan, weight_seed: int) -> tuple[PlannedModel, dict
     return runtime
 
 
+def serve_operand(
+    plan: TuningPlan, weight_seed: int, layer: str, operand: np.ndarray
+) -> np.ndarray:
+    """Run one coalesced C-contiguous ``(K, width)`` operand through a layer.
+
+    The compute both serving paths share: :func:`execute_serve_batches`
+    builds the operand by concatenating request columns, a pool worker by
+    transposing the request-major rows of its shared-memory slot.  Pure:
+    the output is a function of the arguments alone.
+    """
+    model, prepared = _runtime_for(plan, weight_seed)
+    return model.run_prepared(layer, prepared[layer], operand)
+
+
 def _execute_serve_batch(batch: ServeBatch) -> ServeBatchRecord:
     """Serve one micro-batch: coalesce, run the assigned kernel once, slice.
 
     Pure function of the batch (seeded weight derivation, no clock, no
     environment), so records are identical wherever the batch executes.
     """
-    model, prepared = _runtime_for(batch.plan, batch.weight_seed)
     coalesced = np.concatenate(
         [request.to_array() for request in batch.requests], axis=1
     )
-    output = model.run_prepared(batch.layer, prepared[batch.layer], coalesced)
+    output = serve_operand(batch.plan, batch.weight_seed, batch.layer, coalesced)
     outputs: list[np.ndarray] = []
     start = 0
     for request in batch.requests:

@@ -3,11 +3,36 @@
 The offline sweeps use ``ProcessPoolExecutor`` maps over a *closed* config
 list; serving needs the open-ended version — workers that stay up across an
 unbounded request stream, accept one micro-batch at a time, and survive
-crashes.  :class:`WorkerPool` keeps ``N`` processes on duplex pipes, routes
-each batch to the least-loaded worker, and recovers from a dead worker by
-respawning it and resubmitting everything it still owed (a batch is only
-dropped from the outstanding set once its result arrives, so a crash never
-loses accepted work).
+crashes.  :class:`WorkerPool` keeps ``N`` processes on duplex pipes and
+recovers from a dead worker by respawning it and resubmitting the batch it
+still owed (a batch is only dropped from the pool's ledger once its result
+arrives, so a crash never loses accepted work).
+
+Batches never cross a pipe.  Each worker owns one shared-memory *slot*, an
+anonymous shared mapping created before the worker forks, so parent and
+worker see the same pages:
+
+* the parent writes the batch's activations into the slot as request-major
+  rows (each request column one contiguous row of ``K`` floats) and sends
+  only a descriptor — batch id, plan, weight seed, layer, ``K``, width —
+  plus the batch's injected fault, if any;
+* the worker transposes the rows into the C-contiguous ``(K, width)``
+  operand, runs :func:`~repro.serve.cells.serve_operand` — the compute
+  :func:`~repro.serve.cells.execute_serve_batches` runs too, so results
+  are byte-identical wherever a batch lands — and writes the output back
+  over the same bytes as ``width`` rows of ``M`` floats;
+* the parent copies each request's output out of the slot (a copy, never a
+  view) before the slot takes another batch.
+
+A slot holds one batch, and it belongs to its worker from the descriptor's
+send until the worker replies to it (or dies) — even when the caller has
+abandoned that batch meanwhile.  The pool itself therefore keeps at most
+one batch in flight per worker and queues the rest FIFO, with a dead
+worker's batch at the front.  A batch larger than every free slot replaces
+an idle worker with one whose slot fits, rounded up to a power of two; that
+growth is not a failure, so it neither counts toward the circuit breaker nor
+waits out the backoff.  Slot size follows the traffic, and only the pages a
+batch touches become resident.
 
 Recovery is *bounded*, never optimistic:
 
@@ -27,36 +52,46 @@ Recovery is *bounded*, never optimistic:
 * ``close(timeout=...)`` escalates join → terminate → kill per stage and
   reports what each stage had to do.
 
-Workers run :func:`~repro.serve.cells.execute_serve_batches` — the same pure
-cell executor as the replay path — with the wall-clock timing wrapped
-*around* the pure function, so results are byte-identical wherever a batch
-lands and the purity gate still covers the compute.  An optional
+The worker's wall-clock timing wraps the pure compute from outside, so the
+purity gate still covers the compute.  An optional
 :class:`~repro.serve.faults.FaultPlan` injects deterministic worker-side
-faults for the chaos suite; the plan is consulted parent-side at submit
-time, so the fault schedule never touches the pure executor.
+faults for the chaos suite; the plan is consulted parent-side at send time,
+so the fault schedule never touches the pure compute.
 
-On Linux the default (fork) start method makes the parent's prepared
-runtime (:func:`~repro.serve.weights.planned_runtime`, memoised in
-:mod:`repro.serve.cells`) visible to every worker copy-on-write: the service
-builds it *before* building the pool, so workers share the prepared kernel
-formats instead of re-deriving them.
+Workers start with the ``fork`` method: the slots rely on it, and so does
+the copy-on-write runtime — the service builds the prepared runtime
+(:func:`~repro.serve.weights.planned_runtime`, memoised in
+:mod:`repro.serve.cells`) *before* building the pool, so workers share the
+prepared kernel formats instead of re-deriving them.
 """
 
 from __future__ import annotations
 
+import functools
+import mmap
 import multiprocessing
 import os
 import time
 import warnings
-from dataclasses import dataclass, field
+from collections import OrderedDict
+from dataclasses import dataclass
 from multiprocessing import connection
 
 import numpy as np
 
-from .cells import ServeBatch, execute_serve_batches
+from ..tune.planned import PlannedModel
+from ..tune.planner import TuningPlan
+from .cells import ServeBatch, serve_operand
 from .faults import BatchError, FaultInjectionError, FaultPlan, FaultSpec
 
 __all__ = ["BatchResult", "PoolStompedWarning", "WorkerPool"]
+
+#: Slot bytes of a freshly spawned worker, 2 MiB: a batch takes
+#: ``width * max(K, M)`` floats, and a width-64 batch (the widest default
+#: window) of the Transformer plan's largest layers (M=4096 for ffn1, K=4096
+#: for ffn2) fills it exactly.  Only touched pages are resident, and a
+#: larger batch grows the slot of the worker it lands on.
+_FIRST_SLOT_BYTES = 64 * 4096 * 8
 
 
 class PoolStompedWarning(UserWarning):
@@ -79,17 +114,21 @@ class BatchResult:
     error: BatchError | None = None
 
 
-def _worker_main(conn: connection.Connection) -> None:
-    """Worker loop: receive ``(batch, fault)``, execute, send a tagged reply.
+def _worker_main(conn: connection.Connection, slot: mmap.mmap) -> None:
+    """Worker loop: receive a descriptor, compute in the slot, send a reply.
 
-    ``None`` is the shutdown sentinel.  Replies are ``("ok", batch_id,
-    outputs, elapsed)`` or ``("err", batch_id, message, elapsed)`` — an
-    executor exception is *answered*, not fatal.  The timing wraps the pure
-    executor from outside, so each reply carries the batch's host time
-    without the executor touching a clock.
-    An injected :class:`~repro.serve.faults.FaultSpec` is obeyed before (or
-    instead of) executing; the pure executor itself is never instrumented.
+    ``None`` is the shutdown sentinel.  A message is ``((batch_id, plan,
+    weight_seed, layer, k, width), fault)``; the batch's ``width`` rows of
+    ``k`` floats already sit in ``slot``.  Replies are ``("ok", batch_id,
+    m, elapsed)`` — the output is in the slot as ``width`` rows of ``m``
+    floats — or ``("err", batch_id, message, elapsed)``: an executor
+    exception is *answered*, not fatal.  The timing wraps the pure compute
+    from outside, so each reply carries the batch's host time without the
+    compute touching a clock.  An injected
+    :class:`~repro.serve.faults.FaultSpec` is obeyed before (or instead
+    of) executing; the pure compute itself is never instrumented.
     """
+    floats = np.frombuffer(slot, dtype=np.float64)
     while True:
         try:
             message = conn.recv()
@@ -97,7 +136,7 @@ def _worker_main(conn: connection.Connection) -> None:
             break
         if message is None:
             break
-        batch, fault = message
+        (batch_id, plan, weight_seed, layer, k, width), fault = message
         if fault is not None and fault.kind == "corrupt":
             # The garbage message *is* this request's one reply — the
             # parent's quarantine path is the thing being exercised, so the
@@ -112,16 +151,17 @@ def _worker_main(conn: connection.Connection) -> None:
         start = time.perf_counter()
         try:
             if fault is not None and fault.kind == "raise":
-                raise FaultInjectionError(
-                    f"injected executor fault on batch {batch.batch_id}"
-                )
-            record = execute_serve_batches([batch])[0]
+                raise FaultInjectionError(f"injected executor fault on batch {batch_id}")
+            operand = floats[: width * k].reshape(width, k).T.copy()
+            output = serve_operand(plan, weight_seed, layer, operand)
+            m = output.shape[0]
+            floats[: width * m].reshape(width, m)[...] = output.T
         except Exception as exc:
             elapsed = time.perf_counter() - start
-            reply = ("err", batch.batch_id, f"{type(exc).__name__}: {exc}", elapsed)
+            reply = ("err", batch_id, f"{type(exc).__name__}: {exc}", elapsed)
         else:
             elapsed = time.perf_counter() - start
-            reply = ("ok", batch.batch_id, record.outputs, elapsed)
+            reply = ("ok", batch_id, m, elapsed)
         try:
             conn.send(reply)
         except (BrokenPipeError, OSError):
@@ -149,40 +189,102 @@ def _obey_fault(fault: FaultSpec) -> bool:
     return True  # "raise" is handled by the caller inside its try block
 
 
+@functools.lru_cache(maxsize=16)
+def _output_rows(plan: TuningPlan, layer: str) -> int:
+    """Output rows ``M`` of one served layer (KeyError for an unknown one)."""
+    return PlannedModel(plan).layers[layer].gemm.m
+
+
+def _slot_bytes(batch: ServeBatch) -> int:
+    """Slot bytes one batch needs: its input rows, then its output rows.
+
+    Raises ``ValueError`` when the requests differ in row count and
+    ``KeyError`` for a layer the plan does not serve: no slot can carry
+    such a batch.
+    """
+    k = batch.requests[0].rows
+    if any(request.rows != k for request in batch.requests):
+        raise ValueError(f"batch {batch.batch_id} mixes activation row counts")
+    return batch.width * max(k, _output_rows(batch.plan, batch.layer)) * 8
+
+
+def _copy_outputs(slot: mmap.mmap, batch: ServeBatch, m: int) -> tuple[np.ndarray, ...]:
+    """Each request's ``(m, n)`` output, copied out of the slot's rows.
+
+    Always a copy: the next batch overwrites the slot, and
+    ``np.ascontiguousarray`` of a width-1 slice would return a view.
+    """
+    rows = np.frombuffer(slot, dtype=np.float64, count=batch.width * m).reshape(-1, m)
+    outputs = []
+    start = 0
+    for request in batch.requests:
+        stop = start + request.width
+        outputs.append(rows[start:stop].T.copy())
+        start = stop
+    return tuple(outputs)
+
+
 @dataclass(eq=False)
 class _Worker:
-    """Parent-side handle of one worker process (identity equality)."""
+    """Parent-side handle of one worker process (identity equality).
+
+    ``batch`` is the batch the worker owes the caller (``None`` once the
+    caller abandoned it).  ``busy`` is the batch id whose descriptor the
+    worker holds and ``sent_at`` when it was sent: the slot stays the
+    worker's, and its hang clock runs, until it replies to that id.
+    """
 
     process: multiprocessing.process.BaseProcess
     conn: connection.Connection
-    outstanding: dict[int, ServeBatch] = field(default_factory=dict)
-    sent_at: dict[int, float] = field(default_factory=dict)
+    slot: mmap.mmap
+    batch: ServeBatch | None = None
+    busy: int | None = None
+    sent_at: float | None = None
+
+
+def _end(worker: _Worker, *, grace_s: float | None, timeout: float | None) -> str:
+    """Stop one worker process and release its pipe and slot.
+
+    Joins for ``grace_s``, then escalates to terminate and kill, each
+    joined for ``timeout``.  Returns the stage that ended the process:
+    ``"joined"``, ``"terminated"`` or ``"killed"``.
+    """
+    stage = "joined"
+    worker.process.join(timeout=grace_s)
+    if worker.process.is_alive():
+        stage = "terminated"
+        worker.process.terminate()
+        worker.process.join(timeout=timeout)
+    if worker.process.is_alive():  # pragma: no cover - needs a SIGTERM-immune worker
+        stage = "killed"
+        worker.process.kill()
+        worker.process.join(timeout=timeout)
+    try:
+        worker.conn.close()
+    except OSError:
+        pass
+    worker.slot.close()
+    return stage
 
 
 class WorkerPool:
-    """``N`` serve workers behind duplex pipes, with bounded crash recovery.
+    """``N`` serve workers, each with a shared-memory slot, and crash recovery.
 
-    ``submit`` routes a batch (whose ``batch_id`` must be unique among the
-    pool's outstanding work) to the least-loaded live worker; ``collect``
-    gathers finished results and transparently respawns any worker found
-    dead, resubmitting its outstanding batches up to ``max_retries`` crashes
+    ``submit`` queues a batch (whose ``batch_id`` must be unique among the
+    pool's unfinished work); the pool sends it, oldest first, to a worker
+    whose slot is free, so at most one batch per worker is in flight and
+    no caller needs its own bound.  ``collect`` gathers finished results,
+    refills the freed slots from the queue and transparently respawns any
+    worker found dead, resubmitting its batch up to ``max_retries`` crashes
     per batch — past the budget the batch is quarantined and surfaces as an
-    errored :class:`BatchResult`.  ``close`` shuts the pool down after the
-    caller has collected everything it cares about.
-
-    ``submit`` writes to a pipe and may block until the target worker
-    reads.  Callers whose batches or results can exceed the OS socket
-    buffer must therefore keep at most one batch outstanding per worker
-    between ``collect`` calls (as :class:`~repro.serve.service.\
-InferenceService` does) — submitting more can deadlock the parent against
-    a worker that is itself blocked writing a large result.
+    errored :class:`BatchResult`.  ``close`` shuts the pool down and
+    releases every slot after the caller has collected everything it cares
+    about.  See the module docstring for the slot protocol.
 
     Parameters
     ----------
     workers:
         Worker process count (positive).
-    context:
-        Multiprocessing start method (platform default when ``None``).
     max_retries:
         Crash budget per batch: a batch is resubmitted after at most this
         many worker deaths, then quarantined.
@@ -194,8 +296,8 @@ InferenceService` does) — submitting more can deadlock the parent against
         Consecutive worker deaths (without a single successful reply in
         between) that trip the circuit breaker.
     hang_timeout_s:
-        Declare a worker dead when its oldest outstanding batch has waited
-        this long (``None`` disables hang detection).
+        Declare a worker dead when its in-flight batch has waited this long
+        for a reply (``None`` disables hang detection).
     fault_plan:
         Optional deterministic fault schedule (chaos testing only).
     """
@@ -204,7 +306,6 @@ InferenceService` does) — submitting more can deadlock the parent against
         self,
         workers: int,
         *,
-        context: str | None = None,
         max_retries: int = 2,
         backoff_base_s: float = 0.05,
         backoff_cap_s: float = 1.0,
@@ -221,7 +322,7 @@ InferenceService` does) — submitting more can deadlock the parent against
             raise ValueError("breaker_threshold must be positive")
         if hang_timeout_s is not None and hang_timeout_s <= 0.0:
             raise ValueError("hang_timeout_s must be positive (or None)")
-        self._ctx = multiprocessing.get_context(context)
+        self._ctx = multiprocessing.get_context("fork")
         self.max_retries = int(max_retries)
         self.backoff_base_s = float(backoff_base_s)
         self.backoff_cap_s = float(backoff_cap_s)
@@ -236,9 +337,10 @@ InferenceService` does) — submitting more can deadlock the parent against
         self.broken = False
         self._consecutive_failures = 0
         self._attempts: dict[int, int] = {}
+        self._queue: OrderedDict[int, ServeBatch] = OrderedDict()
         self._stranded: list[ServeBatch] = []
         self._errored: list[BatchResult] = []
-        self._workers = [self._spawn() for _ in range(workers)]
+        self._workers = [self._spawn(_FIRST_SLOT_BYTES) for _ in range(workers)]
         self._closed = False
 
     def __len__(self) -> int:
@@ -246,17 +348,18 @@ InferenceService` does) — submitting more can deadlock the parent against
 
     @property
     def outstanding(self) -> int:
-        """How many submitted batches a live worker currently owes."""
-        return sum(len(worker.outstanding) for worker in self._workers)
+        """How many submitted batches are queued or owed by a live worker."""
+        return len(self._queue) + sum(worker.batch is not None for worker in self._workers)
 
-    def _spawn(self) -> _Worker:
+    def _spawn(self, slot_bytes: int) -> _Worker:
+        slot = mmap.mmap(-1, slot_bytes)
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         process = self._ctx.Process(
-            target=_worker_main, args=(child_conn,), daemon=True
+            target=_worker_main, args=(child_conn, slot), daemon=True
         )
         process.start()
         child_conn.close()
-        return _Worker(process=process, conn=parent_conn)
+        return _Worker(process=process, conn=parent_conn, slot=slot)
 
     def _quarantine(self, batch: ServeBatch, crashes: int) -> None:
         """Isolate a poison batch: errored result instead of another retry."""
@@ -274,27 +377,22 @@ InferenceService` does) — submitting more can deadlock the parent against
             BatchResult(batch=batch, outputs=None, elapsed_s=0.0, error=error)
         )
 
+    def _requeue(self, batch: ServeBatch) -> None:
+        """Put a batch back at the front of the queue (it waited longest)."""
+        self._queue[batch.batch_id] = batch
+        self._queue.move_to_end(batch.batch_id, last=False)
+
     def _revive(self, worker: _Worker, *, reason: str) -> None:
-        """Replace a dead worker and resubmit what it owed, within budget.
+        """Replace a dead worker and requeue what it owed, within budget.
 
         Past ``breaker_threshold`` consecutive deaths the breaker trips:
-        the dead worker is removed (not replaced) and its batches are
+        the dead worker is removed (not replaced) and its batch is
         stranded for :meth:`abandon` instead of resubmitted.
         """
         self._consecutive_failures += 1
-        orphaned = list(worker.outstanding.values())
-        worker.outstanding.clear()
-        worker.sent_at.clear()
-        try:
-            worker.conn.close()
-        except OSError:
-            pass
-        if worker.process.is_alive():
-            worker.process.terminate()
-        worker.process.join(timeout=5.0)
-        if worker.process.is_alive():  # pragma: no cover - stuck in the kernel
-            worker.process.kill()
-            worker.process.join(timeout=5.0)
+        orphaned = worker.batch
+        slot_bytes = len(worker.slot)
+        _end(worker, grace_s=0.0, timeout=5.0)
         if not self.broken and self._consecutive_failures >= self.breaker_threshold:
             self.broken = True
             warnings.warn(
@@ -306,7 +404,8 @@ InferenceService` does) — submitting more can deadlock the parent against
             )
         if self.broken:
             self._workers.remove(worker)
-            self._stranded.extend(orphaned)
+            if orphaned is not None:
+                self._stranded.append(orphaned)
             return
         delay = min(
             self.backoff_base_s * (2 ** (self._consecutive_failures - 1)),
@@ -314,55 +413,109 @@ InferenceService` does) — submitting more can deadlock the parent against
         )
         if delay > 0.0:
             time.sleep(delay)
-        replacement = self._spawn()
-        self._workers[self._workers.index(worker)] = replacement
-        for batch in orphaned:
-            crashes = self._attempts.get(batch.batch_id, 0) + 1
-            self._attempts[batch.batch_id] = crashes
-            if crashes > self.max_retries:
-                self._quarantine(batch, crashes)
-            else:
-                self.retried += 1
-                self.submit(batch)
+        self._workers[self._workers.index(worker)] = self._spawn(slot_bytes)
+        if orphaned is None:
+            return
+        crashes = self._attempts.get(orphaned.batch_id, 0) + 1
+        self._attempts[orphaned.batch_id] = crashes
+        if crashes > self.max_retries:
+            self._quarantine(orphaned, crashes)
+        else:
+            self.retried += 1
+            self._requeue(orphaned)
 
-    def submit(self, batch: ServeBatch) -> None:
-        """Send one batch to the least-loaded worker (crash-safe)."""
-        if self._closed:
-            raise RuntimeError("cannot submit to a closed pool")
-        while True:
+    def _grow(self, worker: _Worker, slot_bytes: int) -> _Worker:
+        """Replace an idle worker with one whose slot holds ``slot_bytes``.
+
+        Growth is not a failure: it neither counts toward the breaker nor
+        waits out the backoff.
+        """
+        try:
+            worker.conn.send(None)
+        except (BrokenPipeError, OSError):
+            pass
+        _end(worker, grace_s=5.0, timeout=5.0)
+        replacement = self._spawn(1 << (slot_bytes - 1).bit_length())
+        self._workers[self._workers.index(worker)] = replacement
+        return replacement
+
+    def _send(self, worker: _Worker, batch: ServeBatch) -> bool:
+        """Write a batch's rows into the worker's slot and send its descriptor.
+
+        False when the pipe is broken (the batch is then not the worker's).
+        """
+        k = batch.requests[0].rows
+        rows = np.frombuffer(worker.slot, dtype=np.float64, count=batch.width * k)
+        np.concatenate(
+            [request.activations.T for request in batch.requests],
+            out=rows.reshape(-1, k),
+        )
+        action = self.fault_plan.action_for(
+            batch.batch_id, self._attempts.get(batch.batch_id, 0)
+        )
+        descriptor = (batch.batch_id, batch.plan, batch.weight_seed, batch.layer, k, batch.width)
+        try:
+            worker.conn.send((descriptor, action))
+        except (BrokenPipeError, OSError):
+            return False
+        worker.batch = batch
+        worker.busy = batch.batch_id
+        worker.sent_at = time.monotonic()
+        return True
+
+    def _pump(self) -> None:
+        """Send queued batches, oldest first, to workers whose slot is free."""
+        while self._queue:
             if not self._workers:
                 # Breaker tripped away every worker: strand for abandon().
-                self._stranded.append(batch)
+                self._stranded.extend(self._queue.values())
+                self._queue.clear()
                 return
-            worker = min(self._workers, key=lambda w: len(w.outstanding))
-            if batch.batch_id in worker.outstanding:
-                raise ValueError(f"duplicate outstanding batch_id {batch.batch_id}")
-            action = self.fault_plan.action_for(
-                batch.batch_id, self._attempts.get(batch.batch_id, 0)
-            )
-            try:
-                worker.conn.send((batch, action))
-            except (BrokenPipeError, OSError):
+            idle = [worker for worker in self._workers if worker.busy is None]
+            if not idle:
+                return
+            batch = next(iter(self._queue.values()))
+            needed = _slot_bytes(batch)
+            worker = max(idle, key=lambda candidate: len(candidate.slot))
+            if len(worker.slot) < needed:
+                worker = self._grow(worker, needed)
+            del self._queue[batch.batch_id]
+            if not self._send(worker, batch):
+                self._requeue(batch)
                 self._revive(worker, reason="pipe write failed")
-                continue
-            worker.outstanding[batch.batch_id] = batch
-            worker.sent_at[batch.batch_id] = time.monotonic()
-            return
+
+    def submit(self, batch: ServeBatch) -> None:
+        """Queue one batch; it is sent as soon as a worker's slot is free.
+
+        Raises ``ValueError`` for a ``batch_id`` the pool already holds or
+        requests with differing row counts, and ``KeyError`` for a layer
+        the plan does not serve.
+        """
+        if self._closed:
+            raise RuntimeError("cannot submit to a closed pool")
+        if batch.batch_id in self._queue or any(
+            worker.batch is not None and worker.batch.batch_id == batch.batch_id
+            for worker in self._workers
+        ):
+            raise ValueError(f"duplicate outstanding batch_id {batch.batch_id}")
+        _slot_bytes(batch)
+        self._queue[batch.batch_id] = batch
+        self._pump()
 
     def _pop_result(self, worker: _Worker, message: object) -> BatchResult | None:
         """Validate one worker reply; None drops it (and may revive).
 
-        A malformed message means the pipe's framing can no longer be
-        trusted, so the worker is recycled; a well-formed reply for an
-        unknown ``batch_id`` (e.g. a stale result from a batch already
-        resubmitted elsewhere) is dropped with a warning instead of
-        crashing the dispatcher.
+        A malformed message, or a reply for a batch the worker does not
+        hold, means the pipe's framing can no longer be trusted, so the
+        worker is recycled; a reply for a batch the caller no longer awaits
+        (stolen or abandoned) frees the slot and is dropped with a warning.
+        Neither reads the slot.
         """
         if (
             not isinstance(message, tuple)
             or len(message) != 4
             or message[0] not in ("ok", "err")
-            or not isinstance(message[1], int)
+            or message[1] != worker.busy
         ):
             warnings.warn(
                 f"dropping corrupt pool message {message!r}; recycling its worker",
@@ -372,8 +525,8 @@ InferenceService` does) — submitting more can deadlock the parent against
             self._revive(worker, reason="corrupt pipe message")
             return None
         tag, batch_id, payload, elapsed = message
-        batch = worker.outstanding.pop(batch_id, None)
-        worker.sent_at.pop(batch_id, None)
+        batch = worker.batch
+        worker.batch = worker.busy = worker.sent_at = None
         if batch is None:
             warnings.warn(
                 f"dropping result for unknown batch_id {batch_id} "
@@ -387,15 +540,17 @@ InferenceService` does) — submitting more can deadlock the parent against
         if tag == "err":
             error = BatchError(batch_id=batch_id, kind="executor", message=payload)
             return BatchResult(batch=batch, outputs=None, elapsed_s=elapsed, error=error)
-        return BatchResult(batch=batch, outputs=payload, elapsed_s=elapsed)
+        outputs = _copy_outputs(worker.slot, batch, payload)
+        return BatchResult(batch=batch, outputs=outputs, elapsed_s=elapsed)
 
     def collect(self, timeout: float | None = 0.0) -> list[BatchResult]:
         """Results (successes, executor errors, quarantines) ready in time.
 
-        A worker whose pipe reports end-of-file (it crashed or was killed)
-        is respawned and its outstanding batches are resubmitted within the
-        retry budget; a worker that exceeds ``hang_timeout_s`` without
-        answering is treated the same way.
+        Every reply frees its worker's slot for the next queued batch.  A
+        worker whose pipe reports end-of-file (it crashed or was killed) is
+        respawned and its batch is resubmitted within the retry budget; a
+        worker that exceeds ``hang_timeout_s`` without answering is treated
+        the same way.
         """
         results: list[BatchResult] = list(self._errored)
         self._errored.clear()
@@ -404,7 +559,7 @@ InferenceService` does) — submitting more can deadlock the parent against
             for ready in connection.wait(list(conns), timeout=timeout):
                 worker = conns[ready]
                 if worker not in self._workers:
-                    continue  # revived earlier in this very loop
+                    continue  # replaced earlier in this very loop
                 try:
                     message = ready.recv()
                 except (EOFError, OSError):
@@ -413,12 +568,11 @@ InferenceService` does) — submitting more can deadlock the parent against
                 result = self._pop_result(worker, message)
                 if result is not None:
                     results.append(result)
+                self._pump()
         if self.hang_timeout_s is not None:
             now = time.monotonic()
             for worker in list(self._workers):
-                if worker.sent_at and now - min(worker.sent_at.values()) > (
-                    self.hang_timeout_s
-                ):
+                if worker.sent_at is not None and now - worker.sent_at > self.hang_timeout_s:
                     warnings.warn(
                         f"worker pid={worker.process.pid} unresponsive for "
                         f"> {self.hang_timeout_s}s; recycling it",
@@ -426,12 +580,13 @@ InferenceService` does) — submitting more can deadlock the parent against
                         stacklevel=2,
                     )
                     self._revive(worker, reason="hang timeout")
+        self._pump()
         results.extend(self._errored)
         self._errored.clear()
         return results
 
     def collect_all(self, *, poll_s: float = 0.05) -> list[BatchResult]:
-        """Block until every outstanding batch resolved (or the pool broke).
+        """Block until every submitted batch resolved (or the pool broke).
 
         Termination is guaranteed by construction: every batch either
         completes, errors, quarantines after ``max_retries`` crashes, or is
@@ -445,19 +600,20 @@ InferenceService` does) — submitting more can deadlock the parent against
         return results
 
     def abandon(self) -> list[ServeBatch]:
-        """Reclaim every unfinished batch (stranded + still outstanding).
+        """Reclaim every unfinished batch (stranded, queued, in flight).
 
         The degradation path: after the breaker trips the service takes the
-        unfinished work back and executes it inline.  Late replies from
-        workers still chewing on a reclaimed batch are dropped by
-        ``collect`` as unknown ids.
+        unfinished work back and executes it inline.  A worker still
+        chewing on a reclaimed batch keeps its slot, and its hang clock,
+        until it replies, and ``collect`` drops that reply as an unknown id.
         """
-        reclaimed = list(self._stranded)
+        reclaimed = [*self._stranded, *self._queue.values()]
         self._stranded.clear()
+        self._queue.clear()
         for worker in self._workers:
-            reclaimed.extend(worker.outstanding.values())
-            worker.outstanding.clear()
-            worker.sent_at.clear()
+            if worker.batch is not None:
+                reclaimed.append(worker.batch)
+                worker.batch = None
         self._attempts.clear()
         reclaimed.sort(key=lambda batch: batch.batch_id)
         return reclaimed
@@ -466,9 +622,9 @@ InferenceService` does) — submitting more can deadlock the parent against
         """Shut every worker down (idempotent), escalating within ``timeout``.
 
         Each worker gets the shutdown sentinel, then ``join(timeout)``;
-        survivors are terminated, re-joined, and finally killed.  Returns a
-        report of how far the escalation had to go:
-        ``{"joined": ..., "terminated": ..., "killed": ...}``.
+        survivors are terminated, re-joined, and finally killed.  Every
+        slot is released.  Returns a report of how far the escalation had
+        to go: ``{"joined": ..., "terminated": ..., "killed": ...}``.
         """
         report = {"joined": 0, "terminated": 0, "killed": 0}
         if self._closed:
@@ -481,20 +637,5 @@ InferenceService` does) — submitting more can deadlock the parent against
             except (BrokenPipeError, OSError):
                 pass
         for worker in self._workers:
-            worker.process.join(timeout=stage_timeout)
-            if not worker.process.is_alive():
-                report["joined"] += 1
-            else:
-                worker.process.terminate()
-                worker.process.join(timeout=stage_timeout)
-                if not worker.process.is_alive():
-                    report["terminated"] += 1
-                else:  # pragma: no cover - needs a SIGTERM-immune worker
-                    worker.process.kill()
-                    worker.process.join(timeout=stage_timeout)
-                    report["killed"] += 1
-            try:
-                worker.conn.close()
-            except OSError:
-                pass
+            report[_end(worker, grace_s=stage_timeout, timeout=stage_timeout)] += 1
         return report

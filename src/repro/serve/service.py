@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -266,7 +265,6 @@ class InferenceService:
         self._batcher = MicroBatcher(self.windows, max_pending=max_pending)
         self._waiting: dict[int, PendingPrediction] = {}
         self._inflight: dict[int, tuple[ServeBatch, list[PendingPrediction]]] = {}
-        self._backlog: deque[list[PredictRequest]] = deque()
         self._next_batch_id = 0
         self._pool = None
         self._dispatcher: threading.Thread | None = None
@@ -391,7 +389,6 @@ class InferenceService:
             for _, batch_pendings in self._inflight.values():
                 pendings.extend(batch_pendings)
             self._inflight.clear()
-            self._backlog.clear()
             self._batcher.drain()
             now = self._clock()
             shed = 0
@@ -479,8 +476,8 @@ class InferenceService:
         Succeeds only while the request still sits in the micro-batcher:
         the slot is reclaimed from ``_waiting`` *and* the queue, and
         ``stats.expired`` is incremented exactly once.  Once the request is
-        in the dispatch backlog or in flight the withdrawal fails and the
-        request is answered normally.
+        dispatched (queued in the pool or in flight) the withdrawal fails
+        and the request is answered normally.
         """
         with self._condition:
             key = id(pending.request)
@@ -493,16 +490,10 @@ class InferenceService:
             return True
 
     def _dispatch_loop(self) -> None:
-        # With a pool, at most ONE batch per worker is in flight at once; the
-        # rest wait in the dispatcher's backlog.  The bound is what makes the
-        # blocking pipe sends safe: a submit then always targets a worker
-        # sitting idle in recv, so the batch pickle drains no matter how
-        # large, and a worker blocked sending an oversized result is never
-        # sent more work while the dispatcher comes around to collect it.
-        # Anything looser deadlocks once a batch or result pickle exceeds
-        # the OS socket buffer (parent wedged sending work, worker wedged
-        # sending results, nobody collecting).
-        max_inflight = self.workers if self.workers > 0 else 1
+        # Every due batch goes straight to the pool, which bounds what is in
+        # flight itself (one batch per worker slot) and queues the rest.  The
+        # loop waits on the condition only when nothing is due or in flight;
+        # otherwise it polls the pool's replies every 5 ms.
         try:
             while True:
                 if self._abort:
@@ -511,20 +502,18 @@ class InferenceService:
                     now = self._clock()
                     self._shed_expired_locked(now)
                     if self._stopping:
-                        self._backlog.extend(self._batcher.drain())
+                        due = self._batcher.drain()
                     else:
                         due = self._batcher.poll(now)  # staticcheck: ignore[SC007] -- in-memory poll
-                        self._backlog.extend(due)
-                    idle = not self._backlog and not self._inflight
-                    if idle and not self._stopping:
+                    if not due and not self._inflight and not self._stopping:
                         deadline = self._batcher.next_deadline()
                         timeout = (
                             max(0.0, deadline - now) if deadline is not None else None
                         )
                         self._condition.wait(timeout=timeout)
                         continue
-                while self._backlog and len(self._inflight) < max_inflight:
-                    self._dispatch(self._backlog.popleft())
+                for requests in due:
+                    self._dispatch(requests)
                 if self._pool is not None and self._inflight:
                     for result in self._pool.collect(timeout=0.005):
                         if result.error is not None:
@@ -538,7 +527,6 @@ class InferenceService:
                     if (
                         self._stopping
                         and self._batcher.pending == 0
-                        and not self._backlog
                         and not self._inflight
                     ):
                         return

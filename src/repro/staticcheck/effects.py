@@ -175,8 +175,8 @@ def resource_kind(module: ModuleInfo, node: ast.Call) -> str | None:
     """The resource class a call constructs, for the lifecycle rule.
 
     Returns ``"process"``, ``"thread"``, ``"executor"``, ``"queue"``,
-    ``"pipe"``, ``"socket"`` or ``"file"`` — or ``None`` for calls that do
-    not create a releasable resource.
+    ``"pipe"``, ``"socket"``, ``"shared memory"`` or ``"file"`` — or
+    ``None`` for calls that do not create a releasable resource.
     """
     chain = dotted_chain(node.func)
     if chain is None:
@@ -195,6 +195,8 @@ def resource_kind(module: ModuleInfo, node: ast.Call) -> str | None:
         return "pipe"
     if resolved in ("socket.socket", "socket.create_connection"):
         return "socket"
+    if resolved == "mmap.mmap":
+        return "shared memory"
     if resolved == "open" or (isinstance(node.func, ast.Attribute) and last == "open"):
         return "file"
     return None

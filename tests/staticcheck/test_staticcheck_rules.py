@@ -716,6 +716,23 @@ class Owner:
             for f in findings
         )
 
+    def test_flags_shared_memory_never_released(self, tmp_path: Path) -> None:
+        index = build_index(
+            tmp_path,
+            {
+                "slots.py": """
+import mmap
+
+
+def fill(data):
+    slot = mmap.mmap(-1, len(data))
+    slot.write(data)
+""",
+            },
+        )
+        findings = run_rule("SC006", index)
+        assert any("'slot' is never released" in f.message for f in findings)
+
     def test_flags_bare_join(self, tmp_path: Path) -> None:
         index = build_index(
             tmp_path,
