@@ -7,21 +7,23 @@ Three gated rows:
   the 32000 x 1024 GNMT projection shape at V=64, density 0.1 and 2 Lloyd
   iterations (the largest layer the ``pattern-search`` experiment runs),
   best of :data:`PROJECTION_REPEATS` runs, gated at :data:`PROJECTION_GATE_S`:
-  an absolute bound about 3x the local median (~3.6 s, 3.2-3.9 s over six
-  runs on a 2-core container), so full stable sorts of the scores or of the
-  distance pairs fail it (16.6-25 s there).
+  an absolute bound set at about 3x the local median of the time (~3.6 s,
+  3.2-3.9 s over six runs on a 2-core container; 1.8-1.9 s since the
+  balanced assignment sorts no distance pairs), so full stable sorts of the
+  scores or of the distance pairs fail it (16.6-25 s there).
 * **projection memory** — one more, untimed, run of the same search under
   ``tracemalloc``: its peak allocation beyond the input, divided by the
   score matrix's bytes, gated at :data:`MEMORY_GATE`.  A full-size copy of
   the scores (a partitioned threshold copy, a permuted copy) or of the
   coarse mask as floats fails it; the search that made those copies read
-  1.48x, the bounded one reads about 0.69x.
+  1.48x, the bounded one 0.69x while it built int64 pair keys, and about
+  0.45x with narrow integer distances.
 * **seed ratio** — the same search against the seed implementations frozen
   in :mod:`repro.core.reference` on the 4096 x 1024 LSTM gate matrix at
   V=64, where the seed walks ~260k sorted distance pairs per Lloyd step in a
   Python loop and materialises a 2 GiB ``(n, k, K)`` distance intermediate.
   Asserts the two produce *bit-identical* masks, witness permutations and
-  groups, and that the engine clears ``--min-speedup`` (default 5x; 16-25x
+  groups, and that the engine clears ``--min-speedup`` (default 5x; 16-56x
   measured locally).
 
 Also times the two satellite vectorizations (``vector_wise_mask`` and

@@ -19,19 +19,18 @@ iteration per sorted distance pair — ``n * k`` iterations per Lloyd step —
 and a float broadcast per k-means++ centroid) is preserved verbatim in
 :mod:`repro.core.reference` as the bit-for-bit oracle the property tests
 compare against.  Binarity is decided once per search: 0/1 points are kept
-as ``bool`` rows, and no float copy of them is made whole.  Six techniques
+as ``bool`` rows, and no float copy of them is made whole.  Five techniques
 replace the loops, sorts and broadcasts without changing a single output
-bit; beyond the rows, the working memory is one int64 key per ``(row,
-cluster)`` pair, one gather of the ``bool`` rows per centroid update and
-fixed-size blocks:
+bit; beyond the rows, the working memory is one narrow integer per ``(row,
+cluster)`` pair, one int64 proposal per row and fixed-size blocks:
 
 * **Packed-bit k-means++** — on binary points every seeding distance is a
   Hamming distance, an exact integer: a popcount (``np.bitwise_count``) over
   the rows packed into uint64 words yields the seed's distances, and so its
   sampling probabilities and RNG draws, without a float pass over the
   ``(n, K)`` matrix per centroid.  Those are also the first Lloyd step's
-  distances (``D = 1`` below), so seeding writes their pair keys as it goes
-  and that step runs no GEMM.
+  distances (``D = 1`` below), so seeding writes them as it goes, as int16
+  below 2^15 columns, and the first assignment runs no GEMM.
 * **Exact integer distances** — on the pattern search's actual inputs
   (binary rows, power-of-two group sizes) every centroid is ``j / D`` with
   ``j`` an integer in ``[0, D]``: raw rows (``D = 1``, the k-means++ seeds)
@@ -42,42 +41,46 @@ fixed-size blocks:
   come from a float32 GEMM of the 0/1 rows against the numerators ``c D``,
   one block of rows converted at a time: its partial sums are integers at
   most ``K D``, exact up to 2^24 in any order and any blocking (float64
-  past that); ``|x|^2`` is a popcount.
-* **Integer-keyed pair order** — the greedy's visiting order (the stable
-  argsort of all ``n * k`` distances) is the plain sort of the unique int64
-  keys ``(d D^2) << B | (row * k + c)``, built from those integers with
-  int64 arithmetic in one buffer (each row block finished in place), sorted
-  in place and decoded with a mask.
-* **Exact centroid counts** — a Lloyd update gathers each cluster's
-  ``bool`` rows and counts them: the seed's float64 mean of 0/1 values is
-  that exact count divided once by ``V``, so ``count / V`` has its bits.
+  past that); ``|x|^2`` is a popcount.  The numerators are stored as int32
+  while ``2 K D^2 < 2^31``, as int64 past that.
+* **Exact centroid sums** — a Lloyd update adds each cluster's ``bool``
+  rows one group position at a time (:func:`~repro.core.transforms._group_sums`):
+  the seed's float64 mean of 0/1 values is that exact count divided once
+  by ``V``, so ``count / V`` has its bits.
 * **Chunked broadcasting** — for inputs outside that regime (non-binary
-  points, non-dyadic centroids, keys that would overflow int64) the seed
-  expression is evaluated verbatim over row blocks: elementwise ops and a
-  last-axis reduction are independent of the leading batch dimension, so
-  the result is bitwise identical while the ``(n, k, K)`` intermediate never
-  materialises; those distances are ordered by the stable float argsort.
-* **Prefix-accepted greedy rounds** — the capacity-constrained assignment
-  walks the sorted distance pairs in vectorized chunks.  Within a chunk,
-  duplicate-row pairs are skipped and every pair up to the first *capacity*
-  rejection is provably processed exactly as the sequential greedy would,
-  so whole prefixes are accepted per round instead of one pair per Python
-  iteration; each rejection permanently retires a full cluster, bounding
-  the number of rounds by the cluster count.
+  points, non-dyadic centroids) the seed expression is evaluated verbatim
+  over row blocks: elementwise ops and a last-axis reduction are
+  independent of the leading batch dimension, so the result is bitwise
+  identical while the ``(n, k, K)`` intermediate never materialises.
+* **Proposal greedy** — the seed visits all ``n * k`` pairs in ascending
+  ``(distance, row * k + c)`` order, but its next acceptance is always the
+  smallest pair among unassigned rows and open clusters.  So each
+  unassigned row only needs its best open cluster, its *proposal*: the
+  proposals, sorted by the int64 keys ``(d << B) | (row * k + c)``, are
+  accepted a window at a time up to the first capacity overflow, and when
+  a cluster fills only the rows that proposed it propose again, equal rows
+  sharing one argmin.  No ``n * k`` sort is made.  Float distances, and
+  numerators too wide for such a key, are replaced by their dense ranks,
+  which keep their order and ties.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .transforms import _pack_rows
+from .transforms import _group_sums, _pack_rows, _support_ids
 
 __all__ = ["balanced_kmeans", "kmeans_plusplus_init"]
 
 #: Elements per row block of a distance intermediate: the broadcast
 #: fallback's ``(rows, k, K)`` float64 block (8 MiB, instead of the seed's
-#: full ``(n, k, K)``) and the key GEMM's ``(rows, K)`` operand block.
+#: full ``(n, k, K)``), the numerator GEMM's ``(rows, K)`` operand block and
+#: the rows of distances one re-proposal gathers.
 _CHUNK_ELEMENTS = 1 << 20
+
+#: Proposals the greedy accepts per window, at most (see
+#: :func:`_greedy_assignment`).
+_WINDOW = 4096
 
 
 def _as_rows(points: np.ndarray) -> np.ndarray:
@@ -125,55 +128,55 @@ def _gemm_dtype(dim: int, denom: int) -> type:
     return np.float32 if dim * denom <= 1 << 24 else np.float64
 
 
-def _key_bits(n: int, k: int, dim: int, denom: int) -> int | None:
-    """Bits ``B`` of the pair index in the keys ``(d * D**2) << B | index``,
-    or ``None`` when integer keys are not provably exact.
+def _int_dtype(bound: int) -> type:
+    """The narrowest of int16, int32 and int64 whose largest value exceeds
+    ``bound``: the largest value itself stays free, for the greedy to mark
+    full clusters with."""
+    for dtype in (np.int16, np.int32):
+        if bound < np.iinfo(dtype).max:
+            return dtype
+    return np.int64
 
-    The numerators ``d * D**2`` are at most ``dim * D**2``.  Below 2**52 the
-    seed's float64 sums are exact, so the integer order is its order; and
-    the keys, whose construction passes through ``-2 * D * x.(c * D)`` (up
-    to twice that bound) shifted by ``B``, must fit int64.
-    """
+
+def _key_bits(n: int, k: int, bound: int) -> int | None:
+    """Bits ``B`` of the pair index in the keys ``(d << B) | (row * k + c)``
+    of values ``0 <= d <= bound``, or ``None`` when they would not fit int64."""
     bits = (n * k - 1).bit_length()
-    bound = dim * denom * denom
-    if bound >= 1 << 52 or (2 * bound) << bits >= 1 << 63:
-        return None
-    return bits
+    return bits if bound << bits < 1 << 63 else None
 
 
-def _pair_keys(rows: np.ndarray, centroids: np.ndarray, denom: int, bits: int) -> np.ndarray:
-    """``(n, k)`` int64 keys ``(d * D**2) << bits | (row * k + c)``.
+def _numerators(rows: np.ndarray, centroids: np.ndarray, denom: int) -> np.ndarray:
+    """``(n, k)`` exact numerators ``d * D**2`` of the squared distances ``d``.
 
     ``d * D**2 = D**2 |x|**2 - 2 D x.(c D) + |c D|**2`` with ``D = denom``
     (see :func:`_exact_denominator`), every term an exact integer: the dot
     products come from a GEMM of the ``bool`` rows, converted to
     :func:`_gemm_dtype` one block of rows at a time, and ``|x|**2`` is the
     row's popcount.  Each block's scaled dot products are written straight
-    into the key buffer, and one per-row and one per-cluster term, each
-    already shifted and carrying its half of the pair index, are added in
-    place.  Every partial sum is an integer at most ``K * D`` whatever the
-    blocking, so the blocks change no key, and no full-size float copy of
-    the rows or of the products is made.
+    into the output, and one per-row and one per-cluster term are added in
+    place.  The output is the narrowest integer type that holds every
+    intermediate (``|2 D x.(c D)| <= 2 K D**2``).  Every partial sum is an
+    integer at most ``K * D`` whatever the blocking, so the blocks change no
+    value, and no full-size float copy of the rows or of the products is
+    made.
     """
     n, dim = rows.shape
     k = centroids.shape[0]
     numerators = centroids * float(denom)
     dtype = _gemm_dtype(dim, denom)
     right = numerators.T.astype(dtype)
-    row_terms = (np.count_nonzero(rows, axis=1) * (denom * denom)) << bits
-    row_terms += np.arange(0, n * k, k)
+    out = np.empty((n, k), dtype=_int_dtype(2 * dim * denom * denom))
+    row_terms = (np.count_nonzero(rows, axis=1) * (denom * denom)).astype(out.dtype)
     whole = numerators.astype(np.int64)
-    cluster_terms = np.einsum("ij,ij->i", whole, whole) << bits
-    cluster_terms += np.arange(k)
-    keys = np.empty((n, k), dtype=np.int64)
+    cluster_terms = np.einsum("ij,ij->i", whole, whole).astype(out.dtype)
     step = max(1, _CHUNK_ELEMENTS // max(1, dim))
     for start in range(0, n, step):
-        block = keys[start : start + step]
+        block = out[start : start + step]
         block[...] = rows[start : start + step].astype(dtype) @ right
-        block *= -(2 * denom) << bits
+        block *= -2 * denom
         block += row_terms[start : start + step, None]
         block += cluster_terms
-    return keys
+    return out
 
 
 def _broadcast_sq_dists(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -196,22 +199,42 @@ def _broadcast_sq_dists(points: np.ndarray, centroids: np.ndarray) -> np.ndarray
     return dists
 
 
+def _sq_distances(
+    points: np.ndarray, centroids: np.ndarray, capacity: int
+) -> tuple[np.ndarray, int | None]:
+    """The ``(n, k)`` squared distances in a form the greedy orders exactly
+    as the seed's floats, and a bound on their values.
+
+    ``points`` are :func:`_as_rows` rows.  Binary rows against dyadic
+    centroids give the integer :func:`_numerators`, bounded by ``K * D**2``;
+    below 2**52 the seed's float64 sums are exact, so their order is its
+    order.  Everything else gives the seed's floats
+    (:func:`_broadcast_sq_dists`) and no bound.
+    """
+    denom = _exact_denominator(centroids, capacity) if points.dtype == bool else None
+    if denom is not None:
+        bound = points.shape[1] * denom * denom
+        if bound < 1 << 52:
+            return _numerators(points, centroids, denom), bound
+    return _broadcast_sq_dists(points, centroids), None
+
+
 def kmeans_plusplus_init(
     points: np.ndarray,
     num_clusters: int,
     rng: np.random.Generator,
     *,
-    keys: np.ndarray | None = None,
+    dists: np.ndarray | None = None,
 ) -> np.ndarray:
     """k-means++ seeding: spread the initial centroids across the data.
 
-    ``keys``, if given, is a ``(num_clusters, n)`` int64 buffer for binary
-    points.  Seeding measures every row's distance ``d`` to each seed ``c``
-    anyway, and it writes the pair keys ``(d << B) | (row * k + c)`` with
-    ``B = _key_bits(n, k, K, 1)`` into row ``c``.  Those are the first Lloyd
-    step's keys (:func:`_pair_keys` at ``D = 1``), which
-    :func:`balanced_kmeans` then sorts instead of recomputing them with a
-    GEMM.  The centroids and the RNG draws do not depend on ``keys``.
+    ``dists``, if given, is a ``(num_clusters, n)`` integer buffer for
+    binary points, wide enough for their ``K`` columns.  Seeding measures
+    every row's distance to each seed ``c`` anyway, and it writes them into
+    row ``c``.  Those are the first Lloyd step's distances
+    (:func:`_numerators` at ``D = 1``), which :func:`balanced_kmeans` then
+    assigns by instead of recomputing them with a GEMM.  The centroids and
+    the RNG draws do not depend on ``dists``.
     """
     n = points.shape[0]
     if num_clusters <= 0 or num_clusters > n:
@@ -227,22 +250,16 @@ def kmeans_plusplus_init(
     binary = points.dtype == bool
     if binary:
         words = np.ascontiguousarray(_pack_rows(points).T)
-    if keys is not None:
-        bits = _key_bits(n, num_clusters, points.shape[1], 1)
-        if not binary or bits is None:
-            raise ValueError("pair keys need binary points whose keys fit int64")
-        pair_index = np.arange(0, n * num_clusters, num_clusters)
+    elif dists is not None:
+        raise ValueError("seed distances need binary points")
 
     def _sq_dists_to(c: int, row: int) -> np.ndarray:
         if not binary:
             return np.sum((points - centroids[c]) ** 2, axis=1)
-        dists = np.bitwise_count(words ^ words[:, row, None]).sum(axis=0)
-        if keys is not None:
-            seed_keys = keys[c]
-            seed_keys[...] = dists
-            seed_keys <<= bits
-            seed_keys += pair_index + c
-        return dists
+        seed_dists = np.bitwise_count(words ^ words[:, row, None]).sum(axis=0)
+        if dists is not None:
+            dists[c] = seed_dists
+        return seed_dists
 
     centroids = np.empty((num_clusters, points.shape[1]), dtype=np.float64)
     first = int(rng.integers(n))
@@ -275,87 +292,94 @@ def _occurrence_rank(keys: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def _assign_in_order(order: np.ndarray, n: int, k: int, capacity: int) -> np.ndarray:
-    """Replay the sequential greedy over sorted pairs in vectorized rounds.
+def _twins(rows: np.ndarray) -> np.ndarray:
+    """Each ``bool`` row's first equal row (its own index when none comes
+    before it): equal rows have equal distances to every centroid."""
+    ids = _support_ids(rows)
+    return np.unique(ids, return_index=True)[1][ids]
 
-    Equivalence to the one-pair-at-a-time loop: within a filtered chunk
-    (unassigned rows, clusters with spare capacity), a pair is rejected by
-    the sequential greedy only if its row was claimed by an earlier chunk
-    pair or its cluster's capacity was exhausted by earlier chunk pairs.
-    Duplicate-row pairs never consume capacity, so up to the first *capacity*
-    rejection every non-duplicate pair is accepted and every duplicate's row
-    is provably already assigned — the whole prefix can be committed at
-    once.  The rejected pair itself targets a now-full cluster, so it is
-    dead; the tail is refiltered and replayed.
+
+def _greedy_assignment(
+    dists: np.ndarray, bound: int | None, capacity: int, twins: np.ndarray | None = None
+) -> np.ndarray:
+    """The seed's capacity-constrained greedy over the ``(n, k)`` ``dists``.
+
+    The seed visits every ``(row, cluster)`` pair in ascending ``(d, row *
+    k + c)`` order and accepts a pair whose row is unassigned and whose
+    cluster has room.  A pair it skips never becomes acceptable (rows stay
+    assigned, clusters stay full), so its next acceptance is always the
+    smallest pair among unassigned rows and open clusters: the smallest of
+    the rows' *proposals*, each row's best open cluster (the first index
+    wins ties).
+
+    The proposals, sorted by their keys ``(d << B) | (row * k + c)``, are
+    accepted :data:`_WINDOW` at a time up to the first capacity overflow
+    (:func:`_occurrence_rank`): until a cluster is full, every other
+    proposal is still its row's best.  When clusters fill, only the rows
+    that proposed them propose again, over the clusters still open, and
+    their keys are merged back in order.  A cluster ends a window at most
+    once, so there are at most ``k + n / W`` windows.  ``twins``
+    (:func:`_twins`), if given, names rows with equal distance rows, and
+    only the first of each proposes over a gathered row: many equal rows
+    (empty mask rows, say) would otherwise all gather theirs each time the
+    cluster they propose fills.
+
+    ``bound`` bounds the integer ``dists``.  Float distances (``None``), or
+    integers whose keys would not fit int64, are replaced by their dense
+    ranks, which keep their order and their ties.  The largest value of the
+    distances' type marks the full clusters, so no distance may equal it.
     """
+    n, k = dists.shape
+    bits = None if bound is None else _key_bits(n, k, bound)
+    if bits is None:
+        dists = np.unique(dists, return_inverse=True)[1].reshape(n, k)
+        bits = _key_bits(n, k, n * k - 1)
+        if bits is None:
+            raise ValueError(f"{n} x {k} distance pairs are too many to rank")
+    index_mask = (1 << bits) - 1
+    full = np.iinfo(dists.dtype).max
+    closed = np.zeros(k, dtype=bool)
+
+    def proposal_keys(rows: np.ndarray, clusters: np.ndarray) -> np.ndarray:
+        keys = (dists[rows, clusters].astype(np.int64) << bits) | (rows * k + clusters)
+        keys.sort()
+        return keys
+
+    def propose(rows: np.ndarray) -> np.ndarray:
+        """Sorted keys of ``rows``' best open clusters, one gathered block
+        of whole distance rows at a time."""
+        firsts, kind = rows, None
+        if twins is not None:
+            firsts, kind = np.unique(twins[rows], return_inverse=True)
+        best = np.empty(firsts.size, dtype=np.int64)
+        step = max(1, _CHUNK_ELEMENTS // k)
+        for start in range(0, firsts.size, step):
+            block = dists[firsts[start : start + step]]
+            block[:, closed] = full
+            best[start : start + step] = block.argmin(axis=1)
+        return proposal_keys(rows, best if kind is None else best[kind])
+
     assign = np.full(n, -1, dtype=np.int64)
     remaining = np.full(k, capacity, dtype=np.int64)
-    assigned = 0
-    chunk = max(4096, 4 * n)
-    for start in range(0, order.size, chunk):
-        rows, clusters = np.divmod(order[start : start + chunk], k)
-        live = (assign[rows] == -1) & (remaining[clusters] > 0)
-        rows = rows[live]
-        clusters = clusters[live]
-        while rows.size:
-            first = _occurrence_rank(rows) == 0
-            candidates = np.flatnonzero(first)
-            candidate_clusters = clusters[candidates]
-            ranks = _occurrence_rank(candidate_clusters)
-            rejected = np.flatnonzero(ranks >= remaining[candidate_clusters])
-            if rejected.size:
-                cut = rejected[0]
-                accepted = candidates[:cut]
-                resume = candidates[cut] + 1
-            else:
-                accepted = candidates
-                resume = rows.size
-            if accepted.size:
-                assign[rows[accepted]] = clusters[accepted]
-                remaining -= np.bincount(clusters[accepted], minlength=k)
-                assigned += accepted.size
-                if assigned == n:
-                    return assign
-            rows = rows[resume:]
-            clusters = clusters[resume:]
-            if rows.size:
-                live = (assign[rows] == -1) & (remaining[clusters] > 0)
-                rows = rows[live]
-                clusters = clusters[live]
+    pending = proposal_keys(np.arange(n), dists.argmin(axis=1))
+    while pending.size:
+        rows, clusters = np.divmod(pending[:_WINDOW] & index_mask, k)
+        overflow = np.flatnonzero(_occurrence_rank(clusters) >= remaining[clusters])
+        cut = overflow[0] if overflow.size else clusters.size
+        assign[rows[:cut]] = clusters[:cut]
+        remaining -= np.bincount(clusters[:cut], minlength=k)
+        pending = pending[cut:]
+        filled = (remaining == 0) & ~closed
+        if filled.any():
+            closed |= filled
+            if closed.all():
+                break
+            stale = filled[(pending & index_mask) % k]
+            if stale.any():
+                moved = propose((pending[stale] & index_mask) // k)
+                pending = pending[~stale]
+                pending = np.insert(pending, np.searchsorted(pending, moved), moved)
     return assign
-
-
-def _key_order(keys: np.ndarray, bits: int) -> np.ndarray:
-    """The pair indices of unique ``keys`` in ascending key order.
-
-    Nothing is left for a stable sort to decide, so numpy's default sort
-    orders the keys in place (their layout does not matter), and a mask of
-    the low ``bits`` recovers each pair's index.
-    """
-    keys = keys.reshape(-1)
-    keys.sort()
-    keys &= (1 << bits) - 1
-    return keys
-
-
-def _pair_order(points: np.ndarray, centroids: np.ndarray, capacity: int) -> np.ndarray:
-    """Flat ``(row, cluster)`` pair indices by ascending squared distance,
-    ties by index: exactly the seed's ``np.argsort(dists, axis=None,
-    kind="stable")``.
-
-    ``points`` are :func:`_as_rows` rows.  Binary rows against dyadic
-    centroids are ordered by their unique integer keys (:func:`_pair_keys`,
-    :func:`_key_order`).  Everything else takes the broadcast distances and
-    the stable float argsort.
-    """
-    n, dim = points.shape
-    k = centroids.shape[0]
-    denom = _exact_denominator(centroids, capacity) if points.dtype == bool else None
-    bits = None if denom is None else _key_bits(n, k, dim, denom)
-    if bits is None:
-        dists = _broadcast_sq_dists(points, centroids)
-        return np.argsort(dists, axis=None, kind="stable")
-    return _key_order(_pair_keys(points, centroids, denom, bits), bits)
 
 
 def _balanced_assignment(
@@ -366,11 +390,10 @@ def _balanced_assignment(
     Returns an array ``assign`` with ``assign[i]`` the cluster of row ``i``;
     every cluster receives exactly ``capacity`` rows.  Bitwise identical to
     :func:`repro.core.reference.balanced_assignment_loop`, whose call
-    surface it shares.  ``bool`` rows are taken as they are, so
-    :func:`balanced_kmeans` decides binarity once per search.
+    surface it shares.  :func:`balanced_kmeans` runs the same two steps on
+    its Lloyd steps, with the ``twins`` it finds once per search.
     """
-    order = _pair_order(_as_rows(points), centroids, capacity)
-    return _assign_in_order(order, points.shape[0], centroids.shape[0], capacity)
+    return _greedy_assignment(*_sq_distances(_as_rows(points), centroids, capacity), capacity)
 
 
 def _balanced_centroids(
@@ -379,18 +402,14 @@ def _balanced_centroids(
     """Mean of each cluster's rows, all clusters at once.
 
     The balanced assignment fills every cluster with exactly ``group_size``
-    rows, so a stable sort by cluster id reshapes straight into
-    ``(k, V, K)``; the mean over the middle axis reduces each cluster's rows
-    in the same order (ascending row index) and with the same reduction as
-    the seed's per-cluster ``points[assign == c].mean(axis=0)``.  On
-    ``bool`` rows that float64 mean is an exact count of ones divided once
-    by ``V``, so the counts over ``V`` carry its bits.
+    rows, so a stable sort by cluster id reshapes into ``(k, V)`` row
+    indices, each cluster's in ascending order.  :func:`_group_sums` adds
+    them in that order, bit for bit the sum of the seed's per-cluster
+    ``points[assign == c].mean(axis=0)``, which numpy divides once by ``V``;
+    ``bool`` rows add as exact counts.  No gather of every row is made.
     """
     order = np.argsort(assign, kind="stable")
-    members = points[order].reshape(num_clusters, group_size, -1)
-    if members.dtype == bool:
-        return np.count_nonzero(members, axis=1) / group_size
-    return members.mean(axis=1)
+    return _group_sums(points, order.reshape(num_clusters, group_size)) / group_size
 
 
 def balanced_kmeans(
@@ -434,20 +453,29 @@ def balanced_kmeans(
         return [np.arange(m, dtype=np.int64)]
 
     rng = np.random.default_rng(seed)
-    bits = _key_bits(m, num_clusters, points.shape[1], 1) if points.dtype == bool else None
-    if bits is None:
+    twins = None
+    if points.dtype == bool:
+        # The seeds are raw binary rows (D = 1), and seeding measures every
+        # row's distance to each of them: those are the first step's
+        # distances.  The greedy gathers whole rows of them, so the seeds'
+        # rows are transposed once.
+        twins = _twins(points)
+        dim = points.shape[1]
+        seed_dists = np.empty((num_clusters, m), dtype=_int_dtype(dim))
+        centroids = kmeans_plusplus_init(points, num_clusters, rng, dists=seed_dists)
+        dists = np.ascontiguousarray(seed_dists.T)
+        del seed_dists
+        assign = _greedy_assignment(dists, dim, group_size, twins)
+        del dists  # free the distances before the next step builds its own
+    else:
         centroids = kmeans_plusplus_init(points, num_clusters, rng)
         assign = _balanced_assignment(points, centroids, group_size)
-    else:
-        # The seeds are raw binary rows (D = 1), and seeding measures every
-        # row's distance to each of them: it writes the first step's keys.
-        keys = np.empty((num_clusters, m), dtype=np.int64)
-        centroids = kmeans_plusplus_init(points, num_clusters, rng, keys=keys)
-        assign = _assign_in_order(_key_order(keys, bits), m, num_clusters, group_size)
-        del keys  # free the buffer before the next step builds its own
     for _ in range(max(0, num_iters - 1)):
         centroids = _balanced_centroids(points, assign, num_clusters, group_size)
-        new_assign = _balanced_assignment(points, centroids, group_size)
+        # One expression, so no step's distances outlive its greedy.
+        new_assign = _greedy_assignment(
+            *_sq_distances(points, centroids, group_size), group_size, twins
+        )
         if np.array_equal(new_assign, assign):
             break
         assign = new_assign

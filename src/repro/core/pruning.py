@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kmeans import balanced_kmeans
-from .transforms import groups_to_permutation
+from .transforms import _group_sums, groups_to_permutation
 
 __all__ = [
     "ShflBWSearchResult",
@@ -200,26 +200,6 @@ def vector_wise_mask(scores: np.ndarray, density: float, vector_size: int) -> np
     if vector_size <= 0 or m % vector_size:
         raise ValueError(f"M={m} must be a positive multiple of V={vector_size}")
     return _vector_wise_mask(scores, density, np.arange(m).reshape(-1, vector_size))
-
-
-def _group_sums(scores: np.ndarray, groups: np.ndarray) -> np.ndarray:
-    """``(G, K)`` score sums of the row groups ``groups`` (``(G, V)`` indices).
-
-    Bitwise ``scores[groups.reshape(-1)].reshape(G, V, K).sum(axis=1)``
-    without the permuted copy: for ``K > 1`` numpy reduces that middle axis
-    one row at a time onto zeros, and so does the gather below, one ``(G,
-    K)`` slab of rows per group position.  At ``K = 1`` the middle axis
-    becomes the contiguous inner loop, which numpy sums pairwise, so that
-    case (a copy of ``M`` scalars) keeps the reshape sum.
-    """
-    g, v = groups.shape
-    k = scores.shape[1]
-    if k == 1:
-        return scores[groups.reshape(-1)].reshape(g, v, 1).sum(axis=1)
-    sums = np.zeros((g, k))
-    for position in range(v):
-        sums += scores[groups[:, position]]
-    return sums
 
 
 def _vector_wise_mask(scores: np.ndarray, density: float, groups: np.ndarray) -> np.ndarray:

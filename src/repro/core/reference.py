@@ -5,9 +5,9 @@ sorts and float broadcasts) that :mod:`repro.core.kmeans`,
 :mod:`repro.core.pruning` and :mod:`repro.core.transforms` shipped with
 before the Shfl-BW pattern search was vectorized.  They are deliberately
 kept verbatim (mirroring :mod:`repro.sparse.spmm_reference` for the SpMM
-engine); the one addition is the k-means++ oracle's optional ``keys``
-output, which shares the engine's call surface and derives the first Lloyd
-step's pair keys from the seed's own distances:
+engine); the one addition is the k-means++ oracle's optional ``dists``
+output, which shares the engine's call surface and records the seed's own
+distances, the first Lloyd step's:
 
 * the property-based test-suite uses them as the *oracle* the vectorized
   engine must match bit-for-bit — identical masks, groups, permutations and
@@ -42,24 +42,22 @@ def kmeans_plusplus_init_loop(
     num_clusters: int,
     rng: np.random.Generator,
     *,
-    keys: np.ndarray | None = None,
+    dists: np.ndarray | None = None,
 ) -> np.ndarray:
     """The seed ``kmeans_plusplus_init``: one broadcast distance pass per centroid.
 
-    ``keys``, if given, receives in row ``c`` the pair keys ``(d << B) |
-    (row * k + c)`` of the distances to seed ``c``, with ``B`` the bit length
-    of the largest pair index.  On 0/1 points every ``d`` is an exact
-    integer; the seeding itself is the seed's, untouched.
+    ``dists``, if given, receives in row ``c`` the distances to seed ``c``,
+    cast to its type.  On 0/1 points every distance is an exact integer;
+    the seeding itself is the seed's, untouched.
     """
     n = points.shape[0]
     if num_clusters <= 0 or num_clusters > n:
         raise ValueError("num_clusters must be in [1, n_points]")
 
-    def record(c: int, dists: np.ndarray) -> np.ndarray:
-        if keys is not None:
-            bits = (n * num_clusters - 1).bit_length()
-            keys[c] = (dists.astype(np.int64) << bits) | (np.arange(n) * num_clusters + c)
-        return dists
+    def record(c: int, seed_dists: np.ndarray) -> np.ndarray:
+        if dists is not None:
+            dists[c] = seed_dists
+        return seed_dists
 
     centroids = np.empty((num_clusters, points.shape[1]), dtype=np.float64)
     first = int(rng.integers(n))

@@ -76,6 +76,43 @@ def _pack_rows(mask: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(packed).view(np.uint64)
 
 
+def _support_ids(mask: np.ndarray) -> np.ndarray:
+    """An id per row of a boolean ``(m, K)`` mask, equal exactly for rows
+    with equal supports (ids in no particular order).
+
+    Each row's packed words (:func:`_pack_rows`) are viewed as one
+    fixed-width byte string, so one ``np.unique`` over ``m`` strings numbers
+    the supports, much more cheaply than ``np.unique(axis=0)``'s generic row
+    comparisons.
+    """
+    words = _pack_rows(mask)
+    if not words.shape[1]:
+        return np.zeros(mask.shape[0], dtype=np.intp)  # every support is empty
+    rows = words.view(np.dtype((np.void, words.itemsize * words.shape[1]))).ravel()
+    return np.unique(rows, return_inverse=True)[1]
+
+
+def _group_sums(rows: np.ndarray, groups: np.ndarray) -> np.ndarray:
+    """``(G, K)`` sums of the row groups ``groups`` (``(G, V)`` indices).
+
+    Bitwise ``rows[groups.reshape(-1)].reshape(G, V, K).sum(axis=1)``
+    without the permuted copy: for ``K > 1`` numpy reduces that middle axis
+    one row at a time onto zeros, and so does the gather below, one ``(G,
+    K)`` slab of rows per group position.  At ``K = 1`` the middle axis
+    becomes the contiguous inner loop, which numpy sums pairwise, so that
+    case (a copy of ``M`` scalars) keeps the reshape sum.  ``bool`` rows add
+    up to exact counts, in the narrowest unsigned type that holds ``V``.
+    """
+    g, v = groups.shape
+    k = rows.shape[1]
+    if k == 1:
+        return rows[groups.reshape(-1)].reshape(g, v, 1).sum(axis=1)
+    sums = np.zeros((g, k), dtype=np.min_scalar_type(v) if rows.dtype == bool else np.float64)
+    for position in range(v):
+        sums += rows[groups[:, position]]
+    return sums
+
+
 def group_rows_by_support(mask: np.ndarray, vector_size: int) -> list[np.ndarray]:
     """Group rows that share an identical non-zero column support.
 
@@ -94,25 +131,11 @@ def group_rows_by_support(mask: np.ndarray, vector_size: int) -> list[np.ndarray
     if m == 0:
         return []
 
-    # Hash every row at once by packing its support bits into uint64 words
-    # and lexsorting those; identical supports get one id each.  Any total
-    # order works here (ids are remapped below to first-appearance order —
-    # the order the seed's insertion-ordered dict iterated supports in, see
-    # :func:`repro.core.reference.group_rows_by_support_loop`), and sorting
-    # fixed-width integer words is much cheaper than ``np.unique(axis=0)``'s
-    # generic row comparisons.
-    if mask.shape[1]:
-        words = _pack_rows(mask)
-        word_order = np.lexsort(words.T[::-1])
-        sorted_words = words[word_order]
-        new_support = np.empty(m, dtype=bool)
-        new_support[0] = True
-        new_support[1:] = np.any(sorted_words[1:] != sorted_words[:-1], axis=1)
-        inverse = np.empty(m, dtype=np.int64)
-        inverse[word_order] = np.cumsum(new_support) - 1
-    else:
-        # Zero-width masks: every row shares the empty support.
-        inverse = np.zeros(m, dtype=np.int64)
+    # Any order of the support ids works here: they are remapped below to
+    # first-appearance order, the order the seed's insertion-ordered dict
+    # iterated supports in (see
+    # :func:`repro.core.reference.group_rows_by_support_loop`).
+    inverse = _support_ids(mask)
     order = np.argsort(inverse, kind="stable")  # by support id, rows ascending
     counts = np.bincount(inverse)
     starts = np.concatenate(([0], np.cumsum(counts)[:-1]))

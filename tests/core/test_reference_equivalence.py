@@ -5,7 +5,7 @@ Every test asserts *exact* equality — identical assignments, masks, groups
 and permutations down to the last bit — across random shapes, densities,
 vector sizes (including non-powers-of-two, which exercise the chunked
 fallback distance path) and seeds.  Scores are drawn tie-heavy as well as
-continuous, because the engine's top-k selection and pair ordering resolve
+continuous, because the engine's top-k selection and proposal greedy resolve
 ties differently from a stable sort and must still land on its answer.
 """
 
@@ -19,9 +19,10 @@ from repro.core.kmeans import (
     _broadcast_sq_dists,
     _exact_denominator,
     _gemm_dtype,
+    _greedy_assignment,
     _key_bits,
-    _pair_keys,
-    _pair_order,
+    _numerators,
+    _sq_distances,
     balanced_kmeans,
     kmeans_plusplus_init,
 )
@@ -122,13 +123,8 @@ class TestBalancedAssignment:
         if rows.dtype != bool or denom is None:
             return
         # The exact path: integer numerators over D**2 are the seed's floats.
-        n, k = seed_dists.shape
-        bits = _key_bits(n, k, points.shape[1], denom)
-        keys = _pair_keys(rows, centroids, denom, bits)
-        np.testing.assert_array_equal((keys >> bits) / float(denom * denom), seed_dists)
-        np.testing.assert_array_equal(
-            keys & ((1 << bits) - 1), np.arange(n * k).reshape(n, k)
-        )
+        numerators = _numerators(rows, centroids, denom)
+        np.testing.assert_array_equal(numerators / float(denom * denom), seed_dists)
 
 
 def _seed_order(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -137,8 +133,24 @@ def _seed_order(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return np.argsort(dists, axis=None, kind="stable")
 
 
+def _greedy_follows_seed(rows: np.ndarray, centroids: np.ndarray, capacity: int):
+    """Assert that the distances the greedy is given order the pairs as the
+    seed's stable argsort does, and that it assigns as the seed's loop;
+    return those distances and their bound."""
+    points = rows.astype(np.float64)
+    dists, bound = _sq_distances(rows, centroids, capacity)
+    order = np.argsort(dists, axis=None, kind="stable")
+    np.testing.assert_array_equal(order, _seed_order(points, centroids))
+    np.testing.assert_array_equal(
+        _greedy_assignment(dists, bound, capacity),
+        balanced_assignment_loop(points, centroids, capacity),
+    )
+    return dists, bound
+
+
 class TestPairOrder:
-    """The integer-key order against the stable float argsort it replaces."""
+    """The greedy's distances (integer numerators, or the seed's floats it
+    ranks) against the stable float argsort of the seed's pairs."""
 
     @given(
         st.sampled_from(VECTOR_SIZES),
@@ -156,12 +168,11 @@ class TestPairOrder:
         centroids = np.stack(
             [points[rng.integers(0, m, size=v)].mean(axis=0) for _ in range(num_groups)]
         )
-        if v & (v - 1) == 0:  # power-of-two capacity: the key path
-            denom = _exact_denominator(centroids, v)
-            assert denom is not None
-            assert _key_bits(m, num_groups, k_dim, denom) is not None
-        order = _pair_order(rows, centroids, v)
-        np.testing.assert_array_equal(order, _seed_order(points, centroids))
+        dists, bound = _greedy_follows_seed(rows, centroids, v)
+        if v & (v - 1) == 0:  # power-of-two capacity: the integer path
+            assert _exact_denominator(centroids, v) is not None
+            assert dists.dtype.kind == "i"
+            assert _key_bits(m, num_groups, bound) is not None
 
     @given(st.integers(min_value=0, max_value=2**16))
     @settings(max_examples=5, deadline=None)
@@ -174,9 +185,9 @@ class TestPairOrder:
         centroids = (denom - rng.integers(0, 3, size=(k, dim))) / denom
         assert _gemm_dtype(dim, denom) is np.float64
         assert _exact_denominator(centroids, denom) == denom
-        assert _key_bits(n, k, dim, denom) is not None
-        order = _pair_order(rows, centroids, denom)
-        np.testing.assert_array_equal(order, _seed_order(rows.astype(np.float64), centroids))
+        dists, bound = _greedy_follows_seed(rows, centroids, denom)
+        assert dists.dtype == np.int64
+        assert _key_bits(n, k, bound) is not None
 
     @given(st.integers(min_value=0, max_value=2**16))
     @settings(max_examples=5, deadline=None)
@@ -186,22 +197,24 @@ class TestPairOrder:
         # Against near-zero centroids d * D**2 is about popcount * 2**48:
         # below dim * D**2 < 2**52 (the seed's sums stay exact), but shifted
         # past the 12 pair-index bits it would not fit int64 for the rows
-        # with 8 or more ones.
+        # with 8 or more ones, so the greedy ranks the numerators.
         rows = rng.random((n, dim)) < 0.5
         centroids = rng.integers(0, 1 << 20, size=(k, dim)) / denom
         assert _exact_denominator(centroids, denom) == denom
-        assert _key_bits(n, k, dim, denom) is None
-        order = _pair_order(rows, centroids, denom)
-        np.testing.assert_array_equal(order, _seed_order(rows.astype(np.float64), centroids))
+        dists, bound = _greedy_follows_seed(rows, centroids, denom)
+        assert dists.dtype == np.int64
+        assert bound < 1 << 52
+        assert _key_bits(n, k, bound) is None
 
     def test_centroids_outside_the_unit_interval_fall_back(self):
         rng = np.random.default_rng(11)
         rows = rng.random((16, 8)) < 0.5
-        # Integral, but far past the dim * D**2 bound the keys rely on.
+        # Integral, but far past the dim * D**2 bound the numerators rely on.
         centroids = rng.integers(-(2**40), 2**40, size=(4, 8)).astype(np.float64)
         assert _exact_denominator(centroids, 4) is None
-        order = _pair_order(rows, centroids, 4)
-        np.testing.assert_array_equal(order, _seed_order(rows.astype(np.float64), centroids))
+        dists, bound = _greedy_follows_seed(rows, centroids, 4)
+        assert dists.dtype == np.float64
+        assert bound is None
 
 
 class TestKMeansPlusPlus:

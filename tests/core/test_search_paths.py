@@ -2,14 +2,15 @@
 whole-array expressions they replace.
 
 The search avoids every full-size temporary: the unstructured threshold is
-selected from a band bracketed by a strided sample, the distance keys are
-built one block of rows at a time, the first Lloyd step's keys are written
-while k-means++ measures its distances, and the stage-2 group sums gather
-the rows of each group instead of a permuted copy of the scores.  Each path
-must return exactly what the whole-array expression does, so these
-properties compare with ``np.array_equal`` on tie-heavy, zero-heavy (with
-``-0.0``) and constant draws.  A tracemalloc test bounds what a mid-size
-search allocates.
+selected from a band bracketed by a strided sample, the distance numerators
+are built one block of rows at a time, the first Lloyd step's distances are
+written while k-means++ measures them, the balanced assignment follows each
+row's best open cluster instead of sorting every pair, and the group sums
+(stage 2's and the centroids') gather the rows of each group instead of a
+permuted copy.  Each path must return exactly what the whole-array
+expression (or the seed loop) does, so these properties compare with
+``np.array_equal`` on tie-heavy, zero-heavy (with ``-0.0``) and constant
+draws.  A tracemalloc test bounds what a mid-size search allocates.
 """
 
 import tracemalloc
@@ -21,7 +22,9 @@ from hypothesis import given, settings, strategies as st
 
 import repro.core.kmeans as kmeans
 import repro.core.pruning as pruning
+import repro.core.transforms as transforms
 from repro.core.reference import (
+    balanced_assignment_loop,
     balanced_kmeans_loop,
     kmeans_plusplus_init_loop,
     vector_wise_mask_loop,
@@ -107,17 +110,16 @@ class TestBandThreshold:
             assert pruning._band_threshold(values, keep) == threshold
 
 
-def _exact_keys(rows: np.ndarray, centroids: np.ndarray, denom: int, bits: int) -> np.ndarray:
-    """Whole-matrix keys in exact int64 arithmetic, one term per entry."""
+def _exact_numerators(rows: np.ndarray, centroids: np.ndarray, denom: int) -> np.ndarray:
+    """Whole-matrix ``d * D**2`` in exact int64 arithmetic, one term per entry."""
     scaled = rows.astype(np.int64) * denom
     numerators = (centroids * denom).astype(np.int64)
-    dists = ((scaled[:, None, :] - numerators[None, :, :]) ** 2).sum(axis=2)
-    n, k = dists.shape
-    return (dists << bits) | np.arange(n * k).reshape(n, k)
+    return ((scaled[:, None, :] - numerators[None, :, :]) ** 2).sum(axis=2)
 
 
 class TestBlockedKeys:
-    """Keys built one block of rows at a time against whole-matrix keys."""
+    """The greedy's integer keys, the numerators ``d * D**2``, built one
+    block of rows at a time, against whole-matrix numerators."""
 
     @settings(**SETTINGS)
     @given(
@@ -134,10 +136,12 @@ class TestBlockedKeys:
         rows = _rows(rng, n, dim, kind)
         centroids = rng.integers(0, denom + 1, size=(k, dim)) / denom
         assert kmeans._gemm_dtype(dim, denom) is np.float32
-        bits = kmeans._key_bits(n, k, dim, denom)
         with mock.patch.object(kmeans, "_CHUNK_ELEMENTS", block_rows * dim):
-            keys = kmeans._pair_keys(rows, centroids, denom, bits)
-        assert np.array_equal(keys, _exact_keys(rows, centroids, denom, bits))
+            numerators = kmeans._numerators(rows, centroids, denom)
+        # int16 or int32 here: narrow, but wide enough for 2 K D**2.
+        assert numerators.dtype in (np.int16, np.int32)
+        assert np.iinfo(numerators.dtype).max > 2 * dim * denom * denom
+        assert np.array_equal(numerators, _exact_numerators(rows, centroids, denom))
 
     @settings(max_examples=10, deadline=None)
     @given(
@@ -150,17 +154,18 @@ class TestBlockedKeys:
         rng = np.random.default_rng(seed)
         k, dim, denom = 4, 512, 1 << 16
         rows = _rows(rng, n, dim, kind)
-        # Numerators near D: the dot products pass 2**24, beyond float32.
+        # Numerators near D: the dot products pass 2**24, beyond float32,
+        # and 2 K D**2 passes 2**31, beyond int32.
         centroids = (denom - rng.integers(0, 3, size=(k, dim))) / denom
         assert kmeans._gemm_dtype(dim, denom) is np.float64
-        bits = kmeans._key_bits(n, k, dim, denom)
         with mock.patch.object(kmeans, "_CHUNK_ELEMENTS", block_rows * dim):
-            keys = kmeans._pair_keys(rows, centroids, denom, bits)
-        assert np.array_equal(keys, _exact_keys(rows, centroids, denom, bits))
+            numerators = kmeans._numerators(rows, centroids, denom)
+        assert numerators.dtype == np.int64
+        assert np.array_equal(numerators, _exact_numerators(rows, centroids, denom))
 
 
 class TestSeededKeys:
-    """The first Lloyd step's keys, written during k-means++ seeding."""
+    """The first Lloyd step's distances, written during k-means++ seeding."""
 
     @settings(**SETTINGS)
     @given(
@@ -173,19 +178,19 @@ class TestSeededKeys:
     def test_equal_pair_keys_on_the_seeds(self, n, dim, kind, seed, data):
         rows = _rows(np.random.default_rng(seed), n, dim, kind)
         k = data.draw(st.integers(1, n))
-        bits = kmeans._key_bits(n, k, dim, 1)
-        keys = np.empty((k, n), dtype=np.int64)
+        dists = np.empty((k, n), dtype=kmeans._int_dtype(dim))
+        assert dists.dtype == np.int16
         rng, plain_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        seeds = kmeans.kmeans_plusplus_init(rows, k, rng, keys=keys)
+        seeds = kmeans.kmeans_plusplus_init(rows, k, rng, dists=dists)
         assert np.array_equal(seeds, kmeans.kmeans_plusplus_init(rows, k, plain_rng))
         assert rng.bit_generator.state == plain_rng.bit_generator.state
         assert kmeans._exact_denominator(seeds, 1) == 1
-        assert np.array_equal(keys.T, kmeans._pair_keys(rows, seeds, 1, bits))
-        oracle_keys = np.empty_like(keys)
+        assert np.array_equal(dists.T, kmeans._numerators(rows, seeds, 1))
+        oracle_dists = np.empty_like(dists)
         kmeans_plusplus_init_loop(
-            rows.astype(np.float64), k, np.random.default_rng(seed), keys=oracle_keys
+            rows.astype(np.float64), k, np.random.default_rng(seed), dists=oracle_dists
         )
-        assert np.array_equal(keys, oracle_keys)
+        assert np.array_equal(dists, oracle_dists)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -196,24 +201,22 @@ class TestSeededKeys:
         seed=st.integers(0, 2**16),
     )
     def test_fallback_when_seed_keys_do_not_fit(self, v, num_groups, dim, iters, seed):
-        rows = np.random.default_rng(seed).random((v * num_groups, dim)) < 0.5
+        # Seed distances whose keys would not fit int64 are ranked first.
+        m = v * num_groups
+        rows = np.random.default_rng(seed).random((m, dim)) < 0.5
         expected = balanced_kmeans_loop(rows.astype(np.float64), v, num_iters=iters, seed=seed)
-        real_bits, real_init = kmeans._key_bits, kmeans.kmeans_plusplus_init
-        passed = []
+        real_bits = kmeans._key_bits
+        bounds = []
 
-        def init(*args, **kwargs):
-            passed.append(kwargs.get("keys"))
-            return real_init(*args, **kwargs)
+        def no_seed_keys(n, k, bound):
+            bounds.append(bound)
+            return None if len(bounds) == 1 else real_bits(n, k, bound)
 
-        def no_seed_keys(n, k, width, denom):
-            return None if denom == 1 else real_bits(n, k, width, denom)
-
-        with (
-            mock.patch.object(kmeans, "_key_bits", no_seed_keys),
-            mock.patch.object(kmeans, "kmeans_plusplus_init", init),
-        ):
+        with mock.patch.object(kmeans, "_key_bits", no_seed_keys):
             actual = kmeans.balanced_kmeans(rows, v, num_iters=iters, seed=seed)
-        assert passed in ([], [None])  # one group needs no seeding at all
+        # The seeds' keys are refused, then their ranks (below m * k) key the
+        # greedy; one group needs no seeding at all.
+        assert bounds[:2] == ([] if num_groups == 1 else [dim, m * num_groups - 1])
         assert len(actual) == len(expected)
         for got, want in zip(actual, expected, strict=True):
             assert np.array_equal(got, want)
@@ -221,14 +224,14 @@ class TestSeededKeys:
     @pytest.mark.parametrize("iters, gemms", [(1, 0), (2, 1)])
     def test_first_step_runs_no_gemm(self, iters, gemms):
         rows = np.random.default_rng(5).random((256, 64)) < 0.3
-        real = kmeans._pair_keys
+        real = kmeans._numerators
         calls = []
 
         def counted(*args):
             calls.append(None)
             return real(*args)
 
-        with mock.patch.object(kmeans, "_pair_keys", counted):
+        with mock.patch.object(kmeans, "_numerators", counted):
             kmeans.balanced_kmeans(rows, 16, num_iters=iters, seed=0)
         assert len(calls) == gemms
 
@@ -236,12 +239,75 @@ class TestSeededKeys:
         points = np.random.default_rng(0).normal(size=(8, 4))
         with pytest.raises(ValueError, match="binary"):
             kmeans.kmeans_plusplus_init(
-                points, 2, np.random.default_rng(0), keys=np.empty((2, 8), dtype=np.int64)
+                points, 2, np.random.default_rng(0), dists=np.empty((2, 8), dtype=np.int16)
             )
 
 
+@st.composite
+def greedy_case(draw):
+    """Tie-heavy binary rows, centroids and the ``(n, k)`` distances of one
+    distance type, as the greedy receives them."""
+    capacity = draw(st.one_of(st.just(1), st.sampled_from([1, 2, 4, 8, 16])))
+    k = draw(st.one_of(st.just(1), st.integers(1, 8)))
+    dim = draw(st.sampled_from([1, 3, 17, 64, 65]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    rows = _rows(rng, k * capacity, dim, draw(st.sampled_from(ROW_KINDS)))
+    points = rows.astype(np.float64)
+    path = draw(st.sampled_from(["int16 seeds", "int32", "int64", "ranks"]))
+    if path == "int16 seeds":
+        dists = np.empty((k, rows.shape[0]), dtype=np.int16)
+        centroids = kmeans.kmeans_plusplus_init(rows, k, rng, dists=dists)
+        return points, centroids, capacity, np.ascontiguousarray(dists.T), dim
+    if path == "ranks":
+        points = rng.normal(size=points.shape).round(int(rng.integers(0, 2)))
+        centroids = points[rng.permutation(points.shape[0])[:k]]
+        return points, centroids, capacity, kmeans._broadcast_sq_dists(points, centroids), None
+    denom = 64 if path == "int32" else 1 << 16
+    centroids = rng.integers(0, denom + 1, size=(k, dim)) / denom
+    numerators = kmeans._numerators(rows, centroids, denom)
+    # Three columns or fewer fit int16 even at D = 64.
+    narrow = np.int32 if dim > 3 else np.int16
+    assert numerators.dtype == (np.int64 if path == "int64" else narrow)
+    return points, centroids, capacity, numerators, dim * denom * denom
+
+
+class TestProposalGreedy:
+    """The proposal greedy against the seed's walk over every sorted pair."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=greedy_case(), window=st.one_of(st.integers(1, 3), st.integers(1, 1024)))
+    def test_equals_loop_on_every_distance_type(self, case, window):
+        points, centroids, capacity, dists, bound = case
+        expected = balanced_assignment_loop(points, centroids, capacity)
+        twins = kmeans._twins(points != 0)
+        with mock.patch.object(kmeans, "_WINDOW", window):
+            assert np.array_equal(kmeans._greedy_assignment(dists, bound, capacity), expected)
+            if bound is not None:  # equal binary rows have equal distances
+                actual = kmeans._greedy_assignment(dists, bound, capacity, twins)
+                assert np.array_equal(actual, expected)
+
+    @pytest.mark.parametrize("kind", ROW_KINDS)
+    @pytest.mark.parametrize("capacity, k, window", [(1, 12, 5), (6, 1, 2), (8, 6, 3)])
+    def test_small_capacities_and_narrow_windows(self, kind, capacity, k, window):
+        rows = _rows(np.random.default_rng(capacity * k), capacity * k, 9, kind)
+        centroids = rows[:: capacity][:k].astype(np.float64)
+        expected = balanced_assignment_loop(rows.astype(np.float64), centroids, capacity)
+        dists, bound = kmeans._sq_distances(rows, centroids, capacity)
+        with mock.patch.object(kmeans, "_WINDOW", window):
+            for twins in (None, kmeans._twins(rows)):
+                actual = kmeans._greedy_assignment(dists, bound, capacity, twins)
+                assert np.array_equal(actual, expected)
+
+    def test_twins_are_first_equal_rows(self):
+        rows = np.array([[1, 0, 1], [0, 0, 0], [1, 0, 1], [0, 0, 0], [1, 1, 1]], dtype=bool)
+        assert kmeans._twins(rows).tolist() == [0, 1, 0, 1, 4]
+        assert kmeans._twins(np.zeros((3, 0), dtype=bool)).tolist() == [0, 0, 0]
+
+
 class TestGroupSums:
-    """Stage 2's gathered group sums against the permuted reshape sum."""
+    """The gathered group sums (stage 2's and the centroids') against the
+    permuted reshape sum."""
 
     @settings(**SETTINGS)
     @given(
@@ -256,9 +322,25 @@ class TestGroupSums:
         scores = _scores(rng, (g * v, k), kind)
         groups = rng.permutation(g * v).reshape(g, v)
         expected = scores[groups.reshape(-1)].reshape(g, v, k).sum(axis=1)
-        sums = pruning._group_sums(scores, groups)
+        sums = transforms._group_sums(scores, groups)
         assert np.array_equal(sums, expected)
         assert np.array_equal(np.signbit(sums), np.signbit(expected))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        g=st.integers(1, 3),
+        v=st.sampled_from([1, 2, 255, 256, 300]),
+        k=st.sampled_from([1, 2, 7]),
+        fill=st.one_of(st.just(1.0), st.floats(0.0, 1.0)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bool_rows_add_exact_counts(self, g, v, k, fill, seed):
+        # Full groups of 256 rows overflow a uint8 count.
+        rng = np.random.default_rng(seed)
+        rows = rng.random((g * v, k)) < fill
+        groups = rng.permutation(g * v).reshape(g, v)
+        counts = rows[groups.reshape(-1)].reshape(g, v, k).sum(axis=1)
+        assert np.array_equal(transforms._group_sums(rows, groups), counts)
 
     @settings(**SETTINGS)
     @given(
