@@ -9,15 +9,18 @@ Three gated rows:
   best of :data:`PROJECTION_REPEATS` runs, gated at :data:`PROJECTION_GATE_S`:
   an absolute bound set at about 3x the local median of the time (~3.6 s,
   3.2-3.9 s over six runs on a 2-core container; 1.8-1.9 s since the
-  balanced assignment sorts no distance pairs), so full stable sorts of the
-  scores or of the distance pairs fail it (16.6-25 s there).
+  balanced assignment sorts no distance pairs, 1.2-1.3 s since the Lloyd
+  steps store no distance matrix), so full stable sorts of the scores or of
+  the distance pairs fail it (16.6-25 s there).
 * **projection memory** — one more, untimed, run of the same search under
   ``tracemalloc``: its peak allocation beyond the input, divided by the
   score matrix's bytes, gated at :data:`MEMORY_GATE`.  A full-size copy of
   the scores (a partitioned threshold copy, a permuted copy) or of the
-  coarse mask as floats fails it; the search that made those copies read
-  1.48x, the bounded one 0.69x while it built int64 pair keys, and about
-  0.45x with narrow integer distances.
+  coarse mask as floats fails it, and so does an ``(n, k)`` distance
+  matrix per Lloyd step next to the seeds' one: the search that made those
+  copies read 1.48x, the bounded one 0.69x while it built int64 pair keys,
+  0.45x with a narrow integer matrix per Lloyd step, and about 0.29x since
+  the Lloyd steps measure their distances one block of rows at a time.
 * **seed ratio** — the same search against the seed implementations frozen
   in :mod:`repro.core.reference` on the 4096 x 1024 LSTM gate matrix at
   V=64, where the seed walks ~260k sorted distance pairs per Lloyd step in a
@@ -64,7 +67,7 @@ PROJECTION_GATE_S = 12.0
 
 #: Gate on the projection search's tracemalloc peak beyond its input, as a
 #: multiple of the score matrix's bytes.
-MEMORY_GATE = 1.0
+MEMORY_GATE = 0.4
 
 
 @dataclass

@@ -294,6 +294,7 @@ def search_shflbw_pattern(
     beta = min(1.0, beta_factor * density)
     coarse_mask = _unstructured_mask(scores, beta)
     groups = balanced_kmeans(coarse_mask, vector_size, num_iters=kmeans_iters, seed=seed)
+    del coarse_mask  # free the mask before stage 2 allocates its own
     row_indices = groups_to_permutation(groups, m)
 
     # Stage 2 — vector-wise pruning of the permuted row groups, written

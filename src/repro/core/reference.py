@@ -46,9 +46,9 @@ def kmeans_plusplus_init_loop(
 ) -> np.ndarray:
     """The seed ``kmeans_plusplus_init``: one broadcast distance pass per centroid.
 
-    ``dists``, if given, receives in row ``c`` the distances to seed ``c``,
-    cast to its type.  On 0/1 points every distance is an exact integer;
-    the seeding itself is the seed's, untouched.
+    ``dists``, if given, receives in column ``c`` the distances to seed
+    ``c``, cast to its type.  On 0/1 points every distance is an exact
+    integer; the seeding itself is the seed's, untouched.
     """
     n = points.shape[0]
     if num_clusters <= 0 or num_clusters > n:
@@ -56,7 +56,7 @@ def kmeans_plusplus_init_loop(
 
     def record(c: int, seed_dists: np.ndarray) -> np.ndarray:
         if dists is not None:
-            dists[c] = seed_dists
+            dists[:, c] = seed_dists
         return seed_dists
 
     centroids = np.empty((num_clusters, points.shape[1]), dtype=np.float64)

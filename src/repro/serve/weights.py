@@ -56,8 +56,8 @@ def derive_weights(plan: TuningPlan, weight_seed: int) -> dict[str, np.ndarray]:
         shape = model.layers[assignment.layer].gemm
         rng = np.random.default_rng([int(weight_seed), index])
         values = rng.normal(size=(shape.m, shape.k))
-        mask = _kernel_mask(model.kernel_for(assignment.layer), values, density, rng)
-        weights[assignment.layer] = values * mask
+        values *= _kernel_mask(model.kernel_for(assignment.layer), values, density, rng)
+        weights[assignment.layer] = values
     return weights
 
 

@@ -4,13 +4,16 @@ whole-array expressions they replace.
 The search avoids every full-size temporary: the unstructured threshold is
 selected from a band bracketed by a strided sample, the distance numerators
 are built one block of rows at a time, the first Lloyd step's distances are
-written while k-means++ measures them, the balanced assignment follows each
-row's best open cluster instead of sorting every pair, and the group sums
-(stage 2's and the centroids') gather the rows of each group instead of a
-permuted copy.  Each path must return exactly what the whole-array
-expression (or the seed loop) does, so these properties compare with
-``np.array_equal`` on tie-heavy, zero-heavy (with ``-0.0``) and constant
-draws.  A tracemalloc test bounds what a mid-size search allocates.
+written while k-means++ measures them (in fixed row-block buffers, with the
+seed's draws made inline), the balanced assignment follows each row's best
+open cluster instead of sorting every pair, the later Lloyd steps keep only
+each row's best cluster and rebuild the distance rows of the rows that
+propose again, and the group sums (stage 2's and the centroids') gather the
+rows of each group instead of a permuted copy.  Each path must return
+exactly what the whole-array expression (or the seed loop) does, so these
+properties compare with ``np.array_equal`` on tie-heavy, zero-heavy (with
+``-0.0``) and constant draws.  A tracemalloc test bounds what a mid-size
+search allocates.
 """
 
 import tracemalloc
@@ -165,7 +168,8 @@ class TestBlockedKeys:
 
 
 class TestSeededKeys:
-    """The first Lloyd step's distances, written during k-means++ seeding."""
+    """The first Lloyd step's distances, written during k-means++ seeding
+    into the row-major ``(n, k)`` matrix the first assignment reads."""
 
     @settings(**SETTINGS)
     @given(
@@ -173,19 +177,28 @@ class TestSeededKeys:
         dim=st.sampled_from([1, 5, 64, 130]),
         kind=st.sampled_from(ROW_KINDS),
         seed=st.integers(0, 2**32 - 1),
+        staged=st.integers(1, 8),
+        block_words=st.sampled_from([1, 3, 1 << 16]),
         data=st.data(),
     )
-    def test_equal_pair_keys_on_the_seeds(self, n, dim, kind, seed, data):
+    def test_equal_pair_keys_on_the_seeds(
+        self, n, dim, kind, seed, staged, block_words, data
+    ):
+        # Staging from one seed up, and XOR blocks down to one row.
         rows = _rows(np.random.default_rng(seed), n, dim, kind)
         k = data.draw(st.integers(1, n))
-        dists = np.empty((k, n), dtype=kmeans._int_dtype(dim))
+        dists = np.empty((n, k), dtype=kmeans._int_dtype(dim))
         assert dists.dtype == np.int16
         rng, plain_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        seeds = kmeans.kmeans_plusplus_init(rows, k, rng, dists=dists)
+        with (
+            mock.patch.object(kmeans, "_STAGED_SEEDS", staged),
+            mock.patch.object(kmeans, "_SEED_WORDS", block_words),
+        ):
+            seeds = kmeans.kmeans_plusplus_init(rows, k, rng, dists=dists)
         assert np.array_equal(seeds, kmeans.kmeans_plusplus_init(rows, k, plain_rng))
         assert rng.bit_generator.state == plain_rng.bit_generator.state
         assert kmeans._exact_denominator(seeds, 1) == 1
-        assert np.array_equal(dists.T, kmeans._numerators(rows, seeds, 1))
+        assert np.array_equal(dists, kmeans._numerators(rows, seeds, 1))
         oracle_dists = np.empty_like(dists)
         kmeans_plusplus_init_loop(
             rows.astype(np.float64), k, np.random.default_rng(seed), dists=oracle_dists
@@ -223,24 +236,65 @@ class TestSeededKeys:
 
     @pytest.mark.parametrize("iters, gemms", [(1, 0), (2, 1)])
     def test_first_step_runs_no_gemm(self, iters, gemms):
+        # Each later step builds its numerators a block at a time, and no
+        # step stores an (n, k) matrix but the seeds'.
         rows = np.random.default_rng(5).random((256, 64)) < 0.3
-        real = kmeans._numerators
-        calls = []
+        builders = []
 
-        def counted(*args):
-            calls.append(None)
-            return real(*args)
+        class Counted(kmeans._NumeratorBlocks):
+            def __init__(self, *args):
+                builders.append(None)
+                super().__init__(*args)
 
-        with mock.patch.object(kmeans, "_numerators", counted):
+        whole = mock.Mock(side_effect=AssertionError("a stored (n, k) matrix"))
+        with (
+            mock.patch.object(kmeans, "_NumeratorBlocks", Counted),
+            mock.patch.object(kmeans, "_sq_distances", whole),
+        ):
             kmeans.balanced_kmeans(rows, 16, num_iters=iters, seed=0)
-        assert len(calls) == gemms
+        assert len(builders) == gemms
 
     def test_keys_need_binary_points(self):
         points = np.random.default_rng(0).normal(size=(8, 4))
         with pytest.raises(ValueError, match="binary"):
             kmeans.kmeans_plusplus_init(
-                points, 2, np.random.default_rng(0), dists=np.empty((2, 8), dtype=np.int16)
+                points, 2, np.random.default_rng(0), dists=np.empty((8, 2), dtype=np.int16)
             )
+
+
+def _choice_vector(rng: np.random.Generator, n: int, kind: str) -> np.ndarray:
+    """Non-negative integer distances with a positive sum: mostly zeros, one
+    non-zero entry, uint64 popcount sums, or entries near 2**40."""
+    if kind == "zeros":
+        closest = rng.integers(0, 5, size=n) * (rng.random(n) < 0.1)
+    elif kind == "single":
+        closest = np.zeros(n, dtype=np.int16)
+        closest[rng.integers(n)] = rng.integers(1, 2**15)
+    elif kind == "uint64":
+        closest = rng.integers(0, 1025, size=n).astype(np.uint64)
+    else:
+        closest = rng.integers(2**39, 2**40, size=n)
+    if not closest.any():
+        closest[rng.integers(n)] = 1
+    return closest
+
+
+class TestInlineChoice:
+    """k-means++'s draw without ``Generator.choice``'s validation passes."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.one_of(st.just(1), st.integers(1, 500)),
+        kind=st.sampled_from(["zeros", "single", "uint64", "large"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_generator_choice(self, n, kind, seed):
+        closest = _choice_vector(np.random.default_rng(seed), n, kind)
+        total = closest.sum()
+        rng, choice_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        index = kmeans._choice(closest, total, rng)
+        assert index == int(choice_rng.choice(n, p=closest / total))
+        assert rng.bit_generator.state == choice_rng.bit_generator.state
 
 
 @st.composite
@@ -256,9 +310,9 @@ def greedy_case(draw):
     points = rows.astype(np.float64)
     path = draw(st.sampled_from(["int16 seeds", "int32", "int64", "ranks"]))
     if path == "int16 seeds":
-        dists = np.empty((k, rows.shape[0]), dtype=np.int16)
+        dists = np.empty((rows.shape[0], k), dtype=np.int16)
         centroids = kmeans.kmeans_plusplus_init(rows, k, rng, dists=dists)
-        return points, centroids, capacity, np.ascontiguousarray(dists.T), dim
+        return points, centroids, capacity, dists, dim
     if path == "ranks":
         points = rng.normal(size=points.shape).round(int(rng.integers(0, 2)))
         centroids = points[rng.permutation(points.shape[0])[:k]]
@@ -303,6 +357,100 @@ class TestProposalGreedy:
         rows = np.array([[1, 0, 1], [0, 0, 0], [1, 0, 1], [0, 0, 0], [1, 1, 1]], dtype=bool)
         assert kmeans._twins(rows).tolist() == [0, 1, 0, 1, 4]
         assert kmeans._twins(np.zeros((3, 0), dtype=bool)).tolist() == [0, 0, 0]
+
+
+@st.composite
+def lloyd_case(draw):
+    """Tie-heavy binary rows and Lloyd centroids, the means of a random
+    balanced partition into groups of a power-of-two ``V``."""
+    capacity = draw(st.sampled_from([1, 2, 4, 8, 16]))
+    k = draw(st.one_of(st.just(1), st.integers(1, 6)))
+    dim = draw(st.sampled_from([1, 3, 17, 64, 65]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = _rows(rng, k * capacity, dim, draw(st.sampled_from(ROW_KINDS)))
+    assign = rng.permutation(np.repeat(np.arange(k), capacity))
+    return rows, kmeans._balanced_centroids(rows, assign, k, capacity), capacity
+
+
+def _stored_assign(points, centroids, capacity, twins=None):
+    """A Lloyd step's assignment over its whole stored distance matrix."""
+    dists, bound = kmeans._sq_distances(points, centroids, capacity)
+    return kmeans._greedy_assignment(dists, bound, capacity, twins)
+
+
+class TestOnDemandLloyd:
+    """Lloyd steps that keep each row's best cluster and rebuild only the
+    distance rows of the rows that propose again, against the stored
+    matrix's greedy and the seed loops."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        case=lloyd_case(),
+        window=st.one_of(st.integers(1, 3), st.integers(1, 1024)),
+        block_rows=st.integers(1, 9),
+    )
+    def test_assignment_equals_stored_path(self, case, window, block_rows):
+        # Blocks from one row up; no (n, k) matrix may be built.
+        rows, centroids, capacity = case
+        expected = balanced_assignment_loop(rows.astype(np.float64), centroids, capacity)
+        twins = kmeans._twins(rows)
+        assert np.array_equal(_stored_assign(rows, centroids, capacity, twins), expected)
+        whole = mock.Mock(side_effect=AssertionError("a stored (n, k) matrix"))
+        with (
+            mock.patch.object(kmeans, "_WINDOW", window),
+            mock.patch.object(kmeans, "_CHUNK_ELEMENTS", block_rows * rows.shape[1]),
+            mock.patch.object(kmeans, "_sq_distances", whole),
+        ):
+            for pairs in (None, twins):
+                actual = kmeans._assign(rows, centroids, capacity, pairs)
+                assert np.array_equal(actual, expected)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        v=st.sampled_from([1, 2, 4, 8, 16]),
+        num_groups=st.integers(1, 5),
+        dim=st.sampled_from([1, 3, 17, 64, 65]),
+        kind=st.sampled_from(ROW_KINDS),
+        iters=st.integers(1, 4),
+        window=st.one_of(st.integers(1, 3), st.integers(1, 1024)),
+        block_rows=st.integers(1, 9),
+        seed=st.integers(0, 2**16),
+    )
+    def test_kmeans_equals_stored_path_and_loop(
+        self, v, num_groups, dim, kind, iters, window, block_rows, seed
+    ):
+        rows = _rows(np.random.default_rng(seed), v * num_groups, dim, kind)
+        expected = balanced_kmeans_loop(rows.astype(np.float64), v, num_iters=iters, seed=seed)
+        with mock.patch.object(kmeans, "_assign", _stored_assign):
+            stored = kmeans.balanced_kmeans(rows, v, num_iters=iters, seed=seed)
+        with (
+            mock.patch.object(kmeans, "_WINDOW", window),
+            mock.patch.object(kmeans, "_CHUNK_ELEMENTS", block_rows * dim),
+        ):
+            actual = kmeans.balanced_kmeans(rows, v, num_iters=iters, seed=seed)
+        for groups in (stored, actual):
+            assert len(groups) == len(expected)
+            for got, want in zip(groups, expected, strict=True):
+                assert np.array_equal(got, want)
+
+    def test_equal_rows_share_one_rebuilt_row(self):
+        # Every row proposes the first cluster; each time one fills, the
+        # rest propose again over a single rebuilt distance row.
+        rows = np.repeat(np.random.default_rng(3).random((1, 40)) < 0.5, 64, axis=0)
+        centroids = kmeans._balanced_centroids(rows, np.repeat(np.arange(8), 8), 8, 8)
+        rebuilt = []
+
+        class Recorded(kmeans._NumeratorBlocks):
+            def __call__(self, block_rows, out=None):
+                if out is None:
+                    rebuilt.append(block_rows.shape[0])
+                return super().__call__(block_rows, out)
+
+        expected = balanced_assignment_loop(rows.astype(np.float64), centroids, 8)
+        with mock.patch.object(kmeans, "_NumeratorBlocks", Recorded):
+            actual = kmeans._assign(rows, centroids, 8, kmeans._twins(rows))
+        assert np.array_equal(actual, expected)
+        assert rebuilt == [1] * 7
 
 
 class TestGroupSums:
