@@ -34,7 +34,7 @@ uploads the JSON as an artifact.
 Run standalone (after ``pip install -e .``)::
 
     python benchmarks/bench_serve.py
-    python benchmarks/bench_serve.py --smoke           # identity gate only
+    python benchmarks/bench_serve.py --smoke           # identity gate only, writes nothing
     python benchmarks/bench_serve.py --min-speedup 2   # the CI bar
 """
 
@@ -230,7 +230,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="replay byte-identity only; the throughput gate is skipped",
+        help="replay byte-identity only; the throughput gate is skipped and nothing is written",
     )
     parser.add_argument(
         "--output",
@@ -250,7 +250,8 @@ def main(argv: list[str] | None = None) -> int:
     result["min_faulted_speedup"] = MIN_FAULTED_SPEEDUP
     result["serial_floor_rps"] = SERIAL_FLOOR_RPS
     result["microbatch_floor_rps"] = MICROBATCH_FLOOR_RPS
-    args.output.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
+    if not args.smoke:
+        args.output.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
 
     identity = result["replay_identity"]
     print(
@@ -266,7 +267,6 @@ def main(argv: list[str] | None = None) -> int:
         )
         return 1
     if args.smoke:
-        print(f"wrote {args.output}")
         print("OK: serial and parallel replay byte-identical (smoke)")
         return 0
 

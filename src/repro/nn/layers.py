@@ -166,10 +166,7 @@ class Linear(Module):
         )
 
     def forward(self, x: Tensor) -> Tensor:
-        out = x @ self.weight.T
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        return x.linear(self.weight, self.bias)
 
 
 class Embedding(Module):
@@ -356,7 +353,11 @@ class LSTMCell(Module):
 
     def forward(self, x: Tensor, state: tuple[Tensor, Tensor]) -> tuple[Tensor, Tensor]:
         h, c = state
-        gates = x @ self.weight_ih.T + h @ self.weight_hh.T + self.bias
+        # Only the input product is one ``linear`` node.  Through its
+        # transpose nodes, ``weight_hh``'s per-step gradients arrive first
+        # step first; one node per step would deliver them last step first
+        # and sum them in another order.
+        gates = x.linear(self.weight_ih) + h @ self.weight_hh.T + self.bias
         hs = self.hidden_size
         i = gates[:, 0 * hs : 1 * hs].sigmoid()
         f = gates[:, 1 * hs : 2 * hs].sigmoid()

@@ -109,10 +109,19 @@ class Adam(Optimizer):
             grad = param.grad
             if self.weight_decay:
                 grad = grad + self.weight_decay * param.data
+            # ``param.data - lr * m_hat / (sqrt(v_hat) + eps)`` through two
+            # temporaries; the update buffer becomes the new ``param.data``.
+            update = np.multiply(1 - beta1, grad)
             m *= beta1
-            m += (1 - beta1) * grad
+            m += update
+            np.square(grad, out=update)
+            update *= 1 - beta2
             v *= beta2
-            v += (1 - beta2) * grad**2
-            m_hat = m / (1 - beta1**self._step)
-            v_hat = v / (1 - beta2**self._step)
-            param.data = param.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            v += update
+            denom = v / (1 - beta2**self._step)
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            np.divide(m, 1 - beta1**self._step, out=update)
+            update *= self.lr
+            update /= denom
+            param.data = np.subtract(param.data, update, out=update)

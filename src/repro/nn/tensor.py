@@ -11,6 +11,34 @@ Every fast path performs the same float operations in the same order as the
 generic expression it replaces, so training results stay bit-identical; the
 property tests in ``tests/nn/test_fast_paths.py`` pin each one with
 ``np.array_equal``.
+
+A graph is single-use.  :meth:`Tensor.backward` visits nodes in one
+topological order and releases each interior node once it has passed its
+gradient on: its closure, its parents and the engine's own reference go,
+so activations are freed while the backward pass runs rather than when
+it returns.  A consumed node keeps a sentinel closure, and a second
+``backward()`` that reaches one raises ``RuntimeError``.
+
+Gradients reach each node in topological order, and the engine adds them
+in that order, as ``((g1 + g2) + g3) + ...`` would; only where the sum
+lives differs.  The first contribution is kept as given, because backward
+closures may return an alias of another node's gradient (``_unbroadcast``
+and the pass-through ops do).  The second allocates the sum, and later
+ones add into it in place, which is where the sum would be anyway.  An
+in-place add keeps the buffer's layout, so only a C-ordered sum (the
+layout ``sum + g`` has whenever ``sum`` is C-ordered) is added into;
+other layouts keep summing out of place.  A leaf's first gradient is
+``grad + 0.0`` in a fresh array, which has the bits of
+``zeros_like(data) + grad``, and its layout unless data and gradient are
+ordered differently and neither is C-ordered.
+
+A basic-index slice ``x[index]`` returns a lazy gradient, which the
+engine adds straight into ``x``'s gradient buffer at ``index``.  The
+dense gradient adds the slice into zeros, which turns every ``-0.0`` of
+``x``'s sum into ``+0.0``; so a buffer that started from a dense
+contribution, and may therefore hold ``-0.0``, gets ``+ 0.0`` once
+before its first scatter.  A buffer that started from zeros needs none:
+a sum is ``-0.0`` only when both of its terms are.
 """
 
 from __future__ import annotations
@@ -74,6 +102,91 @@ def _is_basic_index(index) -> bool:
     )
 
 
+def _matmul_grads(a: np.ndarray, b: np.ndarray, grad: np.ndarray, need_a: bool, need_b: bool):
+    """Gradients of ``a @ b`` for ``a`` and ``b`` (``None`` where not needed)."""
+    grad_a = grad_b = None
+    # Batched operands contract over the batch dimensions; for 2-D ones
+    # ``_unbroadcast`` is the identity.
+    if need_a:
+        grad_a = _unbroadcast(grad @ np.swapaxes(b, -1, -2), a.shape)
+    if need_b and a.ndim == 3 and b.ndim == 2 and len(a) and b.size > 1:
+        # The per-item products the batched matmul makes, summed in
+        # ``.sum(axis=0)``'s sequential order without the (B, K, N)
+        # temporary.  A 1x1 ``b`` is excluded: its axis-0 sum is a 1-D
+        # pairwise sum.
+        grad_b = a[0].T @ grad[0]
+        for i in range(1, len(a)):
+            grad_b += a[i].T @ grad[i]
+    elif need_b:
+        grad_b = _unbroadcast(np.swapaxes(a, -1, -2) @ grad, b.shape)
+    return grad_a, grad_b
+
+
+class _SliceGrad:
+    """The gradient of ``operand[index]`` for a basic ``index``, unscattered.
+
+    :meth:`dense` is the operand-shaped gradient: ``grad`` added into zeros
+    at ``index``.  :meth:`Tensor.backward` adds ``grad`` straight into the
+    operand's gradient buffer instead (see the module docstring).
+    """
+
+    __slots__ = ("operand", "index", "grad")
+
+    def __init__(self, operand: np.ndarray, index, grad: np.ndarray):
+        self.operand = operand
+        self.index = index
+        self.grad = grad
+
+    def add_to(self, buffer: np.ndarray) -> np.ndarray:
+        # A basic index selects each element at most once, so one in-place
+        # add equals the unbuffered scatter-add.
+        buffer[self.index] += self.grad
+        return buffer
+
+    def dense(self) -> np.ndarray:
+        return self.add_to(np.zeros_like(self.operand))
+
+
+def _consumed(grad: np.ndarray):
+    """The closure of a node whose graph a backward pass has consumed."""
+    raise RuntimeError(
+        "backward() through a graph that an earlier backward() consumed; run the forward again"
+    )
+
+
+# How :meth:`Tensor.backward` holds a node's running gradient sum: as a
+# contribution was given (it may alias another node's gradient), or in a
+# C-ordered buffer the engine allocated, which may hold ``-0.0`` (OWNED) or
+# cannot (CLEAN).
+_GIVEN, _OWNED, _CLEAN = range(3)
+
+
+def _add_grad(entry: list | None, grad) -> list:
+    """``[sum, state]`` after adding ``grad``, with the bits and layout of
+    ``sum + grad`` (``sum + slice.dense()`` for a slice gradient)."""
+    if isinstance(grad, _SliceGrad):
+        if entry is None:
+            buffer = np.zeros_like(grad.operand)
+        elif entry[1] == _GIVEN:
+            # ``+ 0.0`` in the layout the dense sum would have had.
+            buffer = entry[0] + np.zeros_like(grad.operand)
+        else:
+            buffer = entry[0]
+            if entry[1] == _OWNED:
+                buffer += 0.0
+        grad.add_to(buffer)
+        return [buffer, _CLEAN if buffer.flags.c_contiguous else _GIVEN]
+    if entry is None:
+        return [grad, _GIVEN]
+    if entry[1] == _GIVEN:
+        total = entry[0] + grad
+        return [total, _OWNED if total.flags.c_contiguous else _GIVEN]
+    # ``sum + grad`` of a C-ordered sum is C-ordered too.  A sum is
+    # ``-0.0`` only where both terms are, so a CLEAN sum stays clean.
+    entry[0] += grad
+    return entry
+
+
 class Tensor:
     """A numpy array with reverse-mode gradient tracking.
 
@@ -86,7 +199,7 @@ class Tensor:
         :meth:`backward`.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "name")
+    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "name", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
         self.data = np.asarray(data, dtype=np.float64)
@@ -156,13 +269,24 @@ class Tensor:
             out._backward = backward
         return out
 
-    def _accumulate(self, grad: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad = self.grad + grad
+    def _accumulate(self, grad: np.ndarray, state: int) -> None:
+        if self.grad is not None:
+            self.grad = self.grad + grad
+        elif state == _GIVEN:
+            # ``zeros_like(data) + grad`` is C-ordered when either term is.
+            like = grad if grad.flags.c_contiguous else self.data
+            self.grad = np.add(grad, 0.0, out=np.empty_like(like))
+        else:
+            if state == _OWNED:
+                grad += 0.0
+            self.grad = grad
 
     def backward(self, grad: np.ndarray | None = None) -> None:
-        """Back-propagate from this tensor (defaults to d(self)/d(self) = 1)."""
+        """Back-propagate from this tensor (defaults to d(self)/d(self) = 1).
+
+        Consumes the graph: every interior node reached is released once it
+        has passed its gradient on (see the module docstring).
+        """
         if not self.requires_grad:
             raise RuntimeError("called backward() on a tensor that does not require grad")
         if grad is None:
@@ -180,30 +304,34 @@ class Tensor:
                 continue
             if id(node) in visited:
                 continue
+            if node._backward is _consumed:
+                _consumed(grad)  # raises before any gradient flows
             visited.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
                 if parent.requires_grad and id(parent) not in visited:
                     stack.append((parent, False))
 
-        grads: dict[int, np.ndarray] = {id(self): grad}
-        for node in reversed(order):
-            node_grad = grads.pop(id(node), None)
-            if node_grad is None:
+        # Popping from ``order`` drops the engine's reference to each node.
+        sums: dict[int, list] = {id(self): [grad, _GIVEN]}
+        while order:
+            node = order.pop()
+            entry = sums.pop(id(node), None)
+            backward, parents = node._backward, node._parents
+            if backward is None:
+                if entry is not None:
+                    node._accumulate(*entry)
                 continue
-            if node._backward is None or not node._parents:
-                node._accumulate(node_grad)
+            node._backward, node._parents = _consumed, ()
+            if entry is None:
                 continue
-            parent_grads = node._backward(node_grad)
+            parent_grads = backward(entry[0])
             if not isinstance(parent_grads, tuple):
                 parent_grads = (parent_grads,)
-            for parent, pgrad in zip(node._parents, parent_grads, strict=True):
+            for parent, pgrad in zip(parents, parent_grads, strict=True):
                 if pgrad is None or not parent.requires_grad:
                     continue
-                if id(parent) in grads:
-                    grads[id(parent)] = grads[id(parent)] + pgrad
-                else:
-                    grads[id(parent)] = pgrad
+                sums[id(parent)] = _add_grad(sums.get(id(parent)), pgrad)
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -278,25 +406,36 @@ class Tensor:
         other = Tensor.as_tensor(other)
 
         def backward(grad: np.ndarray):
-            a, b = self.data, other.data
-            grad_a = grad_b = None
-            # Batched operands contract over the batch dimensions; for 2-D
-            # ones ``_unbroadcast`` is the identity.
-            if self.requires_grad:
-                grad_a = _unbroadcast(grad @ np.swapaxes(b, -1, -2), a.shape)
-            if other.requires_grad and a.ndim == 3 and b.ndim == 2 and len(a) and b.size > 1:
-                # The per-item products the batched matmul makes, summed in
-                # ``.sum(axis=0)``'s sequential order without the (B, K, N)
-                # temporary.  A 1x1 ``b`` is excluded: its axis-0 sum is a
-                # 1-D pairwise sum.
-                grad_b = a[0].T @ grad[0]
-                for i in range(1, len(a)):
-                    grad_b += a[i].T @ grad[i]
-            elif other.requires_grad:
-                grad_b = _unbroadcast(np.swapaxes(a, -1, -2) @ grad, b.shape)
-            return grad_a, grad_b
+            return _matmul_grads(
+                self.data, other.data, grad, self.requires_grad, other.requires_grad
+            )
 
         return self._make(self.data @ other.data, (self, other), backward)
+
+    def linear(self, weight: "Tensor", bias: "Tensor | None" = None) -> "Tensor":
+        """``self @ weight.T + bias`` as one node.
+
+        The bias is added in place into the fresh GEMM output, which has the
+        bits of the out-of-place sum, and the gradients are those of the
+        transpose, matmul and add nodes this replaces.  Parents are ordered
+        ``(self, weight, bias)``, so the topological sort reaches them in the
+        order it reached them through those nodes.
+        """
+        out = self.data @ weight.data.T
+        if bias is not None:
+            out += bias.data
+
+        def backward(grad: np.ndarray):
+            grad_x, grad_wt = _matmul_grads(
+                self.data, weight.data.T, grad, self.requires_grad, weight.requires_grad
+            )
+            grads = (grad_x, None if grad_wt is None else grad_wt.T)
+            if bias is None:
+                return grads
+            return grads + (_unbroadcast(grad, bias.data.shape) if bias.requires_grad else None,)
+
+        parents = (self, weight) if bias is None else (self, weight, bias)
+        return self._make(out, parents, backward)
 
     # ------------------------------------------------------------------ #
     # Elementwise non-linearities
@@ -318,10 +457,16 @@ class Tensor:
         return self._make(out, (self,), backward)
 
     def sigmoid(self) -> "Tensor":
-        out = 1.0 / (1.0 + np.exp(-self.data))
+        # ``1.0 / (1.0 + np.exp(-x))`` in one buffer.
+        out = np.negative(self.data)
+        np.exp(out, out=out)
+        out += 1.0
+        np.divide(1.0, out, out=out)
 
         def backward(grad: np.ndarray):
-            return (grad * out * (1.0 - out),)
+            result = grad * out
+            result *= 1.0 - out
+            return (result,)
 
         return self._make(out, (self,), backward)
 
@@ -406,13 +551,10 @@ class Tensor:
 
     def __getitem__(self, index) -> "Tensor":
         def backward(grad: np.ndarray):
-            full = np.zeros_like(self.data)
             if _is_basic_index(index):
-                # A basic index selects each element at most once, so one
-                # in-place add into zeros equals the unbuffered scatter-add.
-                full[index] += grad
-            else:
-                np.add.at(full, index, grad)
+                return (_SliceGrad(self.data, index, grad),)
+            full = np.zeros_like(self.data)
+            np.add.at(full, index, grad)
             return (full,)
 
         return self._make(self.data[index], (self,), backward)

@@ -11,6 +11,7 @@ proxy models in :mod:`repro.models` expose two methods used here:
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,6 +129,28 @@ def mask_gradients(model: Module, masks: dict[str, np.ndarray]) -> None:
             param.grad = param.grad * masks[name]
 
 
+#: glibc's ``mallopt`` parameter for the free heap kept on top when trimming.
+_M_TOP_PAD = -2
+
+
+def _keep_freed_heap() -> None:
+    """Keep up to 64 MiB of freed heap in the process instead of returning it.
+
+    A training step's graph is freed as ``backward()`` consumes it.  With
+    glibc's default 128 KiB top pad, ``free`` hands that memory back to the
+    OS and the next step faults it in again, page by page.  This is a
+    process-wide allocator setting; it is a no-op where the C library has
+    no ``mallopt``.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_TOP_PAD, 64 << 20)
+
+
 def train_model(
     model: Module,
     task,
@@ -149,7 +172,13 @@ def train_model(
     masks:
         Optional pruning masks; when given, weights and gradients are masked
         every step so the sparsity pattern is preserved.
+
+    Each step's ``backward()`` frees that step's graph, so the next forward
+    starts from the parameters alone.  So that the freed memory serves the
+    next step rather than going back to the OS, this sets the process-wide
+    glibc top pad to 64 MiB (``mallopt(M_TOP_PAD)``, a no-op elsewhere).
     """
+    _keep_freed_heap()
     optimizer = _make_optimizer(model, config)
     rng = np.random.default_rng(config.seed)
     train_split = task.train_split()

@@ -1,5 +1,7 @@
 """Tests for synthetic datasets, metrics and the (masked) training loop."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -160,6 +162,21 @@ class TestMaskedTraining:
         model = GNMTProxy(GNMTConfig(vocab_size=8, embed_dim=16, hidden_size=32, num_layers=1))
         result = train_model(model, task, TrainConfig(epochs=2, batch_size=32))
         assert result.losses[-1] < result.losses[0]
+
+    def test_previous_step_graph_is_freed_before_the_next_forward(self):
+        task = SyntheticTranslationTask(vocab_size=8, seq_len=6, num_train=64, num_valid=32)
+        model = GNMTProxy(GNMTConfig(vocab_size=8, embed_dim=16, hidden_size=32, num_layers=1))
+        forward, graphs = model.loss, []
+
+        def loss(batch):
+            assert all(graph() is None for graph in graphs)
+            out = forward(batch)
+            graphs.append(weakref.ref(out._parents[0]))
+            return out
+
+        model.loss = loss
+        train_model(model, task, TrainConfig(epochs=1, batch_size=16))
+        assert len(graphs) == 4
 
     def test_invalid_train_config(self):
         with pytest.raises(ValueError):

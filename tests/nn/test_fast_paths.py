@@ -1,20 +1,25 @@
 """Bit-identity of the autograd fast paths against the expressions they replace.
 
-Each fast path in :mod:`repro.nn.tensor` and :class:`repro.nn.layers.Conv2d`
-must perform the same float operations in the same order as the generic
-expression, so training results (and every report built on them) keep their
-bytes.  These properties compare with ``np.array_equal`` on tie-heavy,
-zero-heavy and ``-0.0``-containing inputs: normal draws never reach the
-signed-zero case, where ``0.0 + -0.0`` and a plain store differ.
+Each fast path in :mod:`repro.nn.tensor`, :mod:`repro.nn.optim` and
+:class:`repro.nn.layers.Conv2d` must perform the same float operations in
+the same order as the generic expression, so training results (and every
+report built on them) keep their bytes.  These properties compare with
+``np.array_equal`` on tie-heavy, zero-heavy and ``-0.0``-containing inputs:
+normal draws never reach the signed-zero case, where ``0.0 + -0.0`` and a
+plain store differ.  The engine's gradient sums are checked against
+:func:`_reference_backward`, the out-of-place algorithm they replace.
 """
 
 import operator
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.nn.layers import Conv2d
-from repro.nn.tensor import Tensor, _is_basic_index, _unbroadcast
+from repro.eval.accuracy import AccuracyConfig, _build_model_and_task
+from repro.nn.layers import LSTM, Conv2d
+from repro.nn.optim import Adam, clip_grad_norm
+from repro.nn.tensor import Tensor, _is_basic_index, _SliceGrad, _unbroadcast
 
 SETTINGS = dict(max_examples=60, deadline=None)
 
@@ -38,6 +43,63 @@ def _values(rng: np.random.Generator, shape, kind: str) -> np.ndarray:
 
 
 draws = st.tuples(st.integers(0, 2**32 - 1), st.sampled_from(VALUE_KINDS))
+
+
+def _reference_backward(root: Tensor) -> None:
+    """Back-propagation as the engine did it before its in-place sums.
+
+    The same topological order; each slice gradient materialised into zeros;
+    every sum out of place, in arrival order; ``zeros_like(data) + grad`` at
+    each leaf.  No node is released.
+    """
+    order, visited, stack = [], set(), [(root, False)]
+    while stack:
+        node, processed = stack.pop()
+        if processed:
+            order.append(node)
+            continue
+        if id(node) in visited:
+            continue
+        visited.add(id(node))
+        stack.append((node, True))
+        for parent in node._parents:
+            if parent.requires_grad and id(parent) not in visited:
+                stack.append((parent, False))
+    grads = {id(root): np.ones_like(root.data)}
+    for node in reversed(order):
+        grad = grads.pop(id(node), None)
+        if grad is None:
+            continue
+        if node._backward is None:
+            node.grad = np.zeros_like(node.data) + grad if node.grad is None else node.grad + grad
+            continue
+        parent_grads = node._backward(grad)
+        if not isinstance(parent_grads, tuple):
+            parent_grads = (parent_grads,)
+        for parent, pgrad in zip(node._parents, parent_grads, strict=True):
+            if pgrad is None or not parent.requires_grad:
+                continue
+            if isinstance(pgrad, _SliceGrad):
+                pgrad = pgrad.dense()
+            grads[id(parent)] = grads[id(parent)] + pgrad if id(parent) in grads else pgrad
+
+
+def _record_sums(node: Tensor) -> list[np.ndarray]:
+    """Copies of the gradient sums ``node``'s closure receives."""
+    received = []
+    closure = node._backward
+
+    def recording(grad):
+        received.append(grad.copy(order="K"))
+        return closure(grad)
+
+    node._backward = recording
+    return received
+
+
+def _assert_same_bits(actual: np.ndarray, expected: np.ndarray) -> None:
+    assert np.array_equal(actual, expected)
+    assert np.array_equal(np.signbit(actual), np.signbit(expected))
 
 
 class TestBatchedWeightGrad:
@@ -112,7 +174,8 @@ class TestBasicIndexScatter:
         out = x[index]
         grad = _values(rng, out.shape, kind)
 
-        (scattered,) = out._backward(grad)
+        (lazy,) = out._backward(grad)
+        scattered = lazy.dense()
 
         expected = np.zeros(shape)
         np.add.at(expected, index, grad)
@@ -207,3 +270,254 @@ class TestConstantOperands:
         (input_grad, weight_grad), (constant_input_grad, constant_weight_grad) = grads
         assert input_grad is not None and constant_input_grad is None
         assert np.array_equal(constant_weight_grad, weight_grad)
+
+
+#: Basic indices into the (4, 5) node of :class:`TestGradientSums`.
+SUM_SLICES = (
+    (slice(1, 3), slice(None)),
+    0,
+    (slice(None), slice(None, None, -2)),
+    (Ellipsis, 2),
+    (slice(None), None, slice(1, 4)),
+)
+
+
+class TestGradientSums:
+    """In-place sums, slice scatters and leaf gradients equal the
+    out-of-place sums they replace, whatever order the kinds arrive in.
+
+    A leaf's first gradient adds ``0.0``, which hides the sign of a zero
+    sum, so the interior node's sum is recorded as its closure receives it.
+    """
+
+    @settings(**SETTINGS)
+    @given(
+        first=st.permutations(["dense", "broadcast", "slice"]),
+        extra=st.lists(st.sampled_from(["dense", "broadcast", "slice", "alias"]), max_size=3),
+        interior=st.booleans(),
+        fortran=st.booleans(),
+        draw=draws,
+    )
+    def test_matches_out_of_place_sums(self, first, extra, interior, fortran, draw):
+        seed, kind = draw
+
+        def build():
+            rng = np.random.default_rng(seed)
+            order = "F" if fortran else "C"
+            x, scale, partner = (
+                Tensor(np.asarray(_values(rng, (4, 5), kind), order=order), requires_grad=True)
+                for _ in range(3)
+            )
+            node = x * scale if interior else x
+            received = _record_sums(node) if interior else []
+            loss = None
+            for consumer in [*first, *extra]:
+                if consumer == "dense":
+                    out = node * Tensor(_values(rng, (4, 5), kind))
+                elif consumer == "broadcast":  # node's gradient is summed over axis 0
+                    out = node + Tensor(_values(rng, (3, 4, 5), kind))
+                elif consumer == "slice":
+                    out = node[SUM_SLICES[rng.integers(len(SUM_SLICES))]]
+                else:  # the add hands node and partner the same array
+                    out = node + partner
+                term = (out * Tensor(_values(rng, out.shape, kind))).sum()
+                loss = term if loss is None else loss + term
+            return loss, [x, scale, partner], received
+
+        loss, leaves, want_received = build()
+        _reference_backward(loss)
+        expected = [leaf.grad for leaf in leaves]
+        loss, leaves, received = build()
+        loss.backward()
+        got = [leaf.grad for leaf in leaves]
+        for actual, want in zip(got + received, expected + want_received, strict=True):
+            if want is None:
+                assert actual is None
+            else:
+                _assert_same_bits(actual, want)
+                assert actual.strides == want.strides
+
+    @pytest.mark.parametrize(
+        "consumers",
+        [
+            ("dense", "slice"),
+            ("slice", "dense"),
+            ("dense", "dense", "slice"),
+            ("slice", "dense", "dense"),
+            ("dense", "slice", "slice", "dense"),
+        ],
+    )
+    def test_zero_signs_around_slices(self, consumers):
+        """All-``-0.0`` contributions: only the ``+ 0.0`` before a buffer's
+        first scatter keeps the sum's zero signs those of the dense sum."""
+
+        def build():
+            x = Tensor(np.ones((4, 5)), requires_grad=True)
+            node = x * Tensor(np.ones((4, 5)))
+            received = _record_sums(node)
+            loss = None
+            for consumer in consumers:
+                out = node[1:3] if consumer == "slice" else node
+                term = (out * Tensor(np.full(out.shape, -0.0))).sum()
+                loss = term if loss is None else loss + term
+            return loss, received
+
+        loss, expected = build()
+        _reference_backward(loss)
+        loss, received = build()
+        loss.backward()
+        _assert_same_bits(received[0], expected[0])
+
+
+class TestLinearNode:
+    """``x.linear(W, b)`` equals ``x @ W.T + b`` built from the primitives."""
+
+    @settings(**SETTINGS)
+    @given(
+        leading=st.sampled_from([(3,), (1,), (2, 3), (1, 4), (5, 1)]),
+        features=st.sampled_from([(1, 1), (3, 2), (4, 7)]),
+        bias=st.booleans(),
+        constant_input=st.booleans(),
+        draw=draws,
+    )
+    def test_matches_primitives(self, leading, features, bias, constant_input, draw):
+        seed, kind = draw
+        rng = np.random.default_rng(seed)
+        in_features, out_features = features
+        x0 = _values(rng, (*leading, in_features), kind)
+        w0 = _values(rng, (out_features, in_features), kind)
+        b0 = _values(rng, (out_features,), kind)
+        upstream = _values(rng, (*leading, out_features), kind)
+
+        def run(node: bool):
+            x = Tensor(x0, requires_grad=not constant_input)
+            w = Tensor(w0, requires_grad=True)
+            b = Tensor(b0, requires_grad=True) if bias else None
+            if node:
+                out = x.linear(w, b)
+            else:
+                out = x @ w.T
+                if b is not None:
+                    out = out + b
+            (out * Tensor(upstream)).sum().backward()
+            return [out.data, x.grad, w.grad, None if b is None else b.grad]
+
+        for got, want in zip(run(True), run(False), strict=True):
+            if want is None:
+                assert got is None
+            else:
+                _assert_same_bits(got, want)
+
+    @settings(max_examples=30, deadline=None)
+    @given(steps=st.integers(2, 4), draw=draws)
+    def test_lstm_matches_primitives(self, steps, draw):
+        """The LSTM's gradients keep the bits of its all-primitive graph,
+        whose per-step weight gradients arrive in their own orders."""
+        seed, kind = draw
+        rng = np.random.default_rng(seed)
+        lstm = LSTM(3, 4, rng=rng)
+        cell = lstm.cell
+        x0 = _values(rng, (2, steps, 3), kind)
+        upstream = _values(rng, (2, steps, 4), kind)
+
+        def primitives(x: Tensor) -> Tensor:
+            h, c = cell.initial_state(2)
+            outputs = []
+            for t in range(steps):
+                gates = x[:, t, :] @ cell.weight_ih.T + h @ cell.weight_hh.T + cell.bias
+                i, f, g, o = (gates[:, k * 4 : (k + 1) * 4] for k in range(4))
+                c = f.sigmoid() * c + i.sigmoid() * g.tanh()
+                h = o.sigmoid() * c.tanh()
+                outputs.append(h)
+            return Tensor.stack(outputs, axis=1)
+
+        def run(forward):
+            lstm.zero_grad()
+            x = Tensor(x0, requires_grad=True)
+            with np.errstate(over="ignore"):
+                out = forward(x)
+                (out * Tensor(upstream)).sum().backward()
+            return [out.data, x.grad, *(param.grad for param in lstm.parameters())]
+
+        for got, want in zip(run(lambda x: lstm(x)[0]), run(primitives), strict=True):
+            _assert_same_bits(got, want)
+
+
+class TestReusedTemporaries:
+    """``sigmoid`` and ``Adam.step`` compute their parent expressions."""
+
+    @settings(**SETTINGS)
+    @given(shape=st.sampled_from([(1,), (3, 4), (2, 3, 5)]), draw=draws)
+    def test_sigmoid(self, shape, draw):
+        seed, kind = draw
+        rng = np.random.default_rng(seed)
+        x = _values(rng, shape, kind)
+        grad = _values(rng, shape, kind)
+        with np.errstate(over="ignore"):
+            expected = 1.0 / (1.0 + np.exp(-x))
+            out = Tensor(x, requires_grad=True).sigmoid()
+        (result,) = out._backward(grad)
+        _assert_same_bits(out.data, expected)
+        _assert_same_bits(result, grad * expected * (1.0 - expected))
+
+    @settings(**SETTINGS)
+    @given(weight_decay=st.sampled_from([0.0, 0.01]), draw=draws)
+    def test_adam_step(self, weight_decay, draw):
+        seed, kind = draw
+        rng = np.random.default_rng(seed)
+        param = Tensor(_values(rng, (3, 4), kind), requires_grad=True)
+        lr, (beta1, beta2), eps = 1.0e-2, (0.9, 0.999), 1.0e-8
+        optimizer = Adam([param], lr=lr, weight_decay=weight_decay)
+        data, m, v = param.data.copy(), np.zeros((3, 4)), np.zeros((3, 4))
+        for step in range(1, 4):
+            grad = _values(rng, (3, 4), kind)
+            param.grad = grad.copy()
+            optimizer.step()
+            if weight_decay:
+                grad = grad + weight_decay * data
+            m *= beta1
+            m += (1 - beta1) * grad
+            v *= beta2
+            v += (1 - beta2) * grad**2
+            m_hat = m / (1 - beta1**step)
+            v_hat = v / (1 - beta2**step)
+            data = data - lr * m_hat / (np.sqrt(v_hat) + eps)
+            _assert_same_bits(param.data, data)
+
+
+class TestEngineOnProxies:
+    """Two Adam steps of each tiny proxy: the engine against
+    :func:`_reference_backward`, every parameter and gradient bit for bit.
+
+    The accuracy golden stores only BLEU/top-1 per cell, so it cannot see a
+    last-bit change; this does.
+    """
+
+    @staticmethod
+    def _two_steps(name: str, backward) -> list[list[tuple[np.ndarray, np.ndarray]]]:
+        model, task, config, _ = _build_model_and_task(name, AccuracyConfig(tiny=True))
+        optimizer = Adam(model.parameters(), lr=config.learning_rate)
+        rng = np.random.default_rng(config.seed)
+        batches = task.batches(task.train_split(), config.batch_size, rng=rng)
+        steps = []
+        for _ in range(2):
+            optimizer.zero_grad()
+            backward(model.loss(next(batches)))
+            grads = [param.grad.copy(order="K") for param in model.parameters()]
+            clip_grad_norm(model.parameters(), config.grad_clip)
+            optimizer.step()
+            steps.append(list(zip([p.data for p in model.parameters()], grads, strict=True)))
+        return steps
+
+    @pytest.mark.parametrize("name", ["transformer", "gnmt", "resnet"])
+    def test_matches_reference_accumulator(self, name):
+        engine = self._two_steps(name, Tensor.backward)
+        reference = self._two_steps(name, _reference_backward)
+        for engine_step, reference_step in zip(engine, reference, strict=True):
+            for (data, grad), (want_data, want_grad) in zip(
+                engine_step, reference_step, strict=True
+            ):
+                _assert_same_bits(grad, want_grad)
+                # Later reductions over a gradient follow its memory order.
+                assert grad.strides == want_grad.strides
+                _assert_same_bits(data, want_data)

@@ -1,5 +1,7 @@
 """Gradient-correctness tests for the autograd engine (numeric grad checks)."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -107,6 +109,30 @@ class TestGraphMechanics:
         x = Tensor(np.array([[1.0, -2.0, 0.5]]), requires_grad=True)
         x.backward()
         assert np.array_equal(x.grad, np.ones((1, 3)))
+
+    def test_backward_releases_the_graph(self, rng):
+        x = Tensor(rng.normal(size=(3,)), requires_grad=True)
+        hidden = x * 2.0
+        watch = weakref.ref(hidden)
+        y = (hidden * hidden).sum()
+        del hidden
+        y.backward()
+        assert watch() is None
+        assert y._parents == () and y._backward.__closure__ is None
+        np.testing.assert_allclose(x.grad, 8.0 * x.data)
+
+    def test_second_backward_through_a_consumed_graph_raises(self, rng):
+        x = Tensor(rng.normal(size=(3,)), requires_grad=True)
+        hidden = x * 2.0
+        y = hidden.sum()
+        y.backward()
+        grad = x.grad.copy()
+        with pytest.raises(RuntimeError, match="consumed"):
+            y.backward()
+        # A new root over a consumed node raises before any gradient flows.
+        with pytest.raises(RuntimeError, match="consumed"):
+            (hidden * 3.0 + x).sum().backward()
+        assert np.array_equal(x.grad, grad)
 
     def test_backward_requires_grad(self):
         with pytest.raises(RuntimeError):
