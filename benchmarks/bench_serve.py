@@ -17,7 +17,11 @@ The gates over ``repro.serve``:
 * *fault recovery*: the same micro-batched run with one worker killed
   mid-stream (a deterministic ``FaultPlan``) must lose zero requests and
   still reach :data:`MIN_FAULTED_SPEEDUP` times the serial rate — crash
-  recovery costs a respawn, not the stream.
+  recovery costs a respawn, not the stream;
+* *start memory*: ``planned_runtime`` of the plan perfbench serves (the
+  transformer on V100 at 90%), run once under ``tracemalloc``, must peak
+  at most :data:`START_PEAK_GATE_MB` — deriving and preparing one layer at
+  a time holds one dense weight, where holding all four peaked at 139 MB.
 
 Both modes run the identical closed-loop protocol — every request submitted
 up front, the service drained to completion — so the measured difference is
@@ -27,7 +31,7 @@ README recommends.  The service does not pin BLAS threads itself: with its
 default of one BLAS thread per core, two workers oversubscribe a 2-core
 host and the micro-batched and faulted modes can fall below the serial
 one, so these gates do not cover an unpinned deployment.  The measurements
-(p50/p99 latency, req/s per mode, the speedups) land in
+(p50/p99 latency, req/s per mode, the speedups, the start memory) land in
 ``BENCH_serve.json``, an output only; perf-smoke CI enforces the gates and
 uploads the JSON as an artifact.
 
@@ -48,6 +52,7 @@ import argparse
 import json
 import sys
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -60,6 +65,7 @@ from repro.serve import (
     InferenceService,
     PoolStompedWarning,
     PredictRequest,
+    planned_runtime,
 )
 from repro.tune import Autotuner
 
@@ -87,6 +93,11 @@ MICROBATCH_FLOOR_RPS = 4500.0
 #: top of the micro-batched work, so its ratio sits below the micro-batched
 #: one; the bar keeps 1.5x headroom below the committed measurement.
 MIN_FAULTED_SPEEDUP = 1.5
+#: Gate on ``planned_runtime``'s tracemalloc peak for the transformer/V100/
+#: 90% plan: ~1.5x the 45 MB measured when set (the largest dense layer,
+#: 33.6 MB, plus the prepared operands and one slab of mask temporaries).
+#: Holding every layer's dense weight at once peaked at 139 MB.
+START_PEAK_GATE_MB = 70.0
 
 
 def make_requests(count: int, *, seed: int = 42) -> list[PredictRequest]:
@@ -155,6 +166,24 @@ def run_live(
     return stats
 
 
+def measure_start_memory() -> dict:
+    """``planned_runtime``'s tracemalloc peak, and the bytes it keeps, for
+    the plan perfbench serves."""
+    plan = Autotuner().plan("transformer", GPU, SPARSITY)
+    tracemalloc.start()
+    runtime = planned_runtime(plan, 1)
+    kept, peak = tracemalloc.get_traced_memory()  # while the runtime is alive
+    tracemalloc.stop()
+    del runtime
+    return {
+        "plan": ["transformer", GPU, SPARSITY],
+        "weight_seed": 1,
+        "peak_mb": peak / 1e6,
+        "kept_mb": kept / 1e6,
+        "gate_mb": START_PEAK_GATE_MB,
+    }
+
+
 def run(*, requests: int, workers: int, jobs: int, smoke: bool) -> dict:
     plan = Autotuner().plan_gemm(GEMM, GPU, SPARSITY)
     stream = make_requests(requests)
@@ -174,6 +203,7 @@ def run(*, requests: int, workers: int, jobs: int, smoke: bool) -> dict:
     }
     if smoke:
         return result
+    result["start_memory"] = measure_start_memory()
     result["serial"] = run_live(plan, stream, workers=workers, width=1)
     result["microbatched"] = run_live(plan, stream, workers=workers, width=None)
     result["speedup"] = (
@@ -290,6 +320,11 @@ def main(argv: list[str] | None = None) -> int:
     batched_rps = result["microbatched"]["requests_per_s"]
     print(f"serial floor : {serial_rps:8.1f} req/s (gate: >= {SERIAL_FLOOR_RPS})")
     print(f"batched floor: {batched_rps:8.1f} req/s (gate: >= {MICROBATCH_FLOOR_RPS})")
+    start = result["start_memory"]
+    print(
+        f"start memory : {start['peak_mb']:8.1f} MB tracemalloc peak, "
+        f"{start['kept_mb']:.1f} MB kept (gate: <= {START_PEAK_GATE_MB} MB)"
+    )
     print(f"wrote {args.output}")
     if serial_rps < SERIAL_FLOOR_RPS:
         print(
@@ -302,6 +337,13 @@ def main(argv: list[str] | None = None) -> int:
         print(
             f"FAILED: micro-batched serving reached only {batched_rps:.1f} req/s, "
             f"below the {MICROBATCH_FLOOR_RPS} req/s floor",
+            file=sys.stderr,
+        )
+        return 1
+    if start["peak_mb"] > START_PEAK_GATE_MB:
+        print(
+            f"FAILED: planned_runtime peaked at {start['peak_mb']:.1f} MB under "
+            f"tracemalloc, above the {START_PEAK_GATE_MB} MB gate",
             file=sys.stderr,
         )
         return 1
@@ -337,6 +379,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     print("OK: micro-batched serving beats the serial baseline by the gated margin")
     print("OK: one injected worker kill recovers with zero lost requests")
+    print("OK: serving start stays within its memory gate")
     return 0
 
 

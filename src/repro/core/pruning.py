@@ -239,6 +239,12 @@ def balanced_mask(scores: np.ndarray, n: int = 2, m: int = 4) -> np.ndarray:
     At the default 2:4 this is the pattern A100 sparse tensor cores run, and
     on magnitude scores it keeps exactly the values
     :meth:`repro.sparse.formats.Balanced24Matrix.from_dense` stores.
+
+    An entry's rank in its run counts the entries that are larger, or equal
+    and earlier; the first ``n`` of ``argsort(-run, kind="stable")`` are the
+    entries ranked below ``n``.  The ranks come from one comparison per pair
+    of positions, counted in a narrow integer array, so no sorted copy or
+    index array of the scores is built.
     """
     scores = _check_scores(scores)
     if m <= 0 or not 0 < n <= m:
@@ -247,10 +253,16 @@ def balanced_mask(scores: np.ndarray, n: int = 2, m: int = 4) -> np.ndarray:
     if k % m:
         raise ValueError(f"K={k} must be a multiple of m={m}")
     groups = scores.reshape(rows, k // m, m)
-    order = np.argsort(-groups, axis=2, kind="stable")
-    mask = np.zeros_like(groups, dtype=bool)
-    np.put_along_axis(mask, order[:, :, :n], True, axis=2)
-    return mask.reshape(rows, k)
+    # Every entry starts behind all earlier ones (they win ties); each
+    # earlier entry that is strictly smaller moves it one place ahead.
+    rank = np.empty(groups.shape, dtype=np.min_scalar_type(m))
+    rank[...] = np.arange(m)
+    for i in range(m):
+        for j in range(i + 1, m):
+            later_larger = groups[:, :, j] > groups[:, :, i]
+            rank[:, :, i] += later_larger
+            rank[:, :, j] -= later_larger
+    return (rank < n).reshape(rows, k)
 
 
 def search_shflbw_pattern(

@@ -14,27 +14,42 @@ and the kernel's ``prepare`` stores exactly the kept weights.
 consume it: each servable layer's weight compressed once, at load, into its
 assigned kernel's format.  Serving a batch then costs only the kernel run —
 no batch re-derives, re-hashes or re-compresses a weight.
+
+Memory stays bounded by one layer: :func:`planned_runtime` derives, prepares
+and drops one layer at a time, so only one dense weight is alive, and
+:func:`derive_weights` masks each weight in place one row slab of about
+:data:`_SLAB_BYTES` at a time, so no full-size magnitude copy or mask exists.
 """
 
 from __future__ import annotations
 
+from collections.abc import Collection, Iterator
+
 import numpy as np
 
 from ..core.pattern import PatternKind
-from ..core.pruning import balanced_mask, block_wise_mask, vector_wise_mask
+from ..core.pruning import balanced_mask, unstructured_mask, vector_wise_mask
 from ..kernels.base import SpMMKernel
 from ..tune.planned import PlannedModel
 from ..tune.planner import TuningPlan
 
 __all__ = ["derive_weights", "planned_runtime"]
 
+#: Bytes of weights masked per slab; a slab's magnitudes and mask are the
+#: only temporaries of :func:`derive_weights`, whatever the layer's size.
+_SLAB_BYTES = 4 << 20
 
-def derive_weights(plan: TuningPlan, weight_seed: int) -> dict[str, np.ndarray]:
+
+def derive_weights(
+    plan: TuningPlan, weight_seed: int, layers: Collection[str] | None = None
+) -> dict[str, np.ndarray]:
     """Seeded pruned weight tensors, one ``(M, K)`` array per planned layer.
 
-    Layers are seeded independently (``weight_seed`` plus the assignment's
-    position in the plan), so a weight tensor depends only on the plan and
-    the seed — never on which subset of layers a worker happens to touch.
+    ``layers`` selects which of the plan's layers to derive (default: all),
+    in plan order.  Layers are seeded independently (``weight_seed`` plus
+    the assignment's position in the plan), so a weight tensor depends only
+    on the plan and the seed — never on which subset of layers is derived
+    or a worker happens to touch.
 
     Each layer's mask follows the pattern of its assigned kernel, selected
     by weight magnitude:
@@ -42,37 +57,86 @@ def derive_weights(plan: TuningPlan, weight_seed: int) -> dict[str, np.ndarray]:
     * vector-wise and Shfl-BW: :func:`~repro.core.pruning.vector_wise_mask`
       on consecutive groups of the kernel's ``vector_size`` rows (Shfl-BW
       then prepares with its identity row grouping);
-    * block-wise: :func:`~repro.core.pruning.block_wise_mask` at the
-      kernel's ``block_size``;
+    * block-wise: the kernel's ``block_size`` blocks with the largest summed
+      magnitude, ranked over the whole layer as
+      :func:`~repro.core.pruning.block_wise_mask` ranks them;
     * balanced: the top 2 of every 4
       (:func:`~repro.core.pruning.balanced_mask`), which is what the 2:4
       format stores;
     * dense and unstructured: a seeded random draw at the plan's density.
+
+    The mask is applied in place, one slab of whole row groups (or blocks)
+    at a time, from that slab's magnitudes: the only allocation beyond the
+    returned arrays is one slab's magnitudes and mask (plus the block sums).
+    A pruned negative weight is ``-0.0``, as ``values * mask`` makes it.
     """
     density = 1.0 - plan.sparsity
     model = PlannedModel(plan)
+    if layers is not None:
+        unknown = set(layers).difference(assignment.layer for assignment in plan.assignments)
+        if unknown:
+            raise KeyError(f"plan has no layers {sorted(unknown)}")
     weights: dict[str, np.ndarray] = {}
     for index, assignment in enumerate(plan.assignments):
+        if layers is not None and assignment.layer not in layers:
+            continue
         shape = model.layers[assignment.layer].gemm
         rng = np.random.default_rng([int(weight_seed), index])
         values = rng.normal(size=(shape.m, shape.k))
-        values *= _kernel_mask(model.kernel_for(assignment.layer), values, density, rng)
+        _mask_in_place(model.kernel_for(assignment.layer), values, density, rng)
         weights[assignment.layer] = values
     return weights
 
 
-def _kernel_mask(
+def _row_slabs(values: np.ndarray, unit: int) -> Iterator[np.ndarray]:
+    """Consecutive row views of ``values``, whole ``unit``-row groups of
+    about :data:`_SLAB_BYTES` each."""
+    rows = max(1, _SLAB_BYTES // (unit * values.strides[0])) * unit
+    return (values[start : start + rows] for start in range(0, len(values), rows))
+
+
+def _mask_in_place(
     kernel: SpMMKernel, values: np.ndarray, density: float, rng: np.random.Generator
-) -> np.ndarray:
-    """The keep-mask of ``values`` in ``kernel``'s sparsity pattern."""
+) -> None:
+    """Zero the entries of ``values`` outside ``kernel``'s sparsity pattern."""
     pattern = kernel.pattern
     if pattern in (PatternKind.VECTORWISE, PatternKind.SHFLBW):
-        return vector_wise_mask(np.abs(values), density, kernel.vector_size)
-    if pattern is PatternKind.BLOCKWISE:
-        return block_wise_mask(np.abs(values), density, kernel.block_size)
-    if pattern is PatternKind.BALANCED:
-        return balanced_mask(np.abs(values))
-    return rng.random(size=values.shape) < density
+        vector_size = kernel.vector_size
+        for slab in _row_slabs(values, vector_size):
+            slab *= vector_wise_mask(np.abs(slab), density, vector_size)
+    elif pattern is PatternKind.BLOCKWISE:
+        _block_mask_in_place(values, density, kernel.block_size)
+    elif pattern is PatternKind.BALANCED:
+        for slab in _row_slabs(values, 1):
+            slab *= balanced_mask(np.abs(slab))
+    else:
+        # Slab by slab, the draws continue one stream: the same numbers as a
+        # single ``rng.random(size=values.shape)``.
+        for slab in _row_slabs(values, 1):
+            slab *= rng.random(size=slab.shape) < density
+
+
+def _block_mask_in_place(values: np.ndarray, density: float, block_size: int) -> None:
+    """:func:`~repro.core.pruning.block_wise_mask` applied in place: the
+    block sums are gathered slab by slab (the same sums as the whole-array
+    reshape), ranked once over the layer, and each slab is scaled by its
+    blocks' keep flags."""
+    m, k = values.shape
+    b = block_size
+    if b <= 0 or m % b or k % b:
+        raise ValueError(f"matrix shape {values.shape} is not divisible by V={b}")
+    block_sums = np.concatenate(
+        [
+            np.abs(slab).reshape(-1, b, k // b, b).sum(axis=(1, 3))
+            for slab in _row_slabs(values, b)
+        ]
+    )
+    keep = unstructured_mask(block_sums, density)
+    done = 0
+    for slab in _row_slabs(values, b):
+        blocks = slab.reshape(-1, b, k // b, b)
+        blocks *= keep[done : done + len(blocks), None, :, None]
+        done += len(blocks)
 
 
 def planned_runtime(
@@ -81,14 +145,19 @@ def planned_runtime(
     """The executable runtime of a plan: its model plus prepared weights.
 
     Each servable (linear) layer maps to the operand its assigned kernel's
-    ``prepare`` built from :func:`derive_weights`; the dense weights
-    themselves are not kept.  Convolution layers have no token dimension to
-    serve and are not prepared.
+    ``prepare`` built from :func:`derive_weights`.  Layers are derived,
+    prepared and dropped one at a time, so only one layer's dense weight is
+    ever alive and the dense weights themselves are not kept.  Convolution
+    layers have no token dimension to serve and are neither derived nor
+    prepared.
     """
     model = PlannedModel(plan)
-    prepared = {
-        layer: model.kernel_for(layer).prepare(weight)
-        for layer, weight in derive_weights(plan, weight_seed).items()
-        if model.layers[layer].kind == "linear"
-    }
+    prepared: dict[str, object] = {}
+    for assignment in plan.assignments:
+        layer = assignment.layer
+        if model.layers[layer].kind == "linear":
+            # The dense weight is dropped as soon as its operand is built.
+            prepared[layer] = model.kernel_for(layer).prepare(
+                derive_weights(plan, weight_seed, layers=(layer,))[layer]
+            )
     return model, prepared

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro.core.pruning as pruning_module
 from repro.core.pruning import (
+    balanced_mask,
     prune_shflbw,
     search_shflbw_pattern,
     unstructured_mask,
@@ -107,6 +109,43 @@ class TestVectorWiseMask:
     def test_indivisible_rows_rejected(self, rng):
         with pytest.raises(ValueError):
             vector_wise_mask(rng.random((10, 8)), 0.5, 4)
+
+
+def balanced_mask_argsort(scores: np.ndarray, n: int, m: int) -> np.ndarray:
+    """The stable-argsort formula of the ``n:m`` mask: each run of ``m``
+    keeps the first ``n`` entries of ``argsort(-run, kind="stable")``."""
+    rows, k = scores.shape
+    groups = scores.reshape(rows, k // m, m)
+    order = np.argsort(-groups, axis=2, kind="stable")
+    mask = np.zeros_like(groups, dtype=bool)
+    np.put_along_axis(mask, order[:, :, :n], True, axis=2)
+    return mask.reshape(rows, k)
+
+
+class TestBalancedMask:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_equals_the_stable_argsort(self, data):
+        """Pairwise ranks keep exactly the argsort's entries, on draws where
+        most runs hold ties (a few rounded values, zeros and ``-0.0``)."""
+        m = data.draw(st.sampled_from([2, 4, 8]))
+        n = data.draw(st.integers(1, m))
+        rows = data.draw(st.integers(1, 5))
+        runs = data.draw(st.integers(1, 4))
+        entry = st.one_of(
+            st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0]),
+            st.floats(0.0, 4.0).map(lambda value: round(value, 1)),
+        )
+        values = data.draw(st.lists(entry, min_size=rows * runs * m, max_size=rows * runs * m))
+        scores = np.array(values).reshape(rows, runs * m)
+        mask = balanced_mask(scores, n, m)
+        assert np.array_equal(mask, balanced_mask_argsort(scores, n, m))
+        assert (mask.reshape(rows, runs, m).sum(axis=2) == n).all()
+
+    def test_keeps_the_two_largest_of_four(self):
+        scores = np.array([[1.0, 3.0, 2.0, 0.0, 5.0, 5.0, 5.0, 1.0]])
+        expected = [[False, True, True, False, True, True, False, False]]
+        assert np.array_equal(balanced_mask(scores), expected)
 
 
 class TestSearchShflBW:
