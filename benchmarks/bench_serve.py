@@ -17,11 +17,7 @@ The gates over ``repro.serve``:
 * *fault recovery*: the same micro-batched run with one worker killed
   mid-stream (a deterministic ``FaultPlan``) must lose zero requests and
   still reach :data:`MIN_FAULTED_SPEEDUP` times the serial rate — crash
-  recovery costs a respawn, not the stream;
-* *start memory*: ``planned_runtime`` of the plan perfbench serves (the
-  transformer on V100 at 90%), run once under ``tracemalloc``, must peak
-  at most :data:`START_PEAK_GATE_MB` — deriving and preparing one layer at
-  a time holds one dense weight, where holding all four peaked at 139 MB.
+  recovery costs a respawn, not the stream.
 
 Both modes run the identical closed-loop protocol — every request submitted
 up front, the service drained to completion — so the measured difference is
@@ -93,11 +89,6 @@ MICROBATCH_FLOOR_RPS = 4500.0
 #: top of the micro-batched work, so its ratio sits below the micro-batched
 #: one; the bar keeps 1.5x headroom below the committed measurement.
 MIN_FAULTED_SPEEDUP = 1.5
-#: Gate on ``planned_runtime``'s tracemalloc peak for the transformer/V100/
-#: 90% plan: ~1.5x the 45 MB measured when set (the largest dense layer,
-#: 33.6 MB, plus the prepared operands and one slab of mask temporaries).
-#: Holding every layer's dense weight at once peaked at 139 MB.
-START_PEAK_GATE_MB = 70.0
 
 
 def make_requests(count: int, *, seed: int = 42) -> list[PredictRequest]:
@@ -168,7 +159,8 @@ def run_live(
 
 def measure_start_memory() -> dict:
     """``planned_runtime``'s tracemalloc peak, and the bytes it keeps, for
-    the plan perfbench serves."""
+    the plan perfbench serves (recorded, not gated: the serve tests bound
+    the same peak)."""
     plan = Autotuner().plan("transformer", GPU, SPARSITY)
     tracemalloc.start()
     runtime = planned_runtime(plan, 1)
@@ -180,7 +172,6 @@ def measure_start_memory() -> dict:
         "weight_seed": 1,
         "peak_mb": peak / 1e6,
         "kept_mb": kept / 1e6,
-        "gate_mb": START_PEAK_GATE_MB,
     }
 
 
@@ -323,7 +314,7 @@ def main(argv: list[str] | None = None) -> int:
     start = result["start_memory"]
     print(
         f"start memory : {start['peak_mb']:8.1f} MB tracemalloc peak, "
-        f"{start['kept_mb']:.1f} MB kept (gate: <= {START_PEAK_GATE_MB} MB)"
+        f"{start['kept_mb']:.1f} MB kept"
     )
     print(f"wrote {args.output}")
     if serial_rps < SERIAL_FLOOR_RPS:
@@ -337,13 +328,6 @@ def main(argv: list[str] | None = None) -> int:
         print(
             f"FAILED: micro-batched serving reached only {batched_rps:.1f} req/s, "
             f"below the {MICROBATCH_FLOOR_RPS} req/s floor",
-            file=sys.stderr,
-        )
-        return 1
-    if start["peak_mb"] > START_PEAK_GATE_MB:
-        print(
-            f"FAILED: planned_runtime peaked at {start['peak_mb']:.1f} MB under "
-            f"tracemalloc, above the {START_PEAK_GATE_MB} MB gate",
             file=sys.stderr,
         )
         return 1
@@ -379,7 +363,6 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     print("OK: micro-batched serving beats the serial baseline by the gated margin")
     print("OK: one injected worker kill recovers with zero lost requests")
-    print("OK: serving start stays within its memory gate")
     return 0
 
 

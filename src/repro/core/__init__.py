@@ -21,6 +21,7 @@ from .pattern import PatternKind, ShflBWPattern
 from .pruning import (
     ShflBWSearchResult,
     balanced_mask,
+    block_keep_flags,
     block_wise_mask,
     prune_shflbw,
     search_shflbw_pattern,
@@ -55,6 +56,7 @@ __all__ = [
     "ShflBWPattern",
     "ShflBWSearchResult",
     "balanced_mask",
+    "block_keep_flags",
     "block_wise_mask",
     "prune_shflbw",
     "search_shflbw_pattern",

@@ -21,6 +21,7 @@ The output mask is guaranteed to satisfy the Shfl-BW pattern with the returned
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,7 @@ __all__ = [
     "unstructured_mask",
     "vector_wise_mask",
     "block_wise_mask",
+    "block_keep_flags",
     "balanced_mask",
     "search_shflbw_pattern",
     "prune_shflbw",
@@ -222,14 +224,30 @@ def block_wise_mask(scores: np.ndarray, density: float, block_size: int) -> np.n
     the earlier block in row-major order).
     """
     scores = _check_scores(scores)
+    v = block_size
+    return block_keep_flags([scores], density, v).repeat(v, axis=0).repeat(v, axis=1)
+
+
+def block_keep_flags(
+    slabs: Iterable[np.ndarray], density: float, block_size: int
+) -> np.ndarray:
+    """The keep flag of every ``V x V`` block of :func:`block_wise_mask`,
+    one row per block row, from consecutive row slabs of the scores.
+
+    Each slab holds whole block rows.  Its block sums are the same sums the
+    whole matrix gives for those rows, and all of them are ranked together,
+    so the flags do not depend on how the rows are split into slabs.
+    """
     if not 0.0 < density <= 1.0:
         raise ValueError("density must be in (0, 1]")
-    m, k = scores.shape
     v = block_size
-    if v <= 0 or m % v or k % v:
-        raise ValueError(f"matrix shape {scores.shape} is not divisible by V={v}")
-    block_scores = scores.reshape(m // v, v, k // v, v).sum(axis=(1, 3))
-    return _unstructured_mask(block_scores, density).repeat(v, axis=0).repeat(v, axis=1)
+    block_scores = []
+    for slab in slabs:
+        m, k = slab.shape
+        if v <= 0 or m % v or k % v:
+            raise ValueError(f"matrix shape {slab.shape} is not divisible by V={v}")
+        block_scores.append(slab.reshape(m // v, v, k // v, v).sum(axis=(1, 3)))
+    return _unstructured_mask(np.concatenate(block_scores), density)
 
 
 def balanced_mask(scores: np.ndarray, n: int = 2, m: int = 4) -> np.ndarray:
@@ -239,12 +257,6 @@ def balanced_mask(scores: np.ndarray, n: int = 2, m: int = 4) -> np.ndarray:
     At the default 2:4 this is the pattern A100 sparse tensor cores run, and
     on magnitude scores it keeps exactly the values
     :meth:`repro.sparse.formats.Balanced24Matrix.from_dense` stores.
-
-    An entry's rank in its run counts the entries that are larger, or equal
-    and earlier; the first ``n`` of ``argsort(-run, kind="stable")`` are the
-    entries ranked below ``n``.  The ranks come from one comparison per pair
-    of positions, counted in a narrow integer array, so no sorted copy or
-    index array of the scores is built.
     """
     scores = _check_scores(scores)
     if m <= 0 or not 0 < n <= m:
@@ -253,16 +265,10 @@ def balanced_mask(scores: np.ndarray, n: int = 2, m: int = 4) -> np.ndarray:
     if k % m:
         raise ValueError(f"K={k} must be a multiple of m={m}")
     groups = scores.reshape(rows, k // m, m)
-    # Every entry starts behind all earlier ones (they win ties); each
-    # earlier entry that is strictly smaller moves it one place ahead.
-    rank = np.empty(groups.shape, dtype=np.min_scalar_type(m))
-    rank[...] = np.arange(m)
-    for i in range(m):
-        for j in range(i + 1, m):
-            later_larger = groups[:, :, j] > groups[:, :, i]
-            rank[:, :, i] += later_larger
-            rank[:, :, j] -= later_larger
-    return (rank < n).reshape(rows, k)
+    order = np.argsort(-groups, axis=2, kind="stable")
+    mask = np.zeros_like(groups, dtype=bool)
+    np.put_along_axis(mask, order[:, :, :n], True, axis=2)
+    return mask.reshape(rows, k)
 
 
 def search_shflbw_pattern(

@@ -11,43 +11,17 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 
 __all__ = ["bleu_score", "token_accuracy", "top1_accuracy", "perplexity"]
 
 
-def _clipped_matches(
-    refs: list[np.ndarray], hyps: list[np.ndarray], max_order: int
-) -> list[int]:
-    """Clipped n-gram matches of each order ``1..max_order``, summed over
-    the sentence pairs.
-
-    Within a pair, an n-gram matches ``min(count in hyp, count in ref)``
-    times.  Every n-gram gets an integer code for (pair, its tokens): the
-    codes of order ``n`` extend those of order ``n - 1`` by the next token
-    and are re-ranked densely, so they stay below ``tokens * vocabulary``.
-    Windows that cross a sentence end get codes too, but are never counted.
-    """
-    sentences = refs + hyps
-    lengths = np.array([len(sentence) for sentence in sentences], dtype=np.intp)
-    tokens = np.concatenate(sentences)
-    vocabulary, token_ids = np.unique(tokens, return_inverse=True)
-    owner = np.repeat(np.arange(len(sentences)), lengths)
-    is_hyp = owner >= len(refs)
-    # Tokens from each position to the end of its sentence, itself included.
-    room = np.repeat(np.cumsum(lengths), lengths) - np.arange(tokens.size)
-    codes = owner % len(refs)
-    matched = []
-    for order in range(1, max_order + 1):
-        starts = max(0, tokens.size - order + 1)
-        keys = codes[:starts] * vocabulary.size + token_ids[order - 1 :]
-        distinct, codes = np.unique(keys, return_inverse=True)
-        whole = room[:starts] >= order
-        hyp_counts = np.bincount(codes[whole & is_hyp[:starts]], minlength=distinct.size)
-        ref_counts = np.bincount(codes[whole & ~is_hyp[:starts]], minlength=distinct.size)
-        matched.append(int(np.minimum(hyp_counts, ref_counts).sum()))
-    return matched
+def _ngram_counts(tokens: list[int], order: int) -> Counter:
+    return Counter(
+        tuple(tokens[i : i + order]) for i in range(len(tokens) - order + 1)
+    )
 
 
 def bleu_score(
@@ -69,16 +43,23 @@ def bleu_score(
     smooth:
         Additive smoothing so empty n-gram matches do not zero the score.
     """
-    refs = [np.asarray(r, dtype=np.int64).reshape(-1) for r in references]
-    hyps = [np.asarray(h, dtype=np.int64).reshape(-1) for h in hypotheses]
+    refs = [list(map(int, r)) for r in references]
+    hyps = [list(map(int, h)) for h in hypotheses]
     if len(refs) != len(hyps):
         raise ValueError("references and hypotheses must have the same length")
     if not refs:
         return 0.0
 
     precisions = []
-    for order, matched in enumerate(_clipped_matches(refs, hyps, max_order), start=1):
-        total = sum(max(0, len(hyp) - order + 1) for hyp in hyps)
+    for order in range(1, max_order + 1):
+        matched = 0
+        total = 0
+        for ref, hyp in zip(refs, hyps, strict=True):
+            ref_counts = _ngram_counts(ref, order)
+            hyp_counts = _ngram_counts(hyp, order)
+            overlap = sum((ref_counts & hyp_counts).values())
+            matched += overlap
+            total += max(0, len(hyp) - order + 1)
         precisions.append((matched + smooth) / (total + smooth) if total else smooth)
 
     ref_len = sum(len(r) for r in refs)

@@ -28,7 +28,7 @@ from collections.abc import Collection, Iterator
 import numpy as np
 
 from ..core.pattern import PatternKind
-from ..core.pruning import balanced_mask, unstructured_mask, vector_wise_mask
+from ..core.pruning import balanced_mask, block_keep_flags, vector_wise_mask
 from ..kernels.base import SpMMKernel
 from ..tune.planned import PlannedModel
 from ..tune.planner import TuningPlan
@@ -57,17 +57,18 @@ def derive_weights(
     * vector-wise and Shfl-BW: :func:`~repro.core.pruning.vector_wise_mask`
       on consecutive groups of the kernel's ``vector_size`` rows (Shfl-BW
       then prepares with its identity row grouping);
-    * block-wise: the kernel's ``block_size`` blocks with the largest summed
-      magnitude, ranked over the whole layer as
-      :func:`~repro.core.pruning.block_wise_mask` ranks them;
+    * block-wise: the blocks :func:`~repro.core.pruning.block_wise_mask`
+      keeps at the kernel's ``block_size``, ranked over the whole layer by
+      :func:`~repro.core.pruning.block_keep_flags`;
     * balanced: the top 2 of every 4
       (:func:`~repro.core.pruning.balanced_mask`), which is what the 2:4
       format stores;
     * dense and unstructured: a seeded random draw at the plan's density.
 
-    The mask is applied in place, one slab of whole row groups (or blocks)
-    at a time, from that slab's magnitudes: the only allocation beyond the
-    returned arrays is one slab's magnitudes and mask (plus the block sums).
+    The mask is applied in place, one slab of whole row groups (or block
+    rows) at a time, from that slab's magnitudes: the only allocation beyond
+    the returned arrays is one slab's magnitudes and mask (for blocks, the
+    block sums and their flags instead of the mask).
     A pruned negative weight is ``-0.0``, as ``values * mask`` makes it.
     """
     density = 1.0 - plan.sparsity
@@ -105,7 +106,11 @@ def _mask_in_place(
         for slab in _row_slabs(values, vector_size):
             slab *= vector_wise_mask(np.abs(slab), density, vector_size)
     elif pattern is PatternKind.BLOCKWISE:
-        _block_mask_in_place(values, density, kernel.block_size)
+        b = kernel.block_size
+        keep = block_keep_flags((np.abs(slab) for slab in _row_slabs(values, b)), density, b)
+        m, k = values.shape
+        blocks = values.reshape(m // b, b, k // b, b)
+        blocks *= keep[:, None, :, None]
     elif pattern is PatternKind.BALANCED:
         for slab in _row_slabs(values, 1):
             slab *= balanced_mask(np.abs(slab))
@@ -114,29 +119,6 @@ def _mask_in_place(
         # single ``rng.random(size=values.shape)``.
         for slab in _row_slabs(values, 1):
             slab *= rng.random(size=slab.shape) < density
-
-
-def _block_mask_in_place(values: np.ndarray, density: float, block_size: int) -> None:
-    """:func:`~repro.core.pruning.block_wise_mask` applied in place: the
-    block sums are gathered slab by slab (the same sums as the whole-array
-    reshape), ranked once over the layer, and each slab is scaled by its
-    blocks' keep flags."""
-    m, k = values.shape
-    b = block_size
-    if b <= 0 or m % b or k % b:
-        raise ValueError(f"matrix shape {values.shape} is not divisible by V={b}")
-    block_sums = np.concatenate(
-        [
-            np.abs(slab).reshape(-1, b, k // b, b).sum(axis=(1, 3))
-            for slab in _row_slabs(values, b)
-        ]
-    )
-    keep = unstructured_mask(block_sums, density)
-    done = 0
-    for slab in _row_slabs(values, b):
-        blocks = slab.reshape(-1, b, k // b, b)
-        blocks *= keep[done : done + len(blocks), None, :, None]
-        done += len(blocks)
 
 
 def planned_runtime(

@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 import repro.core.pruning as pruning_module
 from repro.core.pruning import (
     balanced_mask,
+    block_keep_flags,
+    block_wise_mask,
     prune_shflbw,
     search_shflbw_pattern,
     unstructured_mask,
@@ -111,37 +112,27 @@ class TestVectorWiseMask:
             vector_wise_mask(rng.random((10, 8)), 0.5, 4)
 
 
-def balanced_mask_argsort(scores: np.ndarray, n: int, m: int) -> np.ndarray:
-    """The stable-argsort formula of the ``n:m`` mask: each run of ``m``
-    keeps the first ``n`` entries of ``argsort(-run, kind="stable")``."""
-    rows, k = scores.shape
-    groups = scores.reshape(rows, k // m, m)
-    order = np.argsort(-groups, axis=2, kind="stable")
-    mask = np.zeros_like(groups, dtype=bool)
-    np.put_along_axis(mask, order[:, :, :n], True, axis=2)
-    return mask.reshape(rows, k)
+class TestBlockKeepFlags:
+    def test_row_slabs_give_the_whole_matrix_flags(self, rng):
+        """Block sums are ranked over every slab at once, however the rows
+        are split; :func:`block_wise_mask` expands the same flags."""
+        scores = rng.random((96, 64))
+        whole = block_keep_flags([scores], 0.3, 8)
+        assert whole.shape == (12, 8)
+        assert whole.sum() == round(0.3 * 96)
+        expanded = block_wise_mask(scores, 0.3, 8)
+        assert np.array_equal(expanded, whole.repeat(8, axis=0).repeat(8, axis=1))
+        for rows in (8, 24, 64):
+            slabs = (scores[start : start + rows] for start in range(0, 96, rows))
+            assert np.array_equal(block_keep_flags(slabs, 0.3, 8), whole)
+
+    def test_slab_of_partial_block_rows_rejected(self, rng):
+        scores = rng.random((96, 64))
+        with pytest.raises(ValueError, match=r"\(84, 64\) is not divisible by V=8"):
+            block_keep_flags([scores[:84], scores[84:]], 0.3, 8)
 
 
 class TestBalancedMask:
-    @settings(max_examples=300, deadline=None)
-    @given(data=st.data())
-    def test_equals_the_stable_argsort(self, data):
-        """Pairwise ranks keep exactly the argsort's entries, on draws where
-        most runs hold ties (a few rounded values, zeros and ``-0.0``)."""
-        m = data.draw(st.sampled_from([2, 4, 8]))
-        n = data.draw(st.integers(1, m))
-        rows = data.draw(st.integers(1, 5))
-        runs = data.draw(st.integers(1, 4))
-        entry = st.one_of(
-            st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0]),
-            st.floats(0.0, 4.0).map(lambda value: round(value, 1)),
-        )
-        values = data.draw(st.lists(entry, min_size=rows * runs * m, max_size=rows * runs * m))
-        scores = np.array(values).reshape(rows, runs * m)
-        mask = balanced_mask(scores, n, m)
-        assert np.array_equal(mask, balanced_mask_argsort(scores, n, m))
-        assert (mask.reshape(rows, runs, m).sum(axis=2) == n).all()
-
     def test_keeps_the_two_largest_of_four(self):
         scores = np.array([[1.0, 3.0, 2.0, 0.0, 5.0, 5.0, 5.0, 1.0]])
         expected = [[False, True, True, False, True, True, False, False]]
