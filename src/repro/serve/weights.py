@@ -66,9 +66,9 @@ def derive_weights(
     * dense and unstructured: a seeded random draw at the plan's density.
 
     The mask is applied in place, one slab of whole row groups (or block
-    rows) at a time, from that slab's magnitudes: the only allocation beyond
-    the returned arrays is one slab's magnitudes and mask (for blocks, the
-    block sums and their flags instead of the mask).
+    rows) at a time, from that slab's magnitudes: beyond the returned arrays
+    only slab-sized magnitudes and masks are allocated, plus, for blocks,
+    the block sums and their flags.
     A pruned negative weight is ``-0.0``, as ``values * mask`` makes it.
     """
     density = 1.0 - plan.sparsity

@@ -5,7 +5,6 @@ import pytest
 
 import repro.core.pruning as pruning_module
 from repro.core.pruning import (
-    balanced_mask,
     block_keep_flags,
     block_wise_mask,
     prune_shflbw,
@@ -130,13 +129,6 @@ class TestBlockKeepFlags:
         scores = rng.random((96, 64))
         with pytest.raises(ValueError, match=r"\(84, 64\) is not divisible by V=8"):
             block_keep_flags([scores[:84], scores[84:]], 0.3, 8)
-
-
-class TestBalancedMask:
-    def test_keeps_the_two_largest_of_four(self):
-        scores = np.array([[1.0, 3.0, 2.0, 0.0, 5.0, 5.0, 5.0, 1.0]])
-        expected = [[False, True, True, False, True, True, False, False]]
-        assert np.array_equal(balanced_mask(scores), expected)
 
 
 class TestSearchShflBW:
