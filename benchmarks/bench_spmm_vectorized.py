@@ -10,9 +10,10 @@ the vectorized engine is at least ``--min-speedup`` (default 5x) faster.
 The default activation width is deliberately small (``--n 4``, the skinny
 decode-style regime): that is where the Python-loop overhead of the seed
 kernels dominates and where the vectorized engine pays off most.  Steady-state
-behaviour is measured (best of ``--reps``), so the memoised stitched panels /
-scipy handle caches added in this change are exercised exactly as a repeated
-inference workload would hit them.
+behaviour is measured (best of ``--reps``), so the memoised scipy handle is
+exercised exactly as a repeated inference workload would hit it; the Shfl-BW
+matrix is built once with ``--tile-cols`` wide panels, which both kernels
+read (the loop oracle walks them panel by panel in Python).
 
 Run standalone::
 
@@ -36,9 +37,9 @@ from repro.sparse.convert import (
     dense_to_balanced,
     dense_to_block,
     dense_to_csr,
-    dense_to_shflbw,
     dense_to_vector_wise,
 )
+from repro.sparse.formats import ShflBWMatrix
 from repro.sparse.spmm import (
     spmm_balanced,
     spmm_block,
@@ -65,7 +66,7 @@ class BenchResult:
 
 def _best_of(fn, reps: int) -> tuple[float, np.ndarray]:
     """Best wall time (ms) over ``reps`` calls, plus the last output."""
-    out = fn()  # warm-up: fills the prepare/panel caches, as steady state does
+    out = fn()  # warm-up: fills the scipy handle cache, as steady state does
     best = float("inf")
     for _ in range(reps):
         t0 = time.perf_counter()
@@ -117,12 +118,12 @@ def run(
     row_indices = rng.permutation(m)
     shuffled = np.zeros_like(vw_pruned)
     shuffled[row_indices, :] = vw_pruned  # original-order matrix
-    shfl = dense_to_shflbw(shuffled, vector_size, row_indices)
+    shfl = ShflBWMatrix.from_dense(shuffled, vector_size, row_indices, tile_cols=tile_cols)
     results.append(
         bench_pair(
             "spmm_shflbw",
-            lambda: ref.spmm_shflbw_loop(shfl, activations, tile_cols=tile_cols),
-            lambda: spmm_shflbw(shfl, activations, tile_cols=tile_cols),
+            lambda: ref.spmm_shflbw_loop(shfl, activations),
+            lambda: spmm_shflbw(shfl, activations),
             shuffled @ activations,
             reps,
         )

@@ -47,8 +47,8 @@ class VectorWiseKernel(SpMMKernel):
     #: The launch description never consults the architecture.
     launch_arch_agnostic = True
     #: Stitched reduction-tile width ``T_K`` (columns gathered per main-loop
-    #: step) of the timing model only; the functional ``run`` picks its own
-    #: panel width.
+    #: step) of the timing model only; ``prepare`` picks the functional
+    #: format's own panel width.
     stitch_tile_k = 32
     #: Output-tile width along N.
     tile_n = 64

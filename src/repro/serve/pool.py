@@ -52,11 +52,9 @@ Recovery is *bounded*, never optimistic:
 * ``close(timeout=...)`` escalates join → terminate → kill per stage and
   reports what each stage had to do.
 
-The worker's wall-clock timing wraps the pure compute from outside, so the
-purity gate still covers the compute.  An optional
-:class:`~repro.serve.faults.FaultPlan` injects deterministic worker-side
-faults for the chaos suite; the plan is consulted parent-side at send time,
-so the fault schedule never touches the pure compute.
+An optional :class:`~repro.serve.faults.FaultPlan` injects deterministic
+worker-side faults for the chaos suite; the plan is consulted parent-side at
+send time, so the fault schedule never touches the pure compute.
 
 Workers start with the ``fork`` method: the slots rely on it, and so does
 the copy-on-write runtime — the service builds the prepared runtime
@@ -100,7 +98,7 @@ class PoolStompedWarning(UserWarning):
 
 @dataclass(frozen=True)
 class BatchResult:
-    """One completed micro-batch: outputs and worker wall time, or an error.
+    """One completed micro-batch: its outputs, or an error.
 
     Exactly one of ``outputs`` / ``error`` is set: a successful batch
     carries its per-request output arrays, a failed one a structured
@@ -110,7 +108,6 @@ class BatchResult:
 
     batch: ServeBatch
     outputs: tuple[np.ndarray, ...] | None
-    elapsed_s: float
     error: BatchError | None = None
 
 
@@ -120,11 +117,9 @@ def _worker_main(conn: connection.Connection, slot: mmap.mmap) -> None:
     ``None`` is the shutdown sentinel.  A message is ``((batch_id, plan,
     weight_seed, layer, k, width), fault)``; the batch's ``width`` rows of
     ``k`` floats already sit in ``slot``.  Replies are ``("ok", batch_id,
-    m, elapsed)`` — the output is in the slot as ``width`` rows of ``m``
-    floats — or ``("err", batch_id, message, elapsed)``: an executor
-    exception is *answered*, not fatal.  The timing wraps the pure compute
-    from outside, so each reply carries the batch's host time without the
-    compute touching a clock.  An injected
+    m)`` — the output is in the slot as ``width`` rows of ``m`` floats — or
+    ``("err", batch_id, message)``: an executor exception is *answered*,
+    not fatal.  An injected
     :class:`~repro.serve.faults.FaultSpec` is obeyed before (or instead
     of) executing; the pure compute itself is never instrumented.
     """
@@ -148,7 +143,6 @@ def _worker_main(conn: connection.Connection, slot: mmap.mmap) -> None:
             continue
         if fault is not None and not _obey_fault(fault):
             continue
-        start = time.perf_counter()
         try:
             if fault is not None and fault.kind == "raise":
                 raise FaultInjectionError(f"injected executor fault on batch {batch_id}")
@@ -157,11 +151,9 @@ def _worker_main(conn: connection.Connection, slot: mmap.mmap) -> None:
             m = output.shape[0]
             floats[: width * m].reshape(width, m)[...] = output.T
         except Exception as exc:
-            elapsed = time.perf_counter() - start
-            reply = ("err", batch_id, f"{type(exc).__name__}: {exc}", elapsed)
+            reply = ("err", batch_id, f"{type(exc).__name__}: {exc}")
         else:
-            elapsed = time.perf_counter() - start
-            reply = ("ok", batch_id, m, elapsed)
+            reply = ("ok", batch_id, m)
         try:
             conn.send(reply)
         except (BrokenPipeError, OSError):
@@ -373,9 +365,7 @@ class WorkerPool:
                 f"max_retries={self.max_retries} exhausted"
             ),
         )
-        self._errored.append(
-            BatchResult(batch=batch, outputs=None, elapsed_s=0.0, error=error)
-        )
+        self._errored.append(BatchResult(batch=batch, outputs=None, error=error))
 
     def _requeue(self, batch: ServeBatch) -> None:
         """Put a batch back at the front of the queue (it waited longest)."""
@@ -513,7 +503,7 @@ class WorkerPool:
         """
         if (
             not isinstance(message, tuple)
-            or len(message) != 4
+            or len(message) != 3
             or message[0] not in ("ok", "err")
             or message[1] != worker.busy
         ):
@@ -524,7 +514,7 @@ class WorkerPool:
             )
             self._revive(worker, reason="corrupt pipe message")
             return None
-        tag, batch_id, payload, elapsed = message
+        tag, batch_id, payload = message
         batch = worker.batch
         worker.batch = worker.busy = worker.sent_at = None
         if batch is None:
@@ -539,9 +529,9 @@ class WorkerPool:
         self._attempts.pop(batch_id, None)
         if tag == "err":
             error = BatchError(batch_id=batch_id, kind="executor", message=payload)
-            return BatchResult(batch=batch, outputs=None, elapsed_s=elapsed, error=error)
+            return BatchResult(batch=batch, outputs=None, error=error)
         outputs = _copy_outputs(worker.slot, batch, payload)
-        return BatchResult(batch=batch, outputs=outputs, elapsed_s=elapsed)
+        return BatchResult(batch=batch, outputs=outputs)
 
     def collect(self, timeout: float | None = 0.0) -> list[BatchResult]:
         """Results (successes, executor errors, quarantines) ready in time.

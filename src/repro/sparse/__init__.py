@@ -1,16 +1,11 @@
 """Sparse matrix formats, conversions and functional reference kernels."""
 
 from .convert import (
-    StitchedPanels,
     dense_to_balanced,
     dense_to_block,
     dense_to_csr,
     dense_to_shflbw,
     dense_to_vector_wise,
-    identity_row_indices,
-    shflbw_to_vector_wise,
-    stitched_panels,
-    vector_wise_to_block,
 )
 from .formats import (
     Balanced24Matrix,
@@ -49,11 +44,6 @@ __all__ = [
     "dense_to_csr",
     "dense_to_shflbw",
     "dense_to_vector_wise",
-    "identity_row_indices",
-    "shflbw_to_vector_wise",
-    "StitchedPanels",
-    "stitched_panels",
-    "vector_wise_to_block",
     "Conv2dSpec",
     "conv2d_dense",
     "conv2d_sparse",

@@ -5,7 +5,8 @@ The paper's kernels operate on four weight-sparsity patterns (Figure 3):
 * **unstructured** — arbitrary non-zero positions, stored here as CSR,
 * **block-wise** — non-zeros clustered in ``V x V`` blocks (BSR),
 * **vector-wise** — non-zeros clustered in ``V x 1`` column vectors within
-  groups of ``V`` consecutive rows,
+  groups of ``V`` consecutive rows, stored as the column-stitched ``V x T``
+  panels the kernel multiplies,
 * **Shfl-BW** — vector-wise sparsity *after* an arbitrary row permutation:
   rows sharing a column support may live anywhere in the matrix; the format
   stores the permutation (``row_indices``) so the kernel can perform the
@@ -29,7 +30,7 @@ equivalence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -240,14 +241,32 @@ class BlockSparseMatrix:
 # --------------------------------------------------------------------------- #
 # Vector-wise: groups of V consecutive rows sharing a column support
 # --------------------------------------------------------------------------- #
+def _panel_width(widths: np.ndarray) -> int:
+    """Panel width for groups of ``widths`` kept columns when the caller
+    names none: the widest group (one panel per group) or the ceil-mean
+    width (padding bounded by one tile per group), whichever pads fewer
+    lanes.  Ties go to the widest, so near-uniform groups never spill their
+    last columns into a padded panel.
+    """
+    widest = int(widths.max(initial=1))
+    total = int(widths.sum())
+    if total == 0:
+        return widest
+    mean = -(-total // len(widths))
+    mean_lanes = int((-(-widths // mean)).sum()) * mean
+    return widest if widest * np.count_nonzero(widths) <= mean_lanes else mean
+
+
 @dataclass
 class VectorSparseMatrix:
     """Vector-wise sparse matrix (``V x 1`` pruning granularity).
 
     Rows are partitioned into groups of ``V`` *consecutive* rows.  Within a
     group, a column is either fully kept (all ``V`` values stored) or fully
-    pruned, so the group is stored densely as a ``(V, n_cols)`` panel plus the
-    kept column indices.
+    pruned.  Each group's kept columns, in ascending order, are stitched
+    into dense ``V x T`` panels, the tiles the kernel's tensor-core loop
+    multiplies (Figure 4 step (b)); a group's last panel is padded with
+    zero lanes.  The panels are the storage: every kept value is held once.
 
     Attributes
     ----------
@@ -255,78 +274,141 @@ class VectorSparseMatrix:
         Dense shape ``(M, K)``; ``M`` must be a multiple of ``vector_size``.
     vector_size:
         Group height ``V``.
-    group_columns:
-        One int array of kept column indices per group.
-    group_values:
-        One ``(V, len(columns))`` value panel per group.
+    values:
+        ``(num_panels, V, T)`` panel values, zero on padded lanes.
+    columns:
+        ``(num_panels, T)`` source column of each lane, ``-1`` for padding;
+        no column repeats within a group.
+    group_indptr:
+        ``(M / V + 1,)`` pointer array: the panels of group ``g`` are
+        ``values[group_indptr[g]:group_indptr[g + 1]]`` (a group with no
+        kept column owns none).
     """
 
     shape: tuple[int, int]
     vector_size: int
-    group_columns: list[np.ndarray] = field(default_factory=list)
-    group_values: list[np.ndarray] = field(default_factory=list)
+    values: np.ndarray
+    columns: np.ndarray
+    group_indptr: np.ndarray
 
     def __post_init__(self) -> None:
+        self.values = np.asarray(self.values, dtype=np.float64)
+        self.columns = np.asarray(self.columns, dtype=np.int64)
+        self.group_indptr = np.asarray(self.group_indptr, dtype=np.int64)
         m, k = self.shape
         v = self.vector_size
         if v <= 0:
             raise ValueError("vector_size must be positive")
         if m % v:
             raise ValueError(f"M={m} is not divisible by V={v}")
-        if len(self.group_columns) != m // v or len(self.group_values) != m // v:
-            raise ValueError("one column array and value panel required per group")
-        self.group_columns = [np.asarray(c, dtype=np.int64) for c in self.group_columns]
-        self.group_values = [np.asarray(x, dtype=np.float64) for x in self.group_values]
-        for cols, vals in zip(self.group_columns, self.group_values, strict=True):
-            if vals.shape != (v, len(cols)):
-                raise ValueError("value panel shape must be (V, n_cols)")
-            if len(cols) and (cols.min() < 0 or cols.max() >= k):
-                raise ValueError("column indices out of range")
-            if len(np.unique(cols)) != len(cols):
-                raise ValueError("duplicate column indices within a group")
+        if self.values.ndim != 3 or self.values.shape[1] != v or self.values.shape[2] <= 0:
+            raise ValueError("values must have shape (num_panels, V, T) with T > 0")
+        if self.columns.shape != (self.num_panels, self.tile_cols):
+            raise ValueError("columns must have shape (num_panels, T)")
+        indptr = self.group_indptr
+        if (
+            len(indptr) != m // v + 1
+            or indptr[0] != 0
+            or indptr[-1] != self.num_panels
+            or np.any(np.diff(indptr) < 0)
+        ):
+            raise ValueError("group_indptr must rise from 0 to num_panels over M / V groups")
+        if self.columns.size and (self.columns.min() < -1 or self.columns.max() >= k):
+            raise ValueError("column indices out of range")
+        padded = self.columns < 0
+        if np.any(self.values.transpose(0, 2, 1)[padded]):
+            raise ValueError("padded lanes must hold zero values")
+        keys = (self._panel_groups()[:, None] * k + self.columns)[~padded]
+        if len(np.unique(keys)) != len(keys):
+            raise ValueError("duplicate column indices within a group")
 
     @property
     def num_groups(self) -> int:
         return self.shape[0] // self.vector_size
 
     @property
+    def num_panels(self) -> int:
+        return int(self.values.shape[0])
+
+    @property
+    def tile_cols(self) -> int:
+        """Stitched columns per panel (the kernel's ``T_K``)."""
+        return int(self.values.shape[2])
+
+    @property
     def nnz(self) -> int:
-        return int(sum(vals.size for vals in self.group_values))
+        return int(np.count_nonzero(self.columns >= 0)) * self.vector_size
 
     @property
     def density(self) -> float:
         m, k = self.shape
         return self.nnz / float(m * k) if m * k else 0.0
 
+    def _panel_groups(self) -> np.ndarray:
+        """Row group of each panel."""
+        return np.repeat(np.arange(self.num_groups), np.diff(self.group_indptr))
+
+    def group(self, g: int) -> tuple[np.ndarray, np.ndarray]:
+        """Kept columns of group ``g`` and their ``(V, n_cols)`` values, in
+        stitched order, padding dropped."""
+        start, end = self.group_indptr[g], self.group_indptr[g + 1]
+        columns = self.columns[start:end].reshape(-1)
+        values = self.values[start:end].transpose(1, 0, 2).reshape(self.vector_size, -1)
+        kept = columns >= 0
+        return columns[kept], values[:, kept]
+
     @classmethod
-    def from_dense(cls, dense: np.ndarray, vector_size: int) -> "VectorSparseMatrix":
+    def from_dense(
+        cls, dense: np.ndarray, vector_size: int, tile_cols: int | None = None
+    ) -> "VectorSparseMatrix":
         """Compress a dense matrix whose sparsity already follows the pattern.
 
         A column of a row group is kept iff any of its ``V`` values is
         non-zero; the stored panel keeps whatever values the dense matrix had
-        (including zeros inside a kept vector).
+        (including zeros inside a kept vector).  ``tile_cols`` is the panel
+        width ``T``; by default :func:`_panel_width` picks it from the
+        groups' widths.
         """
         dense = _as_2d_float(dense)
         m, k = dense.shape
         v = vector_size
+        if v <= 0:
+            raise ValueError("vector_size must be positive")
         if m % v:
             raise ValueError(f"M={m} is not divisible by V={v}")
-        columns: list[np.ndarray] = []
-        values: list[np.ndarray] = []
-        for g in range(m // v):
-            panel = dense[g * v : (g + 1) * v, :]
-            cols = np.nonzero(np.any(panel != 0.0, axis=0))[0]
-            columns.append(cols)
-            values.append(panel[:, cols].copy())
-        return cls(shape=(m, k), vector_size=v, group_columns=columns, group_values=values)
+        groups = dense.reshape(m // v, v, k)
+        group_of, cols = np.nonzero(groups.any(axis=1))
+        widths = np.bincount(group_of, minlength=m // v)
+        tile = _panel_width(widths) if tile_cols is None else tile_cols
+        if tile <= 0:
+            raise ValueError("tile_cols must be positive")
+        group_indptr = np.zeros(m // v + 1, dtype=np.int64)
+        np.cumsum(-(-widths // tile), out=group_indptr[1:])
+        # Each kept column's rank within its group names its panel and lane.
+        rank = np.arange(len(cols)) - np.repeat(np.cumsum(widths) - widths, widths)
+        panel = group_indptr[group_of] + rank // tile
+        lane = rank % tile
+        values = np.zeros((group_indptr[-1], v, tile), dtype=np.float64)
+        columns = np.full((group_indptr[-1], tile), -1, dtype=np.int64)
+        columns[panel, lane] = cols
+        values[panel, :, lane] = groups[group_of, :, cols]
+        return cls(
+            shape=(m, k),
+            vector_size=v,
+            values=values,
+            columns=columns,
+            group_indptr=group_indptr,
+        )
 
     def to_dense(self) -> np.ndarray:
+        """Reconstruct the dense matrix (one fancy-indexed lane scatter)."""
         m, k = self.shape
         v = self.vector_size
-        out = np.zeros((m, k), dtype=np.float64)
-        for g in range(self.num_groups):
-            out[g * v : (g + 1) * v, self.group_columns[g]] = self.group_values[g]
-        return out
+        out = np.zeros((m // v, v, k), dtype=np.float64)
+        panel, lane = np.nonzero(self.columns >= 0)
+        group_of = self._panel_groups()[panel]
+        out[group_of, :, self.columns[panel, lane]] = self.values[panel, :, lane]
+        return out.reshape(m, k)
 
 
 # --------------------------------------------------------------------------- #
@@ -369,7 +451,7 @@ class ShflBWMatrix:
             raise ValueError("vector_matrix vector_size mismatch")
         if len(self.row_indices) != m:
             raise ValueError("row_indices must have length M")
-        if sorted(self.row_indices.tolist()) != list(range(m)):
+        if not np.array_equal(np.sort(self.row_indices), np.arange(m)):
             raise ValueError("row_indices must be a permutation of 0..M-1")
 
     @property
@@ -398,16 +480,18 @@ class ShflBWMatrix:
         dense: np.ndarray,
         vector_size: int,
         row_indices: np.ndarray,
+        tile_cols: int | None = None,
     ) -> "ShflBWMatrix":
         """Compress a dense matrix given the row permutation to apply.
 
         ``row_indices`` lists, in permuted order, which original rows form
-        each consecutive group of ``V`` rows.
+        each consecutive group of ``V`` rows; ``tile_cols`` is the panel
+        width of :meth:`VectorSparseMatrix.from_dense`.
         """
         dense = _as_2d_float(dense)
         row_indices = np.asarray(row_indices, dtype=np.int64)
         permuted = dense[row_indices, :]
-        vec = VectorSparseMatrix.from_dense(permuted, vector_size)
+        vec = VectorSparseMatrix.from_dense(permuted, vector_size, tile_cols)
         return cls(
             shape=dense.shape,
             vector_size=vector_size,

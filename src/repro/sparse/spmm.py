@@ -13,11 +13,10 @@ per-group Python loops of the original implementations.  The originals live
 on in :mod:`repro.sparse.spmm_reference` as the oracle the property-based
 tests and ``benchmarks/bench_spmm_vectorized.py`` compare against.
 
-Two caches keep repeated calls cheap:
-
-* the stitched-panel view consumed by the vector-wise / Shfl-BW kernels is
-  memoised per matrix and tile width (:func:`repro.sparse.convert.stitched_panels`),
-* the CSR kernel memoises its ``scipy.sparse`` handle on the matrix.
+The vector-wise and Shfl-BW kernels read the column-stitched panels their
+format stores (:class:`~repro.sparse.formats.VectorSparseMatrix`), so they
+build nothing per call; the CSR kernel memoises its ``scipy.sparse`` handle
+on the matrix.
 
 ``scipy.sparse`` is imported on the first :func:`spmm_csr` call, not at module
 load: the timing experiments import this module through :mod:`repro.kernels`
@@ -28,7 +27,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .convert import stitched_panels
 from .formats import (
     Balanced24Matrix,
     BlockSparseMatrix,
@@ -120,84 +118,51 @@ def spmm_block(matrix: BlockSparseMatrix, rhs: np.ndarray) -> np.ndarray:
     return acc.reshape(m, n)
 
 
-def _panel_width(matrix: VectorSparseMatrix) -> int:
-    """Panel width when the caller names no ``tile_cols``: the widest group
-    (one panel per group) or the ceil-mean width (padding bounded by one tile
-    per group), whichever pads fewer lanes.  Ties go to the widest, so
-    near-uniform groups never spill their last columns into a padded panel.
-    """
-    widths = np.fromiter(
-        (len(c) for c in matrix.group_columns), dtype=np.int64, count=matrix.num_groups
-    )
-    widest = int(widths.max(initial=1))
-    total = int(widths.sum())
-    if total == 0:
-        return widest
-    mean = -(-total // len(widths))
-    mean_lanes = int((-(-widths // mean)).sum()) * mean
-    return widest if widest * np.count_nonzero(widths) <= mean_lanes else mean
-
-
-def _spmm_stitched(
-    matrix: VectorSparseMatrix, rhs: np.ndarray, tile_cols: int | None
-) -> np.ndarray:
+def _spmm_stitched(matrix: VectorSparseMatrix, rhs: np.ndarray) -> np.ndarray:
     """Shared stitched-panel SpMM over a vector-wise matrix.
 
     Mirrors the GPU kernel: gather the activation rows named by each panel's
     stitched columns (in-buffer stitching), run one batched panel GEMM over
     all panels (tensor-core MMA), and segment-sum the panels of each group
     (skipped when every group owns one panel: the products are the output).
-    ``tile_cols=None`` picks the width with :func:`_panel_width`.  Returns
-    the output in the matrix's own (group-contiguous) row order.
+    Returns the output in the matrix's own (group-contiguous) row order.
     """
-    if tile_cols is None:
-        tile_cols = _panel_width(matrix)
-    panels = stitched_panels(matrix, tile_cols)
     n = rhs.shape[1]
-    if panels.num_panels == 0:
+    if matrix.num_panels == 0:
         return np.zeros((matrix.shape[0], n), dtype=np.float64)
-    # Padded lanes index row 0 but carry zero weights, so no masking needed.
-    gathered = rhs[panels.gather_columns]  # (P, tile, N)
-    products = np.matmul(panels.values, gathered)  # (P, V, N)
-    if np.array_equal(panels.group_indptr, np.arange(panels.num_groups + 1)):
+    # Padded lanes (-1) clip to row 0 but carry zero weights, so no masking
+    # is needed.
+    gathered = rhs.take(matrix.columns, axis=0, mode="clip")  # (P, T, N)
+    products = np.matmul(matrix.values, gathered)  # (P, V, N)
+    if np.array_equal(matrix.group_indptr, np.arange(matrix.num_groups + 1)):
         return products.reshape(matrix.shape[0], n)
-    acc = _segment_rows(products, panels.group_indptr, panels.num_groups)
+    acc = _segment_rows(products, matrix.group_indptr, matrix.num_groups)
     return acc.reshape(matrix.shape[0], n)
 
 
 def spmm_vector_wise(matrix: VectorSparseMatrix, rhs: np.ndarray) -> np.ndarray:
-    """Vector-wise SpMM: gather the kept activation rows of each group, then
-    run one batched dense panel GEMM over all groups (our vector-wise kernel).
-
-    Panels take the width :func:`_panel_width` picks: near-uniform matrices
-    get one panel per group (one batched ``matmul``, no segment sum), while
-    skewed matrices stay bounded — padding stays under one ceil-mean tile
-    per group, unlike padding every group to the widest one.
-    """
-    return _spmm_stitched(matrix, _check_rhs(matrix.shape, rhs), None)
+    """Vector-wise SpMM: gather the kept activation rows of each panel, then
+    run one batched dense panel GEMM over all panels (our vector-wise
+    kernel)."""
+    return _spmm_stitched(matrix, _check_rhs(matrix.shape, rhs))
 
 
-def spmm_shflbw(
-    matrix: ShflBWMatrix, rhs: np.ndarray, *, tile_cols: int | None = None
-) -> np.ndarray:
+def spmm_shflbw(matrix: ShflBWMatrix, rhs: np.ndarray) -> np.ndarray:
     """Shfl-BW SpMM following the GPU kernel structure (Figure 4).
 
     Steps mirrored from the kernel:
 
-    1. the matrix is already stored in permuted vector-wise form (offline
-       step (a)),
-    2. each row group's kept columns are stitched into dense ``V x tile``
-       panels (``tile_cols``, by default the width :func:`_panel_width`
-       picks); the matching activation rows are gathered to form the other
-       tile (in-buffer stitching, step (b)) — the stitched panels are
-       memoised on the matrix, so repeated calls skip the offline step,
+    1. the matrix is already stored in permuted vector-wise form, its kept
+       columns stitched into dense ``V x T`` panels (offline step (a)),
+    2. the activation rows matching each panel's columns are gathered to
+       form the other tile (in-buffer stitching, step (b)),
     3. one batched panel GEMM accumulates every group's output tile
        (tensor-core MMA, step (c)),
     4. the output tiles are written to the *original* row positions using the
        stored row indices (reordered write-back, step (e)).
     """
     rhs = _check_rhs(matrix.shape, rhs)
-    permuted = _spmm_stitched(matrix.vector_matrix, rhs, tile_cols)
+    permuted = _spmm_stitched(matrix.vector_matrix, rhs)
     out = np.zeros_like(permuted)
     # Reordered write-back: results land directly in the original rows.
     out[matrix.row_indices] = permuted

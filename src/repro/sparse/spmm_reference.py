@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .convert import vector_wise_to_block
 from .formats import (
     Balanced24Matrix,
     BlockSparseMatrix,
@@ -93,17 +92,15 @@ def spmm_vector_wise_loop(matrix: VectorSparseMatrix, rhs: np.ndarray) -> np.nda
     v = matrix.vector_size
     out = np.zeros((m, rhs.shape[1]), dtype=np.float64)
     for g in range(matrix.num_groups):
-        cols = matrix.group_columns[g]
+        cols, values = matrix.group(g)
         if len(cols) == 0:
             continue
         gathered = rhs[cols, :]
-        out[g * v : (g + 1) * v, :] = matrix.group_values[g] @ gathered
+        out[g * v : (g + 1) * v, :] = values @ gathered
     return out
 
 
-def spmm_shflbw_loop(
-    matrix: ShflBWMatrix, rhs: np.ndarray, *, tile_cols: int | None = None
-) -> np.ndarray:
+def spmm_shflbw_loop(matrix: ShflBWMatrix, rhs: np.ndarray) -> np.ndarray:
     """Shfl-BW SpMM following the GPU kernel structure panel-by-panel."""
     rhs = _check_rhs(matrix.shape, rhs)
     n = rhs.shape[1]
@@ -111,14 +108,12 @@ def spmm_shflbw_loop(
     v = matrix.vector_size
     out = np.zeros((m, n), dtype=np.float64)
 
-    panels_per_group = vector_wise_to_block(
-        matrix.vector_matrix, tile_cols=tile_cols
-    ).to_group_lists()
-    for g, panels in enumerate(panels_per_group):
+    panels = matrix.vector_matrix
+    for g in range(panels.num_groups):
         acc = np.zeros((v, n), dtype=np.float64)
-        for panel in panels:
-            cols = panel["columns"]
-            values = panel["values"]
+        for p in range(panels.group_indptr[g], panels.group_indptr[g + 1]):
+            cols = panels.columns[p]
+            values = panels.values[p]
             valid = cols >= 0
             # In-buffer stitching: gather the activation rows named by the
             # column indices; padded lanes contribute zero.

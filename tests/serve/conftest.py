@@ -29,6 +29,13 @@ def transformer_plan():
     )
 
 
+@pytest.fixture(scope="session")
+def served_plan():
+    """The plan perfbench serves: the transformer on V100 at 90%, every
+    layer vector-wise."""
+    return Autotuner().plan("transformer", "V100", 0.9)
+
+
 def make_requests(count: int, *, layer: str = LAYER, k: int = 256, seed: int = 7):
     """``count`` deterministic single-column requests for one layer."""
     rng = np.random.default_rng(seed)

@@ -51,7 +51,6 @@ class TestWorkerPool:
         for record in expected:
             result = results[record.config.batch_id]
             assert isinstance(result, BatchResult)
-            assert result.elapsed_s > 0.0
             for left, right in zip(record.outputs, result.outputs, strict=True):
                 assert left.tobytes() == right.tobytes()
 
@@ -407,7 +406,7 @@ class TestSlots:
             assert reads == [1]
             with pytest.warns(PoolStompedWarning, match="corrupt"):
                 worker = pool._workers[0]
-                assert pool._pop_result(worker, ("ok", 99, 256, 0.0)) is None
+                assert pool._pop_result(worker, ("ok", 99, 256)) is None
             assert worker not in pool._workers
             pool.submit(batches[2])
             results.extend(pool.collect_all())

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
 import time
 
 import numpy as np
 import pytest
 
 import repro.serve.service as service_module
+from repro.eval.runner import SERVE_SALT
 from repro.serve import (
     InferenceService,
     PredictRequest,
@@ -56,6 +58,25 @@ class TestReplay:
         warm = service.replay(requests, cache_dir=tmp_path)
         for left, right in zip(cold, warm, strict=True):
             assert left.output.tobytes() == right.output.tobytes()
+
+    def test_served_bytes_are_pinned(self, served_plan):
+        """The bytes the transformer plan serves: 48 requests of one to
+        three columns over its four vector-wise layers.  Changing them
+        needs a new ``SERVE_SALT``, or cached replays return stale bytes."""
+        model = PlannedModel(served_plan)
+        layers = [assignment.layer for assignment in served_plan.assignments]
+        rng = np.random.default_rng(5)
+        requests = []
+        for i in range(48):
+            layer = layers[i % len(layers)]
+            operand = rng.normal(size=(model.layers[layer].gemm.k, 1 + i % 3))
+            requests.append(PredictRequest.from_array(layer, operand, request_id=str(i)))
+        responses = InferenceService(served_plan, weight_seed=1).replay(requests)
+        digest = hashlib.sha256(b"".join(r.output.tobytes() for r in responses))
+        assert SERVE_SALT == "serve-v2"
+        assert digest.hexdigest() == (
+            "400691acd0920427897b9fc847d3baff24ec75cb059043047da432d1fa687bdc"
+        )
 
     def test_multi_layer_stream(self, transformer_plan):
         rng = np.random.default_rng(3)

@@ -1,9 +1,11 @@
-"""Served weights follow the sparsity pattern of each layer's kernel, and
-serving start holds one dense layer at a time."""
+"""Served weights follow the sparsity pattern of each layer's kernel,
+serving start holds one dense layer at a time, and a started service holds
+each kept weight once."""
 
 from __future__ import annotations
 
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from repro.core.pattern import PatternKind
 from repro.core.pruning import balanced_mask, block_wise_mask, vector_wise_mask
 from repro.eval.runner import KernelSpec
 from repro.serve import InferenceService, derive_weights, planned_runtime
+from repro.serve.cells import _runtime_for
 from repro.tune import Autotuner
 from repro.tune.planned import PlannedModel
 
@@ -61,7 +64,7 @@ def test_prepared_operand_keeps_only_the_pattern(family_plan):
     prepared = planned_runtime(plan, SEED)[1][LAYER]
     if family in ("vector-wise", "shfl-bw"):
         matrix = prepared if family == "vector-wise" else prepared.vector_matrix
-        widths = {len(columns) for columns in matrix.group_columns}
+        widths = {len(matrix.group(g)[0]) for g in range(matrix.num_groups)}
         assert widths == {round(density * K)}
         assert np.array_equal(matrix.to_dense(), weight)
     elif family == "cusparse-bsr":
@@ -129,12 +132,6 @@ def test_one_layer_equals_its_entry_in_the_full_dict(transformer_plan):
         derive_weights(transformer_plan, SEED, layers=[layers[0], "no-such-layer"])
 
 
-@pytest.fixture(scope="module")
-def served_plan():
-    """The plan perfbench serves: the transformer on V100 at 90%."""
-    return Autotuner().plan("transformer", "V100", 0.9)
-
-
 def traced(call):
     """``call()``'s result and its tracemalloc peak beyond what was
     allocated before it, in bytes."""
@@ -153,8 +150,8 @@ def traced(call):
 
 def test_start_holds_one_dense_layer(served_plan):
     """Deriving and preparing one layer at a time peaks near the largest
-    dense layer (33.6 MB) plus the prepared operands (about 12 MB); holding
-    every dense layer at once peaked at 139 MB."""
+    dense layer (33.6 MB) plus the prepared operands (about 10.2 MB);
+    holding every dense layer at once peaked at 139 MB."""
     _, peak = traced(lambda: planned_runtime(served_plan, 1))
     assert peak <= 60e6
 
@@ -164,3 +161,32 @@ def test_derivation_allocates_one_slab_beyond_its_result(served_plan):
     weights (about 4.7 MB); full-size magnitudes and masks took 37.8 MB."""
     weights, peak = traced(lambda: derive_weights(served_plan, 1))
     assert peak - sum(weight.nbytes for weight in weights.values()) <= 8e6
+
+
+def array_bytes(value) -> int:
+    """Bytes of the numpy arrays reachable from ``value`` through object
+    attributes (memoised ones included), dicts, lists and tuples."""
+    if isinstance(value, np.ndarray):
+        return value.nbytes
+    if isinstance(value, dict):
+        return sum(array_bytes(item) for item in value.values())
+    if isinstance(value, (list, tuple)):
+        return sum(array_bytes(item) for item in value)
+    if hasattr(value, "__dict__"):
+        return array_bytes(vars(value))
+    return 0
+
+
+def test_started_service_holds_each_kept_weight_once(served_plan):
+    """After ``start()``, calibration included, the prepared operands are
+    their stitched panels and nothing else: 10.2 MB of arrays, where
+    per-group arrays plus a memoised panel copy held 20.56 MB."""
+    service = InferenceService(served_plan, weight_seed=1).start()
+    try:
+        _, prepared = _runtime_for(served_plan, 1)
+        assert array_bytes(prepared) <= 11e6
+        for operand in prepared.values():
+            matrix = getattr(operand, "vector_matrix", operand)
+            assert set(vars(matrix)) == {field.name for field in fields(matrix)}
+    finally:
+        service.stop()

@@ -10,17 +10,11 @@ from repro.sparse.convert import (
     dense_to_csr,
     dense_to_shflbw,
     dense_to_vector_wise,
-    identity_row_indices,
-    shflbw_to_vector_wise,
-    stitched_panels,
-    vector_wise_to_block,
 )
+from repro.sparse.formats import VectorSparseMatrix
 
 
 class TestBasicConversions:
-    def test_identity_row_indices(self):
-        np.testing.assert_array_equal(identity_row_indices(5), np.arange(5))
-
     def test_dense_to_csr_round_trip(self, rng):
         dense = rng.normal(size=(8, 8)) * (rng.random((8, 8)) < 0.4)
         np.testing.assert_allclose(dense_to_csr(dense).to_dense(), dense)
@@ -43,64 +37,52 @@ class TestBasicConversions:
 
 
 class TestKernelOfflineSteps:
-    def test_shflbw_to_vector_wise_matches_permuted_dense(self, shflbw_pruned):
+    def test_shflbw_stores_the_permuted_vector_wise_matrix(self, shflbw_pruned):
         pruned, result = shflbw_pruned
         matrix = dense_to_shflbw(pruned, 8, result.row_indices)
-        vec, row_indices = shflbw_to_vector_wise(matrix)
-        np.testing.assert_allclose(vec.to_dense(), pruned[row_indices, :])
+        np.testing.assert_array_equal(matrix.row_indices, result.row_indices)
+        np.testing.assert_allclose(
+            matrix.vector_matrix.to_dense(), pruned[result.row_indices, :]
+        )
 
-    def test_vector_wise_to_block_reconstructs_group_panels(self, rng):
+    def test_from_dense_stitches_group_panels(self, rng):
         dense = np.zeros((8, 16))
         dense[0:4, [0, 3, 7, 9, 12]] = rng.normal(size=(4, 5))
-        vec = dense_to_vector_wise(dense, 4)
-        panels = vector_wise_to_block(vec, tile_cols=2)
+        vec = VectorSparseMatrix.from_dense(dense, 4, tile_cols=2)
         # Group 0 has 5 kept columns -> 3 panels of width 2 (last padded);
         # group 1 is all-zero -> no panels.
-        np.testing.assert_array_equal(panels.group_indptr, [0, 3, 3])
-        assert panels.num_panels == 3
-        assert panels.values.shape == (3, 4, 2)
-        np.testing.assert_array_equal(panels.columns[0], [0, 3])
-        np.testing.assert_array_equal(panels.values[0], dense[0:4, [0, 3]])
-        # The tail panel is padded with -1 columns and zero values.
-        assert panels.columns[-1][-1] == -1
-        assert np.all(panels.values[-1][:, -1] == 0.0)
-        # Padding lanes are clamped to a valid gather index.
-        assert panels.gather_columns.min() >= 0
+        np.testing.assert_array_equal(vec.group_indptr, [0, 3, 3])
+        assert vec.num_panels == 3
+        assert vec.values.shape == (3, 4, 2)
+        np.testing.assert_array_equal(vec.columns, [[0, 3], [7, 9], [12, -1]])
+        np.testing.assert_array_equal(vec.values[0], dense[0:4, [0, 3]])
+        # The tail panel is padded with a -1 column and zero values.
+        assert np.all(vec.values[-1][:, -1] == 0.0)
+        assert vec.nnz == 4 * 5
+        np.testing.assert_array_equal(vec.to_dense(), dense)
 
-    def test_vector_wise_to_block_default_tile_is_square(self, rng):
+    def test_default_tile_fits_the_widest_group(self):
         dense = np.zeros((4, 8))
         dense[:, [1, 2, 3, 4]] = 1.0
-        panels = vector_wise_to_block(dense_to_vector_wise(dense, 4))
-        assert panels.values.shape == (1, 4, 4)
+        vec = dense_to_vector_wise(dense, 4)
+        assert vec.values.shape == (1, 4, 4)
 
-    def test_to_group_lists_matches_stacked(self, rng):
-        """The list-of-dicts view the Shfl-BW loop oracle walks."""
-        dense = np.zeros((8, 16))
+    def test_group_views_match_the_panels(self, rng):
+        """The per-group views the loop oracles read: kept columns in
+        stitched order and their values, padding dropped."""
+        dense = np.zeros((12, 16))
         dense[0:4, [0, 3, 7, 9, 12]] = rng.normal(size=(4, 5))
-        dense[4:8, [2, 5]] = rng.normal(size=(4, 2))
-        vec = dense_to_vector_wise(dense, 4)
-        stacked = vector_wise_to_block(vec, tile_cols=2)
-        lists = stacked.to_group_lists()
-        assert len(lists) == stacked.num_groups
-        for g, group in enumerate(lists):
-            vals, cols = stacked.group_panels(g)
-            assert len(group) == vals.shape[0]
-            for p, panel in enumerate(group):
-                np.testing.assert_array_equal(panel["columns"], cols[p])
-                np.testing.assert_array_equal(panel["values"], vals[p])
+        dense[8:12, [2, 5]] = rng.normal(size=(4, 2))
+        vec = VectorSparseMatrix.from_dense(dense, 4, tile_cols=2)
+        expected = [[0, 3, 7, 9, 12], [], [2, 5]]
+        for g, kept in enumerate(expected):
+            columns, values = vec.group(g)
+            np.testing.assert_array_equal(columns, kept)
+            np.testing.assert_array_equal(values, dense[g * 4 : (g + 1) * 4, kept])
 
-    def test_stitched_panels_memoised_per_tile(self, rng):
-        dense = np.zeros((8, 16))
-        dense[0:4, [0, 3, 7]] = rng.normal(size=(4, 3))
-        vec = dense_to_vector_wise(dense, 4)
-        first = stitched_panels(vec, 2)
-        assert stitched_panels(vec, 2) is first
-        assert stitched_panels(vec, 4) is not first
-
-    def test_invalid_tile_cols(self, rng):
-        vec = dense_to_vector_wise(np.zeros((4, 8)), 4)
+    def test_invalid_tile_cols(self):
         with pytest.raises(ValueError):
-            vector_wise_to_block(vec, tile_cols=0)
+            VectorSparseMatrix.from_dense(np.zeros((4, 8)), 4, tile_cols=0)
 
 
 class TestPrunedMatrixConversions:

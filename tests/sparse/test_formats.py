@@ -102,21 +102,42 @@ class TestVectorSparse:
             VectorSparseMatrix.from_dense(np.zeros((10, 8)), 4)
 
     def test_duplicate_columns_rejected(self):
-        with pytest.raises(ValueError):
-            VectorSparseMatrix(
-                shape=(4, 8),
-                vector_size=4,
-                group_columns=[np.array([1, 1])],
-                group_values=[np.ones((4, 2))],
-            )
+        """A column may repeat across groups, never within one, even when
+        the group spans several panels."""
+        layout = {"shape": (8, 8), "vector_size": 4, "values": np.ones((2, 4, 2))}
+        VectorSparseMatrix(**layout, columns=[[1, 2], [1, 2]], group_indptr=[0, 1, 2])
+        with pytest.raises(ValueError, match="duplicate"):
+            VectorSparseMatrix(**layout, columns=[[1, 2], [3, 2]], group_indptr=[0, 2, 2])
 
     def test_wrong_panel_shape_rejected(self):
         with pytest.raises(ValueError):
             VectorSparseMatrix(
                 shape=(4, 8),
                 vector_size=4,
-                group_columns=[np.array([1, 2])],
-                group_values=[np.ones((3, 2))],
+                values=np.ones((1, 3, 2)),
+                columns=[[1, 2]],
+                group_indptr=[0, 1],
+            )
+
+    @pytest.mark.parametrize(
+        "columns, values, indptr",
+        [
+            ([[1, 8]], np.ones((1, 4, 2)), [0, 1]),  # column beyond K
+            ([[1, -2]], np.ones((1, 4, 2)), [0, 1]),  # below the -1 padding
+            ([[1, -1]], np.ones((1, 4, 2)), [0, 1]),  # padding with a value
+            ([[1, 2]], np.ones((1, 4, 2)), [0, 2]),  # pointer past the panels
+            ([[1, 2]], np.ones((1, 4, 2)), [1]),  # one pointer, no group
+            ([[1]], np.ones((1, 4, 2)), [0, 1]),  # columns shorter than T
+        ],
+    )
+    def test_invalid_layout_rejected(self, columns, values, indptr):
+        with pytest.raises(ValueError):
+            VectorSparseMatrix(
+                shape=(4, 8),
+                vector_size=4,
+                values=values,
+                columns=columns,
+                group_indptr=indptr,
             )
 
 
@@ -229,12 +250,10 @@ class TestStorageDtype:
         assert bsr.data.dtype == np.float64
         assert bsr.to_dense().dtype == np.float64
         vec = VectorSparseMatrix.from_dense(dense32, 4)
-        assert all(panel.dtype == np.float64 for panel in vec.group_values)
+        assert vec.values.dtype == np.float64
         assert vec.to_dense().dtype == np.float64
         shfl = ShflBWMatrix.from_dense(dense32, 4, np.arange(8))
-        assert all(
-            panel.dtype == np.float64 for panel in shfl.vector_matrix.group_values
-        )
+        assert shfl.vector_matrix.values.dtype == np.float64
         assert shfl.to_dense().dtype == np.float64
         balanced = Balanced24Matrix.from_dense(dense32)
         assert balanced.values.dtype == np.float64
@@ -248,3 +267,6 @@ class TestStorageDtype:
         bsr = BlockSparseMatrix.from_dense(dense, 4)
         assert bsr.block_indices.dtype == np.int64
         assert bsr.block_indptr.dtype == np.int64
+        vec = VectorSparseMatrix.from_dense(dense, 4)
+        assert vec.columns.dtype == np.int64
+        assert vec.group_indptr.dtype == np.int64

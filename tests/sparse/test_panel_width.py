@@ -1,7 +1,8 @@
 """The stitched-panel policy of the vector-wise / Shfl-BW SpMM.
 
-Without an explicit ``tile_cols`` the engine stitches each row group into
-panels of the width :func:`repro.sparse.spmm._panel_width` picks: the widest
+Without an explicit ``tile_cols``, ``VectorSparseMatrix.from_dense``
+stitches each row group into panels of the width
+:func:`repro.sparse.formats._panel_width` picks: the widest
 group or the ceil-mean width, whichever pads fewer lanes.  These tests pin
 the choice, the one-panel-per-group shortcut (bit-identical to the segment
 sum it skips) and the served regime that motivated it: near-dense groups
@@ -16,15 +17,16 @@ from hypothesis import strategies as st
 from repro.kernels.shflbw import ShflBWKernel
 from repro.kernels.vector_wise import VectorWiseKernel
 from repro.sparse import spmm_reference as ref
-from repro.sparse.convert import dense_to_vector_wise, stitched_panels, vector_wise_to_block
-from repro.sparse.spmm import _panel_width, _segment_rows, spmm_shflbw, spmm_vector_wise
+from repro.sparse.convert import dense_to_vector_wise
+from repro.sparse.formats import VectorSparseMatrix, _panel_width
+from repro.sparse.spmm import _segment_rows, spmm_shflbw, spmm_vector_wise
 
 ATOL = 1e-10
 
 
-def _padded_lanes(matrix, tile: int) -> int:
-    panels = vector_wise_to_block(matrix, tile_cols=tile)
-    return panels.num_panels * tile - sum(len(c) for c in matrix.group_columns)
+def _padded_lanes(dense, v: int, tile: int) -> int:
+    matrix = VectorSparseMatrix.from_dense(dense, v, tile_cols=tile)
+    return int(np.count_nonzero(matrix.columns < 0))
 
 
 def _with_group_widths(widths, v: int, k: int, seed: int):
@@ -61,11 +63,9 @@ class TestOnePanelReturn:
             rhs[:, ::2] = -0.0
         elif draw == "nan":
             rhs[rng.random(rhs.shape) < 0.2] = np.nan
-        tile = _panel_width(matrix)
-        panels = stitched_panels(matrix, tile)
-        assert panels.num_panels == panels.num_groups
-        products = np.matmul(panels.values, rhs[panels.gather_columns])
-        summed = _segment_rows(products, panels.group_indptr, panels.num_groups)
+        assert matrix.num_panels == matrix.num_groups
+        products = np.matmul(matrix.values, rhs[np.maximum(matrix.columns, 0)])
+        summed = _segment_rows(products, matrix.group_indptr, matrix.num_groups)
         out = spmm_vector_wise(matrix, rhs)
         expected = summed.reshape(out.shape)
         assert np.array_equal(out, expected, equal_nan=True)
@@ -84,13 +84,14 @@ def test_chosen_width_pads_no_more_than_either_candidate(widths, v, n, seed):
     dense, matrix = _with_group_widths(widths, v, k, seed)
     rhs = np.random.default_rng(seed).normal(size=(k, n))
     total = sum(widths)
-    tile = _panel_width(matrix)
+    tile = matrix.tile_cols
+    assert tile == _panel_width(np.array(widths))
     if total:
         widest, mean = max(widths), -(-total // len(widths))
         assert tile in (widest, mean)
-        padded = _padded_lanes(matrix, tile)
-        assert padded <= _padded_lanes(matrix, widest)
-        assert padded <= _padded_lanes(matrix, mean)
+        padded = _padded_lanes(dense, v, tile)
+        assert padded <= _padded_lanes(dense, v, widest)
+        assert padded <= _padded_lanes(dense, v, mean)
     out = spmm_vector_wise(matrix, rhs)
     np.testing.assert_allclose(out, ref.spmm_vector_wise_loop(matrix, rhs), atol=ATOL)
     np.testing.assert_allclose(out, dense @ rhs, atol=ATOL)
@@ -111,26 +112,24 @@ class TestServedRegime:
 
         vector_wise = VectorWiseKernel(64)
         prepared = vector_wise.prepare(weight)
-        widths = [len(c) for c in prepared.group_columns]
+        widths = [len(prepared.group(g)[0]) for g in range(prepared.num_groups)]
         mean = -(-sum(widths) // len(widths))
-        assert vector_wise_to_block(prepared, tile_cols=mean).num_panels > 48
-        assert _panel_width(prepared) == max(widths)
+        assert VectorSparseMatrix.from_dense(weight, 64, tile_cols=mean).num_panels > 48
+        assert prepared.tile_cols == max(widths)
+        assert prepared.num_panels == 48
         np.testing.assert_allclose(vector_wise.run(prepared, x), expected, atol=ATOL)
-        cache = prepared.__dict__["_panel_cache"]
-        assert [panels.num_panels for panels in cache.values()] == [48]
 
         shflbw = ShflBWKernel(64)
         shuffled = shflbw.prepare(weight)
         np.testing.assert_allclose(shflbw.run(shuffled, x), expected, atol=ATOL)
         np.testing.assert_allclose(spmm_shflbw(shuffled, x), expected, atol=ATOL)
-        cache = shuffled.vector_matrix.__dict__["_panel_cache"]
-        assert [panels.num_panels for panels in cache.values()] == [48]
+        assert shuffled.vector_matrix.num_panels == 48
 
     def test_skewed_groups_keep_the_mean_width(self):
         """One full group among 10%-wide ones: one panel per group would pad
         every narrow group to the full width, so the mean width wins."""
         widths = [100] + [10] * 9
         dense, matrix = _with_group_widths(widths, v=4, k=100, seed=3)
-        assert _panel_width(matrix) == -(-sum(widths) // len(widths)) == 19
+        assert matrix.tile_cols == -(-sum(widths) // len(widths)) == 19
         rhs = np.random.default_rng(4).normal(size=(100, 3))
         np.testing.assert_allclose(spmm_vector_wise(matrix, rhs), dense @ rhs, atol=ATOL)

@@ -11,6 +11,7 @@ from repro.pruning.patterns import (
     UnstructuredPruner,
     VectorwisePruner,
 )
+from repro.sparse import spmm_reference as ref
 from repro.sparse.convert import (
     dense_to_balanced,
     dense_to_block,
@@ -18,6 +19,7 @@ from repro.sparse.convert import (
     dense_to_shflbw,
     dense_to_vector_wise,
 )
+from repro.sparse.formats import ShflBWMatrix
 from repro.sparse.spmm import (
     dense_gemm,
     spmm,
@@ -85,11 +87,15 @@ class TestShflBWSpMM:
 
     def test_various_stitch_tiles(self, small_weight, activations):
         pruned, result = prune_shflbw(small_weight, sparsity=0.5, vector_size=8)
-        matrix = dense_to_shflbw(pruned, 8, result.row_indices)
         reference = pruned @ activations
         for tile_cols in (1, 2, 3, 8, 64):
-            out = spmm_shflbw(matrix, activations, tile_cols=tile_cols)
+            matrix = ShflBWMatrix.from_dense(pruned, 8, result.row_indices, tile_cols)
+            assert matrix.vector_matrix.tile_cols == tile_cols
+            out = spmm_shflbw(matrix, activations)
             np.testing.assert_allclose(out, reference, atol=1e-12)
+            np.testing.assert_allclose(
+                out, ref.spmm_shflbw_loop(matrix, activations), atol=1e-12
+            )
 
     def test_identity_permutation_reduces_to_vector_wise(self, rng, activations):
         weight = VectorwisePruner(vector_size=8).prune(rng.normal(size=(32, 48)), 0.5).weights

@@ -6,9 +6,9 @@ Every vectorized kernel in :mod:`repro.sparse.spmm` must match both
   implementation, preserved verbatim), and
 * the dense reference ``pruned @ rhs``
 
-to ``1e-10`` over random shapes, densities and stitch-tile widths —
-including tile widths that do not divide the kept-column counts (padded
-tail panels) and tiles wider than any group.
+to ``1e-10`` over random shapes, densities and stitch-tile widths (chosen
+when the matrix is built), including tile widths that do not divide the
+kept-column counts (padded tail panels) and tiles wider than any group.
 """
 
 import numpy as np
@@ -23,6 +23,7 @@ from repro.sparse.convert import (
     dense_to_shflbw,
     dense_to_vector_wise,
 )
+from repro.sparse.formats import ShflBWMatrix, VectorSparseMatrix
 from repro.sparse.spmm import (
     spmm_balanced,
     spmm_block,
@@ -43,6 +44,7 @@ dims = st.tuples(
 )
 densities = st.floats(min_value=0.0, max_value=1.0)
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
+tiles = st.one_of(st.none(), st.integers(min_value=1, max_value=50))
 
 
 def _problem(v, groups, k, n, density, seed):
@@ -66,26 +68,21 @@ def test_csr_matches_oracle_and_dense(dims, density, seed):
 
 
 @settings(max_examples=60, deadline=None)
-@given(dims=dims, density=densities, seed=seeds)
-def test_vector_wise_matches_oracle_and_dense(dims, density, seed):
+@given(dims=dims, density=densities, seed=seeds, tile_cols=tiles)
+def test_vector_wise_matches_oracle_and_dense(dims, density, seed, tile_cols):
     v, groups, k, n = dims
     rng, m, dense, rhs = _problem(v, groups, k, n, density, seed)
     # Vector-wise mask: whole (V x 1) column vectors of each group survive.
     mask = np.repeat(rng.random((groups, k)) < density, v, axis=0)
     pruned = dense * mask
-    matrix = dense_to_vector_wise(pruned, v)
+    matrix = VectorSparseMatrix.from_dense(pruned, v, tile_cols)
     out = spmm_vector_wise(matrix, rhs)
     np.testing.assert_allclose(out, ref.spmm_vector_wise_loop(matrix, rhs), atol=ATOL)
     np.testing.assert_allclose(out, pruned @ rhs, atol=ATOL)
 
 
 @settings(max_examples=80, deadline=None)
-@given(
-    dims=dims,
-    density=densities,
-    seed=seeds,
-    tile_cols=st.one_of(st.none(), st.integers(min_value=1, max_value=50)),
-)
+@given(dims=dims, density=densities, seed=seeds, tile_cols=tiles)
 def test_shflbw_matches_oracle_and_dense(dims, density, seed, tile_cols):
     v, groups, k, n = dims
     rng, m, dense, rhs = _problem(v, groups, k, n, density, seed)
@@ -95,11 +92,9 @@ def test_shflbw_matches_oracle_and_dense(dims, density, seed, tile_cols):
     row_indices = rng.permutation(m)
     original = np.zeros_like(permuted)
     original[row_indices, :] = permuted
-    matrix = dense_to_shflbw(original, v, row_indices)
-    out = spmm_shflbw(matrix, rhs, tile_cols=tile_cols)
-    np.testing.assert_allclose(
-        out, ref.spmm_shflbw_loop(matrix, rhs, tile_cols=tile_cols), atol=ATOL
-    )
+    matrix = ShflBWMatrix.from_dense(original, v, row_indices, tile_cols)
+    out = spmm_shflbw(matrix, rhs)
+    np.testing.assert_allclose(out, ref.spmm_shflbw_loop(matrix, rhs), atol=ATOL)
     np.testing.assert_allclose(out, original @ rhs, atol=ATOL)
 
 
@@ -152,17 +147,18 @@ class TestEdgeCases:
             spmm_shflbw(dense_to_shflbw(zero, 4), rhs), np.zeros((4, 3))
         )
 
-    def test_shflbw_panel_cache_reused_across_calls(self, rng):
+    def test_shflbw_calls_leave_the_matrix_as_built(self, rng):
+        """The SpMM reads the stored panels and memoises nothing on them."""
         dense = rng.normal(size=(8, 16)) * (rng.random((8, 16)) < 0.5)
         mask = np.repeat(np.any(dense[:4] != 0, axis=0)[None, :], 4, axis=0)
         pruned = np.vstack([dense[:4] * mask, dense[4:]])
-        matrix = dense_to_shflbw(pruned, 4)
+        matrix = ShflBWMatrix.from_dense(pruned, 4, np.arange(8), tile_cols=3)
+        attributes = set(vars(matrix.vector_matrix))
         rhs = rng.normal(size=(16, 3))
-        first = spmm_shflbw(matrix, rhs, tile_cols=3)
-        cache = matrix.vector_matrix.__dict__.get("_panel_cache")
-        assert cache is not None and 3 in cache
-        second = spmm_shflbw(matrix, rhs, tile_cols=3)
+        first = spmm_shflbw(matrix, rhs)
+        second = spmm_shflbw(matrix, rhs)
         np.testing.assert_array_equal(first, second)
+        assert set(vars(matrix.vector_matrix)) == attributes
 
     def test_csr_scipy_handle_cached(self, rng):
         pruned = rng.normal(size=(8, 8)) * (rng.random((8, 8)) < 0.4)
