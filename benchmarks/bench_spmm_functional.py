@@ -13,7 +13,7 @@ import pytest
 
 from repro.core.pruning import prune_shflbw
 from repro.kernels.registry import make_kernel
-from repro.sparse.convert import dense_to_csr, dense_to_shflbw
+from repro.sparse.formats import CSRMatrix, ShflBWMatrix
 from repro.sparse.spmm import dense_gemm, spmm_csr, spmm_shflbw
 
 M, K, N = 256, 256, 64
@@ -38,14 +38,14 @@ def test_bench_dense_gemm(benchmark, problem):
 
 def test_bench_shflbw_spmm(benchmark, problem):
     _, activations, pruned, result = problem
-    sparse = dense_to_shflbw(pruned, V, result.row_indices)
+    sparse = ShflBWMatrix.from_dense(pruned, V, result.row_indices)
     out = benchmark(spmm_shflbw, sparse, activations)
     np.testing.assert_allclose(out, pruned @ activations, atol=1e-10)
 
 
 def test_bench_csr_spmm(benchmark, problem):
     _, activations, pruned, _ = problem
-    csr = dense_to_csr(pruned)
+    csr = CSRMatrix.from_dense(pruned)
     out = benchmark(spmm_csr, csr, activations)
     np.testing.assert_allclose(out, pruned @ activations, atol=1e-10)
 
@@ -58,7 +58,7 @@ def test_bench_pattern_search(benchmark, problem):
 
 def test_bench_shflbw_compression(benchmark, problem):
     _, _, pruned, result = problem
-    sparse = benchmark(dense_to_shflbw, pruned, V, result.row_indices)
+    sparse = benchmark(ShflBWMatrix.from_dense, pruned, V, result.row_indices)
     assert sparse.nnz > 0
 
 

@@ -33,13 +33,13 @@ import numpy as np
 
 from repro.pruning.patterns import UnstructuredPruner, VectorwisePruner
 from repro.sparse import spmm_reference as ref
-from repro.sparse.convert import (
-    dense_to_balanced,
-    dense_to_block,
-    dense_to_csr,
-    dense_to_vector_wise,
+from repro.sparse.formats import (
+    Balanced24Matrix,
+    BlockSparseMatrix,
+    CSRMatrix,
+    ShflBWMatrix,
+    VectorSparseMatrix,
 )
-from repro.sparse.formats import ShflBWMatrix
 from repro.sparse.spmm import (
     spmm_balanced,
     spmm_block,
@@ -100,7 +100,7 @@ def run(
 
     # --- unstructured (CSR) ------------------------------------------------ #
     unstructured = UnstructuredPruner().prune(rng.normal(size=(m, k)), 1.0 - density).weights
-    csr = dense_to_csr(unstructured)
+    csr = CSRMatrix.from_dense(unstructured)
     results.append(
         bench_pair(
             "spmm_csr",
@@ -130,7 +130,7 @@ def run(
     )
 
     # --- informational rows (correctness-gated only) ----------------------- #
-    vec = dense_to_vector_wise(vw_pruned, vector_size)
+    vec = VectorSparseMatrix.from_dense(vw_pruned, vector_size)
     results.append(
         bench_pair(
             "spmm_vector_wise",
@@ -146,7 +146,7 @@ def run(
         rng.random((m // vector_size, k // vector_size)) < density,
         np.ones((vector_size, vector_size)),
     ) * rng.normal(size=(m, k))
-    block = dense_to_block(block_pruned, vector_size)
+    block = BlockSparseMatrix.from_dense(block_pruned, vector_size)
     results.append(
         bench_pair(
             "spmm_block",
@@ -158,7 +158,7 @@ def run(
         )
     )
 
-    balanced = dense_to_balanced(rng.normal(size=(m, k)))
+    balanced = Balanced24Matrix.from_dense(rng.normal(size=(m, k)))
     results.append(
         bench_pair(
             "spmm_balanced",

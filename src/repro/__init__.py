@@ -2,7 +2,7 @@
 
 The package is organised as:
 
-* :mod:`repro.core` — the Shfl-BW sparsity pattern, its transforms, the
+* :mod:`repro.core` — the Shfl-BW sparsity pattern, its row grouping, the
   pattern-search (pruning) algorithm and the flexibility / efficiency
   analysis,
 * :mod:`repro.sparse` — sparse storage formats and functional reference
@@ -11,10 +11,10 @@ The package is organised as:
   kernel-timing simulator that substitutes for real hardware,
 * :mod:`repro.kernels` — the Shfl-BW GPU kernels and every baseline of the
   paper's evaluation (functional + timed),
-* :mod:`repro.pruning` — pattern pruners and training-time workflows
-  (magnitude, ADMM, grow-and-prune),
-* :mod:`repro.nn` — a small numpy autograd engine, layers and trainers used
-  for the accuracy experiments,
+* :mod:`repro.pruning` — one single-shot magnitude pruner per sparsity
+  pattern,
+* :mod:`repro.nn` — a small numpy autograd engine, layers and the masked
+  fine-tuning loop used for the accuracy experiments,
 * :mod:`repro.models` — real Transformer / GNMT / ResNet50 layer shapes and
   small proxy models,
 * :mod:`repro.eval` — the experiment harness that regenerates every table and

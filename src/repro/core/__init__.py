@@ -17,7 +17,7 @@ from .analysis import (
     log_row_shuffle_multiplier,
 )
 from .kmeans import balanced_kmeans, kmeans_plusplus_init
-from .pattern import PatternKind, ShflBWPattern
+from .pattern import PatternKind
 from .pruning import (
     ShflBWSearchResult,
     balanced_mask,
@@ -28,14 +28,7 @@ from .pruning import (
     unstructured_mask,
     vector_wise_mask,
 )
-from .transforms import (
-    apply_row_permutation,
-    group_rows_by_support,
-    groups_to_permutation,
-    invert_permutation,
-    reordered_write_back,
-    stitch_activation_rows,
-)
+from .transforms import group_rows_by_support, groups_to_permutation
 
 __all__ = [
     "PatternAnalysis",
@@ -53,7 +46,6 @@ __all__ = [
     "balanced_kmeans",
     "kmeans_plusplus_init",
     "PatternKind",
-    "ShflBWPattern",
     "ShflBWSearchResult",
     "balanced_mask",
     "block_keep_flags",
@@ -62,10 +54,6 @@ __all__ = [
     "search_shflbw_pattern",
     "unstructured_mask",
     "vector_wise_mask",
-    "apply_row_permutation",
     "group_rows_by_support",
     "groups_to_permutation",
-    "invert_permutation",
-    "reordered_write_back",
-    "stitch_activation_rows",
 ]

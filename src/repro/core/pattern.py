@@ -1,24 +1,17 @@
 """Sparsity-pattern definitions.
 
 The paper compares five weight-sparsity patterns (Figure 3 plus the balanced
-pattern of Section 2.2).  :class:`PatternKind` enumerates them and
-:class:`ShflBWPattern` captures the parameters of the paper's own pattern —
-the vector (block) size ``V`` and the target density — together with the
-validation rule that defines membership: *a matrix is Shfl-BW sparse iff some
-row permutation groups its rows into groups of ``V`` rows with identical
-column support.*
+pattern of Section 2.2); :class:`PatternKind` enumerates them.  Membership of
+the paper's own pattern is checked by :func:`repro.sparse.validate.is_shflbw`:
+*a matrix is Shfl-BW sparse iff some row permutation groups its rows into
+groups of ``V`` rows with identical column support.*
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
-import numpy as np
-
-from ..sparse.validate import is_shflbw, is_vector_wise
-
-__all__ = ["PatternKind", "ShflBWPattern"]
+__all__ = ["PatternKind"]
 
 
 class PatternKind(str, enum.Enum):
@@ -79,61 +72,3 @@ class PatternKind(str, enum.Enum):
         if key not in aliases:
             raise ValueError(f"unknown sparsity pattern {name!r}")
         return aliases[key]
-
-
-@dataclass(frozen=True)
-class ShflBWPattern:
-    """Parameters of a Shfl-BW sparsity structure.
-
-    Attributes
-    ----------
-    vector_size:
-        Row-group height / block edge ``V`` (the paper uses 32 and 64).
-    density:
-        Target non-zero ratio ``alpha`` (e.g. 0.25 for 75 % sparsity).
-    """
-
-    vector_size: int
-    density: float
-
-    def __post_init__(self) -> None:
-        if self.vector_size <= 0:
-            raise ValueError("vector_size must be positive")
-        if not 0.0 < self.density <= 1.0:
-            raise ValueError("density must be in (0, 1]")
-
-    @property
-    def sparsity(self) -> float:
-        """Fraction of pruned weights."""
-        return 1.0 - self.density
-
-    def kept_columns_per_group(self, k: int) -> int:
-        """Number of column vectors kept in each row group of a ``(M, k)``
-        matrix at this density (at least one column is always kept)."""
-        if k <= 0:
-            raise ValueError("k must be positive")
-        return max(1, int(round(self.density * k)))
-
-    def validate_shape(self, m: int, k: int) -> None:
-        """Raise ``ValueError`` if an ``(m, k)`` matrix cannot hold the pattern."""
-        if m % self.vector_size:
-            raise ValueError(
-                f"M={m} must be divisible by the vector size V={self.vector_size}"
-            )
-        if k <= 0:
-            raise ValueError("K must be positive")
-
-    def matches(self, matrix: np.ndarray, row_indices: np.ndarray | None = None) -> bool:
-        """Whether ``matrix`` satisfies the Shfl-BW structural constraint."""
-        matrix = np.asarray(matrix)
-        if matrix.ndim != 2 or matrix.shape[0] % self.vector_size:
-            return False
-        return is_shflbw(matrix, self.vector_size, row_indices)
-
-    def matches_permuted(self, permuted_matrix: np.ndarray) -> bool:
-        """Whether an already-permuted matrix is vector-wise sparse."""
-        return is_vector_wise(np.asarray(permuted_matrix), self.vector_size)
-
-    def describe(self) -> str:
-        """Human-readable label used in benchmark tables."""
-        return f"Shfl-BW (V={self.vector_size}, {self.sparsity:.0%} sparsity)"

@@ -1,14 +1,10 @@
-"""Row/column permutation transforms used by the Shfl-BW kernels and pruner.
+"""Row-grouping transforms used by the Shfl-BW pattern search.
 
-These are the pure-array counterparts of the GPU-kernel techniques:
-
-* :func:`apply_row_permutation` / :func:`invert_permutation` /
-  :func:`reordered_write_back` — the offline row reorder (Figure 4 step (a))
-  and the on-line reordered write-back (step (e)),
 * :func:`group_rows_by_support` — grouping rows with identical non-zero
   patterns, the idealised version of what the pattern search approximates,
-* :func:`stitch_activation_rows` — the in-buffer stitching of activation rows
-  named by a panel's column indices (step (b)).
+* :func:`groups_to_permutation` — the row groups concatenated into the
+  permutation (``row_indices``) the Shfl-BW format stores for the kernel's
+  offline reorder (Figure 4 step (a)) and reordered write-back (step (e)).
 """
 
 from __future__ import annotations
@@ -16,51 +12,9 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "apply_row_permutation",
-    "invert_permutation",
-    "reordered_write_back",
     "group_rows_by_support",
     "groups_to_permutation",
-    "stitch_activation_rows",
 ]
-
-
-def _check_permutation(perm: np.ndarray, m: int) -> np.ndarray:
-    perm = np.asarray(perm, dtype=np.int64)
-    if perm.shape != (m,):
-        raise ValueError(f"permutation must have shape ({m},), got {perm.shape}")
-    if sorted(perm.tolist()) != list(range(m)):
-        raise ValueError("permutation must contain every row index exactly once")
-    return perm
-
-
-def apply_row_permutation(matrix: np.ndarray, row_indices: np.ndarray) -> np.ndarray:
-    """Gather rows so that permuted row ``p`` holds original row
-    ``row_indices[p]`` (the offline reorder of Figure 4 step (a))."""
-    matrix = np.asarray(matrix)
-    perm = _check_permutation(row_indices, matrix.shape[0])
-    return matrix[perm, :]
-
-
-def invert_permutation(row_indices: np.ndarray) -> np.ndarray:
-    """Inverse permutation: ``inv[row_indices[p]] == p``."""
-    row_indices = np.asarray(row_indices, dtype=np.int64)
-    inv = np.empty_like(row_indices)
-    inv[row_indices] = np.arange(len(row_indices), dtype=np.int64)
-    return inv
-
-
-def reordered_write_back(permuted_output: np.ndarray, row_indices: np.ndarray) -> np.ndarray:
-    """Scatter a permuted result back to the original row ordering.
-
-    This is the array-level reordered write-back of Figure 4 step (e):
-    permuted row ``p`` is written to original row ``row_indices[p]``.
-    """
-    permuted_output = np.asarray(permuted_output)
-    perm = _check_permutation(row_indices, permuted_output.shape[0])
-    out = np.empty_like(permuted_output)
-    out[perm, ...] = permuted_output
-    return out
 
 
 def _pack_rows(mask: np.ndarray) -> np.ndarray:
@@ -170,26 +124,8 @@ def group_rows_by_support(mask: np.ndarray, vector_size: int) -> list[np.ndarray
 def groups_to_permutation(groups: list[np.ndarray], m: int) -> np.ndarray:
     """Concatenate row groups into a permutation array and sanity-check it."""
     perm = np.concatenate([np.asarray(g, dtype=np.int64) for g in groups]) if groups else np.zeros(0, dtype=np.int64)
-    return _check_permutation(perm, m)
-
-
-def stitch_activation_rows(activations: np.ndarray, columns: np.ndarray) -> np.ndarray:
-    """Gather activation rows named by a stitched panel's column indices.
-
-    Padding lanes (column index ``-1``) produce zero rows, matching the zero
-    contribution of the padded weight columns in the kernel.
-    """
-    activations = np.asarray(activations, dtype=np.float64)
-    columns = np.asarray(columns, dtype=np.int64)
-    if activations.ndim != 2:
-        raise ValueError("activations must be a 2-D (K, N) matrix")
-    if columns.size and columns.max() >= activations.shape[0]:
-        raise ValueError("column index out of range")
-    # Only -1 is the documented padding lane; any other negative index is an
-    # upstream bug and must not silently read as a zero row.
-    if columns.size and columns.min() < -1:
-        raise ValueError("column indices must be >= -1 (-1 marks a padding lane)")
-    out = np.zeros((len(columns), activations.shape[1]), dtype=np.float64)
-    valid = columns >= 0
-    out[valid, :] = activations[columns[valid], :]
-    return out
+    if perm.shape != (m,):
+        raise ValueError(f"permutation must have shape ({m},), got {perm.shape}")
+    if sorted(perm.tolist()) != list(range(m)):
+        raise ValueError("permutation must contain every row index exactly once")
+    return perm

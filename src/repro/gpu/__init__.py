@@ -6,22 +6,13 @@ evaluation.  See :mod:`repro.gpu.arch` for the architecture descriptions and
 :mod:`repro.kernels` is scored against.
 """
 
-from .arch import A100, T4, V100, GPUArch, MMAShape, available_gpus, get_gpu, register_gpu
-from .memory import (
-    BYTES_FP16,
-    BYTES_FP32,
-    BYTES_INDEX,
-    TrafficBatch,
-    gather_access_efficiency,
-)
+from .arch import A100, T4, V100, GPUArch, MMAShape, available_gpus, get_gpu
+from .memory import BYTES_FP16, BYTES_FP32, BYTES_INDEX, TrafficBatch
 from .roofline import (
-    dense_gemm_intensity,
     dense_tile_reuse,
-    machine_balance,
     max_reuse_blockwise,
     max_reuse_dense,
     max_reuse_unstructured,
-    reuse_ratio_vs_dense,
 )
 from .simulator import ComputeUnit, KernelTiming, LaunchBatch, TimingBatch, simulate_batch
 from .tiling import optimal_tile_extent
@@ -34,19 +25,14 @@ __all__ = [
     "MMAShape",
     "available_gpus",
     "get_gpu",
-    "register_gpu",
     "BYTES_FP16",
     "BYTES_FP32",
     "BYTES_INDEX",
     "TrafficBatch",
-    "gather_access_efficiency",
-    "dense_gemm_intensity",
     "dense_tile_reuse",
-    "machine_balance",
     "max_reuse_blockwise",
     "max_reuse_dense",
     "max_reuse_unstructured",
-    "reuse_ratio_vs_dense",
     "ComputeUnit",
     "KernelTiming",
     "LaunchBatch",

@@ -135,10 +135,6 @@ class GPUArch:
             (self.tensor_flops / 2.0) / (self.l2_bandwidth / bytes_per_value)
         )
 
-    def peak_flops(self, use_tensor_core: bool) -> float:
-        """Peak throughput for the selected execution unit."""
-        return self.tensor_flops if use_tensor_core else self.cuda_core_flops
-
     def with_overrides(self, **kwargs) -> "GPUArch":
         """Return a copy with selected fields replaced (for what-if studies)."""
         return replace(self, **kwargs)
@@ -226,19 +222,3 @@ def get_gpu(name: str) -> GPUArch:
             f"unknown GPU {name!r}; available: {', '.join(available_gpus())}"
         )
     return _REGISTRY[key]
-
-
-def register_gpu(arch: GPUArch, *, overwrite: bool = False) -> None:
-    """Register a custom architecture so it can be retrieved by name.
-
-    Parameters
-    ----------
-    arch:
-        The architecture to register.
-    overwrite:
-        Allow replacing an existing entry of the same name.
-    """
-    key = arch.name.upper()
-    if key in _REGISTRY and not overwrite:
-        raise ValueError(f"GPU {arch.name!r} is already registered")
-    _REGISTRY[key] = arch

@@ -28,8 +28,6 @@ BYTES_FP16 = 2
 BYTES_FP32 = 4
 #: Bytes per column-index / row-index metadata entry.
 BYTES_INDEX = 4
-#: DRAM transaction (cache line) granularity in bytes.
-TRANSACTION_BYTES = 32
 
 
 @dataclass
@@ -238,15 +236,3 @@ class TrafficBatch:
             ),
             self.l2_time(arch, bandwidth_efficiency=bandwidth_efficiency),
         )
-
-
-def gather_access_efficiency(contiguous_bytes: float) -> float:
-    """Efficiency of gather-style access with a given contiguous run length.
-
-    A gather that touches ``contiguous_bytes`` of useful data per memory
-    transaction wastes the remainder of the :data:`TRANSACTION_BYTES` line.
-    Runs longer than a transaction are fully efficient.
-    """
-    if contiguous_bytes <= 0:
-        raise ValueError("contiguous_bytes must be positive")
-    return min(1.0, contiguous_bytes / TRANSACTION_BYTES)

@@ -14,20 +14,6 @@ from .memory import BYTES_FP16, BYTES_FP32
 from .tiling import optimal_tile_extent
 
 
-def machine_balance(arch: GPUArch, *, use_tensor_core: bool = True) -> float:
-    """FLOPs per DRAM byte needed to reach peak throughput on ``arch``."""
-    return arch.peak_flops(use_tensor_core) / arch.dram_bandwidth
-
-
-def dense_gemm_intensity(m: int, n: int, k: int, *, bytes_per_value: int = BYTES_FP16) -> float:
-    """Operation intensity of a dense GEMM that streams each operand once."""
-    if min(m, n, k) <= 0:
-        raise ValueError("GEMM dimensions must be positive")
-    flops = 2.0 * m * n * k
-    data = bytes_per_value * (m * k + k * n + m * n)
-    return flops / data
-
-
 def dense_tile_reuse(
     tile_m: int, tile_n: int, *, bytes_per_value: int = BYTES_FP16
 ) -> float:
@@ -82,16 +68,3 @@ def max_reuse_blockwise(
     tile_m = min(block_size, int(t_opt))
     tile_n = int(t_opt)
     return dense_tile_reuse(tile_m, tile_n)
-
-
-def reuse_ratio_vs_dense(arch: GPUArch, pattern: str, density: float, block_size: int = 32) -> float:
-    """Convenience: reuse of ``pattern`` relative to the dense maximum."""
-    dense = max_reuse_dense(arch)
-    pattern = pattern.lower()
-    if pattern in ("unstructured", "balanced"):
-        return max_reuse_unstructured(arch, density) / dense
-    if pattern in ("blockwise", "block-wise", "vectorwise", "vector-wise", "shflbw", "shfl-bw"):
-        return max_reuse_blockwise(arch, block_size) / dense
-    if pattern == "dense":
-        return 1.0
-    raise ValueError(f"unknown sparsity pattern {pattern!r}")

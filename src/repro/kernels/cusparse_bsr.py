@@ -21,7 +21,6 @@ from ..gpu.arch import GPUArch
 from ..gpu.memory import BYTES_INDEX, TrafficBatch
 from ..gpu.simulator import ComputeUnit, LaunchBatch
 from ..gpu.tensorcore import ceil_div_array
-from ..sparse.convert import dense_to_block
 from ..sparse.formats import BlockSparseMatrix
 from ..sparse.spmm import spmm_block
 from .base import (
@@ -77,7 +76,7 @@ class CusparseBSRKernel(SpMMKernel):
         return f"BW,V={self.block_size}"
 
     def prepare(self, weight: np.ndarray, **kwargs) -> BlockSparseMatrix:
-        return dense_to_block(weight, kwargs.get("block_size", self.block_size))
+        return BlockSparseMatrix.from_dense(weight, kwargs.get("block_size", self.block_size))
 
     def run(self, prepared: BlockSparseMatrix, activations: np.ndarray) -> np.ndarray:
         return spmm_block(prepared, activations)

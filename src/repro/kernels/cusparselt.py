@@ -18,7 +18,6 @@ from ..gpu.memory import TrafficBatch
 from ..gpu.simulator import ComputeUnit, LaunchBatch
 from ..gpu.tensorcore import ceil_div_array
 from ..gpu.tiling import default_gemm_tile_grid
-from ..sparse.convert import dense_to_balanced
 from ..sparse.formats import Balanced24Matrix
 from ..sparse.spmm import spmm_balanced
 from .base import (
@@ -53,7 +52,7 @@ class CusparseLtKernel(SpMMKernel):
     metadata_bits_per_kept = 2
 
     def prepare(self, weight: np.ndarray, **kwargs) -> Balanced24Matrix:
-        return dense_to_balanced(weight)
+        return Balanced24Matrix.from_dense(weight)
 
     def run(self, prepared: Balanced24Matrix, activations: np.ndarray) -> np.ndarray:
         return spmm_balanced(prepared, activations)

@@ -26,7 +26,6 @@ import numpy as np
 from ..core.pattern import PatternKind
 from ..gpu.arch import GPUArch
 from ..gpu.memory import BYTES_INDEX
-from ..sparse.convert import dense_to_shflbw
 from ..sparse.formats import ShflBWMatrix
 from ..sparse.spconv import Conv2dSpec, conv2d_sparse
 from ..sparse.spmm import spmm_shflbw
@@ -73,7 +72,7 @@ class ShflBWKernel(VectorWiseKernel):
         """
         vector_size = kwargs.get("vector_size", self.vector_size)
         row_indices = kwargs.get("row_indices")
-        return dense_to_shflbw(weight, vector_size, row_indices)
+        return ShflBWMatrix.from_dense(weight, vector_size, row_indices)
 
     def run(self, prepared: ShflBWMatrix, activations: np.ndarray) -> np.ndarray:
         return spmm_shflbw(prepared, activations)

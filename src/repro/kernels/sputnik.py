@@ -24,7 +24,6 @@ from ..gpu.memory import BYTES_INDEX, TrafficBatch
 from ..gpu.simulator import ComputeUnit, LaunchBatch
 from ..gpu.tensorcore import ceil_div_array
 from ..gpu.vectorize import anytrue
-from ..sparse.convert import dense_to_csr
 from ..sparse.formats import CSRMatrix
 from ..sparse.spmm import spmm_csr
 from .base import (
@@ -79,7 +78,7 @@ class _UnstructuredKernel(SpMMKernel):
     launch_arch_agnostic = True
 
     def prepare(self, weight: np.ndarray, **kwargs) -> CSRMatrix:
-        return dense_to_csr(weight)
+        return CSRMatrix.from_dense(weight)
 
     def run(self, prepared: CSRMatrix, activations: np.ndarray) -> np.ndarray:
         return spmm_csr(prepared, activations)

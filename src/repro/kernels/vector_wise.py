@@ -17,7 +17,6 @@ from ..gpu.arch import GPUArch
 from ..gpu.memory import BYTES_INDEX, TrafficBatch
 from ..gpu.simulator import ComputeUnit, LaunchBatch
 from ..gpu.tensorcore import ceil_div_array
-from ..sparse.convert import dense_to_vector_wise
 from ..sparse.formats import VectorSparseMatrix
 from ..sparse.spmm import spmm_vector_wise
 from .base import (
@@ -65,7 +64,7 @@ class VectorWiseKernel(SpMMKernel):
 
     # -------------------------- functional side -------------------------- #
     def prepare(self, weight: np.ndarray, **kwargs) -> VectorSparseMatrix:
-        return dense_to_vector_wise(weight, kwargs.get("vector_size", self.vector_size))
+        return VectorSparseMatrix.from_dense(weight, kwargs.get("vector_size", self.vector_size))
 
     def run(self, prepared: VectorSparseMatrix, activations: np.ndarray) -> np.ndarray:
         return spmm_vector_wise(prepared, activations)

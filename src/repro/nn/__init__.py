@@ -7,7 +7,6 @@ from .functional import (
     dropout,
     layer_norm,
     log_softmax,
-    mse_loss,
     one_hot,
     softmax,
 )
@@ -20,23 +19,18 @@ from .layers import (
     LSTMCell,
     LayerNorm,
     Linear,
-    MaxPool2d,
     Module,
     MultiHeadSelfAttention,
-    ReLU,
-    Sequential,
-    Tanh,
 )
-from .metrics import bleu_score, perplexity, token_accuracy, top1_accuracy
+from .metrics import bleu_score, top1_accuracy
 from .optim import SGD, Adam, Optimizer, clip_grad_norm
-from .tensor import Tensor, is_grad_enabled, no_grad
+from .tensor import Tensor, no_grad
 from .train import (
     TrainConfig,
     TrainResult,
     apply_masks,
     build_masks,
     mask_gradients,
-    prune_model,
     train_model,
 )
 
@@ -48,7 +42,6 @@ __all__ = [
     "dropout",
     "layer_norm",
     "log_softmax",
-    "mse_loss",
     "one_hot",
     "softmax",
     "BatchNorm2d",
@@ -59,28 +52,20 @@ __all__ = [
     "LSTMCell",
     "LayerNorm",
     "Linear",
-    "MaxPool2d",
     "Module",
     "MultiHeadSelfAttention",
-    "ReLU",
-    "Sequential",
-    "Tanh",
     "bleu_score",
-    "perplexity",
-    "token_accuracy",
     "top1_accuracy",
     "SGD",
     "Adam",
     "Optimizer",
     "clip_grad_norm",
     "Tensor",
-    "is_grad_enabled",
     "no_grad",
     "TrainConfig",
     "TrainResult",
     "apply_masks",
     "build_masks",
     "mask_gradients",
-    "prune_model",
     "train_model",
 ]

@@ -15,7 +15,6 @@ __all__ = [
     "softmax",
     "log_softmax",
     "cross_entropy",
-    "mse_loss",
     "layer_norm",
     "dropout",
     "one_hot",
@@ -64,13 +63,6 @@ def cross_entropy(logits: Tensor, labels: np.ndarray, *, ignore_index: int | Non
     total = -(log_probs * Tensor(target)).sum()
     count = max(1.0, float(weights.sum()))
     return total * (1.0 / count)
-
-
-def mse_loss(prediction: Tensor, target: np.ndarray | Tensor) -> Tensor:
-    """Mean squared error."""
-    target = Tensor.as_tensor(target)
-    diff = prediction - target
-    return (diff * diff).mean()
 
 
 def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, *, eps: float = 1.0e-5) -> Tensor:

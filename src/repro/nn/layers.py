@@ -6,8 +6,8 @@ proxy) and multi-head self-attention (for the Transformer proxy).
 
 Every layer whose weight is a candidate for the paper's weight pruning marks
 it *prunable*; :meth:`Module.prunable_parameters` walks the module tree and
-returns those 2-D weight matrices, which is what the pruning workflows and
-the accuracy experiments operate on.
+returns those 2-D weight matrices, which is what the accuracy experiments
+prune.
 """
 
 from __future__ import annotations
@@ -26,11 +26,7 @@ __all__ = [
     "Embedding",
     "LayerNorm",
     "BatchNorm2d",
-    "ReLU",
-    "Tanh",
-    "Sequential",
     "Conv2d",
-    "MaxPool2d",
     "GlobalAvgPool2d",
     "LSTMCell",
     "LSTM",
@@ -229,31 +225,6 @@ class BatchNorm2d(Module):
         return normed * scale + shift
 
 
-class ReLU(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.relu()
-
-
-class Tanh(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.tanh()
-
-
-class Sequential(Module):
-    """Run sub-modules in order."""
-
-    def __init__(self, *modules: Module):
-        super().__init__()
-        self.layers = list(modules)
-        for idx, module in enumerate(modules):
-            setattr(self, f"layer{idx}", module)
-
-    def forward(self, x):
-        for module in self.layers:
-            x = module(x)
-        return x
-
-
 class Conv2d(Module):
     """2-D convolution via im2col, with a prunable GEMM-view weight.
 
@@ -310,24 +281,6 @@ class Conv2d(Module):
         if self.bias is not None:
             out = out + self.bias.reshape(1, -1, 1, 1)
         return out
-
-
-class MaxPool2d(Module):
-    """Max pooling with a square window (spatial dims must divide evenly)."""
-
-    def __init__(self, window: int = 2):
-        super().__init__()
-        if window <= 0:
-            raise ValueError("window must be positive")
-        self.window = window
-
-    def forward(self, x: Tensor) -> Tensor:
-        n, c, h, w = x.shape
-        k = self.window
-        if h % k or w % k:
-            raise ValueError(f"spatial dims {(h, w)} not divisible by window {k}")
-        x = x.reshape(n, c, h // k, k, w // k, k)
-        return x.max(axis=3).max(axis=4)
 
 
 class GlobalAvgPool2d(Module):

@@ -4,8 +4,7 @@
   up-to-4-gram precisions, used for the Transformer / GNMT proxies (the paper
   reports BLEU on WMT),
 * :func:`top1_accuracy` — classification accuracy, used for the ResNet proxy
-  (the paper reports ImageNet top-1),
-* :func:`token_accuracy` / :func:`perplexity` — auxiliary diagnostics.
+  (the paper reports ImageNet top-1).
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from collections import Counter
 
 import numpy as np
 
-__all__ = ["bleu_score", "token_accuracy", "top1_accuracy", "perplexity"]
+__all__ = ["bleu_score", "top1_accuracy"]
 
 
 def _ngram_counts(tokens: list[int], order: int) -> Counter:
@@ -71,17 +70,6 @@ def bleu_score(
     return 100.0 * brevity * geo_mean
 
 
-def token_accuracy(references: np.ndarray, hypotheses: np.ndarray) -> float:
-    """Fraction of positions where the predicted token matches the reference."""
-    references = np.asarray(references)
-    hypotheses = np.asarray(hypotheses)
-    if references.shape != hypotheses.shape:
-        raise ValueError("shape mismatch between references and hypotheses")
-    if references.size == 0:
-        return 0.0
-    return float((references == hypotheses).mean())
-
-
 def top1_accuracy(labels: np.ndarray, logits_or_preds: np.ndarray) -> float:
     """Top-1 accuracy (in percent) from logits ``(N, C)`` or predictions ``(N,)``."""
     labels = np.asarray(labels)
@@ -92,8 +80,3 @@ def top1_accuracy(labels: np.ndarray, logits_or_preds: np.ndarray) -> float:
     if labels.size == 0:
         return 0.0
     return 100.0 * float((preds == labels).mean())
-
-
-def perplexity(mean_cross_entropy: float) -> float:
-    """Perplexity from a mean cross-entropy (natural log)."""
-    return float(math.exp(min(50.0, mean_cross_entropy)))

@@ -47,7 +47,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-__all__ = ["Tensor", "no_grad", "is_grad_enabled"]
+__all__ = ["Tensor", "no_grad"]
 
 
 _GRAD_ENABLED = True
@@ -65,11 +65,6 @@ class no_grad:
     def __exit__(self, *exc_info) -> None:
         global _GRAD_ENABLED
         _GRAD_ENABLED = self._previous
-
-
-def is_grad_enabled() -> bool:
-    """Whether newly created tensors will track gradients."""
-    return _GRAD_ENABLED
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -513,20 +508,6 @@ class Tensor:
             axes = (axis,) if isinstance(axis, int) else tuple(axis)
             count = int(np.prod([self.data.shape[a] for a in axes]))
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
-
-    def max(self, axis: int, keepdims: bool = False) -> "Tensor":
-        out = self.data.max(axis=axis, keepdims=True)
-        mask = self.data == out
-
-        def backward(grad: np.ndarray):
-            g = np.asarray(grad)
-            if not keepdims:
-                g = np.expand_dims(g, axis)
-            share = mask / mask.sum(axis=axis, keepdims=True)
-            return (g * share,)
-
-        result = out if keepdims else out.squeeze(axis)
-        return self._make(result, (self,), backward)
 
     def reshape(self, *shape: int) -> "Tensor":
         original = self.data.shape

@@ -28,7 +28,6 @@ __all__ = [
     "apply_masks",
     "mask_gradients",
     "train_model",
-    "prune_model",
 ]
 
 
@@ -68,17 +67,13 @@ def _make_optimizer(model: Module, config: TrainConfig) -> Optimizer:
 
 
 def build_masks(
-    model: Module,
-    pruner: Pruner,
-    sparsity: float,
-    *,
-    min_rows: int = 1,
+    model: Module, pruner: Pruner, sparsity: float
 ) -> tuple[dict[str, np.ndarray], dict[str, dict]]:
     """Prune every prunable weight of ``model`` and return the masks.
 
-    Layers with fewer than ``min_rows`` rows (or rows not divisible by the
-    pruner's vector size, for pattern pruners that require it) are skipped,
-    mirroring the common practice of leaving tiny layers dense.
+    Layers whose rows are not divisible by the pruner's vector (or block)
+    size, or whose shape cannot hold the pattern, are skipped, mirroring the
+    common practice of leaving such layers dense.
 
     Returns
     -------
@@ -90,10 +85,7 @@ def build_masks(
     infos: dict[str, dict] = {}
     vector_size = getattr(pruner, "vector_size", None) or getattr(pruner, "block_size", None)
     for name, param in model.prunable_parameters():
-        rows = param.data.shape[0]
-        if rows < min_rows:
-            continue
-        if vector_size is not None and rows % vector_size:
+        if vector_size is not None and param.data.shape[0] % vector_size:
             continue
         # Non-finite weights are corruption (diverged training), not a
         # pattern-infeasibility: raise before the tolerant prune below can
@@ -131,6 +123,9 @@ def mask_gradients(model: Module, masks: dict[str, np.ndarray]) -> None:
 
 #: glibc's ``mallopt`` parameter for the free heap kept on top when trimming.
 _M_TOP_PAD = -2
+#: glibc's ``mallopt`` parameter for the size above which ``malloc`` maps
+#: a block of its own instead of carving it from the heap.
+_M_MMAP_THRESHOLD = -3
 
 
 def _keep_freed_heap() -> None:
@@ -138,9 +133,15 @@ def _keep_freed_heap() -> None:
 
     A training step's graph is freed as ``backward()`` consumes it.  With
     glibc's default 128 KiB top pad, ``free`` hands that memory back to the
-    OS and the next step faults it in again, page by page.  This is a
-    process-wide allocator setting; it is a no-op where the C library has
-    no ``mallopt``.
+    OS and the next step faults it in again, page by page.
+
+    Setting the top pad also stops glibc from raising the mmap threshold as
+    mapped blocks are freed, and freezes it wherever the process's heap
+    history had left it; which arrays then live on the kept heap, and the
+    peak resident set with them, would depend on what ran before.  So the
+    threshold is pinned too, at glibc's default 128 KiB.  These are
+    process-wide allocator settings; they are a no-op where the C library
+    has no ``mallopt``.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -149,6 +150,7 @@ def _keep_freed_heap() -> None:
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
     mallopt.restype = ctypes.c_int
     mallopt(_M_TOP_PAD, 64 << 20)
+    mallopt(_M_MMAP_THRESHOLD, 128 << 10)
 
 
 def train_model(
@@ -176,7 +178,9 @@ def train_model(
     Each step's ``backward()`` frees that step's graph, so the next forward
     starts from the parameters alone.  So that the freed memory serves the
     next step rather than going back to the OS, this sets the process-wide
-    glibc top pad to 64 MiB (``mallopt(M_TOP_PAD)``, a no-op elsewhere).
+    glibc top pad to 64 MiB (``mallopt(M_TOP_PAD)``) and pins the mmap
+    threshold at its 128 KiB default (``mallopt(M_MMAP_THRESHOLD)``); both
+    are no-ops elsewhere.
     """
     _keep_freed_heap()
     optimizer = _make_optimizer(model, config)
@@ -206,10 +210,3 @@ def train_model(
     with no_grad():
         metric = model.evaluate(valid_split)
     return TrainResult(losses=losses, final_metric=float(metric), epochs=config.epochs)
-
-
-def prune_model(model: Module, pruner: Pruner, sparsity: float) -> dict[str, np.ndarray]:
-    """One-shot prune the model in place; returns the masks used."""
-    masks, _ = build_masks(model, pruner, sparsity)
-    apply_masks(model, masks)
-    return masks

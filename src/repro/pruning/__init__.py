@@ -1,15 +1,7 @@
-"""Pruning algorithms: single-shot pattern pruners and the training-time
-workflows (ADMM, grow-and-prune) used in the paper's evaluation."""
+"""Single-shot pattern pruners: one per sparsity pattern of the paper's
+evaluation, each scoring weights by magnitude."""
 
-from .admm import ADMMConfig, ADMMPruner
 from .base import PruneResult, Pruner
-from .grow_prune import GrowPruneConfig, GrowPrunePruner
-from .importance import (
-    gradient_scores,
-    magnitude_scores,
-    normalize_scores,
-    taylor_scores,
-)
 from .patterns import (
     BalancedPruner,
     BlockwisePruner,
@@ -18,32 +10,14 @@ from .patterns import (
     VectorwisePruner,
     make_pruner,
 )
-from .schedule import (
-    SparsitySchedule,
-    constant_schedule,
-    cubic_schedule,
-    linear_schedule,
-)
 
 __all__ = [
-    "ADMMConfig",
-    "ADMMPruner",
     "PruneResult",
     "Pruner",
-    "GrowPruneConfig",
-    "GrowPrunePruner",
-    "gradient_scores",
-    "magnitude_scores",
-    "normalize_scores",
-    "taylor_scores",
     "BalancedPruner",
     "BlockwisePruner",
     "ShflBWPruner",
     "UnstructuredPruner",
     "VectorwisePruner",
     "make_pruner",
-    "SparsitySchedule",
-    "constant_schedule",
-    "cubic_schedule",
-    "linear_schedule",
 ]

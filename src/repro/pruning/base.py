@@ -1,10 +1,10 @@
 """Common pruner interface.
 
 A pruner turns an importance-score matrix into a boolean keep-mask that
-satisfies its sparsity pattern, and applies that mask to a weight matrix.
-Every pattern discussed in the paper (unstructured, block-wise, vector-wise,
-balanced n:m, Shfl-BW) gets a concrete pruner; the training-time workflows
-(ADMM, grow-and-prune) compose these single-shot pruners over time.
+satisfies its sparsity pattern, and applies that mask to a weight matrix,
+scoring each weight by its magnitude (the paper's criterion).  Every pattern
+discussed in the paper (unstructured, block-wise, vector-wise, balanced n:m,
+Shfl-BW) gets a concrete pruner.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core.pattern import PatternKind
-from .importance import magnitude_scores
 
 __all__ = ["PruneResult", "Pruner"]
 
@@ -69,25 +68,15 @@ class Pruner(abc.ABC):
     def mask(self, scores: np.ndarray, sparsity: float) -> np.ndarray:
         """Boolean keep-mask for the given importance scores and sparsity."""
 
-    def prune(
-        self,
-        weights: np.ndarray,
-        sparsity: float,
-        *,
-        scores: np.ndarray | None = None,
-    ) -> PruneResult:
-        """Prune ``weights`` to the target sparsity.
-
-        ``scores`` defaults to the weight magnitudes (the paper's criterion).
-        """
+    def prune(self, weights: np.ndarray, sparsity: float) -> PruneResult:
+        """Prune ``weights`` to the target sparsity, scoring each weight by
+        its magnitude (the paper's criterion)."""
         weights = np.asarray(weights, dtype=np.float64)
         if weights.ndim != 2:
             raise ValueError("weights must be a 2-D matrix")
         if not 0.0 <= sparsity < 1.0:
             raise ValueError("sparsity must be in [0, 1)")
-        if scores is None:
-            scores = magnitude_scores(weights)
-        keep = self.mask(np.asarray(scores, dtype=np.float64), sparsity)
+        keep = self.mask(np.abs(weights), sparsity)
         return PruneResult(
             weights=weights * keep,
             mask=keep,

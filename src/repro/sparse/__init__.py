@@ -1,12 +1,6 @@
-"""Sparse matrix formats, conversions and functional reference kernels."""
+"""Sparse matrix formats (each built from a pruned dense matrix by its
+``from_dense``) and functional reference kernels."""
 
-from .convert import (
-    dense_to_balanced,
-    dense_to_block,
-    dense_to_csr,
-    dense_to_shflbw,
-    dense_to_vector_wise,
-)
 from .formats import (
     Balanced24Matrix,
     BlockSparseMatrix,
@@ -39,11 +33,6 @@ __all__ = [
     "CSRMatrix",
     "ShflBWMatrix",
     "VectorSparseMatrix",
-    "dense_to_balanced",
-    "dense_to_block",
-    "dense_to_csr",
-    "dense_to_shflbw",
-    "dense_to_vector_wise",
     "Conv2dSpec",
     "conv2d_dense",
     "conv2d_sparse",

@@ -479,16 +479,29 @@ class ShflBWMatrix:
         cls,
         dense: np.ndarray,
         vector_size: int,
-        row_indices: np.ndarray,
+        row_indices: np.ndarray | None = None,
         tile_cols: int | None = None,
     ) -> "ShflBWMatrix":
-        """Compress a dense matrix given the row permutation to apply.
+        """Compress a pruned dense matrix given the row permutation to apply.
+
+        This is the offline processing of the paper's kernel pipeline
+        (Figure 4 step (a)): the permuted matrix is stored once, in
+        vector-wise form, together with the original row indices.  That form
+        is already column-stitched: each ``V``-row group's kept columns are
+        packed into dense ``V x T`` panels, the tiles the kernel stitches in
+        shared memory at run time (step (b)) and hands to the tensor-core MMA
+        loop, so the SpMM reads the stored panels directly and no second copy
+        is built.
 
         ``row_indices`` lists, in permuted order, which original rows form
-        each consecutive group of ``V`` rows; ``tile_cols`` is the panel
+        each consecutive group of ``V`` rows: the permutation the pattern
+        search discovered, or the identity if omitted (Shfl-BW then
+        degenerates to vector-wise sparsity).  ``tile_cols`` is the panel
         width of :meth:`VectorSparseMatrix.from_dense`.
         """
         dense = _as_2d_float(dense)
+        if row_indices is None:
+            row_indices = np.arange(dense.shape[0], dtype=np.int64)
         row_indices = np.asarray(row_indices, dtype=np.int64)
         permuted = dense[row_indices, :]
         vec = VectorSparseMatrix.from_dense(permuted, vector_size, tile_cols)

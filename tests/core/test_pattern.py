@@ -2,9 +2,7 @@
 
 import pytest
 
-from repro.core.pattern import PatternKind, ShflBWPattern
-from repro.core.pruning import prune_shflbw
-from repro.pruning.patterns import UnstructuredPruner
+from repro.core.pattern import PatternKind
 
 
 class TestPatternKind:
@@ -55,43 +53,3 @@ class TestPatternKind:
         assert PatternKind.SHFLBW.needs_block_size
         assert not PatternKind.BALANCED.needs_block_size
         assert not PatternKind.DENSE.needs_block_size
-
-
-class TestShflBWPattern:
-    def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            ShflBWPattern(vector_size=0, density=0.5)
-        with pytest.raises(ValueError):
-            ShflBWPattern(vector_size=32, density=0.0)
-
-    def test_sparsity_density_complementary(self):
-        pattern = ShflBWPattern(vector_size=32, density=0.25)
-        assert pattern.sparsity == pytest.approx(0.75)
-
-    def test_kept_columns_per_group(self):
-        pattern = ShflBWPattern(vector_size=32, density=0.25)
-        assert pattern.kept_columns_per_group(1024) == 256
-        assert pattern.kept_columns_per_group(2) == 1  # never zero columns
-
-    def test_validate_shape(self):
-        pattern = ShflBWPattern(vector_size=32, density=0.25)
-        pattern.validate_shape(64, 128)
-        with pytest.raises(ValueError):
-            pattern.validate_shape(65, 128)
-
-    def test_matches_pruned_matrix(self, rng):
-        weight = rng.normal(size=(64, 64))
-        pruned, result = prune_shflbw(weight, sparsity=0.75, vector_size=16)
-        pattern = ShflBWPattern(vector_size=16, density=0.25)
-        assert pattern.matches(pruned, result.row_indices)
-        assert pattern.matches(pruned)
-        assert pattern.matches_permuted(pruned[result.row_indices, :])
-
-    def test_rejects_unstructured_matrix(self, rng):
-        weight = rng.normal(size=(64, 64))
-        pruned = UnstructuredPruner().prune(weight, 0.75).weights
-        assert not ShflBWPattern(vector_size=16, density=0.25).matches(pruned)
-
-    def test_describe(self):
-        label = ShflBWPattern(vector_size=32, density=0.25).describe()
-        assert "32" in label and "75%" in label

@@ -1,37 +1,17 @@
-"""Tests for row/column permutation transforms."""
+"""Tests for the row-grouping transforms."""
 
 import numpy as np
 import pytest
 
-from repro.core.transforms import (
-    apply_row_permutation,
-    group_rows_by_support,
-    groups_to_permutation,
-    invert_permutation,
-    reordered_write_back,
-    stitch_activation_rows,
-)
+from repro.core.transforms import group_rows_by_support, groups_to_permutation
 
 
 class TestPermutations:
-    def test_apply_then_write_back_is_identity(self, rng):
-        matrix = rng.normal(size=(16, 8))
-        perm = rng.permutation(16)
-        permuted = apply_row_permutation(matrix, perm)
-        np.testing.assert_allclose(reordered_write_back(permuted, perm), matrix)
-
-    def test_invert_permutation(self, rng):
-        perm = rng.permutation(32)
-        inv = invert_permutation(perm)
-        np.testing.assert_array_equal(perm[inv], np.arange(32))
-        np.testing.assert_array_equal(inv[perm], np.arange(32))
-
-    def test_invalid_permutation_rejected(self, rng):
-        matrix = rng.normal(size=(4, 4))
+    def test_invalid_permutation_rejected(self):
         with pytest.raises(ValueError):
-            apply_row_permutation(matrix, np.array([0, 1, 1, 2]))
+            groups_to_permutation([np.array([0, 1, 1, 2])], 4)
         with pytest.raises(ValueError):
-            reordered_write_back(matrix, np.array([0, 1, 2]))
+            groups_to_permutation([np.array([0, 1]), np.array([2])], 4)
 
 
 class TestRowGrouping:
@@ -61,30 +41,3 @@ class TestRowGrouping:
         np.testing.assert_array_equal(groups_to_permutation(groups, 4), [0, 1, 2, 3])
         with pytest.raises(ValueError):
             groups_to_permutation([np.array([0, 1]), np.array([1, 2])], 4)
-
-
-class TestStitching:
-    def test_gathers_named_rows(self, rng):
-        activations = rng.normal(size=(10, 5))
-        columns = np.array([3, 7, 1])
-        stitched = stitch_activation_rows(activations, columns)
-        np.testing.assert_allclose(stitched, activations[[3, 7, 1], :])
-
-    def test_padding_lanes_are_zero(self, rng):
-        activations = rng.normal(size=(10, 5))
-        stitched = stitch_activation_rows(activations, np.array([2, -1, -1]))
-        assert np.all(stitched[1:] == 0.0)
-
-    def test_out_of_range_rejected(self, rng):
-        with pytest.raises(ValueError):
-            stitch_activation_rows(rng.normal(size=(4, 2)), np.array([5]))
-
-    def test_negative_indices_other_than_padding_rejected(self, rng):
-        # Only -1 is the documented padding lane; -2 is an upstream bug and
-        # used to silently produce a zero row.
-        activations = rng.normal(size=(4, 2))
-        with pytest.raises(ValueError, match=">= -1"):
-            stitch_activation_rows(activations, np.array([0, -2]))
-        # -1 itself stays valid.
-        stitched = stitch_activation_rows(activations, np.array([0, -1]))
-        assert np.all(stitched[1] == 0.0)

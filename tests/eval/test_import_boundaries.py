@@ -70,7 +70,7 @@ def test_scipy_loads_on_first_use():
 import json, sys
 import numpy as np
 from repro.eval import run_experiment
-from repro.sparse import dense_to_csr, spmm_csr
+from repro.sparse import CSRMatrix, spmm_csr
 
 seen = {"special_at_import": "scipy.special" in sys.modules}
 report = run_experiment("analysis")
@@ -80,7 +80,7 @@ seen["analysis"] = report.to_json()
 rng = np.random.default_rng(0)
 weight = rng.normal(size=(64, 48)) * (rng.random((64, 48)) < 0.2)
 rhs = rng.normal(size=(48, 5))
-matrix = dense_to_csr(weight)
+matrix = CSRMatrix.from_dense(weight)
 seen["sparse_before_spmm"] = "scipy.sparse" in sys.modules
 out = spmm_csr(matrix, rhs)
 seen["sparse_after_spmm"] = "scipy.sparse" in sys.modules

@@ -9,7 +9,6 @@ from repro.gpu.arch import (
     MMAShape,
     available_gpus,
     get_gpu,
-    register_gpu,
 )
 
 
@@ -32,16 +31,6 @@ class TestRegistry:
     def test_get_gpu_unknown_raises(self):
         with pytest.raises(KeyError, match="unknown GPU"):
             get_gpu("H100")
-
-    def test_register_custom_gpu(self):
-        custom = V100.with_overrides(name="TEST-GPU")
-        register_gpu(custom)
-        assert get_gpu("test-gpu") is custom
-
-    def test_register_duplicate_requires_overwrite(self):
-        with pytest.raises(ValueError):
-            register_gpu(V100)
-        register_gpu(V100, overwrite=True)
 
 
 class TestPaperSpecs:
@@ -74,7 +63,3 @@ class TestPaperSpecs:
         modified = V100.with_overrides(sm_count=100)
         assert modified.sm_count == 100
         assert V100.sm_count == 80
-
-    def test_peak_flops_selects_unit(self):
-        assert V100.peak_flops(True) == V100.tensor_flops
-        assert V100.peak_flops(False) == V100.cuda_core_flops

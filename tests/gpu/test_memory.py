@@ -3,12 +3,7 @@
 import pytest
 
 from repro.gpu.arch import T4, V100
-from repro.gpu.memory import (
-    BYTES_FP16,
-    OperandBatch,
-    TrafficBatch,
-    gather_access_efficiency,
-)
+from repro.gpu.memory import OperandBatch, TrafficBatch
 
 
 def operand(name: str, size: float, **kwargs) -> OperandBatch:
@@ -83,15 +78,3 @@ class TestTrafficBreakdown:
     def test_invalid_bandwidth_efficiency(self):
         with pytest.raises(ValueError):
             self._traffic().dram_time(V100, bandwidth_efficiency=0.0)
-
-
-class TestGatherEfficiency:
-    def test_full_line_is_fully_efficient(self):
-        assert gather_access_efficiency(128) == 1.0
-
-    def test_short_runs_waste_bandwidth(self):
-        assert gather_access_efficiency(BYTES_FP16) == pytest.approx(2 / 32)
-
-    def test_invalid_run_length(self):
-        with pytest.raises(ValueError):
-            gather_access_efficiency(0)

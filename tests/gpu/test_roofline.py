@@ -4,38 +4,23 @@ import math
 
 import pytest
 
-from repro.gpu.arch import A100, T4, V100
+from repro.gpu.arch import V100
 from repro.gpu.roofline import (
-    dense_gemm_intensity,
     dense_tile_reuse,
-    machine_balance,
     max_reuse_blockwise,
     max_reuse_dense,
     max_reuse_unstructured,
-    reuse_ratio_vs_dense,
 )
 from repro.gpu.tiling import optimal_tile_extent
 
 
-class TestRoofline:
-    def test_a100_balance_highest(self):
-        assert machine_balance(A100) > machine_balance(V100)
-
-
 class TestIntensity:
-    def test_dense_gemm_intensity_grows_with_size(self):
-        small = dense_gemm_intensity(128, 128, 128)
-        large = dense_gemm_intensity(4096, 4096, 4096)
-        assert large > small
-
     def test_square_tile_reuse(self):
         # 2 * T^2 / (2T values * 2 bytes) = T / 2 flop per byte.
         assert dense_tile_reuse(128, 128) == pytest.approx(64.0)
         assert dense_tile_reuse(256, 256) == pytest.approx(128.0)
 
     def test_invalid_shapes(self):
-        with pytest.raises(ValueError):
-            dense_gemm_intensity(0, 1, 1)
         with pytest.raises(ValueError):
             dense_tile_reuse(0, 4)
 
@@ -70,22 +55,3 @@ class TestMaxReuse:
             max_reuse_unstructured(V100, 0.0)
         with pytest.raises(ValueError):
             max_reuse_blockwise(V100, 0)
-
-
-class TestReuseRatio:
-    def test_dense_ratio_is_one(self):
-        assert reuse_ratio_vs_dense(V100, "dense", 1.0) == 1.0
-
-    def test_shflbw_same_as_blockwise(self):
-        assert reuse_ratio_vs_dense(V100, "shflbw", 0.25, 64) == pytest.approx(
-            reuse_ratio_vs_dense(V100, "blockwise", 0.25, 64)
-        )
-
-    def test_balanced_same_as_unstructured(self):
-        assert reuse_ratio_vs_dense(V100, "balanced", 0.5) == pytest.approx(
-            reuse_ratio_vs_dense(V100, "unstructured", 0.5)
-        )
-
-    def test_unknown_pattern(self):
-        with pytest.raises(ValueError):
-            reuse_ratio_vs_dense(T4, "mystery", 0.5)

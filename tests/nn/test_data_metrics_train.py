@@ -8,12 +8,12 @@ import pytest
 from repro.models.gnmt import GNMTConfig, GNMTProxy
 from repro.models.transformer import TransformerConfig, TransformerProxy
 from repro.nn.data import SyntheticClassificationTask, SyntheticTranslationTask
-from repro.nn.metrics import bleu_score, perplexity, token_accuracy, top1_accuracy
+from repro.nn.metrics import bleu_score, top1_accuracy
 from repro.nn.train import (
     TrainConfig,
+    apply_masks,
     build_masks,
     mask_gradients,
-    prune_model,
     train_model,
 )
 from repro.pruning.patterns import ShflBWPruner, UnstructuredPruner
@@ -86,19 +86,10 @@ class TestMetrics:
         with pytest.raises(ValueError):
             bleu_score([[1]], [[1], [2]])
 
-    def test_token_accuracy(self):
-        refs = np.array([[1, 2], [3, 4]])
-        hyps = np.array([[1, 0], [3, 4]])
-        assert token_accuracy(refs, hyps) == pytest.approx(0.75)
-
     def test_top1_accuracy_from_logits(self):
         labels = np.array([0, 1, 2])
         logits = np.eye(3) * 5.0
         assert top1_accuracy(labels, logits) == pytest.approx(100.0)
-
-    def test_perplexity(self):
-        assert perplexity(0.0) == pytest.approx(1.0)
-        assert perplexity(1.0) == pytest.approx(np.e)
 
 
 class TestMaskedTraining:
@@ -134,14 +125,16 @@ class TestMaskedTraining:
 
     def test_apply_masks_zeroes_weights(self):
         model, _ = self._tiny_model_and_task()
-        masks = prune_model(model, UnstructuredPruner(), 0.9)
+        masks, _ = build_masks(model, UnstructuredPruner(), 0.9)
+        apply_masks(model, masks)
         for name, param in model.prunable_parameters():
             if name in masks:
                 assert np.all(param.data[~masks[name]] == 0.0)
 
     def test_masked_training_preserves_sparsity(self):
         model, task = self._tiny_model_and_task()
-        masks = prune_model(model, UnstructuredPruner(), 0.8)
+        masks, _ = build_masks(model, UnstructuredPruner(), 0.8)
+        apply_masks(model, masks)
         train_model(model, task, TrainConfig(epochs=1, batch_size=32), masks=masks)
         for name, param in model.prunable_parameters():
             if name in masks:
@@ -149,7 +142,8 @@ class TestMaskedTraining:
 
     def test_mask_gradients_zeroes_pruned_grads(self):
         model, task = self._tiny_model_and_task()
-        masks = prune_model(model, UnstructuredPruner(), 0.5)
+        masks, _ = build_masks(model, UnstructuredPruner(), 0.5)
+        apply_masks(model, masks)
         batch = next(task.batches(task.train_split(), 8))
         model.loss(batch).backward()
         mask_gradients(model, masks)

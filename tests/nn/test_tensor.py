@@ -74,10 +74,6 @@ class TestReductionsAndShapes:
         x0 = rng.normal(size=(3, 4))
         check_gradient(lambda x: (x.mean(axis=1) ** 2).sum(), x0)
 
-    def test_max_grad(self, rng):
-        x0 = rng.normal(size=(4, 5))
-        check_gradient(lambda x: x.max(axis=1).sum(), x0)
-
     def test_reshape_transpose_grad(self, rng):
         x0 = rng.normal(size=(3, 4))
         check_gradient(lambda x: (x.reshape(2, 6).T ** 2).sum(), x0)

@@ -4,42 +4,41 @@ import numpy as np
 import pytest
 
 from repro.core.pruning import prune_shflbw
-from repro.sparse.convert import (
-    dense_to_balanced,
-    dense_to_block,
-    dense_to_csr,
-    dense_to_shflbw,
-    dense_to_vector_wise,
+from repro.sparse.formats import (
+    Balanced24Matrix,
+    BlockSparseMatrix,
+    CSRMatrix,
+    ShflBWMatrix,
+    VectorSparseMatrix,
 )
-from repro.sparse.formats import VectorSparseMatrix
 
 
 class TestBasicConversions:
     def test_dense_to_csr_round_trip(self, rng):
         dense = rng.normal(size=(8, 8)) * (rng.random((8, 8)) < 0.4)
-        np.testing.assert_allclose(dense_to_csr(dense).to_dense(), dense)
+        np.testing.assert_allclose(CSRMatrix.from_dense(dense).to_dense(), dense)
 
     def test_dense_to_block_round_trip(self, rng):
         dense = np.zeros((8, 8))
         dense[0:4, 4:8] = rng.normal(size=(4, 4))
-        np.testing.assert_allclose(dense_to_block(dense, 4).to_dense(), dense)
+        np.testing.assert_allclose(BlockSparseMatrix.from_dense(dense, 4).to_dense(), dense)
 
     def test_dense_to_shflbw_defaults_to_identity(self, rng):
         dense = np.zeros((8, 6))
         dense[0:4, 1] = 1.0
-        matrix = dense_to_shflbw(dense, 4)
+        matrix = ShflBWMatrix.from_dense(dense, 4)
         np.testing.assert_array_equal(matrix.row_indices, np.arange(8))
 
     def test_dense_to_balanced_projects(self):
         dense = np.ones((2, 4))
-        projected = dense_to_balanced(dense).to_dense()
+        projected = Balanced24Matrix.from_dense(dense).to_dense()
         assert (projected != 0).sum() == 4
 
 
 class TestKernelOfflineSteps:
     def test_shflbw_stores_the_permuted_vector_wise_matrix(self, shflbw_pruned):
         pruned, result = shflbw_pruned
-        matrix = dense_to_shflbw(pruned, 8, result.row_indices)
+        matrix = ShflBWMatrix.from_dense(pruned, 8, result.row_indices)
         np.testing.assert_array_equal(matrix.row_indices, result.row_indices)
         np.testing.assert_allclose(
             matrix.vector_matrix.to_dense(), pruned[result.row_indices, :]
@@ -64,7 +63,7 @@ class TestKernelOfflineSteps:
     def test_default_tile_fits_the_widest_group(self):
         dense = np.zeros((4, 8))
         dense[:, [1, 2, 3, 4]] = 1.0
-        vec = dense_to_vector_wise(dense, 4)
+        vec = VectorSparseMatrix.from_dense(dense, 4)
         assert vec.values.shape == (1, 4, 4)
 
     def test_group_views_match_the_panels(self, rng):
@@ -88,7 +87,7 @@ class TestKernelOfflineSteps:
 class TestPrunedMatrixConversions:
     def test_shflbw_pruned_matrix_round_trips(self, shflbw_pruned):
         pruned, result = shflbw_pruned
-        matrix = dense_to_shflbw(pruned, 8, result.row_indices)
+        matrix = ShflBWMatrix.from_dense(pruned, 8, result.row_indices)
         np.testing.assert_allclose(matrix.to_dense(), pruned)
         assert matrix.density == pytest.approx(0.25, abs=0.05)
 
@@ -96,5 +95,5 @@ class TestPrunedMatrixConversions:
         weight = rng.normal(size=(64, 64))
         for v in (4, 8, 16, 32):
             pruned, result = prune_shflbw(weight, sparsity=0.5, vector_size=v)
-            matrix = dense_to_shflbw(pruned, v, result.row_indices)
+            matrix = ShflBWMatrix.from_dense(pruned, v, result.row_indices)
             np.testing.assert_allclose(matrix.to_dense(), pruned)

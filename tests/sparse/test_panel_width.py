@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from repro.kernels.shflbw import ShflBWKernel
 from repro.kernels.vector_wise import VectorWiseKernel
 from repro.sparse import spmm_reference as ref
-from repro.sparse.convert import dense_to_vector_wise
 from repro.sparse.formats import VectorSparseMatrix, _panel_width
 from repro.sparse.spmm import _segment_rows, spmm_shflbw, spmm_vector_wise
 
@@ -37,7 +36,7 @@ def _with_group_widths(widths, v: int, k: int, seed: int):
     for g, width in enumerate(widths):
         mask[g, rng.choice(k, size=width, replace=False)] = True
     dense = rng.normal(size=(len(widths) * v, k)) * np.repeat(mask, v, axis=0)
-    return dense, dense_to_vector_wise(dense, v)
+    return dense, VectorSparseMatrix.from_dense(dense, v)
 
 
 class TestOnePanelReturn:

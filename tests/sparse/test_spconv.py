@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.core.pruning import prune_shflbw
 from repro.sparse import spmm_reference as ref
-from repro.sparse.convert import dense_to_shflbw, dense_to_vector_wise
+from repro.sparse.formats import ShflBWMatrix, VectorSparseMatrix
 from repro.sparse.spconv import Conv2dSpec, col2im, conv2d_dense, conv2d_sparse, im2col, weight_to_gemm
 
 
@@ -102,7 +102,7 @@ class TestSparseConv:
         from repro.pruning.patterns import VectorwisePruner
 
         pruned = VectorwisePruner(vector_size=4).prune(gemm_weight, 0.5).weights
-        sparse = dense_to_vector_wise(pruned, 4)
+        sparse = VectorSparseMatrix.from_dense(pruned, 4)
         expected = conv2d_dense(inputs, pruned.reshape(weight.shape), spec)
         np.testing.assert_allclose(conv2d_sparse(inputs, sparse, spec), expected, atol=1e-10)
 
@@ -112,13 +112,13 @@ class TestSparseConv:
         weight = rng.normal(size=(8, 2, 3, 3))
         gemm_weight = weight_to_gemm(weight)
         pruned, result = prune_shflbw(gemm_weight, sparsity=0.5, vector_size=4)
-        sparse = dense_to_shflbw(pruned, 4, result.row_indices)
+        sparse = ShflBWMatrix.from_dense(pruned, 4, result.row_indices)
         expected = conv2d_dense(inputs, pruned.reshape(weight.shape), spec)
         np.testing.assert_allclose(conv2d_sparse(inputs, sparse, spec), expected, atol=1e-10)
 
     def test_shape_mismatch_rejected(self, rng):
         spec = Conv2dSpec(2, 8, 3, padding=1)
-        sparse = dense_to_vector_wise(np.zeros((8, 10)), 4)
+        sparse = VectorSparseMatrix.from_dense(np.zeros((8, 10)), 4)
         with pytest.raises(ValueError):
             conv2d_sparse(rng.normal(size=(1, 2, 6, 6)), sparse, spec)
 

@@ -12,14 +12,13 @@ from repro.pruning.patterns import (
     VectorwisePruner,
 )
 from repro.sparse import spmm_reference as ref
-from repro.sparse.convert import (
-    dense_to_balanced,
-    dense_to_block,
-    dense_to_csr,
-    dense_to_shflbw,
-    dense_to_vector_wise,
+from repro.sparse.formats import (
+    Balanced24Matrix,
+    BlockSparseMatrix,
+    CSRMatrix,
+    ShflBWMatrix,
+    VectorSparseMatrix,
 )
-from repro.sparse.formats import ShflBWMatrix
 from repro.sparse.spmm import (
     dense_gemm,
     spmm,
@@ -44,44 +43,44 @@ class TestDenseGEMM:
 class TestCSRSpMM:
     def test_matches_dense(self, rng, small_weight, activations):
         pruned = UnstructuredPruner().prune(small_weight, 0.7).weights
-        out = spmm_csr(dense_to_csr(pruned), activations)
+        out = spmm_csr(CSRMatrix.from_dense(pruned), activations)
         np.testing.assert_allclose(out, pruned @ activations, atol=1e-12)
 
     def test_empty_rows_produce_zeros(self, activations):
         weight = np.zeros((4, 48))
         weight[2, 5] = 3.0
-        out = spmm_csr(dense_to_csr(weight), activations)
+        out = spmm_csr(CSRMatrix.from_dense(weight), activations)
         assert np.all(out[0] == 0) and np.all(out[1] == 0) and np.all(out[3] == 0)
 
     def test_dimension_mismatch_rejected(self, small_weight):
         with pytest.raises(ValueError):
-            spmm_csr(dense_to_csr(small_weight), np.zeros((5, 3)))
+            spmm_csr(CSRMatrix.from_dense(small_weight), np.zeros((5, 3)))
 
 
 class TestBlockSpMM:
     def test_matches_dense(self, rng, activations, small_weight):
         pruned = BlockwisePruner(block_size=8).prune(small_weight, 0.5).weights
-        out = spmm_block(dense_to_block(pruned, 8), activations)
+        out = spmm_block(BlockSparseMatrix.from_dense(pruned, 8), activations)
         np.testing.assert_allclose(out, pruned @ activations, atol=1e-12)
 
 
 class TestVectorWiseSpMM:
     def test_matches_dense(self, rng, activations, small_weight):
         pruned = VectorwisePruner(vector_size=8).prune(small_weight, 0.75).weights
-        out = spmm_vector_wise(dense_to_vector_wise(pruned, 8), activations)
+        out = spmm_vector_wise(VectorSparseMatrix.from_dense(pruned, 8), activations)
         np.testing.assert_allclose(out, pruned @ activations, atol=1e-12)
 
     def test_all_zero_group(self, activations):
         weight = np.zeros((16, 48))
         weight[8:16, :4] = 1.0
-        out = spmm_vector_wise(dense_to_vector_wise(weight, 8), activations)
+        out = spmm_vector_wise(VectorSparseMatrix.from_dense(weight, 8), activations)
         np.testing.assert_allclose(out, weight @ activations)
 
 
 class TestShflBWSpMM:
     def test_matches_dense_with_shuffle(self, small_weight, activations):
         pruned, result = prune_shflbw(small_weight, sparsity=0.75, vector_size=8)
-        matrix = dense_to_shflbw(pruned, 8, result.row_indices)
+        matrix = ShflBWMatrix.from_dense(pruned, 8, result.row_indices)
         out = spmm_shflbw(matrix, activations)
         np.testing.assert_allclose(out, pruned @ activations, atol=1e-12)
 
@@ -99,17 +98,17 @@ class TestShflBWSpMM:
 
     def test_identity_permutation_reduces_to_vector_wise(self, rng, activations):
         weight = VectorwisePruner(vector_size=8).prune(rng.normal(size=(32, 48)), 0.5).weights
-        shfl = dense_to_shflbw(weight, 8, np.arange(32))
+        shfl = ShflBWMatrix.from_dense(weight, 8, np.arange(32))
         np.testing.assert_allclose(
             spmm_shflbw(shfl, activations),
-            spmm_vector_wise(dense_to_vector_wise(weight, 8), activations),
+            spmm_vector_wise(VectorSparseMatrix.from_dense(weight, 8), activations),
         )
 
 
 class TestBalancedSpMM:
     def test_matches_dense(self, rng, activations, small_weight):
         pruned = BalancedPruner().prune(small_weight, 0.5).weights
-        out = spmm_balanced(dense_to_balanced(pruned), activations)
+        out = spmm_balanced(Balanced24Matrix.from_dense(pruned), activations)
         np.testing.assert_allclose(out, pruned @ activations, atol=1e-12)
 
 
@@ -117,9 +116,9 @@ class TestDispatch:
     def test_dispatch_matches_each_format(self, small_weight, activations):
         pruned, result = prune_shflbw(small_weight, sparsity=0.5, vector_size=8)
         cases = [
-            dense_to_csr(pruned),
-            dense_to_vector_wise(pruned, 8),
-            dense_to_shflbw(pruned, 8, result.row_indices),
+            CSRMatrix.from_dense(pruned),
+            VectorSparseMatrix.from_dense(pruned, 8),
+            ShflBWMatrix.from_dense(pruned, 8, result.row_indices),
         ]
         for matrix in cases:
             np.testing.assert_allclose(spmm(matrix, activations), pruned @ activations, atol=1e-12)

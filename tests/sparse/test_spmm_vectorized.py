@@ -16,14 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sparse import spmm_reference as ref
-from repro.sparse.convert import (
-    dense_to_balanced,
-    dense_to_block,
-    dense_to_csr,
-    dense_to_shflbw,
-    dense_to_vector_wise,
+from repro.sparse.formats import (
+    Balanced24Matrix,
+    BlockSparseMatrix,
+    CSRMatrix,
+    ShflBWMatrix,
+    VectorSparseMatrix,
 )
-from repro.sparse.formats import ShflBWMatrix, VectorSparseMatrix
 from repro.sparse.spmm import (
     spmm_balanced,
     spmm_block,
@@ -61,7 +60,7 @@ def test_csr_matches_oracle_and_dense(dims, density, seed):
     v, groups, k, n = dims
     rng, m, dense, rhs = _problem(v, groups, k, n, density, seed)
     pruned = dense * (rng.random((m, k)) < density)
-    matrix = dense_to_csr(pruned)
+    matrix = CSRMatrix.from_dense(pruned)
     out = spmm_csr(matrix, rhs)
     np.testing.assert_allclose(out, ref.spmm_csr_loop(matrix, rhs), atol=ATOL)
     np.testing.assert_allclose(out, pruned @ rhs, atol=ATOL)
@@ -108,7 +107,7 @@ def test_block_matches_oracle_and_dense(dims, density, seed):
     rhs = rng.normal(size=(k, n))
     mask = np.kron(rng.random((groups, k_groups)) < density, np.ones((v, v)))
     pruned = dense * mask
-    matrix = dense_to_block(pruned, v)
+    matrix = BlockSparseMatrix.from_dense(pruned, v)
     out = spmm_block(matrix, rhs)
     np.testing.assert_allclose(out, ref.spmm_block_loop(matrix, rhs), atol=ATOL)
     np.testing.assert_allclose(out, pruned @ rhs, atol=ATOL)
@@ -126,7 +125,7 @@ def test_balanced_matches_oracle_and_dense(rows, k_groups, n, seed):
     k = 4 * k_groups
     dense = rng.normal(size=(rows, k))
     rhs = rng.normal(size=(k, n))
-    matrix = dense_to_balanced(dense)  # projects onto 2:4
+    matrix = Balanced24Matrix.from_dense(dense)  # projects onto 2:4
     out = spmm_balanced(matrix, rhs)
     np.testing.assert_allclose(out, ref.spmm_balanced_loop(matrix, rhs), atol=ATOL)
     np.testing.assert_allclose(out, matrix.to_dense() @ rhs, atol=ATOL)
@@ -136,15 +135,15 @@ class TestEdgeCases:
     def test_all_zero_matrix_every_format(self):
         rhs = np.ones((8, 3))
         zero = np.zeros((4, 8))
-        np.testing.assert_array_equal(spmm_csr(dense_to_csr(zero), rhs), np.zeros((4, 3)))
+        np.testing.assert_array_equal(spmm_csr(CSRMatrix.from_dense(zero), rhs), np.zeros((4, 3)))
         np.testing.assert_array_equal(
-            spmm_block(dense_to_block(zero, 4), rhs), np.zeros((4, 3))
+            spmm_block(BlockSparseMatrix.from_dense(zero, 4), rhs), np.zeros((4, 3))
         )
         np.testing.assert_array_equal(
-            spmm_vector_wise(dense_to_vector_wise(zero, 4), rhs), np.zeros((4, 3))
+            spmm_vector_wise(VectorSparseMatrix.from_dense(zero, 4), rhs), np.zeros((4, 3))
         )
         np.testing.assert_array_equal(
-            spmm_shflbw(dense_to_shflbw(zero, 4), rhs), np.zeros((4, 3))
+            spmm_shflbw(ShflBWMatrix.from_dense(zero, 4), rhs), np.zeros((4, 3))
         )
 
     def test_shflbw_calls_leave_the_matrix_as_built(self, rng):
@@ -162,7 +161,7 @@ class TestEdgeCases:
 
     def test_csr_scipy_handle_cached(self, rng):
         pruned = rng.normal(size=(8, 8)) * (rng.random((8, 8)) < 0.4)
-        matrix = dense_to_csr(pruned)
+        matrix = CSRMatrix.from_dense(pruned)
         rhs = rng.normal(size=(8, 2))
         spmm_csr(matrix, rhs)
         assert matrix.__dict__.get("_scipy_handle") is not None

@@ -13,9 +13,8 @@ from repro.core.analysis import (
 )
 from repro.core.kmeans import balanced_kmeans
 from repro.core.pruning import prune_shflbw, search_shflbw_pattern, unstructured_mask
-from repro.core.transforms import apply_row_permutation, invert_permutation, reordered_write_back
 from repro.pruning.patterns import BlockwisePruner, VectorwisePruner
-from repro.sparse.convert import dense_to_csr, dense_to_shflbw, dense_to_vector_wise
+from repro.sparse.formats import CSRMatrix, ShflBWMatrix, VectorSparseMatrix
 from repro.sparse.spmm import spmm_csr, spmm_shflbw, spmm_vector_wise
 from repro.sparse.validate import is_blockwise, is_shflbw, is_vector_wise
 
@@ -39,7 +38,7 @@ def test_csr_round_trip_and_spmm(data, density):
     matrix, _ = data
     mask = unstructured_mask(np.abs(matrix), density)
     pruned = matrix * mask
-    csr = dense_to_csr(pruned)
+    csr = CSRMatrix.from_dense(pruned)
     np.testing.assert_allclose(csr.to_dense(), pruned)
     rhs = np.random.default_rng(0).normal(size=(matrix.shape[1], 3))
     np.testing.assert_allclose(spmm_csr(csr, rhs), pruned @ rhs, atol=1e-10)
@@ -63,7 +62,7 @@ def test_shflbw_pruner_always_produces_valid_pattern(data, sparsity):
 def test_shflbw_spmm_matches_dense(data, sparsity):
     matrix, v = data
     pruned, result = prune_shflbw(matrix, sparsity=sparsity, vector_size=v)
-    sparse = dense_to_shflbw(pruned, v, result.row_indices)
+    sparse = ShflBWMatrix.from_dense(pruned, v, result.row_indices)
     rhs = np.random.default_rng(1).normal(size=(matrix.shape[1], 4))
     np.testing.assert_allclose(spmm_shflbw(sparse, rhs), pruned @ rhs, atol=1e-10)
 
@@ -74,7 +73,7 @@ def test_vector_wise_pruner_pattern_and_spmm(data, sparsity):
     matrix, v = data
     pruned = VectorwisePruner(vector_size=v).prune(matrix, sparsity).weights
     assert is_vector_wise(pruned, v)
-    sparse = dense_to_vector_wise(pruned, v)
+    sparse = VectorSparseMatrix.from_dense(pruned, v)
     rhs = np.random.default_rng(2).normal(size=(matrix.shape[1], 2))
     np.testing.assert_allclose(spmm_vector_wise(sparse, rhs), pruned @ rhs, atol=1e-10)
 
@@ -86,19 +85,6 @@ def test_blockwise_pruner_pattern(seed, v):
     matrix = rng.normal(size=(v * 4, v * 3))
     pruned = BlockwisePruner(block_size=v).prune(matrix, 0.5).weights
     assert is_blockwise(pruned, v)
-
-
-@given(st.integers(min_value=0, max_value=2**16))
-@settings(**SETTINGS)
-def test_permutation_round_trip(seed):
-    rng = np.random.default_rng(seed)
-    matrix = rng.normal(size=(rng.integers(2, 20), rng.integers(1, 10)))
-    perm = rng.permutation(matrix.shape[0])
-    np.testing.assert_allclose(
-        reordered_write_back(apply_row_permutation(matrix, perm), perm), matrix
-    )
-    inv = invert_permutation(perm)
-    np.testing.assert_array_equal(perm[inv], np.arange(len(perm)))
 
 
 @given(st.integers(min_value=0, max_value=2**16), st.sampled_from([2, 4, 8]))
