@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.pruning.patterns import UnstructuredPruner, VectorwisePruner
+from repro.core.pruning import unstructured_mask, vector_wise_mask
 from repro.sparse import spmm_reference as ref
 from repro.sparse.formats import (
     Balanced24Matrix,
@@ -99,7 +99,8 @@ def run(
     results: list[BenchResult] = []
 
     # --- unstructured (CSR) ------------------------------------------------ #
-    unstructured = UnstructuredPruner().prune(rng.normal(size=(m, k)), 1.0 - density).weights
+    weight = rng.normal(size=(m, k))
+    unstructured = weight * unstructured_mask(np.abs(weight), density)
     csr = CSRMatrix.from_dense(unstructured)
     results.append(
         bench_pair(
@@ -112,9 +113,8 @@ def run(
     )
 
     # --- Shfl-BW (vector-wise under a random row shuffle) ------------------ #
-    vw_pruned = VectorwisePruner(vector_size=vector_size).prune(
-        rng.normal(size=(m, k)), 1.0 - density
-    ).weights
+    weight = rng.normal(size=(m, k))
+    vw_pruned = weight * vector_wise_mask(np.abs(weight), density, vector_size)
     row_indices = rng.permutation(m)
     shuffled = np.zeros_like(vw_pruned)
     shuffled[row_indices, :] = vw_pruned  # original-order matrix

@@ -13,20 +13,37 @@ Run with::
 
 from __future__ import annotations
 
+from repro.core import block_wise_mask, search_shflbw_pattern, unstructured_mask, vector_wise_mask
 from repro.eval import KernelSpec, SweepRunner, SweepSpec
 from repro.models import GNMTConfig, GNMTProxy
 from repro.nn import SyntheticTranslationTask, TrainConfig, build_masks, train_model
-from repro.pruning import make_pruner
 
 SPARSITY = 0.80
+DENSITY = 1.0 - SPARSITY
 GPU = "V100"
-#: (label, pruner pattern, pruner kwargs at proxy scale, kernel on the real shapes)
+#: (label, keep-mask of a weight's magnitudes at proxy scale, kernel on the real shapes)
 CONFIGS = [
-    ("Unstructured", "unstructured", {}, KernelSpec("sputnik")),
-    ("BW, V=32", "blockwise", {"block_size": 8}, KernelSpec("cusparse-bsr", {"block_size": 32})),
-    ("VW, V=32", "vectorwise", {"vector_size": 8}, KernelSpec("vector-wise", {"vector_size": 32})),
-    ("Shfl-BW, V=32", "shflbw", {"vector_size": 8}, KernelSpec("shfl-bw", {"vector_size": 32})),
-    ("Shfl-BW, V=64", "shflbw", {"vector_size": 16}, KernelSpec("shfl-bw", {"vector_size": 64})),
+    ("Unstructured", lambda s: unstructured_mask(s, DENSITY), KernelSpec("sputnik")),
+    (
+        "BW, V=32",
+        lambda s: block_wise_mask(s, DENSITY, 8),
+        KernelSpec("cusparse-bsr", {"block_size": 32}),
+    ),
+    (
+        "VW, V=32",
+        lambda s: vector_wise_mask(s, DENSITY, 8),
+        KernelSpec("vector-wise", {"vector_size": 32}),
+    ),
+    (
+        "Shfl-BW, V=32",
+        lambda s: search_shflbw_pattern(s, DENSITY, 8).mask,
+        KernelSpec("shfl-bw", {"vector_size": 32}),
+    ),
+    (
+        "Shfl-BW, V=64",
+        lambda s: search_shflbw_pattern(s, DENSITY, 16).mask,
+        KernelSpec("shfl-bw", {"vector_size": 64}),
+    ),
 ]
 
 
@@ -50,9 +67,9 @@ def main() -> None:
     dense_time = timing[spec.dense_config("gnmt", GPU)].time_s
 
     print(f"{'pattern':<16}{'BLEU':>8}{'drop':>8}{'kernel speedup (V100)':>24}")
-    for label, pattern, pruner_kwargs, kernel in CONFIGS:
+    for label, mask_of, kernel in CONFIGS:
         model.load_state_dict(dense_state)
-        masks, _ = build_masks(model, make_pruner(pattern, **pruner_kwargs), SPARSITY)
+        masks = build_masks(model, mask_of)
         finetuned = train_model(
             model, task, TrainConfig(epochs=3, learning_rate=1.5e-3, batch_size=64), masks=masks
         )

@@ -24,22 +24,6 @@ class PatternKind(str, enum.Enum):
     SHFLBW = "shflbw"
     BALANCED = "balanced"
 
-    @property
-    def uses_tensor_core(self) -> bool:
-        """Whether kernels for this pattern can map onto tensor cores."""
-        return self in (
-            PatternKind.DENSE,
-            PatternKind.BLOCKWISE,
-            PatternKind.VECTORWISE,
-            PatternKind.SHFLBW,
-            PatternKind.BALANCED,
-        )
-
-    @property
-    def needs_block_size(self) -> bool:
-        """Whether the pattern is parameterised by a block / vector size V."""
-        return self in (PatternKind.BLOCKWISE, PatternKind.VECTORWISE, PatternKind.SHFLBW)
-
     @classmethod
     def parse(cls, name: str) -> "PatternKind":
         """Parse a user-facing pattern name (tolerant of hyphens / case).

@@ -335,12 +335,12 @@ def prune_shflbw(
     sparsity: float,
     vector_size: int,
     *,
-    scores: np.ndarray | None = None,
     beta_factor: float = 2.0,
     kmeans_iters: int = 10,
     seed: int = 0,
 ) -> tuple[np.ndarray, ShflBWSearchResult]:
-    """Prune a weight matrix to Shfl-BW sparsity.
+    """Prune a weight matrix to Shfl-BW sparsity, scoring each weight by its
+    magnitude (the criterion the paper uses).
 
     Parameters
     ----------
@@ -350,9 +350,6 @@ def prune_shflbw(
         Target fraction of pruned weights (e.g. 0.75).
     vector_size:
         Row-group height ``V``.
-    scores:
-        Importance scores; defaults to ``abs(weights)`` (magnitude pruning,
-        the criterion the paper uses).
 
     Returns
     -------
@@ -365,10 +362,8 @@ def prune_shflbw(
         raise ValueError("weights must be a 2-D matrix")
     if not 0.0 <= sparsity < 1.0:
         raise ValueError("sparsity must be in [0, 1)")
-    if scores is None:
-        scores = np.abs(weights)
     result = search_shflbw_pattern(
-        scores,
+        np.abs(weights),
         density=1.0 - sparsity,
         vector_size=vector_size,
         beta_factor=beta_factor,

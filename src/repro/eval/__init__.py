@@ -1,10 +1,10 @@
 """Experiment harness regenerating every table and figure of the paper.
 
 The accuracy-protocol exports (:mod:`repro.eval.accuracy` and
-:mod:`repro.eval.tradeoff`) build on the proxy models, :mod:`repro.nn` and
-:mod:`repro.pruning`, so they load on first attribute access (PEP 562).  The
-timing experiments never train, and ``python -m repro.eval figure6`` does not
-pay for that stack.
+:mod:`repro.eval.tradeoff`) build on the proxy models and :mod:`repro.nn`,
+so they load on first attribute access (PEP 562).  The timing experiments
+never train, and ``python -m repro.eval figure6`` does not pay for that
+stack.
 """
 
 from importlib import import_module

@@ -37,12 +37,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..core.pruning import (
+    block_wise_mask,
+    search_shflbw_pattern,
+    unstructured_mask,
+    vector_wise_mask,
+)
 from ..models.gnmt import GNMTConfig, GNMTProxy
 from ..models.resnet import ResNetConfig, ResNetProxy
 from ..models.transformer import TransformerConfig, TransformerProxy
 from ..nn.data import SyntheticClassificationTask, SyntheticTranslationTask
 from ..nn.train import TrainConfig, build_masks, train_model
-from ..pruning.patterns import make_pruner
 from .runner import (
     ACCURACY_SALT,
     MODEL_VERSION,
@@ -265,16 +270,19 @@ def _build_model_and_task(model_name: str, config: AccuracyConfig):
     raise ValueError(f"unknown model {model_name!r}")
 
 
-def _make_cell_pruner(cell: AccuracyCell):
+def _cell_mask(cell: AccuracyCell):
+    """The cell's pattern as a function from a weight's magnitudes to its
+    keep-mask at the cell's density."""
+    density = 1.0 - cell.sparsity
     v = cell.vector_size
     if cell.pattern == "unstructured":
-        return make_pruner("unstructured")
+        return lambda scores: unstructured_mask(scores, density)
     if cell.pattern == "blockwise":
-        return make_pruner("blockwise", block_size=v)
+        return lambda scores: block_wise_mask(scores, density, v)
     if cell.pattern == "vectorwise":
-        return make_pruner("vectorwise", vector_size=v)
+        return lambda scores: vector_wise_mask(scores, density, v)
     if cell.pattern == "shflbw":
-        return make_pruner("shflbw", vector_size=v, seed=cell.seed)
+        return lambda scores: search_shflbw_pattern(scores, density, v, seed=cell.seed).mask
     raise ValueError(f"unsupported pattern {cell.pattern!r}")
 
 
@@ -357,12 +365,12 @@ def execute_accuracy_cell(cell: AccuracyCell) -> AccuracyRecord:
     model, task, finetune_cfg, dense_state, buffers, dense_metric = _dense_proxy(cell)
     model.load_state_dict(dense_state)
     _restore_buffers(buffers)
-    pruner = _make_cell_pruner(cell)
+    mask_of = _cell_mask(cell)
     # Only mask construction may legitimately declare inapplicability; an
     # error raised by the fine-tune itself is a real bug and must propagate
     # (a swallowed one would be cached as a bogus "not-applicable" record).
     try:
-        masks, _ = build_masks(model, pruner, cell.sparsity)
+        masks = build_masks(model, mask_of)
         if not masks:
             raise ValueError(
                 f"no prunable layer of {cell.model!r} fits pattern {cell.pattern!r}"

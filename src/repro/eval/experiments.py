@@ -150,7 +150,7 @@ def run_figure2(
     parallelism and a persistent ``--cache-dir`` record cache).
     """
     # Imported here so the timing experiments never load the accuracy stack
-    # (proxy models, repro.nn, repro.pruning).
+    # (proxy models, repro.nn).
     from .accuracy import AccuracyConfig
     from .tradeoff import figure2_sweep
 

@@ -18,7 +18,7 @@ second, so the timing model never has to juggle units.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 
 TERA = 1.0e12
@@ -101,43 +101,6 @@ class GPUArch:
     mma: MMAShape = field(default_factory=lambda: MMAShape(16, 8, 16))
     supports_sparse_tensor_core: bool = False
     kernel_launch_overhead_s: float = 4.0e-6
-
-    # ------------------------------------------------------------------ #
-    # Derived quantities used by the analysis in Section 3.2
-    # ------------------------------------------------------------------ #
-    @property
-    def tensor_flops_per_sm(self) -> float:
-        """Peak tensor-core FLOP/s available to a single SM."""
-        return self.tensor_flops / self.sm_count
-
-    @property
-    def cuda_core_flops_per_sm(self) -> float:
-        """Peak CUDA-core FLOP/s available to a single SM."""
-        return self.cuda_core_flops / self.sm_count
-
-    @property
-    def compute_to_bandwidth(self) -> float:
-        """Tensor-core FLOPs the chip can do per DRAM byte (machine balance).
-
-        The paper notes this is the quantity that dictates how much data
-        reuse a kernel must expose: A100 needs ~63 MACs per loaded value
-        (Section 2.1); T4 needs fewer per unit of *achievable* throughput
-        which is why its sparse speedups are the largest (Section 6.2).
-        """
-        return self.tensor_flops / self.dram_bandwidth
-
-    @property
-    def macs_per_value_for_peak(self) -> float:
-        """MACs required per loaded FP16 value to reach peak tensor throughput
-        from the last-level cache (the "63 MACs" figure for A100)."""
-        bytes_per_value = 2.0
-        return self.l2_bandwidth and (
-            (self.tensor_flops / 2.0) / (self.l2_bandwidth / bytes_per_value)
-        )
-
-    def with_overrides(self, **kwargs) -> "GPUArch":
-        """Return a copy with selected fields replaced (for what-if studies)."""
-        return replace(self, **kwargs)
 
 
 # --------------------------------------------------------------------------- #

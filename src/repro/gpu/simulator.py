@@ -62,20 +62,6 @@ class KernelTiming:
     dram_bytes: float
     compute_utilization: float
 
-    @property
-    def achieved_tflops(self) -> float:
-        """Achieved useful throughput in TFLOP/s."""
-        if self.total_time_s <= 0:
-            return 0.0
-        return self.useful_flops / self.total_time_s / 1.0e12
-
-    @property
-    def achieved_bandwidth_gbs(self) -> float:
-        """Achieved DRAM bandwidth in GB/s."""
-        if self.total_time_s <= 0:
-            return 0.0
-        return self.dram_bytes / self.total_time_s / 1.0e9
-
     def speedup_over(self, other: "KernelTiming") -> float:
         """Speedup of this kernel relative to ``other`` (>1 means faster)."""
         if self.total_time_s <= 0:

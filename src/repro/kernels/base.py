@@ -79,12 +79,6 @@ class GEMMShape:
         """Dense FLOP count (MAC = 2 ops)."""
         return 2.0 * self.m * self.n * self.k
 
-    def sparse_flops(self, density: float) -> float:
-        """Useful FLOPs when the weight matrix has the given non-zero ratio."""
-        if not 0.0 < density <= 1.0:
-            raise ValueError("density must be in (0, 1]")
-        return self.flops * density
-
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"M{self.m}/N{self.n}/K{self.k}"
 

@@ -86,11 +86,6 @@ class LayerShape:
                 )
 
     @property
-    def weighted_flops(self) -> float:
-        """Dense FLOPs of all occurrences of this layer."""
-        return self.gemm.flops * self.count
-
-    @property
     def conv_kernel_size(self) -> int:
         """The convolution's ``KH``, or 0 for a linear layer (how
         :meth:`~repro.kernels.base.SpMMKernel.build_layer_cells` tells the

@@ -95,9 +95,6 @@ class Module:
     def eval(self) -> "Module":
         return self.train(False)
 
-    def num_parameters(self) -> int:
-        return sum(p.size for p in self.parameters())
-
     # ------------------------------------------------------------------ #
     # Checkpointing
     # ------------------------------------------------------------------ #

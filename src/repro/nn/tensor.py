@@ -215,11 +215,6 @@ class Tensor:
     def ones(cls, *shape: int, requires_grad: bool = False) -> "Tensor":
         return cls(np.ones(shape), requires_grad=requires_grad)
 
-    @classmethod
-    def randn(cls, *shape: int, rng: np.random.Generator | None = None, scale: float = 1.0, requires_grad: bool = False) -> "Tensor":
-        rng = rng or np.random.default_rng()
-        return cls(rng.normal(0.0, scale, size=shape), requires_grad=requires_grad)
-
     @staticmethod
     def as_tensor(value) -> "Tensor":
         return value if isinstance(value, Tensor) else Tensor(value)
@@ -245,10 +240,6 @@ class Tensor:
     def numpy(self) -> np.ndarray:
         """The underlying array (no copy)."""
         return self.data
-
-    def detach(self) -> "Tensor":
-        """A new tensor sharing data but outside the graph."""
-        return Tensor(self.data, requires_grad=False)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"

@@ -1,9 +1,10 @@
 """Training and masked fine-tuning loops for the proxy models.
 
 The accuracy experiments follow the classic prune-then-fine-tune recipe: train
-a dense proxy, prune its prunable weight matrices with one of the pattern
-pruners, then fine-tune with the masks held fixed (masked gradients).  The
-proxy models in :mod:`repro.models` expose two methods used here:
+a dense proxy, prune its prunable weight matrices by magnitude with one of the
+pattern masks of :mod:`repro.core.pruning`, then fine-tune with the masks held
+fixed (masked gradients).  The proxy models in :mod:`repro.models` expose two
+methods used here:
 
 * ``loss(batch) -> Tensor`` — differentiable training loss for a batch,
 * ``evaluate(batch) -> float`` — the task metric (BLEU or top-1 accuracy).
@@ -12,11 +13,11 @@ proxy models in :mod:`repro.models` expose two methods used here:
 from __future__ import annotations
 
 import ctypes
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..pruning.base import Pruner
 from .layers import Module
 from .optim import Adam, Optimizer, SGD, clip_grad_norm
 from .tensor import no_grad
@@ -67,44 +68,32 @@ def _make_optimizer(model: Module, config: TrainConfig) -> Optimizer:
 
 
 def build_masks(
-    model: Module, pruner: Pruner, sparsity: float
-) -> tuple[dict[str, np.ndarray], dict[str, dict]]:
-    """Prune every prunable weight of ``model`` and return the masks.
+    model: Module, mask_of: Callable[[np.ndarray], np.ndarray]
+) -> dict[str, np.ndarray]:
+    """Prune every prunable weight of ``model`` and return the keep-masks.
 
-    Layers whose rows are not divisible by the pruner's vector (or block)
-    size, or whose shape cannot hold the pattern, are skipped, mirroring the
-    common practice of leaving such layers dense.
-
-    Returns
-    -------
-    (masks, infos)
-        ``masks[name]`` is the boolean keep-mask; ``infos[name]`` carries the
-        pruner's pattern-specific extras (e.g. Shfl-BW row indices).
+    ``mask_of`` maps a weight's magnitudes (the paper's criterion) to its
+    boolean keep-mask, e.g. one of the :mod:`repro.core.pruning` masks at a
+    fixed density.  A layer whose shape cannot hold the pattern, so that
+    ``mask_of`` raises ``ValueError`` (rows not divisible by the vector
+    size, or a stem conv whose reduction length is not divisible by the
+    block size), is left dense, matching common pruning practice.
     """
     masks: dict[str, np.ndarray] = {}
-    infos: dict[str, dict] = {}
-    vector_size = getattr(pruner, "vector_size", None) or getattr(pruner, "block_size", None)
     for name, param in model.prunable_parameters():
-        if vector_size is not None and param.data.shape[0] % vector_size:
-            continue
         # Non-finite weights are corruption (diverged training), not a
-        # pattern-infeasibility: raise before the tolerant prune below can
-        # read the pruner's finite-score rejection as "leave the layer
+        # pattern-infeasibility: raise before the tolerant mask call below
+        # can read the mask's finite-score rejection as "leave the layer
         # dense" and hide the problem.
         if not np.all(np.isfinite(param.data)):
             raise ValueError(
                 f"weights of prunable layer {name!r} contain non-finite values"
             )
         try:
-            result = pruner.prune(param.data, sparsity)
+            masks[name] = mask_of(np.abs(param.data))
         except ValueError:
-            # Layers whose shape cannot hold the pattern (e.g. a stem conv
-            # whose reduction length is not divisible by the block size) are
-            # left dense, matching common pruning practice.
             continue
-        masks[name] = result.mask
-        infos[name] = result.info
-    return masks, infos
+    return masks
 
 
 def apply_masks(model: Module, masks: dict[str, np.ndarray]) -> None:

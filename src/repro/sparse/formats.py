@@ -129,10 +129,6 @@ class CSRMatrix:
         out[rows, self.indices] = self.data
         return out
 
-    def row_nnz(self) -> np.ndarray:
-        """Non-zeros per row."""
-        return np.diff(self.indptr)
-
 
 # --------------------------------------------------------------------------- #
 # Block-wise: BSR with square V x V blocks
@@ -465,14 +461,6 @@ class ShflBWMatrix:
     @property
     def density(self) -> float:
         return self.vector_matrix.density
-
-    @property
-    def row_groups(self) -> list[np.ndarray]:
-        """Original row indices of each permuted row group."""
-        v = self.vector_size
-        return [
-            self.row_indices[g * v : (g + 1) * v] for g in range(self.num_groups)
-        ]
 
     @classmethod
     def from_dense(

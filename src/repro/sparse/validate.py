@@ -1,6 +1,6 @@
 """Structural validators for sparse patterns.
 
-Pruners promise to emit matrices that satisfy a given sparsity pattern; the
+The pruning masks promise matrices that satisfy a given sparsity pattern; the
 validators here check those promises directly on dense masks/matrices, so the
 test-suite (and property-based tests in particular) can assert pattern
 invariants without trusting the format containers.
@@ -71,7 +71,7 @@ def is_shflbw(
     """True if some row permutation turns the matrix vector-wise.
 
     If ``row_indices`` is provided it is checked directly (this is the cheap
-    path used when the pruner exposes its search result).  Otherwise the rows
+    path used when the pattern search's witness is at hand).  Otherwise the rows
     are grouped by their non-zero column support; the matrix is Shfl-BW iff
     rows can be partitioned into groups of exactly ``V`` identical supports —
     which we verify greedily by counting rows per distinct support pattern.

@@ -95,12 +95,6 @@ class PlannedModel:
         """Modelled whole-workload time under the plan."""
         return self.plan.total_time_s
 
-    def layer_times(self) -> list[tuple[str, str, float]]:
-        """``(layer, kernel label, total modelled time)`` per plan entry."""
-        return [
-            (a.layer, a.label, a.total_time_s) for a in self.plan.assignments
-        ]
-
 
 @dataclass(frozen=True)
 class PlanComparison:

@@ -165,13 +165,6 @@ class TuningPlan:
                 return assignment
         raise KeyError(f"plan has no layer {layer!r}")
 
-    def kernel_histogram(self) -> dict[str, int]:
-        """How many layers each kernel label won."""
-        histogram: dict[str, int] = {}
-        for assignment in self.assignments:
-            histogram[assignment.label] = histogram.get(assignment.label, 0) + 1
-        return histogram
-
     def to_dict(self) -> dict:
         """JSON-serialisable form; also the plan's cache-key payload."""
         return {

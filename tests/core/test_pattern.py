@@ -43,13 +43,3 @@ class TestPatternKind:
     def test_parse_unknown(self):
         with pytest.raises(ValueError):
             PatternKind.parse("diagonal")
-
-    def test_tensor_core_usability(self):
-        assert PatternKind.SHFLBW.uses_tensor_core
-        assert PatternKind.BLOCKWISE.uses_tensor_core
-        assert not PatternKind.UNSTRUCTURED.uses_tensor_core
-
-    def test_needs_block_size(self):
-        assert PatternKind.SHFLBW.needs_block_size
-        assert not PatternKind.BALANCED.needs_block_size
-        assert not PatternKind.DENSE.needs_block_size

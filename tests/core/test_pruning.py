@@ -1,10 +1,12 @@
-"""Tests for the Shfl-BW pattern-search algorithm (Figure 5)."""
+"""Tests for the magnitude masks of every pattern and the Shfl-BW
+pattern-search algorithm (Figure 5)."""
 
 import numpy as np
 import pytest
 
 import repro.core.pruning as pruning_module
 from repro.core.pruning import (
+    balanced_mask,
     block_keep_flags,
     block_wise_mask,
     prune_shflbw,
@@ -12,8 +14,7 @@ from repro.core.pruning import (
     unstructured_mask,
     vector_wise_mask,
 )
-from repro.pruning.patterns import BlockwisePruner, VectorwisePruner
-from repro.sparse.validate import is_shflbw, is_vector_wise
+from repro.sparse.validate import is_balanced, is_blockwise, is_shflbw, is_vector_wise
 
 
 class TestUnstructuredMask:
@@ -27,6 +28,11 @@ class TestUnstructuredMask:
         mask = unstructured_mask(scores, 0.25)
         assert mask[3, 3] and mask[3, 2] and mask[3, 1] and mask[3, 0]
         assert not mask[0, 0]
+
+    def test_keeps_largest_magnitudes(self, rng):
+        weight = rng.normal(size=(64, 64))
+        mask = unstructured_mask(np.abs(weight), 0.1)
+        assert np.abs(weight[mask]).min() >= np.abs(weight[~mask]).max()
 
     def test_full_density_keeps_everything(self, rng):
         assert unstructured_mask(rng.random((4, 4)), 1.0).all()
@@ -84,6 +90,8 @@ class TestUnstructuredMask:
     def test_invalid_density(self, rng):
         with pytest.raises(ValueError):
             unstructured_mask(rng.random((4, 4)), 0.0)
+        with pytest.raises(ValueError):
+            unstructured_mask(rng.random((4, 4)), 1.1)
 
 
 class TestVectorWiseMask:
@@ -109,6 +117,35 @@ class TestVectorWiseMask:
     def test_indivisible_rows_rejected(self, rng):
         with pytest.raises(ValueError):
             vector_wise_mask(rng.random((10, 8)), 0.5, 4)
+
+    def test_retains_at_least_blockwise_score(self, rng):
+        scores = np.abs(rng.normal(size=(64, 64)))
+        vw = vector_wise_mask(scores, 0.25, 16)
+        bw = block_wise_mask(scores, 0.25, 16)
+        assert scores[vw].sum() >= scores[bw].sum() * 0.999
+
+
+class TestBlockWiseMask:
+    def test_mask_is_blockwise(self, rng):
+        assert is_blockwise(block_wise_mask(rng.random((64, 64)), 0.25, 16), 16)
+
+    def test_density_close_to_target(self, rng):
+        mask = block_wise_mask(rng.random((64, 64)), 0.25, 8)
+        assert mask.mean() == pytest.approx(0.25, abs=0.05)
+
+    def test_indivisible_shape_rejected(self, rng):
+        with pytest.raises(ValueError, match="not divisible"):
+            block_wise_mask(rng.random((40, 64)), 0.5, 16)
+
+
+class TestBalancedMask:
+    def test_mask_is_balanced(self, rng):
+        mask = balanced_mask(rng.random((64, 64)))
+        assert is_balanced(mask)
+        assert mask.mean() == 0.5
+
+    def test_custom_n_m(self, rng):
+        assert is_balanced(balanced_mask(rng.random((8, 16)), n=1, m=4), n=1, m=4)
 
 
 class TestBlockKeepFlags:
@@ -244,13 +281,6 @@ class TestPruneShflBW:
         pruned, result = prune_shflbw(weights, sparsity=0.0, vector_size=4)
         np.testing.assert_allclose(pruned, weights)
 
-    def test_custom_scores_respected(self, rng):
-        weights = rng.normal(size=(16, 16))
-        scores = np.zeros((16, 16))
-        scores[:, :4] = 1.0  # force the first four columns to be kept
-        pruned, result = prune_shflbw(weights, 0.75, 4, scores=scores)
-        assert result.mask[:, :4].all()
-
     def test_invalid_sparsity(self, rng):
         with pytest.raises(ValueError):
             prune_shflbw(rng.normal(size=(8, 8)), sparsity=1.0, vector_size=4)
@@ -260,8 +290,8 @@ class TestPruneShflBW:
         # it retains at least as much importance at the same sparsity.
         weights = rng.normal(size=(64, 64))
         _, shfl = prune_shflbw(weights, sparsity=0.75, vector_size=16)
-        bw = BlockwisePruner(block_size=16).prune(weights, 0.75)
-        assert shfl.retained_score >= np.abs(bw.weights).sum() * 0.999
+        bw = block_wise_mask(np.abs(weights), 0.25, 16)
+        assert shfl.retained_score >= np.abs(weights[bw]).sum() * 0.999
 
     def test_retains_at_least_vector_wise_score_on_structured_scores(self, rng):
         m, k, v = 32, 32, 8
@@ -270,5 +300,5 @@ class TestPruneShflBW:
         for i in range(m):
             weights[i, supports[i % 4]] = 1.0 + rng.random(8)
         _, shfl = prune_shflbw(weights, sparsity=0.75, vector_size=v)
-        vw = VectorwisePruner(vector_size=v).prune(weights, 0.75)
-        assert shfl.retained_score >= np.abs(vw.weights).sum() * 0.999
+        vw = vector_wise_mask(np.abs(weights), 0.25, v)
+        assert shfl.retained_score >= np.abs(weights[vw]).sum() * 0.999

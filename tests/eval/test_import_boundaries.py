@@ -22,7 +22,6 @@ TIMING_EXPERIMENTS = ("figure1", "figure6", "headline", "autotune")
 NEVER_LOADED = (
     "scipy",
     "repro.nn",
-    "repro.pruning",
     "repro.eval.accuracy",
     "repro.eval.tradeoff",
     "repro.models.gnmt",
@@ -105,8 +104,8 @@ print(json.dumps(seen))
 def test_serving_runtime_skips_the_accuracy_stack():
     """``import repro.serve`` and ``planned_runtime`` prune every served
     layer in its kernel's pattern with the masks of ``repro.core``: the
-    vector-wise, 2:4 and block-wise plans load no pruner, autograd or
-    proxy model."""
+    vector-wise, 2:4 and block-wise plans load no autograd or proxy
+    model."""
     code = f"""
 import json, sys
 from repro.eval.runner import KernelSpec

@@ -41,14 +41,9 @@ class TestGEMMShape:
     def test_flops(self):
         assert GEMMShape(2, 3, 4).flops == 48
 
-    def test_sparse_flops(self):
-        assert GEMMShape(2, 3, 4).sparse_flops(0.5) == 24
-
     def test_invalid(self):
         with pytest.raises(ValueError):
             GEMMShape(0, 1, 1)
-        with pytest.raises(ValueError):
-            GEMMShape(2, 3, 4).sparse_flops(0.0)
 
     def test_conv_to_gemm(self):
         spec = Conv2dSpec(64, 128, 3, padding=1)

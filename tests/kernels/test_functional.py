@@ -4,14 +4,14 @@ dense matmul of the (pattern-pruned) weight matrix."""
 import numpy as np
 import pytest
 
-from repro.core.pruning import prune_shflbw
-from repro.kernels.registry import make_kernel
-from repro.pruning.patterns import (
-    BalancedPruner,
-    BlockwisePruner,
-    UnstructuredPruner,
-    VectorwisePruner,
+from repro.core.pruning import (
+    balanced_mask,
+    block_wise_mask,
+    prune_shflbw,
+    unstructured_mask,
+    vector_wise_mask,
 )
+from repro.kernels.registry import make_kernel
 from repro.sparse.spconv import Conv2dSpec, conv2d_dense
 
 
@@ -38,7 +38,7 @@ class TestDenseKernels:
 class TestUnstructuredKernels:
     @pytest.mark.parametrize("name", ["sputnik", "cusparse-csr"])
     def test_matches_dense(self, name, weight, activations):
-        pruned = UnstructuredPruner().prune(weight, 0.7).weights
+        pruned = weight * unstructured_mask(np.abs(weight), 0.3)
         kernel = make_kernel(name)
         np.testing.assert_allclose(
             kernel.matmul(pruned, activations), pruned @ activations, atol=1e-12
@@ -47,7 +47,7 @@ class TestUnstructuredKernels:
 
 class TestBlockwiseKernel:
     def test_matches_dense(self, weight, activations):
-        pruned = BlockwisePruner(block_size=8).prune(weight, 0.5).weights
+        pruned = weight * block_wise_mask(np.abs(weight), 0.5, 8)
         kernel = make_kernel("cusparse-bsr", block_size=8)
         np.testing.assert_allclose(
             kernel.matmul(pruned, activations), pruned @ activations, atol=1e-12
@@ -56,7 +56,7 @@ class TestBlockwiseKernel:
 
 class TestBalancedKernel:
     def test_matches_dense(self, weight, activations):
-        pruned = BalancedPruner().prune(weight, 0.5).weights
+        pruned = weight * balanced_mask(np.abs(weight))
         kernel = make_kernel("cusparselt")
         np.testing.assert_allclose(
             kernel.matmul(pruned, activations), pruned @ activations, atol=1e-12
@@ -66,7 +66,7 @@ class TestBalancedKernel:
 class TestVectorWiseKernels:
     @pytest.mark.parametrize("name,v", [("vector-wise", 8), ("vectorsparse", 8), ("tilewise", 16)])
     def test_matches_dense(self, name, v, weight, activations):
-        pruned = VectorwisePruner(vector_size=v).prune(weight, 0.75).weights
+        pruned = weight * vector_wise_mask(np.abs(weight), 0.25, v)
         kernel = make_kernel(name, vector_size=v)
         np.testing.assert_allclose(
             kernel.matmul(pruned, activations), pruned @ activations, atol=1e-12
@@ -81,7 +81,7 @@ class TestShflBWKernel:
         np.testing.assert_allclose(out, pruned @ activations, atol=1e-12)
 
     def test_matches_dense_without_permutation(self, weight, activations):
-        pruned = VectorwisePruner(vector_size=8).prune(weight, 0.5).weights
+        pruned = weight * vector_wise_mask(np.abs(weight), 0.5, 8)
         kernel = make_kernel("shfl-bw", vector_size=8)
         np.testing.assert_allclose(
             kernel.matmul(pruned, activations), pruned @ activations, atol=1e-12

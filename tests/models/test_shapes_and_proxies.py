@@ -53,10 +53,6 @@ class TestLayerShapes:
         with pytest.raises(ValueError):
             model_layers("bert")
 
-    def test_weighted_flops(self):
-        layer = transformer_layers()[0]
-        assert layer.weighted_flops == layer.gemm.flops * layer.count
-
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             transformer_layers(tokens=0)

@@ -5,6 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
+from repro.core.pruning import search_shflbw_pattern, unstructured_mask, vector_wise_mask
 from repro.models.gnmt import GNMTConfig, GNMTProxy
 from repro.models.transformer import TransformerConfig, TransformerProxy
 from repro.nn.data import SyntheticClassificationTask, SyntheticTranslationTask
@@ -16,7 +17,6 @@ from repro.nn.train import (
     mask_gradients,
     train_model,
 )
-from repro.pruning.patterns import ShflBWPruner, UnstructuredPruner
 
 
 class TestTranslationTask:
@@ -108,11 +108,20 @@ class TestMaskedTraining:
 
     def test_build_masks_covers_prunable_layers(self):
         model, _ = self._tiny_model_and_task()
-        masks, infos = build_masks(model, ShflBWPruner(vector_size=8), 0.75)
-        assert masks
+        masks = build_masks(model, lambda s: search_shflbw_pattern(s, 0.25, 8).mask)
+        layers = dict(model.prunable_parameters())
+        assert masks.keys() == layers.keys()
         for name, mask in masks.items():
             assert mask.dtype == bool
-            assert name in infos
+            assert mask.shape == layers[name].data.shape
+
+    def test_build_masks_leaves_a_layer_the_pattern_cannot_hold_dense(self):
+        # V=16 row groups cannot tile the 8 rows of the vocabulary projection.
+        model, _ = self._tiny_model_and_task()
+        masks = build_masks(model, lambda s: vector_wise_mask(s, 0.25, 16))
+        layers = dict(model.prunable_parameters())
+        assert layers["output.weight"].data.shape[0] == 8
+        assert masks.keys() == layers.keys() - {"output.weight"}
 
     def test_build_masks_rejects_non_finite_weights(self):
         # Corrupted (diverged) weights must raise loudly instead of reading
@@ -121,11 +130,17 @@ class TestMaskedTraining:
         name, param = next(iter(model.prunable_parameters()))
         param.data[0, 0] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
-            build_masks(model, UnstructuredPruner(), 0.5)
+            build_masks(model, lambda s: unstructured_mask(s, 0.5))
+
+    def test_build_masks_rejects_non_finite_weights_in_a_layer_left_dense(self):
+        model, _ = self._tiny_model_and_task()
+        dict(model.prunable_parameters())["output.weight"].data[0, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            build_masks(model, lambda s: vector_wise_mask(s, 0.25, 16))
 
     def test_apply_masks_zeroes_weights(self):
         model, _ = self._tiny_model_and_task()
-        masks, _ = build_masks(model, UnstructuredPruner(), 0.9)
+        masks = build_masks(model, lambda s: unstructured_mask(s, 0.1))
         apply_masks(model, masks)
         for name, param in model.prunable_parameters():
             if name in masks:
@@ -133,7 +148,7 @@ class TestMaskedTraining:
 
     def test_masked_training_preserves_sparsity(self):
         model, task = self._tiny_model_and_task()
-        masks, _ = build_masks(model, UnstructuredPruner(), 0.8)
+        masks = build_masks(model, lambda s: unstructured_mask(s, 0.2))
         apply_masks(model, masks)
         train_model(model, task, TrainConfig(epochs=1, batch_size=32), masks=masks)
         for name, param in model.prunable_parameters():
@@ -142,7 +157,7 @@ class TestMaskedTraining:
 
     def test_mask_gradients_zeroes_pruned_grads(self):
         model, task = self._tiny_model_and_task()
-        masks, _ = build_masks(model, UnstructuredPruner(), 0.5)
+        masks = build_masks(model, lambda s: unstructured_mask(s, 0.5))
         apply_masks(model, masks)
         batch = next(task.batches(task.train_split(), 8))
         model.loss(batch).backward()

@@ -75,7 +75,7 @@ class TestModuleMechanics:
         model = TwoLinear(4, 8, 2)
         names = [name for name, _ in model.named_parameters()]
         assert len(names) == 4  # two weights + two biases
-        assert model.num_parameters() == 4 * 8 + 8 + 8 * 2 + 2
+        assert sum(p.size for p in model.parameters()) == 4 * 8 + 8 + 8 * 2 + 2
 
     def test_prunable_parameters_are_2d_weights(self):
         model = TwoLinear(4, 8, 2)

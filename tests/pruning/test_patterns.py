@@ -1,19 +1,12 @@
-"""Tests for the single-shot pattern pruners."""
+"""Single-shot magnitude pruning of a weight matrix to each pattern, checked
+on the pruned weights (the weights times the pattern's mask of their
+magnitudes) rather than on the mask alone."""
 
 import numpy as np
 import pytest
 
-from repro.core.pattern import PatternKind
-from repro.pruning.base import PruneResult
-from repro.pruning.patterns import (
-    BalancedPruner,
-    BlockwisePruner,
-    ShflBWPruner,
-    UnstructuredPruner,
-    VectorwisePruner,
-    make_pruner,
-)
-from repro.sparse.validate import is_balanced, is_blockwise, is_shflbw, is_vector_wise
+from repro.core.pruning import block_wise_mask, prune_shflbw, unstructured_mask, vector_wise_mask
+from repro.sparse.validate import is_shflbw, is_vector_wise
 
 
 @pytest.fixture
@@ -21,110 +14,25 @@ def weight(rng):
     return rng.normal(size=(64, 64))
 
 
-class TestPruneResult:
-    def test_sparsity_and_density(self, weight):
-        result = UnstructuredPruner().prune(weight, 0.75)
-        assert result.sparsity == pytest.approx(0.75, abs=0.01)
-        assert result.density == pytest.approx(0.25, abs=0.01)
-        assert isinstance(result, PruneResult)
-
-    def test_weights_respect_mask(self, weight):
-        result = UnstructuredPruner().prune(weight, 0.5)
-        assert np.all(result.weights[~result.mask] == 0.0)
-        np.testing.assert_allclose(result.weights[result.mask], weight[result.mask])
-
-
 class TestUnstructuredPruner:
-    def test_keeps_largest_magnitudes(self, weight):
-        result = UnstructuredPruner().prune(weight, 0.9)
-        kept_min = np.abs(weight[result.mask]).min()
-        dropped_max = np.abs(weight[~result.mask]).max()
-        assert kept_min >= dropped_max - 1e-12
-
     def test_invalid_sparsity(self, weight):
-        with pytest.raises(ValueError):
-            UnstructuredPruner().prune(weight, 1.0)
-        with pytest.raises(ValueError):
-            UnstructuredPruner().prune(weight, -0.1)
-
-
-class TestBlockwisePruner:
-    def test_output_is_blockwise(self, weight):
-        result = BlockwisePruner(block_size=16).prune(weight, 0.75)
-        assert is_blockwise(result.weights, 16)
-        assert result.pattern is PatternKind.BLOCKWISE
-
-    def test_sparsity_close_to_target(self, weight):
-        result = BlockwisePruner(block_size=8).prune(weight, 0.75)
-        assert result.sparsity == pytest.approx(0.75, abs=0.05)
-
-    def test_indivisible_shape_rejected(self, rng):
-        with pytest.raises(ValueError):
-            BlockwisePruner(block_size=16).prune(rng.normal(size=(40, 64)), 0.5)
-
-    def test_info_contains_block_size(self, weight):
-        assert BlockwisePruner(block_size=8).prune(weight, 0.5).info["block_size"] == 8
+        for sparsity in (1.0, -0.1):
+            with pytest.raises(ValueError):
+                unstructured_mask(np.abs(weight), 1.0 - sparsity)
 
 
 class TestVectorwisePruner:
     def test_output_is_vector_wise(self, weight):
-        result = VectorwisePruner(vector_size=16).prune(weight, 0.75)
-        assert is_vector_wise(result.weights, 16)
-        assert result.pattern is PatternKind.VECTORWISE
-
-    def test_retains_more_than_blockwise(self, weight):
-        vw = VectorwisePruner(vector_size=16).prune(weight, 0.75)
-        bw = BlockwisePruner(block_size=16).prune(weight, 0.75)
-        assert np.abs(vw.weights).sum() >= np.abs(bw.weights).sum() * 0.999
-
-
-class TestBalancedPruner:
-    def test_output_is_balanced(self, weight):
-        result = BalancedPruner().prune(weight, 0.5)
-        assert is_balanced(result.weights)
-        assert result.sparsity == pytest.approx(0.5)
-
-    def test_only_fixed_sparsity_allowed(self, weight):
-        with pytest.raises(ValueError):
-            BalancedPruner().prune(weight, 0.75)
-
-    def test_custom_n_m(self, rng):
-        weight = rng.normal(size=(8, 16))
-        result = BalancedPruner(n=1, m=4).prune(weight, 0.75)
-        assert is_balanced(result.weights, n=1, m=4)
+        pruned = weight * vector_wise_mask(np.abs(weight), 0.25, 16)
+        assert is_vector_wise(pruned, 16)
 
 
 class TestShflBWPruner:
     def test_output_is_shflbw(self, weight):
-        pruner = ShflBWPruner(vector_size=16)
-        result = pruner.prune(weight, 0.75)
-        assert is_shflbw(result.weights, 16, result.info["row_indices"])
-        assert result.pattern is PatternKind.SHFLBW
-
-    def test_info_has_witness_and_groups(self, weight):
-        result = ShflBWPruner(vector_size=16).prune(weight, 0.75)
-        assert "row_indices" in result.info
-        assert len(result.info["groups"]) == 4
-        assert 0 < result.info["retained_fraction"] <= 1.0
+        pruned, result = prune_shflbw(weight, 0.75, vector_size=16)
+        assert is_shflbw(pruned, 16, result.row_indices)
 
     def test_retains_at_least_blockwise(self, weight):
-        shfl = ShflBWPruner(vector_size=16).prune(weight, 0.8)
-        bw = BlockwisePruner(block_size=16).prune(weight, 0.8)
-        assert np.abs(shfl.weights).sum() >= np.abs(bw.weights).sum() * 0.999
-
-
-class TestMakePruner:
-    def test_builds_each_pattern(self):
-        assert isinstance(make_pruner("unstructured"), UnstructuredPruner)
-        assert isinstance(make_pruner("blockwise", block_size=8), BlockwisePruner)
-        assert isinstance(make_pruner("vectorwise", vector_size=8), VectorwisePruner)
-        assert isinstance(make_pruner("balanced"), BalancedPruner)
-        assert isinstance(make_pruner("shfl-bw", vector_size=8), ShflBWPruner)
-
-    def test_unknown_pattern(self):
-        with pytest.raises(ValueError):
-            make_pruner("diagonal")
-
-    def test_dense_pattern_has_no_pruner(self):
-        with pytest.raises(ValueError):
-            make_pruner("dense")
+        shfl, _ = prune_shflbw(weight, 0.8, vector_size=16)
+        bw = weight * block_wise_mask(np.abs(weight), 1.0 - 0.8, 16)
+        assert np.abs(shfl).sum() >= np.abs(bw).sum() * 0.999

@@ -35,12 +35,6 @@ class TestCSR:
         assert csr.nnz == 2
         assert csr.density == pytest.approx(2 / 64)
 
-    def test_row_nnz(self, rng):
-        dense = np.zeros((4, 4))
-        dense[1, :] = 1.0
-        csr = CSRMatrix.from_dense(dense)
-        assert list(csr.row_nnz()) == [0, 4, 0, 0]
-
     def test_empty_matrix(self):
         csr = CSRMatrix.from_dense(np.zeros((4, 6)))
         assert csr.nnz == 0
@@ -158,8 +152,7 @@ class TestShflBW:
     def test_row_groups_partition_rows(self, rng):
         perm = rng.permutation(8)
         matrix = ShflBWMatrix.from_dense(rng.normal(size=(8, 8)), 4, perm)
-        rows = np.concatenate(matrix.row_groups)
-        assert sorted(rows.tolist()) == list(range(8))
+        assert sorted(matrix.row_indices.tolist()) == list(range(8))
 
     def test_invalid_permutation_rejected(self, rng):
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.pruning import prune_shflbw
+from repro.core.pruning import prune_shflbw, vector_wise_mask
 from repro.sparse import spmm_reference as ref
 from repro.sparse.formats import ShflBWMatrix, VectorSparseMatrix
 from repro.sparse.spconv import Conv2dSpec, col2im, conv2d_dense, conv2d_sparse, im2col, weight_to_gemm
@@ -99,9 +99,7 @@ class TestSparseConv:
         gemm_weight = weight_to_gemm(weight)
         # Prune to vector-wise (V=4) and compare sparse conv vs dense conv of
         # the pruned weight.
-        from repro.pruning.patterns import VectorwisePruner
-
-        pruned = VectorwisePruner(vector_size=4).prune(gemm_weight, 0.5).weights
+        pruned = gemm_weight * vector_wise_mask(np.abs(gemm_weight), 0.5, 4)
         sparse = VectorSparseMatrix.from_dense(pruned, 4)
         expected = conv2d_dense(inputs, pruned.reshape(weight.shape), spec)
         np.testing.assert_allclose(conv2d_sparse(inputs, sparse, spec), expected, atol=1e-10)

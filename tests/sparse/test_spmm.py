@@ -4,12 +4,12 @@ reproduce the dense matmul exactly on matrices that satisfy its pattern."""
 import numpy as np
 import pytest
 
-from repro.core.pruning import prune_shflbw
-from repro.pruning.patterns import (
-    BalancedPruner,
-    BlockwisePruner,
-    UnstructuredPruner,
-    VectorwisePruner,
+from repro.core.pruning import (
+    balanced_mask,
+    block_wise_mask,
+    prune_shflbw,
+    unstructured_mask,
+    vector_wise_mask,
 )
 from repro.sparse import spmm_reference as ref
 from repro.sparse.formats import (
@@ -42,7 +42,7 @@ class TestDenseGEMM:
 
 class TestCSRSpMM:
     def test_matches_dense(self, rng, small_weight, activations):
-        pruned = UnstructuredPruner().prune(small_weight, 0.7).weights
+        pruned = small_weight * unstructured_mask(np.abs(small_weight), 0.3)
         out = spmm_csr(CSRMatrix.from_dense(pruned), activations)
         np.testing.assert_allclose(out, pruned @ activations, atol=1e-12)
 
@@ -59,14 +59,14 @@ class TestCSRSpMM:
 
 class TestBlockSpMM:
     def test_matches_dense(self, rng, activations, small_weight):
-        pruned = BlockwisePruner(block_size=8).prune(small_weight, 0.5).weights
+        pruned = small_weight * block_wise_mask(np.abs(small_weight), 0.5, 8)
         out = spmm_block(BlockSparseMatrix.from_dense(pruned, 8), activations)
         np.testing.assert_allclose(out, pruned @ activations, atol=1e-12)
 
 
 class TestVectorWiseSpMM:
     def test_matches_dense(self, rng, activations, small_weight):
-        pruned = VectorwisePruner(vector_size=8).prune(small_weight, 0.75).weights
+        pruned = small_weight * vector_wise_mask(np.abs(small_weight), 0.25, 8)
         out = spmm_vector_wise(VectorSparseMatrix.from_dense(pruned, 8), activations)
         np.testing.assert_allclose(out, pruned @ activations, atol=1e-12)
 
@@ -97,7 +97,8 @@ class TestShflBWSpMM:
             )
 
     def test_identity_permutation_reduces_to_vector_wise(self, rng, activations):
-        weight = VectorwisePruner(vector_size=8).prune(rng.normal(size=(32, 48)), 0.5).weights
+        weight = rng.normal(size=(32, 48))
+        weight *= vector_wise_mask(np.abs(weight), 0.5, 8)
         shfl = ShflBWMatrix.from_dense(weight, 8, np.arange(32))
         np.testing.assert_allclose(
             spmm_shflbw(shfl, activations),
@@ -107,7 +108,7 @@ class TestShflBWSpMM:
 
 class TestBalancedSpMM:
     def test_matches_dense(self, rng, activations, small_weight):
-        pruned = BalancedPruner().prune(small_weight, 0.5).weights
+        pruned = small_weight * balanced_mask(np.abs(small_weight))
         out = spmm_balanced(Balanced24Matrix.from_dense(pruned), activations)
         np.testing.assert_allclose(out, pruned @ activations, atol=1e-12)
 

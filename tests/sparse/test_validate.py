@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.pruning.patterns import (
-    BalancedPruner,
-    BlockwisePruner,
-    UnstructuredPruner,
-    VectorwisePruner,
-)
+from repro.core.pruning import balanced_mask, block_wise_mask, unstructured_mask, vector_wise_mask
 from repro.sparse.validate import (
     density,
     is_balanced,
@@ -35,12 +30,12 @@ class TestSparsityDensity:
 class TestBlockwiseValidator:
     def test_pruner_output_is_blockwise(self, rng):
         w = rng.normal(size=(32, 32))
-        pruned = BlockwisePruner(block_size=8).prune(w, 0.75).weights
+        pruned = w * block_wise_mask(np.abs(w), 0.25, 8)
         assert is_blockwise(pruned, 8)
 
     def test_unstructured_is_not_blockwise(self, rng):
         w = rng.normal(size=(32, 32))
-        pruned = UnstructuredPruner().prune(w, 0.75).weights
+        pruned = w * unstructured_mask(np.abs(w), 0.25)
         assert not is_blockwise(pruned, 8)
 
     def test_indivisible_shape_is_false(self):
@@ -50,12 +45,12 @@ class TestBlockwiseValidator:
 class TestVectorWiseValidator:
     def test_pruner_output_is_vector_wise(self, rng):
         w = rng.normal(size=(32, 48))
-        pruned = VectorwisePruner(vector_size=8).prune(w, 0.75).weights
+        pruned = w * vector_wise_mask(np.abs(w), 0.25, 8)
         assert is_vector_wise(pruned, 8)
 
     def test_blockwise_is_also_vector_wise(self, rng):
         w = rng.normal(size=(32, 32))
-        pruned = BlockwisePruner(block_size=8).prune(w, 0.5).weights
+        pruned = w * block_wise_mask(np.abs(w), 0.5, 8)
         assert is_vector_wise(pruned, 8)
 
     def test_shuffled_matrix_is_not_vector_wise(self, shflbw_pruned):
@@ -73,12 +68,12 @@ class TestShflBWValidator:
 
     def test_vector_wise_is_shflbw(self, rng):
         w = rng.normal(size=(32, 48))
-        pruned = VectorwisePruner(vector_size=8).prune(w, 0.75).weights
+        pruned = w * vector_wise_mask(np.abs(w), 0.25, 8)
         assert is_shflbw(pruned, 8)
 
     def test_unstructured_is_not_shflbw(self, rng):
         w = rng.normal(size=(32, 48))
-        pruned = UnstructuredPruner().prune(w, 0.75).weights
+        pruned = w * unstructured_mask(np.abs(w), 0.25)
         assert not is_shflbw(pruned, 8)
 
     def test_bad_witness_rejected(self, shflbw_pruned):
@@ -89,7 +84,7 @@ class TestShflBWValidator:
 class TestBalancedValidator:
     def test_pruner_output_is_balanced(self, rng):
         w = rng.normal(size=(16, 32))
-        pruned = BalancedPruner().prune(w, 0.5).weights
+        pruned = w * balanced_mask(np.abs(w))
         assert is_balanced(pruned)
 
     def test_dense_matrix_is_not_balanced(self):

@@ -1,6 +1,6 @@
 """Property-based tests (hypothesis) for the core data structures and
 invariants: format round-trips, SpMM correctness, pattern validity of the
-pruners, and the flexibility analysis."""
+pruning masks, and the flexibility analysis."""
 
 import numpy as np
 import pytest
@@ -12,8 +12,13 @@ from repro.core.analysis import (
     log_row_shuffle_multiplier,
 )
 from repro.core.kmeans import balanced_kmeans
-from repro.core.pruning import prune_shflbw, search_shflbw_pattern, unstructured_mask
-from repro.pruning.patterns import BlockwisePruner, VectorwisePruner
+from repro.core.pruning import (
+    block_wise_mask,
+    prune_shflbw,
+    search_shflbw_pattern,
+    unstructured_mask,
+    vector_wise_mask,
+)
 from repro.sparse.formats import CSRMatrix, ShflBWMatrix, VectorSparseMatrix
 from repro.sparse.spmm import spmm_csr, spmm_shflbw, spmm_vector_wise
 from repro.sparse.validate import is_blockwise, is_shflbw, is_vector_wise
@@ -71,7 +76,7 @@ def test_shflbw_spmm_matches_dense(data, sparsity):
 @settings(**SETTINGS)
 def test_vector_wise_pruner_pattern_and_spmm(data, sparsity):
     matrix, v = data
-    pruned = VectorwisePruner(vector_size=v).prune(matrix, sparsity).weights
+    pruned = matrix * vector_wise_mask(np.abs(matrix), 1.0 - sparsity, v)
     assert is_vector_wise(pruned, v)
     sparse = VectorSparseMatrix.from_dense(pruned, v)
     rhs = np.random.default_rng(2).normal(size=(matrix.shape[1], 2))
@@ -83,7 +88,7 @@ def test_vector_wise_pruner_pattern_and_spmm(data, sparsity):
 def test_blockwise_pruner_pattern(seed, v):
     rng = np.random.default_rng(seed)
     matrix = rng.normal(size=(v * 4, v * 3))
-    pruned = BlockwisePruner(block_size=v).prune(matrix, 0.5).weights
+    pruned = matrix * block_wise_mask(np.abs(matrix), 0.5, v)
     assert is_blockwise(pruned, v)
 
 

@@ -160,8 +160,7 @@ class TestPlanShape:
         plan = Autotuner().plan_gemm(FIGURE1_GEMM, "V100", 0.75)
         assert plan.workload == "gemm-2048x128x2048"
         assert plan.model is None
-        histogram = plan.kernel_histogram()
-        assert sum(histogram.values()) == 1
+        assert len(plan.assignments) == 1
 
     def test_assignment_lookup(self):
         plan = Autotuner().plan("transformer", "V100", 0.75)
